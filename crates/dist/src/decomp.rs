@@ -46,33 +46,48 @@ impl LocalDomain {
         self.to_local(&self.owned)
     }
 
-    /// The interior core of the overlapped schedule: the owned box shrunk
-    /// by `depth = c × radius` on every side, in local coordinates. These
-    /// are the cells a rank can advance `c` sweeps without any ghost data
-    /// from the current exchange — the compute that hides communication.
-    /// May be empty (tiny boxes or deep cycles: nothing can be hidden).
+    /// The interior core of the overlapped schedule: the owned box moved
+    /// in by `depth = c × radius` on every face that has a **neighbour**
+    /// (where the stored box extends past the owned box), in local
+    /// coordinates. Physical faces stay put: their cells are Dirichlet
+    /// values that never go stale, so nothing behind them waits for the
+    /// exchange. May be empty (tiny boxes or deep cycles: nothing can be
+    /// hidden).
     pub fn interior_core(&self, depth: usize) -> Region3 {
-        self.owned_local().shrink(depth)
+        let mut core = self.owned_local();
+        for d in 0..3 {
+            if self.owned.lo[d] > self.region.lo[d] {
+                core.lo[d] += depth;
+            }
+            if self.owned.hi[d] < self.region.hi[d] {
+                core.hi[d] = core.hi[d].saturating_sub(depth);
+            }
+        }
+        core
     }
 
-    /// The six boundary shells of width `depth = c × Op::RADIUS`: the
-    /// annulus between the owned box and [`LocalDomain::interior_core`],
-    /// split into at most six disjoint face slabs (z-low, z-high, y-low,
-    /// y-high, x-low, x-high), in local coordinates. These cells need
-    /// the freshly exchanged ghosts, so the overlapped schedule finishes
-    /// them after `waitall`.
+    /// The boundary shells of width `depth = c × Op::RADIUS`: the owned
+    /// cells outside [`LocalDomain::interior_core`], split into disjoint
+    /// slabs (at most one per neighbour face), in local coordinates.
+    /// Every owned cell a halo message of that depth carries lies in one
+    /// of them, so these are what the overlapped schedule stages for the
+    /// comm side; a rank without neighbours has none.
     pub fn boundary_shells(&self, depth: usize) -> Vec<Region3> {
         annulus_slabs(&self.owned_local(), &self.interior_core(depth))
     }
 
-    /// Interior trapezoid of sweep `j` (1-based) in a `c`-sweep
-    /// overlapped cycle: the owned box shrunk by `j × radius`. Sweep `j`
-    /// of the interior phase may update exactly this region using only
-    /// pre-exchange data — staleness from the unexchanged ghosts
-    /// propagates inward one `radius` per sweep, so after sweep `j`
-    /// every cell of this region holds the true step-`t+j` value.
+    /// Interior trapezoid of sweep `j` (1-based) of an overlapped cycle:
+    /// the updatable part of `interior_core(j × radius)`. Sweep `j` may
+    /// update exactly this region using only pre-exchange data —
+    /// staleness from the unexchanged ghosts propagates inward one
+    /// `radius` per sweep from the neighbour faces only, so after sweep
+    /// `j` every cell of this region holds the true step-`t+j` value. On
+    /// physical faces the cores do not shrink, they clamp to the
+    /// interior: `sweep_core(j + 1).expand(radius)` lies inside
+    /// `sweep_core(j)` plus the never-written Dirichlet layer.
     pub fn sweep_core(&self, j: usize, radius: usize) -> Region3 {
-        self.owned_local().shrink(j * radius)
+        self.interior_core(j * radius)
+            .intersect(&Region3::interior_of(self.dims))
     }
 
     /// Full update domain of sweep `j` (1-based) of a `c`-sweep cycle:
@@ -427,55 +442,103 @@ mod tests {
 
     #[test]
     fn shells_have_the_exchange_depth_width() {
+        // x-split: one neighbour, on the +x face of rank 0. The core
+        // moves in there by the exchange depth and nowhere else.
         let dec = Decomposition::new(Dims3::cube(24), [2, 1, 1], 4);
         let l = dec.local([0, 0, 0]);
         let depth = 4;
-        let core = l.interior_core(depth);
         let owned = l.owned_local();
-        for d in 0..3 {
-            assert_eq!(core.lo[d], owned.lo[d] + depth);
-            assert_eq!(core.hi[d], owned.hi[d] - depth);
-        }
+        let core = l.interior_core(depth);
+        assert_eq!(core.lo, owned.lo);
+        assert_eq!(core.hi, [owned.hi[0] - depth, owned.hi[1], owned.hi[2]]);
+        // One shell, hugging that face over the full y/z extents (the
+        // Dirichlet cells of the slab travel with the halo message).
+        assert_eq!(
+            l.boundary_shells(depth),
+            vec![Region3::new([core.hi[0], 0, 0], owned.hi)]
+        );
+        // A middle rank of a 3-wide split has two; a lone rank none.
+        let mid = Decomposition::new(Dims3::new(30, 10, 10), [3, 1, 1], 2).local([1, 0, 0]);
+        let (o, shells) = (mid.owned_local(), mid.boundary_shells(2));
+        assert_eq!(shells.len(), 2);
+        assert_eq!(shells[0], Region3::new(o.lo, [o.lo[0] + 2, 10, 10]));
+        assert_eq!(shells[1], Region3::new([o.hi[0] - 2, 0, 0], o.hi));
+        let lone = Decomposition::new(Dims3::cube(12), [1, 1, 1], 3).local([0, 0, 0]);
+        assert_eq!(lone.interior_core(3), lone.owned_local());
+        assert!(lone.boundary_shells(3).is_empty());
+        assert_eq!(lone.sweep_core(3, 1), lone.interior);
     }
 
     #[test]
     fn deep_split_leaves_an_empty_core() {
-        // 8-wide owned box, depth 4 from both sides: nothing is interior.
-        let dec = Decomposition::new(Dims3::cube(16), [2, 2, 2], 4);
-        let l = dec.local([0, 0, 0]);
+        // A middle rank owning 8 planes, depth 4 from both neighbours:
+        // nothing is interior, the whole box is shell.
+        let dec = Decomposition::new(Dims3::new(24, 10, 10), [3, 1, 1], 4);
+        let l = dec.local([1, 0, 0]);
         assert!(l.interior_core(4).is_empty());
-        let shells = l.boundary_shells(4);
-        assert_eq!(shells.len(), 1, "empty core → the whole box is shell");
-        assert_eq!(shells[0], l.owned_local());
+        assert_eq!(l.boundary_shells(4), vec![l.owned_local()]);
+        assert!(l.sweep_core(4, 1).is_empty());
+        // The corner rank of a [2,2,2] split with the same depth keeps
+        // the half of every axis that faces the physical boundary.
+        let corner = Decomposition::new(Dims3::cube(16), [2, 2, 2], 4).local([0, 0, 0]);
+        assert_eq!(corner.interior_core(4), Region3::new([0, 0, 0], [4, 4, 4]));
+        assert_eq!(corner.sweep_core(4, 1), Region3::new([1, 1, 1], [4, 4, 4]));
     }
 
     #[test]
     fn trapezoid_sweeps_nest_and_clamp() {
-        let dec = Decomposition::new(Dims3::cube(24), [2, 1, 1], 3);
-        let l = dec.local([1, 0, 0]);
         let (c, radius) = (3, 1);
-        for j in 1..=c {
-            let a = l.sweep_core(j, radius);
-            let u = l.sweep_domain(j, c, radius);
-            assert!(u.contains_region(&a), "core ⊆ domain at sweep {j}");
-            assert!(
-                Region3::interior_of(l.dims).contains_region(&u),
-                "domains never touch Dirichlet or outermost ghost cells"
-            );
-            if j > 1 {
-                // The trapezoid: cores shrink, domains shrink, and each
-                // core expanded by the radius fits the previous core —
-                // the dependency contract of the pipelined plan.
-                let prev = l.sweep_core(j - 1, radius);
-                assert!(prev.contains_region(&a.expand(radius)));
-                assert!(l.sweep_domain(j - 1, c, radius).contains_region(&u));
+        for (dims, pgrid) in [
+            (Dims3::cube(24), [2, 1, 1]),
+            (Dims3::new(30, 14, 12), [3, 1, 2]),
+        ] {
+            let dec = Decomposition::new(dims, pgrid, c);
+            for r in 0..dec.ranks() {
+                let l = dec.local(dec.coords_of(r));
+                let interior = Region3::interior_of(l.dims);
+                for j in 1..=c {
+                    let a = l.sweep_core(j, radius);
+                    let u = l.sweep_domain(j, c, radius);
+                    assert!(u.contains_region(&a), "core ⊆ domain at sweep {j}");
+                    assert!(
+                        interior.contains_region(&u),
+                        "domains never touch Dirichlet or outermost ghost cells"
+                    );
+                    // The executors' dependency contract: a core reads
+                    // the previous core and the Dirichlet layer of the
+                    // physical faces (the owned cells outside the
+                    // interior) — never a ghost, never a cell the
+                    // previous trapezoid sweep left stale.
+                    let reads = a.expand(radius);
+                    assert!(l.owned_local().contains_region(&reads), "sweep {j}");
+                    if j > 1 {
+                        let prev = l.sweep_core(j - 1, radius);
+                        assert!(
+                            prev.contains_region(&reads.intersect(&interior)),
+                            "rank {r} sweep {j}: {reads} vs {prev}"
+                        );
+                        assert!(l.sweep_domain(j - 1, c, radius).contains_region(&u));
+                    }
+                    // Neighbour faces shrink, physical faces clamp.
+                    let o = l.owned_local();
+                    for d in 0..3 {
+                        let lo = if l.owned.lo[d] > l.region.lo[d] {
+                            o.lo[d] + j * radius
+                        } else {
+                            1
+                        };
+                        let hi = if l.owned.hi[d] < l.region.hi[d] {
+                            o.hi[d] - j * radius
+                        } else {
+                            o.hi[d] - 1
+                        };
+                        assert_eq!((a.lo[d], a.hi[d]), (lo, hi), "rank {r} sweep {j} dim {d}");
+                    }
+                }
+                // The final sweep covers exactly the owned updatable cells.
+                assert_eq!(l.sweep_domain(c, c, radius), l.interior);
             }
         }
-        // The final sweep covers exactly the owned updatable cells.
-        assert_eq!(
-            l.sweep_domain(c, c, radius),
-            l.owned_local().intersect(&Region3::interior_of(l.dims))
-        );
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! copies. Values travel as native-endian `f64` (exact for `f32`
 //! payloads too, since every `f32` is exactly representable).
 
+use std::any::TypeId;
+
 use bytes::Bytes;
 use tb_grid::{Grid3, Real, Region3};
 
@@ -62,15 +64,28 @@ pub fn exchange_regions(
 }
 
 /// Copy the cells of `region` (x-fastest order) out of `g` into a
-/// message buffer. One copy: cells serialize straight into the byte
-/// buffer that becomes the message.
+/// message buffer. One copy: the buffer that becomes the message is
+/// sized once and filled row by row — an `f64` row is already its wire
+/// format and goes in as one byte copy, other element types widen cell
+/// by cell.
 pub fn pack_region<T: Real>(g: &Grid3<T>, region: &Region3) -> Bytes {
     let r = region.intersect(&Region3::whole(g.dims()));
+    let wire_format = TypeId::of::<T>() == TypeId::of::<f64>();
     let mut out = Vec::with_capacity(r.count() * 8);
     for z in r.lo[2]..r.hi[2] {
         for y in r.lo[1]..r.hi[1] {
-            for v in &g.row(y, z)[r.lo[0]..r.hi[0]] {
-                out.extend_from_slice(&v.to_f64().to_ne_bytes());
+            let row = &g.row(y, z)[r.lo[0]..r.hi[0]];
+            if wire_format {
+                // SAFETY: `T` is `f64` (checked above), which has no
+                // padding and no invalid byte patterns; the byte view
+                // covers exactly the borrowed row.
+                out.extend_from_slice(unsafe {
+                    std::slice::from_raw_parts(row.as_ptr().cast::<u8>(), row.len() * 8)
+                });
+            } else {
+                for v in row {
+                    out.extend_from_slice(&v.to_f64().to_ne_bytes());
+                }
             }
         }
     }

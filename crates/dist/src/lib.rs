@@ -49,25 +49,41 @@
 //!
 //! The same staleness argument read inward instead of outward powers the
 //! overlapped schedule: before any ghost of the current exchange has
-//! arrived, sweep `j` may already update the owned box shrunk by
-//! `j × RADIUS` (the **interior trapezoid**,
-//! [`LocalDomain::sweep_core`]) — exactly the cells whose dependency
-//! cone stays inside pre-exchange data. The complementary annuli of
-//! width `c × RADIUS` (the **boundary shells**,
-//! [`LocalDomain::boundary_shells`]) are finished after `waitall`. The
-//! boundary data a rank *sends* is plain step-`t` state, so the sends
-//! start immediately; corner/edge forwarding still runs x → y → z, on
-//! the comm side, from a staging grid the compute never writes.
+//! arrived, sweep `j` may already update the owned box moved in by
+//! `j × RADIUS` on every face that has a neighbour (the **interior
+//! trapezoid**, [`LocalDomain::sweep_core`]) — exactly the cells whose
+//! dependency cone stays inside pre-exchange data. Faces on the physical
+//! boundary do not move: Dirichlet cells never go stale. What a
+//! trapezoid sweep leaves out of its [`LocalDomain::sweep_domain`] are
+//! strips next to the neighbour faces (the **shells**), finished once
+//! the ghosts are in. The boundary data a rank *sends* is plain
+//! step-`t` state, so the x-slabs go out of the working grid before any
+//! compute; corner/edge forwarding still runs x → y → z, on the comm
+//! side, from a staging grid the compute never writes (it holds a
+//! snapshot of [`LocalDomain::boundary_shells`] when a y- or z-slab will
+//! be forwarded, and the unpacked ghosts).
+//!
+//! **The trapezoid stops when the halos are in.** Shell strips are not
+//! free — along an x-face they are `ny × nz` rows a few cells long, and
+//! a row kernel costs per row — so the cycle asks "halos in?" between
+//! local-executor dispatches and, on the first yes after `m` sweeps,
+//! finishes those `m` sweeps' shells and runs the remaining `c − m`
+//! sweeps whole, exactly as [`ExchangeMode::Sync`] would. `m` is a
+//! matter of timing; the result is not (same writes for every `m`).
+//! Under a [`tb_net::SimNet`] arrival is virtual time, which only `wait`
+//! resolves, so the trapezoid runs all `c` sweeps there and the virtual
+//! clocks of both overlapped modes agree. See [`solver`] for the
+//! details.
 //!
 //! **When overlap cannot hide traffic:** hiding is bounded by the
-//! interior compute, whose core shrinks by `c × RADIUS` per cycle. A
-//! local box of edge `≤ 2·c·RADIUS` has no core at all, and a pipelined
-//! interior additionally needs blocks at least `n·t·T` wide inside the
-//! core. Deep halos amortize latency but shrink the hideable interior —
-//! the `n·t·T ≤ h / RADIUS` pipeline-depth constraint binds from the
-//! other side, so `h` trades message count against overlap window. The
-//! `overlap_sweep` bench measures the achieved hiding ratio per
-//! configuration.
+//! trapezoid, whose core shrinks by `c × RADIUS` per neighbour face. A
+//! rank between two neighbours `≤ 2·c·RADIUS` apart has no core at all,
+//! and a pipelined interior additionally needs blocks at least `n·t·T`
+//! wide inside the core. Deep halos amortize latency but shrink the
+//! hideable interior — the `n·t·T ≤ h / RADIUS` pipeline-depth
+//! constraint binds from the other side, so `h` trades message count
+//! against overlap window. The `overlap_sweep` bench measures the
+//! achieved hiding ratio per configuration.
 
 pub mod decomp;
 pub mod halo;

@@ -20,35 +20,63 @@
 //! * [`ExchangeMode::Sync`] — blocking exchange, then compute: the
 //!   paper's measured baseline ("no explicit or implicit overlapping of
 //!   communication and computation", §2.2).
-//! * [`ExchangeMode::Overlapped`] — the paper's §2.3 proposal: post
-//!   `irecv`s, stage and `isend` the boundary shells immediately,
-//!   advance the **interior trapezoid** while the transfers are in
-//!   flight, `waitall`, unpack, and finish the shells. Sweep `j` of the
-//!   interior phase updates the owned box shrunk by `j × RADIUS`
-//!   ([`LocalDomain::sweep_core`]): staleness from the not-yet-arrived
-//!   ghosts propagates inward one radius per sweep, so every cell of
-//!   that region holds its true step-`t+j` value using pre-exchange
-//!   data only. The post-exchange shell phase then updates the
-//!   complementary annuli ([`LocalDomain::sweep_domain`] minus the
-//!   core), whose reads are exactly the freshly unpacked ghosts plus
-//!   trapezoid cells of the previous sweep. Both phases write the same
-//!   (buffer, cell, sweep) triples as the synchronous schedule, so the
-//!   owned result stays **bitwise identical**.
+//! * [`ExchangeMode::Overlapped`] — the paper's §2.3 proposal, run only
+//!   as deep as it pays: post the `irecv`s, `isend` the boundary slabs,
+//!   and advance the **interior trapezoid** while the transfers are in
+//!   flight — sweep `j` updates [`LocalDomain::sweep_core`], the owned
+//!   box moved in by `j × RADIUS` on every face that has a neighbour.
+//!   Staleness from the not-yet-arrived ghosts propagates inward one
+//!   radius per sweep from those faces only (physical faces hold
+//!   Dirichlet values), so every cell of that region gets its true
+//!   step-`t+j` value from pre-exchange data. Between two dispatches of
+//!   the local executor the rank asks whether the halos are in. Once
+//!   they are — after `m ≤ c` trapezoid sweeps — it unpacks them,
+//!   finishes sweeps `1..=m` on the complementary **shells**
+//!   ([`LocalDomain::sweep_domain`] minus the core: strips next to the
+//!   neighbour faces) and runs sweeps `m+1..=c` whole, as `Sync` would.
+//!   Whatever `m` turns out to be, the cycle writes the same (buffer,
+//!   cell, sweep) triples as the synchronous schedule, so the owned
+//!   result stays **bitwise identical** and independent of timing.
 //! * [`ExchangeMode::OverlappedCommThread`] — same schedule, with the
 //!   waits and the ghost forwarding driven by a real dedicated
 //!   communication thread (pinned to [`tb_topology::TeamLayout::comm_core`]
 //!   when the pipelined config carries a layout), coupled to the compute
-//!   side by a [`Handoff`] instead of a barrier. Virtual-time accounting
-//!   is identical to `Overlapped`; the wall-clock overlap becomes real.
+//!   side by a [`Handoff`] instead of a barrier: "halos in?" is its
+//!   ready flag.
+//!
+//! ## What the overlapped cycle costs, and why it stops early
+//!
+//! The trapezoid hides the exchange, the shells pay for it: every
+//! trapezoid sweep leaves a strip `j` cells deep (plus the `c − j`
+//! overlap-ring layers beyond the face) to be revisited per neighbour
+//! face. Row kernels cost per *row*, not per cell, when rows are a few
+//! cells long, so a strip along an **x-face** — `ny × nz` rows of 1–8
+//! cells — costs about as much as half a full sweep of a 64-wide box,
+//! while y- and z-face strips keep full-length rows. A cycle that ran
+//! all `c` sweeps as a trapezoid regardless spent more time on strips
+//! than the whole exchange takes (on a 128³ x-split: 52 % of the time
+//! for 13 % of the updates, to hide 4 %). Stopping at the first
+//! dispatch boundary after the messages landed keeps exactly the overlap
+//! that hides something; with an exchange faster than one sweep the
+//! cycle degenerates to `Sync` plus one staging copy of the ghosts.
+//! Dispatch granularity: [`LocalExec::Seq`] one sweep,
+//! [`LocalExec::Pipelined`] one team sweep of `n·t·T` stages,
+//! [`LocalExec::Diamond`] the whole cycle (`m` is 0 or `c`).
+//!
+//! Under a simulated network ([`tb_net::SimNet`]) "landed" is a question
+//! about virtual time that only `wait` answers, so there the trapezoid
+//! always runs to `m = c`; virtual accounting is deterministic and
+//! identical in both overlapped modes.
 //!
 //! Overlap can only hide traffic that the interior compute outlasts: the
-//! interior core shrinks by `c × RADIUS` per cycle, so small local boxes
-//! or deep cycles leave little core (`h / RADIUS` sweeps of a box of
-//! edge `≤ 2·c·RADIUS` have none) and the exchange stays exposed. The
-//! pipeline-depth constraint is unchanged: `n·t·T ≤ h / RADIUS`.
+//! core shrinks by `c × RADIUS` per neighbour face, so a rank squeezed
+//! between two neighbours `≤ 2·c·RADIUS` apart has none and the exchange
+//! stays exposed. The pipeline-depth constraint is unchanged:
+//! `n·t·T ≤ h / RADIUS`.
 //!
 //! [`DistJacobi`] is the classic-Jacobi instantiation.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use tb_grid::{BlockPartition, Grid3, GridPair, Real, Region3};
@@ -325,6 +353,20 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// Panics if the local execution is pipelined and the runtime has
     /// fewer workers than the pipeline needs.
     pub fn run_sweeps_on(&mut self, rt: &Runtime, cart: &mut CartComm, sweeps: usize) -> RunStats {
+        self.run_cycles(rt, cart, sweeps, None)
+    }
+
+    /// [`DistSolver::run_sweeps_on`] with the overlapped cycle's "halos
+    /// in?" question optionally answered by `halos_in(sweeps_done)`
+    /// instead of the exchange's real progress — the unit tests' handle
+    /// for forcing every trapezoid depth.
+    fn run_cycles(
+        &mut self,
+        rt: &Runtime,
+        cart: &mut CartComm,
+        sweeps: usize,
+        mut halos_in: Option<&mut (dyn FnMut(usize) -> bool + '_)>,
+    ) -> RunStats {
         match &self.exec {
             LocalExec::Pipelined(cfg) => assert!(
                 rt.threads() >= cfg.threads(),
@@ -368,7 +410,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                     }
                 }
                 ExchangeMode::Overlapped | ExchangeMode::OverlappedCommThread => {
-                    self.overlapped_cycle(rt, cart, c);
+                    self.overlapped_cycle(rt, cart, c, halos_in.as_deref_mut());
                 }
             }
             self.parity = c % 2;
@@ -412,43 +454,43 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         }
     }
 
-    /// One overlapped cycle of `c` sweeps — the §2.3 schedule:
+    /// One overlapped cycle of `c` sweeps — the §2.3 schedule, cut short
+    /// as soon as it has nothing left to hide:
     ///
-    /// 1. post `irecv`s for every ghost slab of the cycle,
-    /// 2. snapshot the boundary shells (step-`t` values) into the
-    ///    staging grid and `isend` the x-direction slabs immediately,
-    /// 3. advance the interior trapezoid while the comm side completes
-    ///    each direction, unpacks into the staging grid, and forwards
-    ///    the next direction's slabs (edge/corner composition),
-    /// 4. "halos ready" handoff; fold the hidden compute time into the
-    ///    virtual clock,
-    /// 5. copy the ghosts into the working grid and finish the shells.
-    fn overlapped_cycle(&mut self, rt: &Runtime, cart: &mut CartComm, c: usize) {
+    /// 1. post every `irecv` of the cycle and `isend` the x-direction
+    ///    slabs (plain step-`t` owned cells) straight from the working
+    ///    grid; if a later direction has neighbours, snapshot the
+    ///    boundary shells into the staging grid for its forwarded slabs,
+    /// 2. advance the interior trapezoid one local-executor dispatch at
+    ///    a time, asking "halos in?" before each (the inline drive
+    ///    completes, unpacks and forwards whatever has landed; with a
+    ///    communication worker the question is its [`Handoff`] flag),
+    /// 3. once they are in — after `m ≤ c` sweeps — complete the
+    ///    exchange, fold the hidden compute time into the virtual clock
+    ///    and copy the ghosts into the working grid,
+    /// 4. finish sweeps `1..=m` on their shells, then run sweeps
+    ///    `m+1..=c` over their full [`LocalDomain::sweep_domain`]s with
+    ///    the same executor — what `Sync` would have done.
+    ///
+    /// `m` only moves work between the trapezoid and the shells of a
+    /// sweep: every (buffer, cell, sweep) triple is written exactly as
+    /// in `Sync` for any `m`, so the result does not depend on timing.
+    /// Under a [`tb_net::SimNet`] arrival is a virtual-clock matter that
+    /// only `wait` settles, so the trapezoid runs to `m = c` and both
+    /// overlapped modes account identically. `halos_in` overrides the
+    /// question (see [`DistSolver::run_cycles`]).
+    fn overlapped_cycle(
+        &mut self,
+        rt: &Runtime,
+        cart: &mut CartComm,
+        c: usize,
+        mut halos_in: Option<&mut (dyn FnMut(usize) -> bool + '_)>,
+    ) {
         debug_assert_eq!(self.parity, 0, "exchange runs on a normalized pair");
         let radius = Op::RADIUS;
         let depth = c * radius;
-        let owned = self.local.owned;
-        let fence = self.local.region;
         let mode = self.mode;
         let lups = self.virtual_lups;
-
-        // Neighbor geometry up front: the comm side runs while `comm`
-        // is exclusively borrowed.
-        let mut recv_by_dim: [Vec<(Region3, Request)>; 3] = Default::default();
-        let mut send_by_dim: [Vec<(usize, u64, Region3)>; 3] = Default::default();
-        for d in 0..3 {
-            for (idx, dir) in [-1i64, 1].into_iter().enumerate() {
-                let Some(peer) = cart.neighbor(d, dir) else {
-                    continue;
-                };
-                let (s, r) = exchange_regions(&owned, &fence, d, dir, depth);
-                send_by_dim[d].push((peer, (d * 2 + idx) as u64, self.local.to_local(&s)));
-                let tag = (d * 2 + (1 - idx)) as u64;
-                recv_by_dim[d].push((self.local.to_local(&r), cart.comm.irecv(peer, tag)));
-            }
-        }
-        let has_neighbor = send_by_dim.iter().any(|v| !v.is_empty());
-
         let Self {
             pair,
             scratch,
@@ -457,111 +499,102 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
             local,
             ..
         } = self;
+        let cores: Vec<Region3> = (1..=c).map(|j| local.sweep_core(j, radius)).collect();
+        let domains: Vec<Region3> = (1..=c).map(|j| local.sweep_domain(j, c, radius)).collect();
 
         let t0 = cart.comm.time();
-        let mut halo_bytes = 0u64;
-        let interior_cells;
-        if has_neighbor {
-            // The staging grid exists only where there is traffic: a
-            // neighborless rank runs the same trapezoid+shell schedule
-            // without paying the extra footprint. It comes from the
-            // runtime's pool (stale contents are fine: every region the
-            // comm side reads is written earlier in the same cycle —
-            // shells snapshotted, ghosts unpacked) and is held for the
-            // solver's lifetime.
+        let mut drive = ExchangeDrive::post(cart, local, depth, pair.a());
+        let mut m = 0;
+        if drive.has_traffic() {
+            // The staging grid exists only where there is traffic. It
+            // comes from the runtime's pool (stale contents are fine:
+            // every region the comm side reads is written earlier in the
+            // same cycle — shells snapshotted, ghosts unpacked) and is
+            // held for the solver's lifetime.
             let scratch = &mut **scratch
                 .get_or_insert_with(|| rt.grid_pool::<T>().acquire_pooled(local.dims));
-
-            // Stage the boundary shells for the comm side: every owned
-            // cell any send region reads lies within `depth` of a face.
-            for slab in local.boundary_shells(depth) {
-                copy_region(pair.a(), &slab, scratch, &slab);
+            // Forwarded slabs read owned cells the trapezoid overwrites
+            // from its second sweep on: every one of them lies in a
+            // boundary shell.
+            if drive.forwards() {
+                for slab in local.boundary_shells(depth) {
+                    copy_region(pair.a(), &slab, scratch, &slab);
+                }
             }
-            // x-direction slabs read no ghosts: send them right away.
-            for (peer, tag, region) in &send_by_dim[0] {
-                let payload = pack_region(scratch, region);
-                halo_bytes += payload.len() as u64;
-                let _ = cart.comm.isend(*peer, *tag, payload);
-            }
-
-            // Interior trapezoid concurrent with the exchange drive.
-            let (cells, (fwd_bytes, ghost_regions)) = match mode {
+            // "Halos in?" has a real-time answer only on a real-time
+            // network (and the tests may dictate it).
+            let real_time = !cart.comm.simulated();
+            m = match mode {
                 // The persistent communication worker (pinned to the
                 // layout's comm core at runtime construction) drives the
-                // exchange while this thread dispatches the compute team.
-                // Panics on the comm worker are carried through the
-                // handoff — the compute side would otherwise spin in
-                // `take()` forever — and the handle join afterwards
-                // releases the task borrow.
+                // exchange to completion while this thread dispatches
+                // the trapezoid. Panics on the comm worker are carried
+                // through the handoff — the compute side would otherwise
+                // spin in `take()` forever — and the handle join
+                // afterwards releases the task borrow.
                 ExchangeMode::OverlappedCommThread if rt.has_comm_worker() => {
-                    let comm = &mut *cart.comm;
-                    type CommOutcome = std::thread::Result<(u64, Vec<Region3>)>;
-                    let handoff: Handoff<CommOutcome> = Handoff::new();
-                    let handoff_ref = &handoff;
-                    let scratch_ref = &mut *scratch;
-                    let sends = &send_by_dim;
-                    let mut recv_slot = Some(recv_by_dim);
-                    let mut comm_task = move || {
-                        let recv = recv_slot.take().expect("one exchange per cycle");
-                        handoff_ref.signal(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || drive_exchange(&mut *comm, &mut *scratch_ref, recv, sends),
+                    let handoff: Handoff<std::thread::Result<()>> = Handoff::new();
+                    let (comm, drive, staging) = (&mut *cart.comm, &mut drive, &mut *scratch);
+                    let mut comm_task = || {
+                        handoff.signal(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                            || drive.finish(comm, staging),
                         )));
                     };
                     let handle = rt.submit_comm(&mut comm_task);
-                    let cells = interior_trapezoid(rt, op, pair, exec, local, c);
-                    // "Halos ready" — the compute team blocks here only
-                    // if it finished the interior before the traffic.
-                    let out = match handoff.take() {
-                        Ok(out) => out,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    };
+                    let m =
+                        advance_sweeps(rt, op, pair, exec, &cores, 0, |done| match &mut halos_in {
+                            Some(ask) => ask(done),
+                            None => real_time && handoff.is_ready(),
+                        });
+                    // "Halos ready" — the compute side blocks here only
+                    // if it ran out of trapezoid before the traffic.
+                    let outcome = handoff.take();
                     handle.join();
-                    (cells, out)
+                    if let Err(payload) = outcome {
+                        std::panic::resume_unwind(payload);
+                    }
+                    m
                 }
-                // Inline drive: compute first, then the exchange, on
-                // this thread. Same `Comm` mutation order, so virtual
-                // times and results are identical to the comm-worker
-                // path; only the wall-clock overlap is forfeited.
+                // Inline drive: this thread polls the exchange between
+                // its own dispatches, then blocks for the rest. Under a
+                // simulated network nothing is polled, so the `Comm`
+                // sees the calls the comm worker would make, in the
+                // same order, and virtual times agree.
                 _ => {
-                    let cells = interior_trapezoid(rt, op, pair, exec, local, c);
-                    (
-                        cells,
-                        drive_exchange(cart.comm, scratch, recv_by_dim, &send_by_dim),
-                    )
+                    let m =
+                        advance_sweeps(rt, op, pair, exec, &cores, 0, |done| match &mut halos_in {
+                            Some(ask) => ask(done),
+                            None => real_time && drive.poll(cart.comm, scratch),
+                        });
+                    drive.finish(cart.comm, scratch);
+                    m
                 }
             };
-            interior_cells = cells;
-            halo_bytes += fwd_bytes;
-
-            // Ghosts into the working grid.
-            for r in &ghost_regions {
+            for r in &drive.ghosts {
                 copy_region(scratch, r, pair.a_mut(), r);
             }
-        } else {
-            interior_cells = interior_trapezoid(rt, op, pair, exec, local, c);
         }
+        self.halo_bytes_sent += drive.bytes;
 
-        // Fold the compute that ran under the exchange into the clock;
-        // only the residual stays exposed in `comm_seconds`.
+        // Fold the compute that ran under the exchange into the clock
+        // (only the residual stays exposed in `comm_seconds`), then
+        // charge what ran after it.
         if let Some(lups) = lups {
-            cart.comm.overlap_join(t0, interior_cells as f64 / lups);
+            let count = |rs: &[Region3]| rs.iter().map(|r| r.count() as f64).sum::<f64>();
+            let hidden = count(&cores[..m]);
+            cart.comm.overlap_join(t0, hidden / lups);
+            cart.comm.advance((count(&domains) - hidden) / lups);
         }
 
-        // Finish the shells.
-        let mut shell_cells = 0u64;
-        for j in 1..=c {
-            let u = local.sweep_domain(j, c, radius);
-            let a = local.sweep_core(j, radius);
-            let (src, dst) = pair.src_dst(j - 1);
-            for slab in annulus_slabs(&u, &a) {
-                shell_cells += slab.count() as u64;
+        // Finish the shells of the sweeps the trapezoid reached ...
+        for j in 0..m {
+            let (src, dst) = pair.src_dst(j);
+            for slab in annulus_slabs(&domains[j], &cores[j]) {
                 kernel::update_region_op(op, src, dst, &slab);
             }
         }
-        if let Some(lups) = lups {
-            cart.comm.advance(shell_cells as f64 / lups);
-        }
-        self.halo_bytes_sent += halo_bytes;
+        // ... and run the others whole.
+        advance_sweeps(rt, op, pair, exec, &domains[m..], m, |_| false);
     }
 
     /// Collect every rank's owned cells on rank 0. Returns the
@@ -598,140 +631,193 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     }
 }
 
-/// Comm-side driver of the overlapped exchange: complete each
-/// direction's receives, unpack them into the staging grid, and forward
-/// the next direction's slabs (which embed the ghost layers just
-/// unpacked — the edge/corner composition). Runs on the calling thread
-/// in [`ExchangeMode::Overlapped`] and on the dedicated comm thread in
-/// [`ExchangeMode::OverlappedCommThread`]; either way every `Comm`
-/// mutation happens here, so virtual times are identical and
-/// deterministic. Returns the forwarded-send bytes and the ghost
-/// regions now valid in `scratch`.
-fn drive_exchange<T: Real>(
-    comm: &mut Comm,
-    scratch: &mut Grid3<T>,
-    recv_by_dim: [Vec<(Region3, Request)>; 3],
-    send_by_dim: &[Vec<(usize, u64, Region3)>; 3],
-) -> (u64, Vec<Region3>) {
-    let mut bytes = 0u64;
-    let mut ghosts = Vec::new();
-    for (d, dim_reqs) in recv_by_dim.into_iter().enumerate() {
-        for (region, req) in dim_reqs {
-            let payload = comm.wait(req).expect("recv request returns a payload");
-            unpack_region(scratch, &region, &payload);
-            ghosts.push(region);
-        }
-        if d + 1 < 3 {
-            for (peer, tag, region) in &send_by_dim[d + 1] {
-                let payload = pack_region(scratch, region);
-                bytes += payload.len() as u64;
-                // Send requests are dropped: the pack runs on the
-                // comm-core timeline and the buffer is ours to keep.
-                let _ = comm.isend(*peer, *tag, payload);
-            }
-        }
-    }
-    (bytes, ghosts)
+/// The comm side of one overlapped exchange as a resumable state
+/// machine: complete a direction's receives, unpack them into the
+/// staging grid, forward the next direction's slabs (which embed the
+/// ghost layers just unpacked — the edge/corner composition), repeat.
+/// [`ExchangeDrive::poll`] takes it as far as the messages that have
+/// landed allow, [`ExchangeDrive::finish`] blocks for the rest; the
+/// compute thread calls both in [`ExchangeMode::Overlapped`], the
+/// communication worker calls `finish` in
+/// [`ExchangeMode::OverlappedCommThread`]. Every `Comm` mutation of the
+/// cycle happens here, in one order.
+struct ExchangeDrive {
+    /// Ghost region and request of every pending receive, per direction,
+    /// in posting order.
+    recvs: [VecDeque<(Region3, Request)>; 3],
+    /// Peer, tag and slab of every send, per direction.
+    sends: [Vec<(usize, u64, Region3)>; 3],
+    /// Direction whose receives are being completed (3: all done).
+    dim: usize,
+    /// Payload bytes sent so far.
+    bytes: u64,
+    /// Ghost regions unpacked into the staging grid so far.
+    ghosts: Vec<Region3>,
 }
 
-/// Advance the interior trapezoid of one overlapped cycle: sweep
-/// `j ∈ 1..=c` updates `local.sweep_core(j, RADIUS)`. Uses the
-/// pipelined team executor (on the runtime's persistent workers) over a
-/// shrinking-domain [`PipelinePlan`] whenever that plan is constructible
-/// (radius 1, non-empty cores, blocks at least as long as the stage
-/// count), the diamond team executor over the same shrinking domains
-/// for [`LocalExec::Diamond`] (diamonds clamp, so no constructibility
-/// precondition), and plain region sweeps otherwise. Returns cells
-/// updated.
-fn interior_trapezoid<T: Real, Op: StencilOp<T>>(
+impl ExchangeDrive {
+    /// Post the `irecv`s of a depth-`depth` exchange and `isend` the
+    /// x-direction slabs, which hold owned cells only, from `current`.
+    fn post<T: Real>(
+        cart: &mut CartComm,
+        local: &LocalDomain,
+        depth: usize,
+        current: &Grid3<T>,
+    ) -> Self {
+        let mut drive = Self {
+            recvs: Default::default(),
+            sends: Default::default(),
+            dim: 0,
+            bytes: 0,
+            ghosts: Vec::new(),
+        };
+        for d in 0..3 {
+            for (idx, dir) in [-1i64, 1].into_iter().enumerate() {
+                let Some(peer) = cart.neighbor(d, dir) else {
+                    continue;
+                };
+                let (s, r) = exchange_regions(&local.owned, &local.region, d, dir, depth);
+                drive.sends[d].push((peer, (d * 2 + idx) as u64, local.to_local(&s)));
+                // The peer tagged its message with *its own* direction,
+                // the opposite of ours.
+                let tag = (d * 2 + (1 - idx)) as u64;
+                drive.recvs[d].push_back((local.to_local(&r), cart.comm.irecv(peer, tag)));
+            }
+        }
+        drive.send_dim(cart.comm, current);
+        drive
+    }
+
+    /// Whether this rank exchanges anything at all.
+    fn has_traffic(&self) -> bool {
+        self.sends.iter().any(|v| !v.is_empty())
+    }
+
+    /// Whether slabs go out after the cycle's compute has started (from
+    /// the staging grid, which must then hold the boundary shells).
+    fn forwards(&self) -> bool {
+        self.sends[1..].iter().any(|v| !v.is_empty())
+    }
+
+    /// `isend` the slabs of direction `self.dim` out of `from`. Send
+    /// requests are dropped: the pack runs on the comm-core timeline and
+    /// the buffer is ours to keep.
+    fn send_dim<T: Real>(&mut self, comm: &mut Comm, from: &Grid3<T>) {
+        for (peer, tag, region) in &self.sends[self.dim] {
+            let payload = pack_region(from, region);
+            self.bytes += payload.len() as u64;
+            let _ = comm.isend(*peer, *tag, payload);
+        }
+    }
+
+    /// Drive the exchange as far as possible: in-order completion of
+    /// the current direction's receives (`block` waits for them, else
+    /// the first one [`Comm::test`] does not report stops the drive),
+    /// then on to the next direction. True once every ghost is in
+    /// `scratch`.
+    fn advance<T: Real>(&mut self, comm: &mut Comm, scratch: &mut Grid3<T>, block: bool) -> bool {
+        while self.dim < 3 {
+            while let Some((_, req)) = self.recvs[self.dim].front_mut() {
+                if !block && !comm.test(req) {
+                    return false;
+                }
+                let (region, req) = self.recvs[self.dim].pop_front().expect("front exists");
+                let payload = comm.wait(req).expect("recv request returns a payload");
+                unpack_region(scratch, &region, &payload);
+                self.ghosts.push(region);
+            }
+            self.dim += 1;
+            if self.dim < 3 {
+                self.send_dim(comm, scratch);
+            }
+        }
+        true
+    }
+
+    /// Nonblocking [`ExchangeDrive::advance`]: "are the halos in?"
+    fn poll<T: Real>(&mut self, comm: &mut Comm, scratch: &mut Grid3<T>) -> bool {
+        self.advance(comm, scratch, false)
+    }
+
+    /// Blocking [`ExchangeDrive::advance`].
+    fn finish<T: Real>(&mut self, comm: &mut Comm, scratch: &mut Grid3<T>) {
+        self.advance(comm, scratch, true);
+    }
+}
+
+/// Advance sweeps `base + 1 ..= base + domains.len()` of a cycle, sweep
+/// `base + s + 1` over `domains[s]`, one local-executor dispatch at a
+/// time; `stop(sweeps_done)` is asked before each dispatch and ends the
+/// advance early. Returns the sweeps done. A dispatch is
+///
+/// * [`LocalExec::Diamond`]: all remaining sweeps, as one diamond
+///   schedule on the runtime's team (diamonds clamp to the domains and
+///   tolerate empty ones, so there is no constructibility precondition;
+///   `run_cycles` rejects undersized runtimes up front),
+/// * [`LocalExec::Pipelined`]: the next `stages()` sweeps as one team
+///   sweep over a shrinking-domain [`PipelinePlan`], whenever that plan
+///   is constructible (see [`plan_fits`]),
+/// * otherwise one plain region sweep.
+///
+/// `domains` must satisfy the executors' trapezoid contract,
+/// `domains[s + 1].expand(RADIUS) ⊆ domains[s] ∪ never-written cells`;
+/// both the [`LocalDomain::sweep_core`] and the
+/// [`LocalDomain::sweep_domain`] chains do.
+fn advance_sweeps<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
     pair: &mut GridPair<T>,
     exec: &LocalExec,
-    local: &LocalDomain,
-    c: usize,
-) -> u64 {
-    let radius = Op::RADIUS;
-    let cfg = match exec {
-        LocalExec::Diamond(dcfg) => return diamond_trapezoid(rt, op, pair, dcfg, local, c),
-        LocalExec::Pipelined(cfg) => Some(cfg),
-        LocalExec::Seq => None,
-    };
-    let mut cells = 0u64;
-    let mut base = 0usize;
-    while base < c {
-        let now = match cfg {
-            Some(cfg) => cfg.stages().min(c - base),
-            None => c - base,
-        };
-        let domains: Vec<Region3> = (1..=now)
-            .map(|s| local.sweep_core(base + s, radius))
-            .collect();
-        cells += domains.iter().map(|r| r.count() as u64).sum::<u64>();
-        let piped = match cfg {
-            Some(cfg)
-                if radius == 1 && rt.threads() >= cfg.threads() && plan_fits(&domains, cfg) =>
-            {
-                let views = pair.shared_views();
-                let plan = PipelinePlan::with_domains(domains.clone(), cfg.block);
-                // SAFETY: the trapezoid satisfies the plan contract —
-                // sweep_core(j+1).expand(RADIUS) == sweep_core(j) — and
-                // the pair is exclusively borrowed for the call (the
-                // comm side only touches the staging grid).
-                unsafe { pipeline::run_team_sweep_op_on(rt, op, &views, &plan, cfg, base, now) };
-                true
-            }
-            _ => false,
-        };
-        if !piped {
-            for (s, region) in domains.iter().enumerate() {
-                if region.is_empty() {
-                    continue;
+    domains: &[Region3],
+    base: usize,
+    mut stop: impl FnMut(usize) -> bool,
+) -> usize {
+    let mut done = 0;
+    while done < domains.len() && !stop(done) {
+        let rest = &domains[done..];
+        let sweep = base + done;
+        done += match exec {
+            LocalExec::Diamond(cfg) => {
+                if rest.iter().any(|r| !r.is_empty()) {
+                    let views = pair.shared_views();
+                    let tiling = DiamondTiling::new(rest.to_vec(), cfg.width, Op::RADIUS);
+                    // SAFETY: the chain satisfies the tiling's domain
+                    // contract, the tiling carries the operator's
+                    // radius, and the pair is exclusively borrowed for
+                    // the dispatch (the comm side only touches the
+                    // staging grid).
+                    unsafe {
+                        diamond::run_diamond_schedule_on(rt, op, &views, &tiling, cfg, sweep)
+                    };
                 }
-                let (src, dst) = pair.src_dst(base + s);
-                kernel::update_region_op(op, src, dst, region);
+                rest.len()
             }
-        }
-        base += now;
+            LocalExec::Pipelined(cfg) if Op::RADIUS == 1 && plan_fits(rest, cfg) => {
+                let now = cfg.stages().min(rest.len());
+                let views = pair.shared_views();
+                let plan = PipelinePlan::with_domains(rest[..now].to_vec(), cfg.block);
+                // SAFETY: the chain satisfies the plan contract and the
+                // pair is exclusively borrowed for the call (the comm
+                // side only touches the staging grid).
+                unsafe { pipeline::run_team_sweep_op_on(rt, op, &views, &plan, cfg, sweep, now) };
+                now
+            }
+            LocalExec::Pipelined(_) | LocalExec::Seq => {
+                let (src, dst) = pair.src_dst(sweep);
+                kernel::update_region_op(op, src, dst, &rest[0]);
+                1
+            }
+        };
     }
-    cells
+    done
 }
 
-/// The diamond form of the interior trapezoid: one diamond schedule
-/// over the `c` shrinking cores, executed in a single team dispatch.
-/// The trapezoid chain `sweep_core(j+1).expand(R) == sweep_core(j)` is
-/// exactly the tiling's per-sweep domain contract, and empty cores are
-/// tolerated by the geometry, so unlike the pipelined path there is no
-/// constructibility precondition and no fallback (`run_sweeps_on`
-/// rejects undersized runtimes up front; the executor re-asserts).
-fn diamond_trapezoid<T: Real, Op: StencilOp<T>>(
-    rt: &Runtime,
-    op: &Op,
-    pair: &mut GridPair<T>,
-    cfg: &DiamondConfig,
-    local: &LocalDomain,
-    c: usize,
-) -> u64 {
-    let radius = Op::RADIUS;
-    let domains: Vec<Region3> = (1..=c).map(|j| local.sweep_core(j, radius)).collect();
-    let cells: u64 = domains.iter().map(|r| r.count() as u64).sum();
-    if cells == 0 {
-        return 0;
-    }
-    let views = pair.shared_views();
-    let tiling = DiamondTiling::new(domains, cfg.width, radius);
-    // SAFETY: the trapezoid chain satisfies the tiling's domain
-    // contract, the tiling carries the operator's radius, and the
-    // pair is exclusively borrowed for the dispatch (the comm side
-    // only touches the staging grid).
-    unsafe { diamond::run_diamond_schedule_on(rt, op, &views, &tiling, cfg, 0) };
-    cells
-}
-
-/// Whether a shrinking-domain plan over `domains` is constructible for
-/// `cfg` — the same geometry precondition [`PipelinePlan::with_domains`]
-/// asserts, checked up front so small cores fall back to region sweeps.
+/// Whether the next team sweep — a shrinking-domain plan over the first
+/// `cfg.stages()` of `domains` — is constructible: the same geometry
+/// precondition [`PipelinePlan::with_domains`] asserts, checked up front
+/// so small cores fall back to region sweeps.
 fn plan_fits(domains: &[Region3], cfg: &PipelineConfig) -> bool {
+    let domains = &domains[..cfg.stages().min(domains.len())];
     let Some(first) = domains.first() else {
         return false;
     };
@@ -943,13 +1029,12 @@ mod tests {
 
     #[test]
     fn diamond_local_exec_with_empty_interior_core() {
-        // Depth-4 cycles on edge-8 owned boxes: the trapezoid is empty,
+        // The middle rank of three owns 8 planes between two neighbours:
+        // in depth-4 cycles its trapezoid is empty from sweep 1 on,
         // everything lands in the shell phase, and the diamond schedule
         // must cope with all-empty domains.
-        let cfg = DiamondConfig::with_width(2, 4);
-        verify_modes_op(Jacobi6, Dims3::cube(16), [2, 2, 2], 4, 8, move || {
-            LocalExec::Diamond(cfg.clone())
-        });
+        let exec = LocalExec::Diamond(DiamondConfig::with_width(2, 4));
+        check_every_depth(Jacobi6, Dims3::new(24, 12, 12), [3, 1, 1], 4, 8, &exec);
     }
 
     #[test]
@@ -978,11 +1063,113 @@ mod tests {
         assert!(err.contains("2·radius"), "{err}");
     }
 
+    /// One distributed run: the grid gathered on rank 0 and every rank's
+    /// halo bytes. `depth` forces the overlapped trapezoid to stop after
+    /// that many sweeps of each cycle (`None`: real progress).
+    fn run_at_depth<Op: StencilOp<f64>>(
+        op: &Op,
+        global: &Grid3<f64>,
+        dec: &Decomposition,
+        exec: &LocalExec,
+        mode: ExchangeMode,
+        sweeps: usize,
+        depth: Option<usize>,
+    ) -> (Grid3<f64>, Vec<u64>) {
+        let outs = Universe::run(dec.ranks(), None, move |comm| {
+            let mut cart = CartComm::new(comm, dec.pgrid());
+            let mut s =
+                DistSolver::from_global_op(dec, cart.coords(), global, exec.clone(), op.clone())
+                    .unwrap()
+                    .with_exchange_mode(mode);
+            let rt = s.one_shot_runtime();
+            match depth {
+                Some(m) => s.run_cycles(&rt, &mut cart, sweeps, Some(&mut |done| done >= m)),
+                None => s.run_cycles(&rt, &mut cart, sweeps, None),
+            };
+            (s.gather_global(&mut cart, dec, global), s.halo_bytes_sent)
+        });
+        let bytes = outs.iter().map(|o| o.1).collect();
+        let grid = outs.into_iter().find_map(|o| o.0).expect("rank 0 gathers");
+        (grid, bytes)
+    }
+
+    /// Force the overlapped cycle to find its halos in after every
+    /// number of trapezoid sweeps `m = 0..=h`, in both overlapped modes:
+    /// the gathered grid must be the serial oracle's and every rank's
+    /// halo traffic `Sync`'s.
+    fn check_every_depth<Op: StencilOp<f64>>(
+        op: Op,
+        dims: Dims3,
+        pgrid: [usize; 3],
+        h: usize,
+        sweeps: usize,
+        exec: &LocalExec,
+    ) {
+        let global: Grid3<f64> = init::random(dims, 31);
+        let want = serial_reference_op(&op, &global, sweeps);
+        let dec = Decomposition::new(dims, pgrid, h);
+        let interior = Region3::interior_of(dims);
+        let (sync, sync_bytes) =
+            run_at_depth(&op, &global, &dec, exec, ExchangeMode::Sync, sweeps, None);
+        norm::assert_grids_identical(&want, &sync, &interior, "sync");
+        for mode in [ExchangeMode::Overlapped, ExchangeMode::OverlappedCommThread] {
+            for m in 0..=h {
+                let (got, bytes) = run_at_depth(&op, &global, &dec, exec, mode, sweeps, Some(m));
+                let what = format!("{} {exec:?} {mode:?} {pgrid:?} m={m}", op.name());
+                norm::assert_grids_identical(&want, &got, &interior, &what);
+                assert_eq!(bytes, sync_bytes, "{what}: halo bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn every_trapezoid_depth_is_bitwise_sync() {
+        // The cycle may find its halos in after any number of trapezoid
+        // sweeps m = 0..=c (dispatch granularity permitting: a pipelined
+        // team stops at multiples of its two stages, diamonds at 0 or
+        // c). Whatever m, the gathered grid is the serial oracle's and
+        // the traffic is Sync's. 6 sweeps of h = 4: a full and a
+        // partial cycle.
+        let (h, sweeps) = (4, 6);
+        let pipelined = LocalExec::Pipelined(PipelineConfig {
+            team_size: 2,
+            n_teams: 1,
+            updates_per_thread: 1,
+            block: [8, 8, 8],
+            sync: SyncMode::relaxed_default(),
+            scheme: GridScheme::TwoGrid,
+            layout: None,
+            audit: true,
+        });
+        let diamond = LocalExec::Diamond(DiamondConfig {
+            threads: 2,
+            width: 4,
+            threads_per_tile: 1,
+            audit: true,
+        });
+        for exec in [LocalExec::Seq, pipelined, diamond] {
+            check_every_depth(Jacobi6, Dims3::new(28, 20, 20), [2, 1, 1], h, sweeps, &exec);
+            check_every_depth(Jacobi6, Dims3::new(20, 28, 20), [1, 2, 1], h, sweeps, &exec);
+            check_every_depth(Jacobi6, Dims3::new(20, 20, 28), [1, 1, 2], h, sweeps, &exec);
+            // Corner-reading operator over all eight octants: forwarded
+            // slabs leave the staging grid while the trapezoid runs.
+            check_every_depth(Avg27, Dims3::cube(24), [2, 2, 2], h, sweeps, &exec);
+        }
+    }
+
     #[test]
     fn overlapped_with_empty_interior_core() {
-        // Owned boxes of edge 8 with depth-4 cycles: the interior core
-        // is empty, everything lands in the shell phase — overlap hides
-        // nothing but the result must stay exact.
+        // Same squeezed middle rank, sequential: however long the
+        // trapezoid "runs" it hides nothing, and the result stays exact.
+        // The eight corner ranks of [2,2,2] keep a 3-cell core each.
+        check_every_depth(
+            Jacobi6,
+            Dims3::new(24, 12, 12),
+            [3, 1, 1],
+            4,
+            8,
+            &LocalExec::Seq,
+        );
         verify_modes_op(Jacobi6, Dims3::cube(16), [2, 2, 2], 4, 8, || LocalExec::Seq);
     }
 

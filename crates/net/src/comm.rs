@@ -118,6 +118,14 @@ impl Comm {
         self.clock
     }
 
+    /// Whether a [`SimNet`] drives this communicator's virtual clock.
+    /// Message arrival is then a virtual-time event: [`Comm::test`]
+    /// compares it with a clock that only `wait`/`advance` move, so
+    /// polling cannot observe progress the way it does on real time.
+    pub fn simulated(&self) -> bool {
+        self.net.is_some()
+    }
+
     /// Advance the virtual clock by `dt` seconds of (modeled) computation.
     pub fn advance(&mut self, dt: f64) {
         debug_assert!(dt >= 0.0);

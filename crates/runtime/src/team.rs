@@ -205,6 +205,22 @@ pub struct Runtime {
     pools: Mutex<HashMap<TypeId, Box<dyn Any + Send>>>,
     pool_capacity: usize,
     placement: Placement,
+    /// Spawn ledger: OS threads started by this runtime so far.
+    spawned: AtomicUsize,
+}
+
+/// Start one named worker thread and enter it in the spawn ledger —
+/// the only place a runtime creates threads.
+fn spawn_worker(
+    spawned: &AtomicUsize,
+    name: String,
+    body: impl FnOnce() + Send + 'static,
+) -> JoinHandle<()> {
+    spawned.fetch_add(1, Ordering::Relaxed);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawn runtime worker")
 }
 
 impl Runtime {
@@ -226,15 +242,15 @@ impl Runtime {
     /// `Some(pin)` spawns one with the given pin.
     pub fn from_cpus(cpus: Vec<Option<usize>>, comm: Option<Option<usize>>) -> Self {
         let lane = Arc::new(Lane::new());
+        let spawned = AtomicUsize::new(0);
         let workers = cpus
             .into_iter()
             .enumerate()
             .map(|(index, cpu)| {
                 let lane = Arc::clone(&lane);
-                std::thread::Builder::new()
-                    .name(format!("tb-runtime-w{index}"))
-                    .spawn(move || worker_loop(lane, index, cpu))
-                    .expect("spawn runtime worker")
+                spawn_worker(&spawned, format!("tb-runtime-w{index}"), move || {
+                    worker_loop(lane, index, cpu)
+                })
             })
             .collect();
         let comm_core = comm.flatten();
@@ -254,10 +270,9 @@ impl Runtime {
                 });
                 let worker = {
                     let lane = Arc::clone(&lane);
-                    std::thread::Builder::new()
-                        .name("tb-runtime-comm".into())
-                        .spawn(move || comm_loop(lane, cpu))
-                        .expect("spawn runtime comm worker")
+                    spawn_worker(&spawned, "tb-runtime-comm".into(), move || {
+                        comm_loop(lane, cpu)
+                    })
                 };
                 (Some(lane), Some(worker))
             }
@@ -272,6 +287,7 @@ impl Runtime {
             pools: Mutex::new(HashMap::new()),
             pool_capacity: crate::pool::DEFAULT_POOL_CAPACITY,
             placement: Placement::default(),
+            spawned,
         }
     }
 
@@ -353,6 +369,16 @@ impl Runtime {
     /// Number of compute workers (the communication worker not included).
     pub fn threads(&self) -> usize {
         self.workers.len()
+    }
+
+    /// Worker threads this runtime has spawned since construction
+    /// (compute and communication) — its spawn ledger, in the style of
+    /// [`GridPool::fresh_allocations`]. Workers are started once and
+    /// live until drop, so the count stays at
+    /// `threads() + has_comm_worker()` however many tasks are
+    /// dispatched; a dispatch that started a thread would move it.
+    pub fn worker_count(&self) -> usize {
+        self.spawned.load(Ordering::Relaxed)
     }
 
     /// Whether a dedicated communication worker exists.
@@ -660,9 +686,11 @@ mod tests {
         assert_eq!(rt.threads(), 3);
         assert!(rt.has_comm_worker());
         assert_eq!(rt.comm_core(), layout.comm_core);
+        assert_eq!(rt.worker_count(), 4, "three compute workers + comm");
         let plain = Runtime::new(&TeamLayout::new(&m, 2, 2));
         assert_eq!(plain.threads(), 4);
         assert!(!plain.has_comm_worker());
+        assert_eq!(plain.worker_count(), 4);
     }
 
     #[test]

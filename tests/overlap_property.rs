@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 
-use temporal_blocking::dist::{solver, Decomposition, DistSolver, ExchangeMode, LocalExec};
+use temporal_blocking::dist::{
+    annulus_slabs, solver, Decomposition, DistSolver, ExchangeMode, LocalExec,
+};
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::net::{CartComm, Universe};
 use temporal_blocking::{Avg27, Jacobi6, Jacobi7, StencilOp, VarCoeff7};
@@ -99,8 +101,9 @@ proptest! {
         }
     }
 
-    /// The core/shell split partitions the owned box for every geometry
-    /// the decomposition accepts.
+    /// The core/shell split partitions the owned box — and, sweep by
+    /// sweep, the update domain — for every geometry the decomposition
+    /// accepts, and only faces with a neighbour cast a shell.
     #[test]
     fn core_and_shells_always_partition(
         nx in 10usize..26,
@@ -120,15 +123,70 @@ proptest! {
         };
         for r in 0..dec.ranks() {
             let l = dec.local(dec.coords_of(r));
+            let owned = l.owned_local();
+            // `slab` lies within `inside` cells behind and `outside`
+            // cells beyond some face of the owned box that has a
+            // neighbour (the stored box extends past it).
+            let hugs_a_neighbour_face = |slab: &Region3, inside: usize, outside: usize| {
+                (0..3).any(|d| {
+                    let low = l.owned.lo[d] > l.region.lo[d]
+                        && slab.hi[d] <= owned.lo[d] + inside
+                        && slab.lo[d] + outside >= owned.lo[d];
+                    let high = l.owned.hi[d] < l.region.hi[d]
+                        && slab.lo[d] + inside >= owned.hi[d]
+                        && slab.hi[d] <= owned.hi[d] + outside;
+                    low || high
+                })
+            };
+            let disjoint = |core: &Region3, shells: &[Region3]| {
+                shells.iter().enumerate().all(|(i, s)| {
+                    !s.intersects(core) && shells[..i].iter().all(|s2| !s.intersects(s2))
+                })
+            };
+
             let core = l.interior_core(depth);
             let shells = l.boundary_shells(depth);
             let covered: usize =
                 core.count() + shells.iter().map(Region3::count).sum::<usize>();
-            prop_assert_eq!(covered, l.owned_local().count());
-            for (i, s) in shells.iter().enumerate() {
-                prop_assert!(!s.intersects(&core));
-                for s2 in &shells[..i] {
-                    prop_assert!(!s.intersects(s2));
+            prop_assert_eq!(covered, owned.count());
+            prop_assert!(disjoint(&core, &shells));
+            for s in &shells {
+                prop_assert!(owned.contains_region(s));
+                // (An empty core leaves the whole box as one slab.)
+                prop_assert!(
+                    core.is_empty() || hugs_a_neighbour_face(s, depth, 0),
+                    "rank {} shell {}", r, s
+                );
+            }
+            for d in 0..3 {
+                // A face without a neighbour casts no shell: the core
+                // reaches it.
+                if l.owned.lo[d] == l.region.lo[d] {
+                    prop_assert_eq!(core.lo[d], owned.lo[d]);
+                }
+                if l.owned.hi[d] == l.region.hi[d] && !core.is_empty() {
+                    prop_assert_eq!(core.hi[d], owned.hi[d]);
+                }
+            }
+
+            // Per sweep of a c-sweep cycle (radius 1): the trapezoid
+            // core and its shells are exactly the sweep's update domain.
+            let c = depth.min(h);
+            for j in 1..=c {
+                let domain = l.sweep_domain(j, c, 1);
+                let core = l.sweep_core(j, 1);
+                let shells = annulus_slabs(&domain, &core);
+                let covered: usize =
+                    core.count() + shells.iter().map(Region3::count).sum::<usize>();
+                prop_assert_eq!(covered, domain.count());
+                prop_assert!(domain.contains_region(&core));
+                prop_assert!(disjoint(&core, &shells));
+                for s in &shells {
+                    prop_assert!(domain.contains_region(s));
+                    prop_assert!(
+                        core.is_empty() || hugs_a_neighbour_face(s, j, c - j),
+                        "rank {} sweep {} shell {}", r, j, s
+                    );
                 }
             }
         }

@@ -26,18 +26,6 @@ fn shared_runtime() -> &'static Runtime {
     RT.get_or_init(|| Runtime::with_threads(8))
 }
 
-/// Live thread count of this process (Linux); `None` elsewhere.
-fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
-}
-
 /// Every parallel method, on the shared persistent runtime, must equal
 /// the classic entry point's result bitwise — for random geometry, team
 /// shape, and operator.
@@ -168,9 +156,10 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
         Method::Wavefront { threads: 3 },
     ];
 
-    // Warm one dispatch so worker threads exist, then pin the count.
+    // The runtime's own spawn ledger, not the process-wide thread count:
+    // sibling tests in this binary start and drop runtimes concurrently.
     let (want, _) = solve_on(&rt, initial.clone(), sweeps, methods[0].clone()).unwrap();
-    let baseline_threads = thread_count();
+    assert_eq!(rt.worker_count(), 3, "workers are spawned at construction");
 
     for round in 0..10 {
         for m in &methods {
@@ -183,9 +172,9 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
             );
         }
         assert_eq!(
-            thread_count(),
-            baseline_threads,
-            "round {round}: solves on a shared runtime must not spawn or leak workers"
+            rt.worker_count(),
+            3,
+            "round {round}: solves on a shared runtime must not spawn workers"
         );
     }
 }
