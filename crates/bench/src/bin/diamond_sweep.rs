@@ -184,7 +184,7 @@ fn main() {
         let team_edge = scaled_edge(edge, team);
         let initial = problem(team_edge, 0xD1A);
         let mut oracle_pair = GridPair::from_initial(initial.clone());
-        baseline::seq_sweeps(&mut oracle_pair, sweeps);
+        baseline::seq_sweeps_op(&Jacobi6, &mut oracle_pair, sweeps);
         let oracle = oracle_pair.current(sweeps).clone();
 
         let rt = Runtime::with_threads(team);

@@ -11,10 +11,11 @@
 use tb_bench::{best_of, problem, row, Args};
 use tb_grid::GridPair;
 use tb_model::{pipeline_speedup, roofline, MachineParams};
+use tb_runtime::Runtime;
 use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;
-use tb_stencil::{baseline, pipeline, PipelineConfig, SyncMode};
-use tb_topology::{Machine, TeamLayout};
+use tb_stencil::{baseline, pipeline, Jacobi6, PipelineConfig, SyncMode};
+use tb_topology::TeamLayout;
 
 fn main() {
     let args = Args::parse();
@@ -74,9 +75,10 @@ fn host(args: &Args) {
     // favors non-temporal stores, but virtualized hosts often execute
     // them pathologically slowly.
     let std_rate = |threads: usize, store: StoreMode| {
+        let rt = Runtime::with_threads(threads);
         best_of(reps, || {
             let mut pair = GridPair::from_initial(problem(edge, 42));
-            baseline::par_sweeps(&mut pair, sweeps, threads, store, None)
+            baseline::par_sweeps_op_on(&rt, &Jacobi6, &mut pair, sweeps, threads, store)
         })
     };
     for (label, store) in [
@@ -94,7 +96,12 @@ fn host(args: &Args) {
         );
     }
 
-    // Pipelined variants.
+    // Pipelined variants, on one pinned team per series. "Node" = one
+    // team per cache group; machines with a single group still run two
+    // (time-shared) teams so the series exists.
+    let node_teams = groups.max(2);
+    let socket_rt = Runtime::new(&TeamLayout::new(&machine, socket_cpus, 1));
+    let node_rt = Runtime::new(&TeamLayout::new(&machine, socket_cpus, node_teams));
     let variants: Vec<(&str, SyncMode, usize)> = vec![
         ("pipeline w/ barrier (T=2)", SyncMode::Barrier, 2),
         (
@@ -126,7 +133,7 @@ fn host(args: &Args) {
         ),
     ];
     for (label, sync, upd) in variants {
-        let run = |n_teams: usize, mach: &Machine| {
+        let run = |rt: &Runtime, n_teams: usize| {
             let cfg = PipelineConfig {
                 team_size: socket_cpus,
                 n_teams,
@@ -134,18 +141,16 @@ fn host(args: &Args) {
                 block: [edge.min(120), 20, 20],
                 sync,
                 scheme: GridScheme::TwoGrid,
-                layout: Some(TeamLayout::new(mach, socket_cpus, n_teams)),
+                layout: None,
                 audit: false,
             };
             best_of(reps, || {
                 let mut pair = GridPair::from_initial(problem(edge, 42));
-                pipeline::run(&mut pair, &cfg, sweeps).expect("valid config")
+                pipeline::run_op_on(rt, &Jacobi6, &mut pair, &cfg, sweeps).expect("valid config")
             })
         };
-        let socket = run(1, &machine);
-        // "Node" = one team per cache group; machines with a single group
-        // still run two (time-shared) teams so the series exists.
-        let node = run(groups.max(2), &machine);
+        let socket = run(&socket_rt, 1);
+        let node = run(&node_rt, node_teams);
         row(
             label,
             &[tb_bench::fmt_mlups(&socket), tb_bench::fmt_mlups(&node)],

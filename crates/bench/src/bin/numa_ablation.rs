@@ -44,7 +44,7 @@ fn main() {
     // Reference for verification.
     let initial = problem(edge, 42);
     let mut ref_pair = GridPair::from_initial(initial.clone());
-    baseline::seq_sweeps(&mut ref_pair, sweeps);
+    baseline::seq_sweeps_op(&Jacobi6, &mut ref_pair, sweeps);
     let want = ref_pair.current(sweeps);
 
     // (a) single big pipeline across all teams.
@@ -55,16 +55,17 @@ fn main() {
         block: [edge.min(120), 20, 20],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: Some(TeamLayout::new(&machine, t, teams)),
+        layout: None,
         audit: false,
     };
     let big_mlups = if big.validate(dims).is_ok() {
+        let rt = Runtime::new(&TeamLayout::new(&machine, t, teams));
         let mut pair = GridPair::from_initial(initial.clone());
-        pipeline::run(&mut pair, &big, sweeps).unwrap();
+        pipeline::run_op_on(&rt, &Jacobi6, &mut pair, &big, sweeps).unwrap();
         norm::assert_grids_identical(want, pair.current(sweeps), &Region3::whole(dims), "big");
         let s = best_of(reps, || {
             let mut pair = GridPair::from_initial(initial.clone());
-            pipeline::run(&mut pair, &big, sweeps).unwrap()
+            pipeline::run_op_on(&rt, &Jacobi6, &mut pair, &big, sweeps).unwrap()
         });
         println!("single node-wide pipeline:   {:>10.1} MLUP/s", s.mlups());
         Some(s.mlups())

@@ -18,6 +18,7 @@ use tb_bench::{problem, warmed_best_of, Args};
 use tb_dist::{Decomposition, DistSolver, LocalExec};
 use tb_grid::{norm, CompressedGrid, Grid3, GridPair, Region3};
 use tb_net::{CartComm, Universe};
+use tb_runtime::Runtime;
 use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{
@@ -80,14 +81,15 @@ fn cell<Op: StencilOp<f64>>(
 }
 
 fn sweep_op<Op: StencilOp<f64>>(
+    rt: &Runtime,
     op: &Op,
     edge: usize,
     sweeps: usize,
     reps: usize,
-    threads: usize,
     tpt: usize,
     rows: &mut Vec<Row>,
 ) {
+    let threads = rt.threads();
     let initial = problem(edge, 0xBEEF);
     let mut oracle_pair = GridPair::from_initial(initial.clone());
     baseline::seq_sweeps_op(op, &mut oracle_pair, sweeps);
@@ -111,29 +113,32 @@ fn sweep_op<Op: StencilOp<f64>>(
     }));
     rows.push(cell(op, "parallel", "on", &oracle, reps, || {
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = baseline::par_sweeps_op(op, &mut pair, sweeps, threads, StoreMode::Normal, None);
+        let s = baseline::par_sweeps_op_on(rt, op, &mut pair, sweeps, threads, StoreMode::Normal);
         (pair.current(sweeps).clone(), s)
     }));
     rows.push(cell(op, "parallel-nt", "on", &oracle, reps, || {
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = baseline::par_sweeps_op(op, &mut pair, sweeps, threads, StoreMode::Streaming, None);
+        let s =
+            baseline::par_sweeps_op_on(rt, op, &mut pair, sweeps, threads, StoreMode::Streaming);
         (pair.current(sweeps).clone(), s)
     }));
     rows.push(cell(op, "pipelined", "on", &oracle, reps, || {
         let cfg = pipeline_cfg(GridScheme::TwoGrid);
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = pipeline::run_op(op, &mut pair, &cfg, sweeps).expect("valid config");
+        let s = pipeline::run_op_on(rt, op, &mut pair, &cfg, sweeps).expect("valid config");
         (pair.current(sweeps).clone(), s)
     }));
     rows.push(cell(op, "compressed", "on", &oracle, reps, || {
         let cfg = pipeline_cfg(GridScheme::Compressed);
         let mut cg = CompressedGrid::from_grid(&initial, cfg.stages());
-        let s = pipeline::run_compressed_op(op, &mut cg, &cfg, sweeps).expect("valid config");
+        let s =
+            pipeline::run_compressed_op_on(rt, op, &mut cg, &cfg, sweeps).expect("valid config");
         (cg.to_grid(), s)
     }));
     rows.push(cell(op, "wavefront", "on", &oracle, reps, || {
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = wavefront::run_wavefront_op(op, &mut pair, 2, sweeps).expect("valid threads");
+        let s =
+            wavefront::run_wavefront_op_on(rt, op, &mut pair, 2, sweeps).expect("valid threads");
         (pair.current(sweeps).clone(), s)
     }));
     // MWD sub-teams must divide the (fixed, 2-thread) diamond team.
@@ -141,14 +146,15 @@ fn sweep_op<Op: StencilOp<f64>>(
     let dia_cfg = DiamondConfig::with_width(2, 8).with_threads_per_tile(team_tpt);
     rows.push(cell(op, "diamond", "on", &oracle, reps, || {
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = diamond::run_diamond_op(op, &mut pair, &dia_cfg, sweeps).expect("valid config");
+        let s =
+            diamond::run_diamond_op_on(rt, op, &mut pair, &dia_cfg, sweeps).expect("valid config");
         (pair.current(sweeps).clone(), s)
     }));
     rows.push(cell(op, "diamond", "off", &oracle, reps, || {
         let scalar = ScalarPath(op.clone());
         let mut pair = GridPair::from_initial(initial.clone());
-        let s =
-            diamond::run_diamond_op(&scalar, &mut pair, &dia_cfg, sweeps).expect("valid config");
+        let s = diamond::run_diamond_op_on(rt, &scalar, &mut pair, &dia_cfg, sweeps)
+            .expect("valid config");
         (pair.current(sweeps).clone(), s)
     }));
     rows.push(cell(op, "dist", "on", &oracle, reps, || {
@@ -206,27 +212,22 @@ fn main() {
          threads/tile {tpt}\n"
     );
 
+    // One team for every shared-memory cell (`threads` >= the fixed
+    // two-thread pipelined / wavefront / diamond teams).
+    let rt = Runtime::with_threads(threads);
     let mut rows = Vec::new();
-    sweep_op(&Jacobi6, edge, sweeps, reps, threads, tpt, &mut rows);
+    sweep_op(&rt, &Jacobi6, edge, sweeps, reps, tpt, &mut rows);
+    sweep_op(&rt, &Jacobi7::heat(0.1), edge, sweeps, reps, tpt, &mut rows);
     sweep_op(
-        &Jacobi7::heat(0.1),
-        edge,
-        sweeps,
-        reps,
-        threads,
-        tpt,
-        &mut rows,
-    );
-    sweep_op(
+        &rt,
         &VarCoeff7::banded(dims),
         edge,
         sweeps,
         reps,
-        threads,
         tpt,
         &mut rows,
     );
-    sweep_op(&Avg27, edge, sweeps, reps, threads, tpt, &mut rows);
+    sweep_op(&rt, &Avg27, edge, sweeps, reps, tpt, &mut rows);
 
     println!(
         "{:<11} {:<12} {:>5} {:>10} {:>10} {:>9}",

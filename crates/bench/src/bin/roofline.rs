@@ -9,6 +9,7 @@
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
 use tb_model::{roofline, MachineParams};
+use tb_runtime::Runtime;
 use tb_stencil::baseline;
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{Jacobi6, StencilOp};
@@ -41,13 +42,14 @@ fn main() {
     println!("  with RFO       ({b_rfo:.0} B/LUP):  {p0_rfo:>10.1} MLUP/s");
 
     let threads = machine.cores_per_socket().max(1);
+    let rt = Runtime::with_threads(threads);
     for (label, store, expect) in [
         ("measured, NT stores", StoreMode::Streaming, p0_nt),
         ("measured, plain stores", StoreMode::Normal, p0_rfo),
     ] {
         let s = best_of(reps, || {
             let mut pair = GridPair::from_initial(problem(edge, 42));
-            baseline::par_sweeps(&mut pair, sweeps, threads, store, None)
+            baseline::par_sweeps_op_on(&rt, &Jacobi6, &mut pair, sweeps, threads, store)
         });
         println!(
             "  {label:<24} {:>10.1} MLUP/s  ({:.0}% of roofline)",

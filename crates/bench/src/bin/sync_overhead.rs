@@ -7,21 +7,11 @@
 //! per-thread wait fraction for the barrier scheme versus relaxed
 //! (d_u = 1 lock-step and d_u = 4 loose), isolating the synchronization
 //! cost from any memory effects.
-//!
-//! The second section measures the *thread management* overhead the
-//! persistent [`tb_runtime::Runtime`] retires: per-sweep cost of
-//! spawn-a-team-per-sweep (`std::thread::scope`, what every executor did
-//! before the runtime existed) versus dispatching the same sweep to a
-//! persistent team, across team sizes — and the crossover sweep count
-//! after which building a runtime has paid for itself. Emits
-//! `BENCH_runtime.json`.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use tb_bench::Args;
-use tb_runtime::Runtime;
 use tb_sync::{PipelineSync, SpinBarrier};
 
 fn spin_for(d: Duration) {
@@ -118,115 +108,5 @@ fn main() {
     println!(
         "\nnote: with oversubscribed threads the barrier scheme degrades most —\n\
          the paper expects relaxed sync to become vital on many-core designs."
-    );
-
-    dispatch_overhead(&args);
-}
-
-/// One row of the spawn-vs-persistent measurement.
-struct DispatchRow {
-    team: usize,
-    spawn_us: f64,
-    persistent_us: f64,
-    setup_us: f64,
-    /// Sweeps after which `setup + n·persistent < n·spawn`; `None` when
-    /// persistent dispatch did not beat spawning (noisy host).
-    crossover_sweeps: Option<u64>,
-}
-
-/// Measure spawn-per-sweep vs persistent-dispatch cost per team size and
-/// write `BENCH_runtime.json`.
-fn dispatch_overhead(args: &Args) {
-    let smoke = args.has("--smoke");
-    let sweeps = args.get_usize("--dispatch-sweeps", if smoke { 60 } else { 300 });
-    let work = Duration::from_micros(args.get_usize("--dispatch-work-us", 5) as u64);
-    let teams: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-
-    println!(
-        "\nthread management: spawn-per-sweep vs persistent dispatch\n\
-         ({sweeps} sweeps of {}us work per worker)\n",
-        work.as_micros()
-    );
-    println!(
-        "{:>5} {:>16} {:>16} {:>12} {:>12}",
-        "team", "spawn [us/sweep]", "persist [us/sweep]", "setup [us]", "crossover"
-    );
-
-    let mut rows = Vec::new();
-    for &team in teams {
-        // Runtime setup: thread spawn + the first dispatch (which eats
-        // the workers' cold-start) — the one-time cost a shared runtime
-        // amortizes.
-        let t0 = Instant::now();
-        let rt = Runtime::with_threads(team);
-        rt.run(team, &|_| {});
-        let setup_us = t0.elapsed().as_secs_f64() * 1e6;
-
-        // Persistent dispatch: one broadcast per sweep.
-        let t0 = Instant::now();
-        for _ in 0..sweeps {
-            rt.run(team, &|_| spin_for(work));
-        }
-        let persistent_us = t0.elapsed().as_secs_f64() * 1e6 / sweeps as f64;
-
-        // Spawn-per-sweep: what the executors did before tb-runtime.
-        let t0 = Instant::now();
-        for _ in 0..sweeps {
-            std::thread::scope(|s| {
-                for _ in 0..team {
-                    s.spawn(|| spin_for(work));
-                }
-            });
-        }
-        let spawn_us = t0.elapsed().as_secs_f64() * 1e6 / sweeps as f64;
-
-        let crossover_sweeps = (spawn_us > persistent_us)
-            .then(|| (setup_us / (spawn_us - persistent_us)).ceil() as u64);
-        println!(
-            "{team:>5} {spawn_us:>16.1} {persistent_us:>16.1} {setup_us:>12.1} {:>12}",
-            crossover_sweeps.map_or("-".into(), |c| c.to_string())
-        );
-        rows.push(DispatchRow {
-            team,
-            spawn_us,
-            persistent_us,
-            setup_us,
-            crossover_sweeps,
-        });
-    }
-
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"team\": {}, \"spawn_us_per_sweep\": {:.3}, \
-                 \"persistent_us_per_sweep\": {:.3}, \"setup_us\": {:.3}, \
-                 \"crossover_sweeps\": {}}}",
-                r.team,
-                r.spawn_us,
-                r.persistent_us,
-                r.setup_us,
-                r.crossover_sweeps
-                    .map_or("null".into(), |c: u64| c.to_string())
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"runtime_dispatch\",\n  \"work_us\": {},\n  \"sweeps\": {},\n  \
-         \"rows\": [\n{}\n  ]\n}}\n",
-        work.as_micros(),
-        sweeps,
-        json_rows.join(",\n")
-    );
-    let path = args.get("--out").unwrap_or("BENCH_runtime.json");
-    std::fs::File::create(path)
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-        .expect("write BENCH_runtime.json");
-    println!("\nwrote {path}");
-
-    let wins = rows.iter().filter(|r| r.persistent_us < r.spawn_us).count();
-    println!(
-        "persistent dispatch beat spawn-per-sweep for {wins}/{} team sizes",
-        rows.len()
     );
 }

@@ -271,11 +271,11 @@ pub fn run_numa_node<T: Real>(
 mod tests {
     use super::*;
     use tb_grid::{init, norm, Dims3, Region3};
-    use tb_stencil::baseline;
+    use tb_stencil::{baseline, Jacobi6};
 
     fn reference(initial: &Grid3<f64>, sweeps: usize) -> Grid3<f64> {
         let mut pair = GridPair::from_initial(initial.clone());
-        baseline::seq_sweeps(&mut pair, sweeps);
+        baseline::seq_sweeps_op(&Jacobi6, &mut pair, sweeps);
         pair.current(sweeps).clone()
     }
 

@@ -2,10 +2,10 @@
 //!
 //! A `Plan` pins down *everything* the facade needs to reproduce a
 //! solver run — the method and all of its parameters (`T`, block, `d_u`,
-//! sync mode, diamond width, MWD sub-team, team shape), the SIMD path,
-//! and the distributed exchange mode — in the spirit of Patus
-//! strategies: a small data program over the `auto`-tunable parameters,
-//! separated from the stencil itself. Plans round-trip through JSON
+//! sync mode, diamond width, MWD sub-team, team shape) and the SIMD
+//! path — in the spirit of Patus strategies: a small data program over
+//! the `auto`-tunable parameters, separated from the stencil itself.
+//! Plans round-trip through JSON
 //! (see [`crate::json`]) so winners can be persisted by the
 //! [`crate::cache`] and replayed without re-tuning.
 
@@ -101,37 +101,6 @@ impl PlanMethod {
     }
 }
 
-/// Halo-exchange mode for distributed solves, mirrored from
-/// `tb_dist::ExchangeMode` without the dependency. Recorded in every
-/// plan so a scheduler can replay hybrid runs; shared-memory solves
-/// ignore it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ExchangeIr {
-    #[default]
-    Sync,
-    Overlapped,
-    OverlappedCommThread,
-}
-
-impl ExchangeIr {
-    pub fn name(self) -> &'static str {
-        match self {
-            ExchangeIr::Sync => "sync",
-            ExchangeIr::Overlapped => "overlapped",
-            ExchangeIr::OverlappedCommThread => "overlapped-comm-thread",
-        }
-    }
-
-    fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "sync" => Some(ExchangeIr::Sync),
-            "overlapped" => Some(ExchangeIr::Overlapped),
-            "overlapped-comm-thread" => Some(ExchangeIr::OverlappedCommThread),
-            _ => None,
-        }
-    }
-}
-
 /// One reified execution plan.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Plan {
@@ -139,18 +108,12 @@ pub struct Plan {
     /// Route through the vectorized row kernels (`true`) or pin the
     /// scalar path. Bitwise-identical either way; throughput differs.
     pub simd: bool,
-    /// Distributed halo-exchange mode (ignored by shared-memory solves).
-    pub exchange: ExchangeIr,
 }
 
 impl Plan {
     /// Plan for a method with the library defaults for the rest.
     pub fn new(method: PlanMethod) -> Self {
-        Plan {
-            method,
-            simd: true,
-            exchange: ExchangeIr::Sync,
-        }
+        Plan { method, simd: true }
     }
 
     /// The pipeline configuration this plan encodes, when its method is
@@ -236,14 +199,12 @@ impl Plan {
                 ("threads_per_tile", Json::usize(*threads_per_tile)),
             ]),
         };
-        Json::obj(vec![
-            ("method", method),
-            ("simd", Json::Bool(self.simd)),
-            ("exchange", Json::str(self.exchange.name())),
-        ])
+        Json::obj(vec![("method", method), ("simd", Json::Bool(self.simd))])
     }
 
-    /// Parse a plan back out of the JSON tree.
+    /// Parse a plan back out of the JSON tree. Unknown keys are ignored,
+    /// so entries written when plans still carried an `"exchange"` mode
+    /// keep loading.
     pub fn from_json(v: &Json) -> Result<Plan, String> {
         let m = v.get("method").ok_or("plan: missing method")?;
         let kind = m
@@ -281,16 +242,9 @@ impl Plan {
             },
             other => return Err(format!("plan: unknown method kind {other:?}")),
         };
-        let exchange = match v.get("exchange").and_then(Json::as_str) {
-            None => ExchangeIr::Sync,
-            Some(s) => {
-                ExchangeIr::from_name(s).ok_or_else(|| format!("plan: unknown exchange {s:?}"))?
-            }
-        };
         Ok(Plan {
             method,
             simd: v.get("simd").and_then(Json::as_bool).unwrap_or(true),
-            exchange,
         })
     }
 
@@ -430,7 +384,6 @@ mod tests {
         ];
         plans.push(Plan {
             simd: false,
-            exchange: ExchangeIr::OverlappedCommThread,
             ..plans[5].clone()
         });
         plans

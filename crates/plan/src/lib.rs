@@ -9,7 +9,7 @@
 //!   method (baseline / pipelined / compressed / wavefront / diamond)
 //!   and every parameter the facade needs to replay it (`t`, `n`, `T`,
 //!   block edges, `d_u` sync mode, diamond width, MWD sub-team, SIMD
-//!   path, exchange mode);
+//!   path);
 //! * [`key`] — cache identity: [`MachineFingerprint`] (exact topology
 //!   signature + calibrated bandwidths quantized into ±12.5% bands)
 //!   plus [`PlanKey`] (operator, dims, sweep class, element type);
@@ -25,7 +25,7 @@
 //!   `serde` is a no-op shim).
 //!
 //! The facade crate ties this to execution: see
-//! `temporal_blocking::solve_tuned_on`.
+//! `temporal_blocking::solve_tuned_with_on`.
 
 pub mod cache;
 pub mod ir;
@@ -34,7 +34,7 @@ pub mod key;
 pub mod tuner;
 
 pub use cache::{CacheEntry, PlanCache, SharedPlanCache, SCHEMA_VERSION};
-pub use ir::{ExchangeIr, MethodFamily, PipeParams, Plan, PlanMethod};
+pub use ir::{MethodFamily, PipeParams, Plan, PlanMethod};
 pub use json::Json;
 pub use key::{bandwidth_band, element_name, sweeps_class, MachineFingerprint, PlanKey};
 pub use tuner::{

@@ -142,6 +142,15 @@ pub fn default_plan(family: MethodFamily, team: usize) -> Plan {
 
 /// Enumerate the candidate space of one family for a problem, keeping
 /// only candidates that validate against `dims` and fit `team` threads.
+///
+/// The Parallel family enumerates plain stores only: NT stores lose on
+/// every benchmark workload (`baseline.par_nt_mlups` 373–510 vs
+/// `baseline.par_mlups` 792–833 MLUP/s on the DRAM-bound 288³ Jacobi6
+/// they exist for; all four workloads in CHANGES.md, PR 15), and a knob
+/// that never wins outside noise leaves the enumeration (ROADMAP Open
+/// item 2). Explicit and cached `streaming_stores: true` plans still
+/// parse, score and run; ROADMAP Open item 3 re-admits the knob once an
+/// AVX / `sfence`-per-region path beats plain stores on that workload.
 pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
     family: MethodFamily,
     params: &MachineParams,
@@ -159,12 +168,10 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
             threads.sort_unstable();
             threads.dedup();
             for t in threads {
-                for streaming in [false, true] {
-                    plans.push(Plan::new(PlanMethod::Parallel {
-                        threads: t,
-                        streaming_stores: streaming,
-                    }));
-                }
+                plans.push(Plan::new(PlanMethod::Parallel {
+                    threads: t,
+                    streaming_stores: false,
+                }));
             }
         }
         MethodFamily::Pipelined | MethodFamily::Compressed => {
@@ -424,6 +431,14 @@ mod tests {
                 assert_eq!(plan.method.family(), family);
                 plan.validate_for(dims, 1).unwrap();
                 assert!(plan.method.threads() <= 4);
+                // Pruned by measurement: NT stores are for explicit plans.
+                assert!(!matches!(
+                    plan.method,
+                    PlanMethod::Parallel {
+                        streaming_stores: true,
+                        ..
+                    }
+                ));
             }
         }
         let all = enumerate_all::<f64, _>(&p, &Jacobi6, dims, 4);

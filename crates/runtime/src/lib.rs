@@ -33,11 +33,10 @@
 //!
 //! Share a single runtime whenever the same team geometry executes more
 //! than one solve: autotune loops, repeated-solve services, long
-//! time-stepping with convergence checks, calibration sweeps. Each
-//! executor entry point also exists as a `*_on(&Runtime, …)` form in
-//! `tb-stencil`/`tb-dist`/`tb-membench`; the classic forms build a
-//! one-shot runtime per call, so they keep their historical signatures
-//! and bitwise behaviour at roughly the historical cost. Do **not** call
+//! time-stepping with convergence checks, calibration sweeps. Every
+//! `tb-stencil` executor takes the runtime as an argument (`*_op_on`);
+//! `tb-dist` and `tb-membench` keep one-shot forms beside their `*_on`
+//! ones, which build a runtime per call. Do **not** call
 //! [`Runtime::run`] from inside a task running on the same runtime — the
 //! workers are occupied and the nested dispatch would deadlock.
 //!

@@ -7,7 +7,12 @@
 //! a barrier per sweep — structurally the OpenMP code of the paper.
 //! They double as the *reference oracle*: every temporally blocked solver
 //! is verified bitwise against [`seq_sweeps_op`] instantiated with the
-//! same operator. The `*_op`-less names are the classic-Jacobi forms.
+//! same operator.
+//!
+//! One entry per solver: the operator is always an argument, and the
+//! parallel sweep always takes the [`Runtime`] it runs on — a caller that
+//! wants a one-shot team writes `Runtime::with_threads(n)` on the line
+//! above.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -17,7 +22,7 @@ use tb_runtime::Runtime;
 use tb_sync::SpinBarrier;
 
 use crate::kernel::{self, StoreMode};
-use crate::op::{Jacobi6, StencilOp};
+use crate::op::StencilOp;
 use crate::stats::RunStats;
 
 /// Sequential reference: plain full-interior sweeps of `op`.
@@ -33,11 +38,6 @@ pub fn seq_sweeps_op<T: Real, Op: StencilOp<T>>(
         kernel::update_region_op(op, src, dst, &interior);
     }
     RunStats::new((sweeps * interior.count()) as u64, t0.elapsed())
-}
-
-/// Classic-Jacobi form of [`seq_sweeps_op`].
-pub fn seq_sweeps<T: Real>(pair: &mut GridPair<T>, sweeps: usize) -> RunStats {
-    seq_sweeps_op(&Jacobi6, pair, sweeps)
 }
 
 /// Sequential sweeps with spatial blocking: each sweep visits the interior
@@ -59,15 +59,6 @@ pub fn seq_blocked_sweeps_op<T: Real, Op: StencilOp<T>>(
         }
     }
     RunStats::new((sweeps * interior.count()) as u64, t0.elapsed())
-}
-
-/// Classic-Jacobi form of [`seq_blocked_sweeps_op`].
-pub fn seq_blocked_sweeps<T: Real>(
-    pair: &mut GridPair<T>,
-    sweeps: usize,
-    block: [usize; 3],
-) -> RunStats {
-    seq_blocked_sweeps_op(&Jacobi6, pair, sweeps, block)
 }
 
 /// Thread-parallel standard sweeps on `threads` workers of a persistent
@@ -132,54 +123,6 @@ pub fn par_sweeps_op_on<T: Real, Op: StencilOp<T>>(
     RunStats::new(total.load(Ordering::Relaxed), t0.elapsed())
 }
 
-/// [`par_sweeps_op_on`] on a one-shot runtime — the classic entry
-/// point. `cpus` optionally pins worker `k` to `cpus[k]`; the reported
-/// elapsed time includes the team spawn/join, as it always did.
-pub fn par_sweeps_op<T: Real, Op: StencilOp<T>>(
-    op: &Op,
-    pair: &mut GridPair<T>,
-    sweeps: usize,
-    threads: usize,
-    store: StoreMode,
-    cpus: Option<&[usize]>,
-) -> RunStats {
-    assert!(threads >= 1);
-    if Region3::interior_of(pair.dims()).is_empty() || sweeps == 0 {
-        return RunStats::new(0, std::time::Duration::ZERO);
-    }
-    let t0 = Instant::now();
-    let rt = match cpus {
-        Some(cpus) => {
-            Runtime::from_cpus((0..threads).map(|k| cpus.get(k).copied()).collect(), None)
-        }
-        None => Runtime::with_threads(threads),
-    };
-    let stats = par_sweeps_op_on(&rt, op, pair, sweeps, threads, store);
-    RunStats::new(stats.cell_updates, t0.elapsed())
-}
-
-/// Classic-Jacobi form of [`par_sweeps_op_on`].
-pub fn par_sweeps_on<T: Real>(
-    rt: &Runtime,
-    pair: &mut GridPair<T>,
-    sweeps: usize,
-    threads: usize,
-    store: StoreMode,
-) -> RunStats {
-    par_sweeps_op_on(rt, &Jacobi6, pair, sweeps, threads, store)
-}
-
-/// Classic-Jacobi form of [`par_sweeps_op`].
-pub fn par_sweeps<T: Real>(
-    pair: &mut GridPair<T>,
-    sweeps: usize,
-    threads: usize,
-    store: StoreMode,
-    cpus: Option<&[usize]>,
-) -> RunStats {
-    par_sweeps_op(&Jacobi6, pair, sweeps, threads, store, cpus)
-}
-
 /// Split `n` items into `threads` contiguous chunks; chunk `k` gets the
 /// half-open range returned.
 pub fn slab(n: usize, threads: usize, k: usize) -> (usize, usize) {
@@ -193,12 +136,12 @@ pub fn slab(n: usize, threads: usize, k: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{Avg27, Jacobi7, VarCoeff7};
+    use crate::op::{Avg27, Jacobi6, Jacobi7, VarCoeff7};
     use tb_grid::{init, norm, Dims3};
 
     fn reference(dims: Dims3, seed: u64, sweeps: usize) -> tb_grid::Grid3<f64> {
         let mut pair = GridPair::from_initial(init::random(dims, seed));
-        seq_sweeps(&mut pair, sweeps);
+        seq_sweeps_op(&Jacobi6, &mut pair, sweeps);
         pair.current(sweeps).clone()
     }
 
@@ -224,7 +167,7 @@ mod tests {
         let dims = Dims3::new(14, 11, 9);
         let want = reference(dims, 5, 4);
         let mut pair = GridPair::from_initial(init::random(dims, 5));
-        seq_blocked_sweeps(&mut pair, 4, [5, 4, 3]);
+        seq_blocked_sweeps_op(&Jacobi6, &mut pair, 4, [5, 4, 3]);
         norm::assert_grids_identical(&want, pair.current(4), &Region3::whole(dims), "blocked");
     }
 
@@ -232,9 +175,10 @@ mod tests {
     fn parallel_equals_sequential_various_thread_counts() {
         let dims = Dims3::cube(16);
         let want = reference(dims, 8, 5);
+        let rt = Runtime::with_threads(7);
         for threads in [1, 2, 3, 4, 7] {
             let mut pair = GridPair::from_initial(init::random(dims, 8));
-            par_sweeps(&mut pair, 5, threads, StoreMode::Normal, None);
+            par_sweeps_op_on(&rt, &Jacobi6, &mut pair, 5, threads, StoreMode::Normal);
             norm::assert_grids_identical(
                 &want,
                 pair.current(5),
@@ -249,7 +193,8 @@ mod tests {
         let dims = Dims3::cube(18);
         let want = reference(dims, 2, 3);
         let mut pair = GridPair::from_initial(init::random(dims, 2));
-        par_sweeps(&mut pair, 3, 2, StoreMode::Streaming, None);
+        let rt = Runtime::with_threads(2);
+        par_sweeps_op_on(&rt, &Jacobi6, &mut pair, 3, 2, StoreMode::Streaming);
         norm::assert_grids_identical(&want, pair.current(3), &Region3::whole(dims), "nt");
     }
 
@@ -258,7 +203,8 @@ mod tests {
         let dims = Dims3::new(10, 10, 5); // interior nz = 3 < 6 threads
         let want = reference(dims, 4, 2);
         let mut pair = GridPair::from_initial(init::random(dims, 4));
-        par_sweeps(&mut pair, 2, 6, StoreMode::Normal, None);
+        let rt = Runtime::with_threads(6);
+        par_sweeps_op_on(&rt, &Jacobi6, &mut pair, 2, 6, StoreMode::Normal);
         norm::assert_grids_identical(&want, pair.current(2), &Region3::whole(dims), "thin");
     }
 
@@ -266,7 +212,8 @@ mod tests {
     fn stats_account_updates() {
         let dims = Dims3::cube(10);
         let mut pair: GridPair<f64> = GridPair::from_initial(init::random(dims, 1));
-        let s = par_sweeps(&mut pair, 3, 2, StoreMode::Normal, None);
+        let rt = Runtime::with_threads(2);
+        let s = par_sweeps_op_on(&rt, &Jacobi6, &mut pair, 3, 2, StoreMode::Normal);
         assert_eq!(s.cell_updates, (3 * dims.interior_len()) as u64);
     }
 
@@ -275,19 +222,21 @@ mod tests {
         let dims = Dims3::cube(12);
         let mut a: GridPair<f32> = GridPair::from_initial(init::random(dims, 9));
         let mut b: GridPair<f32> = GridPair::from_initial(init::random(dims, 9));
-        seq_sweeps(&mut a, 3);
-        par_sweeps(&mut b, 3, 2, StoreMode::Streaming, None); // f32 => plain-store fallback
+        seq_sweeps_op(&Jacobi6, &mut a, 3);
+        let rt = Runtime::with_threads(2);
+        // f32 => plain-store fallback
+        par_sweeps_op_on(&rt, &Jacobi6, &mut b, 3, 2, StoreMode::Streaming);
         norm::assert_grids_identical(a.current(3), b.current(3), &Region3::whole(dims), "f32");
     }
 
     #[test]
     fn every_operator_parallel_equals_its_sequential_oracle() {
-        fn check<Op: StencilOp<f64>>(op: &Op, dims: Dims3, sweeps: usize) {
+        fn check<Op: StencilOp<f64>>(rt: &Runtime, op: &Op, dims: Dims3, sweeps: usize) {
             let mut a = GridPair::from_initial(init::random(dims, 31));
             seq_sweeps_op(op, &mut a, sweeps);
             for store in [StoreMode::Normal, StoreMode::Streaming] {
                 let mut b = GridPair::from_initial(init::random(dims, 31));
-                par_sweeps_op(op, &mut b, sweeps, 3, store, None);
+                par_sweeps_op_on(rt, op, &mut b, sweeps, 3, store);
                 norm::assert_grids_identical(
                     a.current(sweeps),
                     b.current(sweeps),
@@ -305,9 +254,10 @@ mod tests {
             );
         }
         let dims = Dims3::new(14, 12, 11);
-        check(&Jacobi6, dims, 4);
-        check(&Jacobi7::heat(0.1), dims, 4);
-        check(&VarCoeff7::banded(dims), dims, 4);
-        check(&Avg27, dims, 4);
+        let rt = Runtime::with_threads(3);
+        check(&rt, &Jacobi6, dims, 4);
+        check(&rt, &Jacobi7::heat(0.1), dims, 4);
+        check(&rt, &VarCoeff7::banded(dims), dims, 4);
+        check(&rt, &Avg27, dims, 4);
     }
 }

@@ -33,7 +33,9 @@ pub struct PipelineConfig {
     pub sync: SyncMode,
     /// Storage scheme.
     pub scheme: GridScheme,
-    /// Optional CPU pinning layout; `None` leaves threads unpinned.
+    /// Optional CPU pinning layout for whoever builds the runtime
+    /// (`Runtime::new(&layout)`; the facade's one-shot `solve_with`
+    /// does) — placement belongs to the runtime, the executors never pin.
     pub layout: Option<TeamLayout>,
     /// Run the debug region auditor (serializes claims; test/debug only).
     pub audit: bool,
@@ -76,20 +78,6 @@ impl PipelineConfig {
     /// Total pipeline threads `n * t`.
     pub fn threads(&self) -> usize {
         self.team_size * self.n_teams
-    }
-
-    /// A one-shot [`tb_runtime::Runtime`] for this config: one worker
-    /// per pipeline thread, pinned per [`PipelineConfig::layout`] when
-    /// present. The classic (non-`_on`) executor entry points build one
-    /// of these per call; repeated solves should build a runtime once
-    /// and use the `*_on` forms instead.
-    pub fn one_shot_runtime(&self) -> tb_runtime::Runtime {
-        match &self.layout {
-            Some(layout) if layout.threads() == self.threads() => {
-                tb_runtime::Runtime::from_cpus(layout.cpus.clone(), None)
-            }
-            _ => tb_runtime::Runtime::with_threads(self.threads()),
-        }
     }
 
     /// Total pipeline stages per team sweep, `n * t * T`.

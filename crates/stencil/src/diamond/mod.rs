@@ -16,12 +16,10 @@
 //!   each sweep updating full x/y planes of the tile's z-slab.
 //!
 //! Exactly like the pipelined executors, the whole run is one dispatch
-//! on a persistent [`tb_runtime::Runtime`] team, results are **bitwise
-//! identical** to the sequential oracle for every operator, and a
-//! classic (one-shot-runtime) entry point keeps the historical
-//! signature shape. The in-cache working set is `≈ 2·(w + 2R)` grid
-//! planes (see `tb-model`'s diamond estimate), tuned by the single
-//! width parameter `w`.
+//! on a persistent [`tb_runtime::Runtime`] team and results are **bitwise
+//! identical** to the sequential oracle for every operator. The
+//! in-cache working set is `≈ 2·(w + 2R)` grid planes (see `tb-model`'s
+//! diamond estimate), tuned by the single width parameter `w`.
 
 pub mod geometry;
 
@@ -33,7 +31,7 @@ use tb_runtime::Runtime;
 use tb_sync::SpinBarrier;
 
 use crate::kernel::{self, StoreMode};
-use crate::op::{Jacobi6, StencilOp};
+use crate::op::StencilOp;
 use crate::stats::RunStats;
 
 pub use geometry::{DiamondRow, DiamondTile, DiamondTiling};
@@ -306,55 +304,32 @@ pub fn run_diamond_op_on<T: Real, Op: StencilOp<T>>(
     Ok(RunStats::new(cells, t0.elapsed()))
 }
 
-/// [`run_diamond_op_on`] on a one-shot runtime — the classic form. The
-/// reported elapsed time includes the team spawn/join, matching the
-/// other classic entry points.
-pub fn run_diamond_op<T: Real, Op: StencilOp<T>>(
-    op: &Op,
-    pair: &mut GridPair<T>,
-    cfg: &DiamondConfig,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    cfg.validate(pair.dims(), Op::RADIUS)?;
-    let t0 = Instant::now();
-    let stats = run_diamond_op_on(&Runtime::with_threads(cfg.threads), op, pair, cfg, sweeps)?;
-    Ok(if sweeps == 0 {
-        stats
-    } else {
-        RunStats::new(stats.cell_updates, t0.elapsed())
-    })
-}
-
-/// Classic-Jacobi form of [`run_diamond_op_on`].
-pub fn run_diamond_on<T: Real>(
-    rt: &Runtime,
-    pair: &mut GridPair<T>,
-    cfg: &DiamondConfig,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    run_diamond_op_on(rt, &Jacobi6, pair, cfg, sweeps)
-}
-
-/// Classic-Jacobi form of [`run_diamond_op`].
-pub fn run_diamond<T: Real>(
-    pair: &mut GridPair<T>,
-    cfg: &DiamondConfig,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    run_diamond_op(&Jacobi6, pair, cfg, sweeps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline;
-    use crate::op::{Avg27, Jacobi7, VarCoeff7};
+    use crate::op::{Avg27, Jacobi6, Jacobi7, VarCoeff7};
     use tb_grid::{init, norm, Dims3};
 
     fn reference(dims: Dims3, seed: u64, sweeps: usize) -> tb_grid::Grid3<f64> {
         let mut pair = GridPair::from_initial(init::random(dims, seed));
-        baseline::seq_sweeps(&mut pair, sweeps);
+        baseline::seq_sweeps_op(&Jacobi6, &mut pair, sweeps);
         pair.current(sweeps).clone()
+    }
+
+    /// One-shot team sized to `cfg`, classic Jacobi.
+    fn run_j6(
+        pair: &mut GridPair<f64>,
+        cfg: &DiamondConfig,
+        sweeps: usize,
+    ) -> Result<RunStats, String> {
+        run_diamond_op_on(
+            &Runtime::with_threads(cfg.threads),
+            &Jacobi6,
+            pair,
+            cfg,
+            sweeps,
+        )
     }
 
     fn audit_cfg(threads: usize, width: usize) -> DiamondConfig {
@@ -369,7 +344,7 @@ mod tests {
     fn check(dims: Dims3, threads: usize, width: usize, sweeps: usize) {
         let want = reference(dims, 23, sweeps);
         let mut pair = GridPair::from_initial(init::random(dims, 23));
-        run_diamond(&mut pair, &audit_cfg(threads, width), sweeps).unwrap();
+        run_j6(&mut pair, &audit_cfg(threads, width), sweeps).unwrap();
         norm::assert_grids_identical(
             &want,
             pair.current(sweeps),
@@ -412,7 +387,8 @@ mod tests {
             let mut want = GridPair::from_initial(initial.clone());
             baseline::seq_sweeps_op(op, &mut want, sweeps);
             let mut pair = GridPair::from_initial(initial.clone());
-            run_diamond_op(op, &mut pair, &audit_cfg(2, 6), sweeps).unwrap();
+            let rt = Runtime::with_threads(2);
+            run_diamond_op_on(&rt, op, &mut pair, &audit_cfg(2, 6), sweeps).unwrap();
             norm::assert_grids_identical(
                 want.current(sweeps),
                 pair.current(sweeps),
@@ -427,18 +403,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_runtime_reproduces_one_shot_result() {
+    fn oversized_reused_runtime_reproduces_the_reference_every_round() {
         let dims = Dims3::cube(16);
         let cfg = audit_cfg(2, 6);
-        let want = {
-            let mut pair: GridPair<f64> = GridPair::from_initial(init::random(dims, 3));
-            run_diamond(&mut pair, &cfg, 6).unwrap();
-            pair.current(6).clone()
-        };
+        let want = reference(dims, 3, 6);
         let rt = Runtime::with_threads(4); // oversized: subset dispatch
         for round in 0..3 {
             let mut pair = GridPair::from_initial(init::random(dims, 3));
-            run_diamond_on(&rt, &mut pair, &cfg, 6).unwrap();
+            run_diamond_op_on(&rt, &Jacobi6, &mut pair, &cfg, 6).unwrap();
             norm::assert_grids_identical(
                 &want,
                 pair.current(6),
@@ -460,7 +432,7 @@ mod tests {
             for width in [3usize, 6, 10] {
                 let cfg = audit_cfg(6, width).with_threads_per_tile(tpt);
                 let mut pair = GridPair::from_initial(init::random(dims, 41));
-                run_diamond(&mut pair, &cfg, sweeps).unwrap();
+                run_j6(&mut pair, &cfg, sweeps).unwrap();
                 norm::assert_grids_identical(
                     &want,
                     pair.current(sweeps),
@@ -472,7 +444,7 @@ mod tests {
         // Whole team on one tile at a time (threads == threads_per_tile).
         let cfg = audit_cfg(4, 5).with_threads_per_tile(4);
         let mut pair = GridPair::from_initial(init::random(dims, 41));
-        let s = run_diamond(&mut pair, &cfg, sweeps).unwrap();
+        let s = run_j6(&mut pair, &cfg, sweeps).unwrap();
         norm::assert_grids_identical(
             &want,
             pair.current(sweeps),
@@ -492,7 +464,8 @@ mod tests {
             baseline::seq_sweeps_op(op, &mut want, sweeps);
             let mut pair = GridPair::from_initial(initial.clone());
             let cfg = audit_cfg(4, 6).with_threads_per_tile(2);
-            run_diamond_op(op, &mut pair, &cfg, sweeps).unwrap();
+            let rt = Runtime::with_threads(4);
+            run_diamond_op_on(&rt, op, &mut pair, &cfg, sweeps).unwrap();
             norm::assert_grids_identical(
                 want.current(sweeps),
                 pair.current(sweeps),
@@ -512,7 +485,7 @@ mod tests {
         let mut pair: GridPair<f64> = GridPair::zeroed(dims);
         for (threads, tpt) in [(4, 3), (2, 4), (3, 0)] {
             let cfg = DiamondConfig::with_width(threads, 6).with_threads_per_tile(tpt);
-            let err = run_diamond(&mut pair, &cfg, 1).unwrap_err();
+            let err = run_j6(&mut pair, &cfg, 1).unwrap_err();
             assert!(err.contains("threads_per_tile"), "({threads},{tpt}): {err}");
         }
     }
@@ -521,7 +494,7 @@ mod tests {
     fn stats_account_all_updates() {
         let dims = Dims3::cube(14);
         let mut pair: GridPair<f64> = GridPair::from_initial(init::random(dims, 8));
-        let s = run_diamond(&mut pair, &DiamondConfig::with_width(2, 4), 5).unwrap();
+        let s = run_j6(&mut pair, &DiamondConfig::with_width(2, 4), 5).unwrap();
         assert_eq!(s.cell_updates, (5 * dims.interior_len()) as u64);
     }
 
@@ -530,7 +503,7 @@ mod tests {
         let dims = Dims3::cube(10);
         let initial: tb_grid::Grid3<f64> = init::random(dims, 4);
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = run_diamond(&mut pair, &DiamondConfig::small(), 0).unwrap();
+        let s = run_j6(&mut pair, &DiamondConfig::small(), 0).unwrap();
         assert_eq!(s.cell_updates, 0);
         norm::assert_grids_identical(&initial, pair.current(0), &Region3::whole(dims), "noop");
     }
@@ -541,10 +514,10 @@ mod tests {
         let mut pair: GridPair<f64> = GridPair::zeroed(dims);
         let mut cfg = DiamondConfig::small();
         cfg.threads = 0;
-        assert!(run_diamond(&mut pair, &cfg, 1).is_err());
+        assert!(run_j6(&mut pair, &cfg, 1).is_err());
         let mut cfg = DiamondConfig::small();
         cfg.width = 1;
-        let err = run_diamond(&mut pair, &cfg, 1).unwrap_err();
+        let err = run_j6(&mut pair, &cfg, 1).unwrap_err();
         assert!(err.contains("2·radius"), "{err}");
         assert!(DiamondConfig::small()
             .validate(Dims3::new(2, 8, 8), 1)
@@ -556,7 +529,14 @@ mod tests {
         let dims = Dims3::cube(12);
         let mut pair: GridPair<f64> = GridPair::from_initial(init::random(dims, 2));
         let rt = Runtime::with_threads(1);
-        let err = run_diamond_on(&rt, &mut pair, &DiamondConfig::with_width(3, 4), 2).unwrap_err();
+        let err = run_diamond_op_on(
+            &rt,
+            &Jacobi6,
+            &mut pair,
+            &DiamondConfig::with_width(3, 4),
+            2,
+        )
+        .unwrap_err();
         assert!(err.contains("workers"), "{err}");
     }
 }

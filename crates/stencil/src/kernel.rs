@@ -14,13 +14,10 @@
 //!   multi-threaded executors, with optional streaming stores,
 //! * [`update_region_compressed_op`] — the single-allocation
 //!   diagonally-shifted path of the compressed-grid scheme (§1.3).
-//!
-//! The `*_op`-less names are the classic-Jacobi forms kept for callers
-//! that predate the operator layer.
 
 use tb_grid::{Dims3, Grid3, Real, Region3, SharedGrid};
 
-use crate::op::{Jacobi6, Rows9, StencilOp};
+use crate::op::{Rows9, StencilOp};
 
 /// Update one row segment of `n = dst.len()` cells with the classic
 /// 6-point Jacobi average.
@@ -164,11 +161,6 @@ pub fn update_region_op<T: Real, Op: StencilOp<T>>(
     }
 }
 
-/// Classic-Jacobi form of [`update_region_op`].
-pub fn update_region<T: Real>(src: &Grid3<T>, dst: &mut Grid3<T>, region: &Region3) {
-    update_region_op(&Jacobi6, src, dst, region);
-}
-
 /// Lazy row table for updating physical cells `[x0, x1)` of row `(y, z)`
 /// through a shared view.
 ///
@@ -229,18 +221,6 @@ pub unsafe fn update_region_shared_op<T: Real, Op: StencilOp<T>>(
             }
         }
     }
-}
-
-/// Classic-Jacobi form of [`update_region_shared_op`] with plain stores.
-///
-/// # Safety
-/// Same contract as [`update_region_shared_op`].
-pub unsafe fn update_region_shared<T: Real>(
-    src: &SharedGrid<T>,
-    dst: &SharedGrid<T>,
-    region: &Region3,
-) {
-    update_region_shared_op(&Jacobi6, src, dst, region, StoreMode::Normal);
 }
 
 /// Compressed-grid stage kernel: stencil-update the interior cells of
@@ -369,24 +349,6 @@ pub unsafe fn update_region_compressed_op<T: Real, Op: StencilOp<T>>(
     }
 }
 
-/// Classic-Jacobi form of [`update_region_compressed_op`].
-///
-/// # Safety
-/// Same contract as [`update_region_compressed_op`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn update_region_compressed<T: Real>(
-    view: &SharedGrid<T>,
-    logical: Dims3,
-    region: &Region3,
-    src_off: usize,
-    dst_off: usize,
-    descending: bool,
-) {
-    update_region_compressed_op(
-        &Jacobi6, view, logical, region, src_off, dst_off, descending,
-    );
-}
-
 /// Copy logical cells `[x0, x1) x {y} x {z}` from frame `src_off` to frame
 /// `dst_off`.
 ///
@@ -413,7 +375,7 @@ unsafe fn copy_row<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{Avg27, VarCoeff7};
+    use crate::op::{Avg27, Jacobi6, VarCoeff7};
     use tb_grid::init;
 
     fn reference_cell(src: &Grid3<f64>, x: usize, y: usize, z: usize) -> f64 {
@@ -432,7 +394,7 @@ mod tests {
         let src: Grid3<f64> = init::random(dims, 11);
         let mut dst: Grid3<f64> = Grid3::zeroed(dims);
         let region = Region3::interior_of(dims);
-        update_region(&src, &mut dst, &region);
+        update_region_op(&Jacobi6, &src, &mut dst, &region);
         for (x, y, z) in region.iter() {
             assert_eq!(
                 dst.get(x, y, z),
@@ -448,7 +410,7 @@ mod tests {
         let src: Grid3<f64> = init::random(dims, 3);
         let mut dst: Grid3<f64> = Grid3::filled(dims, -1.0);
         let region = Region3::new([2, 2, 2], [4, 4, 4]);
-        update_region(&src, &mut dst, &region);
+        update_region_op(&Jacobi6, &src, &mut dst, &region);
         assert_eq!(dst.get(1, 1, 1), -1.0);
         assert_eq!(dst.get(4, 4, 4), -1.0);
         assert_ne!(dst.get(2, 2, 2), -1.0);
@@ -462,25 +424,9 @@ mod tests {
         let dims = Dims3::cube(7);
         let src: Grid3<f64> = init::linear(dims, 1.0, 2.0, -0.5, 3.0);
         let mut dst = src.clone();
-        update_region(&src, &mut dst, &Region3::interior_of(dims));
+        update_region_op(&Jacobi6, &src, &mut dst, &Region3::interior_of(dims));
         let d = tb_grid::norm::max_abs_diff(&src, &dst, &Region3::interior_of(dims));
         assert!(d < 1e-12, "linear field drifted by {d}");
-    }
-
-    #[test]
-    fn shared_version_is_bitwise_equal_to_safe_version() {
-        let dims = Dims3::new(16, 9, 7);
-        let src: Grid3<f64> = init::random(dims, 5);
-        let mut dst_a: Grid3<f64> = Grid3::zeroed(dims);
-        let region = Region3::interior_of(dims);
-        update_region(&src, &mut dst_a, &region);
-
-        let mut src_b = src.clone();
-        let mut dst_b: Grid3<f64> = Grid3::zeroed(dims);
-        let sv = SharedGrid::from_raw(src_b.as_mut_ptr(), dims);
-        let dv = SharedGrid::from_raw(dst_b.as_mut_ptr(), dims);
-        unsafe { update_region_shared(&sv, &dv, &region) };
-        tb_grid::norm::assert_grids_identical(&dst_a, &dst_b, &region, "shared kernel");
     }
 
     #[test]
@@ -536,14 +482,19 @@ mod tests {
         let initial: Grid3<f64> = init::random(dims, 9);
         // Plain reference.
         let mut ref_dst = initial.clone();
-        update_region(&initial, &mut ref_dst, &Region3::interior_of(dims));
+        update_region_op(
+            &Jacobi6,
+            &initial,
+            &mut ref_dst,
+            &Region3::interior_of(dims),
+        );
 
         // Compressed: margin 1, one stage. src frame disp 0 => offset
         // margin + 0 = 1; dst frame disp -1 => offset 0.
         let mut cg = tb_grid::CompressedGrid::from_grid(&initial, 1);
         let view = cg.shared();
         let whole = Region3::whole(dims);
-        unsafe { update_region_compressed(&view, dims, &whole, 1, 0, false) };
+        unsafe { update_region_compressed_op(&Jacobi6, &view, dims, &whole, 1, 0, false) };
         cg.set_displacement(-1);
         let got = cg.to_grid();
         tb_grid::norm::assert_grids_identical(
@@ -594,6 +545,6 @@ mod tests {
         let dims = Dims3::cube(5);
         let src: Grid3<f64> = Grid3::zeroed(dims);
         let mut dst: Grid3<f64> = Grid3::zeroed(dims);
-        update_region(&src, &mut dst, &Region3::whole(dims));
+        update_region_op(&Jacobi6, &src, &mut dst, &Region3::whole(dims));
     }
 }

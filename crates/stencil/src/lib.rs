@@ -33,11 +33,19 @@
 //!
 //! # Execution
 //!
-//! Every parallel entry point has a `*_on(&tb_runtime::Runtime, …)`
-//! form running on a persistent, core-pinned worker team (share one
-//! runtime across repeated solves), and a classic form that builds a
-//! one-shot runtime per call — same signature and bitwise behaviour as
-//! before the runtime existed.
+//! One door per executor and kernel: **the operator is always an
+//! argument, and a parallel executor always takes the
+//! [`tb_runtime::Runtime`]** whose persistent, core-pinned workers it
+//! runs on — [`baseline::seq_sweeps_op`],
+//! [`baseline::seq_blocked_sweeps_op`], [`baseline::par_sweeps_op_on`],
+//! [`pipeline::run_op_on`], [`pipeline::run_compressed_op_on`],
+//! [`pipeline::run_team_sweep_op_on`], [`wavefront::run_wavefront_op_on`],
+//! [`diamond::run_diamond_op_on`], `kernel::update_region{,_shared,
+//! _compressed}_op`, `residual::*_op`. There are no Jacobi-only or
+//! one-shot forms: pass `&Jacobi6` for the paper's Eq. 1, and write
+//! `Runtime::with_threads(n)` (or `Runtime::new(&layout)` for a pinned
+//! team) on the line above for a one-shot team. Share one runtime
+//! across repeated solves to pay the spawn/pin cost once.
 //!
 //! # Determinism
 //!

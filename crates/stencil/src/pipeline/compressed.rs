@@ -14,8 +14,8 @@
 //! stores are pointless here: blocks are evicted naturally after their
 //! `n·t·T` in-cache updates.
 //!
-//! Like the two-grid executor, the entry points come in `*_on(&Runtime,
-//! …)` and classic (one-shot runtime per call) forms.
+//! Like the two-grid executor, the one entry point takes the operator
+//! and the persistent [`tb_runtime::Runtime`] it runs on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -26,7 +26,7 @@ use tb_sync::{PipelineSync, SpinBarrier};
 
 use crate::config::PipelineConfig;
 use crate::kernel;
-use crate::op::{Jacobi6, StencilOp};
+use crate::op::StencilOp;
 use crate::pipeline::plan::PipelinePlan;
 use crate::pipeline::schedule::team_sweep_schedule;
 use crate::stats::RunStats;
@@ -129,44 +129,6 @@ pub fn run_compressed_op_on<T: Real, Op: StencilOp<T>>(
     Ok(RunStats::new(total_cells.load(Ordering::Relaxed), elapsed))
 }
 
-/// [`run_compressed_op_on`] on a one-shot runtime built from `cfg` —
-/// the classic entry point. The reported elapsed time includes the
-/// team spawn/join, as it always did.
-pub fn run_compressed_op<T: Real, Op: StencilOp<T>>(
-    op: &Op,
-    cg: &mut CompressedGrid<T>,
-    cfg: &PipelineConfig,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    cfg.validate(cg.logical_dims())?;
-    let t0 = Instant::now();
-    let stats = run_compressed_op_on(&cfg.one_shot_runtime(), op, cg, cfg, sweeps)?;
-    Ok(if sweeps == 0 {
-        stats
-    } else {
-        RunStats::new(stats.cell_updates, t0.elapsed())
-    })
-}
-
-/// Classic-Jacobi form of [`run_compressed_op_on`].
-pub fn run_compressed_on<T: Real>(
-    rt: &Runtime,
-    cg: &mut CompressedGrid<T>,
-    cfg: &PipelineConfig,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    run_compressed_op_on(rt, &Jacobi6, cg, cfg, sweeps)
-}
-
-/// Classic-Jacobi form of [`run_compressed_op`].
-pub fn run_compressed<T: Real>(
-    cg: &mut CompressedGrid<T>,
-    cfg: &PipelineConfig,
-    sweeps: usize,
-) -> Result<RunStats, String> {
-    run_compressed_op(&Jacobi6, cg, cfg, sweeps)
-}
-
 /// Apply thread `tid`'s stages to block `j`; returns cells produced
 /// (stencil updates only, boundary copies excluded from the LUP count).
 #[allow(clippy::too_many_arguments)]
@@ -229,12 +191,13 @@ mod tests {
     use super::*;
     use crate::baseline;
     use crate::config::GridScheme;
+    use crate::op::Jacobi6;
     use tb_grid::{init, norm, Dims3, GridPair};
     use tb_sync::SyncMode;
 
     fn reference(dims: Dims3, seed: u64, sweeps: usize) -> tb_grid::Grid3<f64> {
         let mut pair = GridPair::from_initial(init::random(dims, seed));
-        baseline::seq_sweeps(&mut pair, sweeps);
+        baseline::seq_sweeps_op(&Jacobi6, &mut pair, sweeps);
         pair.current(sweeps).clone()
     }
 
@@ -261,7 +224,8 @@ mod tests {
         let want = reference(dims, 77, sweeps);
         let initial = init::random(dims, 77);
         let mut cg = CompressedGrid::from_grid(&initial, cfg.stages());
-        run_compressed(&mut cg, cfg, sweeps).unwrap();
+        let rt = Runtime::with_threads(cfg.threads());
+        run_compressed_op_on(&rt, &Jacobi6, &mut cg, cfg, sweeps).unwrap();
         let got = cg.to_grid();
         norm::assert_grids_identical(
             &want,
@@ -319,17 +283,18 @@ mod tests {
         let dims = Dims3::cube(18);
         let c = cfg(2, 1, 1, SyncMode::relaxed_default(), [8, 8, 8]); // depth 2
         let initial: tb_grid::Grid3<f64> = init::random(dims, 1);
+        let rt = Runtime::with_threads(c.threads());
 
         let mut cg = CompressedGrid::from_grid(&initial, 2);
-        run_compressed(&mut cg, &c, 2).unwrap();
+        run_compressed_op_on(&rt, &Jacobi6, &mut cg, &c, 2).unwrap();
         assert_eq!(cg.displacement(), -2); // one down sweep
 
         let mut cg = CompressedGrid::from_grid(&initial, 2);
-        run_compressed(&mut cg, &c, 4).unwrap();
+        run_compressed_op_on(&rt, &Jacobi6, &mut cg, &c, 4).unwrap();
         assert_eq!(cg.displacement(), 0); // down + up
 
         let mut cg = CompressedGrid::from_grid(&initial, 2);
-        run_compressed(&mut cg, &c, 3).unwrap();
+        run_compressed_op_on(&rt, &Jacobi6, &mut cg, &c, 3).unwrap();
         assert_eq!(cg.displacement(), -1); // down + partial up
     }
 
@@ -338,7 +303,8 @@ mod tests {
         let dims = Dims3::cube(18);
         let c = cfg(2, 1, 2, SyncMode::relaxed_default(), [8, 8, 8]); // depth 4
         let mut cg = CompressedGrid::from_grid(&init::random::<f64>(dims, 1), 2);
-        assert!(run_compressed(&mut cg, &c, 4).is_err());
+        let rt = Runtime::with_threads(c.threads());
+        assert!(run_compressed_op_on(&rt, &Jacobi6, &mut cg, &c, 4).is_err());
     }
 
     #[test]
@@ -347,7 +313,8 @@ mod tests {
         let c = cfg(2, 1, 1, SyncMode::relaxed_default(), [8, 8, 8]);
         let mut cg = CompressedGrid::from_grid(&init::random::<f64>(dims, 1), 2);
         cg.set_displacement(-1);
-        assert!(run_compressed(&mut cg, &c, 2).is_err());
+        let rt = Runtime::with_threads(c.threads());
+        assert!(run_compressed_op_on(&rt, &Jacobi6, &mut cg, &c, 2).is_err());
     }
 
     #[test]

@@ -3,18 +3,20 @@
 //! scheduling nondeterminism — always with the region auditor armed.
 
 use tb_grid::{init, norm, Dims3, Grid3, GridPair, Region3};
+use tb_runtime::Runtime;
 use tb_stencil::config::{GridScheme, PipelineConfig};
-use tb_stencil::{baseline, pipeline, SyncMode};
+use tb_stencil::{baseline, pipeline, Jacobi6, SyncMode};
 
 fn reference(dims: Dims3, seed: u64, sweeps: usize) -> Grid3<f64> {
     let mut pair = GridPair::from_initial(init::random(dims, seed));
-    baseline::seq_sweeps(&mut pair, sweeps);
+    baseline::seq_sweeps_op(&Jacobi6, &mut pair, sweeps);
     pair.current(sweeps).clone()
 }
 
 fn run_pipelined(dims: Dims3, seed: u64, sweeps: usize, cfg: &PipelineConfig) -> Grid3<f64> {
     let mut pair = GridPair::from_initial(init::random(dims, seed));
-    pipeline::run(&mut pair, cfg, sweeps).unwrap();
+    let rt = Runtime::with_threads(cfg.threads());
+    pipeline::run_op_on(&rt, &Jacobi6, &mut pair, cfg, sweeps).unwrap();
     pair.current(sweeps).clone()
 }
 
@@ -135,7 +137,8 @@ fn compressed_stress_many_team_sweeps() {
     let want = reference(dims, 8, sweeps);
     let initial: Grid3<f64> = init::random(dims, 8);
     let mut cg = tb_grid::CompressedGrid::from_grid(&initial, cfg.stages());
-    pipeline::run_compressed(&mut cg, &cfg, sweeps).unwrap();
+    let rt = Runtime::with_threads(cfg.threads());
+    pipeline::run_compressed_op_on(&rt, &Jacobi6, &mut cg, &cfg, sweeps).unwrap();
     norm::assert_grids_identical(&want, &cg.to_grid(), &Region3::whole(dims), "compressed 17");
 }
 

@@ -6,7 +6,7 @@
 //! ```
 
 use temporal_blocking::prelude::*;
-use temporal_blocking::{grid, solve, Method};
+use temporal_blocking::{grid, solve_with, Method};
 
 fn main() {
     // Pick a problem size that fits comfortably in memory.
@@ -68,7 +68,7 @@ fn main() {
     let mut reference: Option<Grid3<f64>> = None;
     println!("\n{:<34} {:>12} {:>12}", "method", "MLUP/s", "time [ms]");
     for (name, method) in methods {
-        match solve(initial.clone(), sweeps, method) {
+        match solve_with(&Jacobi6, initial.clone(), sweeps, method) {
             Ok((result, stats)) => {
                 println!(
                     "{:<34} {:>12.1} {:>12.2}",

@@ -22,9 +22,10 @@
 //! ## The operator layer
 //!
 //! Every execution strategy is generic over [`StencilOp`] — the
-//! row-update primitive plus radius, flops/LUP and bytes/LUP metadata.
-//! Four operators ship ([`solve`] defaults to the classic Jacobi;
-//! [`solve_with`] takes any):
+//! row-update primitive plus radius, flops/LUP and bytes/LUP metadata —
+//! and the operator is always an argument ([`solve_with`],
+//! [`solve_with_on`]; pass `&Jacobi6` for the paper's Eq. 1). Four
+//! operators ship:
 //!
 //! | operator | stencil | use case |
 //! |----------|---------|----------|
@@ -37,6 +38,16 @@
 //! strategies (sequential, blocked, parallel ± streaming stores,
 //! pipelined, compressed, wavefront, diamond, distributed/hybrid)
 //! against its own sequential oracle.
+//!
+//! ## One way in
+//!
+//! [`solve_with_on`] is the one dispatch ladder: it takes the operator,
+//! the [`Method`] and the persistent [`Runtime`] whose pinned workers
+//! and staging pool the solve uses. [`solve_with`] is that same call on
+//! a one-shot runtime sized for the method; [`run_plan_on`] and
+//! [`solve_tuned_with_on`] reach it through a [`plan::Plan`]. Below the
+//! facade every executor of [`stencil`] likewise has exactly one entry
+//! (`*_op_on`: operator and runtime are arguments).
 //!
 //! For serving many tenants' solves concurrently on one machine —
 //! disjoint cache-group slices, admission control, warm plans per
@@ -51,12 +62,14 @@
 //! let dims = Dims3::cube(34);
 //! let initial = grid::init::hot_plate::<f64>(dims, 100.0, 0.0);
 //!
-//! // Solve 8 sweeps with pipelined temporal blocking...
+//! // Solve 8 sweeps of the paper's Jacobi with pipelined temporal
+//! // blocking, on a one-shot team...
 //! let cfg = PipelineConfig::small();
-//! let (solution, stats) = solve(initial.clone(), 8, Method::Pipelined(cfg.clone())).unwrap();
+//! let pipelined = Method::Pipelined(cfg.clone());
+//! let (solution, stats) = solve_with(&Jacobi6, initial.clone(), 8, pipelined).unwrap();
 //!
 //! // ...and it is bitwise identical to the plain sequential solver.
-//! let (reference, _) = solve(initial.clone(), 8, Method::Sequential).unwrap();
+//! let (reference, _) = solve_with(&Jacobi6, initial.clone(), 8, Method::Sequential).unwrap();
 //! grid::norm::assert_grids_identical(
 //!     &reference,
 //!     &solution,
@@ -65,11 +78,13 @@
 //! );
 //! assert!(stats.mlups() > 0.0);
 //!
-//! // Any other operator drops in via `solve_with` — here one explicit
-//! // Euler heat step per sweep instead of the Jacobi average.
+//! // Solving repeatedly? Build the runtime once: its pinned workers and
+//! // pooled buffers are reused by every `solve_with_on`. Any operator
+//! // drops in — here one explicit Euler heat step per sweep.
+//! let rt = Runtime::with_threads(cfg.threads());
 //! let heat = Jacobi7::heat(0.1);
-//! let (a, _) = solve_with(&heat, initial.clone(), 8, Method::Pipelined(cfg)).unwrap();
-//! let (b, _) = solve_with(&heat, initial, 8, Method::Sequential).unwrap();
+//! let (a, _) = solve_with_on(&rt, &heat, initial.clone(), 8, Method::Pipelined(cfg)).unwrap();
+//! let (b, _) = solve_with_on(&rt, &heat, initial, 8, Method::Sequential).unwrap();
 //! grid::norm::assert_grids_identical(&a, &b, &Region3::whole(dims), "heat op");
 //! ```
 
@@ -91,7 +106,6 @@ pub use tb_stencil::{
 };
 
 use tb_grid::{CompressedGrid, Dims3, Grid3, GridPair, Real};
-use tb_runtime::GridPool;
 use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{baseline, diamond, pipeline, wavefront};
@@ -106,8 +120,7 @@ pub mod prelude {
         SlicePolicy,
     };
     pub use crate::{
-        solve, solve_on, solve_tuned_on, solve_tuned_with_on, solve_with, solve_with_on, Method,
-        TuneOptions, TunedSolve,
+        solve_tuned_with_on, solve_with, solve_with_on, Method, TuneOptions, TunedSolve,
     };
     pub use tb_grid::{self as grid, Dims3, Grid3, GridPair, Real, Region3};
     pub use tb_model::MachineParams;
@@ -120,7 +133,7 @@ pub mod prelude {
     pub use tb_topology::{Machine, TeamLayout};
 }
 
-/// Solver selection for [`solve`] / [`solve_with`].
+/// Solver selection for [`solve_with_on`] / [`solve_with`].
 #[derive(Clone, Debug)]
 pub enum Method {
     /// Plain sequential sweeps (the verification oracle).
@@ -144,12 +157,19 @@ pub enum Method {
     Diamond(DiamondConfig),
 }
 
-/// [`solve_with`] on a persistent [`Runtime`]: parallel methods run on
-/// its (pinned) workers — which must number at least the method's
-/// thread count — and the second grid buffer / compressed storage come
-/// from the runtime's staging pool, so repeated solves stop paying
-/// spawn-per-solve and allocation-per-solve. Sequential methods ignore
-/// the runtime.
+/// Run `sweeps` sweeps of the stencil operator `op` on `initial` with the
+/// chosen method on a persistent [`Runtime`]. Returns the final grid and
+/// the run statistics.
+///
+/// Parallel methods run on the runtime's (pinned) workers — which must
+/// number at least the method's thread count — and every method's second
+/// grid buffer / compressed storage comes from the runtime's staging
+/// pool and goes back to it on every exit, `Err` included, so repeated
+/// solves stop paying spawn-per-solve and allocation-per-solve.
+/// `Sequential` and `Blocked` compute on the calling thread.
+///
+/// For a fixed operator, all methods produce bitwise identical results
+/// (see crate docs).
 pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
@@ -157,30 +177,40 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     sweeps: usize,
     method: Method,
 ) -> Result<(Grid3<T>, RunStats), String> {
-    /// Pair the initial grid with a pooled B buffer (a full copy, so
-    /// boundary cells are right in both buffers). The buffer comes from
-    /// [`Runtime::acquire_grid`] and is filled by [`Runtime::place_copy`],
-    /// so under [`Placement::WorkerFirstTouch`] its pages commit on the
-    /// workers that will compute on them.
-    fn pooled_pair<T: Real>(rt: &Runtime, initial: Grid3<T>) -> GridPair<T> {
+    /// The one acquire → run → release site of the two-grid methods:
+    /// pair the initial grid with a pooled B buffer (a full copy, so
+    /// boundary cells are right in both buffers; [`Runtime::place_copy`]
+    /// commits its pages on the workers under
+    /// [`Placement::WorkerFirstTouch`]), run `exec`, keep the buffer
+    /// holding the result and return the other to the pool. An executor
+    /// that returns `Err` has not swept, so the spare is still released
+    /// and the pool keeps its warm buffer.
+    fn on_pooled_pair<T: Real>(
+        rt: &Runtime,
+        initial: Grid3<T>,
+        sweeps: usize,
+        exec: impl FnOnce(&mut GridPair<T>) -> Result<RunStats, String>,
+    ) -> Result<(Grid3<T>, RunStats), String> {
         let mut b = rt.acquire_grid(initial.dims());
         rt.place_copy(b.as_mut_slice(), initial.as_slice());
-        GridPair::from_parts(initial, b)
-    }
-    /// Keep the buffer holding the result, return the other to the pool.
-    fn split_result<T: Real>(pool: &GridPool<T>, pair: GridPair<T>, sweeps: usize) -> Grid3<T> {
+        let mut pair = GridPair::from_parts(initial, b);
+        let stats = exec(&mut pair);
         let (a, b) = pair.into_parts();
-        let (result, spare) = if sweeps.is_multiple_of(2) {
+        let (result, spare) = if stats.is_err() || sweeps.is_multiple_of(2) {
             (a, b)
         } else {
             (b, a)
         };
-        pool.release(spare);
-        result
+        rt.grid_pool::<T>().release(spare);
+        stats.map(|stats| (result, stats))
     }
-    let pool = rt.grid_pool::<T>();
     match method {
-        Method::Sequential | Method::Blocked { .. } => solve_with(op, initial, sweeps, method),
+        Method::Sequential => on_pooled_pair(rt, initial, sweeps, |pair| {
+            Ok(baseline::seq_sweeps_op(op, pair, sweeps))
+        }),
+        Method::Blocked { block } => on_pooled_pair(rt, initial, sweeps, |pair| {
+            Ok(baseline::seq_blocked_sweeps_op(op, pair, sweeps, block))
+        }),
         Method::Parallel {
             threads,
             streaming_stores,
@@ -199,16 +229,17 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
             } else {
                 StoreMode::Normal
             };
-            let mut pair = pooled_pair(rt, initial);
-            let stats = baseline::par_sweeps_op_on(rt, op, &mut pair, sweeps, threads, store);
-            Ok((split_result(&pool, pair, sweeps), stats))
+            on_pooled_pair(rt, initial, sweeps, |pair| {
+                Ok(baseline::par_sweeps_op_on(
+                    rt, op, pair, sweeps, threads, store,
+                ))
+            })
         }
         Method::Pipelined(mut cfg) => {
             cfg.scheme = GridScheme::TwoGrid;
-            cfg.validate(initial.dims())?;
-            let mut pair = pooled_pair(rt, initial);
-            let stats = pipeline::run_op_on(rt, op, &mut pair, &cfg, sweeps)?;
-            Ok((split_result(&pool, pair, sweeps), stats))
+            on_pooled_pair(rt, initial, sweeps, |pair| {
+                pipeline::run_op_on(rt, op, pair, &cfg, sweeps)
+            })
         }
         Method::PipelinedCompressed(mut cfg) => {
             cfg.scheme = GridScheme::Compressed;
@@ -217,108 +248,51 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
             let storage =
                 rt.acquire_grid(CompressedGrid::<T>::alloc_dims_for(initial.dims(), margin));
             let mut cg = CompressedGrid::from_grid_in(&initial, margin, storage);
-            let stats = pipeline::run_compressed_op_on(rt, op, &mut cg, &cfg, sweeps)?;
-            let out = cg.to_grid();
-            pool.release(cg.into_storage());
-            Ok((out, stats))
+            let stats = pipeline::run_compressed_op_on(rt, op, &mut cg, &cfg, sweeps);
+            let out = stats.map(|stats| (cg.to_grid(), stats));
+            rt.grid_pool::<T>().release(cg.into_storage());
+            out
         }
-        Method::Wavefront { threads } => {
-            let mut pair = pooled_pair(rt, initial);
-            let stats = wavefront::run_wavefront_op_on(rt, op, &mut pair, threads, sweeps)?;
-            Ok((split_result(&pool, pair, sweeps), stats))
-        }
-        Method::Diamond(cfg) => {
-            let mut pair = pooled_pair(rt, initial);
-            let stats = diamond::run_diamond_op_on(rt, op, &mut pair, &cfg, sweeps)?;
-            Ok((split_result(&pool, pair, sweeps), stats))
-        }
+        Method::Wavefront { threads } => on_pooled_pair(rt, initial, sweeps, |pair| {
+            wavefront::run_wavefront_op_on(rt, op, pair, threads, sweeps)
+        }),
+        Method::Diamond(cfg) => on_pooled_pair(rt, initial, sweeps, |pair| {
+            diamond::run_diamond_op_on(rt, op, pair, &cfg, sweeps)
+        }),
     }
 }
 
-/// [`solve_with_on`] specialized to the classic 6-point Jacobi operator.
-pub fn solve_on<T: Real>(
-    rt: &Runtime,
-    initial: Grid3<T>,
-    sweeps: usize,
-    method: Method,
-) -> Result<(Grid3<T>, RunStats), String> {
-    solve_with_on(rt, &Jacobi6, initial, sweeps, method)
+/// The one-shot runtime [`solve_with`] builds for `method`: no workers
+/// for the methods that compute on the calling thread, otherwise one
+/// worker per method thread — pinned per the config's
+/// [`TeamLayout`](topology::TeamLayout) when a pipelined method carries
+/// one — and never a communication worker.
+fn runtime_for(method: &Method) -> Runtime {
+    match method {
+        Method::Sequential | Method::Blocked { .. } => Runtime::with_threads(0),
+        Method::Parallel { threads, .. } | Method::Wavefront { threads } => {
+            Runtime::with_threads(*threads)
+        }
+        Method::Pipelined(cfg) | Method::PipelinedCompressed(cfg) => match &cfg.layout {
+            Some(layout) if layout.threads() == cfg.threads() => {
+                Runtime::from_cpus(layout.cpus.clone(), None)
+            }
+            _ => Runtime::with_threads(cfg.threads()),
+        },
+        Method::Diamond(cfg) => Runtime::with_threads(cfg.threads),
+    }
 }
 
-/// Run `sweeps` sweeps of the stencil operator `op` on `initial` with the
-/// chosen method. Returns the final grid and the run statistics.
-///
-/// Parallel methods execute on a one-shot worker team per call; build a
-/// [`Runtime`] and use [`solve_with_on`] when solving repeatedly.
-///
-/// For a fixed operator, all methods produce bitwise identical results
-/// (see crate docs).
+/// [`solve_with_on`] on a one-shot runtime sized (and, for a pipelined
+/// config with a layout, pinned) for `method`. Build a [`Runtime`] and
+/// call [`solve_with_on`] directly when solving repeatedly.
 pub fn solve_with<T: Real, Op: StencilOp<T>>(
     op: &Op,
     initial: Grid3<T>,
     sweeps: usize,
     method: Method,
 ) -> Result<(Grid3<T>, RunStats), String> {
-    match method {
-        Method::Sequential => {
-            let mut pair = GridPair::from_initial(initial);
-            let stats = baseline::seq_sweeps_op(op, &mut pair, sweeps);
-            Ok((pair.current(sweeps).clone(), stats))
-        }
-        Method::Blocked { block } => {
-            let mut pair = GridPair::from_initial(initial);
-            let stats = baseline::seq_blocked_sweeps_op(op, &mut pair, sweeps, block);
-            Ok((pair.current(sweeps).clone(), stats))
-        }
-        Method::Parallel {
-            threads,
-            streaming_stores,
-        } => {
-            if threads == 0 {
-                return Err("threads must be >= 1".into());
-            }
-            let store = if streaming_stores {
-                StoreMode::Streaming
-            } else {
-                StoreMode::Normal
-            };
-            let mut pair = GridPair::from_initial(initial);
-            let stats = baseline::par_sweeps_op(op, &mut pair, sweeps, threads, store, None);
-            Ok((pair.current(sweeps).clone(), stats))
-        }
-        Method::Pipelined(mut cfg) => {
-            cfg.scheme = GridScheme::TwoGrid;
-            let mut pair = GridPair::from_initial(initial);
-            let stats = pipeline::run_op(op, &mut pair, &cfg, sweeps)?;
-            Ok((pair.current(sweeps).clone(), stats))
-        }
-        Method::PipelinedCompressed(mut cfg) => {
-            cfg.scheme = GridScheme::Compressed;
-            let mut cg = CompressedGrid::from_grid(&initial, cfg.stages());
-            let stats = pipeline::run_compressed_op(op, &mut cg, &cfg, sweeps)?;
-            Ok((cg.to_grid(), stats))
-        }
-        Method::Wavefront { threads } => {
-            let mut pair = GridPair::from_initial(initial);
-            let stats = wavefront::run_wavefront_op(op, &mut pair, threads, sweeps)?;
-            Ok((pair.current(sweeps).clone(), stats))
-        }
-        Method::Diamond(cfg) => {
-            let mut pair = GridPair::from_initial(initial);
-            let stats = diamond::run_diamond_op(op, &mut pair, &cfg, sweeps)?;
-            Ok((pair.current(sweeps).clone(), stats))
-        }
-    }
-}
-
-/// [`solve_with`] specialized to the classic 6-point Jacobi operator —
-/// the paper's Eq. 1 and the default for existing callers.
-pub fn solve<T: Real>(
-    initial: Grid3<T>,
-    sweeps: usize,
-    method: Method,
-) -> Result<(Grid3<T>, RunStats), String> {
-    solve_with(&Jacobi6, initial, sweeps, method)
+    solve_with_on(&runtime_for(&method), op, initial, sweeps, method)
 }
 
 /// Convenience: dims of a cubic problem sized to roughly `mib` MiB for a
@@ -403,7 +377,7 @@ pub fn run_plan_on<T: Real, Op: StencilOp<T>>(
     }
 }
 
-/// Options for [`solve_tuned_on`] / [`solve_tuned_with_on`].
+/// Options for [`solve_tuned_with_on`].
 #[derive(Clone, Debug)]
 pub struct TuneOptions {
     /// Cache file; `None` uses [`tb_plan::PlanCache::default_path`]
@@ -600,16 +574,6 @@ pub fn solve_tuned_with_on<T: Real, Op: StencilOp<T>>(
     ))
 }
 
-/// [`solve_tuned_with_on`] specialized to the classic 6-point Jacobi.
-pub fn solve_tuned_on<T: Real>(
-    rt: &Runtime,
-    initial: Grid3<T>,
-    sweeps: usize,
-    opts: &TuneOptions,
-) -> Result<(Grid3<T>, RunStats, TunedSolve), String> {
-    solve_tuned_with_on(rt, &Jacobi6, initial, sweeps, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,9 +628,9 @@ mod tests {
         let dims = Dims3::cube(20);
         let initial: Grid3<f64> = init::random(dims, 7);
         let sweeps = 6;
-        let (want, _) = solve(initial.clone(), sweeps, Method::Sequential).unwrap();
+        let (want, _) = solve_with(&Jacobi6, initial.clone(), sweeps, Method::Sequential).unwrap();
         for (name, m) in all_methods() {
-            let (got, stats) = solve(initial.clone(), sweeps, m).unwrap();
+            let (got, stats) = solve_with(&Jacobi6, initial.clone(), sweeps, m).unwrap();
             norm::assert_grids_identical(&want, &got, &Region3::whole(dims), name);
             assert_eq!(
                 stats.cell_updates,
@@ -705,11 +669,12 @@ mod tests {
         let dims = Dims3::cube(20);
         let initial: Grid3<f64> = init::random(dims, 21);
         let sweeps = 5;
-        let (want, _) = solve(initial.clone(), sweeps, Method::Sequential).unwrap();
+        let (want, _) = solve_with(&Jacobi6, initial.clone(), sweeps, Method::Sequential).unwrap();
         let rt = Runtime::with_threads(3);
         for round in 0..2 {
             for (name, m) in all_methods() {
-                let (got, stats) = solve_on(&rt, initial.clone(), sweeps, m).unwrap();
+                let (got, stats) =
+                    solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, m).unwrap();
                 norm::assert_grids_identical(
                     &want,
                     &got,
@@ -729,8 +694,9 @@ mod tests {
         let dims = Dims3::cube(20);
         let g: Grid3<f64> = init::random(dims, 1);
         let rt = Runtime::with_threads(1);
-        assert!(solve_on(
+        assert!(solve_with_on(
             &rt,
+            &Jacobi6,
             g,
             2,
             Method::Parallel {
@@ -753,7 +719,8 @@ mod tests {
     fn errors_are_propagated() {
         let dims = Dims3::cube(10);
         let g: Grid3<f64> = init::random(dims, 1);
-        assert!(solve(
+        assert!(solve_with(
+            &Jacobi6,
             g.clone(),
             1,
             Method::Parallel {
@@ -764,6 +731,150 @@ mod tests {
         .is_err());
         let mut cfg = PipelineConfig::small();
         cfg.updates_per_thread = 100;
-        assert!(solve(g, 1, Method::Pipelined(cfg)).is_err());
+        assert!(solve_with(&Jacobi6, g, 1, Method::Pipelined(cfg)).is_err());
+    }
+
+    #[test]
+    fn failed_solves_return_their_buffer_to_the_pool() {
+        // An `Err` solve must release the pooled buffer it acquired, or
+        // the next valid job on this runtime pays a fresh allocation.
+        let dims = Dims3::cube(20);
+        let g: Grid3<f64> = init::random(dims, 5);
+        let rt = Runtime::with_threads(2);
+        let pool = rt.grid_pool::<f64>();
+        let oversize = |team_size| PipelineConfig {
+            team_size,
+            ..PipelineConfig::small()
+        };
+        let families: Vec<(&str, Method, Vec<Method>)> = vec![
+            (
+                "parallel",
+                Method::Parallel {
+                    threads: 2,
+                    streaming_stores: false,
+                },
+                vec![
+                    Method::Parallel {
+                        threads: 0,
+                        streaming_stores: false,
+                    },
+                    Method::Parallel {
+                        threads: 3,
+                        streaming_stores: false,
+                    },
+                ],
+            ),
+            (
+                "pipelined",
+                Method::Pipelined(PipelineConfig::small()),
+                vec![Method::Pipelined(oversize(3))],
+            ),
+            (
+                "compressed",
+                Method::PipelinedCompressed(PipelineConfig::small()),
+                vec![Method::PipelinedCompressed(oversize(3))],
+            ),
+            (
+                "wavefront",
+                Method::Wavefront { threads: 2 },
+                vec![
+                    Method::Wavefront { threads: 0 },
+                    Method::Wavefront { threads: 3 },
+                ],
+            ),
+            (
+                "diamond",
+                Method::Diamond(DiamondConfig::with_width(2, 6)),
+                vec![
+                    Method::Diamond(DiamondConfig::with_width(2, 1)),
+                    Method::Diamond(DiamondConfig::with_width(0, 6)),
+                    Method::Diamond(DiamondConfig::with_width(3, 6)),
+                ],
+            ),
+        ];
+        for (name, valid, invalid) in families {
+            for bad in invalid {
+                // Round 0 warms the pool (the failing config may need a
+                // storage shape of its own); round 1 must not allocate.
+                let mut warm = None;
+                for round in 0..2 {
+                    let label = format!("{name} round {round}: {bad:?}");
+                    solve_with_on(&rt, &Jacobi6, g.clone(), 3, valid.clone()).unwrap();
+                    assert!(
+                        solve_with_on(&rt, &Jacobi6, g.clone(), 3, bad.clone()).is_err(),
+                        "{label}"
+                    );
+                    solve_with_on(&rt, &Jacobi6, g.clone(), 3, valid.clone()).unwrap();
+                    let fresh = pool.fresh_allocations();
+                    assert_eq!(*warm.get_or_insert(fresh), fresh, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn runtime_for_sizes_and_pins_the_one_shot_team() {
+        for m in [Method::Sequential, Method::Blocked { block: [7, 7, 7] }] {
+            assert_eq!(runtime_for(&m).worker_count(), 0, "{m:?}");
+        }
+        for (threads, m) in [
+            (
+                3,
+                Method::Parallel {
+                    threads: 3,
+                    streaming_stores: false,
+                },
+            ),
+            (2, Method::Pipelined(PipelineConfig::small())),
+            (2, Method::PipelinedCompressed(PipelineConfig::small())),
+            (2, Method::Wavefront { threads: 2 }),
+            (4, Method::Diamond(DiamondConfig::with_width(4, 8))),
+        ] {
+            let rt = runtime_for(&m);
+            assert_eq!(
+                (rt.threads(), rt.worker_count()),
+                (threads, threads),
+                "{m:?}"
+            );
+        }
+        // A pipelined config that carries a layout gets exactly its pin
+        // list — and no comm worker, even when the layout reserves a core.
+        let mut layout = topology::TeamLayout::new(&topology::Machine::flat(1), 1, 1);
+        assert_eq!(layout.cpus, vec![Some(0)]);
+        layout.comm_core = Some(0);
+        let cfg = PipelineConfig {
+            team_size: 1,
+            layout: Some(layout),
+            ..PipelineConfig::small()
+        };
+        // What a thread pinned to CPU 0 reports, where pinning works.
+        fn allowed_cpus() -> Option<String> {
+            let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
+            let list = status
+                .lines()
+                .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))?;
+            Some(list.trim().to_string())
+        }
+        let pinned_to_0 = std::thread::spawn(|| {
+            use topology::affinity::{pin_current_thread, PinResult};
+            (pin_current_thread(0) == PinResult::Pinned)
+                .then(allowed_cpus)
+                .flatten()
+        })
+        .join()
+        .unwrap();
+        for m in [
+            Method::Pipelined(cfg.clone()),
+            Method::PipelinedCompressed(cfg),
+        ] {
+            let rt = runtime_for(&m);
+            assert_eq!((rt.threads(), rt.worker_count()), (1, 1), "{m:?}");
+            assert!(!rt.has_comm_worker(), "{m:?}");
+            if let Some(want) = &pinned_to_0 {
+                let seen = std::sync::Mutex::new(None);
+                rt.run(1, &|_| *seen.lock().unwrap() = allowed_cpus());
+                assert_eq!(seen.into_inner().unwrap().as_ref(), Some(want), "{m:?}");
+            }
+        }
     }
 }

@@ -1713,7 +1713,7 @@ mod tests {
             }),
         );
         let (payload, report) = server.submit(spec).unwrap().wait().expect("job succeeds");
-        let (oracle, _) = crate::solve(initial, 3, Method::Sequential).unwrap();
+        let (oracle, _) = crate::solve_with(&Jacobi6, initial, 3, Method::Sequential).unwrap();
         assert_eq!(
             report.verify_hash,
             JobPayload::F64(oracle.clone()).fingerprint()

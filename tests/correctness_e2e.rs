@@ -6,11 +6,13 @@
 
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::stencil::config::GridScheme;
-use temporal_blocking::{solve, Method, PipelineConfig, SyncMode};
+use temporal_blocking::{solve_with, Jacobi6, Method, PipelineConfig, SyncMode};
 
 fn reference(dims: Dims3, seed: u64, sweeps: usize) -> Grid3<f64> {
     let initial: Grid3<f64> = init::random(dims, seed);
-    solve(initial, sweeps, Method::Sequential).unwrap().0
+    solve_with(&Jacobi6, initial, sweeps, Method::Sequential)
+        .unwrap()
+        .0
 }
 
 fn cfg(team: usize, teams: usize, upt: usize, sync: SyncMode, block: [usize; 3]) -> PipelineConfig {
@@ -29,7 +31,8 @@ fn cfg(team: usize, teams: usize, upt: usize, sync: SyncMode, block: [usize; 3])
 fn check(dims: Dims3, seed: u64, sweeps: usize, method: Method, label: &str) {
     let want = reference(dims, seed, sweeps);
     let initial: Grid3<f64> = init::random(dims, seed);
-    let (got, _) = solve(initial, sweeps, method).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let (got, _) =
+        solve_with(&Jacobi6, initial, sweeps, method).unwrap_or_else(|e| panic!("{label}: {e}"));
     norm::assert_grids_identical(&want, &got, &Region3::whole(dims), label);
 }
 
@@ -154,7 +157,7 @@ fn linear_field_stays_fixed_for_every_solver() {
         ),
         ("wave", Method::Wavefront { threads: 2 }),
     ] {
-        let (got, _) = solve(initial.clone(), 20, method).unwrap();
+        let (got, _) = solve_with(&Jacobi6, initial.clone(), 20, method).unwrap();
         let drift = norm::max_abs_diff(&initial, &got, &Region3::interior_of(dims));
         assert!(drift < 1e-10, "{label}: affine field drifted by {drift}");
     }
@@ -164,9 +167,9 @@ fn linear_field_stays_fixed_for_every_solver() {
 fn f32_pipeline_matches_f32_reference() {
     let dims = Dims3::cube(22);
     let initial: Grid3<f32> = init::random(dims, 9);
-    let (want, _) = solve(initial.clone(), 5, Method::Sequential).unwrap();
+    let (want, _) = solve_with(&Jacobi6, initial.clone(), 5, Method::Sequential).unwrap();
     let c = cfg(2, 1, 1, SyncMode::relaxed_default(), [9, 9, 9]);
-    let (got, _) = solve(initial, 5, Method::Pipelined(c)).unwrap();
+    let (got, _) = solve_with(&Jacobi6, initial, 5, Method::Pipelined(c)).unwrap();
     norm::assert_grids_identical(&want, &got, &Region3::whole(dims), "f32 pipeline");
 }
 

@@ -9,7 +9,7 @@ use temporal_blocking::plan::{
     PlanMethod,
 };
 use temporal_blocking::prelude::*;
-use temporal_blocking::{solve_tuned_on, solve_tuned_with_on, solve_with, Method, TuneOptions};
+use temporal_blocking::{solve_tuned_with_on, solve_with, Method, TuneOptions};
 
 fn tmp_cache(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tb-plan-e2e-{}", std::process::id()));
@@ -88,18 +88,105 @@ fn second_tuned_solve_is_a_warm_hit_with_zero_measurements() {
     let rt = Runtime::with_threads(2);
     let opts = quick_opts("warm-hit.json");
 
-    let (_, _, cold) = solve_tuned_on(&rt, initial.clone(), 4, &opts).unwrap();
+    let (_, _, cold) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
     assert!(!cold.cache_hit);
     assert!(cold.measurements > 0, "cold tune must measure");
     let report = cold.report.as_ref().expect("cold tune reports");
     assert!(report.pruning_ratio() <= 0.5, "{}", report.pruning_ratio());
+    // Streaming stores left the search space (they lose on every
+    // measured workload); see `hand_written_streaming_plans_still_replay`.
+    for row in &report.rows {
+        let nt = PlanMethod::Parallel {
+            threads: row.plan.method.threads(),
+            streaming_stores: true,
+        };
+        assert_ne!(row.plan.method, nt, "{}", row.plan.label());
+    }
 
-    let (_, _, warm) = solve_tuned_on(&rt, initial, 4, &opts).unwrap();
+    let (_, _, warm) = solve_tuned_with_on(&rt, &Jacobi6, initial, 4, &opts).unwrap();
     assert!(warm.cache_hit, "second solve replays the cache");
     assert_eq!(warm.measurements, 0, "a warm hit costs no measurement");
     assert!(!warm.calibrated, "a warm hit runs no membench");
     assert!(warm.report.is_none());
     assert_eq!(warm.plan, cold.plan, "deterministic replay");
+}
+
+#[test]
+fn cache_entries_with_the_retired_exchange_key_replay_warm_and_resave_without_it() {
+    // Plans used to carry an `"exchange"` mode no executor read; files
+    // written then must keep loading, and lose the key on the next save.
+    let dims = Dims3::cube(20);
+    let initial: Grid3<f64> = grid::init::random(dims, 3);
+    let rt = Runtime::with_threads(2);
+    let opts = quick_opts("retired-exchange.json");
+    let path = opts.cache_path.clone().unwrap();
+
+    let (_, _, cold) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
+    assert!(!cold.cache_hit);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(!text.contains("exchange"), "{text}");
+    let simd = format!("\"simd\":{}", cold.plan.simd);
+    assert!(text.contains(&simd), "{text}");
+    let old = text.replace(
+        &simd,
+        &format!("{simd},\"exchange\":\"overlapped-comm-thread\""),
+    );
+    std::fs::write(&path, &old).unwrap();
+
+    let (_, _, warm) = solve_tuned_with_on(&rt, &Jacobi6, initial, 4, &opts).unwrap();
+    assert!(warm.cache_hit, "an old-format entry is still a warm hit");
+    assert_eq!(warm.measurements, 0);
+    assert_eq!(warm.plan, cold.plan);
+
+    let reloaded = PlanCache::load(&path);
+    assert_eq!(reloaded.len(), 1);
+    reloaded.save().unwrap();
+    let resaved = std::fs::read_to_string(&path).unwrap();
+    assert!(!resaved.contains("exchange"), "{resaved}");
+    assert_eq!(
+        resaved, text,
+        "re-serialised exactly as a fresh tune writes it"
+    );
+}
+
+#[test]
+fn hand_written_streaming_plans_still_replay() {
+    // The tuner no longer proposes NT stores, but a cached or
+    // hand-written plan that asks for them parses, replays as a warm hit
+    // and stays bitwise identical to the oracle.
+    let dims = Dims3::cube(20);
+    let initial: Grid3<f64> = grid::init::random(dims, 17);
+    let rt = Runtime::with_threads(2);
+    let opts = quick_opts("hand-written-nt.json");
+    let params = opts.params.unwrap();
+    let machine = temporal_blocking::topology::detect::detect();
+    let key = PlanKey::new::<f64>(
+        MachineFingerprint::new(&machine, &params),
+        StencilOp::<f64>::name(&Jacobi6),
+        dims,
+        4,
+    );
+    let nt = Plan::new(PlanMethod::Parallel {
+        threads: 2,
+        streaming_stores: true,
+    });
+    let mut cache = PlanCache::load(opts.cache_path.clone().unwrap());
+    cache.store(
+        &key,
+        CacheEntry {
+            plan: nt.clone(),
+            dims: [dims.nx, dims.ny, dims.nz],
+            measured_mlups: 1.0,
+            predicted_mlups: 1.0,
+        },
+    );
+    cache.save().unwrap();
+
+    let (want, _) = solve_with(&Jacobi6, initial.clone(), 4, Method::Sequential).unwrap();
+    let (got, _, tuned) = solve_tuned_with_on(&rt, &Jacobi6, initial, 4, &opts).unwrap();
+    assert!(tuned.cache_hit);
+    assert_eq!(tuned.plan, nt);
+    grid::norm::assert_grids_identical(&want, &got, &Region3::whole(dims), "cached nt plan");
 }
 
 #[test]
@@ -110,16 +197,16 @@ fn stale_schema_cache_entries_are_rejected() {
     let opts = quick_opts("stale-schema.json");
     let path = opts.cache_path.clone().unwrap();
 
-    let (_, _, cold) = solve_tuned_on(&rt, initial.clone(), 4, &opts).unwrap();
+    let (_, _, cold) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
     assert!(!cold.cache_hit);
     // Corrupt the schema version on disk: the whole file is distrusted
     // and the next solve re-tunes (then heals the file).
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, text.replace("\"schema\":1", "\"schema\":999")).unwrap();
-    let (_, _, again) = solve_tuned_on(&rt, initial.clone(), 4, &opts).unwrap();
+    let (_, _, again) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
     assert!(!again.cache_hit, "stale schema must force a re-tune");
     assert!(again.measurements > 0);
-    let (_, _, healed) = solve_tuned_on(&rt, initial, 4, &opts).unwrap();
+    let (_, _, healed) = solve_tuned_with_on(&rt, &Jacobi6, initial, 4, &opts).unwrap();
     assert!(healed.cache_hit, "the re-tune rewrote a valid cache");
 }
 
@@ -219,7 +306,7 @@ fn family_restriction_and_force_retune_are_honored() {
     let mut opts = quick_opts("family.json");
     opts.families = vec![MethodFamily::Wavefront];
 
-    let (_, _, tuned) = solve_tuned_on(&rt, initial.clone(), 4, &opts).unwrap();
+    let (_, _, tuned) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
     assert_eq!(tuned.plan.method.family(), MethodFamily::Wavefront);
     // Every measured row stayed inside the requested family (the
     // incumbent included).
@@ -228,7 +315,7 @@ fn family_restriction_and_force_retune_are_honored() {
     }
 
     opts.force_retune = true;
-    let (_, _, retuned) = solve_tuned_on(&rt, initial, 4, &opts).unwrap();
+    let (_, _, retuned) = solve_tuned_with_on(&rt, &Jacobi6, initial, 4, &opts).unwrap();
     assert!(!retuned.cache_hit, "force_retune bypasses the cache");
     assert!(retuned.measurements > 0);
 }
@@ -257,7 +344,8 @@ fn concurrent_tuned_solves_share_one_cache_entry_and_never_corrupt_the_file() {
             let (initial, opts, want) = (initial.clone(), opts.clone(), want.clone());
             std::thread::spawn(move || {
                 let rt = Runtime::with_threads(2);
-                let (got, _, tuned) = solve_tuned_on(&rt, initial, 3, &opts).unwrap();
+                let (got, _, tuned) =
+                    solve_tuned_with_on(&rt, &Jacobi6, initial, 3, &opts).unwrap();
                 grid::norm::assert_grids_identical(
                     &want,
                     &got,
@@ -284,7 +372,7 @@ fn concurrent_tuned_solves_share_one_cache_entry_and_never_corrupt_the_file() {
     // Every thread either tuned or hit the single shared entry; a rerun
     // is now warm for everyone.
     let rt = Runtime::with_threads(2);
-    let (_, _, tuned) = solve_tuned_on(&rt, initial, 3, &opts).unwrap();
+    let (_, _, tuned) = solve_tuned_with_on(&rt, &Jacobi6, initial, 3, &opts).unwrap();
     assert!(tuned.cache_hit, "after the race the cache must be warm");
     assert_eq!(tuned.measurements, 0);
     let _ = hits; // any count 0..=5 is legal; ordering is the OS's call

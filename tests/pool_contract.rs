@@ -250,7 +250,7 @@ fn placement_policies_produce_bitwise_identical_results() {
     let dims = Dims3::cube(18);
     let initial: Grid3<f64> = init::random(dims, 0xFACE);
     let sweeps = 3;
-    let (oracle, _) = solve(initial.clone(), sweeps, Method::Sequential).unwrap();
+    let (oracle, _) = solve_with(&Jacobi6, initial.clone(), sweeps, Method::Sequential).unwrap();
     let methods = [
         Method::Parallel {
             threads: 2,

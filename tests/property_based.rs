@@ -11,7 +11,7 @@ use temporal_blocking::grid::{init, norm, BlockPartition, Dims3, Grid3, Region3}
 use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::stencil::pipeline::PipelinePlan;
 use temporal_blocking::{
-    solve, solve_with, Avg27, Jacobi7, Method, PipelineConfig, StencilOp, SyncMode, VarCoeff7,
+    solve_with, Avg27, Jacobi6, Jacobi7, Method, PipelineConfig, StencilOp, SyncMode, VarCoeff7,
 };
 
 /// Cross-solver bitwise identity for one operator on randomized
@@ -168,8 +168,8 @@ proptest! {
         };
         prop_assume!(cfg.validate(dims).is_ok());
         let initial: Grid3<f64> = init::random(dims, seed);
-        let (want, _) = solve(initial.clone(), sweeps, Method::Sequential).unwrap();
-        let (got, _) = solve(initial, sweeps, Method::Pipelined(cfg)).unwrap();
+        let (want, _) = solve_with(&Jacobi6, initial.clone(), sweeps, Method::Sequential).unwrap();
+        let (got, _) = solve_with(&Jacobi6, initial, sweeps, Method::Pipelined(cfg)).unwrap();
         prop_assert!(norm::first_mismatch(&want, &got, &Region3::whole(dims)).is_none());
     }
 
@@ -197,8 +197,8 @@ proptest! {
         };
         prop_assume!(cfg.validate(dims).is_ok());
         let initial: Grid3<f64> = init::random(dims, seed);
-        let (want, _) = solve(initial.clone(), sweeps, Method::Sequential).unwrap();
-        let (got, _) = solve(initial, sweeps, Method::PipelinedCompressed(cfg)).unwrap();
+        let (want, _) = solve_with(&Jacobi6, initial.clone(), sweeps, Method::Sequential).unwrap();
+        let (got, _) = solve_with(&Jacobi6, initial, sweeps, Method::PipelinedCompressed(cfg)).unwrap();
         prop_assert!(norm::first_mismatch(&want, &got, &Region3::whole(dims)).is_none());
     }
 

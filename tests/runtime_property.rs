@@ -2,9 +2,10 @@
 //!
 //! The refactor's contract: executing any solver on a persistent
 //! [`Runtime`] — including a *shared, oversized* runtime reused across
-//! many solves — is bitwise identical to the classic per-call entry
-//! points (which the long-standing suites pin to the sequential oracle),
-//! and a runtime neither spawns nor leaks threads per solve.
+//! many solves — is bitwise identical to the one-shot `solve_with`
+//! (the same ladder on a runtime built per call, which the long-standing
+//! suites pin to the sequential oracle), and a runtime neither spawns
+//! nor leaks threads per solve.
 
 use std::sync::OnceLock;
 
@@ -15,8 +16,8 @@ use temporal_blocking::net::{CartComm, Universe};
 use temporal_blocking::runtime::Runtime;
 use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::{
-    solve_on, solve_with, solve_with_on, Avg27, Jacobi6, Jacobi7, Method, PipelineConfig,
-    StencilOp, SyncMode, VarCoeff7,
+    solve_with, solve_with_on, Avg27, Jacobi6, Jacobi7, Method, PipelineConfig, StencilOp,
+    SyncMode, VarCoeff7,
 };
 
 /// One shared runtime for every proptest case: bigger than any case
@@ -27,7 +28,7 @@ fn shared_runtime() -> &'static Runtime {
 }
 
 /// Every parallel method, on the shared persistent runtime, must equal
-/// the classic entry point's result bitwise — for random geometry, team
+/// the one-shot `solve_with` result bitwise — for random geometry, team
 /// shape, and operator.
 fn assert_runtime_matches_classic<Op: StencilOp<f64>>(
     op: &Op,
@@ -158,12 +159,14 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
 
     // The runtime's own spawn ledger, not the process-wide thread count:
     // sibling tests in this binary start and drop runtimes concurrently.
-    let (want, _) = solve_on(&rt, initial.clone(), sweeps, methods[0].clone()).unwrap();
+    let (want, _) =
+        solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, methods[0].clone()).unwrap();
     assert_eq!(rt.worker_count(), 3, "workers are spawned at construction");
 
     for round in 0..10 {
         for m in &methods {
-            let (got, _) = solve_on(&rt, initial.clone(), sweeps, m.clone()).unwrap();
+            let (got, _) =
+                solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, m.clone()).unwrap();
             norm::assert_grids_identical(
                 &want,
                 &got,

@@ -564,9 +564,8 @@ fn a_panicking_job_fails_alone_and_slices_keep_serving() {
     // One more job *after* everything, verified fully bitwise: the
     // server is still a correct solver once the dust settles.
     let (payload, _) = server.submit(good(1)).unwrap().wait().unwrap();
-    let (want, _) =
-        temporal_blocking::solve::<f64>(init::random(Dims3::cube(10), 1), 2, Method::Sequential)
-            .unwrap();
+    let initial = init::random::<f64>(Dims3::cube(10), 1);
+    let (want, _) = solve_with(&Jacobi6, initial, 2, Method::Sequential).unwrap();
     assert_payload_identical(&JobPayload::F64(want), &payload, "post-panic solve");
 }
 
