@@ -19,7 +19,7 @@ use tb_topology::TeamLayout;
 
 fn main() {
     let args = Args::parse();
-    match args.mode() {
+    match args.mode(&["host", "nehalem"]) {
         "nehalem" => nehalem(),
         _ => host(&args),
     }

@@ -69,7 +69,7 @@ fn config(c: &Curve, mode: ScalingMode) -> ScalingConfig {
 
 fn main() {
     let args = Args::parse();
-    match args.mode() {
+    match args.mode(&["model", "sim", "host"]) {
         "sim" => sim(&args),
         "host" => host(&args),
         _ => model(),

@@ -13,14 +13,12 @@
 //! | `ablation_t` | §1.5: updates-per-thread sweep (optimum T=2) |
 //! | `ablation_block` | §1.5: inner block length sweep (optimum b_x≈120) |
 //! | `ablation_delay` | §1.5: team delay sweep (~3% at d_t=8) |
-//! | `halo_profile` | §2.2: buffer-copy vs transfer overhead, message aggregation |
 //!
-//! Each binary accepts `--mode host` (measure on this machine) and, where
-//! the paper's hardware matters, `--mode nehalem` (analytic reproduction
-//! with the paper's machine parameters). Criterion microbenches live in
-//! `benches/`.
-
-use std::time::Duration;
+//! `fig3_left` and `fig6` take `--mode` (see their headers); an unknown
+//! mode or a malformed number is a usage error. `op_sweep`,
+//! `diamond_sweep` and `numa_ablation` hold the matrices the repo
+//! benchmark (`benchmark/`, `BENCHMARK.json`) has no rung for yet; every
+//! other timing question goes to that benchmark's per-layer ladder.
 
 use tb_grid::{init, Dims3, Grid3};
 use tb_stencil::stats::RunStats;
@@ -50,15 +48,42 @@ impl Args {
         self.raw.iter().any(|a| a == key)
     }
 
+    /// `--key N`, or `default` when the flag is absent. A value that is
+    /// not a number is a usage error (exit code 2), not the default.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_usize(key, default).unwrap_or_else(|e| usage(&e))
     }
 
-    pub fn mode(&self) -> &str {
-        self.get("--mode").unwrap_or("host")
+    /// The value of `--mode`, or `modes[0]` when the flag is absent. A
+    /// mode not in `modes` is a usage error (exit code 2).
+    pub fn mode<'a>(&'a self, modes: &[&'a str]) -> &'a str {
+        self.try_mode(modes).unwrap_or_else(|e| usage(&e))
     }
+
+    fn try_usize(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("{key} expects a non-negative integer, got `{v}`")),
+        }
+    }
+
+    fn try_mode<'a>(&'a self, modes: &[&'a str]) -> Result<&'a str, String> {
+        match self.get("--mode") {
+            None => Ok(modes[0]),
+            Some(m) if modes.contains(&m) => Ok(m),
+            Some(m) => Err(format!(
+                "unknown --mode `{m}` (expected one of: {})",
+                modes.join(", ")
+            )),
+        }
+    }
+}
+
+fn usage(message: &str) -> ! {
+    eprintln!("usage error: {message}");
+    std::process::exit(2)
 }
 
 /// Repeat a measured run, keeping the best (STREAM convention: the best
@@ -82,40 +107,6 @@ pub fn best_of<F: FnMut() -> RunStats>(reps: usize, mut f: F) -> RunStats {
 pub fn warmed_best_of<F: FnMut() -> RunStats>(reps: usize, mut f: F) -> RunStats {
     let _ = f();
     best_of(reps, f)
-}
-
-/// The `p`-th percentile (0 ≤ p ≤ 100) of `samples` with linear
-/// interpolation between closest ranks (the R-7/NumPy default): the
-/// rank is `p/100 · (n−1)`, fractional ranks interpolate between the
-/// two neighboring order statistics. Input order does not matter.
-///
-/// # Panics
-/// Panics on an empty sample set or `p` outside `[0, 100]`.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    assert!(!samples.is_empty(), "percentile of an empty sample set");
-    assert!((0.0..=100.0).contains(&p), "percentile {p} outside [0,100]");
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("percentile: NaN sample"));
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + frac * (sorted[hi] - sorted[lo])
-}
-
-/// Median: [`percentile`] at 50.
-pub fn p50(samples: &[f64]) -> f64 {
-    percentile(samples, 50.0)
-}
-
-/// [`percentile`] at 95.
-pub fn p95(samples: &[f64]) -> f64 {
-    percentile(samples, 95.0)
-}
-
-/// Tail latency: [`percentile`] at 99.
-pub fn p99(samples: &[f64]) -> f64 {
-    percentile(samples, 99.0)
 }
 
 /// The standard random problem used by all measurement binaries.
@@ -147,13 +138,10 @@ pub fn fmt_mlups(s: &RunStats) -> String {
     format!("{:.1}", s.mlups())
 }
 
-pub fn fmt_ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn best_of_picks_max_rate() {
@@ -175,42 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_of_known_distributions() {
-        // 1..=100 uniform: interpolated ranks are exact and well known.
-        let mut uniform: Vec<f64> = (1..=100).map(|v| v as f64).collect();
-        assert_eq!(p50(&uniform), 50.5);
-        assert_eq!(percentile(&uniform, 0.0), 1.0);
-        assert_eq!(percentile(&uniform, 100.0), 100.0);
-        assert!((p95(&uniform) - 95.05).abs() < 1e-9);
-        assert!((p99(&uniform) - 99.01).abs() < 1e-9);
-        // Order independence: a shuffled copy gives the same answers.
-        uniform.reverse();
-        assert_eq!(p50(&uniform), 50.5);
-        assert!((p99(&uniform) - 99.01).abs() < 1e-9);
-
-        // A single sample is every percentile.
-        assert_eq!(percentile(&[7.5], 0.0), 7.5);
-        assert_eq!(p50(&[7.5]), 7.5);
-        assert_eq!(p99(&[7.5]), 7.5);
-
-        // Two samples interpolate linearly.
-        assert_eq!(p50(&[10.0, 20.0]), 15.0);
-        assert_eq!(percentile(&[10.0, 20.0], 25.0), 12.5);
-
-        // A heavy-tailed set: the tail percentile sits in the outlier
-        // gap, the median ignores it.
-        let tail = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1000.0];
-        assert_eq!(p50(&tail), 1.0);
-        assert!((percentile(&tail, 90.0) - 100.9).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty sample set")]
-    fn percentile_rejects_empty_input() {
-        let _ = percentile(&[], 50.0);
-    }
-
-    #[test]
     fn default_edge_in_range() {
         let e = default_edge();
         assert!((64..=256).contains(&e));
@@ -228,6 +180,20 @@ mod tests {
         };
         assert_eq!(a.get_usize("--size", 64), 128);
         assert_eq!(a.get_usize("--sweeps", 10), 10);
-        assert_eq!(a.mode(), "nehalem");
+        assert_eq!(a.mode(&["host", "nehalem"]), "nehalem");
+
+        // No `--mode`: the first listed mode is the default.
+        let bare = Args { raw: vec![] };
+        assert_eq!(bare.mode(&["model", "sim", "host"]), "model");
+
+        // A misspelt mode and a malformed number are usage errors, not
+        // a silent fall-back to some default.
+        let bad = Args {
+            raw: vec!["--mode".into(), "sym".into(), "--size".into(), "4o".into()],
+        };
+        let e = bad.try_mode(&["model", "sim", "host"]).unwrap_err();
+        assert!(e.contains("`sym`") && e.contains("model, sim, host"), "{e}");
+        let e = bad.try_usize("--size", 64).unwrap_err();
+        assert!(e.contains("--size") && e.contains("`4o`"), "{e}");
     }
 }

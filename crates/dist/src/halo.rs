@@ -8,8 +8,8 @@
 
 use std::any::TypeId;
 
-use bytes::Bytes;
 use tb_grid::{Grid3, Real, Region3};
+use tb_net::Bytes;
 
 /// Send/receive slab regions (global coordinates) for one stage of the
 /// multi-layer ghost-cell-expansion exchange — **the** single place the
@@ -89,7 +89,7 @@ pub fn pack_region<T: Real>(g: &Grid3<T>, region: &Region3) -> Bytes {
             }
         }
     }
-    Bytes::from(out)
+    Bytes::from(out.into_boxed_slice())
 }
 
 /// Inverse of [`pack_region`]: scatter a message buffer into the cells

@@ -82,8 +82,9 @@
 //! wide inside the core. Deep halos amortize latency but shrink the
 //! hideable interior — the `n·t·T ≤ h / RADIUS` pipeline-depth
 //! constraint binds from the other side, so `h` trades message count
-//! against overlap window. The `overlap_sweep` bench measures the
-//! achieved hiding ratio per configuration.
+//! against overlap window. The repo benchmark's `dist.exchange_share`
+//! and `dist_overlap_mlups` / `dist_mlups` measure what is hidden on a
+//! real run; `fig6 --mode sim` does under the virtual network.
 
 pub mod decomp;
 pub mod halo;

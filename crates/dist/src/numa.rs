@@ -8,9 +8,8 @@
 //! the team pipeline depth `t·T`, so a team communicates once per `t·T`
 //! sweeps, just like a rank of the cluster solver.
 //!
-//! On a persistent [`Runtime`] ([`run_numa_node_on`]) the subdomain
-//! grids come from the runtime's pool and are **first-touched by the
-//! team that later computes on them**: worker `k·t` fills team `k`'s
+//! The subdomain grids come from the [`Runtime`]'s pool and are
+//! **first-touched by the team that later computes on them**: worker `k·t` fills team `k`'s
 //! pair before the first cycle, so with pinned workers the pages land on
 //! the right NUMA domain — the point of the whole exercise. Each cycle
 //! then dispatches all teams at once; team `k` occupies workers
@@ -30,15 +29,15 @@
 //! partitions, and the serve layer's ingest stage uses it to relocate
 //! client payloads onto the executing slice's domain.
 
+use std::sync::Mutex;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use tb_grid::{Grid3, GridPair, Real, Region3};
 use tb_runtime::Runtime;
 use tb_stencil::config::GridScheme;
 use tb_stencil::pipeline::PipelineRun;
 use tb_stencil::{Jacobi6, PipelineConfig, RunStats};
-use tb_sync::SyncMode;
+use tb_sync::{lock, SyncMode};
 use tb_topology::{Machine, TeamLayout};
 
 use crate::decomp::{Decomposition, LocalDomain};
@@ -87,7 +86,7 @@ fn group_layout(machine: &Machine, team: usize, team_size: usize) -> TeamLayout 
 /// uses workers `k·t .. (k+1)·t`, so pin the runtime with a layout whose
 /// teams match). Returns the final grid and merged stats (updates
 /// *include* the redundant ring work).
-pub fn run_numa_node_on<T: Real>(
+fn run_numa_node_on<T: Real>(
     rt: &Runtime,
     initial: &Grid3<T>,
     cfg: &NumaNodeConfig,
@@ -156,7 +155,7 @@ pub fn run_numa_node_on<T: Real>(
             copy_region(initial, &local.region, &mut a, &Region3::whole(local.dims));
             let mut b = pool.acquire(local.dims);
             b.as_mut_slice().copy_from_slice(a.as_slice());
-            *slots[k].lock() = Some(GridPair::from_parts(a, b));
+            *lock(&slots[k]) = Some(GridPair::from_parts(a, b));
         });
     }
     let mut teams: Vec<Team<T>> = team_cfgs
@@ -164,7 +163,10 @@ pub fn run_numa_node_on<T: Real>(
         .zip(slots)
         .map(|((local, cfg), slot)| Team {
             local,
-            pair: slot.into_inner().expect("init task filled every team"),
+            pair: slot
+                .into_inner()
+                .expect("rt.run re-raises a worker panic before this line")
+                .expect("init task filled every team"),
             cfg,
         })
         .collect();
@@ -244,9 +246,8 @@ pub fn run_numa_node_on<T: Real>(
     Ok((out, RunStats::new(updates, t0.elapsed())))
 }
 
-/// [`run_numa_node_on`] on a one-shot runtime: pinned per cache group
-/// when `cfg.pin` is set (team `k`'s workers on group `k`'s CPUs) —
-/// the classic entry point.
+/// The NUMA node solver on a one-shot runtime: pinned per cache group
+/// when `cfg.pin` is set (team `k`'s workers on group `k`'s CPUs).
 pub fn run_numa_node<T: Real>(
     initial: &Grid3<T>,
     machine: &Machine,

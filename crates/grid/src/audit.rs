@@ -11,9 +11,18 @@
 //! performance; it is compiled in always but only *used* by executors when
 //! `cfg(debug_assertions)` holds or when tests enable it explicitly.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::Region3;
+
+/// `claim` panics on a detected race *while holding* `active`, and the
+/// other workers keep claiming and releasing while the panic unwinds; a
+/// panicking holder releases the lock and the claim list is taken as is
+/// (same policy as `tb_sync::lock`, spelled here because tb-grid has no
+/// tb-* dependency).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Kind of access a thread claims over a region.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,11 +60,11 @@ impl RegionAuditor {
     /// owner (write/write or read/write overlap on the same grid).
     pub fn claim(&self, owner: usize, grid_id: usize, kind: AccessKind, region: Region3) -> u64 {
         let token = {
-            let mut c = self.counter.lock();
+            let mut c = lock(&self.counter);
             *c += 1;
             *c
         };
-        let mut active = self.active.lock();
+        let mut active = lock(&self.active);
         for existing in active.iter() {
             if existing.owner == owner || existing.grid_id != grid_id {
                 continue;
@@ -85,7 +94,7 @@ impl RegionAuditor {
 
     /// Release a claim previously returned by [`Self::claim`].
     pub fn release(&self, token: u64) {
-        let mut active = self.active.lock();
+        let mut active = lock(&self.active);
         if let Some(pos) = active.iter().position(|c| c.token == token) {
             active.swap_remove(pos);
         }
@@ -93,7 +102,7 @@ impl RegionAuditor {
 
     /// Number of currently active claims (test helper).
     pub fn active_claims(&self) -> usize {
-        self.active.lock().len()
+        lock(&self.active).len()
     }
 }
 

@@ -1,8 +1,5 @@
 //! Deterministic grid initializers for solvers, tests and benchmarks.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::{Dims3, Grid3, Real, Region3};
 
 /// Classic boundary-value setup: interior cells at `interior`, the whole
@@ -25,10 +22,18 @@ pub fn hot_plate<T: Real>(dims: Dims3, hot: T, cold: T) -> Grid3<T> {
 /// seed always produces bitwise identical grids — required because our
 /// verification compares grids exactly.
 pub fn random<T: Real>(dims: Dims3, seed: u64) -> Grid3<T> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    // SplitMix64 (Steele, Lea, Flood 2014); one draw per cell, boundary
+    // included, so the stream position depends on `dims` only.
+    let mut state = seed;
     let interior = Region3::interior_of(dims);
     Grid3::from_fn(dims, |x, y, z| {
-        let v: f64 = rng.gen();
+        state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut bits = state;
+        bits = (bits ^ (bits >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        bits = (bits ^ (bits >> 27)).wrapping_mul(0x94D049BB133111EB);
+        bits ^= bits >> 31;
+        // 53 high bits -> [0, 1) with full double precision.
+        let v = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         if interior.contains(x, y, z) {
             T::from_f64(v)
         } else {
@@ -87,6 +92,30 @@ mod tests {
         assert_ne!(a.as_slice(), c.as_slice());
         assert!(a.as_slice().iter().all(|&v| (0.0..1.0).contains(&v)));
         assert_eq!(a.get(0, 0, 0), 0.0, "boundary must be zero");
+    }
+
+    /// Pins the SplitMix64 stream and its `(bits >> 11) · 2⁻⁵³` mapping:
+    /// every oracle fingerprint in the tree is keyed to these values.
+    #[test]
+    fn random_stream_is_golden() {
+        let dims = Dims3::cube(6);
+        let whole = Region3::whole(dims);
+        let a: Grid3<f64> = random(dims, 42);
+        let b: Grid3<f32> = random(dims, 42);
+        assert_eq!(crate::norm::fingerprint(&a, &whole), 0xf5d2_86bd_84ff_7567);
+        assert_eq!(crate::norm::fingerprint(&b, &whole), 0xf5d2_86bd_a000_0000);
+        let row64: Vec<u64> = (1..5).map(|x| a.get(x, 1, 1).to_bits()).collect();
+        assert_eq!(
+            row64,
+            [
+                0x3fe8_cb05_f974_5495,
+                0x3fe5_62ab_723f_e8a0,
+                0x3fd4_91ac_c53b_3562,
+                0x3fb5_a099_069c_7d60
+            ]
+        );
+        let row32: Vec<u32> = (1..5).map(|x| b.get(x, 1, 1).to_bits()).collect();
+        assert_eq!(row32, [0x3f46_5830, 0x3f2b_155c, 0x3ea4_8d66, 0x3dad_04c8]);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub fn measure_bandwidth_on(
     // Per-rep wall time = max over threads (a rep is as slow as its
     // slowest participant); best rep = min over non-warmup reps.
     let mut rep_times = vec![0.0f64; reps];
-    let times = parking_lot::Mutex::new(&mut rep_times);
+    let times = std::sync::Mutex::new(&mut rep_times);
 
     rt.run(threads, &|_k| {
         let a = AlignedVec::<f64>::filled(elems, 1.0);
@@ -80,7 +80,7 @@ pub fn measure_bandwidth_on(
             }
             let dt = t0.elapsed().as_secs_f64();
             barrier.wait();
-            let mut guard = times.lock();
+            let mut guard = tb_sync::lock(&times);
             if dt > guard[rep] {
                 guard[rep] = dt;
             }

@@ -113,7 +113,7 @@ pub fn slab_cells(w: &HaloWorkload, d: usize, h: usize) -> usize {
 
 /// Communication time of one full h-layer exchange (6 messages, or fewer
 /// at physical boundaries), serialized as the paper assumes.
-pub fn exchange_time(w: &HaloWorkload, net: &NetworkParams, h: usize) -> f64 {
+fn exchange_time(w: &HaloWorkload, net: &NetworkParams, h: usize) -> f64 {
     let mut t = 0.0;
     for d in 0..3 {
         if w.comm[d] {
@@ -132,7 +132,7 @@ pub fn exchange_time(w: &HaloWorkload, net: &NetworkParams, h: usize) -> f64 {
 /// the unexpanded slab model. (The *real* distributed solver of tb-dist
 /// does update those edges/corners; this is the paper's model, not the
 /// implementation.)
-pub fn extra_cells_per_cycle(w: &HaloWorkload, h: usize) -> usize {
+fn extra_cells_per_cycle(w: &HaloWorkload, h: usize) -> usize {
     let mut extra = 0usize;
     for s in 1..=h {
         let g = h - s;

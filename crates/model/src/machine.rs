@@ -1,7 +1,5 @@
 //! Machine parameter sets for the analytic models.
 
-use serde::{Deserialize, Serialize};
-
 /// Bandwidth parameters of one shared-memory node, in the paper's
 /// notation (§1.1, §1.4):
 ///
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// * `mc` — multi-threaded shared-cache bandwidth (`M_c`),
 ///
 /// all in bytes/second, plus enough structure for the cluster models.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MachineParams {
     /// Saturated per-socket memory bandwidth `M_s` (B/s).
     pub ms: f64,
@@ -98,12 +96,5 @@ mod tests {
     fn bandwidth_scaling_machine_saturates_per_core() {
         let m = MachineParams::bandwidth_scaling(4);
         assert_eq!(m.saturation_ratio(), 4.0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let m = MachineParams::nehalem_ep();
-        let s = format!("{m:?}");
-        assert!(s.contains("18500000000"));
     }
 }

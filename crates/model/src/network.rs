@@ -8,10 +8,8 @@
 //! about as much as the wire transfer itself (§2.2), which the
 //! distributed solver models explicitly.
 
-use serde::{Deserialize, Serialize};
-
 /// Point-to-point network parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkParams {
     /// One-way latency in seconds.
     pub latency: f64,
@@ -52,7 +50,7 @@ impl NetworkParams {
 
     /// Pack + unpack cost of shipping `bytes` through intermediate
     /// buffers (both sides, once each).
-    pub fn copy_time(&self, bytes: usize) -> f64 {
+    fn copy_time(&self, bytes: usize) -> f64 {
         if self.copy_bandwidth.is_infinite() {
             0.0
         } else {
@@ -63,13 +61,6 @@ impl NetworkParams {
     /// Total cost of one halo message including buffer copies.
     pub fn halo_message_time(&self, bytes: usize) -> f64 {
         self.message_time(bytes) + self.copy_time(bytes)
-    }
-
-    /// Effective bandwidth of a message of `bytes` (the paper's
-    /// "effective bandwidth rises dramatically with growing message size
-    /// in the latency-dominated regime").
-    pub fn effective_bandwidth(&self, bytes: usize) -> f64 {
-        bytes as f64 / self.message_time(bytes)
     }
 }
 
@@ -90,13 +81,14 @@ mod tests {
         let t8 = n.message_time(8);
         assert!((t8 - 1.8e-6) / 1.8e-6 < 0.01);
         // Effective bandwidth of an 8-byte message is puny.
-        assert!(n.effective_bandwidth(8) < 5e6);
+        assert!(8.0 / t8 < 5e6);
     }
 
     #[test]
     fn large_messages_approach_asymptotic_bandwidth() {
         let n = NetworkParams::qdr_infiniband();
-        let eff = n.effective_bandwidth(64 * 1024 * 1024);
+        let bytes = 64 * 1024 * 1024;
+        let eff = bytes as f64 / n.message_time(bytes);
         assert!(eff > 0.99 * n.bandwidth);
     }
 

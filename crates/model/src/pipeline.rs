@@ -62,11 +62,6 @@ pub fn wavefront_speedup(machine: &MachineParams, threads: usize) -> f64 {
     pipeline_speedup(machine, threads.max(1), 1)
 }
 
-/// Predicted socket performance in LUP/s: Eq. 2 baseline times Eq. 5.
-pub fn predicted_socket_lups(machine: &MachineParams, t: usize, updates: usize) -> f64 {
-    crate::roofline::jacobi_roofline_default(machine) * pipeline_speedup(machine, t, updates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,14 +150,5 @@ mod tests {
         // First update costs the memory fetch; extra updates only cache BW.
         let base = team_block_time(&m, 1, 1);
         assert!((base - 16.0 / m.ms1).abs() < 1e-18);
-    }
-
-    #[test]
-    fn predicted_socket_lups_reasonable() {
-        // At T=1 the paper measures ~1600 MLUP/s on one socket; prediction
-        // with the idealized ratios is P0 * 1.45 ≈ 1.45-1.7 GLUP/s.
-        let m = MachineParams::nehalem_ep();
-        let p = predicted_socket_lups(&m, 4, 1);
-        assert!(p > 1.4e9 && p < 2.0e9, "{p}");
     }
 }

@@ -13,13 +13,11 @@
 //! "disregards some important effects like switching of message
 //! protocols").
 
-use serde::{Deserialize, Serialize};
-
 use crate::halo::{halo_cycle_time, HaloWorkload};
 use crate::network::NetworkParams;
 
 /// Strong (fixed total) or weak (fixed per-process) scaling.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ScalingMode {
     Strong,
     Weak,

@@ -5,9 +5,8 @@
 //! non-periodic: the Jacobi domain has physical Dirichlet boundaries, so
 //! edge ranks simply have no neighbor there.
 
-use bytes::Bytes;
-
 use crate::comm::{Comm, Request};
+use crate::Bytes;
 
 /// Cartesian view over a [`Comm`].
 pub struct CartComm<'a> {
@@ -40,7 +39,7 @@ impl<'a> CartComm<'a> {
     }
 
     /// Rank of the given coordinates.
-    pub fn rank_of(&self, c: [usize; 3]) -> usize {
+    fn rank_of(&self, c: [usize; 3]) -> usize {
         debug_assert!((0..3).all(|d| c[d] < self.dims[d]));
         c[0] + self.dims[0] * (c[1] + self.dims[1] * c[2])
     }
@@ -56,12 +55,6 @@ impl<'a> CartComm<'a> {
         let mut n = self.coords;
         n[d] = c as usize;
         Some(self.rank_of(n))
-    }
-
-    /// True if this rank touches the physical boundary on side `dir` of
-    /// dimension `d`.
-    pub fn at_boundary(&self, d: usize, dir: i64) -> bool {
-        self.neighbor(d, dir).is_none()
     }
 
     /// Nonblocking send to a neighbor rank — see [`Comm::isend`].
@@ -133,10 +126,10 @@ mod tests {
         Universe::run(4, None, |comm| {
             let cart = CartComm::new(comm, [4, 1, 1]);
             let x = cart.coords()[0];
-            assert_eq!(cart.at_boundary(0, -1), x == 0);
-            assert_eq!(cart.at_boundary(0, 1), x == 3);
+            assert_eq!(cart.neighbor(0, -1).is_none(), x == 0);
+            assert_eq!(cart.neighbor(0, 1).is_none(), x == 3);
             // Singleton dims are always at both boundaries.
-            assert!(cart.at_boundary(1, -1) && cart.at_boundary(1, 1));
+            assert!(cart.neighbor(1, -1).is_none() && cart.neighbor(1, 1).is_none());
             0
         });
     }

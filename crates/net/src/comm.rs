@@ -20,11 +20,11 @@
 //! only the *exposed* communication time.
 
 use std::collections::VecDeque;
-
-use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 
 use crate::simnet::SimNet;
+use crate::Bytes;
 
 /// A message in flight.
 #[derive(Clone, Debug)]
@@ -242,7 +242,7 @@ impl Comm {
                     // Drain arrived messages into the reorder buffer,
                     // stopping once a match shows up.
                     let mut found = false;
-                    while let Some(msg) = self.from[r.src].try_recv() {
+                    while let Ok(msg) = self.from[r.src].try_recv() {
                         found = msg.tag == r.tag;
                         self.pending[r.src].push_back(msg);
                         if found {
@@ -350,25 +350,10 @@ impl Comm {
             f64_from_bytes(&self.recv(0, TAG))
         }
     }
-
-    /// Gather one f64 per rank to rank 0 (others get an empty vec).
-    pub fn gather_f64(&mut self, value: f64) -> Vec<f64> {
-        const TAG: u64 = u64::MAX - 2;
-        if self.rank == 0 {
-            let mut out = vec![value];
-            for src in 1..self.size {
-                out.push(f64_from_bytes(&self.recv(src, TAG)));
-            }
-            out
-        } else {
-            self.send(0, TAG, f64_to_bytes(value));
-            Vec::new()
-        }
-    }
 }
 
 pub(crate) fn f64_to_bytes(v: f64) -> Bytes {
-    Bytes::copy_from_slice(&v.to_ne_bytes())
+    Arc::from(&v.to_ne_bytes()[..])
 }
 
 pub(crate) fn f64_from_bytes(b: &Bytes) -> f64 {
@@ -383,7 +368,7 @@ pub fn pack_f64s(v: &[f64]) -> Bytes {
     // SAFETY: f64 and u8 have no invalid bit patterns; alignment of u8 is
     // 1; the byte length is exact.
     let bytes: &[u8] = unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, v.len() * 8) };
-    Bytes::copy_from_slice(bytes)
+    Arc::from(bytes)
 }
 
 /// Unpack [`pack_f64s`] output into a caller-provided buffer.
@@ -449,13 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_collects_on_root() {
-        let r = Universe::run(3, None, |comm| comm.gather_f64(comm.rank() as f64 * 2.0));
-        assert_eq!(r[0], vec![0.0, 2.0, 4.0]);
-        assert!(r[1].is_empty() && r[2].is_empty());
-    }
-
-    #[test]
     fn pack_unpack_roundtrip() {
         let v: Vec<f64> = (0..17).map(|i| (i as f64).sin()).collect();
         let b = pack_f64s(&v);
@@ -515,6 +493,37 @@ mod tests {
 mod more_tests {
     use super::*;
     use crate::universe::Universe;
+
+    /// Rank 0 of a two-rank mesh whose peer has dropped its endpoint
+    /// (a rank thread that unwound): both directions are hung up.
+    fn comm_with_dropped_peer() -> Comm {
+        let (to_self, from_self) = std::sync::mpsc::channel();
+        let (to_peer, _) = std::sync::mpsc::channel();
+        let (_, from_peer) = std::sync::mpsc::channel();
+        Comm {
+            rank: 0,
+            size: 2,
+            to: vec![to_self, to_peer],
+            from: vec![from_self, from_peer],
+            pending: vec![VecDeque::new(), VecDeque::new()],
+            clock: 0.0,
+            comm_busy: 0.0,
+            comm_seconds: 0.0,
+            net: None,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "peer rank hung up")]
+    fn send_to_a_dropped_peer_is_a_protocol_error() {
+        comm_with_dropped_peer().send(1, 0, f64_to_bytes(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "peer rank hung up")]
+    fn recv_from_a_dropped_peer_is_a_protocol_error() {
+        comm_with_dropped_peer().recv(1, 0);
+    }
 
     #[test]
     fn same_tag_messages_arrive_in_fifo_order() {

@@ -8,7 +8,7 @@
 //! * [`Universe`] — spawns `n` ranks as threads and wires a full mesh of
 //!   lossless FIFO channels,
 //! * [`Comm`] — blocking send/recv with tag matching, barrier,
-//!   allreduce, gather — the subset of MPI the solver needs — plus
+//!   allreduce — the subset of MPI the solver needs — plus
 //!   nonblocking [`Comm::isend`]/[`Comm::irecv`] returning [`Request`]
 //!   handles (`test`/`wait`/`waitall`), whose buffer copies run on a
 //!   modeled dedicated comm-core timeline so that
@@ -35,3 +35,7 @@ pub use cart::CartComm;
 pub use comm::{Comm, RecvRequest, ReduceOp, Request, SendRequest};
 pub use simnet::SimNet;
 pub use universe::Universe;
+
+/// A message payload: an immutable, reference-counted byte buffer.
+/// Cloning is O(1); sending moves the handle, never the bytes.
+pub type Bytes = std::sync::Arc<[u8]>;

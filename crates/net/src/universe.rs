@@ -1,8 +1,7 @@
 //! Spawning a set of ranks wired with a full channel mesh.
 
 use std::collections::VecDeque;
-
-use crossbeam::channel::unbounded;
+use std::sync::mpsc::channel;
 
 use crate::comm::{Comm, Msg};
 use crate::simnet::SimNet;
@@ -30,7 +29,7 @@ impl Universe {
         let mut receivers: Vec<Vec<_>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
         for sender_row in &mut senders {
             for receiver_row in &mut receivers {
-                let (tx, rx) = unbounded::<Msg>();
+                let (tx, rx) = channel::<Msg>();
                 sender_row.push(tx);
                 receiver_row.push(rx);
             }

@@ -1,10 +1,10 @@
 //! A minimal JSON value: parser and writer.
 //!
-//! The vendored `serde` is a no-op shim (see `vendor/README.md`), so the
-//! plan cache serializes through this small tree instead. Objects keep
-//! insertion order, which makes the on-disk cache deterministic and
-//! diff-friendly. Numbers are `f64` (every quantity we persist —
-//! dimensions, thread counts, bandwidths — fits exactly below 2^53).
+//! The workspace has no external dependencies, so the plan cache
+//! serializes through this small tree. Objects keep insertion order,
+//! which makes the on-disk cache deterministic and diff-friendly.
+//! Numbers are `f64` (every quantity we persist — dimensions, thread
+//! counts, bandwidths — fits exactly below 2^53).
 
 use std::fmt::Write as _;
 

@@ -21,8 +21,8 @@
 //!   and calibrations: a warm hit replays a plan with *zero*
 //!   measurements (membench included), and every cached plan
 //!   re-validates against the requesting problem before use;
-//! * [`json`] — the minimal JSON tree backing persistence (the vendored
-//!   `serde` is a no-op shim).
+//! * [`json`] — the minimal JSON tree backing persistence (the
+//!   workspace has no external dependencies).
 //!
 //! The facade crate ties this to execution: see
 //! `temporal_blocking::solve_tuned_with_on`.

@@ -15,10 +15,10 @@
 //! that, so no zeroing pass is spent per acquire.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use tb_grid::{Dims3, Grid3, Real};
+use tb_sync::lock;
 
 /// Default number of grids a pool parks before evicting the oldest:
 /// long-running services solving many distinct problem shapes must not
@@ -80,7 +80,7 @@ impl<T: Real> GridPool<T> {
     /// this to tell a reuse (pages already placed by a previous life)
     /// from a miss that needs a first-touch pass.
     pub fn try_acquire(&self, dims: Dims3) -> Option<Grid3<T>> {
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         free.iter()
             .position(|g| g.dims() == dims)
             .map(|i| free.swap_remove(i))
@@ -104,7 +104,7 @@ impl<T: Real> GridPool<T> {
     /// when the pool is already full ([`GridPool::capacity`]), so a pool
     /// shared across many problem shapes stays bounded.
     pub fn release(&self, grid: Grid3<T>) {
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         if free.len() >= self.capacity {
             free.remove(0);
         }
@@ -121,7 +121,7 @@ impl<T: Real> GridPool<T> {
 
     /// Number of grids currently waiting for reuse (diagnostics/tests).
     pub fn free_grids(&self) -> usize {
-        self.free.lock().len()
+        lock(&self.free).len()
     }
 }
 

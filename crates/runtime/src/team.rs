@@ -23,13 +23,12 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam_utils::Backoff;
-use parking_lot::Mutex;
 use tb_grid::Real;
+use tb_sync::{lock, Backoff};
 use tb_topology::{affinity, TeamLayout};
 
 use crate::placement::{first_touch_zero, parallel_copy, Placement};
@@ -130,7 +129,7 @@ fn worker_loop(lane: Arc<Lane>, index: usize, cpu: Option<usize>) {
             return;
         }
         let (epoch, task, active) = {
-            let slot = lane.slot.lock();
+            let slot = lock(&lane.slot);
             (slot.epoch, slot.task.as_ref().map(|t| t.0), slot.active)
         };
         if epoch == seen {
@@ -145,11 +144,11 @@ fn worker_loop(lane: Arc<Lane>, index: usize, cpu: Option<usize>) {
             let f = unsafe { &*task };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(index)));
             if let Err(payload) = result {
-                lane.panic.lock().get_or_insert(payload);
+                lock(&lane.panic).get_or_insert(payload);
             }
             if lane.done.fetch_add(1, Ordering::AcqRel) + 1 == active {
                 // Last participant: wake the (parked) dispatcher.
-                if let Some(waiter) = lane.waiter.lock().as_ref() {
+                if let Some(waiter) = lock(&lane.waiter).as_ref() {
                     waiter.unpark();
                 }
             }
@@ -168,7 +167,7 @@ fn comm_loop(lane: Arc<CommLane>, cpu: Option<usize>) {
             return;
         }
         let (epoch, task) = {
-            let slot = lane.slot.lock();
+            let slot = lock(&lane.slot);
             (slot.epoch, slot.task.as_ref().map(|t| t.0))
         };
         if epoch == seen {
@@ -182,10 +181,10 @@ fn comm_loop(lane: Arc<CommLane>, cpu: Option<usize>) {
         let f = unsafe { &mut *task };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
         if let Err(payload) = result {
-            lane.panic.lock().get_or_insert(payload);
+            lock(&lane.panic).get_or_insert(payload);
         }
         lane.done_epoch.store(epoch, Ordering::Release);
-        if let Some(waiter) = lane.waiter.lock().as_ref() {
+        if let Some(waiter) = lock(&lane.waiter).as_ref() {
             waiter.unpark();
         }
     }
@@ -407,13 +406,13 @@ impl Runtime {
         if threads == 0 {
             return;
         }
-        let _serial = self.dispatch.lock();
+        let _serial = lock(&self.dispatch);
         self.lane.done.store(0, Ordering::Release);
         // Register this thread before the task is visible, so the last
         // worker cannot miss the unpark target.
-        *self.lane.waiter.lock() = Some(std::thread::current());
+        *lock(&self.lane.waiter) = Some(std::thread::current());
         {
-            let mut slot = self.lane.slot.lock();
+            let mut slot = lock(&self.lane.slot);
             slot.epoch += 1;
             // SAFETY (lifetime erasure): we block below until all
             // participants completed, so the borrow outlives every use.
@@ -430,9 +429,9 @@ impl Runtime {
         // last worker unparks us — the dispatcher must not burn a core
         // that a pinned worker needs for the whole solve.
         wait_until(|| self.lane.done.load(Ordering::Acquire) == threads);
-        *self.lane.waiter.lock() = None;
-        self.lane.slot.lock().task = None;
-        if let Some(payload) = self.lane.panic.lock().take() {
+        *lock(&self.lane.waiter) = None;
+        lock(&self.lane.slot).task = None;
+        if let Some(payload) = lock(&self.lane.panic).take() {
             std::panic::resume_unwind(payload);
         }
     }
@@ -452,7 +451,7 @@ impl Runtime {
             .as_ref()
             .expect("runtime was built without a communication worker");
         let epoch = {
-            let mut slot = lane.slot.lock();
+            let mut slot = lock(&lane.slot);
             assert!(
                 lane.done_epoch.load(Ordering::Acquire) == slot.epoch,
                 "previous comm task still in flight"
@@ -481,7 +480,7 @@ impl Runtime {
     /// created on first use and shared by everything running on this
     /// runtime; see [`GridPool`] for the reuse contract.
     pub fn grid_pool<T: Real>(&self) -> Arc<GridPool<T>> {
-        let mut pools = self.pools.lock();
+        let mut pools = lock(&self.pools);
         let entry = pools.entry(TypeId::of::<T>()).or_insert_with(|| {
             Box::new(Arc::new(GridPool::<T>::with_capacity(self.pool_capacity)))
         });
@@ -493,11 +492,11 @@ impl Runtime {
 
     fn comm_wait(&self, epoch: usize) -> Option<Box<dyn Any + Send>> {
         let lane = self.comm_lane.as_ref().expect("handle implies comm lane");
-        *lane.waiter.lock() = Some(std::thread::current());
+        *lock(&lane.waiter) = Some(std::thread::current());
         wait_until(|| lane.done_epoch.load(Ordering::Acquire) >= epoch);
-        *lane.waiter.lock() = None;
-        lane.slot.lock().task = None;
-        lane.panic.lock().take()
+        *lock(&lane.waiter) = None;
+        lock(&lane.slot).task = None;
+        lock(&lane.panic).take()
     }
 }
 

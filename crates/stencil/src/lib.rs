@@ -27,7 +27,6 @@
 //!   Hager et al. 2015): diamond tiles along z × time executed row by
 //!   row, removing the pipelined scheme's wind-up/wind-down waste and
 //!   its block/delay tuning knobs;
-//! * [`residual`] — operator-agnostic convergence diagnostics;
 //! * [`stats`] — LUP/s and FLOP/s accounting shared by examples and
 //!   benches.
 //!
@@ -41,8 +40,8 @@
 //! [`pipeline::run_op_on`], [`pipeline::run_compressed_op_on`],
 //! [`pipeline::run_team_sweep_op_on`], [`wavefront::run_wavefront_op_on`],
 //! [`diamond::run_diamond_op_on`], `kernel::update_region{,_shared,
-//! _compressed}_op`, `residual::*_op`. There are no Jacobi-only or
-//! one-shot forms: pass `&Jacobi6` for the paper's Eq. 1, and write
+//! _compressed}_op`. There are no Jacobi-only or one-shot forms: pass
+//! `&Jacobi6` for the paper's Eq. 1, and write
 //! `Runtime::with_threads(n)` (or `Runtime::new(&layout)` for a pinned
 //! team) on the line above for a one-shot team. Share one runtime
 //! across repeated solves to pay the spawn/pin cost once.
@@ -63,7 +62,6 @@ pub mod diamond;
 pub mod kernel;
 pub mod op;
 pub mod pipeline;
-pub mod residual;
 pub mod simd;
 pub mod stats;
 pub mod wavefront;

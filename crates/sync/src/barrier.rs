@@ -16,11 +16,12 @@
 
 use std::mem;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread::{self, Thread};
 use std::time::Duration;
 
-use crossbeam_utils::{Backoff, CachePadded};
-use parking_lot::Mutex;
+use crate::lock;
+use crate::spin::{Backoff, CachePadded};
 
 /// Spin iterations a waiter performs before parking. Generous enough
 /// that back-to-back block updates (the hot path this barrier exists
@@ -85,7 +86,7 @@ impl SpinBarrier {
             // Last thread: reset, release everyone, wake the parked.
             self.arrived.store(0, Ordering::Release);
             self.generation.store(gen + 1, Ordering::Release);
-            let waiters = mem::take(&mut *self.parked.lock());
+            let waiters = mem::take(&mut *lock(&self.parked));
             for t in waiters {
                 t.unpark();
             }
@@ -106,7 +107,7 @@ impl SpinBarrier {
                     // advances. The leader may have taken the list just
                     // before we registered — the timeout bounds that
                     // lost wakeup to one PARK_TIMEOUT.
-                    self.parked.lock().push(thread::current());
+                    lock(&self.parked).push(thread::current());
                     while self.generation.load(Ordering::Acquire) == gen {
                         thread::park_timeout(PARK_TIMEOUT);
                     }

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam_utils::CachePadded;
+use crate::spin::CachePadded;
 
 /// A fixed array of padded monotonic counters, one per pipeline thread.
 #[derive(Debug)]

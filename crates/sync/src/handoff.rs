@@ -14,9 +14,9 @@
 //! is empty again and a later cycle may `signal` anew.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
-
+use crate::lock;
 use crate::spin::spin_wait_until;
 
 /// Flag + slot handoff ("halos ready") between two threads.
@@ -41,7 +41,7 @@ impl<T: Send> Handoff<T> {
     /// Panics if a previous signal has not been taken yet — a protocol
     /// error: each cycle has exactly one handoff.
     pub fn signal(&self, value: T) {
-        let mut slot = self.slot.lock();
+        let mut slot = lock(&self.slot);
         assert!(slot.is_none(), "handoff signaled twice without a take");
         *slot = Some(value);
         drop(slot);
@@ -57,7 +57,7 @@ impl<T: Send> Handoff<T> {
     /// handoff for the next cycle.
     pub fn take(&self) -> T {
         spin_wait_until(|| self.is_ready());
-        let mut slot = self.slot.lock();
+        let mut slot = lock(&self.slot);
         let value = slot.take().expect("ready flag raised without a value");
         // Clear the flag while still holding the slot lock: a racing
         // `signal` for the next cycle serializes behind the lock, so its

@@ -21,6 +21,11 @@
 //! * [`Handoff`] — the flag/slot handoff a dedicated communication
 //!   thread uses to tell the compute team "halos ready" without a full
 //!   barrier (the distributed overlap's §2.3 coupling point).
+//!
+//! It also owns the two building blocks every spinning primitive in the
+//! workspace shares — [`CachePadded`] (128-byte alignment against false
+//! sharing) and [`Backoff`] (spin, then yield) — and the workspace's
+//! mutex **poison policy**, stated once in [`lock`].
 
 pub mod barrier;
 pub mod counter;
@@ -32,4 +37,37 @@ pub use barrier::SpinBarrier;
 pub use counter::ProgressCounters;
 pub use handoff::Handoff;
 pub use pipeline::{PipelineSync, SyncMode};
-pub use spin::spin_wait_until;
+pub use spin::{spin_wait_until, Backoff, CachePadded};
+
+use std::sync::{Mutex, MutexGuard};
+
+/// Lock `m`, ignoring poison: a panicking holder releases the lock and the
+/// protected state is taken as is. Every mutex locked through here guards
+/// data that is valid after each single statement of its critical sections
+/// (a slot, a list, a sample vector), and the panic itself is not lost:
+/// the runtime re-raises a worker's panic at the dispatch that joined it.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn lock_survives_a_panicking_holder_with_the_value_intact() {
+        let m = Arc::new(Mutex::new(1u32));
+        let m2 = m.clone();
+        let _ = std::thread::spawn(move || {
+            let mut g = lock(&m2);
+            *g = 2;
+            panic!("poison attempt");
+        })
+        .join();
+        assert!(m.is_poisoned(), "std did poison it; `lock` looks past that");
+        assert_eq!(*lock(&m), 2);
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 3, "still usable after the panic");
+    }
+}

@@ -1,6 +1,88 @@
-//! Bounded-backoff spin waiting.
+//! Bounded-backoff spin waiting, and the two building blocks the spinning
+//! primitives share: [`CachePadded`] and [`Backoff`].
 
-use crossbeam_utils::Backoff;
+use std::cell::Cell;
+use std::ops::{Deref, DerefMut};
+
+/// Pads and aligns a value to 128 bytes so that adjacent instances never
+/// share a cache line (two lines, covering adjacent-line prefetchers).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T> {
+    value: T,
+}
+
+impl<T> CachePadded<T> {
+    pub const fn new(value: T) -> Self {
+        Self { value }
+    }
+
+    pub fn into_inner(self) -> T {
+        self.value
+    }
+}
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> DerefMut for CachePadded<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.value
+    }
+}
+
+/// Exponential backoff for spin loops: spin-hint a growing number of
+/// times, then report completion so callers can switch to yielding.
+pub struct Backoff {
+    step: Cell<u32>,
+}
+
+const SPIN_LIMIT: u32 = 6;
+const YIELD_LIMIT: u32 = 10;
+
+impl Backoff {
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
+        Self { step: Cell::new(0) }
+    }
+
+    /// Back off one step: busy-spin while cheap, then yield to the OS.
+    pub fn snooze(&self) {
+        let step = self.step.get();
+        if step <= SPIN_LIMIT {
+            for _ in 0..1u32 << step {
+                std::hint::spin_loop();
+            }
+        } else {
+            std::thread::yield_now();
+        }
+        if step <= YIELD_LIMIT {
+            self.step.set(step + 1);
+        }
+    }
+
+    /// Busy-spin only (never yields), capped at the spin limit.
+    pub fn spin(&self) {
+        let step = self.step.get();
+        for _ in 0..1u32 << step.min(SPIN_LIMIT) {
+            std::hint::spin_loop();
+        }
+        if step <= SPIN_LIMIT {
+            self.step.set(step + 1);
+        }
+    }
+
+    /// True once backing off further would not help (caller should block
+    /// or yield instead).
+    pub fn is_completed(&self) -> bool {
+        self.step.get() > YIELD_LIMIT
+    }
+}
 
 /// Spin until `cond()` returns true, backing off progressively
 /// (`pause` instructions first, then `thread::yield_now`).
@@ -49,5 +131,33 @@ mod tests {
         let calls = AtomicUsize::new(0);
         spin_wait_until(|| calls.fetch_add(1, Ordering::Relaxed) >= 3);
         assert!(calls.load(Ordering::Relaxed) >= 4);
+    }
+
+    #[test]
+    fn cache_padded_is_aligned_and_transparent() {
+        let xs: Vec<CachePadded<u64>> = (0..4).map(CachePadded::new).collect();
+        for (i, x) in xs.iter().enumerate() {
+            assert_eq!(**x, i as u64);
+            assert_eq!(x as *const _ as usize % 128, 0);
+        }
+        assert_eq!(CachePadded::new(5u8).into_inner(), 5);
+    }
+
+    #[test]
+    fn backoff_completes_after_enough_snoozes() {
+        let b = Backoff::new();
+        assert!(!b.is_completed());
+        for _ in 0..32 {
+            b.snooze();
+        }
+        assert!(b.is_completed());
+        let s = Backoff::new();
+        for _ in 0..32 {
+            s.spin();
+        }
+        assert!(
+            !s.is_completed(),
+            "spin never escalates past the spin limit"
+        );
     }
 }

@@ -342,7 +342,7 @@ pub fn tuning_runtime(
 /// Translate a [`tb_plan::Plan`]'s method into the facade [`Method`].
 /// The SIMD flag is *not* encoded here — [`run_plan_on`] applies it by
 /// wrapping the operator in [`ScalarPath`].
-pub fn method_for_plan(plan: &tb_plan::Plan) -> Method {
+fn method_for_plan(plan: &tb_plan::Plan) -> Method {
     use tb_plan::PlanMethod;
     match &plan.method {
         PlanMethod::Parallel {

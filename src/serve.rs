@@ -162,7 +162,7 @@ impl<I> JobQueue<I> {
     }
 
     /// Admit `item` iff there is room right now.
-    pub fn try_push(&self, item: I) -> Result<(), Rejected<I>> {
+    fn try_push(&self, item: I) -> Result<(), Rejected<I>> {
         let mut s = self.lock();
         if s.closed {
             return Err(Rejected::Closed(item));
@@ -177,16 +177,11 @@ impl<I> JobQueue<I> {
     }
 
     /// Admit `item`, waiting up to `timeout` for room (backpressure).
-    pub fn push_deadline(&self, item: I, timeout: Duration) -> Result<(), Rejected<I>> {
-        self.push_deadline_with(item, timeout, |_| {})
-    }
-
-    /// [`JobQueue::push_deadline`] with an admission hook: `on_admit`
-    /// runs on the item under the queue lock immediately before it
-    /// becomes visible to consumers. The server stamps the admission
-    /// instant here — a consumer can pick the item the moment the lock
-    /// drops, so stamping after `push_deadline` returns would race.
-    pub fn push_deadline_with(
+    /// `on_admit` runs on the item under the queue lock immediately
+    /// before it becomes visible to consumers. The server stamps the
+    /// admission instant here — a consumer can pick the item the moment
+    /// the lock drops, so stamping after the push returns would race.
+    fn push_deadline_with(
         &self,
         mut item: I,
         timeout: Duration,
@@ -1637,7 +1632,7 @@ mod tests {
         let q: JobQueue<u32> = JobQueue::bounded(1);
         q.try_push(1).unwrap();
         let t0 = Instant::now();
-        match q.push_deadline(2, Duration::from_millis(30)) {
+        match q.push_deadline_with(2, Duration::from_millis(30), |_| {}) {
             Err(Rejected::Full(2)) => {}
             other => panic!("expected Full, got {other:?}"),
         }
@@ -1655,7 +1650,9 @@ mod tests {
                 q.pop_select(|_| 0)
             })
         };
-        assert!(q.push_deadline(2, Duration::from_secs(10)).is_ok());
+        assert!(q
+            .push_deadline_with(2, Duration::from_secs(10), |_| {})
+            .is_ok());
         assert_eq!(consumer.join().unwrap(), Some(1));
         assert_eq!(q.pop_select(|_| 0), Some(2));
     }
@@ -1667,7 +1664,7 @@ mod tests {
         q.close();
         assert!(matches!(q.try_push(8), Err(Rejected::Closed(8))));
         assert!(matches!(
-            q.push_deadline(9, Duration::from_millis(5)),
+            q.push_deadline_with(9, Duration::from_millis(5), |_| {}),
             Err(Rejected::Closed(9))
         ));
         // Consumers still drain admitted items, then see None.
