@@ -2,9 +2,9 @@
 //! the perf artifact of the wavefront-diamond scheme.
 //!
 //! For each team size the three temporal-blocking schemes advance the
-//! same problem on one persistent runtime, each both through the
-//! explicitly vectorized row kernels (`simd: on`) and pinned to the
-//! scalar path via [`ScalarPath`] (`simd: off`); every run is bitwise-
+//! same problem on one persistent runtime, each both with the row loop
+//! widened to the host's AVX (`simd: on`) and pinned to the build
+//! target's ISA via [`ScalarPath`] (`simd: off`); every run is bitwise-
 //! verified against its own sequential oracle before its MLUP/s number
 //! is trusted. The problem *scales with the team*: `--size` is the
 //! one-worker edge and team `t` runs edge `≈ (size³·t)^(1/3)` — fixed

@@ -50,8 +50,8 @@ fn pipeline_cfg(scheme: GridScheme) -> PipelineConfig {
 
 /// Run one (operator, method) cell with a discarded warm-up rep plus
 /// `reps` timed ones, keep the best, verify bitwise against the oracle.
-/// `simd` records which row path the operator value routes through
-/// (plain ops vectorize, [`ScalarPath`] pins the scalar kernel) — the
+/// `simd` records which copy of the row loop the operator value routes
+/// through (plain ops: AVX-widened, [`ScalarPath`]: build target) — the
 /// arithmetic is bitwise identical either way, only the throughput
 /// differs.
 fn cell<Op: StencilOp<f64>>(

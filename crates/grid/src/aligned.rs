@@ -6,17 +6,18 @@
 //! AVX-512 loads), so that grid rows never straddle a cache line needlessly
 //! and streaming kernels vectorize cleanly.
 //!
-//! # Lane-width guarantee
+//! # What the alignment is for
 //!
-//! [`ALIGN`] is exactly [`crate::lanes::LANES`] `f64` elements (and two
-//! `f32` lanes), so element 0 of every allocation starts a full SIMD
-//! lane: the vectorized row kernels built on [`crate::lanes::Lane`] need
-//! no head peel when a row segment starts at a grid row boundary, and
-//! `head_len` reaches a lane boundary within the first lane otherwise.
-//! The guarantee is a property of the *allocation*, so it survives any
-//! amount of buffer reuse (e.g. `tb-runtime`'s `GridPool` recycling —
-//! the pool hands back the same allocations, never reallocates them
-//! unaligned; see the pool contract tests).
+//! Element 0 of every allocation starts a cache line (and a full vector
+//! of any width up to AVX-512). For an x-extent that is a whole number
+//! of cache lines every grid row then starts on a line boundary: a row
+//! touches the minimum number of lines and threads that own adjacent
+//! rows never write the same one. The compiler-vectorized row loops use
+//! unaligned loads and stores, so nothing depends on the alignment for
+//! correctness. The guarantee is a property of the *allocation*, so it
+//! survives any amount of buffer reuse (e.g. `tb-runtime`'s `GridPool`
+//! recycling — the pool hands back the same allocations, never
+//! reallocates them unaligned; see the pool contract tests).
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};

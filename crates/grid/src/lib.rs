@@ -29,7 +29,6 @@ pub mod compressed;
 pub mod dims;
 pub mod grid3;
 pub mod init;
-pub mod lanes;
 pub mod norm;
 pub mod pair;
 pub mod real;
@@ -42,7 +41,6 @@ pub use blocks::{BlockIdx, BlockPartition};
 pub use compressed::CompressedGrid;
 pub use dims::Dims3;
 pub use grid3::Grid3;
-pub use lanes::{Lane, LANES};
 pub use pair::GridPair;
 pub use real::Real;
 pub use region::Region3;

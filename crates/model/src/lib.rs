@@ -15,11 +15,12 @@
 //!   reuse `w/(2R)` sweeps per memory traversal, and the MWD variant
 //!   where sub-teams share tiles (fewer concurrent working sets);
 //!
-//! All models price *memory traffic*, so the SIMD lane width of the row
-//! kernels never appears: vectorization raises the in-cache compute
-//! ceiling but moves no extra bytes, leaving `B_c` and every working-set
-//! bound unchanged (see [`diamond::concurrent_tiles`] for the one place
-//! thread counts — not lane counts — enter the cache model);
+//! All models price *memory traffic*, so the vector width the row loops
+//! are compiled for never appears: vectorization raises the in-cache
+//! compute ceiling but moves no extra bytes, leaving `B_c` and every
+//! working-set bound unchanged (see [`diamond::concurrent_tiles`] for
+//! the one place thread counts — not vector widths — enter the cache
+//! model);
 //! * [`network`] — the latency/bandwidth message time model;
 //! * [`halo`] — the multi-layer halo advantage model behind Fig. 5;
 //! * [`scaling`] — strong/weak scaling predictions and ideal lines for

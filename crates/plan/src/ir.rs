@@ -105,8 +105,9 @@ impl PlanMethod {
 #[derive(Clone, PartialEq, Debug)]
 pub struct Plan {
     pub method: PlanMethod,
-    /// Route through the vectorized row kernels (`true`) or pin the
-    /// scalar path. Bitwise-identical either way; throughput differs.
+    /// Run the row loops widened to the host's vector ISA (`true`) or
+    /// pinned to the build target's (`ScalarPath`). Bitwise-identical
+    /// either way; throughput differs.
     pub simd: bool,
 }
 

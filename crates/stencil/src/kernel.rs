@@ -14,6 +14,32 @@
 //!   multi-threaded executors, with optional streaming stores,
 //! * [`update_region_compressed_op`] — the single-allocation
 //!   diagonally-shifted path of the compressed-grid scheme (§1.3).
+//!
+//! # One row loop, two instruction sets
+//!
+//! [`StencilOp::apply_row`] is the only row kernel: a plain indexed loop
+//! that LLVM vectorizes. What width it vectorizes *to* is decided per
+//! region, not per row. Each driver checks its arguments and then runs
+//! one `#[inline(always)]` row-loop body, either directly — compiled
+//! for the build target, SSE2 on a stock x86-64 build — or, when
+//! [`StencilOp::WIDEN`] holds and the host CPU reports AVX, through a
+//! three-line `#[target_feature(enable = "avx")]` wrapper into which
+//! the same body is inlined and therefore compiled again at 256 bits.
+//! `avx` only, never `fma`: contracting `a * b + c` would change bits.
+//! Element-wise adds and multiplies give the same result at any vector
+//! width, so the two compilations agree bitwise; [`ScalarPath`] sets
+//! `WIDEN = false` and is the build-target twin the tests compare
+//! against.
+//!
+//! **The rule a future edit must not break:** everything between a
+//! wrapper and the arithmetic — the row-loop body, `rows9_shared`,
+//! `Rows9::row`, the operator's `apply_row`, [`jacobi_row`] — is
+//! `#[inline(always)]`. A callee that is *not* inlined into the wrapper
+//! is a separate function without the `avx` feature: it is silently
+//! compiled at the build-target ISA, the results stay right, and the
+//! widening is gone (`kernel.simd_gain` in the benchmark falls to 1).
+//!
+//! [`ScalarPath`]: crate::op::ScalarPath
 
 use tb_grid::{Dims3, Grid3, Real, Region3, SharedGrid};
 
@@ -27,14 +53,10 @@ use crate::op::{Rows9, StencilOp};
 /// * `ym`/`yp` — source rows `(y∓1, z)` covering `x0..x1`,
 /// * `zm`/`zp` — source rows `(y, z∓1)` covering `x0..x1`.
 ///
-/// This is the **scalar oracle** form of Eq. 1. The paper's SIMD
-/// requirement is met elsewhere: the region drivers below route row
-/// updates through [`StencilOp::apply_row_simd`], whose operator impls
-/// are built on the explicit fixed-width lane module
-/// (`tb_grid::lanes`) — aligned lane-wide body plus scalar head/tail,
-/// bitwise identical to this kernel. Wrapping an operator in
-/// [`crate::op::ScalarPath`] pins execution back to this scalar path.
-#[inline]
+/// This is Eq. 1, written once. The paper's SIMD requirement is met by
+/// the compiler: the loop below vectorizes at whatever width the
+/// enclosing region driver is compiled for (see the module docs).
+#[inline(always)]
 pub fn jacobi_row<T: Real>(dst: &mut [T], c: &[T], ym: &[T], yp: &[T], zm: &[T], zp: &[T]) {
     let n = dst.len();
     assert_eq!(c.len(), n + 2, "center row must cover x0-1..=x1");
@@ -131,6 +153,14 @@ pub enum StoreMode {
     Streaming,
 }
 
+/// Whether the host CPU has AVX — the one runtime fact the drivers
+/// below consult, once per call (std caches the CPUID answer).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn host_has_avx() -> bool {
+    std::arch::is_x86_feature_detected!("avx")
+}
+
 /// Apply one sweep of `op` to `region`, reading `src` and writing `dst`.
 ///
 /// `region` must lie within the interior of the grids (every cell needs
@@ -151,14 +181,45 @@ pub fn update_region_op<T: Real, Op: StencilOp<T>>(
     if region.is_empty() {
         return;
     }
+    #[cfg(target_arch = "x86_64")]
+    if Op::WIDEN && host_has_avx() {
+        // SAFETY: the host CPU reports AVX.
+        return unsafe { region_rows_avx(op, src, dst, region) };
+    }
+    region_rows(op, src, dst, region)
+}
+
+/// The row loop of [`update_region_op`] (arguments already checked).
+#[inline(always)]
+fn region_rows<T: Real, Op: StencilOp<T>>(
+    op: &Op,
+    src: &Grid3<T>,
+    dst: &mut Grid3<T>,
+    region: &Region3,
+) {
     let (x0, x1) = (region.lo[0], region.hi[0]);
     for z in region.lo[2]..region.hi[2] {
         for y in region.lo[1]..region.hi[1] {
             let rows = Rows9::from_grid(src, x0, x1, y, z);
             let d = &mut dst.row_mut(y, z)[x0..x1];
-            op.apply_row_simd(d, &rows, x0, y, z);
+            op.apply_row(d, &rows, x0, y, z);
         }
     }
+}
+
+/// [`region_rows`] compiled at AVX width.
+///
+/// # Safety
+/// The host CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn region_rows_avx<T: Real, Op: StencilOp<T>>(
+    op: &Op,
+    src: &Grid3<T>,
+    dst: &mut Grid3<T>,
+    region: &Region3,
+) {
+    region_rows(op, src, dst, region)
 }
 
 /// Lazy row table for updating physical cells `[x0, x1)` of row `(y, z)`
@@ -170,6 +231,7 @@ pub fn update_region_op<T: Real, Op: StencilOp<T>>(
 /// [`StencilOp::READS_CORNERS`]) is in bounds, initialized, and neither
 /// concurrently written nor overlapping the destination slice for the
 /// lifetime of the returned table.
+#[inline(always)]
 unsafe fn rows9_shared<T: Real>(
     g: &SharedGrid<T>,
     x0: usize,
@@ -210,17 +272,53 @@ pub unsafe fn update_region_shared_op<T: Real, Op: StencilOp<T>>(
     if region.is_empty() {
         return;
     }
+    #[cfg(target_arch = "x86_64")]
+    if Op::WIDEN && host_has_avx() {
+        // SAFETY: the host CPU reports AVX; the rest is the caller's.
+        return shared_rows_avx(op, src, dst, region, store);
+    }
+    shared_rows(op, src, dst, region, store)
+}
+
+/// The row loop of [`update_region_shared_op`].
+///
+/// # Safety
+/// As [`update_region_shared_op`].
+#[inline(always)]
+unsafe fn shared_rows<T: Real, Op: StencilOp<T>>(
+    op: &Op,
+    src: &SharedGrid<T>,
+    dst: &SharedGrid<T>,
+    region: &Region3,
+    store: StoreMode,
+) {
     let (x0, x1) = (region.lo[0], region.hi[0]);
     for z in region.lo[2]..region.hi[2] {
         for y in region.lo[1]..region.hi[1] {
             let rows = rows9_shared(src, x0, x1, y, z);
             let d = dst.row_mut(x0, x1, y, z);
             match store {
-                StoreMode::Normal => op.apply_row_simd(d, &rows, x0, y, z),
+                StoreMode::Normal => op.apply_row(d, &rows, x0, y, z),
                 StoreMode::Streaming => op.apply_row_streaming(d, &rows, x0, y, z),
             }
         }
     }
+}
+
+/// [`shared_rows`] compiled at AVX width.
+///
+/// # Safety
+/// As [`update_region_shared_op`], and the host CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn shared_rows_avx<T: Real, Op: StencilOp<T>>(
+    op: &Op,
+    src: &SharedGrid<T>,
+    dst: &SharedGrid<T>,
+    region: &Region3,
+    store: StoreMode,
+) {
+    shared_rows(op, src, dst, region, store)
 }
 
 /// Compressed-grid stage kernel: stencil-update the interior cells of
@@ -268,6 +366,29 @@ pub unsafe fn update_region_compressed_op<T: Real, Op: StencilOp<T>>(
         (dst_off + 1 == src_off && !descending) || (dst_off == src_off + 1 && descending),
         "iteration order must match shift direction"
     );
+    #[cfg(target_arch = "x86_64")]
+    if Op::WIDEN && host_has_avx() {
+        // SAFETY: the host CPU reports AVX; the rest is the caller's.
+        return compressed_rows_avx(op, view, logical, region, src_off, dst_off, descending);
+    }
+    compressed_rows(op, view, logical, region, src_off, dst_off, descending)
+}
+
+/// The row loop of [`update_region_compressed_op`].
+///
+/// # Safety
+/// As [`update_region_compressed_op`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn compressed_rows<T: Real, Op: StencilOp<T>>(
+    op: &Op,
+    view: &SharedGrid<T>,
+    logical: Dims3,
+    region: &Region3,
+    src_off: usize,
+    dst_off: usize,
+    descending: bool,
+) {
     let (x0, x1) = (region.lo[0], region.hi[0]);
     let interior = Region3::interior_of(logical);
     // Scratch for the corner-reading path: nine rows of the widest
@@ -277,18 +398,12 @@ pub unsafe fn update_region_compressed_op<T: Real, Op: StencilOp<T>>(
     } else {
         Vec::new()
     };
-    let zs: Vec<usize> = if descending {
-        (region.lo[2]..region.hi[2]).rev().collect()
-    } else {
-        (region.lo[2]..region.hi[2]).collect()
-    };
-    let ys: Vec<usize> = if descending {
-        (region.lo[1]..region.hi[1]).rev().collect()
-    } else {
-        (region.lo[1]..region.hi[1]).collect()
-    };
-    for &z in &zs {
-        for &y in &ys {
+    // k-th index of `lo..hi` in the iteration order.
+    let nth = |lo: usize, hi: usize, k: usize| if descending { hi - 1 - k } else { lo + k };
+    for kz in 0..region.extent(2) {
+        let z = nth(region.lo[2], region.hi[2], kz);
+        for ky in 0..region.extent(1) {
+            let y = nth(region.lo[1], region.hi[1], ky);
             let row_is_boundary = y == 0 || z == 0 || y + 1 == logical.ny || z + 1 == logical.nz;
             if row_is_boundary {
                 // Pure copy of the whole segment.
@@ -339,14 +454,33 @@ pub unsafe fn update_region_compressed_op<T: Real, Op: StencilOp<T>>(
                     [segs[6], segs[7], segs[8]],
                 ]);
                 let d = view.row_mut(xs + dst_off, xe + dst_off, y + dst_off, z + dst_off);
-                op.apply_row_simd(d, &rows, xs, y, z);
+                op.apply_row(d, &rows, xs, y, z);
             } else {
                 let rows = rows9_shared(view, xs + src_off, xe + src_off, y + src_off, z + src_off);
                 let d = view.row_mut(xs + dst_off, xe + dst_off, y + dst_off, z + dst_off);
-                op.apply_row_simd(d, &rows, xs, y, z);
+                op.apply_row(d, &rows, xs, y, z);
             }
         }
     }
+}
+
+/// [`compressed_rows`] compiled at AVX width.
+///
+/// # Safety
+/// As [`update_region_compressed_op`], and the host CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn compressed_rows_avx<T: Real, Op: StencilOp<T>>(
+    op: &Op,
+    view: &SharedGrid<T>,
+    logical: Dims3,
+    region: &Region3,
+    src_off: usize,
+    dst_off: usize,
+    descending: bool,
+) {
+    compressed_rows(op, view, logical, region, src_off, dst_off, descending)
 }
 
 /// Copy logical cells `[x0, x1) x {y} x {z}` from frame `src_off` to frame
@@ -375,8 +509,8 @@ unsafe fn copy_row<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{Avg27, Jacobi6, VarCoeff7};
-    use tb_grid::init;
+    use crate::op::{Avg27, Jacobi6, Jacobi7, ScalarPath, VarCoeff7};
+    use tb_grid::{init, norm, CompressedGrid};
 
     fn reference_cell(src: &Grid3<f64>, x: usize, y: usize, z: usize) -> f64 {
         (src.get(x - 1, y, z)
@@ -386,6 +520,38 @@ mod tests {
             + src.get(x, y, z - 1)
             + src.get(x, y, z + 1))
             * (1.0 / 6.0)
+    }
+
+    /// One sweep of `region` through the shared driver into a zeroed grid.
+    fn shared_sweep<T: Real, Op: StencilOp<T>>(
+        op: &Op,
+        src: &Grid3<T>,
+        region: &Region3,
+        store: StoreMode,
+    ) -> Grid3<T> {
+        let (mut src, mut dst) = (src.clone(), Grid3::zeroed(src.dims()));
+        let sv = SharedGrid::from_raw(src.as_mut_ptr(), src.dims());
+        let dv = SharedGrid::from_raw(dst.as_mut_ptr(), src.dims());
+        // SAFETY: single-threaded; `src` and `dst` are distinct grids.
+        unsafe { update_region_shared_op(op, &sv, &dv, region, store) };
+        dst
+    }
+
+    /// Two whole-domain sweeps through the compressed driver, margin 1:
+    /// down (frame 0 -> -1, offsets 1 -> 0, ascending rows), then up
+    /// (frame -1 -> 0, offsets 0 -> 1, descending rows).
+    fn compressed_down_up<T: Real, Op: StencilOp<T>>(op: &Op, initial: &Grid3<T>) -> Grid3<T> {
+        let dims = initial.dims();
+        let mut cg = CompressedGrid::from_grid(initial, 1);
+        let view = cg.shared();
+        let whole = Region3::whole(dims);
+        // SAFETY: single-threaded; row order matches the shift direction.
+        unsafe {
+            update_region_compressed_op(op, &view, dims, &whole, 1, 0, false);
+            update_region_compressed_op(op, &view, dims, &whole, 0, 1, true);
+        }
+        cg.set_displacement(0);
+        cg.to_grid()
     }
 
     #[test]
@@ -425,7 +591,7 @@ mod tests {
         let src: Grid3<f64> = init::linear(dims, 1.0, 2.0, -0.5, 3.0);
         let mut dst = src.clone();
         update_region_op(&Jacobi6, &src, &mut dst, &Region3::interior_of(dims));
-        let d = tb_grid::norm::max_abs_diff(&src, &dst, &Region3::interior_of(dims));
+        let d = norm::max_abs_diff(&src, &dst, &Region3::interior_of(dims));
         assert!(d < 1e-12, "linear field drifted by {d}");
     }
 
@@ -438,23 +604,14 @@ mod tests {
         fn check<Op: StencilOp<f64>>(op: &Op, src: &Grid3<f64>, region: &Region3) {
             let mut want: Grid3<f64> = Grid3::zeroed(src.dims());
             update_region_op(op, src, &mut want, region);
-
-            let mut src_b = src.clone();
-            let mut got: Grid3<f64> = Grid3::zeroed(src.dims());
-            let sv = SharedGrid::from_raw(src_b.as_mut_ptr(), src.dims());
-            let dv = SharedGrid::from_raw(got.as_mut_ptr(), src.dims());
             for store in [StoreMode::Normal, StoreMode::Streaming] {
-                unsafe { update_region_shared_op(op, &sv, &dv, region, store) };
-                tb_grid::norm::assert_grids_identical(
-                    &want,
-                    &got,
-                    region,
-                    &format!("{} shared {store:?}", op.name()),
-                );
+                let got = shared_sweep(op, src, region, store);
+                let ctx = format!("{} shared {store:?}", op.name());
+                norm::assert_grids_identical(&want, &got, &Region3::whole(src.dims()), &ctx);
             }
         }
         check(&Jacobi6, &src, &region);
-        check(&crate::op::Jacobi7::heat(0.05), &src, &region);
+        check(&Jacobi7::heat(0.05), &src, &region);
         check(&VarCoeff7::banded(dims), &src, &region);
         check(&Avg27, &src, &region);
     }
@@ -491,18 +648,13 @@ mod tests {
 
         // Compressed: margin 1, one stage. src frame disp 0 => offset
         // margin + 0 = 1; dst frame disp -1 => offset 0.
-        let mut cg = tb_grid::CompressedGrid::from_grid(&initial, 1);
+        let mut cg = CompressedGrid::from_grid(&initial, 1);
         let view = cg.shared();
         let whole = Region3::whole(dims);
         unsafe { update_region_compressed_op(&Jacobi6, &view, dims, &whole, 1, 0, false) };
         cg.set_displacement(-1);
         let got = cg.to_grid();
-        tb_grid::norm::assert_grids_identical(
-            &ref_dst,
-            &got,
-            &Region3::whole(dims),
-            "compressed sweep",
-        );
+        norm::assert_grids_identical(&ref_dst, &got, &Region3::whole(dims), "compressed sweep");
     }
 
     #[test]
@@ -516,27 +668,79 @@ mod tests {
             let mut c = b.clone();
             update_region_op(op, &b, &mut c, &Region3::interior_of(dims));
 
-            let mut cg = tb_grid::CompressedGrid::from_grid(&initial, 1);
-            let view = cg.shared();
-            let whole = Region3::whole(dims);
-            // Down sweep: frame 0 -> frame -1 (offsets 1 -> 0), ascending.
-            unsafe { update_region_compressed_op(op, &view, dims, &whole, 1, 0, false) };
-            // Up sweep: frame -1 -> frame 0 (offsets 0 -> 1), descending.
-            unsafe { update_region_compressed_op(op, &view, dims, &whole, 0, 1, true) };
-            cg.set_displacement(0);
-            let got = cg.to_grid();
-            tb_grid::norm::assert_grids_identical(
-                &c,
-                &got,
-                &Region3::whole(dims),
-                &format!("{} down+up", op.name()),
-            );
+            let got = compressed_down_up(op, &initial);
+            let ctx = format!("{} down+up", op.name());
+            norm::assert_grids_identical(&c, &got, &Region3::whole(dims), &ctx);
         }
         let dims = Dims3::cube(7);
         check(&Jacobi6, dims);
-        check(&crate::op::Jacobi7::heat(0.08), dims);
+        check(&Jacobi7::heat(0.08), dims);
         check(&VarCoeff7::banded(dims), dims);
         check(&Avg27, dims); // exercises the corner scratch path
+    }
+
+    /// The AVX copy of the row loop is bitwise identical to the
+    /// build-target copy ([`ScalarPath`]) at deliberately awkward
+    /// offsets and row lengths, one row at a time. On hosts without AVX
+    /// both sides run the same code and this degenerates to a check
+    /// that exactly the row is written.
+    #[test]
+    fn kernels_match_scalar_rows() {
+        fn check<T: Real, Op: StencilOp<T>>(op: &Op, dims: Dims3, seed: u64) {
+            let g: Grid3<T> = init::random(dims, seed);
+            for (x0, x1) in [(1, dims.nx - 1), (2, dims.nx - 2), (5, 5 + 9)] {
+                for (y, z) in [(1, 1), (2, 3)] {
+                    let row = Region3::new([x0, y, z], [x1, y + 1, z + 1]);
+                    let mut wide: Grid3<T> = Grid3::zeroed(dims);
+                    let mut base: Grid3<T> = Grid3::zeroed(dims);
+                    update_region_op(op, &g, &mut wide, &row);
+                    update_region_op(&ScalarPath(op.clone()), &g, &mut base, &row);
+                    let ctx = format!("{} x0={x0} x1={x1} y={y} z={z}", op.name());
+                    norm::assert_grids_identical(&base, &wide, &Region3::whole(dims), &ctx);
+                }
+            }
+        }
+        let dims = Dims3::new(23, 6, 6);
+        check::<f64, _>(&Jacobi6, dims, 1);
+        check::<f64, _>(&Jacobi7::heat(0.12), dims, 2);
+        check::<f64, _>(&VarCoeff7::banded(dims), dims, 3);
+        check::<f64, _>(&Avg27, dims, 4);
+        check::<f32, _>(&Jacobi6, dims, 5);
+        check::<f32, _>(&Jacobi7::heat(0.12), dims, 6);
+        check::<f32, _>(&VarCoeff7::banded(dims), dims, 7);
+        check::<f32, _>(&Avg27, dims, 8);
+    }
+
+    /// The same widened-vs-build-target comparison through the other
+    /// two drivers, on multi-row regions: shared (both store modes) and
+    /// compressed (down + up sweep; `Avg27` takes the scratch path).
+    #[test]
+    fn widened_shared_and_compressed_match_scalar_path() {
+        fn check<T: Real, Op: StencilOp<T>>(op: &Op, dims: Dims3, seed: u64) {
+            let g: Grid3<T> = init::random(dims, seed);
+            let base = ScalarPath(op.clone());
+            let whole = Region3::whole(dims);
+            // An inner box, so rows start and end off the vector grid.
+            let inner = Region3::new([2, 1, 1], [dims.nx - 3, 5, 6]);
+            for store in [StoreMode::Normal, StoreMode::Streaming] {
+                let want = shared_sweep(&base, &g, &inner, store);
+                let got = shared_sweep(op, &g, &inner, store);
+                let ctx = format!("{} shared {store:?}", op.name());
+                norm::assert_grids_identical(&want, &got, &whole, &ctx);
+            }
+            let (want, got) = (compressed_down_up(&base, &g), compressed_down_up(op, &g));
+            let ctx = format!("{} compressed down+up", op.name());
+            norm::assert_grids_identical(&want, &got, &whole, &ctx);
+        }
+        let dims = Dims3::new(27, 7, 8);
+        check::<f64, _>(&Jacobi6, dims, 11);
+        check::<f64, _>(&Jacobi7::heat(0.12), dims, 12);
+        check::<f64, _>(&VarCoeff7::banded(dims), dims, 13);
+        check::<f64, _>(&Avg27, dims, 14);
+        check::<f32, _>(&Jacobi6, dims, 15);
+        check::<f32, _>(&Jacobi7::heat(0.12), dims, 16);
+        check::<f32, _>(&VarCoeff7::banded(dims), dims, 17);
+        check::<f32, _>(&Avg27, dims, 18);
     }
 
     #[test]

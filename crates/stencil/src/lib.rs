@@ -11,16 +11,17 @@
 //! * [`kernel`] — region-update drivers for every storage scheme: safe
 //!   two-grid, unsafe [`tb_grid::SharedGrid`] for the multi-threaded
 //!   executors, and the compressed diagonally-shifted scheme, plus the
-//!   x86-64 non-temporal-store Jacobi row;
+//!   x86-64 non-temporal-store Jacobi row. Each driver runs the
+//!   operator's one row loop either as compiled for the build target or,
+//!   on a host with AVX, through a `#[target_feature(enable = "avx")]`
+//!   copy of the whole region loop — bitwise identical, no second
+//!   kernel source;
 //! * [`baseline`] — the "standard" solvers: sequential, spatially
 //!   blocked, and thread-parallel with streaming stores (§1.1);
 //! * [`pipeline`] — **pipelined temporal blocking** (§1.3): the block
 //!   schedule ([`pipeline::plan`]), the global-barrier executor, the
 //!   relaxed-synchronization executor (Eq. 3), and the compressed-grid
 //!   executor;
-//! * [`simd`] — runtime-dispatched explicit AVX row kernels behind the
-//!   portable lane path of [`op`] (stable `std::arch`, selected via
-//!   `is_x86_feature_detected!`, bitwise identical to the scalar rows);
 //! * [`wavefront`] — the wavefront method of Wellein et al. (ref. 2),
 //!   implemented as a comparator;
 //! * [`diamond`] — **wavefront-diamond temporal blocking** (Malas,
@@ -62,7 +63,6 @@ pub mod diamond;
 pub mod kernel;
 pub mod op;
 pub mod pipeline;
-pub mod simd;
 pub mod stats;
 pub mod wavefront;
 

@@ -18,6 +18,15 @@
 //! compressed, wavefront, distributed/hybrid) to *bitwise* equality with
 //! the operator's own sequential oracle.
 //!
+//! # One kernel source
+//!
+//! [`StencilOp::apply_row`] is the only place an operator's arithmetic
+//! is written: a plain indexed loop, marked `#[inline(always)]`. There
+//! is no vector twin to keep in step — the region drivers in
+//! [`crate::kernel`] inline the loop into a body they compile once for
+//! the build target and once for AVX, and pick per region at runtime
+//! ([`StencilOp::WIDEN`], which only [`ScalarPath`] turns off).
+//!
 //! # Shipped operators
 //!
 //! | op | stencil | notes |
@@ -30,11 +39,9 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use tb_grid::lanes::{head_len, Lane, LANES};
 use tb_grid::{Dims3, Grid3, Real, Region3};
 
 use crate::kernel::{self, StoreMode};
-use crate::simd;
 
 /// The nine radius-1 source row segments available to update cells
 /// `x0 .. x0 + n` of row `(y, z)`.
@@ -61,6 +68,7 @@ pub struct Rows9<'a, T> {
 impl<'a, T> Rows9<'a, T> {
     /// Build from nine explicit, equally long slices, indexed
     /// `rows[dz + 1][dy + 1]`. Fully safe: the borrows prove validity.
+    #[inline(always)]
     pub fn from_slices(rows: [[&'a [T]; 3]; 3]) -> Self {
         let len = rows[0][0].len();
         assert!(len >= 2, "rows must cover x0-1 ..= x0+n (length n+2)");
@@ -69,8 +77,15 @@ impl<'a, T> Rows9<'a, T> {
                 assert_eq!(r.len(), len, "all nine rows must have equal length");
             }
         }
+        // Spelled out: `array::map` is not reliably inlined, and this
+        // runs once per row inside the region drivers.
+        let [[a, b, c], [d, e, f], [g, h, i]] = rows;
         Self {
-            ptrs: rows.map(|plane| plane.map(|r| r.as_ptr())),
+            ptrs: [
+                [a.as_ptr(), b.as_ptr(), c.as_ptr()],
+                [d.as_ptr(), e.as_ptr(), f.as_ptr()],
+                [g.as_ptr(), h.as_ptr(), i.as_ptr()],
+            ],
             len,
             _src: PhantomData,
         }
@@ -80,6 +95,7 @@ impl<'a, T> Rows9<'a, T> {
     /// from a plain grid — the one definition of the slice↔offset
     /// convention for safe callers. `(x0, y, z)` must be interior
     /// (slice bounds enforce it).
+    #[inline(always)]
     pub fn from_grid(g: &'a Grid3<T>, x0: usize, x1: usize, y: usize, z: usize) -> Self
     where
         T: Real,
@@ -102,6 +118,7 @@ impl<'a, T> Rows9<'a, T> {
     /// the operator's destination slice. Operators declare which rows
     /// they touch through [`StencilOp::READS_CORNERS`]; callers use that
     /// to decide whether corner rows need these guarantees.
+    #[inline(always)]
     pub unsafe fn from_raw(ptrs: [[*const T; 3]; 3], len: usize) -> Self {
         debug_assert!(len >= 2);
         Self {
@@ -148,6 +165,13 @@ pub trait StencilOp<T: Real>: Clone + Send + Sync + 'static {
     /// through a scratch buffer instead.
     const READS_CORNERS: bool = true;
 
+    /// Whether the region drivers in [`crate::kernel`] may compile this
+    /// operator's row loop at the host's vector width (AVX where the CPU
+    /// has it) instead of the build target's. Results are bitwise the
+    /// same either way; only [`ScalarPath`] turns it off, to stay the
+    /// build-target twin the widened code is checked against.
+    const WIDEN: bool = true;
+
     /// Short identifier for reports and benchmark output.
     fn name(&self) -> &'static str;
 
@@ -177,11 +201,18 @@ pub trait StencilOp<T: Real>: Clone + Send + Sync + 'static {
     /// `src`. Coordinates are *logical* grid coordinates (executors that
     /// shift or relocate storage translate before calling), so operators
     /// may use them to address auxiliary per-cell data.
+    ///
+    /// This is the operator's only row kernel. Write it as a plain
+    /// indexed loop and mark the impl `#[inline(always)]`: the region
+    /// drivers inline it into a body that is compiled once for the
+    /// build target and once for AVX (see [`crate::kernel`]), and an
+    /// impl that is not inlined silently stays at the build target.
     fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, x0: usize, y: usize, z: usize);
 
     /// Variant for the baseline's non-temporal-store write stream. The
     /// default falls back to plain stores — results must stay bitwise
     /// identical either way.
+    #[inline(always)]
     fn apply_row_streaming(
         &self,
         dst: &mut [T],
@@ -190,22 +221,6 @@ pub trait StencilOp<T: Real>: Clone + Send + Sync + 'static {
         y: usize,
         z: usize,
     ) {
-        self.apply_row(dst, src, x0, y, z);
-    }
-
-    /// Explicitly vectorized variant of [`StencilOp::apply_row`] built on
-    /// the fixed-width [`Lane`] type (`tb_grid::lanes`): scalar head to a
-    /// lane-aligned store pointer, lane-wide body, scalar tail (see
-    /// [`vectorize_row`]). Every region driver in [`crate::kernel`] calls
-    /// this, so overriding it accelerates *all* executors at once.
-    ///
-    /// The contract is strict: results must be **bitwise identical** to
-    /// [`StencilOp::apply_row`] — lane arithmetic is element-wise, so
-    /// implementations keep the scalar operand order per slot and never
-    /// introduce horizontal reductions or FMA contraction. The default
-    /// falls back to the scalar path, which is what [`ScalarPath`] relies
-    /// on to force the oracle route.
-    fn apply_row_simd(&self, dst: &mut [T], src: &Rows9<'_, T>, x0: usize, y: usize, z: usize) {
         self.apply_row(dst, src, x0, y, z);
     }
 
@@ -220,54 +235,24 @@ pub trait StencilOp<T: Real>: Clone + Send + Sync + 'static {
     }
 }
 
-/// Drive one row update through the three-phase SIMD shape: a scalar
-/// head until the *store* pointer reaches a lane-width byte boundary,
-/// [`LANES`]-wide stores over the body, and a scalar tail.
+/// Adapter that pins an operator to the build target's instruction
+/// set: it delegates everything to the wrapped operator but sets
+/// [`StencilOp::WIDEN`] to `false`, so every region driver runs the row
+/// loop as compiled for the build target instead of the AVX copy.
 ///
-/// `scalar(i)` and `lane(i)` must compute cell `i` (respectively cells
-/// `i .. i + LANES`) of the row with identical per-slot operand order —
-/// then where the head/body/tail split falls can never change results,
-/// which is how the `apply_row_simd` impls below keep their bitwise
-/// promise for arbitrary `x0` offsets and row lengths.
-#[inline(always)]
-pub fn vectorize_row<T: Real>(
-    dst: &mut [T],
-    scalar: impl Fn(usize) -> T,
-    lane: impl Fn(usize) -> Lane<T>,
-) {
-    let n = dst.len();
-    let mut i = 0usize;
-    let head = head_len(dst.as_ptr(), n);
-    while i < head {
-        dst[i] = scalar(i);
-        i += 1;
-    }
-    while i + LANES <= n {
-        lane(i).store(&mut dst[i..]);
-        i += LANES;
-    }
-    while i < n {
-        dst[i] = scalar(i);
-        i += 1;
-    }
-}
-
-/// Adapter that pins an operator to its scalar row kernel: it delegates
-/// everything to the wrapped operator but leaves
-/// [`StencilOp::apply_row_simd`] at the trait default (→ scalar
-/// `apply_row`), so every executor runs the unvectorized path.
-///
-/// This is the oracle side of the SIMD verification story — benches and
-/// the `simd_property` suite solve with `op` and `ScalarPath(op)` and
-/// assert bitwise equality — and doubles as the `simd: off` rows in the
-/// sweep bins. No global toggle, no config plumbing: the choice is in
-/// the operator value.
+/// This is the oracle side of the widening verification story — the
+/// `simd_property` suite and the kernel tests run with `op` and
+/// `ScalarPath(op)` and assert bitwise equality — and doubles as
+/// `Plan::simd = false` and the `simd: off` rows in the sweep bins. No
+/// global toggle, no config plumbing: the choice is in the operator
+/// type.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScalarPath<Op>(pub Op);
 
 impl<T: Real, Op: StencilOp<T>> StencilOp<T> for ScalarPath<Op> {
     const RADIUS: usize = Op::RADIUS;
     const READS_CORNERS: bool = Op::READS_CORNERS;
+    const WIDEN: bool = false;
 
     fn name(&self) -> &'static str {
         self.0.name()
@@ -285,12 +270,12 @@ impl<T: Real, Op: StencilOp<T>> StencilOp<T> for ScalarPath<Op> {
         self.0.bytes_per_lup(store)
     }
 
-    #[inline]
+    #[inline(always)]
     fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, x0: usize, y: usize, z: usize) {
         self.0.apply_row(dst, src, x0, y, z);
     }
 
-    #[inline]
+    #[inline(always)]
     fn apply_row_streaming(
         &self,
         dst: &mut [T],
@@ -302,15 +287,12 @@ impl<T: Real, Op: StencilOp<T>> StencilOp<T> for ScalarPath<Op> {
         self.0.apply_row_streaming(dst, src, x0, y, z);
     }
 
-    // apply_row_simd deliberately NOT overridden: the trait default
-    // routes it to `self.apply_row`, i.e. the wrapped scalar kernel.
-
     fn restricted(&self, local_box: &Region3) -> Self {
         ScalarPath(self.0.restricted(local_box))
     }
 }
 
-pub(crate) fn is_f64<T: 'static>() -> bool {
+fn is_f64<T: 'static>() -> bool {
     std::any::TypeId::of::<T>() == std::any::TypeId::of::<f64>()
 }
 
@@ -336,7 +318,7 @@ impl<T: Real> StencilOp<T> for Jacobi6 {
         6.0 // 5 adds + 1 multiply
     }
 
-    #[inline]
+    #[inline(always)]
     fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, _x0: usize, _y: usize, _z: usize) {
         let n = dst.len();
         kernel::jacobi_row(
@@ -349,7 +331,7 @@ impl<T: Real> StencilOp<T> for Jacobi6 {
         );
     }
 
-    #[inline]
+    #[inline(always)]
     fn apply_row_streaming(
         &self,
         dst: &mut [T],
@@ -374,39 +356,6 @@ impl<T: Real> StencilOp<T> for Jacobi6 {
                 std::mem::transmute::<&[T], &[f64]>(&src.row(0, 1)[1..n + 1]),
             );
         }
-    }
-
-    #[inline]
-    fn apply_row_simd(&self, dst: &mut [T], src: &Rows9<'_, T>, _x0: usize, _y: usize, _z: usize) {
-        if simd::jacobi6(dst, src) {
-            return;
-        }
-        let sixth = T::ONE / T::from_f64(6.0);
-        let c = src.row(0, 0);
-        let ym = src.row(-1, 0);
-        let yp = src.row(1, 0);
-        let zm = src.row(0, -1);
-        let zp = src.row(0, 1);
-        // Laundering the shifted view of `c` hides that it aliases `c`:
-        // otherwise LLVM's SLP pass "optimizes" the two overlapping lane
-        // loads into one load plus an element-shuffle network, which is
-        // far slower than the two plain vector loads we want.
-        let e = std::hint::black_box(&c[2..]);
-        let vs = Lane::splat(sixth);
-        vectorize_row(
-            dst,
-            // Eq. 1 in the canonical left-to-right order of jacobi_row.
-            |i| (c[i] + e[i] + ym[i + 1] + yp[i + 1] + zm[i + 1] + zp[i + 1]) * sixth,
-            |i| {
-                (Lane::load(&c[i..])
-                    + Lane::load(&e[i..])
-                    + Lane::load(&ym[i + 1..])
-                    + Lane::load(&yp[i + 1..])
-                    + Lane::load(&zm[i + 1..])
-                    + Lane::load(&zp[i + 1..]))
-                    * vs
-            },
-        );
     }
 }
 
@@ -448,7 +397,7 @@ impl<T: Real> StencilOp<T> for Jacobi7 {
         8.0 // 5 + 1 adds + 2 multiplies
     }
 
-    #[inline]
+    #[inline(always)]
     fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, _x0: usize, _y: usize, _z: usize) {
         let n = dst.len();
         let cw = T::from_f64(self.center);
@@ -462,41 +411,6 @@ impl<T: Real> StencilOp<T> for Jacobi7 {
             let sum = c[i] + c[i + 2] + ym[i + 1] + yp[i + 1] + zm[i + 1] + zp[i + 1];
             dst[i] = c[i + 1] * cw + sum * nw;
         }
-    }
-
-    #[inline]
-    fn apply_row_simd(&self, dst: &mut [T], src: &Rows9<'_, T>, _x0: usize, _y: usize, _z: usize) {
-        let cw = T::from_f64(self.center);
-        let nw = T::from_f64(self.neighbor);
-        if simd::jacobi7(dst, src, cw, nw) {
-            return;
-        }
-        let c = src.row(0, 0);
-        let ym = src.row(-1, 0);
-        let yp = src.row(1, 0);
-        let zm = src.row(0, -1);
-        let zp = src.row(0, 1);
-        // See Jacobi6: hide the aliasing between the three views of `c`
-        // so SLP emits three plain loads, not a shuffle network.
-        let u = std::hint::black_box(&c[1..]);
-        let e = std::hint::black_box(&c[2..]);
-        let (vcw, vnw) = (Lane::splat(cw), Lane::splat(nw));
-        vectorize_row(
-            dst,
-            |i| {
-                let sum = c[i] + e[i] + ym[i + 1] + yp[i + 1] + zm[i + 1] + zp[i + 1];
-                u[i] * cw + sum * nw
-            },
-            |i| {
-                let sum = Lane::load(&c[i..])
-                    + Lane::load(&e[i..])
-                    + Lane::load(&ym[i + 1..])
-                    + Lane::load(&yp[i + 1..])
-                    + Lane::load(&zm[i + 1..])
-                    + Lane::load(&zp[i + 1..]);
-                Lane::load(&u[i..]) * vcw + sum * vnw
-            },
-        );
     }
 }
 
@@ -555,7 +469,7 @@ impl<T: Real> StencilOp<T> for VarCoeff7<T> {
         1.0 // the coefficient grid
     }
 
-    #[inline]
+    #[inline(always)]
     fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, x0: usize, y: usize, z: usize) {
         let n = dst.len();
         let six = T::from_f64(6.0);
@@ -571,45 +485,6 @@ impl<T: Real> StencilOp<T> for VarCoeff7<T> {
             let sum = c[i] + c[i + 2] + ym[i + 1] + yp[i + 1] + zm[i + 1] + zp[i + 1];
             dst[i] = u + (sum - u * six) * k[i];
         }
-    }
-
-    #[inline]
-    fn apply_row_simd(&self, dst: &mut [T], src: &Rows9<'_, T>, x0: usize, y: usize, z: usize) {
-        let n = dst.len();
-        let six = T::from_f64(6.0);
-        let gx = x0 + self.origin[0];
-        let k = &self.kappa.row(y + self.origin[1], z + self.origin[2])[gx..gx + n];
-        if simd::varcoeff7(dst, src, k) {
-            return;
-        }
-        let c = src.row(0, 0);
-        let ym = src.row(-1, 0);
-        let yp = src.row(1, 0);
-        let zm = src.row(0, -1);
-        let zp = src.row(0, 1);
-        // See Jacobi6: hide the aliasing between the three views of `c`
-        // so SLP emits three plain loads, not a shuffle network.
-        let u = std::hint::black_box(&c[1..]);
-        let e = std::hint::black_box(&c[2..]);
-        let vsix = Lane::splat(six);
-        vectorize_row(
-            dst,
-            |i| {
-                let u = u[i];
-                let sum = c[i] + e[i] + ym[i + 1] + yp[i + 1] + zm[i + 1] + zp[i + 1];
-                u + (sum - u * six) * k[i]
-            },
-            |i| {
-                let u = Lane::load(&u[i..]);
-                let sum = Lane::load(&c[i..])
-                    + Lane::load(&e[i..])
-                    + Lane::load(&ym[i + 1..])
-                    + Lane::load(&yp[i + 1..])
-                    + Lane::load(&zm[i + 1..])
-                    + Lane::load(&zp[i + 1..]);
-                u + (sum - u * vsix) * Lane::load(&k[i..])
-            },
-        );
     }
 
     fn restricted(&self, local_box: &Region3) -> Self {
@@ -648,7 +523,7 @@ impl<T: Real> StencilOp<T> for Avg27 {
         27.0 // 26 adds + 1 multiply
     }
 
-    #[inline]
+    #[inline(always)]
     fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, _x0: usize, _y: usize, _z: usize) {
         let n = dst.len();
         let w = T::ONE / T::from_f64(27.0);
@@ -668,50 +543,6 @@ impl<T: Real> StencilOp<T> for Avg27 {
             }
             dst[i] = acc * w;
         }
-    }
-
-    #[inline]
-    fn apply_row_simd(&self, dst: &mut [T], src: &Rows9<'_, T>, _x0: usize, _y: usize, _z: usize) {
-        if simd::avg27(dst, src) {
-            return;
-        }
-        let w = T::ONE / T::from_f64(27.0);
-        let rows = [
-            [src.row(-1, -1), src.row(0, -1), src.row(1, -1)],
-            [src.row(-1, 0), src.row(0, 0), src.row(1, 0)],
-            [src.row(-1, 1), src.row(0, 1), src.row(1, 1)],
-        ];
-        // See Jacobi6: hide that the three x-offset views of each row
-        // alias, so SLP emits plain loads instead of shuffle networks.
-        let rows1 = rows.map(|p| p.map(|r| std::hint::black_box(&r[1..])));
-        let rows2 = rows.map(|p| p.map(|r| std::hint::black_box(&r[2..])));
-        let vw = Lane::splat(w);
-        vectorize_row(
-            dst,
-            |i| {
-                let mut acc = T::ZERO;
-                for ((p0, p1), p2) in rows.iter().zip(&rows1).zip(&rows2) {
-                    for ((r0, r1), r2) in p0.iter().zip(p1).zip(p2) {
-                        acc += r0[i];
-                        acc += r1[i];
-                        acc += r2[i];
-                    }
-                }
-                acc * w
-            },
-            |i| {
-                // Same 27-term accumulation order, lane-wide.
-                let mut acc = Lane::splat(T::ZERO);
-                for ((p0, p1), p2) in rows.iter().zip(&rows1).zip(&rows2) {
-                    for ((r0, r1), r2) in p0.iter().zip(p1).zip(p2) {
-                        acc = acc + Lane::load(&r0[i..]);
-                        acc = acc + Lane::load(&r1[i..]);
-                        acc = acc + Lane::load(&r2[i..]);
-                    }
-                }
-                acc * vw
-            },
-        );
     }
 }
 
@@ -848,29 +679,28 @@ mod tests {
         assert!((dst[1] - sum / 27.0).abs() < 1e-12);
     }
 
-    /// SIMD path ≡ scalar path, bitwise, for every shipped operator —
-    /// including offsets that leave the store pointer unaligned and row
-    /// lengths that are not lane multiples.
+    /// Widened row loop ≡ build-target row loop ≡ the bare `apply_row`,
+    /// bitwise, for every shipped operator — including offsets and row
+    /// lengths that leave the vector body a head and a tail.
     #[test]
     fn simd_rows_bitwise_equal_scalar_rows() {
         fn check<Op: StencilOp<f64>>(op: &Op, dims: Dims3) {
             let g: Grid3<f64> = init::random(dims, 31);
-            for (x0, x1) in [(1, dims.nx - 1), (3, dims.nx - 2), (5, 5 + LANES + 3)] {
-                let n = x1 - x0;
-                let rows = rows_from_grid(&g, x0, x1, 2, 3);
-                let mut scalar = vec![0.0; n];
-                let mut simd = vec![0.0; n];
-                op.apply_row(&mut scalar, &rows, x0, 2, 3);
-                op.apply_row_simd(&mut simd, &rows, x0, 2, 3);
-                assert_eq!(scalar, simd, "{} x0={x0} n={n}", op.name());
-                // The ScalarPath wrapper must route apply_row_simd back
-                // to the scalar kernel.
-                let mut wrapped = vec![0.0; n];
-                ScalarPath(op.clone()).apply_row_simd(&mut wrapped, &rows, x0, 2, 3);
-                assert_eq!(scalar, wrapped, "{} ScalarPath", op.name());
+            let whole = Region3::whole(dims);
+            for (x0, x1) in [(1, dims.nx - 1), (3, dims.nx - 2), (5, 5 + 8 + 3)] {
+                let row = Region3::new([x0, 2, 3], [x1, 3, 4]);
+                let mut wide: Grid3<f64> = Grid3::zeroed(dims);
+                let mut base: Grid3<f64> = Grid3::zeroed(dims);
+                kernel::update_region_op(op, &g, &mut wide, &row);
+                kernel::update_region_op(&ScalarPath(op.clone()), &g, &mut base, &row);
+                let ctx = format!("{} x0={x0} n={}", op.name(), x1 - x0);
+                tb_grid::norm::assert_grids_identical(&base, &wide, &whole, &ctx);
+                let mut direct = vec![0.0; x1 - x0];
+                op.apply_row(&mut direct, &rows_from_grid(&g, x0, x1, 2, 3), x0, 2, 3);
+                assert_eq!(&base.row(2, 3)[x0..x1], &direct[..], "{ctx} apply_row");
             }
         }
-        let dims = Dims3::new(37, 6, 7); // nx not a lane multiple
+        let dims = Dims3::new(37, 6, 7); // nx not a vector multiple
         check(&Jacobi6, dims);
         check(&Jacobi7::heat(0.07), dims);
         check(&VarCoeff7::banded(dims), dims);
@@ -928,6 +758,12 @@ mod tests {
             assert!(!<VarCoeff7<f64> as StencilOp<f64>>::READS_CORNERS);
             assert!(<Avg27 as StencilOp<f64>>::READS_CORNERS);
             assert!(<Avg27 as StencilOp<f64>>::RADIUS == 1);
+            assert!(<Jacobi6 as StencilOp<f64>>::WIDEN);
+            assert!(<Jacobi7 as StencilOp<f64>>::WIDEN);
+            assert!(<VarCoeff7<f64> as StencilOp<f64>>::WIDEN);
+            assert!(<Avg27 as StencilOp<f64>>::WIDEN);
+            assert!(!<ScalarPath<Jacobi6> as StencilOp<f64>>::WIDEN);
+            assert!(!<ScalarPath<Avg27> as StencilOp<f32>>::WIDEN);
         }
     }
 }

@@ -361,7 +361,7 @@ fn method_for_plan(plan: &tb_plan::Plan) -> Method {
 
 /// Execute one reified [`tb_plan::Plan`] on a persistent runtime.
 /// `simd: false` routes through [`ScalarPath`] — bitwise identical
-/// results, scalar row kernels.
+/// results, row loops at the build target's ISA instead of the host's.
 pub fn run_plan_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,

@@ -1754,25 +1754,29 @@ mod tests {
             spec.tag = tag;
             spec
         };
-        let small = server.submit(job(8, 1)).unwrap();
-        let big = server.submit(job(16, 2)).unwrap();
-        let medium = server.submit(job(12, 3)).unwrap();
+        // Specs are built first so each `submit` is bracketed tightly:
+        // admission is stamped at `submit` entry, hence
+        // `before + queue_wait <= pick-up <= after + queue_wait` on this
+        // thread's clock.
+        let [small, big, medium] = [job(8, 1), job(16, 2), job(12, 3)].map(|spec| {
+            let before = Instant::now();
+            let handle = server.submit(spec).unwrap();
+            (handle, before, Instant::now())
+        });
         server.start();
-        let reports: Vec<JobReport> = [small, big, medium]
-            .into_iter()
-            .map(|h| h.wait().expect("jobs succeed").1)
-            .collect();
-        // Queue order on start: [small, big, medium]; biggest-first
-        // serves big before medium. (small may or may not go first
-        // depending on when the slice wakes; order big < medium is the
-        // policy's invariant.)
-        let end_of = |tag: u64| {
-            let r = reports.iter().find(|r| r.tag == tag).unwrap();
-            r.queue_wait + r.service
+        let queue_wait = |(handle, ..): (JobHandle, Instant, Instant)| {
+            handle.wait().expect("jobs succeed").1.queue_wait
         };
+        let (big_lo, medium_hi) = (big.1, medium.2);
+        queue_wait(small);
+        // Queue order on start: [small, big, medium]; biggest-first
+        // picks big up before medium. (small may or may not go first
+        // depending on when the slice wakes; order big < medium is the
+        // policy's invariant.) Each job's own `queue_wait + service`
+        // would not do: those clocks start at different admissions.
         assert!(
-            end_of(2) < end_of(3),
-            "biggest job must finish before the medium one"
+            big_lo + queue_wait(big) < medium_hi + queue_wait(medium),
+            "biggest job must be picked up before the medium one"
         );
     }
 

@@ -54,21 +54,21 @@ fn reused_grids_keep_stale_contents_and_fresh_ones_are_zeroed() {
 
 #[test]
 fn row_alignment_survives_pool_reuse() {
-    // The SIMD row kernels lean on AlignedVec's 64-byte guarantee; a pool
-    // that handed back misaligned recycled storage would silently push
-    // every row through the scalar head peel. Alignment is a property of
-    // the allocation, so it must hold for fresh AND recycled grids — for
-    // an x-extent that is a whole number of f64 lanes, on every row.
-    use temporal_blocking::grid::lanes::LANES;
+    // AlignedVec guarantees cache-line alignment; a pool that handed
+    // back misaligned recycled storage would silently make rows straddle
+    // lines. Alignment is a property of the allocation, so it must hold
+    // for fresh AND recycled grids — for an x-extent that is a whole
+    // number of cache lines, on every row.
+    use temporal_blocking::grid::aligned::ALIGN;
     let pool: GridPool<f64> = GridPool::new();
-    let dims = Dims3::new(2 * LANES, 5, 4); // nx = two f64 lanes
+    let dims = Dims3::new(2 * ALIGN / std::mem::size_of::<f64>(), 5, 4); // two lines per row
     let check = |g: &Grid3<f64>, life: &str| {
         for z in 0..dims.nz {
             for y in 0..dims.ny {
                 assert_eq!(
-                    g.row(y, z).as_ptr() as usize % 64,
+                    g.row(y, z).as_ptr() as usize % ALIGN,
                     0,
-                    "{life}: row ({y},{z}) lost 64-byte alignment"
+                    "{life}: row ({y},{z}) lost {ALIGN}-byte alignment"
                 );
             }
         }

@@ -1,16 +1,16 @@
-//! Property-based verification of the explicit SIMD row path and the
-//! multi-threaded wavefront diamond (MWD) executor.
+//! Property-based verification of the widened (host-ISA) row loop and
+//! the multi-threaded wavefront diamond (MWD) executor.
 //!
 //! Two contracts are pinned here:
 //!
-//! 1. **SIMD ≡ scalar, bitwise.** `StencilOp::apply_row_simd` — whether
-//!    it resolves to the runtime-dispatched AVX kernels or the portable
-//!    lane path — must produce exactly the bits of the scalar
-//!    `apply_row` oracle, for every shipped operator, in `f64` *and*
-//!    `f32`, at arbitrary row lengths (not multiples of the lane width)
-//!    and arbitrary `x0` offsets (head/tail splits and coefficient-row
-//!    addressing in play). Checked both at row granularity and through
-//!    full solves via [`ScalarPath`].
+//! 1. **Widened ≡ build-target, bitwise.** The region drivers run each
+//!    operator's one `apply_row` loop through an AVX-compiled copy when
+//!    the host has AVX; [`ScalarPath`] pins the same loop to the build
+//!    target's ISA. Both must produce exactly the same bits, for every
+//!    shipped operator, in `f64` *and* `f32`, at arbitrary row lengths
+//!    (not multiples of any vector width) and arbitrary `x0` offsets
+//!    (vector heads/tails and coefficient-row addressing in play).
+//!    Checked both at row granularity and through full solves.
 //!
 //! 2. **MWD ≡ single-threaded diamond ≡ oracle, bitwise.** Splitting a
 //!    diamond tile across a sub-team (`threads_per_tile > 1`) is an
@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Real, Region3};
-use temporal_blocking::stencil::Rows9;
+use temporal_blocking::stencil::kernel::update_region_op;
 use temporal_blocking::{
     solve_with, Avg27, DiamondConfig, Jacobi6, Jacobi7, Method, ScalarPath, StencilOp, VarCoeff7,
 };
@@ -31,8 +31,8 @@ fn bits<T: Real>(v: T) -> u64 {
     v.to_f64().to_bits()
 }
 
-/// Row-granularity check: one `apply_row_simd` against the scalar route
-/// on the same nine source rows.
+/// Row-granularity check: a one-row region through `update_region_op`,
+/// widened against the [`ScalarPath`] route, on the same source grid.
 fn assert_row_matches<T: Real, Op: StencilOp<T>>(
     op: &Op,
     dims: Dims3,
@@ -43,15 +43,15 @@ fn assert_row_matches<T: Real, Op: StencilOp<T>>(
     z: usize,
 ) -> Result<(), TestCaseError> {
     let g: Grid3<T> = init::random(dims, seed);
-    let rows = Rows9::from_grid(&g, x0, x1, y, z);
-    let mut simd = vec![T::ZERO; x1 - x0];
-    let mut scalar = vec![T::ZERO; x1 - x0];
-    op.apply_row_simd(&mut simd, &rows, x0, y, z);
-    ScalarPath(op.clone()).apply_row_simd(&mut scalar, &rows, x0, y, z);
-    for (i, (a, b)) in simd.iter().zip(&scalar).enumerate() {
+    let row = Region3::new([x0, y, z], [x1, y + 1, z + 1]);
+    let mut simd: Grid3<T> = Grid3::zeroed(dims);
+    let mut scalar: Grid3<T> = Grid3::zeroed(dims);
+    update_region_op(op, &g, &mut simd, &row);
+    update_region_op(&ScalarPath(op.clone()), &g, &mut scalar, &row);
+    for (i, (a, b)) in simd.as_slice().iter().zip(scalar.as_slice()).enumerate() {
         prop_assert!(
             bits(*a) == bits(*b),
-            "{} row x0={x0} x1={x1} y={y} z={z}: cell {i} diverged ({a} != {b})",
+            "{} row x0={x0} x1={x1} y={y} z={z}: element {i} diverged ({a} != {b})",
             op.name()
         );
     }
@@ -97,7 +97,7 @@ proptest! {
 
     /// Random dims (x-extent deliberately allowed to be ≢ 0 mod 8),
     /// random sub-row offsets, all four operators, f64 and f32: the
-    /// SIMD row is bit-identical to the scalar row.
+    /// widened row is bit-identical to the build-target row.
     #[test]
     fn simd_rows_match_scalar_rows(
         nx in 6usize..40,
@@ -132,7 +132,7 @@ proptest! {
         if use_f32 { check!(f32) } else { check!(f64) }
     }
 
-    /// Whole solves through the executors that drive the SIMD row path:
+    /// Whole solves through the executors that drive the widened row loop:
     /// vectorized ≡ scalar-pinned ≡ oracle for every operator, f64 and
     /// f32, across sequential, wavefront and diamond execution.
     #[test]
