@@ -157,10 +157,17 @@ impl<T: Real> CompressedGrid<T> {
         SharedGrid::from_raw(self.storage.as_mut_ptr(), self.storage.dims())
     }
 
-    /// Extract the logical domain at the current displacement into a plain
-    /// grid (verification helper).
-    pub fn to_grid(&self) -> Grid3<T> {
-        let mut out = Grid3::zeroed(self.logical);
+    /// Expand the logical domain at the current displacement into `out`,
+    /// overwriting every cell of it.
+    ///
+    /// # Panics
+    /// Panics if `out.dims()` is not [`CompressedGrid::logical_dims`].
+    pub fn write_to(&self, out: &mut Grid3<T>) {
+        assert_eq!(
+            out.dims(),
+            self.logical,
+            "output must have the logical dims"
+        );
         for z in 0..self.logical.nz {
             for y in 0..self.logical.ny {
                 let (px, py, pz) = self.physical(0, y, z);
@@ -169,6 +176,12 @@ impl<T: Real> CompressedGrid<T> {
                 out.row_mut(y, z).copy_from_slice(src);
             }
         }
+    }
+
+    /// [`CompressedGrid::write_to`] a freshly allocated grid.
+    pub fn to_grid(&self) -> Grid3<T> {
+        let mut out = Grid3::zeroed(self.logical);
+        self.write_to(&mut out);
         out
     }
 
@@ -194,6 +207,10 @@ mod tests {
         }
         let back = cg.to_grid();
         assert_eq!(back.as_slice(), init.as_slice());
+        // `write_to` overwrites whatever the target held.
+        let mut stale = Grid3::filled(init.dims(), f64::NAN);
+        cg.write_to(&mut stale);
+        assert_eq!(stale.as_slice(), init.as_slice());
     }
 
     #[test]

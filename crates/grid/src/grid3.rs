@@ -122,6 +122,35 @@ impl<T: Real> Grid3<T> {
         }
     }
 
+    /// Copy every cell *outside* `inner` from `src` (same dims required)
+    /// — with `inner = Region3::interior_of(dims)`, the Dirichlet shell
+    /// the sweeps read and never write: two contiguous z planes, two rows
+    /// per remaining z, two row ends per remaining row. An empty `inner`
+    /// copies the whole grid.
+    pub fn copy_outside_from(&mut self, src: &Grid3<T>, inner: &Region3) {
+        assert_eq!(self.dims, src.dims, "copy_outside_from requires equal dims");
+        let r = inner.intersect(&Region3::whole(self.dims));
+        if r.is_empty() {
+            return self.data.copy_from_slice(&src.data);
+        }
+        let Dims3 { nx, ny, nz } = self.dims;
+        let (dst, src) = (&mut self.data[..], &src.data[..]);
+        let mut copy = |from: usize, to: usize| dst[from..to].copy_from_slice(&src[from..to]);
+        let plane = nx * ny;
+        copy(0, r.lo[2] * plane);
+        copy(r.hi[2] * plane, nz * plane);
+        for z in r.lo[2]..r.hi[2] {
+            let z0 = z * plane;
+            copy(z0, z0 + r.lo[1] * nx);
+            copy(z0 + r.hi[1] * nx, z0 + plane);
+            for y in r.lo[1]..r.hi[1] {
+                let row = z0 + y * nx;
+                copy(row, row + r.lo[0]);
+                copy(row + r.hi[0], row + nx);
+            }
+        }
+    }
+
     /// Sum over a region (deterministic order: x fastest).
     pub fn sum_region(&self, region: &Region3) -> T {
         let r = region.intersect(&Region3::whole(self.dims));
@@ -193,6 +222,30 @@ mod tests {
                 assert_eq!(dst.get(x, y, z), src.get(x, y, z));
             } else {
                 assert_eq!(dst.get(x, y, z), 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn copy_outside_from_copies_exactly_the_complement() {
+        let dims = Dims3::new(6, 5, 4);
+        let src: Grid3<f64> = Grid3::from_fn(dims, |x, y, z| (1 + x + 10 * y + 100 * z) as f64);
+        for inner in [
+            Region3::interior_of(dims),
+            Region3::new([2, 0, 1], [6, 3, 2]),
+            Region3::whole(dims),
+            Region3::empty(),
+            Region3::interior_of(Dims3::new(2, 5, 4)),
+        ] {
+            let mut dst: Grid3<f64> = Grid3::zeroed(dims);
+            dst.copy_outside_from(&src, &inner);
+            for (x, y, z) in Region3::whole(dims).iter() {
+                let want = if inner.contains(x, y, z) {
+                    0.0
+                } else {
+                    src.get(x, y, z)
+                };
+                assert_eq!(dst.get(x, y, z), want, "({x},{y},{z}) inner {inner}");
             }
         }
     }

@@ -34,8 +34,9 @@ impl<T: Real> GridPair<T> {
 
     /// Assemble a pair from two existing buffers (e.g. recycled from a
     /// staging pool). `b` must hold the same boundary values as `a` —
-    /// sweeps never write the boundary, so callers typically copy `a`
-    /// into `b` wholesale before handing both over.
+    /// sweeps never write the boundary; [`Grid3::copy_outside_from`]
+    /// brings it over without copying the interior, which the first
+    /// sweep overwrites anyway.
     ///
     /// # Panics
     /// Panics if the dims differ.

@@ -10,7 +10,7 @@
 //! [`crate::cache`] and replayed without re-tuning.
 
 use tb_grid::Dims3;
-use tb_stencil::config::GridScheme;
+use tb_stencil::config::{GridScheme, WHOLE_EXTENT};
 use tb_stencil::{DiamondConfig, PipelineConfig, SyncMode};
 
 use crate::json::Json;
@@ -281,9 +281,15 @@ fn pipe_label(kind: &str, p: &PipeParams) -> String {
         SyncMode::Barrier => "barrier".to_string(),
         SyncMode::Relaxed { dl, du, dt } => format!("dl={dl},du={du},dt={dt}"),
     };
+    // A whole-extent x edge reads as what it means, not as 1048576.
+    let edge = |b: usize| match b {
+        WHOLE_EXTENT.. => "all".to_string(),
+        _ => b.to_string(),
+    };
+    let [bx, by, bz] = p.block.map(edge);
     format!(
-        "{kind} t={} n={} T={} block={:?} {sync}",
-        p.team_size, p.n_teams, p.updates_per_thread, p.block
+        "{kind} t={} n={} T={} block=[{bx}, {by}, {bz}] {sync}",
+        p.team_size, p.n_teams, p.updates_per_thread
     )
 }
 
@@ -447,7 +453,9 @@ mod tests {
     #[test]
     fn labels_are_informative() {
         let plans = sample_plans();
-        assert!(plans[1].label().contains("T=2"));
+        assert!(plans[1].label().contains("T=2 block=[120, 20, 20]"));
+        let default = crate::default_plan(MethodFamily::Pipelined, 2);
+        assert!(default.label().contains("T=4 block=[all, 8, 8]"));
         assert!(plans[6].label().contains("simd=off"));
     }
 }

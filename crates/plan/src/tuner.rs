@@ -5,25 +5,26 @@
 //! analytic predictions (Eq. 2 roofline × Eq. 5 / diamond / wavefront
 //! speedup, demoted to baseline wherever the working set cannot stay in
 //! the shared cache); [`tune`] measures only the top-K predicted
-//! candidates plus the incumbent and returns a ranked [`TuneReport`]
-//! with predicted-vs-measured MLUP/s, so the model's pruning *and* its
-//! error are both visible.
+//! candidates, the incumbents among them, and returns a ranked
+//! [`TuneReport`] with predicted-vs-measured MLUP/s, so the model's
+//! pruning *and* its error are both visible.
 
 use tb_grid::{Dims3, Real};
 use tb_model::{
     diamond_speedup, diamond_working_set_bytes, max_cached_width_mwd, op_roofline_lups,
     pipeline_speedup, wavefront_speedup, MachineParams,
 };
+use tb_stencil::config::WHOLE_EXTENT;
 use tb_stencil::kernel::StoreMode;
-use tb_stencil::{StencilOp, SyncMode};
+use tb_stencil::{PipelineConfig, StencilOp, SyncMode};
 
 use crate::ir::{MethodFamily, PipeParams, Plan, PlanMethod};
 
 /// Tuner knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct TuneConfig {
-    /// Measure at most this many model-ranked candidates (the incumbent
-    /// rides along inside this budget). The tuner additionally caps the
+    /// Measure at most this many model-ranked candidates (the incumbents
+    /// ride along inside this budget). The tuner additionally caps the
     /// measured set at half the enumerated candidates, so the model
     /// always discards at least as many candidates as are run.
     pub top_k: usize,
@@ -44,7 +45,8 @@ pub struct TuneRow {
     /// Measured MLUP/s; `None` for candidates the model pruned away or
     /// whose measurement failed.
     pub measured_mlups: Option<f64>,
-    /// Whether this row is the caller's incumbent (default config).
+    /// Whether this row is one of the caller's incumbents (default
+    /// configs).
     pub incumbent: bool,
 }
 
@@ -92,7 +94,8 @@ impl TuneReport {
             })
     }
 
-    /// The incumbent's row, if it was measured.
+    /// The best measured incumbent — what a caller who never tunes
+    /// could have had.
     pub fn incumbent(&self) -> Option<&TuneRow> {
         self.rows
             .iter()
@@ -115,22 +118,32 @@ impl TuneReport {
 
 /// The incumbent (library-default) plan of a family, sized to `team`
 /// compute threads — what a caller who never tunes would run.
+///
+/// The two pipelined families take their shape from
+/// [`PipelineConfig::default_for`], the one place it is decided and
+/// argued: whole-extent x edge (long inner loop for the prefetcher),
+/// 8×8 y/z (16×16 loses in cache), depth 8 with `T` as a cap. Every
+/// `team` up to 8 makes this plan a member of [`enumerate_family`]'s
+/// candidate set.
 pub fn default_plan(family: MethodFamily, team: usize) -> Plan {
     let team = team.max(1);
-    let pipe = PipeParams {
-        team_size: team,
-        n_teams: 1,
-        updates_per_thread: 1,
-        block: [32.max(team), 8.max(team), 8.max(team)],
-        sync: SyncMode::relaxed_default(),
+    let pipe = || {
+        let cfg = PipelineConfig::default_for(team, 1);
+        PipeParams {
+            team_size: cfg.team_size,
+            n_teams: cfg.n_teams,
+            updates_per_thread: cfg.updates_per_thread,
+            block: cfg.block,
+            sync: cfg.sync,
+        }
     };
     Plan::new(match family {
         MethodFamily::Parallel => PlanMethod::Parallel {
             threads: team,
             streaming_stores: false,
         },
-        MethodFamily::Pipelined => PlanMethod::Pipelined(pipe),
-        MethodFamily::Compressed => PlanMethod::Compressed(pipe),
+        MethodFamily::Pipelined => PlanMethod::Pipelined(pipe()),
+        MethodFamily::Compressed => PlanMethod::Compressed(pipe()),
         MethodFamily::Wavefront => PlanMethod::Wavefront { threads: team },
         MethodFamily::Diamond => PlanMethod::Diamond {
             threads: team,
@@ -151,6 +164,12 @@ pub fn default_plan(family: MethodFamily, team: usize) -> Plan {
 /// item 2). Explicit and cached `streaming_stores: true` plans still
 /// parse, score and run; ROADMAP Open item 3 re-admits the knob once an
 /// AVX / `sfence`-per-region path beats plain stores on that workload.
+///
+/// The pipelined families span `T` × four block shapes × `d_u`. Both
+/// long-x shapes use the whole-extent x edge, so the library default is
+/// one of the candidates; the 8×8 one replaced `[32, 8, 8]`, which lost
+/// to every long-x shape at every `T` (ROADMAP Open item 1: 632 vs
+/// 1647–1956 MLUP/s on Jacobi6 288³).
 pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
     family: MethodFamily,
     params: &MachineParams,
@@ -176,7 +195,12 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
         }
         MethodFamily::Pipelined | MethodFamily::Compressed => {
             for updates in [1usize, 2, 4] {
-                for block in [[dims.nx, 16, 16], [120, 20, 20], [64, 16, 16], [32, 8, 8]] {
+                for block in [
+                    [WHOLE_EXTENT, 16, 16],
+                    [120, 20, 20],
+                    [64, 16, 16],
+                    [WHOLE_EXTENT, 8, 8],
+                ] {
                     for du in [1u64, 4] {
                         let p = PipeParams {
                             team_size: team,
@@ -336,28 +360,31 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
 
 /// Score, prune, measure. `measure` runs one plan and returns its
 /// MLUP/s; it is called for at most `min(top_k, enumerated/2)`
-/// candidates — the model-ranked top of the field, with the `incumbent`
-/// guaranteed a slot (replacing the weakest-ranked pick if needed) so a
-/// tuned winner can never regress below the default configuration
-/// without that being measured and visible.
+/// candidates — the model-ranked top of the field, with the
+/// `incumbents` (in the caller's order, as far as the budget goes) each
+/// guaranteed a slot by replacing the weakest-ranked pick that is not an
+/// incumbent itself, so a tuned winner can never regress below a
+/// default configuration without that being measured and visible.
 pub fn tune<T: Real, Op: StencilOp<T>>(
     params: &MachineParams,
     op: &Op,
     dims: Dims3,
     mut candidates: Vec<Plan>,
-    incumbent: Plan,
+    incumbents: &[Plan],
     cfg: &TuneConfig,
     mut measure: impl FnMut(&Plan) -> Result<f64, String>,
 ) -> TuneReport {
-    if !candidates.contains(&incumbent) && incumbent.validate_for(dims, Op::RADIUS).is_ok() {
-        candidates.push(incumbent.clone());
+    for inc in incumbents {
+        if !candidates.contains(inc) && inc.validate_for(dims, Op::RADIUS).is_ok() {
+            candidates.push(inc.clone());
+        }
     }
     let enumerated = candidates.len();
     let mut rows: Vec<TuneRow> = candidates
         .into_iter()
         .map(|plan| {
             let predicted_mlups = predicted_mlups(params, op, dims, &plan);
-            let incumbent = plan == incumbent;
+            let incumbent = incumbents.contains(&plan);
             TuneRow {
                 plan,
                 predicted_mlups,
@@ -373,14 +400,19 @@ pub fn tune<T: Real, Op: StencilOp<T>>(
     });
 
     // The measurement budget: top-k by prediction, capped so at least
-    // half of the enumerated field is never run, incumbent always in.
+    // half of the enumerated field is never run, incumbents in.
     let cap = (enumerated / 2).max(1);
     let k = cfg.top_k.clamp(1, cap);
     let mut picks: Vec<usize> = (0..rows.len().min(k)).collect();
-    if let Some(inc) = rows.iter().position(|r| r.incumbent) {
-        if !picks.contains(&inc) {
-            picks.pop();
-            picks.push(inc);
+    for inc in incumbents {
+        let Some(i) = rows.iter().position(|r| r.plan == *inc) else {
+            continue; // invalid for this problem
+        };
+        if picks.contains(&i) {
+            continue;
+        }
+        if let Some(slot) = picks.iter().rposition(|&p| !rows[p].incumbent) {
+            picks[slot] = i;
         }
     }
 
@@ -518,7 +550,7 @@ mod tests {
             &Jacobi6,
             dims,
             candidates,
-            incumbent.clone(),
+            std::slice::from_ref(&incumbent),
             &TuneConfig { top_k: 8 },
             |plan| {
                 calls += 1;
@@ -556,7 +588,7 @@ mod tests {
             &Jacobi6,
             dims,
             candidates,
-            incumbent,
+            &[incumbent],
             &TuneConfig { top_k: 4 },
             |_| {
                 n += 1;
@@ -572,11 +604,75 @@ mod tests {
     }
 
     #[test]
-    fn default_plans_are_valid_on_reasonable_problems() {
+    fn incumbents_take_the_weakest_picks_inside_the_budget() {
+        let p = nehalem();
         let dims = Dims3::cube(64);
-        for family in MethodFamily::ALL {
-            for team in [1usize, 2, 4, 8] {
-                default_plan(family, team).validate_for(dims, 1).unwrap();
+        let candidates = enumerate_all::<f64, _>(&p, &Jacobi6, dims, 2);
+        let n = candidates.len();
+        let incumbents = [
+            default_plan(MethodFamily::Parallel, 2),
+            default_plan(MethodFamily::Pipelined, 2),
+        ];
+        // Both defaults are enumerated candidates: the field does not grow.
+        assert!(incumbents.iter().all(|inc| candidates.contains(inc)));
+        for top_k in [1usize, 2, 3, 8] {
+            let mut run = Vec::new();
+            let report = tune::<f64, _>(
+                &p,
+                &Jacobi6,
+                dims,
+                candidates.clone(),
+                &incumbents,
+                &TuneConfig { top_k },
+                |plan| {
+                    run.push(plan.clone());
+                    Ok(if *plan == incumbents[1] {
+                        2000.0
+                    } else {
+                        900.0
+                    })
+                },
+            );
+            assert_eq!((report.enumerated, report.measured), (n, top_k));
+            // As many incumbents as the budget holds, first one first.
+            for (i, inc) in incumbents.iter().enumerate() {
+                assert_eq!(
+                    run.contains(inc),
+                    i < top_k,
+                    "top_k {top_k}: {}",
+                    inc.label()
+                );
+            }
+            assert_eq!(report.rows.iter().filter(|r| r.incumbent).count(), 2);
+            if top_k >= 2 {
+                assert_eq!(report.winner().unwrap().plan, incumbents[1]);
+                assert_eq!(report.incumbent().unwrap().plan, incumbents[1]);
+            }
+        }
+    }
+
+    #[test]
+    fn default_plans_are_valid_and_shaped_for_every_team() {
+        for team in [1usize, 2, 3, 4, 6, 8, 16] {
+            for edge in [16usize, 64, 288] {
+                let dims = Dims3::cube(edge.max(team + 2));
+                for family in MethodFamily::ALL {
+                    let plan = default_plan(family, team);
+                    plan.validate_for(dims, 1).unwrap();
+                    assert_eq!(plan.method.threads(), team);
+                    // The whole-extent x edge survives the plan cache's text.
+                    let text = plan.to_json().to_json();
+                    let back = Plan::from_json(&crate::json::Json::parse(&text).unwrap());
+                    assert_eq!(back.unwrap(), plan, "{text}");
+                    let Some(cfg) = plan.pipeline_config() else {
+                        continue;
+                    };
+                    assert!(cfg.stages() <= 8.max(team), "{}", plan.label());
+                    assert_eq!(cfg.block, [WHOLE_EXTENT, 8.max(team), 8.max(team)]);
+                    let members =
+                        enumerate_family::<f64, _>(family, &nehalem(), &Jacobi6, dims, team);
+                    assert!(members.contains(&plan), "{}", plan.label());
+                }
             }
         }
     }

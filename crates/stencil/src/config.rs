@@ -14,6 +14,15 @@ pub enum GridScheme {
     Compressed,
 }
 
+/// Block x edge meaning "the whole extent": [`PipelineConfig::validate`]
+/// and `tb_grid::BlockPartition` clamp every edge to the domain, so any
+/// value at least the grid's `nx` gives one block per x-row. A plain
+/// number (not `usize::MAX`) so it survives the plan cache's JSON.
+pub const WHOLE_EXTENT: usize = 1 << 20;
+
+/// Pipeline depth `n·t·T` the default shape aims for.
+const DEFAULT_DEPTH: usize = 8;
+
 /// Full parameter set of a pipelined run. The paper's notation:
 /// `t` = [`PipelineConfig::team_size`], `n` = [`PipelineConfig::n_teams`],
 /// `T` = [`PipelineConfig::updates_per_thread`], `d_l`/`d_u`/`d_t` live
@@ -25,7 +34,13 @@ pub struct PipelineConfig {
     pub team_size: usize,
     /// Number of teams (`n`); one per cache group.
     pub n_teams: usize,
-    /// Consecutive updates each thread applies to a block (`T`).
+    /// Most consecutive updates a thread applies to a block (`T`). A
+    /// **cap, not a quota**: it fixes the deepest team sweep, `n·t·T`
+    /// stages; a request for `sweeps` sweeps runs `⌈sweeps / (n·t·T)⌉`
+    /// team sweeps of near-equal depth and every team sweep hands each
+    /// thread a near-equal contiguous run of stages, at most `T` of them
+    /// (see `pipeline::schedule`), so a short or odd request never
+    /// leaves part of the team idle.
     pub updates_per_thread: usize,
     /// Spatial block edges `[b_x, b_y, b_z]`.
     pub block: [usize; 3],
@@ -42,13 +57,35 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A small, always-valid configuration for quick starts and tests.
-    pub fn small() -> Self {
+    /// The library's one default shape for `n_teams` teams of
+    /// `team_size` threads — what `tb_plan::default_plan`,
+    /// [`PipelineConfig::for_machine`], the examples and the benchmark
+    /// all run. Valid on any grid whose interior is at least
+    /// `max(8, n·t)` cells per dimension.
+    ///
+    /// * **x edge = whole extent** ([`WHOLE_EXTENT`]): the paper (§1.5)
+    ///   and its follow-up (arXiv:1006.3148) keep the inner loop long for
+    ///   the hardware prefetcher; a 32-cell x edge at depth 2 ran 3×
+    ///   slower on Jacobi6 288³ (ROADMAP Open item 1 has the table).
+    /// * **y/z edges 8** (`max(8, n·t)`, never below the depth): a block
+    ///   of `nx·8·8` cells stays in the shared cache through all its
+    ///   stages. 16×16 measured 5 % slower at 288³ and 16 % slower on an
+    ///   in-cache 64³ grid, where it leaves only 16 blocks per team
+    ///   sweep to fill the pipeline.
+    /// * **depth 8**: `T = 8 / (n·t)` clamped to `1..=4`, so every block
+    ///   is updated 8 times per trip through memory on teams of 2, 4 and
+    ///   8 (6 on teams of 3 and 6, 4 on one thread), and the depth never
+    ///   exceeds the block edge. `T` is a cap (see
+    ///   [`PipelineConfig::updates_per_thread`]).
+    /// * relaxed sync at the paper's `d_l = 1`, `d_u = 4`.
+    pub fn default_for(team_size: usize, n_teams: usize) -> Self {
+        let threads = (team_size * n_teams).max(1);
+        let edge = DEFAULT_DEPTH.max(threads);
         Self {
-            team_size: 2,
-            n_teams: 1,
-            updates_per_thread: 1,
-            block: [32, 8, 8],
+            team_size,
+            n_teams,
+            updates_per_thread: (DEFAULT_DEPTH / threads).clamp(1, 4),
+            block: [WHOLE_EXTENT, edge, edge],
             sync: SyncMode::relaxed_default(),
             scheme: GridScheme::TwoGrid,
             layout: None,
@@ -56,22 +93,16 @@ impl PipelineConfig {
         }
     }
 
-    /// The paper's best-performing socket configuration scaled to an
-    /// arbitrary machine: one team per cache group is the *node* config;
-    /// pass `n_teams = 1` for the socket experiment.
-    pub fn for_machine(machine: &Machine, n_teams: usize, updates_per_thread: usize) -> Self {
+    /// [`PipelineConfig::default_for`] sized and pinned to a machine:
+    /// one team per cache group is the *node* config; pass `n_teams = 1`
+    /// for the socket experiment.
+    pub fn for_machine(machine: &Machine, n_teams: usize) -> Self {
         let groups = machine.cache_groups();
         let team_size = groups.first().map(|g| g.len()).unwrap_or(1).max(1);
         let n_teams = n_teams.clamp(1, groups.len().max(1));
         Self {
-            team_size,
-            n_teams,
-            updates_per_thread,
-            block: [120, 20, 20], // paper §1.5 optimum on 600^3
-            sync: SyncMode::relaxed_default(),
-            scheme: GridScheme::TwoGrid,
             layout: Some(TeamLayout::new(machine, team_size, n_teams)),
-            audit: false,
+            ..Self::default_for(team_size, n_teams)
         }
     }
 
@@ -138,28 +169,37 @@ impl PipelineConfig {
 mod tests {
     use super::*;
 
+    fn small() -> PipelineConfig {
+        PipelineConfig::default_for(2, 1)
+    }
+
     #[test]
-    fn small_config_is_valid() {
-        let c = PipelineConfig::small();
-        assert_eq!(c.threads(), 2);
-        assert_eq!(c.stages(), 2);
-        c.validate(Dims3::cube(34)).unwrap();
+    fn default_shape_is_valid_from_an_interior_of_its_block_edge() {
+        for (team, depth) in [(1, 4), (2, 8), (3, 6), (4, 8), (6, 6), (8, 8), (16, 16)] {
+            let c = PipelineConfig::default_for(team, 1);
+            assert_eq!((c.threads(), c.stages()), (team, depth));
+            assert_eq!(c.block, [WHOLE_EXTENT, 8.max(team), 8.max(team)]);
+            assert!(c.updates_per_thread <= 4 && c.stages() <= c.block[1]);
+            c.validate(Dims3::cube(8.max(team) + 2)).unwrap();
+            c.validate(Dims3::cube(288)).unwrap();
+        }
     }
 
     #[test]
     fn paper_node_config() {
         let m = Machine::nehalem_ep();
-        let c = PipelineConfig::for_machine(&m, 2, 2);
+        let c = PipelineConfig::for_machine(&m, 2);
         assert_eq!(c.team_size, 4);
         assert_eq!(c.n_teams, 2);
         assert_eq!(c.threads(), 8);
-        assert_eq!(c.stages(), 16);
+        assert_eq!(c.stages(), 8);
+        assert_eq!(c.layout.as_ref().map(|l| l.threads()), Some(8));
         c.validate(Dims3::cube(600)).unwrap();
     }
 
     #[test]
     fn too_deep_pipeline_rejected() {
-        let mut c = PipelineConfig::small();
+        let mut c = small();
         c.updates_per_thread = 64;
         let err = c.validate(Dims3::cube(34)).unwrap_err();
         assert!(err.contains("pipeline depth"), "{err}");
@@ -167,13 +207,12 @@ mod tests {
 
     #[test]
     fn degenerate_grid_rejected() {
-        let c = PipelineConfig::small();
-        assert!(c.validate(Dims3::new(2, 10, 10)).is_err());
+        assert!(small().validate(Dims3::new(2, 10, 10)).is_err());
     }
 
     #[test]
     fn bad_sync_rejected() {
-        let mut c = PipelineConfig::small();
+        let mut c = small();
         c.sync = SyncMode::Relaxed {
             dl: 2,
             du: 1,
@@ -184,7 +223,7 @@ mod tests {
 
     #[test]
     fn mismatched_layout_rejected() {
-        let mut c = PipelineConfig::small();
+        let mut c = small();
         c.layout = Some(TeamLayout::new(&Machine::flat(8), 4, 2));
         assert!(c.validate(Dims3::cube(34)).unwrap_err().contains("layout"));
     }
@@ -192,7 +231,7 @@ mod tests {
     #[test]
     fn n_teams_clamped_to_cache_groups() {
         let m = Machine::nehalem_ep();
-        let c = PipelineConfig::for_machine(&m, 99, 1);
+        let c = PipelineConfig::for_machine(&m, 99);
         assert_eq!(c.n_teams, 2);
     }
 }

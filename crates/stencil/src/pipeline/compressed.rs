@@ -17,6 +17,7 @@
 //! Like the two-grid executor, the one entry point takes the operator
 //! and the persistent [`tb_runtime::Runtime`] it runs on.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -28,7 +29,7 @@ use crate::config::PipelineConfig;
 use crate::kernel;
 use crate::op::StencilOp;
 use crate::pipeline::plan::PipelinePlan;
-use crate::pipeline::schedule::team_sweep_schedule;
+use crate::pipeline::schedule::{team_sweep_schedule, team_sweeps};
 use crate::stats::RunStats;
 
 /// Run `sweeps` sweeps of `op` on a compressed grid with pipelined
@@ -69,7 +70,6 @@ pub fn run_compressed_op_on<T: Real, Op: StencilOp<T>>(
     let interior = Region3::interior_of(logical);
     let plan = PipelinePlan::uniform(interior, cfg.block, depth);
     let nblocks = plan.num_blocks();
-    let team_sweeps = sweeps.div_ceil(depth);
     let margin = cg.margin();
 
     let barrier = SpinBarrier::new(threads);
@@ -77,38 +77,32 @@ pub fn run_compressed_op_on<T: Real, Op: StencilOp<T>>(
     let auditor = cfg.audit.then(RegionAuditor::new);
     let total_cells = AtomicU64::new(0);
     let view = cg.shared();
-    let upt = cfg.updates_per_thread;
 
+    let frames: Vec<_> = frames(sweeps, depth, margin).collect();
     let t0 = Instant::now();
     rt.run(threads, &|tid| {
         let mut my_cells = 0u64;
-        for ts in 0..team_sweeps {
-            let base = ts * depth;
-            let stages_now = depth.min(sweeps - base);
-            let down = ts % 2 == 0;
+        for &(ref ts, frame) in &frames {
+            let down = frame.down;
             my_cells += team_sweep_schedule(
                 &barrier,
                 psync.as_ref(),
                 tid,
                 threads,
-                upt,
                 nblocks,
-                stages_now,
+                ts.len(),
                 |k| if down { k } else { nblocks - 1 - k },
-                |j| {
+                |j, stages| {
                     update_block(
                         op,
                         &view,
                         &plan,
                         auditor.as_ref(),
                         logical,
-                        margin,
-                        depth,
+                        frame,
                         tid,
                         j,
-                        stages_now,
-                        upt,
-                        down,
+                        stages,
                     )
                 },
             );
@@ -117,19 +111,55 @@ pub fn run_compressed_op_on<T: Real, Op: StencilOp<T>>(
     });
     let elapsed = t0.elapsed();
 
-    // Record where the data ended up: full down/up pairs cancel; the last
-    // (possibly partial) sweep leaves a residual displacement.
-    let last_stages = sweeps - (team_sweeps - 1) * depth;
-    let final_disp = if (team_sweeps - 1).is_multiple_of(2) {
-        -(last_stages as i64) // last sweep went down
-    } else {
-        -(depth as i64) + last_stages as i64 // last sweep went up from -depth
-    };
-    cg.set_displacement(final_disp);
+    // Record where the data ended up: one past the last team sweep.
+    let (ts, last) = frames
+        .last()
+        .expect("sweeps > 0 gives at least one team sweep");
+    cg.set_displacement(last.offset(ts.len()) as i64 - margin as i64);
     Ok(RunStats::new(total_cells.load(Ordering::Relaxed), elapsed))
 }
 
-/// Apply thread `tid`'s stages to block `j`; returns cells produced
+/// Where a team sweep finds the data: the frame offset (`physical =
+/// logical + offset`) its stage 0 reads, and which way its stages move.
+#[derive(Clone, Copy)]
+struct Frame {
+    start: usize,
+    down: bool,
+}
+
+impl Frame {
+    /// Offset of the frame stage `stage` reads; it writes
+    /// `offset(stage + 1)`.
+    fn offset(self, stage: usize) -> usize {
+        if self.down {
+            self.start - stage
+        } else {
+            self.start + stage
+        }
+    }
+}
+
+/// The team sweeps of a run with the frame each starts from: down and up
+/// alternate from offset `margin` (displacement 0). [`team_sweeps`] never
+/// follows a team sweep by a deeper one, so the offset stays within
+/// `margin - depth ..= margin`.
+fn frames(
+    sweeps: usize,
+    depth: usize,
+    margin: usize,
+) -> impl Iterator<Item = (Range<usize>, Frame)> {
+    let mut start = margin;
+    team_sweeps(sweeps, depth).enumerate().map(move |(i, ts)| {
+        let frame = Frame {
+            start,
+            down: i % 2 == 0,
+        };
+        start = frame.offset(ts.len());
+        (ts, frame)
+    })
+}
+
+/// Apply thread `tid`'s `stages` to block `j`; returns cells produced
 /// (stencil updates only, boundary copies excluded from the LUP count).
 #[allow(clippy::too_many_arguments)]
 fn update_block<T: Real, Op: StencilOp<T>>(
@@ -138,28 +168,15 @@ fn update_block<T: Real, Op: StencilOp<T>>(
     plan: &PipelinePlan,
     auditor: Option<&RegionAuditor>,
     logical: tb_grid::Dims3,
-    margin: usize,
-    depth: usize,
+    frame: Frame,
     tid: usize,
     j: usize,
-    stages_now: usize,
-    updates_per_thread: usize,
-    down: bool,
+    stages: Range<usize>,
 ) -> u64 {
     let mut cells = 0u64;
-    let dir: i64 = if down { -1 } else { 1 };
-    for u in 0..updates_per_thread {
-        let stage = tid * updates_per_thread + u;
-        if stage >= stages_now {
-            break;
-        }
-        // Frame offsets: physical = logical + margin + displacement.
-        // Down sweeps start at displacement 0, up sweeps at -depth.
-        let (src_off, dst_off) = if down {
-            (margin - stage, margin - stage - 1)
-        } else {
-            (margin - depth + stage, margin - depth + stage + 1)
-        };
+    let dir: i64 = if frame.down { -1 } else { 1 };
+    for stage in stages {
+        let (src_off, dst_off) = (frame.offset(stage), frame.offset(stage + 1));
         let shell = plan.region_with_shell(j, stage, dir);
         if shell.is_empty() {
             continue;
@@ -175,7 +192,15 @@ fn update_block<T: Real, Op: StencilOp<T>>(
         // contract (see plan docs); iteration order matches the shift
         // direction as update_region_compressed requires.
         unsafe {
-            kernel::update_region_compressed_op(op, view, logical, &shell, src_off, dst_off, !down);
+            kernel::update_region_compressed_op(
+                op,
+                view,
+                logical,
+                &shell,
+                src_off,
+                dst_off,
+                !frame.down,
+            );
         }
         if let (Some(a), Some((r1, w))) = (auditor, claims) {
             a.release(r1);
@@ -264,6 +289,31 @@ mod tests {
     fn partial_first_sweep_smaller_than_depth() {
         let c = cfg(2, 1, 2, SyncMode::relaxed_default(), [8, 8, 8]);
         assert_compressed_matches(Dims3::cube(20), 3, &c); // partial down only
+    }
+
+    #[test]
+    fn short_and_odd_requests_on_the_default_deep_pipeline() {
+        // depth 8 on a team of 2: 12 sweeps run as down 6 + up 6, 17 as
+        // 6 + 6 + 5, 3 as one shallow down sweep (2 + 1 stages).
+        let mut c = PipelineConfig::default_for(2, 1);
+        c.audit = true;
+        for sweeps in [1, 3, 5, 8, 12, 17] {
+            assert_compressed_matches(Dims3::new(21, 20, 19), sweeps, &c);
+        }
+    }
+
+    #[test]
+    fn frames_alternate_and_stay_inside_the_margin() {
+        for depth in 1..=9usize {
+            for sweeps in 1..=4 * depth + 1 {
+                let mut at = depth; // margin = depth, displacement 0
+                for (i, (ts, frame)) in frames(sweeps, depth, depth).enumerate() {
+                    assert_eq!((frame.start, frame.down), (at, i % 2 == 0));
+                    at = frame.offset(ts.len());
+                    assert!(at <= depth, "{sweeps} sweeps at depth {depth}: offset {at}");
+                }
+            }
+        }
     }
 
     #[test]

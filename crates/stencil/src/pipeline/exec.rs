@@ -1,14 +1,17 @@
 //! Two-grid pipelined temporal blocking executor (paper §1.3, Fig. 1).
 //!
 //! `n` teams of `t` threads form one pipeline of `n·t` threads; pipeline
-//! thread `i` applies updates (stages) `i·T … (i+1)·T - 1` to every block.
+//! thread `i` applies a contiguous run of at most `T` updates (stages)
+//! to every block, after thread `i - 1`'s and before thread `i + 1`'s.
 //! Synchronization is either a global [`SpinBarrier`] after each block
 //! update, or the relaxed counter scheme ([`PipelineSync`], Eq. 3).
 //!
-//! Team sweeps (each advancing the whole grid by `n·t·T` Jacobi sweeps)
-//! are separated by barriers; a trailing partial team sweep handles sweep
-//! counts that are not multiples of the pipeline depth, so [`run_op_on`]
-//! performs *exactly* `sweeps` sweeps for any request.
+//! Team sweeps (each advancing the whole grid by up to `n·t·T` Jacobi
+//! sweeps) are separated by barriers. `pipeline::schedule` cuts a request
+//! into as few team sweeps as the depth allows, of near-equal depth, and
+//! deals each one's stages evenly over the threads, so [`run_op_on`]
+//! performs *exactly* `sweeps` sweeps for any request and no request
+//! leaves part of the team idle.
 //!
 //! Both entry points ([`run_op_on`], [`run_team_sweep_op_on`]) take the
 //! operator and the persistent [`tb_runtime::Runtime`] whose workers
@@ -17,6 +20,7 @@
 //! Placement belongs to the runtime: for a one-shot pinned team, build
 //! `Runtime::new(&layout)` on the line above the call.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -28,7 +32,7 @@ use crate::config::PipelineConfig;
 use crate::kernel::{self, StoreMode};
 use crate::op::StencilOp;
 use crate::pipeline::plan::PipelinePlan;
-use crate::pipeline::schedule::team_sweep_schedule;
+use crate::pipeline::schedule::{team_sweep_schedule, team_sweeps};
 use crate::stats::RunStats;
 
 /// The shared state of one pipelined run: plan, grid views, and the
@@ -46,7 +50,6 @@ pub struct PipelineRun<'a, T: Real, Op: StencilOp<T>> {
     auditor: Option<RegionAuditor>,
     total_cells: AtomicU64,
     threads: usize,
-    upt: usize,
     depth: usize,
     sweeps: usize,
     _pair: std::marker::PhantomData<&'a mut GridPair<T>>,
@@ -76,7 +79,6 @@ impl<'a, T: Real, Op: StencilOp<T>> PipelineRun<'a, T, Op> {
             auditor: cfg.audit.then(RegionAuditor::new),
             total_cells: AtomicU64::new(0),
             threads,
-            upt: cfg.updates_per_thread,
             depth,
             sweeps,
             _pair: std::marker::PhantomData,
@@ -88,8 +90,8 @@ impl<'a, T: Real, Op: StencilOp<T>> PipelineRun<'a, T, Op> {
         self.threads
     }
 
-    /// Execute pipeline thread `tid`'s share of the whole run: every
-    /// team sweep, including the trailing partial one.
+    /// Execute pipeline thread `tid`'s share of the whole run, team
+    /// sweep by team sweep.
     ///
     /// # Safety
     /// Exactly [`PipelineRun::threads`] workers must call this
@@ -99,21 +101,17 @@ impl<'a, T: Real, Op: StencilOp<T>> PipelineRun<'a, T, Op> {
     /// the disjointness contract of the shared-grid kernels.
     pub unsafe fn worker(&self, tid: usize) {
         let nblocks = self.plan.num_blocks();
-        let team_sweeps = self.sweeps.div_ceil(self.depth);
         let mut my_cells = 0u64;
-        for ts in 0..team_sweeps {
-            let base = ts * self.depth;
-            let stages_now = self.depth.min(self.sweeps - base);
+        for ts in team_sweeps(self.sweeps, self.depth) {
             my_cells += team_sweep_schedule(
                 &self.barrier,
                 self.psync.as_ref(),
                 tid,
                 self.threads,
-                self.upt,
                 nblocks,
-                stages_now,
+                ts.len(),
                 |k| k,
-                |j| {
+                |j, stages| {
                     update_block(
                         self.op,
                         &self.views,
@@ -121,9 +119,8 @@ impl<'a, T: Real, Op: StencilOp<T>> PipelineRun<'a, T, Op> {
                         self.auditor.as_ref(),
                         tid,
                         j,
-                        base,
-                        stages_now,
-                        self.upt,
+                        ts.start,
+                        stages,
                     )
                 },
             );
@@ -176,8 +173,9 @@ pub fn run_op_on<T: Real, Op: StencilOp<T>>(
 ///
 /// * `views` — the two grid buffers (`views[s % 2]` is read by sweep `s`),
 /// * `base_sweep` — global sweep number of stage 0 (fixes parity),
-/// * `stages_now` — how many of the plan's stages to execute (allows a
-///   trailing partial cycle).
+/// * `stages_now` — how many of the plan's stages to execute, at most
+///   `cfg.stages()` (allows a trailing partial cycle); they are dealt
+///   evenly over the threads like any other team sweep's.
 ///
 /// Returns the number of cell updates performed.
 ///
@@ -201,23 +199,26 @@ pub unsafe fn run_team_sweep_op_on<T: Real, Op: StencilOp<T>>(
         "runtime has {} workers but the team sweep needs {threads}",
         rt.threads()
     );
+    assert!(
+        stages_now <= cfg.stages(),
+        "{stages_now} stages exceed the pipeline depth {}",
+        cfg.stages()
+    );
     let nblocks = plan.num_blocks();
     let barrier = SpinBarrier::new(threads);
     let psync = PipelineSync::from_mode(threads, cfg.team_size, cfg.sync);
     let auditor = cfg.audit.then(RegionAuditor::new);
     let total_cells = AtomicU64::new(0);
-    let upt = cfg.updates_per_thread;
     rt.run(threads, &|tid| {
         let cells = team_sweep_schedule(
             &barrier,
             psync.as_ref(),
             tid,
             threads,
-            upt,
             nblocks,
             stages_now,
             |k| k,
-            |j| {
+            |j, stages| {
                 update_block(
                     op,
                     views,
@@ -226,8 +227,7 @@ pub unsafe fn run_team_sweep_op_on<T: Real, Op: StencilOp<T>>(
                     tid,
                     j,
                     base_sweep,
-                    stages_now,
-                    upt,
+                    stages,
                 )
             },
         );
@@ -236,7 +236,7 @@ pub unsafe fn run_team_sweep_op_on<T: Real, Op: StencilOp<T>>(
     total_cells.load(Ordering::Relaxed)
 }
 
-/// Apply this thread's `T` consecutive stages to block `j` of the team
+/// Apply this thread's consecutive `stages` to block `j` of the team
 /// sweep starting at global sweep `base`. Returns cells updated.
 #[allow(clippy::too_many_arguments)]
 fn update_block<T: Real, Op: StencilOp<T>>(
@@ -247,15 +247,10 @@ fn update_block<T: Real, Op: StencilOp<T>>(
     tid: usize,
     j: usize,
     base: usize,
-    stages_now: usize,
-    updates_per_thread: usize,
+    stages: Range<usize>,
 ) -> u64 {
     let mut cells = 0u64;
-    for u in 0..updates_per_thread {
-        let stage = tid * updates_per_thread + u;
-        if stage >= stages_now {
-            break;
-        }
+    for stage in stages {
         let sweep = base + stage;
         let region = plan.region(j, stage, -1);
         if region.is_empty() {
@@ -353,8 +348,20 @@ mod tests {
     #[test]
     fn partial_final_team_sweep() {
         let cfg = audit_cfg(2, 1, 2, SyncMode::relaxed_default(), [8, 8, 8]);
-        // depth = 4; 6 sweeps = one full + one partial (2 stages).
+        // depth = 4; 6 sweeps = two team sweeps of 3 stages (2 + 1).
         assert_matches_reference(Dims3::cube(20), 6, &cfg);
+    }
+
+    #[test]
+    fn short_and_odd_requests_on_the_default_deep_pipeline() {
+        // depth 8 on a team of 2: 1 and 3 sweeps leave thread 1 with
+        // fewer stages than thread 0 (or none), 12 runs as 6 + 6, 17 as
+        // 6 + 6 + 5.
+        let mut cfg = PipelineConfig::default_for(2, 1);
+        cfg.audit = true;
+        for sweeps in [1, 3, 5, 8, 12, 17] {
+            assert_matches_reference(Dims3::new(21, 20, 19), sweeps, &cfg);
+        }
     }
 
     #[test]
@@ -436,7 +443,7 @@ mod tests {
         let dims = Dims3::cube(16);
         let initial: tb_grid::Grid3<f64> = init::random(dims, 1);
         let mut pair = GridPair::from_initial(initial.clone());
-        let cfg = PipelineConfig::small();
+        let cfg = PipelineConfig::default_for(2, 1);
         let rt = Runtime::with_threads(cfg.threads());
         let stats = run_op_on(&rt, &Jacobi6, &mut pair, &cfg, 0).unwrap();
         assert_eq!(stats.cell_updates, 0);
@@ -458,7 +465,7 @@ mod tests {
     fn invalid_config_is_reported() {
         let dims = Dims3::cube(10);
         let mut pair: GridPair<f64> = GridPair::zeroed(dims);
-        let mut cfg = PipelineConfig::small();
+        let mut cfg = PipelineConfig::default_for(2, 1);
         cfg.updates_per_thread = 50;
         let rt = Runtime::with_threads(cfg.threads());
         assert!(run_op_on(&rt, &Jacobi6, &mut pair, &cfg, 2).is_err());

@@ -98,8 +98,7 @@ fn main() {
 
     let dims = Dims3::cube(edge);
     let machine = temporal_blocking::topology::detect::detect();
-    let mut cfg = PipelineConfig::for_machine(&machine, 1, 1);
-    cfg.block = [48, 12, 12];
+    let cfg = PipelineConfig::for_machine(&machine, 1);
 
     // One pinned worker team for the whole relaxation.
     let layout = cfg

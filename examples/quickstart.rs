@@ -27,8 +27,9 @@ fn main() {
         machine.cache_groups().len()
     );
 
-    let mut pipe_cfg = PipelineConfig::for_machine(&machine, 1, 2);
-    pipe_cfg.block = [dims.nx.min(120), 20, 20];
+    // The library's default pipeline shape (what the benchmark measures),
+    // on one team spanning the first cache group.
+    let pipe_cfg = PipelineConfig::for_machine(&machine, 1);
 
     let methods: Vec<(&str, Method)> = vec![
         ("sequential", Method::Sequential),

@@ -64,7 +64,7 @@
 //!
 //! // Solve 8 sweeps of the paper's Jacobi with pipelined temporal
 //! // blocking, on a one-shot team...
-//! let cfg = PipelineConfig::small();
+//! let cfg = PipelineConfig::default_for(2, 1);
 //! let pipelined = Method::Pipelined(cfg.clone());
 //! let (solution, stats) = solve_with(&Jacobi6, initial.clone(), 8, pipelined).unwrap();
 //!
@@ -105,7 +105,7 @@ pub use tb_stencil::{
     SyncMode, VarCoeff7,
 };
 
-use tb_grid::{CompressedGrid, Dims3, Grid3, GridPair, Real};
+use tb_grid::{CompressedGrid, Dims3, Grid3, GridPair, Real, Region3};
 use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{baseline, diamond, pipeline, wavefront};
@@ -178,11 +178,15 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     method: Method,
 ) -> Result<(Grid3<T>, RunStats), String> {
     /// The one acquire → run → release site of the two-grid methods:
-    /// pair the initial grid with a pooled B buffer (a full copy, so
-    /// boundary cells are right in both buffers; [`Runtime::place_copy`]
-    /// commits its pages on the workers under
-    /// [`Placement::WorkerFirstTouch`]), run `exec`, keep the buffer
-    /// holding the result and return the other to the pool. An executor
+    /// pair the initial grid with a pooled B buffer, run `exec`, keep
+    /// the buffer holding the result and return the other to the pool.
+    /// B gets the Dirichlet shell only — the cells outside the swept
+    /// interior, which sweeps read and never write. Its interior may be
+    /// stale: sweep 0 writes every interior cell of B before any sweep
+    /// reads it, under every executor (that is what bitwise identity
+    /// with the oracle from a recycled buffer means; `pool_contract`
+    /// poisons the buffer with NaN to prove it), and a pool miss was
+    /// already first-touched by [`Runtime::acquire_grid`]. An executor
     /// that returns `Err` has not swept, so the spare is still released
     /// and the pool keeps its warm buffer.
     fn on_pooled_pair<T: Real>(
@@ -192,7 +196,7 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
         exec: impl FnOnce(&mut GridPair<T>) -> Result<RunStats, String>,
     ) -> Result<(Grid3<T>, RunStats), String> {
         let mut b = rt.acquire_grid(initial.dims());
-        rt.place_copy(b.as_mut_slice(), initial.as_slice());
+        b.copy_outside_from(&initial, &Region3::interior_of(initial.dims()));
         let mut pair = GridPair::from_parts(initial, b);
         let stats = exec(&mut pair);
         let (a, b) = pair.into_parts();
@@ -249,7 +253,12 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
                 rt.acquire_grid(CompressedGrid::<T>::alloc_dims_for(initial.dims(), margin));
             let mut cg = CompressedGrid::from_grid_in(&initial, margin, storage);
             let stats = pipeline::run_compressed_op_on(rt, op, &mut cg, &cfg, sweeps);
-            let out = stats.map(|stats| (cg.to_grid(), stats));
+            // Expand into the consumed input: no grid is allocated.
+            let out = stats.map(|stats| {
+                let mut out = initial;
+                cg.write_to(&mut out);
+                (out, stats)
+            });
             rt.grid_pool::<T>().release(cg.into_storage());
             out
         }
@@ -439,8 +448,9 @@ use tb_model::MachineParams;
 /// replay the stored winner when the [`tb_plan::PlanKey`] matches (no
 /// measurement of any kind — the calibration that feeds the fingerprint
 /// is itself cached), otherwise enumerate candidates, score them with
-/// the `tb-model` predictions, measure only the top-K plus the library
-/// default, persist the winner, and solve with it.
+/// the `tb-model` predictions, measure only the top-K including the
+/// library defaults (parallel baseline and pipelined), persist the
+/// winner, and solve with it.
 pub fn solve_tuned_with_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
@@ -515,7 +525,7 @@ pub fn solve_tuned_with_on<T: Real, Op: StencilOp<T>>(
         }
     }
 
-    // Cold path: enumerate, score, measure top-K + incumbent.
+    // Cold path: enumerate, score, measure top-K incl. incumbents.
     let team = rt.threads().max(1);
     let families: &[tb_plan::MethodFamily] = if opts.families.is_empty() {
         &tb_plan::MethodFamily::ALL
@@ -526,20 +536,24 @@ pub fn solve_tuned_with_on<T: Real, Op: StencilOp<T>>(
         .iter()
         .flat_map(|&f| tb_plan::enumerate_family::<T, Op>(f, &params, op, dims, team))
         .collect();
-    let incumbent = tb_plan::default_plan(
-        if families.len() == 1 {
-            families[0]
-        } else {
-            tb_plan::MethodFamily::Parallel
-        },
-        team,
-    );
+    // The defaults a caller who never tunes would run ride along: the
+    // baseline and the pipelined default where the restriction admits
+    // them, else the one family's own default.
+    use tb_plan::MethodFamily::{Parallel, Pipelined};
+    let mut incumbents: Vec<tb_plan::Plan> = [Parallel, Pipelined]
+        .into_iter()
+        .filter(|f| families.contains(f))
+        .map(|f| tb_plan::default_plan(f, team))
+        .collect();
+    if incumbents.is_empty() {
+        incumbents.push(tb_plan::default_plan(families[0], team));
+    }
     let report = tb_plan::tune(
         &params,
         op,
         dims,
         candidates,
-        incumbent,
+        &incumbents,
         &TuneConfig { top_k: opts.top_k },
         |plan| run_plan_on(rt, op, plan, initial.clone(), sweeps).map(|(_, stats)| stats.mlups()),
     );
@@ -577,7 +591,7 @@ pub fn solve_tuned_with_on<T: Real, Op: StencilOp<T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tb_grid::{init, norm, Region3};
+    use tb_grid::{init, norm};
 
     fn all_methods() -> Vec<(&'static str, Method)> {
         vec![
@@ -596,10 +610,13 @@ mod tests {
                     streaming_stores: true,
                 },
             ),
-            ("pipelined", Method::Pipelined(PipelineConfig::small())),
+            (
+                "pipelined",
+                Method::Pipelined(PipelineConfig::default_for(2, 1)),
+            ),
             (
                 "compressed",
-                Method::PipelinedCompressed(PipelineConfig::small()),
+                Method::PipelinedCompressed(PipelineConfig::default_for(2, 1)),
             ),
             ("wavefront", Method::Wavefront { threads: 2 }),
             (
@@ -729,7 +746,7 @@ mod tests {
             }
         )
         .is_err());
-        let mut cfg = PipelineConfig::small();
+        let mut cfg = PipelineConfig::default_for(2, 1);
         cfg.updates_per_thread = 100;
         assert!(solve_with(&Jacobi6, g, 1, Method::Pipelined(cfg)).is_err());
     }
@@ -744,7 +761,7 @@ mod tests {
         let pool = rt.grid_pool::<f64>();
         let oversize = |team_size| PipelineConfig {
             team_size,
-            ..PipelineConfig::small()
+            ..PipelineConfig::default_for(2, 1)
         };
         let families: Vec<(&str, Method, Vec<Method>)> = vec![
             (
@@ -766,12 +783,12 @@ mod tests {
             ),
             (
                 "pipelined",
-                Method::Pipelined(PipelineConfig::small()),
+                Method::Pipelined(PipelineConfig::default_for(2, 1)),
                 vec![Method::Pipelined(oversize(3))],
             ),
             (
                 "compressed",
-                Method::PipelinedCompressed(PipelineConfig::small()),
+                Method::PipelinedCompressed(PipelineConfig::default_for(2, 1)),
                 vec![Method::PipelinedCompressed(oversize(3))],
             ),
             (
@@ -825,8 +842,11 @@ mod tests {
                     streaming_stores: false,
                 },
             ),
-            (2, Method::Pipelined(PipelineConfig::small())),
-            (2, Method::PipelinedCompressed(PipelineConfig::small())),
+            (2, Method::Pipelined(PipelineConfig::default_for(2, 1))),
+            (
+                2,
+                Method::PipelinedCompressed(PipelineConfig::default_for(2, 1)),
+            ),
             (2, Method::Wavefront { threads: 2 }),
             (4, Method::Diamond(DiamondConfig::with_width(4, 8))),
         ] {
@@ -845,7 +865,7 @@ mod tests {
         let cfg = PipelineConfig {
             team_size: 1,
             layout: Some(layout),
-            ..PipelineConfig::small()
+            ..PipelineConfig::default_for(2, 1)
         };
         // What a thread pinned to CPU 0 reports, where pinning works.
         fn allowed_cpus() -> Option<String> {

@@ -22,10 +22,13 @@
 //!    never *what they hold*), the warm serving path allocates nothing,
 //!    and restricted sub-machines report the NUMA nodes their cores
 //!    actually span.
+//! 5. **The shell is enough** — the facade copies only the Dirichlet
+//!    shell into a recycled B buffer; a buffer released full of NaN
+//!    must not change a single bit of any method's result.
 
 use std::sync::Arc;
 
-use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
+use temporal_blocking::grid::{init, norm, CompressedGrid, Dims3, Grid3, Region3};
 use temporal_blocking::prelude::*;
 use temporal_blocking::runtime::GridPool;
 use temporal_blocking::topology::NumaDomain;
@@ -257,7 +260,7 @@ fn placement_policies_produce_bitwise_identical_results() {
             streaming_stores: false,
         },
         Method::Wavefront { threads: 2 },
-        Method::Pipelined(PipelineConfig::small()),
+        Method::Pipelined(PipelineConfig::default_for(2, 1)),
     ];
     for method in methods {
         let mut results = Vec::new();
@@ -280,6 +283,86 @@ fn placement_policies_produce_bitwise_identical_results() {
             &format!("{method:?}: worker-first-touch vs client-pages"),
         );
     }
+}
+
+#[test]
+fn solves_from_a_poisoned_pooled_buffer_match_the_oracle_and_allocate_nothing() {
+    // `solve_with_on` pairs the input with a recycled pool buffer and
+    // copies in the boundary shell only. That is sound iff every
+    // executor writes each interior cell of that buffer before any sweep
+    // reads it — so poison every parked buffer with NaN before each
+    // solve: one stale read and the result is NaN, not the oracle.
+    fn check<T: Real, Op: StencilOp<T>>(op: &Op, dims: Dims3) {
+        let pipe = PipelineConfig::default_for(2, 1);
+        let shapes = [
+            dims,
+            CompressedGrid::<T>::alloc_dims_for(dims, pipe.stages()),
+        ];
+        let methods = [
+            Method::Sequential,
+            Method::Blocked { block: [7, 5, 6] },
+            Method::Parallel {
+                threads: 2,
+                streaming_stores: false,
+            },
+            Method::Parallel {
+                threads: 2,
+                streaming_stores: true,
+            },
+            Method::Pipelined(pipe.clone()),
+            Method::PipelinedCompressed(pipe),
+            Method::Wavefront { threads: 2 },
+            Method::Diamond(DiamondConfig::with_width(2, 6)),
+            Method::Diamond(DiamondConfig::with_width(2, 6).with_threads_per_tile(2)),
+        ];
+        let rt = Runtime::with_threads(2);
+        let pool = rt.grid_pool::<T>();
+        let initial: Grid3<T> = init::random(dims, 0xBAD5EED);
+        for sweeps in [4, 5] {
+            let (oracle, _) = solve_with(op, initial.clone(), sweeps, Method::Sequential).unwrap();
+            for method in &methods {
+                for shape in shapes {
+                    let mut g = rt.acquire_grid::<T>(shape);
+                    g.as_mut_slice().fill(T::from_f64(f64::NAN));
+                    pool.release(g);
+                }
+                let fresh = pool.fresh_allocations();
+                let (got, _) =
+                    solve_with_on(&rt, op, initial.clone(), sweeps, method.clone()).unwrap();
+                let what = format!("{} x{sweeps} via {method:?}", op.name());
+                norm::assert_grids_identical(&oracle, &got, &Region3::whole(dims), &what);
+                assert_eq!(pool.fresh_allocations(), fresh, "{what} allocated");
+            }
+        }
+    }
+    fn every_operator<T: Real>() {
+        let dims = Dims3::new(14, 13, 12);
+        check::<T, _>(&Jacobi6, dims);
+        check::<T, _>(&Jacobi7::heat(0.11), dims);
+        check::<T, _>(&VarCoeff7::banded(dims), dims);
+        check::<T, _>(&Avg27, dims);
+    }
+    every_operator::<f64>();
+    every_operator::<f32>();
+}
+
+#[test]
+fn compressed_solves_hand_back_the_input_allocation() {
+    // The compressed method expands its result into the consumed input
+    // instead of allocating a grid outside the pool ledger.
+    let dims = Dims3::cube(14);
+    let initial: Grid3<f64> = init::random(dims, 3);
+    let (oracle, _) = solve_with(&Jacobi6, initial.clone(), 5, Method::Sequential).unwrap();
+    let rt = Runtime::with_threads(2);
+    let input = initial.as_ptr();
+    let method = Method::PipelinedCompressed(PipelineConfig::default_for(2, 1));
+    let (got, _) = solve_with_on(&rt, &Jacobi6, initial, 5, method).unwrap();
+    assert_eq!(
+        got.as_ptr(),
+        input,
+        "the result must reuse the input's storage"
+    );
+    norm::assert_grids_identical(&oracle, &got, &Region3::whole(dims), "compressed");
 }
 
 #[test]
