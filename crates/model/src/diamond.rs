@@ -13,22 +13,32 @@
 //! sweeps — the diamond analogue of the pipeline's `t·T` updates per
 //! traversal, but achieved without wind-up/wind-down waste and
 //! controlled by the single width parameter. The Eq. 4 cost structure
-//! carries over: the first update of a tile streams its planes from
+//! carries over: the first update of a tile streams its cells from
 //! memory at the operator's streaming code balance, every further
 //! update moves one load + one store (plus the operator's extra read
-//! streams) through the shared cache. That structure holds while the
-//! tile's planes stay cached, i.e. while the **working set**
+//! streams) through the cache. That structure holds while what the
+//! tile keeps live stays cached. The executor walks a tile with a
+//! time-skewed front of `B` rows along `y` — `B·nx ≈ 1024` cells,
+//! [`tb_stencil::diamond::front_rows`] — so the live set is one
+//! `(B + 2R)`-row window per time level over that level's z-extent plus
+//! its read halo — summed over the `n = 2⌈w/2R⌉ − 1` sweeps of a tile,
+//! whose z-extents add up to the diamond's area `w²/(2R)`, the
+//! **working set**
 //!
 //! ```text
-//! W(w) = (2 + extra_read_streams) · (w + 2R) · nx · ny · bytes
+//! W(w) = (1 + extra_read_streams) · nx · (B + 2R) · (w²/(2R) + 2R·n) · bytes
 //! ```
 //!
-//! (both grid buffers over the widest slab plus its read halo, and the
-//! coefficient grid if the operator reads one) fits the shared cache.
-//! [`max_cached_width`] inverts that bound — the width autotuning and
-//! the `diamond_sweep` bench use it as the starting point.
+//! (the levels alternate between the two grid buffers, so each window
+//! is counted once; a coefficient grid adds the same cells again). It
+//! grows with the diamond's *area*, only through the `2R` halo rows
+//! with the row length, and not at all with `ny`: 0.6 MB at `w = 8` and
+//! 2.2 MB at `w = 16` on 288-cell f64 rows (`B = 4`), where whole x·y
+//! planes were 13 MB and 24 MB. [`max_cached_width`] inverts the bound
+//! — the tuner's cache-sized width candidate.
 
 use tb_grid::Real;
+use tb_stencil::diamond::front_rows;
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::StencilOp;
 
@@ -41,22 +51,27 @@ pub fn diamond_reuse(width: usize, radius: usize) -> f64 {
     width as f64 / (2.0 * radius as f64)
 }
 
-/// In-cache working set of one active diamond tile, in bytes: both
-/// grid buffers over the widest slab plus its `R`-deep read halo
-/// (`w + 2R` planes of `nx·ny` cells), plus the operator's extra read
-/// streams (e.g. a coefficient grid) over the same planes. Each worker
-/// of a team holds one such tile live.
+/// In-cache working set of one active diamond tile, in bytes: one
+/// `(B + 2R)`-row front window per time level over that level's
+/// z-extent plus its `R`-deep read halo (module docs), plus the
+/// operator's extra read streams (e.g. a coefficient grid) over the
+/// same cells. Independent of `ny`. A sub-team of `threads_per_tile`
+/// lanes walks a front that many times taller (`B` rows per lane).
+/// Each sub-team of a team holds one such tile live.
 pub fn diamond_working_set_bytes<T: Real, Op: StencilOp<T>>(
     op: &Op,
     nx: usize,
-    ny: usize,
     width: usize,
+    threads_per_tile: usize,
 ) -> usize {
     let radius = Op::RADIUS;
     assert!(radius >= 1 && width >= 2 * radius);
-    let planes = width + 2 * radius;
-    let streams = 2.0 + op.extra_read_streams();
-    (streams * (planes * nx * ny * T::bytes()) as f64) as usize
+    let sweeps = 2 * width.div_ceil(2 * radius) - 1;
+    let planes = (width * width).div_ceil(2 * radius) + 2 * radius * sweeps;
+    let front = front_rows(nx.saturating_sub(2 * radius));
+    let rows = front * threads_per_tile.max(1) + 2 * radius;
+    let cells = nx * rows * planes;
+    ((1.0 + op.extra_read_streams()) * (cells * T::bytes()) as f64) as usize
 }
 
 /// Largest diamond width whose per-tile working set (times the team
@@ -66,27 +81,18 @@ pub fn max_cached_width<T: Real, Op: StencilOp<T>>(
     machine: &MachineParams,
     op: &Op,
     nx: usize,
-    ny: usize,
     team: usize,
 ) -> usize {
-    let radius = Op::RADIUS;
-    let plane = ((2.0 + op.extra_read_streams()) * (nx * ny * T::bytes()) as f64) as usize;
-    let team = team.max(1);
-    if plane == 0 {
-        return 2 * radius;
-    }
-    let planes = machine.cache_bytes / (plane * team);
-    planes.saturating_sub(2 * radius).max(2 * radius)
+    max_cached_width_mwd::<T, Op>(machine, op, nx, team, 1)
 }
 
 /// Number of tiles a team holds live at once under MWD: with
 /// `threads_per_tile` lanes cooperating on each tile, only
 /// `⌈team / threads_per_tile⌉` tile working sets compete for the shared
-/// cache. This is the whole point of Malas et al.'s multi-dimensional
-/// intra-tile parallelization — the per-tile working set
-/// ([`diamond_working_set_bytes`]) is **unchanged** (lanes partition
-/// the same planes, they do not add any), the *count* of concurrent
-/// working sets shrinks.
+/// cache (Malas et al.'s multi-dimensional intra-tile parallelization).
+/// Each of them is the taller front of its sub-team
+/// ([`diamond_working_set_bytes`]), so what the team saves in total is
+/// the windows' read halos, not their bulk.
 pub fn concurrent_tiles(team: usize, threads_per_tile: usize) -> usize {
     let team = team.max(1);
     let tpt = threads_per_tile.max(1).min(team);
@@ -94,9 +100,9 @@ pub fn concurrent_tiles(team: usize, threads_per_tile: usize) -> usize {
 }
 
 /// [`max_cached_width`] under MWD: the shared cache is split between
-/// [`concurrent_tiles`] live tiles instead of one per worker, so larger
-/// sub-teams afford wider (higher-reuse) diamonds at equal cache
-/// pressure. `threads_per_tile = 1` reduces to [`max_cached_width`].
+/// [`concurrent_tiles`] live tiles, each the working set of a
+/// `threads_per_tile`-lane front. `threads_per_tile = 1` is
+/// [`max_cached_width`].
 ///
 /// Note what the lane count of the SIMD row kernels does *not* do here:
 /// vectorization raises the in-cache compute ceiling but moves no extra
@@ -106,23 +112,21 @@ pub fn max_cached_width_mwd<T: Real, Op: StencilOp<T>>(
     machine: &MachineParams,
     op: &Op,
     nx: usize,
-    ny: usize,
     team: usize,
     threads_per_tile: usize,
 ) -> usize {
-    max_cached_width::<T, Op>(
-        machine,
-        op,
-        nx,
-        ny,
-        concurrent_tiles(team, threads_per_tile),
-    )
+    let budget = machine.cache_bytes / concurrent_tiles(team, threads_per_tile);
+    let fits =
+        |w: &usize| diamond_working_set_bytes::<T, Op>(op, nx, *w, threads_per_tile) <= budget;
+    // W(w) is quadratic in w: the answer is O(√budget), walk up to it.
+    let narrowest = 2 * Op::RADIUS;
+    (narrowest..).take_while(fits).last().unwrap_or(narrowest)
 }
 
 /// Eq. 4 transplanted to diamond tiles: wall time (seconds per lattice
 /// site × `u`) for the `u = w/(2R)` updates a tile performs per memory
 /// traversal. First update streams from memory, the rest hit the
-/// shared cache — valid while [`diamond_working_set_bytes`] fits.
+/// cache — valid while [`diamond_working_set_bytes`] fits.
 pub fn diamond_block_time_op<T: Real, Op: StencilOp<T>>(
     machine: &MachineParams,
     op: &Op,
@@ -196,47 +200,59 @@ mod tests {
     }
 
     #[test]
-    fn working_set_scales_with_width_and_streams() {
+    fn working_set_is_front_windows_over_the_diamond_area() {
         let j = Jacobi6;
-        let w8 = diamond_working_set_bytes::<f64, _>(&j, 100, 100, 8);
-        assert_eq!(w8, 2 * (8 + 2) * 100 * 100 * 8);
-        let w16 = diamond_working_set_bytes::<f64, _>(&j, 100, 100, 16);
-        assert!(w16 > w8);
-        // The coefficient grid adds one stream over the same planes.
+        // w 8, R 1: 7 sweeps whose z-extents sum to 32 planes, each level
+        // with a 2-plane halo, in (B + 2)-row windows, B = 4 on 288-cell
+        // rows — no ny anywhere.
+        let w8 = diamond_working_set_bytes::<f64, _>(&j, 288, 8, 1);
+        assert_eq!(w8, 288 * (4 + 2) * (32 + 2 * 7) * 8);
+        let w16 = diamond_working_set_bytes::<f64, _>(&j, 288, 16, 1);
+        assert_eq!(w16, 288 * (4 + 2) * (128 + 2 * 15) * 8);
+        // The sizes the default width was chosen on: both inside a 4 MB L2.
+        assert!(w8 < 700_000 && w16 < 2_300_000, "{w8} {w16}");
+        // The coefficient grid adds one stream over the same cells.
         let v: VarCoeff7<f64> = VarCoeff7::banded(tb_grid::Dims3::cube(8));
-        let wv = diamond_working_set_bytes::<f64, _>(&v, 100, 100, 8);
-        assert_eq!(wv, 3 * (8 + 2) * 100 * 100 * 8);
+        assert_eq!(diamond_working_set_bytes::<f64, _>(&v, 288, 8, 1), 2 * w8);
+        // f32 halves it.
+        assert_eq!(diamond_working_set_bytes::<f32, _>(&j, 288, 8, 1), w8 / 2);
+        // Two lanes walk a front of 2·B rows: taller, not twice the set.
+        let w8x2 = diamond_working_set_bytes::<f64, _>(&j, 288, 8, 2);
+        assert_eq!(w8x2, 288 * (2 * 4 + 2) * (32 + 2 * 7) * 8);
+        // The front holds a cell budget: on rows 3.5× longer it is 2 rows
+        // high and only the 2R halo rows grow with nx.
+        let long = diamond_working_set_bytes::<f64, _>(&j, 1002, 8, 1);
+        assert_eq!(long, 1002 * (2 + 2) * (32 + 2 * 7) * 8);
     }
 
     #[test]
     fn max_cached_width_inverts_the_working_set() {
         let m = MachineParams::nehalem_ep();
-        let w = max_cached_width::<f64, _>(&m, &Jacobi6, 100, 100, 1);
+        let w = max_cached_width::<f64, _>(&m, &Jacobi6, 100, 1);
         assert!(w >= 2);
-        assert!(diamond_working_set_bytes::<f64, _>(&Jacobi6, 100, 100, w) <= m.cache_bytes);
-        // A team splits the cache; huge planes degrade to the minimum.
-        let w4 = max_cached_width::<f64, _>(&m, &Jacobi6, 100, 100, 4);
-        assert!(w4 <= w);
-        let tiny = max_cached_width::<f64, _>(&m, &Jacobi6, 4000, 4000, 4);
+        assert!(diamond_working_set_bytes::<f64, _>(&Jacobi6, 100, w, 1) <= m.cache_bytes);
+        assert!(diamond_working_set_bytes::<f64, _>(&Jacobi6, 100, w + 1, 1) > m.cache_bytes);
+        // A team splits the cache; huge rows degrade to the minimum.
+        let w4 = max_cached_width::<f64, _>(&m, &Jacobi6, 100, 4);
+        assert!(w4 < w);
+        let tiny = max_cached_width::<f64, _>(&m, &Jacobi6, 4_000_000, 4);
         assert_eq!(tiny, 2);
     }
 
     #[test]
-    fn mwd_shrinks_concurrent_tiles_not_the_working_set() {
+    fn mwd_trades_tile_count_for_front_height() {
         assert_eq!(concurrent_tiles(8, 1), 8);
         assert_eq!(concurrent_tiles(8, 2), 4);
         assert_eq!(concurrent_tiles(8, 8), 1);
         assert_eq!(concurrent_tiles(6, 4), 2); // non-divisor rounds up
         assert_eq!(concurrent_tiles(0, 0), 1); // degenerate clamps
-                                               // Full-team tiles see the whole cache: same width as team = 1.
         let m = MachineParams::nehalem_ep();
-        let solo = max_cached_width::<f64, _>(&m, &Jacobi6, 100, 100, 1);
-        let mwd = max_cached_width_mwd::<f64, _>(&m, &Jacobi6, 100, 100, 8, 8);
-        assert_eq!(mwd, solo);
-        // Sub-teams interpolate monotonically between the extremes.
-        let w1 = max_cached_width_mwd::<f64, _>(&m, &Jacobi6, 100, 100, 8, 1);
-        let w2 = max_cached_width_mwd::<f64, _>(&m, &Jacobi6, 100, 100, 8, 2);
-        assert_eq!(w1, max_cached_width::<f64, _>(&m, &Jacobi6, 100, 100, 8));
-        assert!(w1 <= w2 && w2 <= mwd);
+        let at = |team, tpt| max_cached_width_mwd::<f64, _>(&m, &Jacobi6, 100, team, tpt);
+        assert_eq!(at(8, 1), max_cached_width::<f64, _>(&m, &Jacobi6, 100, 8));
+        // Fewer, taller fronts: the team as a whole saves read halos only,
+        // so the cacheable width grows slowly with the sub-team size and a
+        // full-team tile never reaches what one thread alone could hold.
+        assert!(at(8, 1) <= at(8, 2) && at(8, 2) <= at(8, 8));
+        assert!(at(8, 8) <= at(1, 1));
     }
 }

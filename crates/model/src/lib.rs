@@ -11,9 +11,10 @@
 //! * [`pipeline`] — the single-cache diagnostic model of §1.4 (Eqs. 4–5)
 //!   predicting the speedup of pipelined temporal blocking;
 //! * [`diamond`] — the same cost structure transplanted to
-//!   wavefront-diamond tiles: working set `(w + 2R)` planes per buffer,
-//!   reuse `w/(2R)` sweeps per memory traversal, and the MWD variant
-//!   where sub-teams share tiles (fewer concurrent working sets);
+//!   wavefront-diamond tiles: working set one few-row front window per
+//!   time level of a tile (independent of `ny`), reuse `w/(2R)` sweeps
+//!   per memory traversal, and the MWD variant where sub-teams share
+//!   tiles (fewer concurrent working sets);
 //!
 //! All models price *memory traffic*, so the vector width the row loops
 //! are compiled for never appears: vectorization raises the in-cache
@@ -33,12 +34,13 @@
 //! analytically before anything runs — Eq. 2 sets the baseline, Eq. 5 /
 //! [`diamond_speedup`] / [`pipeline::wavefront_speedup`] the temporal
 //! gain, and the working-set bounds ([`diamond_working_set_bytes`],
-//! [`max_cached_width`], the `(t·T)·d_u` blocks the pipeline keeps
-//! resident) demote any candidate whose tiles cannot stay cached to
-//! baseline speed. Only the top-scoring few are ever measured, so the
-//! models discard most of the candidate space for free; the measured
-//! rows in a `TuneReport` record predicted vs. achieved MLUP/s so model
-//! error stays visible instead of silently steering the search.
+//! [`max_cached_width`], [`wavefront_working_set_bytes`], the
+//! `(t·T)·d_u` blocks the pipeline keeps resident) demote any candidate
+//! whose tiles cannot stay cached to baseline speed. Only the
+//! top-scoring few are ever measured, so the models discard most of the
+//! candidate space for free; the measured rows in a `TuneReport` record
+//! predicted vs. achieved MLUP/s so model error stays visible instead of
+//! silently steering the search.
 
 pub mod diamond;
 pub mod halo;
@@ -57,7 +59,10 @@ pub use halo::{
 };
 pub use machine::MachineParams;
 pub use network::NetworkParams;
-pub use pipeline::{pipeline_speedup, team_block_time, team_block_time_op, wavefront_speedup};
+pub use pipeline::{
+    pipeline_speedup, team_block_time, team_block_time_op, wavefront_speedup,
+    wavefront_working_set_bytes,
+};
 pub use roofline::{
     jacobi_roofline_lups, op_roofline_lups, placed_bandwidth, placed_roofline_lups, roofline_lups,
     service_floor_seconds,

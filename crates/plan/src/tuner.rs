@@ -11,12 +11,12 @@
 
 use tb_grid::{Dims3, Real};
 use tb_model::{
-    diamond_speedup, diamond_working_set_bytes, max_cached_width_mwd, op_roofline_lups,
-    pipeline_speedup, wavefront_speedup, MachineParams,
+    diamond_speedup, max_cached_width_mwd, op_roofline_lups, pipeline_speedup, wavefront_speedup,
+    wavefront_working_set_bytes, MachineParams,
 };
 use tb_stencil::config::WHOLE_EXTENT;
 use tb_stencil::kernel::StoreMode;
-use tb_stencil::{PipelineConfig, StencilOp, SyncMode};
+use tb_stencil::{DiamondConfig, PipelineConfig, StencilOp, SyncMode};
 
 use crate::ir::{MethodFamily, PipeParams, Plan, PlanMethod};
 
@@ -122,8 +122,9 @@ impl TuneReport {
 /// The two pipelined families take their shape from
 /// [`PipelineConfig::default_for`], the one place it is decided and
 /// argued: whole-extent x edge (long inner loop for the prefetcher),
-/// 8×8 y/z (16×16 loses in cache), depth 8 with `T` as a cap. Every
-/// `team` up to 8 makes this plan a member of [`enumerate_family`]'s
+/// 8×8 y/z (16×16 loses in cache), depth 8 with `T` as a cap; the
+/// diamond family takes its from [`DiamondConfig::default_for`]. Every
+/// `team` up to 8 makes these plans members of [`enumerate_family`]'s
 /// candidate set.
 pub fn default_plan(family: MethodFamily, team: usize) -> Plan {
     let team = team.max(1);
@@ -145,11 +146,14 @@ pub fn default_plan(family: MethodFamily, team: usize) -> Plan {
         MethodFamily::Pipelined => PlanMethod::Pipelined(pipe()),
         MethodFamily::Compressed => PlanMethod::Compressed(pipe()),
         MethodFamily::Wavefront => PlanMethod::Wavefront { threads: team },
-        MethodFamily::Diamond => PlanMethod::Diamond {
-            threads: team,
-            width: 8,
-            threads_per_tile: 1,
-        },
+        MethodFamily::Diamond => {
+            let cfg = DiamondConfig::default_for(team);
+            PlanMethod::Diamond {
+                threads: cfg.threads,
+                width: cfg.width,
+                threads_per_tile: cfg.threads_per_tile,
+            }
+        }
     })
 }
 
@@ -234,8 +238,7 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
                 .collect();
             tpts.dedup();
             for tpt in tpts {
-                let w_cache =
-                    max_cached_width_mwd::<T, Op>(params, op, dims.nx, dims.ny, team, tpt);
+                let w_cache = max_cached_width_mwd::<T, Op>(params, op, dims.nx, team, tpt);
                 let mut widths = vec![4usize, 8, 16, 32, w_cache];
                 widths.retain(|&w| w >= 2 * radius);
                 widths.sort_unstable();
@@ -321,10 +324,7 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
             p0_stream * if fits { speedup } else { 1.0 }
         }
         PlanMethod::Wavefront { threads } => {
-            // The wavefront keeps ~2R planes live per stacked sweep; its
-            // working set is that of a diamond of width 2R·t.
-            let proxy_width = (2 * radius * threads.max(&1)).max(2 * radius);
-            let ws = diamond_working_set_bytes::<T, Op>(op, dims.nx, dims.ny, proxy_width);
+            let ws = wavefront_working_set_bytes::<T, Op>(op, dims.nx, dims.ny, *threads);
             let fits = ws <= params.cache_bytes;
             p0_stream
                 * if fits {
@@ -338,14 +338,8 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
             width,
             threads_per_tile,
         } => {
-            let w_max = max_cached_width_mwd::<T, Op>(
-                params,
-                op,
-                dims.nx,
-                dims.ny,
-                *threads,
-                *threads_per_tile,
-            );
+            let w_max =
+                max_cached_width_mwd::<T, Op>(params, op, dims.nx, *threads, *threads_per_tile);
             let fits = *width <= w_max;
             p0_stream
                 * if fits {
@@ -506,7 +500,7 @@ mod tests {
         let s_narrow = predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &narrow);
         let s_huge = predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &huge);
         assert!(s_narrow > s_huge, "{s_narrow} vs {s_huge}");
-        // ...and MWD widens the cacheable range at equal width.
+        // ...and a cached width stays cached when sub-teams share tiles.
         let mwd = Plan::new(PlanMethod::Diamond {
             threads: 4,
             width: 8,
@@ -554,9 +548,10 @@ mod tests {
             &TuneConfig { top_k: 8 },
             |plan| {
                 calls += 1;
-                // Fake measurement: deterministic, favors diamond.
+                // Fake measurement: deterministic, favors a family the
+                // model ranks into the budget on this machine.
                 Ok(match plan.method.family() {
-                    MethodFamily::Diamond => 1000.0,
+                    MethodFamily::Pipelined => 1000.0,
                     _ => 500.0,
                 })
             },
@@ -568,7 +563,7 @@ mod tests {
         let inc = report.incumbent().expect("incumbent measured");
         assert_eq!(inc.plan, incumbent);
         let winner = report.winner().expect("winner");
-        assert_eq!(winner.plan.method.family(), MethodFamily::Diamond);
+        assert_eq!(winner.plan.method.family(), MethodFamily::Pipelined);
         assert!(winner.measured_mlups >= inc.measured_mlups);
         // Measured rows lead the ranking.
         assert!(report.rows[0].measured_mlups.is_some());
@@ -664,14 +659,19 @@ mod tests {
                     let text = plan.to_json().to_json();
                     let back = Plan::from_json(&crate::json::Json::parse(&text).unwrap());
                     assert_eq!(back.unwrap(), plan, "{text}");
+                    // Every default (the diamond's w 16 included) is one of
+                    // the tuner's candidates.
+                    let members =
+                        enumerate_family::<f64, _>(family, &nehalem(), &Jacobi6, dims, team);
+                    assert!(members.contains(&plan), "{}", plan.label());
+                    if let Some(cfg) = plan.diamond_config() {
+                        assert_eq!(cfg, DiamondConfig::default_for(team));
+                    }
                     let Some(cfg) = plan.pipeline_config() else {
                         continue;
                     };
                     assert!(cfg.stages() <= 8.max(team), "{}", plan.label());
                     assert_eq!(cfg.block, [WHOLE_EXTENT, 8.max(team), 8.max(team)]);
-                    let members =
-                        enumerate_family::<f64, _>(family, &nehalem(), &Jacobi6, dims, team);
-                    assert!(members.contains(&plan), "{}", plan.label());
                 }
             }
         }

@@ -64,8 +64,77 @@
 //! cells` is the caller's contract, exactly as for the pipeline plan).
 //! Tiles are clamped to the domains, which preserves both exact
 //! coverage and disjointness.
+//!
+//! # Inside a tile: the time-skewed y-front
+//!
+//! Everything above orders *tiles*. Inside one tile the executor does not
+//! sweep whole x·y planes (a live tile would then hold `2·(w + 2R)`
+//! planes, far past a private cache on any grid worth blocking); it
+//! walks the tile with a wavefront along `y` (Malas et al.'s second
+//! blocked axis). With `y_lo`/`y_hi` the union of the tile's non-empty
+//! regions, `B` the front height ([`front_rows`]) and `n` the tile's
+//! sweep count, step `(f, k)` updates
+//!
+//! ```text
+//! regions[k] ∩ { y_lo + f·B − k·R <= y < y_lo + (f+1)·B − k·R }
+//! ```
+//!
+//! in the order `for f { for k { … } }` until sweep `n − 1`'s window has
+//! passed `y_hi` ([`DiamondTile::front_steps`], the one place the
+//! arithmetic lives). x stays whole (long unit-stride rows) and every
+//! step covers its sweep's full z-extent, so the z-arguments above are
+//! untouched; the cross-tile and cross-row arguments never mention `y`
+//! and hold verbatim for sub-boxes of the regions. What is new is the
+//! intra-tile order, and a skew of `R` rows per sweep covers it:
+//!
+//! * **flow** — step `(f, k)` reads sweep `k − 1` on rows
+//!   `< y_lo + (f+1)·B − k·R + R = y_lo + (f+1)·B − (k−1)·R`, exactly
+//!   the rows steps `(0..=f, k − 1)` have completed;
+//! * **anti (two-grid)** — its writes land in buffer `(k+1) % 2` on rows
+//!   `< y_lo + (f+1)·B − k·R`, over level-`k−1` values whose last
+//!   readers are sweep `k − 1` on rows up to `R` further, i.e. again
+//!   rows `< y_lo + (f+1)·B − (k−1)·R` — already done; and the next
+//!   front's sweep `k − 1` starts reading at
+//!   `y_lo + (f+1)·B − (k−1)·R − R`, the first row this step did *not*
+//!   write;
+//! * **output** — sweep `k − 2` reached every row of this window by the
+//!   same front (its window is `2R` rows ahead), so level `k + 1` never
+//!   lands under a late level-`k − 1` write.
+//!
+//! Per-sweep domains that shrink in `y` (the distributed trapezoid
+//! cores) only clip a window; `B >= y_hi − y_lo + (n−1)·R` degenerates
+//! to whole-region sweeps in sweep order. Under MWD every step is split
+//! across the sub-team's `tpt` lanes by [`split_z`] with one intra-tile
+//! barrier between consecutive steps, which turns "completed" above
+//! into "completed by every lane"; the sub-team's front is `B·tpt` rows
+//! high, so rows per lane and barrier stay what one thread has.
+//! `front_steps_respect_every_dependence` replays the sequence cell by
+//! cell instead of trusting this argument.
+//!
+//! With the front the live set of a tile is one `(B + 2R)`-row window
+//! per time level — `≈ nx·(B + 2R)·(w²/2R + 2R·n)` cells, independent
+//! of `ny` (see `tb-model`'s diamond estimate).
 
 use tb_grid::Region3;
+
+/// Cells of one x·y window of the in-tile front: what the front keeps
+/// live per plane is this many cells however long the rows are. The
+/// executor's own constant, not a tuning knob — it makes the front 4
+/// rows high on 288-cell rows, where heights 4 and 8 measured alike and
+/// 2 and 16 a few percent behind.
+const FRONT_CELLS: usize = 1024;
+
+/// Front height `B` of the in-tile y-wavefront (module docs), in rows
+/// per lane, for rows of `row_len` cells: `FRONT_CELLS` (1024) worth of
+/// them. Short rows get a front taller than any tile they occur in —
+/// a grid whose planes are that small has nothing to block for, and
+/// pays per step (16³ Jacobi6 ran 1.8× longer under a 4-row front) —
+/// and long rows a lower one, so only the windows' `2R` halo rows grow
+/// with `nx`. Public so `tb-model` sizes the working set on the height
+/// that actually runs.
+pub fn front_rows(row_len: usize) -> usize {
+    FRONT_CELLS.div_ceil(row_len.max(1))
+}
 
 /// Floor division for the transformed-coordinate tile lookup.
 #[inline]
@@ -85,7 +154,8 @@ pub struct DiamondTile {
     pub s_lo: usize,
     /// `regions[k]` is the region sweep `s_lo + k` updates — full x/y
     /// extent of that sweep's domain, z clamped to the tile's slab. May
-    /// be empty for individual sweeps (the executor skips those).
+    /// be empty for individual sweeps (the executor skips those). The
+    /// executor visits it in row windows, see [`Self::front_steps`].
     pub regions: Vec<Region3>,
 }
 
@@ -113,10 +183,51 @@ impl DiamondTile {
     /// `b = z − R·s` up by at most `2R`, so the immediate cross-tile
     /// producers are `(i−1, j)` and `(i, j+1)` — both in row `r − 1`.
     /// Reads also come from the tile itself (earlier sweeps), which
-    /// needs no edge — intra-tile order is the sweep order.
+    /// needs no edge — intra-tile order is the front order.
     pub fn dependencies(&self) -> [(i64, i64); 2] {
         [(self.i - 1, self.j), (self.i, self.j + 1)]
     }
+
+    /// Length of the tile's x-rows (its longest, should the per-sweep
+    /// domains differ in x) — what [`front_rows`] sizes the front on.
+    pub fn row_len(&self) -> usize {
+        let extents = self.regions.iter().map(|r| r.extent(0));
+        extents.max().unwrap_or(0)
+    }
+
+    /// The tile's traversal: its non-empty steps `(k, window)` in
+    /// execution order — fronts of `height` rows outermost, sweeps `k`
+    /// inside, sweep `k`'s window trailing sweep `k − 1`'s by `radius`
+    /// rows (module docs, "Inside a tile"). The windows of one `k`
+    /// partition `regions[k]`.
+    pub fn front_steps(
+        &self,
+        radius: usize,
+        height: usize,
+    ) -> impl Iterator<Item = (usize, Region3)> + '_ {
+        assert!(height >= 1, "front height must be positive");
+        let live = || self.regions.iter().filter(|r| !r.is_empty());
+        let y_lo = live().map(|r| r.lo[1]).min().unwrap_or(0);
+        let y_hi = live().map(|r| r.hi[1]).max().unwrap_or(0);
+        // Sweep n−1 trails by (n−1)·R rows; stop once it has passed y_hi.
+        let skew = self.regions.len().saturating_sub(1) * radius;
+        let fronts = (y_hi - y_lo + skew).div_ceil(height);
+        (0..fronts)
+            .flat_map(move |f| {
+                let regions = self.regions.iter().enumerate();
+                regions.map(move |(k, r)| (k, y_window(r, y_lo + f * height, height, k * radius)))
+            })
+            .filter(|(_, window)| !window.is_empty())
+    }
+}
+
+/// `region` clipped to rows `[base − skew, base + height − skew)`; rows
+/// below zero do not exist, so the bounds saturate.
+fn y_window(region: &Region3, base: usize, height: usize, skew: usize) -> Region3 {
+    let mut window = *region;
+    window.lo[1] = window.lo[1].max(base.saturating_sub(skew));
+    window.hi[1] = window.hi[1].min((base + height).saturating_sub(skew));
+    window
 }
 
 /// One row of mutually independent tiles (equal `r = i − j`).
@@ -784,6 +895,128 @@ mod tests {
             "no cross-lane intra-tile reads found — the intra-tile barrier \
              would be dead code and this test vacuous"
         );
+    }
+
+    #[test]
+    fn front_height_holds_a_cell_budget() {
+        assert_eq!(front_rows(286), 4); // the 288³ sizing case
+        assert_eq!(front_rows(128), 8);
+        assert_eq!(front_rows(1000), 2);
+        assert_eq!(front_rows(1 << 20), 1); // never below one row
+        assert!(
+            front_rows(46) > 20,
+            "short rows: one front spans a 48³ tile"
+        );
+        assert!(front_rows(0) >= 1);
+    }
+
+    /// The in-tile front's ordering argument, checked instead of argued:
+    /// replay the executor's exact step sequence (rows in order, tiles in
+    /// order, [`DiamondTile::front_steps`], lanes by [`split_z`]) on a
+    /// model of the two buffers that records the time level each `(y, z)`
+    /// cell holds. (i) Every read of sweep `s` must find level `s` — so
+    /// its producer ran earlier, and (ii) no step in between overwrote
+    /// the value with level `s + 2`; (iii) no cell is written twice at
+    /// one level and the chunks of a tile add up to `tile.cells()`, so
+    /// the steps partition the regions exactly. Lanes of one step only
+    /// read the source buffer and write disjoint chunks of the other, so
+    /// checking all of a step's reads before applying its writes is the
+    /// faithful model of "one barrier between consecutive steps".
+    #[test]
+    fn front_steps_respect_every_dependence() {
+        const SWEEPS: usize = 6;
+        let mut clipped_steps = 0usize;
+        for radius in [1usize, 2] {
+            for (ny, nz) in [(11usize, 14usize), (5, 12)] {
+                // A boundary layer as deep as the reads reach.
+                let base = Region3::new([1, radius, radius], [3, ny - radius, nz - radius]);
+                let shrinking: Vec<Region3> = (0..SWEEPS)
+                    .map(|s| {
+                        let d = s * radius;
+                        let mut dom = base;
+                        for axis in [1, 2] {
+                            dom.lo[axis] += d;
+                            dom.hi[axis] = dom.hi[axis].saturating_sub(d);
+                        }
+                        dom
+                    })
+                    .collect();
+                for domains in [vec![base; SWEEPS], shrinking] {
+                    for width in [2 * radius, 5, 8] {
+                        let t = DiamondTiling::new(domains.clone(), width, radius);
+                        for height in [1usize, 2, 3, 5, 64] {
+                            for tpt in [1usize, 2, 3] {
+                                clipped_steps += replay_front(&t, ny, nz, height, tpt);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            clipped_steps > 0,
+            "no step was a proper sub-window of its region — the front \
+             never engaged and this test is vacuous"
+        );
+    }
+
+    /// One replay of `front_steps_respect_every_dependence`; returns how
+    /// many steps were proper sub-windows of their sweep's region.
+    fn replay_front(t: &DiamondTiling, ny: usize, nz: usize, height: usize, tpt: usize) -> usize {
+        let radius = t.radius();
+        let what = format!("R={radius} w={} B={height} tpt={tpt}", t.width());
+        // level[b][y·nz + z]: buffer 0 starts at level 0, buffer 1 undefined.
+        let mut level = [vec![0i64; ny * nz], vec![-1i64; ny * nz]];
+        let mut clipped = 0usize;
+        for tile in t.rows().iter().flat_map(|row| &row.tiles) {
+            let mut tile_cells = 0usize;
+            for (k, step) in tile.front_steps(radius, height) {
+                let s = tile.s_lo + k;
+                assert!(tile.regions[k].contains_region(&step), "{what}");
+                clipped += usize::from(step != tile.regions[k]);
+                let chunks: Vec<Region3> = (0..tpt).map(|l| split_z(&step, tpt, l)).collect();
+                let covered: usize = chunks.iter().map(Region3::count).sum();
+                assert_eq!(covered, step.count(), "{what}: lanes do not cover the step");
+                tile_cells += covered;
+                for y in step.lo[1]..step.hi[1] {
+                    for z in step.lo[2]..step.hi[2] {
+                        for yr in y - radius..=y + radius {
+                            for zr in z - radius..=z + radius {
+                                if s > 0 && t.domain(s - 1).contains(step.lo[0], yr, zr) {
+                                    assert_eq!(
+                                        level[s % 2][yr * nz + zr],
+                                        s as i64,
+                                        "{what}: tile ({},{}) sweep {s} reads ({yr},{zr})",
+                                        tile.i,
+                                        tile.j
+                                    );
+                                } else {
+                                    // Never written by any sweep (the
+                                    // trapezoid contract), or the input.
+                                    assert!(
+                                        s == 0 || !t.domain(0).contains(step.lo[0], yr, zr),
+                                        "{what}: sweep {s} reads ({yr},{zr}) past its producer"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+                for y in step.lo[1]..step.hi[1] {
+                    for z in step.lo[2]..step.hi[2] {
+                        let cell = &mut level[(s + 1) % 2][y * nz + z];
+                        assert!(*cell < s as i64, "{what}: ({y},{z}) rewritten");
+                        *cell = s as i64 + 1;
+                    }
+                }
+            }
+            assert_eq!(
+                tile_cells,
+                tile.cells(),
+                "{what}: steps do not partition the tile"
+            );
+        }
+        clipped
     }
 
     #[test]

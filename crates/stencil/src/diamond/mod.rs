@@ -12,14 +12,18 @@
 //!   walks the rows in order — one [`tb_sync::SpinBarrier`] epoch per
 //!   row — with tiles assigned to workers statically (round-robin, no
 //!   work stealing, no per-tile synchronization);
-//! * within a tile, sweeps advance in order on the two-grid buffers,
-//!   each sweep updating full x/y planes of the tile's z-slab.
+//! * within a tile, a wavefront of `B` rows ([`front_rows`]) travels
+//!   along `y` and the tile's sweeps follow it on the two-grid buffers,
+//!   each trailing its predecessor by `R` rows
+//!   ([`DiamondTile::front_steps`]).
 //!
 //! Exactly like the pipelined executors, the whole run is one dispatch
 //! on a persistent [`tb_runtime::Runtime`] team and results are **bitwise
 //! identical** to the sequential oracle for every operator. The
-//! in-cache working set is `≈ 2·(w + 2R)` grid planes (see `tb-model`'s
-//! diamond estimate), tuned by the single width parameter `w`.
+//! in-cache working set is one front window per time level of a tile —
+//! `≈ nx·(B + 2R)·(w²/2R + 2R·n)` cells for `n` sweeps, independent of
+//! `ny` (see `tb-model`'s diamond estimate) — tuned by the single width
+//! parameter `w`.
 
 pub mod geometry;
 
@@ -34,7 +38,7 @@ use crate::kernel::{self, StoreMode};
 use crate::op::StencilOp;
 use crate::stats::RunStats;
 
-pub use geometry::{DiamondRow, DiamondTile, DiamondTiling};
+pub use geometry::{front_rows, DiamondRow, DiamondTile, DiamondTiling};
 
 /// Parameters of a diamond-blocked run. Compared to
 /// [`crate::PipelineConfig`] there is deliberately little to tune: the
@@ -45,14 +49,14 @@ pub struct DiamondConfig {
     pub threads: usize,
     /// Diamond width `w` in transformed coordinates (`z + R·s`); the
     /// widest z-slab of a tile. Larger widths raise in-cache reuse
-    /// (`w / 2R` updates per memory traversal) and the working set
-    /// (`≈ 2·(w + 2R)` planes) together.
+    /// (`w / 2R` updates per memory traversal) and the working set (a
+    /// few rows of `≈ w²/2R` planes, see the module docs) together.
     pub width: usize,
     /// MWD (Malas et al.'s multi-dimensional intra-tile
     /// parallelization): workers cooperating on *one* tile. `1` is the
     /// classic one-thread-per-tile schedule; larger values split each
     /// tile's z-extent into a per-lane wavefront (one intra-tile
-    /// barrier per sweep), so `threads / threads_per_tile` tiles run
+    /// barrier per front step), so `threads / threads_per_tile` tiles run
     /// concurrently and they *share* one tile working set in cache
     /// instead of each dragging in their own. Must divide `threads`.
     pub threads_per_tile: usize,
@@ -61,14 +65,15 @@ pub struct DiamondConfig {
 }
 
 impl DiamondConfig {
-    /// A small, always-valid configuration for quick starts and tests.
-    pub fn small() -> Self {
-        Self {
-            threads: 2,
-            width: 8,
-            threads_per_tile: 1,
-            audit: false,
-        }
+    /// The library default for a team of `threads` — the one place the
+    /// shape is decided: width 16, one thread per tile, auditing off.
+    /// With the in-tile front a w-16 tile of 288-cell rows keeps ~2 MB
+    /// live, so the width buys reuse (8 sweeps cross 2 diamond rows, not
+    /// 3) without leaving a private L2; sub-teams pay a barrier per
+    /// front step and lose where caches are private
+    /// (`diamond.tpt2_mlups`).
+    pub fn default_for(threads: usize) -> Self {
+        Self::with_width(threads, 16)
     }
 
     /// Config with explicit team size and width, one thread per tile,
@@ -204,19 +209,22 @@ pub unsafe fn run_diamond_schedule_on<T: Real, Op: StencilOp<T>>(
     total_cells.load(Ordering::Relaxed)
 }
 
-/// Advance one tile through its sweeps — lane `lane` of a `tpt`-lane
-/// sub-team updates its `geometry::split_z` chunk of each sweep's
-/// region, with one intra-tile barrier *between* consecutive sweeps
-/// (`intra`, present iff `tpt > 1`): a chunk's reads reach `radius`
-/// planes past its bounds, i.e. into neighboring lanes' sweep-`k−1`
-/// writes, which the barrier seals. No barrier is needed after the last
-/// sweep — same-row tiles are disjoint at arbitrary relative progress
-/// (see `geometry`), so sub-teams never wait on each other's tiles.
-/// Returns cells updated by this lane.
+/// Advance one tile along its y-front ([`DiamondTile::front_steps`],
+/// [`front_rows`] rows per lane: a sub-team of two meets half as often,
+/// on twice the rows) — lane `lane` of a `tpt`-lane sub-team updates its
+/// `geometry::split_z` chunk of each step, with one intra-tile barrier
+/// *between* consecutive steps (`intra`, present iff `tpt > 1`): a
+/// chunk's reads reach `radius` planes past its bounds, i.e. into
+/// neighboring lanes' sweep-`k−1` writes, and its writes retire values
+/// those lanes read, both of which the barrier seals. No barrier is
+/// needed after the last step — same-row tiles are disjoint at
+/// arbitrary relative progress (see `geometry`), so sub-teams never
+/// wait on each other's tiles. Returns cells updated by this lane.
 ///
-/// Every lane of a sub-team walks the same tiles and the same sweep
-/// indices (empty chunks are skipped *after* the barrier), so the
-/// barrier participation count always matches.
+/// Every lane of a sub-team walks the same tiles and the same steps
+/// (the windows do not depend on the lane; empty chunks are skipped
+/// *after* the barrier), so the barrier participation count always
+/// matches.
 ///
 /// # Safety
 /// See [`run_diamond_schedule_on`]; additionally the caller guarantees
@@ -236,17 +244,14 @@ unsafe fn update_tile<T: Real, Op: StencilOp<T>>(
     intra: Option<&SpinBarrier>,
 ) -> u64 {
     let mut cells = 0u64;
-    for (k, region) in tile.regions.iter().enumerate() {
-        if let (Some(b), true) = (intra, k > 0) {
-            // Seal the other lanes' sweep-(k−1) writes before any lane
-            // reads across a chunk boundary at sweep k.
+    let steps = tile.front_steps(tiling.radius(), front_rows(tile.row_len()) * tpt);
+    for (n, (k, step)) in steps.enumerate() {
+        if let (Some(b), true) = (intra, n > 0) {
+            // Seal the other lanes' earlier steps before any lane reads
+            // or overwrites across a chunk boundary.
             b.wait();
         }
-        let chunk = if tpt > 1 {
-            geometry::split_z(region, tpt, lane)
-        } else {
-            *region
-        };
+        let chunk = geometry::split_z(&step, tpt, lane);
         if chunk.is_empty() {
             continue;
         }
@@ -259,8 +264,9 @@ unsafe fn update_tile<T: Real, Op: StencilOp<T>>(
         });
         // SAFETY: row ordering seals every cross-row dependency, the
         // same-row disjointness argument in `geometry` covers concurrent
-        // tiles, and the intra-tile barrier above orders cross-lane
-        // chunk dependencies — re-checked by the auditor when enabled.
+        // tiles, the front's skew orders the steps of one lane and the
+        // intra-tile barrier above those of its neighbors — re-checked
+        // by the auditor when enabled.
         kernel::update_region_shared_op(op, &views[sg], &views[dg], &chunk, StoreMode::Normal);
         if let (Some(a), Some((r, w))) = (auditor, claims) {
             a.release(r);
@@ -376,6 +382,35 @@ mod tests {
     fn thin_grids_and_odd_widths() {
         check(Dims3::new(14, 6, 20), 2, 5, 7);
         check(Dims3::new(6, 14, 4), 4, 3, 4);
+    }
+
+    #[test]
+    fn fronts_clip_skew_and_end_on_short_and_tall_y() {
+        // Rows long enough for a 4-row front (the cubes above are one
+        // front high: short rows degenerate to sweep order), and row
+        // counts around that height: windows that clip to nothing, a last
+        // partial front, fewer rows than the skew of the tile's sweeps,
+        // and a y tall enough for many fronts — one thread per tile and
+        // sub-teams (whose front is `tpt` times taller), auditor on.
+        let (nx, sweeps) = (258, 7);
+        let b = front_rows(nx - 2);
+        assert_eq!(b, 4);
+        for ny in [3, 4, b + 1, 2 * b - 1, 2 * b + 3, 31] {
+            let dims = Dims3::new(nx, ny, 9);
+            let want = reference(dims, 77, sweeps);
+            for (threads, tpt, width) in [(1, 1, 4), (2, 1, 7), (2, 2, 6), (3, 3, 16)] {
+                let cfg = audit_cfg(threads, width).with_threads_per_tile(tpt);
+                let mut pair = GridPair::from_initial(init::random(dims, 77));
+                let s = run_j6(&mut pair, &cfg, sweeps).unwrap();
+                norm::assert_grids_identical(
+                    &want,
+                    pair.current(sweeps),
+                    &Region3::whole(dims),
+                    &format!("front ny={ny} t={threads} tpt={tpt} w={width}"),
+                );
+                assert_eq!(s.cell_updates, (sweeps * dims.interior_len()) as u64);
+            }
+        }
     }
 
     #[test]
@@ -503,7 +538,7 @@ mod tests {
         let dims = Dims3::cube(10);
         let initial: tb_grid::Grid3<f64> = init::random(dims, 4);
         let mut pair = GridPair::from_initial(initial.clone());
-        let s = run_j6(&mut pair, &DiamondConfig::small(), 0).unwrap();
+        let s = run_j6(&mut pair, &DiamondConfig::default_for(2), 0).unwrap();
         assert_eq!(s.cell_updates, 0);
         norm::assert_grids_identical(&initial, pair.current(0), &Region3::whole(dims), "noop");
     }
@@ -512,14 +547,14 @@ mod tests {
     fn invalid_configs_rejected() {
         let dims = Dims3::cube(10);
         let mut pair: GridPair<f64> = GridPair::zeroed(dims);
-        let mut cfg = DiamondConfig::small();
+        let mut cfg = DiamondConfig::default_for(2);
         cfg.threads = 0;
         assert!(run_j6(&mut pair, &cfg, 1).is_err());
-        let mut cfg = DiamondConfig::small();
+        let mut cfg = DiamondConfig::default_for(2);
         cfg.width = 1;
         let err = run_j6(&mut pair, &cfg, 1).unwrap_err();
         assert!(err.contains("2·radius"), "{err}");
-        assert!(DiamondConfig::small()
+        assert!(DiamondConfig::default_for(2)
             .validate(Dims3::new(2, 8, 8), 1)
             .is_err());
     }

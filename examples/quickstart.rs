@@ -57,12 +57,7 @@ fn main() {
         ("wavefront (comparator)", Method::Wavefront { threads }),
         (
             "wavefront-diamond blocking",
-            Method::Diamond(DiamondConfig {
-                threads,
-                width: 16,
-                threads_per_tile: 1,
-                audit: false,
-            }),
+            Method::Diamond(DiamondConfig::default_for(threads)),
         ),
     ];
 
