@@ -31,7 +31,6 @@ fn main() {
             block: [edge.min(120), 20, 20],
             sync: SyncMode::Relaxed { dl: 1, du: 4, dt },
             scheme: GridScheme::TwoGrid,
-            layout: None,
             audit: false,
         };
         if cfg.validate(tb_grid::Dims3::cube(edge)).is_err() {

@@ -29,7 +29,6 @@ fn main() {
             block: [edge.min(120), 20, 20],
             sync: SyncMode::relaxed_default(),
             scheme: GridScheme::TwoGrid,
-            layout: None,
             audit: false,
         };
         if cfg.validate(tb_grid::Dims3::cube(edge)).is_err() {

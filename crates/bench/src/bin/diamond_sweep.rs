@@ -56,7 +56,6 @@ fn pipeline_cfg(team: usize) -> PipelineConfig {
         block: [16, 8, 8],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: false,
     }
 }

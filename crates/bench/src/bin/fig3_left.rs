@@ -141,7 +141,6 @@ fn host(args: &Args) {
                 block: [edge.min(120), 20, 20],
                 sync,
                 scheme: GridScheme::TwoGrid,
-                layout: None,
                 audit: false,
             };
             best_of(reps, || {

@@ -49,7 +49,6 @@ fn main() {
                 block: [edge.min(120), 20, 20],
                 sync,
                 scheme: GridScheme::TwoGrid,
-                layout: None,
                 audit: false,
             };
             best_of(reps, || {

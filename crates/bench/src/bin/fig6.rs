@@ -156,9 +156,10 @@ fn sim(args: &Args) {
 }
 
 fn host(args: &Args) {
-    use tb_dist::{solver, Decomposition, DistJacobi, LocalExec};
+    use tb_dist::{solver, Decomposition, DistSolver, LocalExec};
     use tb_grid::{init, Dims3};
     use tb_net::{CartComm, Universe};
+    use tb_stencil::Jacobi6;
 
     let edge_per_rank = args.get_usize("--size", 48);
     let sweeps = args.get_usize("--sweeps", 6);
@@ -184,8 +185,14 @@ fn host(args: &Args) {
         let (global_ref, dec_ref) = (&global, &dec);
         let results = Universe::run(ranks, None, move |comm| {
             let mut cart = CartComm::new(comm, pgrid);
-            let mut s = DistJacobi::from_global(dec_ref, cart.coords(), global_ref, LocalExec::Seq)
-                .unwrap();
+            let mut s = DistSolver::from_global_op(
+                dec_ref,
+                cart.coords(),
+                global_ref,
+                LocalExec::Seq,
+                Jacobi6,
+            )
+            .unwrap();
             let t0 = std::time::Instant::now();
             let st = s.run_sweeps(&mut cart, sweeps);
             let secs = t0.elapsed().as_secs_f64();

@@ -55,7 +55,6 @@ fn main() {
         block: [edge.min(120), 20, 20],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: false,
     };
     let big_mlups = if big.validate(dims).is_ok() {

@@ -43,7 +43,6 @@ fn pipeline_cfg(scheme: GridScheme) -> PipelineConfig {
         block: [16, 8, 8],
         sync: SyncMode::relaxed_default(),
         scheme,
-        layout: None,
         audit: false,
     }
 }

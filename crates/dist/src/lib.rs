@@ -17,8 +17,8 @@
 //!   operator: exchange `h` layers along successive directions (x, then
 //!   y, then z — corner and edge data arrive by composition), run
 //!   `h / RADIUS` local sweeps, repeat. Results are **bitwise
-//!   identical** to the operator's sequential oracle; [`DistJacobi`] is
-//!   the classic-Jacobi instantiation;
+//!   identical** to the operator's sequential oracle (pass `Jacobi6`
+//!   for the paper's classic Jacobi);
 //! * [`ExchangeMode`] — how the exchange is scheduled against the local
 //!   compute: blocking ([`ExchangeMode::Sync`], the paper's measured
 //!   baseline) or overlapped with the interior update
@@ -93,4 +93,4 @@ pub mod sim;
 pub mod solver;
 
 pub use decomp::{annulus_slabs, Decomposition, LocalDomain};
-pub use solver::{DistJacobi, DistSolver, ExchangeMode, LocalExec};
+pub use solver::{DistSolver, ExchangeMode, LocalExec};

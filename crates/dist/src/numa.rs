@@ -19,7 +19,7 @@
 //! Results remain bitwise identical to the sequential solver; the
 //! redundant overlap-ring updates are the price, which
 //! [`RunStats::cell_updates`] here *includes* (unlike
-//! [`crate::DistJacobi`]) so the ablation binary can report both the
+//! [`crate::DistSolver`]) so the ablation binary can report both the
 //! raw and the useful rate.
 //!
 //! The same first-touch lever is available generically — outside this
@@ -125,7 +125,6 @@ fn run_numa_node_on<T: Real>(
             block: cfg.block,
             sync: cfg.sync,
             scheme: GridScheme::TwoGrid,
-            layout: None, // placement belongs to the runtime's workers
             audit: false,
         };
         team_cfg

@@ -12,9 +12,10 @@ use tb_grid::{init, norm, Dims3, Grid3, Region3};
 use tb_model::scaling::balanced_dims;
 use tb_model::{ScalingConfig, ScalingPoint};
 use tb_net::{CartComm, SimNet, Universe};
+use tb_stencil::Jacobi6;
 
 use crate::decomp::Decomposition;
-use crate::solver::{serial_reference, DistJacobi, LocalExec};
+use crate::solver::{serial_reference, DistSolver, LocalExec};
 
 /// Executed rank counts are capped here so oversubscribed hosts stay
 /// responsive; the nominal prediction still uses the full count.
@@ -81,7 +82,7 @@ pub fn simulate(spec: &SimSpec) -> SimOutcome {
     let (g, w) = (&global, &want);
     let per_rank = Universe::run(exec_ranks, Some(net), move |comm| {
         let mut cart = CartComm::new(comm, pgrid);
-        let mut s = DistJacobi::from_global(&dec, cart.coords(), g, LocalExec::Seq)
+        let mut s = DistSolver::from_global_op(&dec, cart.coords(), g, LocalExec::Seq, Jacobi6)
             .expect("spec produced an invalid local domain");
         s.run_sweeps(&mut cart, spec.exec_sweeps);
         let ok = match s.gather_global(&mut cart, &dec, g) {

@@ -39,10 +39,10 @@
 //!   result stays **bitwise identical** and independent of timing.
 //! * [`ExchangeMode::OverlappedCommThread`] — same schedule, with the
 //!   waits and the ghost forwarding driven by a real dedicated
-//!   communication thread (pinned to [`tb_topology::TeamLayout::comm_core`]
-//!   when the pipelined config carries a layout), coupled to the compute
-//!   side by a [`Handoff`] instead of a barrier: "halos in?" is its
-//!   ready flag.
+//!   communication thread (the runtime's comm worker — pinned to
+//!   [`tb_topology::TeamLayout::comm_core`] when the runtime was built
+//!   with `Runtime::new(&layout)`), coupled to the compute side by a
+//!   [`Handoff`] instead of a barrier: "halos in?" is its ready flag.
 //!
 //! ## What the overlapped cycle costs, and why it stops early
 //!
@@ -73,8 +73,6 @@
 //! between two neighbours `≤ 2·c·RADIUS` apart has none and the exchange
 //! stays exposed. The pipeline-depth constraint is unchanged:
 //! `n·t·T ≤ h / RADIUS`.
-//!
-//! [`DistJacobi`] is the classic-Jacobi instantiation.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -82,7 +80,6 @@ use std::time::Instant;
 use tb_grid::{BlockPartition, Grid3, GridPair, Real, Region3};
 use tb_net::{CartComm, Comm, Request};
 use tb_runtime::{PooledGrid, Runtime};
-use tb_stencil::config::GridScheme;
 use tb_stencil::diamond::{self, DiamondTiling};
 use tb_stencil::pipeline::PipelinePlan;
 use tb_stencil::{
@@ -99,9 +96,10 @@ pub enum LocalExec {
     /// Plain sequential sweeps.
     Seq,
     /// Pipelined temporal blocking inside the rank (hybrid MPI+threads
-    /// in the paper). The pipeline depth `n·t·T` must not exceed the
-    /// sweeps one exchange sustains (`h / Op::RADIUS`), or the pipeline
-    /// would need ghost data the exchange did not provide.
+    /// in the paper), on the rank's two grids whatever `cfg.scheme`
+    /// says. The pipeline depth `n·t·T` must not exceed the sweeps one
+    /// exchange sustains (`h / Op::RADIUS`), or the pipeline would need
+    /// ghost data the exchange did not provide.
     Pipelined(PipelineConfig),
     /// Wavefront-diamond temporal blocking inside the rank
     /// ([`tb_stencil::diamond`]). Diamond tiles clamp to whatever sweep
@@ -159,21 +157,6 @@ pub struct DistSolver<T: Real, Op: StencilOp<T>> {
     pub gather_bytes_sent: u64,
 }
 
-/// The classic-Jacobi instantiation of [`DistSolver`].
-pub type DistJacobi<T> = DistSolver<T, Jacobi6>;
-
-impl<T: Real> DistJacobi<T> {
-    /// [`DistSolver::from_global_op`] with the classic Jacobi operator.
-    pub fn from_global(
-        dec: &Decomposition,
-        coords: [usize; 3],
-        global: &Grid3<T>,
-        exec: LocalExec,
-    ) -> Result<Self, String> {
-        Self::from_global_op(dec, coords, global, exec, Jacobi6)
-    }
-}
-
 impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// Build this rank's solver state from the global initial grid and
     /// the *global* operator (it is restricted to the local box here).
@@ -206,8 +189,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         let local = dec.local(coords);
         let exec = match exec {
             LocalExec::Seq => LocalExec::Seq,
-            LocalExec::Pipelined(mut cfg) => {
-                cfg.scheme = GridScheme::TwoGrid; // the dist layer owns the buffers
+            LocalExec::Pipelined(cfg) => {
                 cfg.validate(local.dims)?;
                 if cfg.stages() > dec.h() / Op::RADIUS {
                     return Err(format!(
@@ -302,11 +284,11 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// layers, run `c` local sweeps) until done. Collective — every rank
     /// of the communicator must call it with the same `sweeps`.
     ///
-    /// Builds a one-shot [`Runtime`] matching this rank's config (pinned
-    /// per the pipelined layout, with a communication worker in
+    /// Builds a one-shot, unpinned [`Runtime`] sized for this rank's
+    /// local execution (plus a communication worker in
     /// [`ExchangeMode::OverlappedCommThread`]) and delegates to
-    /// [`DistSolver::run_sweeps_on`]; repeated-solve callers should
-    /// build the runtime once themselves.
+    /// [`DistSolver::run_sweeps_on`]; repeated-solve callers, and callers
+    /// who pin, build the runtime themselves.
     ///
     /// The returned stats count *useful* updates (owned ∩ interior
     /// cells × sweeps); redundant overlap-ring updates are excluded so
@@ -316,29 +298,17 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         self.run_sweeps_on(&rt, cart, sweeps)
     }
 
-    /// A runtime sized for this rank: one pinned worker per pipeline
-    /// thread (none for sequential local execution) plus a dedicated
-    /// communication worker when the exchange mode wants one.
+    /// A runtime sized for this rank: one worker per local-execution
+    /// thread plus a communication worker when the exchange mode wants
+    /// one.
     fn one_shot_runtime(&self) -> Runtime {
-        let cpus = match &self.exec {
-            LocalExec::Pipelined(cfg) => match &cfg.layout {
-                Some(layout) if layout.threads() == cfg.threads() => layout.cpus.clone(),
-                _ => vec![None; cfg.threads()],
-            },
-            LocalExec::Diamond(cfg) => vec![None; cfg.threads],
-            LocalExec::Seq => Vec::new(),
+        let threads = match &self.exec {
+            LocalExec::Seq => 0,
+            LocalExec::Pipelined(cfg) => cfg.threads(),
+            LocalExec::Diamond(cfg) => cfg.threads,
         };
-        let comm = (self.mode == ExchangeMode::OverlappedCommThread).then(|| self.comm_core());
-        Runtime::from_cpus(cpus, comm)
-    }
-
-    /// CPU reserved for the communication thread by the pipelined
-    /// layout, if any.
-    fn comm_core(&self) -> Option<usize> {
-        match &self.exec {
-            LocalExec::Pipelined(cfg) => cfg.layout.as_ref().and_then(|l| l.comm_core),
-            LocalExec::Seq | LocalExec::Diamond(_) => None,
-        }
+        let comm = (self.mode == ExchangeMode::OverlappedCommThread).then_some(None);
+        Runtime::from_cpus(vec![None; threads], comm)
     }
 
     /// [`DistSolver::run_sweeps`] on a caller-provided persistent
@@ -851,6 +821,7 @@ mod tests {
     use super::*;
     use tb_grid::{init, norm, Dims3};
     use tb_net::Universe;
+    use tb_stencil::config::GridScheme;
     use tb_stencil::{Avg27, Jacobi7, VarCoeff7};
     use tb_sync::SyncMode;
 
@@ -861,7 +832,8 @@ mod tests {
         let (g, w) = (&global, &want);
         Universe::run(dec.ranks(), None, move |comm| {
             let mut cart = CartComm::new(comm, pgrid);
-            let mut s = DistJacobi::from_global(&dec, cart.coords(), g, LocalExec::Seq).unwrap();
+            let mut s = DistSolver::from_global_op(&dec, cart.coords(), g, LocalExec::Seq, Jacobi6)
+                .unwrap();
             let stats = s.run_sweeps(&mut cart, sweeps);
             assert_eq!(
                 stats.cell_updates,
@@ -998,7 +970,6 @@ mod tests {
             block: [8, 8, 8],
             sync: SyncMode::relaxed_default(),
             scheme: GridScheme::TwoGrid,
-            layout: None,
             audit: false,
         };
         verify_modes_op(Jacobi6, Dims3::cube(24), [2, 1, 1], 4, 9, move || {
@@ -1056,7 +1027,13 @@ mod tests {
         let dec = Decomposition::new(dims, [1, 1, 1], 1);
         let global: Grid3<f64> = init::random(dims, 2);
         let cfg = DiamondConfig::with_width(2, 1); // width < 2·radius
-        let err = match DistJacobi::from_global(&dec, [0, 0, 0], &global, LocalExec::Diamond(cfg)) {
+        let err = match DistSolver::from_global_op(
+            &dec,
+            [0, 0, 0],
+            &global,
+            LocalExec::Diamond(cfg),
+            Jacobi6,
+        ) {
             Err(e) => e,
             Ok(_) => panic!("too-narrow diamond width must be rejected"),
         };
@@ -1138,7 +1115,6 @@ mod tests {
             block: [8, 8, 8],
             sync: SyncMode::relaxed_default(),
             scheme: GridScheme::TwoGrid,
-            layout: None,
             audit: true,
         });
         let diamond = LocalExec::Diamond(DiamondConfig {
@@ -1193,9 +1169,10 @@ mod tests {
                 return 0;
             }
             let mut cart = CartComm::new(comm, pgrid);
-            let mut s = DistJacobi::from_global(dec_ref, cart.coords(), g, LocalExec::Seq)
-                .unwrap()
-                .with_exchange_mode(ExchangeMode::OverlappedCommThread);
+            let mut s =
+                DistSolver::from_global_op(dec_ref, cart.coords(), g, LocalExec::Seq, Jacobi6)
+                    .unwrap()
+                    .with_exchange_mode(ExchangeMode::OverlappedCommThread);
             s.run_sweeps(&mut cart, 2);
             0
         });
@@ -1210,7 +1187,8 @@ mod tests {
         let g = &global;
         let bytes = Universe::run(2, None, move |comm| {
             let mut cart = CartComm::new(comm, pgrid);
-            let mut s = DistJacobi::from_global(&dec, cart.coords(), g, LocalExec::Seq).unwrap();
+            let mut s = DistSolver::from_global_op(&dec, cart.coords(), g, LocalExec::Seq, Jacobi6)
+                .unwrap();
             s.run_sweeps(&mut cart, 4);
             let halo = s.halo_bytes_sent;
             let _ = s.gather_global(&mut cart, &dec, g);
@@ -1241,9 +1219,10 @@ mod tests {
             let dec = &dec;
             let halo: Vec<u64> = Universe::run(4, None, move |comm| {
                 let mut cart = CartComm::new(comm, pgrid);
-                let mut s = DistJacobi::from_global(dec, cart.coords(), g, LocalExec::Seq)
-                    .unwrap()
-                    .with_exchange_mode(mode);
+                let mut s =
+                    DistSolver::from_global_op(dec, cart.coords(), g, LocalExec::Seq, Jacobi6)
+                        .unwrap()
+                        .with_exchange_mode(mode);
                 s.run_sweeps(&mut cart, 6);
                 s.halo_bytes_sent
             });
@@ -1264,17 +1243,17 @@ mod tests {
             block: [8, 8, 8],
             sync: SyncMode::relaxed_default(),
             scheme: GridScheme::TwoGrid,
-            layout: None,
             audit: false,
         };
         let g = &global;
         Universe::run(2, None, move |comm| {
             let cart = CartComm::new(comm, [2, 1, 1]);
-            let err = match DistJacobi::from_global(
+            let err = match DistSolver::from_global_op(
                 &dec,
                 cart.coords(),
                 g,
                 LocalExec::Pipelined(cfg.clone()),
+                Jacobi6,
             ) {
                 Err(e) => e,
                 Ok(_) => panic!("pipeline deeper than halo must be rejected"),
@@ -1287,6 +1266,8 @@ mod tests {
     fn mismatched_global_grid_rejected() {
         let dec = Decomposition::new(Dims3::cube(12), [1, 1, 1], 1);
         let wrong: Grid3<f64> = Grid3::zeroed(Dims3::cube(10));
-        assert!(DistJacobi::from_global(&dec, [0, 0, 0], &wrong, LocalExec::Seq).is_err());
+        assert!(
+            DistSolver::from_global_op(&dec, [0, 0, 0], &wrong, LocalExec::Seq, Jacobi6).is_err()
+        );
     }
 }

@@ -415,7 +415,7 @@ impl SharedPlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{MethodFamily, PlanMethod};
+    use crate::ir::{Method, MethodFamily};
     use crate::key::MachineFingerprint;
     use crate::tuner::default_plan;
     use tb_topology::Machine;
@@ -500,11 +500,7 @@ mod tests {
         assert!(c.lookup(&key(dims), dims, 1).is_none());
         // A plan that no longer validates on the requested dims: no hit.
         let mut invalid = entry(dims);
-        invalid.plan = Plan::new(PlanMethod::Diamond {
-            threads: 4,
-            width: 2,
-            threads_per_tile: 1,
-        });
+        invalid.plan = Plan::new(Method::Diamond(tb_stencil::DiamondConfig::with_width(4, 2)));
         c.store(&key(dims), invalid);
         assert!(c.lookup(&key(dims), dims, 2).is_none());
     }

@@ -1,13 +1,13 @@
-//! The strategy IR: a serializable execution [`Plan`].
+//! The strategy IR: how a solve runs ([`Method`]), and a serializable
+//! execution [`Plan`] around it.
 //!
-//! A `Plan` pins down *everything* the facade needs to reproduce a
-//! solver run — the method and all of its parameters (`T`, block, `d_u`,
-//! sync mode, diamond width, MWD sub-team, team shape) and the SIMD
-//! path — in the spirit of Patus strategies: a small data program over
-//! the `auto`-tunable parameters, separated from the stencil itself.
-//! Plans round-trip through JSON
-//! (see [`crate::json`]) so winners can be persisted by the
-//! [`crate::cache`] and replayed without re-tuning.
+//! A `Method` pins down *everything* an executor needs — the method and
+//! all of its parameters (`T`, block, `d_u`, sync mode and grid scheme,
+//! diamond width, MWD sub-team, team shape) — in the spirit of Patus
+//! strategies: a small data program over the `auto`-tunable parameters,
+//! separated from the stencil itself. A `Plan` adds the SIMD path.
+//! Plans round-trip through JSON (see [`crate::json`]) so winners can be
+//! persisted by the [`crate::cache`] and replayed without re-tuning.
 
 use tb_grid::Dims3;
 use tb_stencil::config::{GridScheme, WHOLE_EXTENT};
@@ -50,53 +50,54 @@ impl MethodFamily {
     }
 }
 
-/// Parameters of a pipelined run (shared by the two-grid and compressed
-/// schemes): the paper's `t`, `n`, `T`, block edges, and sync mode.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PipeParams {
-    pub team_size: usize,
-    pub n_teams: usize,
-    pub updates_per_thread: usize,
-    pub block: [usize; 3],
-    pub sync: SyncMode,
-}
-
-/// Method plus parameters — one arm per executor the facade exposes.
+/// How a solve runs: one arm per executor, with all of its parameters.
 #[derive(Clone, PartialEq, Debug)]
-pub enum PlanMethod {
+pub enum Method {
+    /// Plain sequential sweeps (the verification oracle).
+    Sequential,
+    /// Sequential sweeps with spatial blocking.
+    Blocked { block: [usize; 3] },
+    /// Thread-parallel standard sweeps (the paper's baseline).
     Parallel {
         threads: usize,
         streaming_stores: bool,
     },
-    Pipelined(PipeParams),
-    Compressed(PipeParams),
-    Wavefront {
-        threads: usize,
-    },
-    Diamond {
-        threads: usize,
-        width: usize,
-        threads_per_tile: usize,
-    },
+    /// Pipelined temporal blocking (the paper's contribution, §1.3), on
+    /// two grids or on one compressed grid as `cfg.scheme` says.
+    Pipelined(PipelineConfig),
+    /// Wavefront temporal blocking (the paper's ref. 2, comparator).
+    Wavefront { threads: usize },
+    /// Wavefront-diamond temporal blocking (Malas, Hager et al. 2015):
+    /// diamond tiles along z × time, no wind-up/wind-down waste, one
+    /// width knob instead of block sizes and sync distances.
+    Diamond(DiamondConfig),
 }
 
-impl PlanMethod {
+impl Method {
+    /// The tuner's family; the sequential methods count as the
+    /// one-thread end of the baseline.
     pub fn family(&self) -> MethodFamily {
         match self {
-            PlanMethod::Parallel { .. } => MethodFamily::Parallel,
-            PlanMethod::Pipelined(_) => MethodFamily::Pipelined,
-            PlanMethod::Compressed(_) => MethodFamily::Compressed,
-            PlanMethod::Wavefront { .. } => MethodFamily::Wavefront,
-            PlanMethod::Diamond { .. } => MethodFamily::Diamond,
+            Method::Sequential | Method::Blocked { .. } | Method::Parallel { .. } => {
+                MethodFamily::Parallel
+            }
+            Method::Pipelined(cfg) => match cfg.scheme {
+                GridScheme::TwoGrid => MethodFamily::Pipelined,
+                GridScheme::Compressed => MethodFamily::Compressed,
+            },
+            Method::Wavefront { .. } => MethodFamily::Wavefront,
+            Method::Diamond(_) => MethodFamily::Diamond,
         }
     }
 
-    /// Compute threads the method occupies.
+    /// Compute workers the method occupies (0: it runs on the calling
+    /// thread).
     pub fn threads(&self) -> usize {
         match self {
-            PlanMethod::Parallel { threads, .. } | PlanMethod::Wavefront { threads } => *threads,
-            PlanMethod::Pipelined(p) | PlanMethod::Compressed(p) => p.team_size * p.n_teams,
-            PlanMethod::Diamond { threads, .. } => *threads,
+            Method::Sequential | Method::Blocked { .. } => 0,
+            Method::Parallel { threads, .. } | Method::Wavefront { threads } => *threads,
+            Method::Pipelined(cfg) => cfg.threads(),
+            Method::Diamond(cfg) => cfg.threads,
         }
     }
 }
@@ -104,7 +105,7 @@ impl PlanMethod {
 /// One reified execution plan.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Plan {
-    pub method: PlanMethod,
+    pub method: Method,
     /// Run the row loops widened to the host's vector ISA (`true`) or
     /// pinned to the build target's (`ScalarPath`). Bitwise-identical
     /// either way; throughput differs.
@@ -113,40 +114,22 @@ pub struct Plan {
 
 impl Plan {
     /// Plan for a method with the library defaults for the rest.
-    pub fn new(method: PlanMethod) -> Self {
+    pub fn new(method: Method) -> Self {
         Plan { method, simd: true }
     }
 
-    /// The pipeline configuration this plan encodes, when its method is
-    /// one of the two pipelined families.
+    /// The pipeline configuration of a pipelined plan.
     pub fn pipeline_config(&self) -> Option<PipelineConfig> {
-        let (p, scheme) = match &self.method {
-            PlanMethod::Pipelined(p) => (p, GridScheme::TwoGrid),
-            PlanMethod::Compressed(p) => (p, GridScheme::Compressed),
-            _ => return None,
-        };
-        Some(PipelineConfig {
-            team_size: p.team_size,
-            n_teams: p.n_teams,
-            updates_per_thread: p.updates_per_thread,
-            block: p.block,
-            sync: p.sync,
-            scheme,
-            layout: None,
-            audit: false,
-        })
+        match &self.method {
+            Method::Pipelined(cfg) => Some(cfg.clone()),
+            _ => None,
+        }
     }
 
-    /// The diamond configuration this plan encodes, if any.
+    /// The diamond configuration of a diamond plan.
     pub fn diamond_config(&self) -> Option<DiamondConfig> {
-        match self.method {
-            PlanMethod::Diamond {
-                threads,
-                width,
-                threads_per_tile,
-            } => Some(
-                DiamondConfig::with_width(threads, width).with_threads_per_tile(threads_per_tile),
-            ),
+        match &self.method {
+            Method::Diamond(cfg) => Some(cfg.clone()),
             _ => None,
         }
     }
@@ -156,48 +139,45 @@ impl Plan {
     /// a stale or hand-edited cache can never produce an invalid run.
     pub fn validate_for(&self, dims: Dims3, radius: usize) -> Result<(), String> {
         match &self.method {
-            PlanMethod::Parallel { threads, .. } | PlanMethod::Wavefront { threads } => {
-                if *threads == 0 {
-                    return Err("plan needs at least one thread".into());
-                }
-                if dims.nx < 3 || dims.ny < 3 || dims.nz < 3 {
-                    return Err(format!("grid {dims} has no interior"));
-                }
-                Ok(())
+            Method::Pipelined(cfg) => cfg.validate(dims),
+            Method::Diamond(cfg) => cfg.validate(dims, radius),
+            Method::Parallel { threads: 0, .. } | Method::Wavefront { threads: 0 } => {
+                Err("plan needs at least one thread".into())
             }
-            PlanMethod::Pipelined(_) | PlanMethod::Compressed(_) => {
-                self.pipeline_config().unwrap().validate(dims)
+            Method::Blocked { block } if block.contains(&0) => {
+                Err("block edges must be >= 1".into())
             }
-            PlanMethod::Diamond { .. } => self.diamond_config().unwrap().validate(dims, radius),
+            _ if dims.nx < 3 || dims.ny < 3 || dims.nz < 3 => {
+                Err(format!("grid {dims} has no interior"))
+            }
+            _ => Ok(()),
         }
     }
 
-    /// Serialize to the JSON tree.
+    /// Serialize to the JSON tree. The configs' debug `audit` flags are
+    /// not persisted (they parse back as `false`).
     pub fn to_json(&self) -> Json {
+        let kind = |k: &str| ("kind", Json::str(k));
         let method = match &self.method {
-            PlanMethod::Parallel {
+            Method::Sequential => Json::obj(vec![kind("sequential")]),
+            Method::Blocked { block } => Json::obj(vec![kind("blocked"), ("block", edges(block))]),
+            Method::Parallel {
                 threads,
                 streaming_stores,
             } => Json::obj(vec![
-                ("kind", Json::str("parallel")),
+                kind("parallel"),
                 ("threads", Json::usize(*threads)),
                 ("streaming_stores", Json::Bool(*streaming_stores)),
             ]),
-            PlanMethod::Pipelined(p) => pipe_json("pipelined", p),
-            PlanMethod::Compressed(p) => pipe_json("compressed", p),
-            PlanMethod::Wavefront { threads } => Json::obj(vec![
-                ("kind", Json::str("wavefront")),
-                ("threads", Json::usize(*threads)),
-            ]),
-            PlanMethod::Diamond {
-                threads,
-                width,
-                threads_per_tile,
-            } => Json::obj(vec![
-                ("kind", Json::str("diamond")),
-                ("threads", Json::usize(*threads)),
-                ("width", Json::usize(*width)),
-                ("threads_per_tile", Json::usize(*threads_per_tile)),
+            Method::Pipelined(cfg) => pipe_json(cfg),
+            Method::Wavefront { threads } => {
+                Json::obj(vec![kind("wavefront"), ("threads", Json::usize(*threads))])
+            }
+            Method::Diamond(cfg) => Json::obj(vec![
+                kind("diamond"),
+                ("threads", Json::usize(cfg.threads)),
+                ("width", Json::usize(cfg.width)),
+                ("threads_per_tile", Json::usize(cfg.threads_per_tile)),
             ]),
         };
         Json::obj(vec![("method", method), ("simd", Json::Bool(self.simd))])
@@ -212,35 +192,32 @@ impl Plan {
             .get("kind")
             .and_then(Json::as_str)
             .ok_or("plan: missing method.kind")?;
-        let threads = |j: &Json| {
-            j.get("threads")
+        let field = |k: &str| {
+            m.get(k)
                 .and_then(Json::as_usize)
-                .ok_or_else(|| "plan: missing threads".to_string())
+                .ok_or_else(|| format!("plan: missing {k}"))
         };
         let method = match kind {
-            "parallel" => PlanMethod::Parallel {
-                threads: threads(m)?,
+            "sequential" => Method::Sequential,
+            "blocked" => Method::Blocked {
+                block: edges_from_json(m)?,
+            },
+            "parallel" => Method::Parallel {
+                threads: field("threads")?,
                 streaming_stores: m
                     .get("streaming_stores")
                     .and_then(Json::as_bool)
                     .unwrap_or(false),
             },
-            "pipelined" => PlanMethod::Pipelined(pipe_from_json(m)?),
-            "compressed" => PlanMethod::Compressed(pipe_from_json(m)?),
-            "wavefront" => PlanMethod::Wavefront {
-                threads: threads(m)?,
+            "pipelined" => Method::Pipelined(pipe_from_json(m, GridScheme::TwoGrid)?),
+            "compressed" => Method::Pipelined(pipe_from_json(m, GridScheme::Compressed)?),
+            "wavefront" => Method::Wavefront {
+                threads: field("threads")?,
             },
-            "diamond" => PlanMethod::Diamond {
-                threads: threads(m)?,
-                width: m
-                    .get("width")
-                    .and_then(Json::as_usize)
-                    .ok_or("plan: missing width")?,
-                threads_per_tile: m
-                    .get("threads_per_tile")
-                    .and_then(Json::as_usize)
-                    .unwrap_or(1),
-            },
+            "diamond" => Method::Diamond(
+                DiamondConfig::with_width(field("threads")?, field("width")?)
+                    .with_threads_per_tile(field("threads_per_tile").unwrap_or(1)),
+            ),
             other => return Err(format!("plan: unknown method kind {other:?}")),
         };
         Ok(Plan {
@@ -252,21 +229,21 @@ impl Plan {
     /// One-line human-readable description for reports and logs.
     pub fn label(&self) -> String {
         let base = match &self.method {
-            PlanMethod::Parallel {
+            Method::Sequential => "sequential".to_string(),
+            Method::Blocked { block } => format!("blocked block={block:?}"),
+            Method::Parallel {
                 threads,
                 streaming_stores,
             } => format!(
                 "parallel threads={threads}{}",
                 if *streaming_stores { " nt" } else { "" }
             ),
-            PlanMethod::Pipelined(p) => pipe_label("pipelined", p),
-            PlanMethod::Compressed(p) => pipe_label("compressed", p),
-            PlanMethod::Wavefront { threads } => format!("wavefront threads={threads}"),
-            PlanMethod::Diamond {
-                threads,
-                width,
-                threads_per_tile,
-            } => format!("diamond threads={threads} w={width} tpt={threads_per_tile}"),
+            Method::Pipelined(cfg) => pipe_label(cfg),
+            Method::Wavefront { threads } => format!("wavefront threads={threads}"),
+            Method::Diamond(cfg) => format!(
+                "diamond threads={} w={} tpt={}",
+                cfg.threads, cfg.width, cfg.threads_per_tile
+            ),
         };
         if self.simd {
             base
@@ -276,8 +253,16 @@ impl Plan {
     }
 }
 
-fn pipe_label(kind: &str, p: &PipeParams) -> String {
-    let sync = match p.sync {
+/// The JSON `kind` of a pipelined method: its grid scheme.
+fn pipe_kind(cfg: &PipelineConfig) -> &'static str {
+    match cfg.scheme {
+        GridScheme::TwoGrid => "pipelined",
+        GridScheme::Compressed => "compressed",
+    }
+}
+
+fn pipe_label(cfg: &PipelineConfig) -> String {
+    let sync = match cfg.sync {
         SyncMode::Barrier => "barrier".to_string(),
         SyncMode::Relaxed { dl, du, dt } => format!("dl={dl},du={du},dt={dt}"),
     };
@@ -286,15 +271,37 @@ fn pipe_label(kind: &str, p: &PipeParams) -> String {
         WHOLE_EXTENT.. => "all".to_string(),
         _ => b.to_string(),
     };
-    let [bx, by, bz] = p.block.map(edge);
+    let [bx, by, bz] = cfg.block.map(edge);
     format!(
-        "{kind} t={} n={} T={} block=[{bx}, {by}, {bz}] {sync}",
-        p.team_size, p.n_teams, p.updates_per_thread
+        "{} t={} n={} T={} block=[{bx}, {by}, {bz}] {sync}",
+        pipe_kind(cfg),
+        cfg.team_size,
+        cfg.n_teams,
+        cfg.updates_per_thread
     )
 }
 
-fn pipe_json(kind: &str, p: &PipeParams) -> Json {
-    let sync = match p.sync {
+fn edges(block: &[usize; 3]) -> Json {
+    Json::Arr(block.iter().map(|&b| Json::usize(b)).collect())
+}
+
+fn edges_from_json(m: &Json) -> Result<[usize; 3], String> {
+    let arr = m
+        .get("block")
+        .and_then(Json::as_arr)
+        .ok_or("plan: missing block")?;
+    if arr.len() != 3 {
+        return Err("plan: block must have 3 edges".into());
+    }
+    let mut block = [0usize; 3];
+    for (slot, v) in block.iter_mut().zip(arr) {
+        *slot = v.as_usize().ok_or("plan: bad block edge")?;
+    }
+    Ok(block)
+}
+
+fn pipe_json(cfg: &PipelineConfig) -> Json {
+    let sync = match cfg.sync {
         SyncMode::Barrier => Json::obj(vec![("mode", Json::str("barrier"))]),
         SyncMode::Relaxed { dl, du, dt } => Json::obj(vec![
             ("mode", Json::str("relaxed")),
@@ -304,35 +311,21 @@ fn pipe_json(kind: &str, p: &PipeParams) -> Json {
         ]),
     };
     Json::obj(vec![
-        ("kind", Json::str(kind)),
-        ("team_size", Json::usize(p.team_size)),
-        ("n_teams", Json::usize(p.n_teams)),
-        ("updates_per_thread", Json::usize(p.updates_per_thread)),
-        (
-            "block",
-            Json::Arr(p.block.iter().map(|&b| Json::usize(b)).collect()),
-        ),
+        ("kind", Json::str(pipe_kind(cfg))),
+        ("team_size", Json::usize(cfg.team_size)),
+        ("n_teams", Json::usize(cfg.n_teams)),
+        ("updates_per_thread", Json::usize(cfg.updates_per_thread)),
+        ("block", edges(&cfg.block)),
         ("sync", sync),
     ])
 }
 
-fn pipe_from_json(m: &Json) -> Result<PipeParams, String> {
+fn pipe_from_json(m: &Json, scheme: GridScheme) -> Result<PipelineConfig, String> {
     let field = |k: &str| {
         m.get(k)
             .and_then(Json::as_usize)
             .ok_or_else(|| format!("plan: missing {k}"))
     };
-    let block_arr = m
-        .get("block")
-        .and_then(Json::as_arr)
-        .ok_or("plan: missing block")?;
-    if block_arr.len() != 3 {
-        return Err("plan: block must have 3 edges".into());
-    }
-    let mut block = [0usize; 3];
-    for (slot, v) in block.iter_mut().zip(block_arr) {
-        *slot = v.as_usize().ok_or("plan: bad block edge")?;
-    }
     let sync = match m.get("sync") {
         None => SyncMode::relaxed_default(),
         Some(s) => match s.get("mode").and_then(Json::as_str) {
@@ -345,12 +338,14 @@ fn pipe_from_json(m: &Json) -> Result<PipeParams, String> {
             other => return Err(format!("plan: unknown sync mode {other:?}")),
         },
     };
-    Ok(PipeParams {
+    Ok(PipelineConfig {
         team_size: field("team_size")?,
         n_teams: field("n_teams")?,
         updates_per_thread: field("updates_per_thread")?,
-        block,
+        block: edges_from_json(m)?,
         sync,
+        scheme,
+        audit: false,
     })
 }
 
@@ -359,7 +354,7 @@ mod tests {
     use super::*;
 
     pub(crate) fn sample_plans() -> Vec<Plan> {
-        let pipe = PipeParams {
+        let pipe = PipelineConfig {
             team_size: 4,
             n_teams: 2,
             updates_per_thread: 2,
@@ -369,30 +364,36 @@ mod tests {
                 du: 4,
                 dt: 8,
             },
+            scheme: GridScheme::TwoGrid,
+            audit: false,
         };
-        let barrier = PipeParams {
+        let barrier = PipelineConfig {
             sync: SyncMode::Barrier,
             ..pipe.clone()
         };
+        let compressed = PipelineConfig {
+            scheme: GridScheme::Compressed,
+            ..pipe.clone()
+        };
         let mut plans = vec![
-            Plan::new(PlanMethod::Parallel {
+            Plan::new(Method::Parallel {
                 threads: 8,
                 streaming_stores: true,
             }),
-            Plan::new(PlanMethod::Pipelined(pipe.clone())),
-            Plan::new(PlanMethod::Pipelined(barrier)),
-            Plan::new(PlanMethod::Compressed(pipe)),
-            Plan::new(PlanMethod::Wavefront { threads: 4 }),
-            Plan::new(PlanMethod::Diamond {
-                threads: 4,
-                width: 16,
-                threads_per_tile: 2,
-            }),
+            Plan::new(Method::Pipelined(pipe)),
+            Plan::new(Method::Pipelined(barrier)),
+            Plan::new(Method::Pipelined(compressed)),
+            Plan::new(Method::Wavefront { threads: 4 }),
+            Plan::new(Method::Diamond(
+                DiamondConfig::with_width(4, 16).with_threads_per_tile(2),
+            )),
         ];
         plans.push(Plan {
             simd: false,
             ..plans[5].clone()
         });
+        plans.push(Plan::new(Method::Sequential));
+        plans.push(Plan::new(Method::Blocked { block: [16, 8, 8] }));
         plans
     }
 
@@ -403,6 +404,11 @@ mod tests {
             let back = Plan::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, plan, "{text}");
         }
+        let blocked = sample_plans()[8].to_json().to_json();
+        assert_eq!(
+            blocked,
+            r#"{"method":{"kind":"blocked","block":[16,8,8]},"simd":true}"#
+        );
     }
 
     #[test]
@@ -426,18 +432,18 @@ mod tests {
         assert!(plans[1].validate_for(Dims3::cube(10), 1).is_err());
         assert!(plans[1].validate_for(Dims3::cube(64), 1).is_ok());
         // Diamond width below 2R is rejected by the diamond validator.
-        let p = Plan::new(PlanMethod::Diamond {
-            threads: 2,
-            width: 2,
-            threads_per_tile: 1,
-        });
+        let p = Plan::new(Method::Diamond(DiamondConfig::with_width(2, 2)));
         assert!(p.validate_for(Dims3::cube(20), 2).is_err());
         assert!(p.validate_for(Dims3::cube(20), 1).is_ok());
-        let z = Plan::new(PlanMethod::Parallel {
+        let z = Plan::new(Method::Parallel {
             threads: 0,
             streaming_stores: false,
         });
         assert!(z.validate_for(Dims3::cube(20), 1).is_err());
+        assert!(plans[7].validate_for(Dims3::cube(20), 1).is_ok());
+        assert!(plans[7].validate_for(Dims3::new(2, 20, 20), 1).is_err());
+        let flat = Plan::new(Method::Blocked { block: [8, 0, 8] });
+        assert!(flat.validate_for(Dims3::cube(20), 1).is_err());
     }
 
     #[test]
@@ -446,7 +452,10 @@ mod tests {
         assert_eq!(plans[0].method.family().name(), "parallel");
         assert_eq!(plans[0].method.threads(), 8);
         assert_eq!(plans[1].method.threads(), 8); // 4 x 2 teams
+        assert_eq!(plans[3].method.family(), MethodFamily::Compressed);
         assert_eq!(plans[5].method.family(), MethodFamily::Diamond);
+        assert_eq!(plans[7].method.family(), MethodFamily::Parallel);
+        assert_eq!(plans[8].method.threads(), 0, "runs on the calling thread");
         assert_eq!(MethodFamily::ALL.len(), 5);
     }
 
@@ -454,6 +463,7 @@ mod tests {
     fn labels_are_informative() {
         let plans = sample_plans();
         assert!(plans[1].label().contains("T=2 block=[120, 20, 20]"));
+        assert!(plans[3].label().starts_with("compressed t=4"));
         let default = crate::default_plan(MethodFamily::Pipelined, 2);
         assert!(default.label().contains("T=4 block=[all, 8, 8]"));
         assert!(plans[6].label().contains("simd=off"));

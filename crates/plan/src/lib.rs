@@ -5,11 +5,12 @@
 //! same choice mechanically by treating the *execution strategy* as
 //! data. This crate supplies that layer:
 //!
-//! * [`ir`] — the strategy IR: a serializable [`Plan`] capturing the
-//!   method (baseline / pipelined / compressed / wavefront / diamond)
-//!   and every parameter the facade needs to replay it (`t`, `n`, `T`,
-//!   block edges, `d_u` sync mode, diamond width, MWD sub-team, SIMD
-//!   path);
+//! * [`ir`] — the strategy IR: [`Method`] says how a solve runs
+//!   (sequential / blocked / baseline / pipelined on two grids or a
+//!   compressed one / wavefront / diamond) with every parameter its
+//!   executor takes (`t`, `n`, `T`, block edges, `d_u` sync mode, grid
+//!   scheme, diamond width, MWD sub-team); a serializable [`Plan`] is a
+//!   `Method` plus the SIMD path — what the facade replays;
 //! * [`key`] — cache identity: [`MachineFingerprint`] (exact topology
 //!   signature + calibrated bandwidths quantized into ±12.5% bands)
 //!   plus [`PlanKey`] (operator, dims, sweep class, element type);
@@ -34,7 +35,7 @@ pub mod key;
 pub mod tuner;
 
 pub use cache::{CacheEntry, PlanCache, SharedPlanCache, SCHEMA_VERSION};
-pub use ir::{MethodFamily, PipeParams, Plan, PlanMethod};
+pub use ir::{Method, MethodFamily, Plan};
 pub use json::Json;
 pub use key::{bandwidth_band, element_name, sweeps_class, MachineFingerprint, PlanKey};
 pub use tuner::{

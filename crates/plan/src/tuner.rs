@@ -14,11 +14,11 @@ use tb_model::{
     diamond_speedup, max_cached_width_mwd, op_roofline_lups, pipeline_speedup, wavefront_speedup,
     wavefront_working_set_bytes, MachineParams,
 };
-use tb_stencil::config::WHOLE_EXTENT;
+use tb_stencil::config::{GridScheme, WHOLE_EXTENT};
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{DiamondConfig, PipelineConfig, StencilOp, SyncMode};
 
-use crate::ir::{MethodFamily, PipeParams, Plan, PlanMethod};
+use crate::ir::{Method, MethodFamily, Plan};
 
 /// Tuner knobs.
 #[derive(Clone, Copy, Debug)]
@@ -128,32 +128,19 @@ impl TuneReport {
 /// candidate set.
 pub fn default_plan(family: MethodFamily, team: usize) -> Plan {
     let team = team.max(1);
-    let pipe = || {
-        let cfg = PipelineConfig::default_for(team, 1);
-        PipeParams {
-            team_size: cfg.team_size,
-            n_teams: cfg.n_teams,
-            updates_per_thread: cfg.updates_per_thread,
-            block: cfg.block,
-            sync: cfg.sync,
-        }
+    let pipe = |scheme| PipelineConfig {
+        scheme,
+        ..PipelineConfig::default_for(team, 1)
     };
     Plan::new(match family {
-        MethodFamily::Parallel => PlanMethod::Parallel {
+        MethodFamily::Parallel => Method::Parallel {
             threads: team,
             streaming_stores: false,
         },
-        MethodFamily::Pipelined => PlanMethod::Pipelined(pipe()),
-        MethodFamily::Compressed => PlanMethod::Compressed(pipe()),
-        MethodFamily::Wavefront => PlanMethod::Wavefront { threads: team },
-        MethodFamily::Diamond => {
-            let cfg = DiamondConfig::default_for(team);
-            PlanMethod::Diamond {
-                threads: cfg.threads,
-                width: cfg.width,
-                threads_per_tile: cfg.threads_per_tile,
-            }
-        }
+        MethodFamily::Pipelined => Method::Pipelined(pipe(GridScheme::TwoGrid)),
+        MethodFamily::Compressed => Method::Pipelined(pipe(GridScheme::Compressed)),
+        MethodFamily::Wavefront => Method::Wavefront { threads: team },
+        MethodFamily::Diamond => Method::Diamond(DiamondConfig::default_for(team)),
     })
 }
 
@@ -191,13 +178,14 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
             threads.sort_unstable();
             threads.dedup();
             for t in threads {
-                plans.push(Plan::new(PlanMethod::Parallel {
+                plans.push(Plan::new(Method::Parallel {
                     threads: t,
                     streaming_stores: false,
                 }));
             }
         }
         MethodFamily::Pipelined | MethodFamily::Compressed => {
+            let default = default_plan(family, team).pipeline_config().unwrap();
             for updates in [1usize, 2, 4] {
                 for block in [
                     [WHOLE_EXTENT, 16, 16],
@@ -206,19 +194,12 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
                     [WHOLE_EXTENT, 8, 8],
                 ] {
                     for du in [1u64, 4] {
-                        let p = PipeParams {
-                            team_size: team,
-                            n_teams: 1,
+                        plans.push(Plan::new(Method::Pipelined(PipelineConfig {
                             updates_per_thread: updates,
                             block,
                             sync: SyncMode::Relaxed { dl: 1, du, dt: 0 },
-                        };
-                        let method = if family == MethodFamily::Pipelined {
-                            PlanMethod::Pipelined(p)
-                        } else {
-                            PlanMethod::Compressed(p)
-                        };
-                        plans.push(Plan::new(method));
+                            ..default.clone()
+                        })));
                     }
                 }
             }
@@ -228,7 +209,7 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
             threads.sort_unstable();
             threads.dedup();
             for t in threads {
-                plans.push(Plan::new(PlanMethod::Wavefront { threads: t }));
+                plans.push(Plan::new(Method::Wavefront { threads: t }));
             }
         }
         MethodFamily::Diamond => {
@@ -244,11 +225,9 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
                 widths.sort_unstable();
                 widths.dedup();
                 for width in widths {
-                    plans.push(Plan::new(PlanMethod::Diamond {
-                        threads: team,
-                        width,
-                        threads_per_tile: tpt,
-                    }));
+                    plans.push(Plan::new(Method::Diamond(
+                        DiamondConfig::with_width(team, width).with_threads_per_tile(tpt),
+                    )));
                 }
             }
         }
@@ -285,45 +264,48 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
 ) -> f64 {
     let radius = Op::RADIUS;
     let p0_stream = op_roofline_lups(params, op, StoreMode::Streaming);
+    // One thread runs at its Ms,1 share of the socket roofline; more
+    // threads scale linearly until the bus saturates.
+    let parallel = |threads: usize, store| {
+        let p0 = op_roofline_lups(params, op, store);
+        (p0 * params.ms1 / params.ms * threads as f64).min(p0)
+    };
     let lups = match &plan.method {
-        PlanMethod::Parallel {
+        Method::Sequential | Method::Blocked { .. } => parallel(1, StoreMode::Normal),
+        Method::Parallel {
             threads,
             streaming_stores,
-        } => {
-            let store = if *streaming_stores {
+        } => parallel(
+            *threads,
+            if *streaming_stores {
                 StoreMode::Streaming
             } else {
                 StoreMode::Normal
-            };
-            let p0 = op_roofline_lups(params, op, store);
-            // One thread runs at its Ms,1 share of the socket roofline;
-            // more threads scale linearly until the bus saturates.
-            let single = p0 * params.ms1 / params.ms;
-            (single * *threads as f64).min(p0)
-        }
-        PlanMethod::Pipelined(p) | PlanMethod::Compressed(p) => {
-            let speedup = pipeline_speedup(params, p.team_size, p.updates_per_thread);
+            },
+        ),
+        Method::Pipelined(cfg) => {
+            let speedup = pipeline_speedup(params, cfg.team_size, cfg.updates_per_thread);
             // §1.4's standing assumption: the shared cache holds the
             // (t·T)·d_u blocks in flight. The compressed scheme keeps a
             // single grid, halving the resident buffer count.
-            let grids = if matches!(plan.method, PlanMethod::Compressed(_)) {
-                1.0
-            } else {
-                2.0
+            let grids = match cfg.scheme {
+                GridScheme::TwoGrid => 2.0,
+                GridScheme::Compressed => 1.0,
             };
             let streams = grids + op.extra_read_streams();
             let block_cells =
-                p.block[0].min(dims.nx) * p.block[1].min(dims.ny) * p.block[2].min(dims.nz);
+                cfg.block[0].min(dims.nx) * cfg.block[1].min(dims.ny) * cfg.block[2].min(dims.nz);
             let block_bytes = streams * (block_cells * T::bytes()) as f64;
-            let du = match p.sync {
+            let du = match cfg.sync {
                 SyncMode::Barrier => 1.0,
                 SyncMode::Relaxed { du, .. } => du as f64,
             };
-            let resident = (p.team_size * p.updates_per_thread) as f64 * du.max(1.0) * block_bytes;
+            let resident =
+                (cfg.team_size * cfg.updates_per_thread) as f64 * du.max(1.0) * block_bytes;
             let fits = resident <= params.cache_bytes as f64;
             p0_stream * if fits { speedup } else { 1.0 }
         }
-        PlanMethod::Wavefront { threads } => {
+        Method::Wavefront { threads } => {
             let ws = wavefront_working_set_bytes::<T, Op>(op, dims.nx, dims.ny, *threads);
             let fits = ws <= params.cache_bytes;
             p0_stream
@@ -333,17 +315,18 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
                     1.0
                 }
         }
-        PlanMethod::Diamond {
-            threads,
-            width,
-            threads_per_tile,
-        } => {
-            let w_max =
-                max_cached_width_mwd::<T, Op>(params, op, dims.nx, *threads, *threads_per_tile);
-            let fits = *width <= w_max;
+        Method::Diamond(cfg) => {
+            let w_max = max_cached_width_mwd::<T, Op>(
+                params,
+                op,
+                dims.nx,
+                cfg.threads,
+                cfg.threads_per_tile,
+            );
+            let fits = cfg.width <= w_max;
             p0_stream
                 * if fits {
-                    diamond_speedup(params, *width, radius)
+                    diamond_speedup(params, cfg.width, radius)
                 } else {
                     1.0
                 }
@@ -460,7 +443,7 @@ mod tests {
                 // Pruned by measurement: NT stores are for explicit plans.
                 assert!(!matches!(
                     plan.method,
-                    PlanMethod::Parallel {
+                    Method::Parallel {
                         streaming_stores: true,
                         ..
                     }
@@ -487,25 +470,15 @@ mod tests {
         let p = nehalem();
         let dims = Dims3::cube(64);
         // A diamond too wide for the cache scores at baseline...
-        let narrow = Plan::new(PlanMethod::Diamond {
-            threads: 4,
-            width: 8,
-            threads_per_tile: 1,
-        });
-        let huge = Plan::new(PlanMethod::Diamond {
-            threads: 4,
-            width: 1 << 14,
-            threads_per_tile: 1,
-        });
+        let narrow = Plan::new(Method::Diamond(DiamondConfig::with_width(4, 8)));
+        let huge = Plan::new(Method::Diamond(DiamondConfig::with_width(4, 1 << 14)));
         let s_narrow = predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &narrow);
         let s_huge = predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &huge);
         assert!(s_narrow > s_huge, "{s_narrow} vs {s_huge}");
         // ...and a cached width stays cached when sub-teams share tiles.
-        let mwd = Plan::new(PlanMethod::Diamond {
-            threads: 4,
-            width: 8,
-            threads_per_tile: 4,
-        });
+        let mwd = Plan::new(Method::Diamond(
+            DiamondConfig::with_width(4, 8).with_threads_per_tile(4),
+        ));
         assert!(predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &mwd) >= s_narrow);
         // Extra read streams lower every score.
         let v: VarCoeff7<f64> = VarCoeff7::banded(dims);
@@ -521,7 +494,7 @@ mod tests {
                 &p,
                 &Jacobi6,
                 dims,
-                &Plan::new(PlanMethod::Parallel {
+                &Plan::new(Method::Parallel {
                     threads,
                     streaming_stores: true,
                 }),

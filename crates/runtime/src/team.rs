@@ -693,6 +693,45 @@ mod tests {
     }
 
     #[test]
+    fn new_pins_every_worker_to_its_layout_cpu() {
+        // The CPUs a thread may run on, where Linux reports them.
+        fn allowed_cpus() -> Option<String> {
+            let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
+            let list = status
+                .lines()
+                .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))?;
+            Some(list.trim().to_string())
+        }
+        // What a thread pinned to CPU 0 reports, where pinning works.
+        let pinned_to_0 = std::thread::spawn(|| {
+            (affinity::pin_current_thread(0) == affinity::PinResult::Pinned)
+                .then(allowed_cpus)
+                .flatten()
+        })
+        .join()
+        .unwrap();
+        let mut layout = TeamLayout::new(&tb_topology::Machine::flat(1), 1, 1);
+        assert_eq!(layout.cpus, vec![Some(0)]);
+        for comm_core in [None, Some(0)] {
+            layout.comm_core = comm_core;
+            let rt = Runtime::new(&layout);
+            assert_eq!(rt.has_comm_worker(), comm_core.is_some(), "{comm_core:?}");
+            assert_eq!(rt.worker_count(), 1 + usize::from(comm_core.is_some()));
+            let Some(want) = &pinned_to_0 else {
+                continue;
+            };
+            let seen = Mutex::new(None);
+            rt.run(1, &|_| *seen.lock().unwrap() = allowed_cpus());
+            assert_eq!(seen.into_inner().unwrap().as_ref(), Some(want));
+            if rt.has_comm_worker() {
+                let mut seen = None;
+                rt.submit_comm(&mut || seen = allowed_cpus()).join();
+                assert_eq!(seen.as_ref(), Some(want), "comm worker");
+            }
+        }
+    }
+
+    #[test]
     fn pool_capacity_knob_reaches_created_pools() {
         let rt = Runtime::with_threads(1).with_pool_capacity(3);
         assert_eq!(rt.pool_capacity(), 3);

@@ -2,7 +2,6 @@
 
 use tb_grid::Dims3;
 use tb_sync::SyncMode;
-use tb_topology::{Machine, TeamLayout};
 
 /// Grid storage strategy for the pipeline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -27,8 +26,9 @@ const DEFAULT_DEPTH: usize = 8;
 /// `t` = [`PipelineConfig::team_size`], `n` = [`PipelineConfig::n_teams`],
 /// `T` = [`PipelineConfig::updates_per_thread`], `d_l`/`d_u`/`d_t` live
 /// inside [`PipelineConfig::sync`], block size `b_x×b_y×b_z` in
-/// [`PipelineConfig::block`].
-#[derive(Clone, Debug)]
+/// [`PipelineConfig::block`]. CPU placement is not part of it: pin by
+/// building the runtime from a `TeamLayout` (`Runtime::new`).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Threads per team (`t`); a team shares one cache group.
     pub team_size: usize,
@@ -46,21 +46,17 @@ pub struct PipelineConfig {
     pub block: [usize; 3],
     /// Barrier or relaxed synchronization.
     pub sync: SyncMode,
-    /// Storage scheme.
+    /// Storage scheme. The executors take their grids as arguments and
+    /// never read it; the facade's `Method::Pipelined` dispatches on it.
     pub scheme: GridScheme,
-    /// Optional CPU pinning layout for whoever builds the runtime
-    /// (`Runtime::new(&layout)`; the facade's one-shot `solve_with`
-    /// does) — placement belongs to the runtime, the executors never pin.
-    pub layout: Option<TeamLayout>,
     /// Run the debug region auditor (serializes claims; test/debug only).
     pub audit: bool,
 }
 
 impl PipelineConfig {
     /// The library's one default shape for `n_teams` teams of
-    /// `team_size` threads — what `tb_plan::default_plan`,
-    /// [`PipelineConfig::for_machine`], the examples and the benchmark
-    /// all run. Valid on any grid whose interior is at least
+    /// `team_size` threads — what `tb_plan::default_plan`, the examples
+    /// and the benchmark all run. Valid on any grid whose interior is at least
     /// `max(8, n·t)` cells per dimension.
     ///
     /// * **x edge = whole extent** ([`WHOLE_EXTENT`]): the paper (§1.5)
@@ -88,21 +84,7 @@ impl PipelineConfig {
             block: [WHOLE_EXTENT, edge, edge],
             sync: SyncMode::relaxed_default(),
             scheme: GridScheme::TwoGrid,
-            layout: None,
             audit: false,
-        }
-    }
-
-    /// [`PipelineConfig::default_for`] sized and pinned to a machine:
-    /// one team per cache group is the *node* config; pass `n_teams = 1`
-    /// for the socket experiment.
-    pub fn for_machine(machine: &Machine, n_teams: usize) -> Self {
-        let groups = machine.cache_groups();
-        let team_size = groups.first().map(|g| g.len()).unwrap_or(1).max(1);
-        let n_teams = n_teams.clamp(1, groups.len().max(1));
-        Self {
-            layout: Some(TeamLayout::new(machine, team_size, n_teams)),
-            ..Self::default_for(team_size, n_teams)
         }
     }
 
@@ -152,15 +134,6 @@ impl PipelineConfig {
                 return Err("d_u must be >= d_l".into());
             }
         }
-        if let Some(layout) = &self.layout {
-            if layout.threads() != self.threads() {
-                return Err(format!(
-                    "layout has {} threads but config needs {}",
-                    layout.threads(),
-                    self.threads()
-                ));
-            }
-        }
         Ok(())
     }
 }
@@ -186,18 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_node_config() {
-        let m = Machine::nehalem_ep();
-        let c = PipelineConfig::for_machine(&m, 2);
-        assert_eq!(c.team_size, 4);
-        assert_eq!(c.n_teams, 2);
-        assert_eq!(c.threads(), 8);
-        assert_eq!(c.stages(), 8);
-        assert_eq!(c.layout.as_ref().map(|l| l.threads()), Some(8));
-        c.validate(Dims3::cube(600)).unwrap();
-    }
-
-    #[test]
     fn too_deep_pipeline_rejected() {
         let mut c = small();
         c.updates_per_thread = 64;
@@ -219,19 +180,5 @@ mod tests {
             dt: 0,
         };
         assert!(c.validate(Dims3::cube(34)).unwrap_err().contains("d_u"));
-    }
-
-    #[test]
-    fn mismatched_layout_rejected() {
-        let mut c = small();
-        c.layout = Some(TeamLayout::new(&Machine::flat(8), 4, 2));
-        assert!(c.validate(Dims3::cube(34)).unwrap_err().contains("layout"));
-    }
-
-    #[test]
-    fn n_teams_clamped_to_cache_groups() {
-        let m = Machine::nehalem_ep();
-        let c = PipelineConfig::for_machine(&m, 99);
-        assert_eq!(c.n_teams, 2);
     }
 }

@@ -240,7 +240,6 @@ mod tests {
             block,
             sync,
             scheme: GridScheme::Compressed,
-            layout: None,
             audit: true,
         }
     }

@@ -136,9 +136,8 @@ impl<'a, T: Real, Op: StencilOp<T>> PipelineRun<'a, T, Op> {
 
 /// Run `sweeps` sweeps of `op` over `pair` with pipelined temporal
 /// blocking on the given persistent runtime (which must have at least
-/// `cfg.threads()` workers; placement belongs to the runtime, so a
-/// `cfg.layout` pin list is ignored here). On return the result lives
-/// in `pair.current(sweeps)`.
+/// `cfg.threads()` workers, pinned or not as it was built). On return the
+/// result lives in `pair.current(sweeps)`.
 pub fn run_op_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
@@ -323,7 +322,6 @@ mod tests {
             block,
             sync,
             scheme: crate::config::GridScheme::TwoGrid,
-            layout: None,
             audit: true,
         }
     }

@@ -32,7 +32,6 @@ fn blocks_exactly_equal_to_depth() {
         block: [3, 3, 3],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: true,
     };
     let want = reference(dims, 1, 6);
@@ -55,7 +54,6 @@ fn repeated_runs_are_deterministic() {
             dt: 1,
         },
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: true,
     };
     let first = run_pipelined(dims, 55, 7, &cfg);
@@ -75,7 +73,6 @@ fn tall_thin_grid() {
         block: [6, 6, 10],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: true,
     };
     let want = reference(dims, 2, 5);
@@ -93,7 +90,6 @@ fn pancake_grid() {
         block: [20, 6, 6],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: true,
     };
     let want = reference(dims, 3, 8);
@@ -112,7 +108,6 @@ fn single_sweep_only_front_thread_works() {
         block: [6, 6, 6],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: true,
     };
     let want = reference(dims, 4, 1);
@@ -130,7 +125,6 @@ fn compressed_stress_many_team_sweeps() {
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::Compressed,
-        layout: None,
         audit: true,
     };
     let sweeps = 17; // 8 full down/up pairs + partial down
@@ -152,7 +146,6 @@ fn barrier_and_relaxed_agree_with_each_other() {
         block: [9, 9, 9],
         sync,
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: true,
     };
     let a = run_pipelined(dims, 31, 9, &mk(SyncMode::Barrier));
@@ -172,7 +165,6 @@ fn oversubscribed_pipeline_completes() {
         block: [12, 12, 12],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: false, // 12 threads through the auditor is too slow
     };
     let want = reference(dims, 6, 12);

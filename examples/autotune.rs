@@ -23,11 +23,8 @@ fn main() {
     // group) shares these workers. `tuning_runtime` grows the pinned
     // layout when needed instead of degrading to unpinned threads —
     // keeping the layout's placement and any carved-out comm core.
-    let base = PipelineConfig::for_machine(&machine, 1);
-    let layout = base
-        .layout
-        .clone()
-        .unwrap_or_else(|| TeamLayout::new(&machine, base.team_size, base.n_teams));
+    let group = machine.cache_groups().first().map_or(1, Vec::len).max(1);
+    let layout = TeamLayout::new(&machine, group, 1);
     let rt = tuning_runtime(&machine, &layout, machine.cores_per_socket());
 
     println!("autotuning {dims} ({sweeps} sweeps) on {}", machine.name);

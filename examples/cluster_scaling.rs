@@ -12,7 +12,7 @@
 //! cargo run --release --example cluster_scaling
 //! ```
 
-use temporal_blocking::dist::{solver, Decomposition, DistJacobi, ExchangeMode, LocalExec};
+use temporal_blocking::dist::{solver, Decomposition, DistSolver, ExchangeMode, LocalExec};
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::net::{CartComm, Universe};
 use temporal_blocking::prelude::*;
@@ -47,7 +47,6 @@ fn main() {
             block: [16, 8, 8],
             sync: SyncMode::relaxed_default(),
             scheme: temporal_blocking::stencil::config::GridScheme::TwoGrid,
-            layout: None,
             audit: false,
         };
 
@@ -61,11 +60,12 @@ fn main() {
             let dec_ref = &dec;
             let results = Universe::run(ranks, None, move |comm| {
                 let mut cart = CartComm::new(comm, pgrid);
-                let mut s = DistJacobi::from_global(
+                let mut s = DistSolver::from_global_op(
                     dec_ref,
                     cart.coords(),
                     global_ref,
                     LocalExec::Pipelined(cfg_ref.clone()),
+                    Jacobi6,
                 )
                 .expect("valid hybrid config")
                 .with_exchange_mode(mode);

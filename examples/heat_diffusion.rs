@@ -16,7 +16,7 @@
 //! ```
 
 use temporal_blocking::prelude::*;
-use temporal_blocking::{grid, solve_with, solve_with_on, Method};
+use temporal_blocking::{grid, solve_with_on, Method};
 
 fn arg(args: &[String], key: &str) -> Option<String> {
     args.iter()
@@ -72,7 +72,9 @@ fn relax<Op: StencilOp<f64>>(op: &Op, rt: &Runtime, dims: Dims3, cfg: PipelineCo
     // And the pipelined path must match the sequential oracle bitwise.
     let mut check = grid::init::hot_plate::<f64>(dims, 100.0, 0.0);
     for _ in 0..total_sweeps / chunk {
-        check = solve_with(op, check, chunk, Method::Sequential).unwrap().0;
+        check = solve_with_on(rt, op, check, chunk, Method::Sequential)
+            .unwrap()
+            .0;
     }
     grid::norm::assert_grids_identical(
         &check,
@@ -98,14 +100,12 @@ fn main() {
 
     let dims = Dims3::cube(edge);
     let machine = temporal_blocking::topology::detect::detect();
-    let cfg = PipelineConfig::for_machine(&machine, 1);
+    let group = machine.cache_groups().first().map_or(1, Vec::len).max(1);
+    let cfg = PipelineConfig::default_for(group, 1);
 
-    // One pinned worker team for the whole relaxation.
-    let layout = cfg
-        .layout
-        .clone()
-        .unwrap_or_else(|| TeamLayout::new(&machine, cfg.team_size, cfg.n_teams));
-    let rt = Runtime::new(&layout);
+    // One worker team, pinned to the first cache group, for the whole
+    // relaxation.
+    let rt = Runtime::new(&TeamLayout::new(&machine, group, 1));
 
     match op_name.as_str() {
         "jacobi" => relax(&Jacobi6, &rt, dims, cfg, tol),

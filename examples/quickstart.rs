@@ -6,7 +6,8 @@
 //! ```
 
 use temporal_blocking::prelude::*;
-use temporal_blocking::{grid, solve_with, Method};
+use temporal_blocking::stencil::config::GridScheme;
+use temporal_blocking::{grid, solve_with_on, Method};
 
 fn main() {
     // Pick a problem size that fits comfortably in memory.
@@ -17,19 +18,20 @@ fn main() {
     // Dirichlet problem: hot z=0 plate, cold interior.
     let initial = grid::init::hot_plate::<f64>(dims, 100.0, 0.0);
 
-    // The machine we are on decides the team geometry.
+    // The machine we are on decides the team geometry: one team pinned
+    // to the first cache group runs every row.
     let machine = temporal_blocking::topology::detect::detect();
-    let threads = machine.num_cpus().max(1);
+    let threads = machine.cache_groups().first().map_or(1, Vec::len).max(1);
+    let rt = Runtime::new(&TeamLayout::new(&machine, threads, 1));
     println!(
-        "host: {} ({} CPUs, {} cache group(s))",
+        "host: {} ({} CPUs, {} cache group(s)); team of {threads} pinned workers",
         machine.name,
         machine.num_cpus(),
         machine.cache_groups().len()
     );
 
-    // The library's default pipeline shape (what the benchmark measures),
-    // on one team spanning the first cache group.
-    let pipe_cfg = PipelineConfig::for_machine(&machine, 1);
+    // The library's default pipeline shape (what the benchmark measures).
+    let pipe_cfg = PipelineConfig::default_for(threads, 1);
 
     let methods: Vec<(&str, Method)> = vec![
         ("sequential", Method::Sequential),
@@ -52,7 +54,10 @@ fn main() {
         ),
         (
             "pipelined + compressed grid",
-            Method::PipelinedCompressed(pipe_cfg),
+            Method::Pipelined(PipelineConfig {
+                scheme: GridScheme::Compressed,
+                ..pipe_cfg
+            }),
         ),
         ("wavefront (comparator)", Method::Wavefront { threads }),
         (
@@ -64,7 +69,7 @@ fn main() {
     let mut reference: Option<Grid3<f64>> = None;
     println!("\n{:<34} {:>12} {:>12}", "method", "MLUP/s", "time [ms]");
     for (name, method) in methods {
-        match solve_with(&Jacobi6, initial.clone(), sweeps, method) {
+        match solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, method) {
             Ok((result, stats)) => {
                 println!(
                     "{:<34} {:>12.1} {:>12.2}",

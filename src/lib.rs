@@ -41,13 +41,23 @@
 //!
 //! ## One way in
 //!
+//! [`Method`] is the one way to say how a solve runs: an executor and
+//! all of its parameters (for the pipeline the paper's `t`, `n`, `T`,
+//! block, `d_l`/`d_u` and grid scheme — two grids or one compressed
+//! grid are one `Method::Pipelined`, told apart by
+//! [`PipelineConfig::scheme`]). It is also the plan IR: a [`plan::Plan`]
+//! is a `Method` plus the SIMD switch, and that is what the plan cache
+//! persists and the tuner enumerates.
+//!
 //! [`solve_with_on`] is the one dispatch ladder: it takes the operator,
-//! the [`Method`] and the persistent [`Runtime`] whose pinned workers
-//! and staging pool the solve uses. [`solve_with`] is that same call on
-//! a one-shot runtime sized for the method; [`run_plan_on`] and
-//! [`solve_tuned_with_on`] reach it through a [`plan::Plan`]. Below the
-//! facade every executor of [`stencil`] likewise has exactly one entry
-//! (`*_op_on`: operator and runtime are arguments).
+//! the `Method` and the persistent [`Runtime`] whose workers and staging
+//! pool the solve uses. Where those workers run is the runtime's
+//! business alone — pin by building it with [`Runtime::new`] from a
+//! [`TeamLayout`](topology::TeamLayout). [`solve_with`] is the same call
+//! on a one-shot, unpinned runtime of [`Method::threads`] workers;
+//! [`run_plan_on`] and [`solve_tuned_with_on`] reach it through a
+//! `Plan`. Below the facade every executor of [`stencil`] likewise has
+//! exactly one entry (`*_op_on`: operator and runtime are arguments).
 //!
 //! For serving many tenants' solves concurrently on one machine —
 //! disjoint cache-group slices, admission control, warm plans per
@@ -57,6 +67,7 @@
 //!
 //! ```
 //! use temporal_blocking::prelude::*;
+//! use temporal_blocking::stencil::config::GridScheme;
 //!
 //! // A 3D heat problem: hot z=0 face, cold everywhere else.
 //! let dims = Dims3::cube(34);
@@ -78,12 +89,19 @@
 //! );
 //! assert!(stats.mlups() > 0.0);
 //!
-//! // Solving repeatedly? Build the runtime once: its pinned workers and
-//! // pooled buffers are reused by every `solve_with_on`. Any operator
-//! // drops in — here one explicit Euler heat step per sweep.
-//! let rt = Runtime::with_threads(cfg.threads());
+//! // Solving repeatedly? Build the runtime once — here pinned to the
+//! // host's first cache group — and every `solve_with_on` reuses its
+//! // workers and pooled buffers. Any operator drops in (one explicit
+//! // Euler heat step per sweep), and the compressed grid is the same
+//! // method on another scheme.
+//! let machine = temporal_blocking::topology::detect::detect();
+//! let rt = Runtime::new(&TeamLayout::new(&machine, cfg.threads(), 1));
 //! let heat = Jacobi7::heat(0.1);
-//! let (a, _) = solve_with_on(&rt, &heat, initial.clone(), 8, Method::Pipelined(cfg)).unwrap();
+//! let compressed = PipelineConfig {
+//!     scheme: GridScheme::Compressed,
+//!     ..cfg
+//! };
+//! let (a, _) = solve_with_on(&rt, &heat, initial.clone(), 8, Method::Pipelined(compressed)).unwrap();
 //! let (b, _) = solve_with_on(&rt, &heat, initial, 8, Method::Sequential).unwrap();
 //! grid::norm::assert_grids_identical(&a, &b, &Region3::whole(dims), "heat op");
 //! ```
@@ -99,6 +117,7 @@ pub use tb_stencil as stencil;
 pub use tb_sync as sync;
 pub use tb_topology as topology;
 
+pub use tb_plan::Method;
 pub use tb_runtime::{Placement, Runtime};
 pub use tb_stencil::{
     Avg27, DiamondConfig, Jacobi6, Jacobi7, PipelineConfig, RunStats, ScalarPath, StencilOp,
@@ -116,8 +135,7 @@ pub mod serve;
 pub mod prelude {
     pub use crate::serve::{
         Admission, ClassStats, JobError, JobHandle, JobMethod, JobOp, JobPayload, JobReport,
-        JobSpec, PackPolicy, Priority, Rejected, SchedPolicy, Server, ServerConfig, ServerStats,
-        SlicePolicy,
+        JobSpec, Priority, Rejected, SchedPolicy, Server, ServerConfig, ServerStats, SlicePolicy,
     };
     pub use crate::{
         solve_tuned_with_on, solve_with, solve_with_on, Method, TuneOptions, TunedSolve,
@@ -131,30 +149,6 @@ pub mod prelude {
         SyncMode, VarCoeff7,
     };
     pub use tb_topology::{Machine, TeamLayout};
-}
-
-/// Solver selection for [`solve_with_on`] / [`solve_with`].
-#[derive(Clone, Debug)]
-pub enum Method {
-    /// Plain sequential sweeps (the verification oracle).
-    Sequential,
-    /// Sequential sweeps with spatial blocking.
-    Blocked { block: [usize; 3] },
-    /// Thread-parallel standard sweeps (the paper's baseline).
-    Parallel {
-        threads: usize,
-        streaming_stores: bool,
-    },
-    /// Pipelined temporal blocking (the paper's contribution, §1.3).
-    Pipelined(PipelineConfig),
-    /// Pipelined temporal blocking on a compressed grid (§1.3).
-    PipelinedCompressed(PipelineConfig),
-    /// Wavefront temporal blocking (the paper's ref. 2, comparator).
-    Wavefront { threads: usize },
-    /// Wavefront-diamond temporal blocking (Malas, Hager et al. 2015):
-    /// diamond tiles along z × time, no wind-up/wind-down waste, one
-    /// width knob instead of block sizes and sync distances.
-    Diamond(DiamondConfig),
 }
 
 /// Run `sweeps` sweeps of the stencil operator `op` on `initial` with the
@@ -239,14 +233,12 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
                 ))
             })
         }
-        Method::Pipelined(mut cfg) => {
-            cfg.scheme = GridScheme::TwoGrid;
+        Method::Pipelined(cfg) if cfg.scheme == GridScheme::TwoGrid => {
             on_pooled_pair(rt, initial, sweeps, |pair| {
                 pipeline::run_op_on(rt, op, pair, &cfg, sweeps)
             })
         }
-        Method::PipelinedCompressed(mut cfg) => {
-            cfg.scheme = GridScheme::Compressed;
+        Method::Pipelined(cfg) => {
             cfg.validate(initial.dims())?;
             let margin = cfg.stages();
             let storage =
@@ -271,30 +263,18 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     }
 }
 
-/// The one-shot runtime [`solve_with`] builds for `method`: no workers
-/// for the methods that compute on the calling thread, otherwise one
-/// worker per method thread — pinned per the config's
-/// [`TeamLayout`](topology::TeamLayout) when a pipelined method carries
-/// one — and never a communication worker.
+/// The one-shot runtime [`solve_with`] builds for `method`: one
+/// unpinned worker per method thread ([`Method::threads`]; none for the
+/// methods that compute on the calling thread) and no communication
+/// worker.
 fn runtime_for(method: &Method) -> Runtime {
-    match method {
-        Method::Sequential | Method::Blocked { .. } => Runtime::with_threads(0),
-        Method::Parallel { threads, .. } | Method::Wavefront { threads } => {
-            Runtime::with_threads(*threads)
-        }
-        Method::Pipelined(cfg) | Method::PipelinedCompressed(cfg) => match &cfg.layout {
-            Some(layout) if layout.threads() == cfg.threads() => {
-                Runtime::from_cpus(layout.cpus.clone(), None)
-            }
-            _ => Runtime::with_threads(cfg.threads()),
-        },
-        Method::Diamond(cfg) => Runtime::with_threads(cfg.threads),
-    }
+    Runtime::with_threads(method.threads())
 }
 
-/// [`solve_with_on`] on a one-shot runtime sized (and, for a pipelined
-/// config with a layout, pinned) for `method`. Build a [`Runtime`] and
-/// call [`solve_with_on`] directly when solving repeatedly.
+/// [`solve_with_on`] on a one-shot, unpinned runtime sized for `method`.
+/// Build a [`Runtime`] — pinned with [`Runtime::new`] from a
+/// [`TeamLayout`](topology::TeamLayout) — and call [`solve_with_on`]
+/// directly when solving repeatedly or when placement matters.
 pub fn solve_with<T: Real, Op: StencilOp<T>>(
     op: &Op,
     initial: Grid3<T>,
@@ -348,26 +328,6 @@ pub fn tuning_runtime(
     Runtime::from_cpus(cpus, layout.comm_core.map(Some))
 }
 
-/// Translate a [`tb_plan::Plan`]'s method into the facade [`Method`].
-/// The SIMD flag is *not* encoded here — [`run_plan_on`] applies it by
-/// wrapping the operator in [`ScalarPath`].
-fn method_for_plan(plan: &tb_plan::Plan) -> Method {
-    use tb_plan::PlanMethod;
-    match &plan.method {
-        PlanMethod::Parallel {
-            threads,
-            streaming_stores,
-        } => Method::Parallel {
-            threads: *threads,
-            streaming_stores: *streaming_stores,
-        },
-        PlanMethod::Pipelined(_) => Method::Pipelined(plan.pipeline_config().unwrap()),
-        PlanMethod::Compressed(_) => Method::PipelinedCompressed(plan.pipeline_config().unwrap()),
-        PlanMethod::Wavefront { threads } => Method::Wavefront { threads: *threads },
-        PlanMethod::Diamond { .. } => Method::Diamond(plan.diamond_config().unwrap()),
-    }
-}
-
 /// Execute one reified [`tb_plan::Plan`] on a persistent runtime.
 /// `simd: false` routes through [`ScalarPath`] — bitwise identical
 /// results, row loops at the build target's ISA instead of the host's.
@@ -378,7 +338,7 @@ pub fn run_plan_on<T: Real, Op: StencilOp<T>>(
     initial: Grid3<T>,
     sweeps: usize,
 ) -> Result<(Grid3<T>, RunStats), String> {
-    let method = method_for_plan(plan);
+    let method = plan.method.clone();
     if plan.simd {
         solve_with_on(rt, op, initial, sweeps, method)
     } else {
@@ -593,6 +553,13 @@ mod tests {
     use super::*;
     use tb_grid::{init, norm};
 
+    fn compressed(cfg: PipelineConfig) -> Method {
+        Method::Pipelined(PipelineConfig {
+            scheme: GridScheme::Compressed,
+            ..cfg
+        })
+    }
+
     fn all_methods() -> Vec<(&'static str, Method)> {
         vec![
             ("blocked", Method::Blocked { block: [7, 7, 7] }),
@@ -614,10 +581,7 @@ mod tests {
                 "pipelined",
                 Method::Pipelined(PipelineConfig::default_for(2, 1)),
             ),
-            (
-                "compressed",
-                Method::PipelinedCompressed(PipelineConfig::default_for(2, 1)),
-            ),
+            ("compressed", compressed(PipelineConfig::default_for(2, 1))),
             ("wavefront", Method::Wavefront { threads: 2 }),
             (
                 "diamond",
@@ -788,8 +752,8 @@ mod tests {
             ),
             (
                 "compressed",
-                Method::PipelinedCompressed(PipelineConfig::default_for(2, 1)),
-                vec![Method::PipelinedCompressed(oversize(3))],
+                compressed(PipelineConfig::default_for(2, 1)),
+                vec![compressed(oversize(3))],
             ),
             (
                 "wavefront",
@@ -830,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn runtime_for_sizes_and_pins_the_one_shot_team() {
+    fn runtime_for_sizes_the_one_shot_team_unpinned() {
         for m in [Method::Sequential, Method::Blocked { block: [7, 7, 7] }] {
             assert_eq!(runtime_for(&m).worker_count(), 0, "{m:?}");
         }
@@ -843,10 +807,7 @@ mod tests {
                 },
             ),
             (2, Method::Pipelined(PipelineConfig::default_for(2, 1))),
-            (
-                2,
-                Method::PipelinedCompressed(PipelineConfig::default_for(2, 1)),
-            ),
+            (2, compressed(PipelineConfig::default_for(2, 1))),
             (2, Method::Wavefront { threads: 2 }),
             (4, Method::Diamond(DiamondConfig::with_width(4, 8))),
         ] {
@@ -856,45 +817,7 @@ mod tests {
                 (threads, threads),
                 "{m:?}"
             );
-        }
-        // A pipelined config that carries a layout gets exactly its pin
-        // list — and no comm worker, even when the layout reserves a core.
-        let mut layout = topology::TeamLayout::new(&topology::Machine::flat(1), 1, 1);
-        assert_eq!(layout.cpus, vec![Some(0)]);
-        layout.comm_core = Some(0);
-        let cfg = PipelineConfig {
-            team_size: 1,
-            layout: Some(layout),
-            ..PipelineConfig::default_for(2, 1)
-        };
-        // What a thread pinned to CPU 0 reports, where pinning works.
-        fn allowed_cpus() -> Option<String> {
-            let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
-            let list = status
-                .lines()
-                .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))?;
-            Some(list.trim().to_string())
-        }
-        let pinned_to_0 = std::thread::spawn(|| {
-            use topology::affinity::{pin_current_thread, PinResult};
-            (pin_current_thread(0) == PinResult::Pinned)
-                .then(allowed_cpus)
-                .flatten()
-        })
-        .join()
-        .unwrap();
-        for m in [
-            Method::Pipelined(cfg.clone()),
-            Method::PipelinedCompressed(cfg),
-        ] {
-            let rt = runtime_for(&m);
-            assert_eq!((rt.threads(), rt.worker_count()), (1, 1), "{m:?}");
             assert!(!rt.has_comm_worker(), "{m:?}");
-            if let Some(want) = &pinned_to_0 {
-                let seen = std::sync::Mutex::new(None);
-                rt.run(1, &|_| *seen.lock().unwrap() = allowed_cpus());
-                assert_eq!(seen.into_inner().unwrap().as_ref(), Some(want), "{m:?}");
-            }
         }
     }
 }

@@ -676,9 +676,6 @@ pub enum SchedPolicy {
     Deadline,
 }
 
-/// Alias for [`SchedPolicy`]: the policy *packs* jobs onto freed slices.
-pub type PackPolicy = SchedPolicy;
-
 /// One queued job's scheduling facts, as the deadline policy sees them.
 /// Public so policy properties (EDF optimality, aging bounds) can be
 /// tested against [`deadline_pick`] on synthetic traces without running

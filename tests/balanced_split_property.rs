@@ -24,11 +24,7 @@ fn assert_matches_oracle<Op: StencilOp<f64>>(
 ) -> Result<(), TestCaseError> {
     let initial: Grid3<f64> = init::random(dims, seed);
     let (want, _) = solve_with(op, initial.clone(), sweeps, Method::Sequential).unwrap();
-    let method = match cfg.scheme {
-        GridScheme::TwoGrid => Method::Pipelined(cfg.clone()),
-        GridScheme::Compressed => Method::PipelinedCompressed(cfg.clone()),
-    };
-    let (got, stats) = solve_with(op, initial, sweeps, method).unwrap();
+    let (got, stats) = solve_with(op, initial, sweeps, Method::Pipelined(cfg.clone())).unwrap();
     let mismatch = norm::first_mismatch(&want, &got, &Region3::whole(dims));
     prop_assert!(
         mismatch.is_none(),
@@ -67,7 +63,6 @@ proptest! {
             block: [bx, depth + block_extra[1], depth + block_extra[2]],
             sync: if barrier { SyncMode::Barrier } else { SyncMode::relaxed_default() },
             scheme: if compressed { GridScheme::Compressed } else { GridScheme::TwoGrid },
-            layout: None,
             audit: true,
         };
         prop_assert!(cfg.validate(dims).is_ok());

@@ -23,7 +23,6 @@ fn cfg(team: usize, teams: usize, upt: usize, sync: SyncMode, block: [usize; 3])
         block,
         sync,
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: true, // integration tests always run the race auditor
     }
 }
@@ -107,7 +106,7 @@ fn compressed_matrix() {
                 dims,
                 37,
                 sweeps,
-                Method::PipelinedCompressed(c),
+                Method::Pipelined(c),
                 &format!("compressed t={team} T={upt} sweeps={sweeps}"),
             );
         }

@@ -1,11 +1,11 @@
 //! Distributed end-to-end tests spanning tb-net, tb-dist and tb-stencil.
 
-use temporal_blocking::dist::{
-    solver, Decomposition, DistJacobi, DistSolver, ExchangeMode, LocalExec,
-};
+use temporal_blocking::dist::{solver, Decomposition, DistSolver, ExchangeMode, LocalExec};
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::net::{CartComm, SimNet, Universe};
+use temporal_blocking::runtime::Runtime;
 use temporal_blocking::stencil::config::GridScheme;
+use temporal_blocking::topology::TeamLayout;
 use temporal_blocking::{Avg27, Jacobi6, Jacobi7, PipelineConfig, StencilOp, SyncMode, VarCoeff7};
 
 fn run_and_verify(
@@ -22,7 +22,9 @@ fn run_and_verify(
     let (global_ref, want_ref, exec_ref) = (&global, &want, &exec);
     Universe::run(ranks, None, move |comm| {
         let mut cart = CartComm::new(comm, pgrid);
-        let mut s = DistJacobi::from_global(&dec, cart.coords(), global_ref, exec_ref()).unwrap();
+        let mut s =
+            DistSolver::from_global_op(&dec, cart.coords(), global_ref, exec_ref(), Jacobi6)
+                .unwrap();
         s.run_sweeps(&mut cart, sweeps);
         if let Some(got) = s.gather_global(&mut cart, &dec, global_ref) {
             norm::assert_grids_identical(
@@ -55,7 +57,6 @@ fn hybrid_eight_ranks_pipelined() {
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: true,
     };
     run_and_verify(Dims3::cube(22), [2, 2, 2], 2, 6, move || {
@@ -76,7 +77,8 @@ fn virtual_time_cluster_accumulates() {
     let times = Universe::run(4, Some(net), move |comm| {
         let mut cart = CartComm::new(comm, pgrid);
         let mut s =
-            DistJacobi::from_global(&dec, cart.coords(), global_ref, LocalExec::Seq).unwrap();
+            DistSolver::from_global_op(&dec, cart.coords(), global_ref, LocalExec::Seq, Jacobi6)
+                .unwrap();
         // Model compute: 1 us per sweep per rank (arbitrary, monotone).
         for _ in 0..3 {
             cart.comm.advance(1e-6);
@@ -93,7 +95,9 @@ fn virtual_time_cluster_accumulates() {
 }
 
 /// One operator through all three exchange modes: each gathered grid
-/// must match the serial oracle and the sync-mode gather bitwise.
+/// must match the serial oracle and the sync-mode gather bitwise. With a
+/// `layout`, every rank runs on `Runtime::new(layout)` instead of its
+/// one-shot runtime.
 fn verify_overlap_op<Op: StencilOp<f64>>(
     op: Op,
     dims: Dims3,
@@ -101,6 +105,7 @@ fn verify_overlap_op<Op: StencilOp<f64>>(
     h: usize,
     sweeps: usize,
     exec: impl Fn() -> LocalExec + Send + Sync,
+    layout: Option<&TeamLayout>,
 ) {
     let global: Grid3<f64> = init::random(dims, 31415);
     let want = solver::serial_reference_op(&op, &global, sweeps);
@@ -117,7 +122,10 @@ fn verify_overlap_op<Op: StencilOp<f64>>(
                 DistSolver::from_global_op(dec_ref, cart.coords(), g, exec_ref(), op_ref.clone())
                     .unwrap()
                     .with_exchange_mode(mode);
-            s.run_sweeps(&mut cart, sweeps);
+            match layout {
+                Some(layout) => s.run_sweeps_on(&Runtime::new(layout), &mut cart, sweeps),
+                None => s.run_sweeps(&mut cart, sweeps),
+            };
             if let Some(got) = s.gather_global(&mut cart, dec_ref, g) {
                 norm::assert_grids_identical(
                     w,
@@ -134,16 +142,36 @@ fn verify_overlap_op<Op: StencilOp<f64>>(
 #[test]
 fn overlap_matrix_all_operators() {
     let dims = Dims3::new(20, 16, 14);
-    verify_overlap_op(Jacobi6, dims, [2, 2, 1], 2, 5, || LocalExec::Seq);
-    verify_overlap_op(Jacobi7::heat(0.11), dims, [2, 1, 2], 2, 5, || {
-        LocalExec::Seq
-    });
-    verify_overlap_op(VarCoeff7::banded(dims), dims, [1, 2, 2], 2, 5, || {
-        LocalExec::Seq
-    });
+    verify_overlap_op(Jacobi6, dims, [2, 2, 1], 2, 5, || LocalExec::Seq, None);
+    verify_overlap_op(
+        Jacobi7::heat(0.11),
+        dims,
+        [2, 1, 2],
+        2,
+        5,
+        || LocalExec::Seq,
+        None,
+    );
+    verify_overlap_op(
+        VarCoeff7::banded(dims),
+        dims,
+        [1, 2, 2],
+        2,
+        5,
+        || LocalExec::Seq,
+        None,
+    );
     // Corner-reading operator across all eight octants: the overlapped
     // staged forwarding must deliver edge and corner ghosts exactly.
-    verify_overlap_op(Avg27, Dims3::cube(18), [2, 2, 2], 2, 7, || LocalExec::Seq);
+    verify_overlap_op(
+        Avg27,
+        Dims3::cube(18),
+        [2, 2, 2],
+        2,
+        7,
+        || LocalExec::Seq,
+        None,
+    );
 }
 
 #[test]
@@ -151,7 +179,7 @@ fn overlap_hybrid_pipelined_twelve_ranks() {
     // The layout carries a carved-out comm core, so the comm-thread
     // mode exercises the real pinning path (best-effort on this host).
     let machine = temporal_blocking::topology::Machine::nehalem_ep();
-    let layout = temporal_blocking::topology::TeamLayout::with_comm_core(&machine, 2, 1);
+    let layout = TeamLayout::with_comm_core(&machine, 2, 1);
     assert!(layout.comm_core.is_some());
     let cfg = PipelineConfig {
         team_size: 2,
@@ -160,7 +188,6 @@ fn overlap_hybrid_pipelined_twelve_ranks() {
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: Some(layout),
         audit: true,
     };
     verify_overlap_op(
@@ -170,6 +197,7 @@ fn overlap_hybrid_pipelined_twelve_ranks() {
         2,
         6,
         move || LocalExec::Pipelined(cfg.clone()),
+        Some(&layout),
     );
 }
 
@@ -192,10 +220,11 @@ fn overlap_hides_communication_under_the_virtual_network() {
         let (g, dec_ref) = (&global, &dec);
         let outs = Universe::run(4, Some(SimNet::qdr_infiniband()), move |comm| {
             let mut cart = CartComm::new(comm, pgrid);
-            let mut s = DistJacobi::from_global(dec_ref, cart.coords(), g, LocalExec::Seq)
-                .unwrap()
-                .with_exchange_mode(mode)
-                .with_virtual_compute(1e8);
+            let mut s =
+                DistSolver::from_global_op(dec_ref, cart.coords(), g, LocalExec::Seq, Jacobi6)
+                    .unwrap()
+                    .with_exchange_mode(mode)
+                    .with_virtual_compute(1e8);
             s.run_sweeps(&mut cart, sweeps);
             (cart.comm.comm_seconds(), cart.comm.time())
         });

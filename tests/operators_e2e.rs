@@ -23,7 +23,6 @@ fn cfg(team: usize, upt: usize, sync: SyncMode, block: [usize; 3]) -> PipelineCo
         block,
         sync,
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: true, // integration tests always run the race auditor
     }
 }
@@ -58,7 +57,10 @@ fn shared_memory_matrix<Op: StencilOp<f64>>(op: &Op, dims: Dims3, seed: u64, swe
         ),
         (
             "compressed",
-            Method::PipelinedCompressed(cfg(2, 1, SyncMode::relaxed_default(), [10, 10, 10])),
+            Method::Pipelined(PipelineConfig {
+                scheme: GridScheme::Compressed,
+                ..cfg(2, 1, SyncMode::relaxed_default(), [10, 10, 10])
+            }),
         ),
         ("wavefront", Method::Wavefront { threads: 3 }),
         (

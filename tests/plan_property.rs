@@ -5,10 +5,10 @@
 use std::path::PathBuf;
 
 use temporal_blocking::plan::{
-    CacheEntry, Json, MachineFingerprint, MethodFamily, PipeParams, Plan, PlanCache, PlanKey,
-    PlanMethod,
+    CacheEntry, Json, MachineFingerprint, MethodFamily, Plan, PlanCache, PlanKey,
 };
 use temporal_blocking::prelude::*;
+use temporal_blocking::stencil::config::{GridScheme, WHOLE_EXTENT};
 use temporal_blocking::{solve_tuned_with_on, solve_with, Method, TuneOptions};
 
 fn tmp_cache(name: &str) -> PathBuf {
@@ -32,7 +32,7 @@ fn quick_opts(name: &str) -> TuneOptions {
 
 #[test]
 fn plan_json_roundtrips_every_method_variant() {
-    let pipe = PipeParams {
+    let pipe = PipelineConfig {
         team_size: 3,
         n_teams: 2,
         updates_per_thread: 2,
@@ -42,23 +42,24 @@ fn plan_json_roundtrips_every_method_variant() {
             du: 2,
             dt: 4,
         },
+        scheme: GridScheme::TwoGrid,
+        audit: false,
     };
     let methods = vec![
-        PlanMethod::Parallel {
+        Method::Sequential,
+        Method::Blocked { block: [9, 7, 8] },
+        Method::Parallel {
             threads: 4,
             streaming_stores: true,
         },
-        PlanMethod::Pipelined(pipe.clone()),
-        PlanMethod::Compressed(PipeParams {
+        Method::Pipelined(pipe.clone()),
+        Method::Pipelined(PipelineConfig {
             sync: SyncMode::Barrier,
+            scheme: GridScheme::Compressed,
             ..pipe
         }),
-        PlanMethod::Wavefront { threads: 2 },
-        PlanMethod::Diamond {
-            threads: 4,
-            width: 16,
-            threads_per_tile: 2,
-        },
+        Method::Wavefront { threads: 2 },
+        Method::Diamond(DiamondConfig::with_width(4, 16).with_threads_per_tile(2)),
     ];
     for method in methods {
         for simd in [false, true] {
@@ -70,6 +71,123 @@ fn plan_json_roundtrips_every_method_variant() {
             let back = Plan::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, plan, "{text}");
         }
+    }
+}
+
+/// Cache entries exactly as the parent of the `Method`-as-IR change
+/// writes them, each with the plan it must parse to.
+fn golden_plans() -> Vec<(&'static str, Plan)> {
+    let pipe = PipelineConfig {
+        team_size: 2,
+        n_teams: 1,
+        updates_per_thread: 4,
+        block: [WHOLE_EXTENT, 8, 8],
+        sync: SyncMode::Relaxed {
+            dl: 1,
+            du: 4,
+            dt: 0,
+        },
+        scheme: GridScheme::TwoGrid,
+        audit: false,
+    };
+    let diamond = Plan::new(Method::Diamond(
+        DiamondConfig::with_width(2, 8).with_threads_per_tile(2),
+    ));
+    vec![
+        (
+            r#"{"method":{"kind":"parallel","threads":2,"streaming_stores":false},"simd":true}"#,
+            Plan::new(Method::Parallel {
+                threads: 2,
+                streaming_stores: false,
+            }),
+        ),
+        (
+            r#"{"method":{"kind":"parallel","threads":2,"streaming_stores":true},"simd":true}"#,
+            Plan::new(Method::Parallel {
+                threads: 2,
+                streaming_stores: true,
+            }),
+        ),
+        (
+            r#"{"method":{"kind":"pipelined","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"relaxed","dl":1,"du":4,"dt":0}},"simd":true}"#,
+            Plan::new(Method::Pipelined(pipe.clone())),
+        ),
+        (
+            r#"{"method":{"kind":"compressed","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"barrier"}},"simd":true}"#,
+            Plan::new(Method::Pipelined(PipelineConfig {
+                sync: SyncMode::Barrier,
+                scheme: GridScheme::Compressed,
+                ..pipe
+            })),
+        ),
+        (
+            r#"{"method":{"kind":"wavefront","threads":2},"simd":true}"#,
+            Plan::new(Method::Wavefront { threads: 2 }),
+        ),
+        (
+            r#"{"method":{"kind":"diamond","threads":2,"width":8,"threads_per_tile":2},"simd":true}"#,
+            diamond.clone(),
+        ),
+        (
+            r#"{"method":{"kind":"diamond","threads":2,"width":8,"threads_per_tile":2},"simd":false}"#,
+            Plan {
+                simd: false,
+                ..diamond
+            },
+        ),
+    ]
+}
+
+#[test]
+fn golden_plan_entries_parse_reserialise_and_replay_warm() {
+    // The on-disk plan format is pinned: entries written before the IR
+    // became `Method` parse to the same plan, re-serialise byte for byte,
+    // and a cache file holding them replays every one as a warm hit.
+    let dims = Dims3::cube(20);
+    let initial: Grid3<f64> = grid::init::random(dims, 23);
+    let rt = Runtime::with_threads(2);
+    let opts = quick_opts("golden.json");
+    let path = opts.cache_path.clone().unwrap();
+    let fingerprint = MachineFingerprint::new(
+        &temporal_blocking::topology::detect::detect(),
+        &opts.params.unwrap(),
+    );
+    // One sweep-count class per entry, so each has its own key.
+    let sweeps = |i: usize| 1usize << i;
+    let mut entries = Vec::new();
+    for (i, (text, want)) in golden_plans().into_iter().enumerate() {
+        let plan = Plan::from_json(&Json::parse(text).unwrap()).unwrap();
+        assert_eq!(plan, want, "{text}");
+        assert_eq!(plan.to_json().to_json(), text, "byte-identical");
+        let key = PlanKey::new::<f64>(fingerprint.clone(), "jacobi6", dims, sweeps(i));
+        entries.push(format!(
+            r#""{}":{{"plan":{text},"dims":[20,20,20],"measured_mlups":812.5,"predicted_mlups":900}}"#,
+            key.as_string()
+        ));
+    }
+    let file = format!(
+        r#"{{"schema":1,"calibrations":{{}},"plans":{{{}}}}}"#,
+        entries.join(",")
+    );
+    std::fs::write(&path, &file).unwrap();
+    let cache = PlanCache::load(&path);
+    assert_eq!(cache.len(), entries.len());
+    cache.save().unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        file,
+        "resaved as is"
+    );
+
+    for (i, (text, want)) in golden_plans().into_iter().enumerate() {
+        let (oracle, _) =
+            solve_with(&Jacobi6, initial.clone(), sweeps(i), Method::Sequential).unwrap();
+        let (got, _, tuned) =
+            solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), sweeps(i), &opts).unwrap();
+        assert!(tuned.cache_hit, "{text}");
+        assert_eq!(tuned.measurements, 0, "{text}");
+        assert_eq!(tuned.plan, want, "{text}");
+        grid::norm::assert_grids_identical(&oracle, &got, &Region3::whole(dims), text);
     }
 }
 
@@ -96,7 +214,7 @@ fn second_tuned_solve_is_a_warm_hit_with_zero_measurements() {
     // Streaming stores left the search space (they lose on every
     // measured workload); see `hand_written_streaming_plans_still_replay`.
     for row in &report.rows {
-        let nt = PlanMethod::Parallel {
+        let nt = Method::Parallel {
             threads: row.plan.method.threads(),
             streaming_stores: true,
         };
@@ -166,7 +284,7 @@ fn hand_written_streaming_plans_still_replay() {
         dims,
         4,
     );
-    let nt = Plan::new(PlanMethod::Parallel {
+    let nt = Plan::new(Method::Parallel {
         threads: 2,
         streaming_stores: true,
     });
@@ -227,7 +345,7 @@ fn wrong_dims_cache_entries_are_rejected() {
     cache.store(
         &key,
         CacheEntry {
-            plan: Plan::new(PlanMethod::Wavefront { threads: 2 }),
+            plan: Plan::new(Method::Wavefront { threads: 2 }),
             dims: [64, 64, 64],
             measured_mlups: 1.0,
             predicted_mlups: 1.0,
@@ -238,11 +356,7 @@ fn wrong_dims_cache_entries_are_rejected() {
     cache.store(
         &key,
         CacheEntry {
-            plan: Plan::new(PlanMethod::Diamond {
-                threads: 2,
-                width: 2,
-                threads_per_tile: 1,
-            }),
+            plan: Plan::new(Method::Diamond(DiamondConfig::with_width(2, 2))),
             dims: [dims.nx, dims.ny, dims.nz],
             measured_mlups: 1.0,
             predicted_mlups: 1.0,

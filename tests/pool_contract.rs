@@ -31,6 +31,7 @@ use std::sync::Arc;
 use temporal_blocking::grid::{init, norm, CompressedGrid, Dims3, Grid3, Region3};
 use temporal_blocking::prelude::*;
 use temporal_blocking::runtime::GridPool;
+use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::topology::NumaDomain;
 
 /// The documented parking bound: releasing beyond it evicts the oldest.
@@ -310,7 +311,10 @@ fn solves_from_a_poisoned_pooled_buffer_match_the_oracle_and_allocate_nothing() 
                 streaming_stores: true,
             },
             Method::Pipelined(pipe.clone()),
-            Method::PipelinedCompressed(pipe),
+            Method::Pipelined(PipelineConfig {
+                scheme: GridScheme::Compressed,
+                ..pipe
+            }),
             Method::Wavefront { threads: 2 },
             Method::Diamond(DiamondConfig::with_width(2, 6)),
             Method::Diamond(DiamondConfig::with_width(2, 6).with_threads_per_tile(2)),
@@ -355,7 +359,10 @@ fn compressed_solves_hand_back_the_input_allocation() {
     let (oracle, _) = solve_with(&Jacobi6, initial.clone(), 5, Method::Sequential).unwrap();
     let rt = Runtime::with_threads(2);
     let input = initial.as_ptr();
-    let method = Method::PipelinedCompressed(PipelineConfig::default_for(2, 1));
+    let method = Method::Pipelined(PipelineConfig {
+        scheme: GridScheme::Compressed,
+        ..PipelineConfig::default_for(2, 1)
+    });
     let (got, _) = solve_with_on(&rt, &Jacobi6, initial, 5, method).unwrap();
     assert_eq!(
         got.as_ptr(),

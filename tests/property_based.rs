@@ -34,7 +34,6 @@ fn assert_all_methods_bitwise<Op: StencilOp<f64>>(
         block,
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: true,
     };
     let methods: Vec<(&str, Method)> = vec![
@@ -54,7 +53,13 @@ fn assert_all_methods_bitwise<Op: StencilOp<f64>>(
             },
         ),
         ("pipelined", Method::Pipelined(cfg.clone())),
-        ("compressed", Method::PipelinedCompressed(cfg)),
+        (
+            "compressed",
+            Method::Pipelined(PipelineConfig {
+                scheme: GridScheme::Compressed,
+                ..cfg
+            }),
+        ),
         ("wavefront", Method::Wavefront { threads }),
     ];
     for (name, m) in methods {
@@ -163,7 +168,6 @@ proptest! {
             block: [8, 8, 8],
             sync,
             scheme: GridScheme::TwoGrid,
-            layout: None,
             audit: true,
         };
         prop_assume!(cfg.validate(dims).is_ok());
@@ -192,13 +196,12 @@ proptest! {
             block: [8, 8, 8],
             sync: SyncMode::relaxed_default(),
             scheme: GridScheme::Compressed,
-            layout: None,
             audit: true,
         };
         prop_assume!(cfg.validate(dims).is_ok());
         let initial: Grid3<f64> = init::random(dims, seed);
         let (want, _) = solve_with(&Jacobi6, initial.clone(), sweeps, Method::Sequential).unwrap();
-        let (got, _) = solve_with(&Jacobi6, initial, sweeps, Method::PipelinedCompressed(cfg)).unwrap();
+        let (got, _) = solve_with(&Jacobi6, initial, sweeps, Method::Pipelined(cfg)).unwrap();
         prop_assert!(norm::first_mismatch(&want, &got, &Region3::whole(dims)).is_none());
     }
 

@@ -47,7 +47,6 @@ fn assert_runtime_matches_classic<Op: StencilOp<f64>>(
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: true,
     };
     prop_assert!(cfg.validate(dims).is_ok(), "strategy must keep cfg valid");
@@ -68,7 +67,13 @@ fn assert_runtime_matches_classic<Op: StencilOp<f64>>(
             },
         ),
         ("pipelined", Method::Pipelined(cfg.clone())),
-        ("compressed", Method::PipelinedCompressed(cfg)),
+        (
+            "compressed",
+            Method::Pipelined(PipelineConfig {
+                scheme: GridScheme::Compressed,
+                ..cfg
+            }),
+        ),
         ("wavefront", Method::Wavefront { threads }),
     ];
     let rt = shared_runtime();
@@ -144,7 +149,6 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: false,
     };
     let methods = [
@@ -153,7 +157,10 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
             streaming_stores: false,
         },
         Method::Pipelined(cfg.clone()),
-        Method::PipelinedCompressed(cfg),
+        Method::Pipelined(PipelineConfig {
+            scheme: GridScheme::Compressed,
+            ..cfg
+        }),
         Method::Wavefront { threads: 3 },
     ];
 
@@ -188,7 +195,7 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
 #[test]
 fn dist_solver_on_shared_runtimes_matches_serial() {
     use temporal_blocking::dist::solver::serial_reference;
-    use temporal_blocking::dist::{Decomposition, DistJacobi, ExchangeMode, LocalExec};
+    use temporal_blocking::dist::{Decomposition, DistSolver, ExchangeMode, LocalExec};
 
     let dims = Dims3::cube(20);
     let pgrid = [2, 1, 1];
@@ -204,7 +211,6 @@ fn dist_solver_on_shared_runtimes_matches_serial() {
         block: [8, 8, 8],
         sync: SyncMode::relaxed_default(),
         scheme: GridScheme::TwoGrid,
-        layout: None,
         audit: false,
     };
     let (g, w, dec_ref, cfg_ref) = (&global, &want, &dec, &cfg);
@@ -213,11 +219,12 @@ fn dist_solver_on_shared_runtimes_matches_serial() {
         // Each rank owns a persistent runtime (2 compute workers + a
         // comm worker) and runs several multi-sweep solves on it.
         let rt = Runtime::from_cpus(vec![None; 2], Some(None));
-        let mut solver = DistJacobi::from_global(
+        let mut solver = DistSolver::from_global_op(
             dec_ref,
             cart.coords(),
             g,
             LocalExec::Pipelined(cfg_ref.clone()),
+            Jacobi6,
         )
         .unwrap()
         .with_exchange_mode(ExchangeMode::OverlappedCommThread);
