@@ -1,9 +1,12 @@
 //! ccNUMA page placement for runtime-owned grids.
 //!
 //! Linux commits a page on the NUMA domain of the thread that **first
-//! writes** it (first-touch), and `Grid3::zeroed` maps lazily-committed
-//! zero pages — so whoever performs the first real write decides where
-//! every page of a grid lives for the rest of its life. The paper's §3
+//! writes** it (first-touch), so whoever performs the first real write
+//! decides where every page of a grid lives for the rest of its life.
+//! Note that `Grid3::zeroed` does *not* leave that write to anyone else:
+//! its 64-byte alignment is above what std's `alloc_zeroed` can get from
+//! `calloc`, so std takes `aligned_alloc` and then memsets the buffer on
+//! the allocating thread, which commits every page there. The paper's §3
 //! outlook (and the follow-on work, arXiv:1006.3148) makes this the
 //! deciding factor for temporal blocking on ccNUMA nodes: a team
 //! streaming remote pages runs at the QPI/interconnect rate, not the
@@ -15,8 +18,11 @@
 //! [`Placement::WorkerFirstTouch`] makes [`Runtime::acquire_grid`]
 //! dispatch the runtime's *pinned* workers to zero a fresh grid's
 //! z-slabs in parallel — worker `k` touches the same contiguous z-band
-//! the compute partitioning later hands it, so pages land on the domain
-//! that computes on them. [`Placement::ClientPages`] keeps the
+//! the compute partitioning later hands it. Because the allocation has
+//! already committed the pages (above), this is a re-touch: it warms each
+//! worker's band but does not move a page. Placing pages on the domain
+//! that computes on them needs a lazily committed allocation first
+//! (`ROADMAP.md` item 6). [`Placement::ClientPages`] keeps the
 //! historical behaviour (pages placed wherever the allocating thread
 //! runs) for clients that pre-place pages themselves or run on UMA
 //! hosts where the copy buys nothing.
@@ -82,10 +88,12 @@ fn partition(len: usize, index: usize, threads: usize) -> std::ops::Range<usize>
 }
 
 /// Zero `grid` with the runtime's workers, each writing its own
-/// contiguous partition — on a fresh lazily-committed allocation this
-/// IS the first touch, so pages commit on the workers' NUMA domains.
-/// Falls back to a plain (already-zeroed) no-op when the runtime has no
-/// workers to dispatch.
+/// contiguous partition. On a lazily committed allocation this would be
+/// the first touch and commit pages on the workers' NUMA domains; the
+/// `Grid3::zeroed` buffers it gets today were already memset by the
+/// allocating thread (see the module docs), so it only re-touches pages
+/// that thread placed. A no-op when the runtime has no workers to
+/// dispatch.
 pub(crate) fn first_touch_zero<T: Real>(rt: &Runtime, grid: &mut Grid3<T>) {
     let threads = rt.threads();
     if threads == 0 {

@@ -331,10 +331,12 @@ impl Runtime {
     /// A grid of exactly `dims` from this runtime's pool, placement
     /// applied: a pool hit returns the recycled grid as-is (its pages
     /// were placed in a previous life — stale contents, see
-    /// [`GridPool`]); a miss allocates lazily-committed zero pages and,
-    /// under [`Placement::WorkerFirstTouch`], dispatches the pinned
-    /// workers to zero their own contiguous z-band partitions — the
-    /// real first touch, committing each page on its computing domain.
+    /// [`GridPool`]); a miss allocates a zeroed grid (std memsets it on
+    /// the calling thread, which commits every page there) and, under
+    /// [`Placement::WorkerFirstTouch`], dispatches the pinned workers to
+    /// zero their own contiguous z-band partitions again — a re-touch
+    /// that does not move pages the calling thread already placed (see
+    /// [`crate::placement`]).
     ///
     /// Counted against [`GridPool::fresh_allocations`] exactly like a
     /// plain [`GridPool::acquire`] miss.
@@ -354,8 +356,9 @@ impl Runtime {
     /// Copy `src` into `dst` under the placement policy: the workers
     /// carry the copy in their own partitions under
     /// [`Placement::WorkerFirstTouch`] (writing pages from the threads
-    /// that own them — and performing the first touch if `dst` is
-    /// fresh), a plain single-thread copy under
+    /// that own them; a `Grid3::zeroed` destination's pages were already
+    /// committed by its allocating thread, see [`crate::placement`]), a
+    /// plain single-thread copy under
     /// [`Placement::ClientPages`]. Bitwise either way.
     pub fn place_copy<T: Real>(&self, dst: &mut [T], src: &[T]) {
         if self.placement == Placement::WorkerFirstTouch && self.threads() > 0 {

@@ -180,6 +180,16 @@ fn avg27_matrix() {
     shared_memory_matrix(&Avg27, Dims3::cube(24), 4, 7);
 }
 
+/// Rows longer than two of `Avg27`'s x-chunks, through every method
+/// and through ranks split along x, whose chunk boundaries fall at other
+/// global x than the oracle's.
+#[test]
+fn avg27_long_rows_cross_chunk_boundaries() {
+    let dims = Dims3::new(2 * Avg27::CHUNK + 7, 10, 10);
+    shared_memory_matrix(&Avg27, dims, 5, 5);
+    distributed_matrix(&Avg27, dims, [2, 1, 1], 2, 5, Local::Seq);
+}
+
 #[test]
 fn distributed_matrix_per_operator() {
     let dims = Dims3::new(20, 18, 16);
