@@ -15,10 +15,10 @@
 //! | `ablation_delay` | §1.5: team delay sweep (~3% at d_t=8) |
 //!
 //! `fig3_left` and `fig6` take `--mode` (see their headers); an unknown
-//! mode or a malformed number is a usage error. `op_sweep`,
-//! `diamond_sweep` and `numa_ablation` hold the matrices the repo
-//! benchmark (`benchmark/`, `BENCHMARK.json`) has no rung for yet; every
-//! other timing question goes to that benchmark's per-layer ladder.
+//! mode or a malformed number is a usage error. `op_sweep` and
+//! `diamond_sweep` hold the matrices the repo benchmark (`benchmark/`,
+//! `BENCHMARK.json`) has no rung for yet; every other timing question
+//! goes to that benchmark's per-layer ladder.
 
 use tb_grid::{init, Dims3, Grid3};
 use tb_stencil::stats::RunStats;

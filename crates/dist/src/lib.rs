@@ -29,9 +29,17 @@
 //! * [`sim`] — the Fig. 6 substitution: execute the real protocol on a
 //!   small grid under the virtual-time network while predicting the
 //!   nominal point with [`tb_model::ScalingConfig`];
-//! * [`numa`] — the §3 outlook: one pipeline per cache group coupled by
-//!   in-memory multi-layer slab halos (the ccNUMA fix the paper
-//!   proposes), instead of one node-wide pipeline.
+//! * the §3 outlook — one pipeline per cache group instead of one
+//!   node-wide pipeline, the ccNUMA fix the paper proposes — is the same
+//!   decomposition run in-process: a `[1, 1, n]` [`DistSolver`] split,
+//!   one rank per cache group, each running a one-team
+//!   [`LocalExec::Pipelined`] of depth `t·T = h`. Each rank thread pins
+//!   itself into its group
+//!   ([`tb_topology::affinity::pin_current_thread`]) *before*
+//!   [`DistSolver::from_global_op`], which allocates and fills the
+//!   rank's box on the calling thread, so the pages land on that group's
+//!   NUMA domain; the rank then calls [`DistSolver::run_sweeps_on`] with
+//!   `Runtime::new(&layout)` for a layout of its group's CPUs.
 //!
 //! # Correctness argument
 //!
@@ -88,7 +96,6 @@
 
 pub mod decomp;
 pub mod halo;
-pub mod numa;
 pub mod sim;
 pub mod solver;
 

@@ -110,6 +110,18 @@ pub enum LocalExec {
     Diamond(DiamondConfig),
 }
 
+impl LocalExec {
+    /// Compute workers the local execution occupies (0: it runs on the
+    /// rank's thread) and what a runtime-size panic calls them.
+    fn team(&self) -> (usize, &'static str) {
+        match self {
+            LocalExec::Seq => (0, "sequential sweep"),
+            LocalExec::Pipelined(cfg) => (cfg.threads(), "pipeline"),
+            LocalExec::Diamond(cfg) => (cfg.threads, "diamond team"),
+        }
+    }
+}
+
 /// How a rank schedules its halo exchange against its local compute.
 /// See the module docs for the schedule details.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -165,6 +177,13 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// halo is shallower than the operator radius, or when a pipelined
     /// `exec` is invalid for this rank's local box (too-small blocks,
     /// pipeline deeper than the halo sustains, ...).
+    ///
+    /// The rank's box is allocated and filled on the calling thread —
+    /// both buffers of its pair — so its pages commit on that thread's
+    /// NUMA domain. For the paper's one-pipeline-per-cache-group layout
+    /// (one rank per group), pin the rank thread into its group with
+    /// [`tb_topology::affinity::pin_current_thread`] before this call and
+    /// run the rank on a runtime pinned to the same group.
     pub fn from_global_op(
         dec: &Decomposition,
         coords: [usize; 3],
@@ -302,13 +321,8 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// thread plus a communication worker when the exchange mode wants
     /// one.
     fn one_shot_runtime(&self) -> Runtime {
-        let threads = match &self.exec {
-            LocalExec::Seq => 0,
-            LocalExec::Pipelined(cfg) => cfg.threads(),
-            LocalExec::Diamond(cfg) => cfg.threads,
-        };
         let comm = (self.mode == ExchangeMode::OverlappedCommThread).then_some(None);
-        Runtime::from_cpus(vec![None; threads], comm)
+        Runtime::from_cpus(vec![None; self.exec.team().0], comm)
     }
 
     /// [`DistSolver::run_sweeps`] on a caller-provided persistent
@@ -337,21 +351,12 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         sweeps: usize,
         mut halos_in: Option<&mut (dyn FnMut(usize) -> bool + '_)>,
     ) -> RunStats {
-        match &self.exec {
-            LocalExec::Pipelined(cfg) => assert!(
-                rt.threads() >= cfg.threads(),
-                "runtime has {} workers but the rank's pipeline needs {}",
-                rt.threads(),
-                cfg.threads()
-            ),
-            LocalExec::Diamond(cfg) => assert!(
-                rt.threads() >= cfg.threads,
-                "runtime has {} workers but the rank's diamond team needs {}",
-                rt.threads(),
-                cfg.threads
-            ),
-            LocalExec::Seq => {}
-        }
+        let (threads, team) = self.exec.team();
+        assert!(
+            rt.threads() >= threads,
+            "runtime has {} workers but the rank's {team} needs {threads}",
+            rt.threads()
+        );
         let t0 = Instant::now();
         let sweeps_per_cycle = self.h / Op::RADIUS;
         let mut remaining = sweeps;

@@ -21,7 +21,8 @@
 //!    [`comm_core`](tb_topology::TeamLayout::comm_core)),
 //!    [`Runtime::with_threads`] (unpinned), or [`Runtime::from_cpus`]
 //!    (full control). Workers pin themselves on their first instruction,
-//!    so everything they later first-touch lands on their NUMA domain.
+//!    so a grid a worker allocates lands on its NUMA domain; grids the
+//!    caller allocates, pool misses included, land on the caller's.
 //! 2. **Execute** — [`Runtime::run`] broadcasts a task to the first `n`
 //!    compute workers and blocks until all of them finished; a worker
 //!    panic is re-raised on the caller. [`Runtime::submit_comm`] hands a
@@ -53,22 +54,24 @@
 //! ## Staging-buffer pool
 //!
 //! [`GridPool`] recycles staging grids (overlapped-exchange snapshots,
-//! second buffers of two-grid pipelines, compressed-grid storage, NUMA
-//! subdomain grids) across solves sharing a runtime
-//! ([`Runtime::grid_pool`]). Reused grids keep their stale contents; every
-//! consumer in this workspace writes a region before reading it, which
-//! the bitwise verification suites hold them to.
+//! second buffers of two-grid pipelines, compressed-grid storage) across
+//! solves sharing a runtime ([`Runtime::grid_pool`]). Reused grids keep
+//! their stale contents; every consumer in this workspace writes a
+//! region before reading it, which the bitwise verification suites hold
+//! them to.
 //!
 //! ## ccNUMA page placement
 //!
 //! Pages commit on the NUMA domain of the thread that first *writes*
-//! them. [`Runtime::acquire_grid`] and [`Runtime::place_copy`] apply a
+//! them, and a fresh `Grid3::zeroed` is written — memset — by the thread
+//! that allocates it, so a pool miss is placed by the thread that calls
+//! for it. [`Runtime::acquire_grid`] and [`Runtime::place_copy`] apply a
 //! [`Placement`] policy: under [`Placement::WorkerFirstTouch`] the
-//! pinned workers zero fresh grids (and carry bulk copies) in their own
-//! contiguous z-band partitions, so a team's grids live on the memory
-//! controllers next to the cores that compute on them — the §3/
-//! arXiv:1006.3148 concern, available to every runtime consumer. See
-//! the [`placement`] module.
+//! pinned workers zero fresh grids again (and carry bulk copies) in their
+//! own contiguous z-band partitions. That re-touch warms each worker's
+//! band but moves no page; to place a team's grids on its own domain,
+//! allocate them on a thread pinned there (see the [`placement`]
+//! module).
 
 pub mod placement;
 mod pool;

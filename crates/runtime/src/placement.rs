@@ -10,10 +10,15 @@
 //! outlook (and the follow-on work, arXiv:1006.3148) makes this the
 //! deciding factor for temporal blocking on ccNUMA nodes: a team
 //! streaming remote pages runs at the QPI/interconnect rate, not the
-//! local memory-controller rate. `tb_dist::numa` already proves the
-//! point for the team-decomposed node solver; this module gives the
-//! same lever to everything that acquires grids through a
-//! [`Runtime`].
+//! local memory-controller rate.
+//!
+//! What places pages today is the allocating thread. The paper's
+//! one-pipeline-per-cache-group layout gets its locality that way: each
+//! `tb_dist::DistSolver` rank thread pins itself into its cache group
+//! (`tb_topology::affinity::pin_current_thread`) before
+//! `DistSolver::from_global_op`, which allocates and fills the rank's
+//! box — both buffers — on that thread, and then runs on a runtime
+//! pinned to the same group.
 //!
 //! [`Placement::WorkerFirstTouch`] makes [`Runtime::acquire_grid`]
 //! dispatch the runtime's *pinned* workers to zero a fresh grid's
@@ -39,10 +44,11 @@ pub enum Placement {
     /// its pages, or on UMA hosts where placement cannot matter.
     #[default]
     ClientPages,
-    /// The runtime's pinned workers first-touch each fresh grid's
-    /// z-slabs in their own compute partition, and bulk copies run on
-    /// the workers too — pages live on the NUMA domain that computes
-    /// on them.
+    /// The runtime's pinned workers zero each fresh grid's z-slabs again
+    /// in their own compute partition, and bulk copies run on the
+    /// workers too. The allocation has already committed the pages on
+    /// the allocating thread's domain, so the zeroing re-touches them
+    /// and moves none (see the module docs).
     WorkerFirstTouch,
 }
 

@@ -1,9 +1,9 @@
 //! Staging-grid recycling.
 //!
 //! Per-cycle staging allocations — overlapped-exchange snapshot grids,
-//! the B buffer of a two-grid pipeline, compressed-grid storage, NUMA
-//! subdomain boxes — are the allocator-side twin of per-sweep thread
-//! spawning: cheap once, expensive times ten thousand. [`GridPool`]
+//! the B buffer of a two-grid pipeline, compressed-grid storage — are
+//! the allocator-side twin of per-sweep thread spawning: cheap once,
+//! expensive times ten thousand. [`GridPool`]
 //! keeps returned grids and hands them back to the next acquirer with
 //! matching dimensions.
 //!
@@ -23,9 +23,9 @@ use tb_sync::lock;
 /// Default number of grids a pool parks before evicting the oldest:
 /// long-running services solving many distinct problem shapes must not
 /// accumulate dead allocations without bound. Large enough for every
-/// concurrent consumer in this workspace (a NUMA node run parks two
-/// grids per team). Long-lived per-tenant runtimes serving a wide
-/// problem mix raise it with [`GridPool::with_capacity`] /
+/// concurrent consumer in this workspace. Long-lived per-tenant
+/// runtimes serving a wide problem mix raise it with
+/// [`GridPool::with_capacity`] /
 /// [`crate::Runtime::with_pool_capacity`].
 pub const DEFAULT_POOL_CAPACITY: usize = 8;
 

@@ -314,10 +314,10 @@ impl Runtime {
     /// Set the page-placement policy for grids this runtime hands out
     /// through [`Runtime::acquire_grid`] / [`Runtime::place_copy`]
     /// (builder style). [`Placement::WorkerFirstTouch`] makes the
-    /// pinned workers first-touch fresh grids and carry bulk copies, so
-    /// pages live on the NUMA domains that compute on them; the default
-    /// [`Placement::ClientPages`] keeps the historical caller-placed
-    /// behaviour. See [`crate::placement`].
+    /// pinned workers re-zero fresh grids and carry bulk copies in their
+    /// own partitions (the pages stay where the allocating thread placed
+    /// them); the default [`Placement::ClientPages`] leaves both to the
+    /// caller. See [`crate::placement`].
     pub fn with_placement(mut self, placement: Placement) -> Self {
         self.placement = placement;
         self

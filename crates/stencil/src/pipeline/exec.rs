@@ -16,9 +16,10 @@
 //! Both entry points ([`run_op_on`], [`run_team_sweep_op_on`]) take the
 //! operator and the persistent [`tb_runtime::Runtime`] whose workers
 //! they run on (the paper's long-lived pinned thread groups — share one
-//! runtime across repeated solves to pay the spawn/pin cost once).
-//! Placement belongs to the runtime: for a one-shot pinned team, build
-//! `Runtime::new(&layout)` on the line above the call.
+//! runtime across repeated solves to pay the spawn/pin cost once), and
+//! each makes exactly one dispatch on it. Placement belongs to the
+//! runtime: for a one-shot pinned team, build `Runtime::new(&layout)` on
+//! the line above the call.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,105 +35,6 @@ use crate::op::StencilOp;
 use crate::pipeline::plan::PipelinePlan;
 use crate::pipeline::schedule::{team_sweep_schedule, team_sweeps};
 use crate::stats::RunStats;
-
-/// The shared state of one pipelined run: plan, grid views, and the
-/// synchronization objects every worker of the team touches. Build it
-/// once per run, then have each worker of the team call
-/// [`PipelineRun::worker`]. This is the reusable core behind
-/// [`run_op_on`]; `tb-dist`'s NUMA node solver drives one `PipelineRun`
-/// per subdomain team on slices of a larger runtime.
-pub struct PipelineRun<'a, T: Real, Op: StencilOp<T>> {
-    op: &'a Op,
-    views: [SharedGrid<T>; 2],
-    plan: PipelinePlan,
-    barrier: SpinBarrier,
-    psync: Option<PipelineSync>,
-    auditor: Option<RegionAuditor>,
-    total_cells: AtomicU64,
-    threads: usize,
-    depth: usize,
-    sweeps: usize,
-    _pair: std::marker::PhantomData<&'a mut GridPair<T>>,
-}
-
-impl<'a, T: Real, Op: StencilOp<T>> PipelineRun<'a, T, Op> {
-    /// Validate `cfg` against the pair and set up the run state for
-    /// `sweeps` sweeps of `op`.
-    pub fn new(
-        op: &'a Op,
-        pair: &'a mut GridPair<T>,
-        cfg: &PipelineConfig,
-        sweeps: usize,
-    ) -> Result<Self, String> {
-        cfg.validate(pair.dims())?;
-        let dims = pair.dims();
-        let interior = Region3::interior_of(dims);
-        let depth = cfg.stages();
-        let plan = PipelinePlan::uniform(interior, cfg.block, depth);
-        let threads = cfg.threads();
-        Ok(Self {
-            op,
-            views: pair.shared_views(),
-            plan,
-            barrier: SpinBarrier::new(threads),
-            psync: PipelineSync::from_mode(threads, cfg.team_size, cfg.sync),
-            auditor: cfg.audit.then(RegionAuditor::new),
-            total_cells: AtomicU64::new(0),
-            threads,
-            depth,
-            sweeps,
-            _pair: std::marker::PhantomData,
-        })
-    }
-
-    /// Pipeline threads of this run (`n·t`).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Execute pipeline thread `tid`'s share of the whole run, team
-    /// sweep by team sweep.
-    ///
-    /// # Safety
-    /// Exactly [`PipelineRun::threads`] workers must call this
-    /// concurrently, with distinct `tid`s in `0..threads`, and nothing
-    /// else may touch the underlying grid pair for the duration — the
-    /// plan geometry plus the synchronization distances then guarantee
-    /// the disjointness contract of the shared-grid kernels.
-    pub unsafe fn worker(&self, tid: usize) {
-        let nblocks = self.plan.num_blocks();
-        let mut my_cells = 0u64;
-        for ts in team_sweeps(self.sweeps, self.depth) {
-            my_cells += team_sweep_schedule(
-                &self.barrier,
-                self.psync.as_ref(),
-                tid,
-                self.threads,
-                nblocks,
-                ts.len(),
-                |k| k,
-                |j, stages| {
-                    update_block(
-                        self.op,
-                        &self.views,
-                        &self.plan,
-                        self.auditor.as_ref(),
-                        tid,
-                        j,
-                        ts.start,
-                        stages,
-                    )
-                },
-            );
-        }
-        self.total_cells.fetch_add(my_cells, Ordering::Relaxed);
-    }
-
-    /// Cell updates performed so far (complete once all workers joined).
-    pub fn cells(&self) -> u64 {
-        self.total_cells.load(Ordering::Relaxed)
-    }
-}
 
 /// Run `sweeps` sweeps of `op` over `pair` with pipelined temporal
 /// blocking on the given persistent runtime (which must have at least
@@ -156,13 +58,17 @@ pub fn run_op_on<T: Real, Op: StencilOp<T>>(
             cfg.threads()
         ));
     }
-    let run = PipelineRun::new(op, pair, cfg, sweeps)?;
+    let plan = PipelinePlan::uniform(Region3::interior_of(pair.dims()), cfg.block, cfg.stages());
+    let sweeps: Vec<Range<usize>> = team_sweeps(sweeps, cfg.stages()).collect();
+    let views = pair.shared_views();
     let t0 = Instant::now();
-    // SAFETY: the runtime dispatch hands out distinct tids 0..threads
-    // and blocks until every worker finished; the pair stays exclusively
-    // borrowed by `run` for that whole window.
-    rt.run(run.threads(), &|tid| unsafe { run.worker(tid) });
-    Ok(RunStats::new(run.cells(), t0.elapsed()))
+    // SAFETY: the views come from the pair, which stays exclusively
+    // borrowed for the call; the uniform plan over the validated
+    // interior satisfies the plan geometry contract, `team_sweeps` cuts
+    // no team sweep deeper than it, and the runtime size is checked
+    // above.
+    let cells = unsafe { run_team_sweeps(rt, op, &views, &plan, cfg, &sweeps) };
+    Ok(RunStats::new(cells, t0.elapsed()))
 }
 
 /// One pipelined team sweep over an externally built plan — the entry
@@ -203,36 +109,53 @@ pub unsafe fn run_team_sweep_op_on<T: Real, Op: StencilOp<T>>(
         "{stages_now} stages exceed the pipeline depth {}",
         cfg.stages()
     );
+    let team_sweep = base_sweep..base_sweep + stages_now;
+    // SAFETY: forwarded from this function's contract.
+    unsafe { run_team_sweeps(rt, op, views, plan, cfg, std::slice::from_ref(&team_sweep)) }
+}
+
+/// The dispatch body of both entry points: one [`Runtime::run`] of
+/// `cfg.threads()` workers that performs the team sweeps `sweeps` in
+/// order — team sweep `ts` applies stages `0..ts.len()` of `plan` as
+/// global sweeps `ts` — with the barrier, [`PipelineSync`], auditor and
+/// cell counter set up once. Returns the number of cell updates.
+///
+/// # Safety
+/// As [`run_team_sweep_op_on`]; the runtime must have at least
+/// `cfg.threads()` workers and no team sweep may be deeper than `plan`.
+unsafe fn run_team_sweeps<T: Real, Op: StencilOp<T>>(
+    rt: &Runtime,
+    op: &Op,
+    views: &[SharedGrid<T>; 2],
+    plan: &PipelinePlan,
+    cfg: &PipelineConfig,
+    sweeps: &[Range<usize>],
+) -> u64 {
+    let threads = cfg.threads();
     let nblocks = plan.num_blocks();
     let barrier = SpinBarrier::new(threads);
     let psync = PipelineSync::from_mode(threads, cfg.team_size, cfg.sync);
     let auditor = cfg.audit.then(RegionAuditor::new);
     let total_cells = AtomicU64::new(0);
     rt.run(threads, &|tid| {
-        let cells = team_sweep_schedule(
-            &barrier,
-            psync.as_ref(),
-            tid,
-            threads,
-            nblocks,
-            stages_now,
-            |k| k,
-            |j, stages| {
-                update_block(
-                    op,
-                    views,
-                    plan,
-                    auditor.as_ref(),
-                    tid,
-                    j,
-                    base_sweep,
-                    stages,
-                )
-            },
-        );
+        let mut cells = 0u64;
+        for ts in sweeps {
+            cells += team_sweep_schedule(
+                &barrier,
+                psync.as_ref(),
+                tid,
+                threads,
+                nblocks,
+                ts.len(),
+                |k| k,
+                |j, stages| {
+                    update_block(op, views, plan, auditor.as_ref(), tid, j, ts.start, stages)
+                },
+            );
+        }
         total_cells.fetch_add(cells, Ordering::Relaxed);
     });
-    total_cells.load(Ordering::Relaxed)
+    total_cells.into_inner()
 }
 
 /// Apply this thread's consecutive `stages` to block `j` of the team

@@ -11,5 +11,5 @@ pub mod plan;
 mod schedule;
 
 pub use compressed::run_compressed_op_on;
-pub use exec::{run_op_on, run_team_sweep_op_on, PipelineRun};
+pub use exec::{run_op_on, run_team_sweep_op_on};
 pub use plan::PipelinePlan;

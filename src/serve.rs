@@ -885,8 +885,10 @@ pub struct ServerConfig {
     /// Page placement for job grids. The default,
     /// [`Placement::WorkerFirstTouch`], makes every slice *ingest* the
     /// client's payload into a slice-local pooled grid (copied by the
-    /// slice's own pinned workers, so its pages live on the slice's
-    /// NUMA domain) and copy the result back out on completion;
+    /// slice's own pinned workers; a fresh grid's pages were committed
+    /// by the slice thread that acquired it, see
+    /// [`crate::runtime::placement`]) and copy the result back out on
+    /// completion;
     /// [`JobReport::ingest`]/[`JobReport::egress`] report the cost.
     /// [`Placement::ClientPages`] computes on the client's pages
     /// directly — right on UMA hosts or when clients pre-place pages.

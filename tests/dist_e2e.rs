@@ -5,7 +5,7 @@ use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::net::{CartComm, SimNet, Universe};
 use temporal_blocking::runtime::Runtime;
 use temporal_blocking::stencil::config::GridScheme;
-use temporal_blocking::topology::TeamLayout;
+use temporal_blocking::topology::{affinity, Machine, TeamLayout};
 use temporal_blocking::{Avg27, Jacobi6, Jacobi7, PipelineConfig, StencilOp, SyncMode, VarCoeff7};
 
 fn run_and_verify(
@@ -95,9 +95,10 @@ fn virtual_time_cluster_accumulates() {
 }
 
 /// One operator through all three exchange modes: each gathered grid
-/// must match the serial oracle and the sync-mode gather bitwise. With a
-/// `layout`, every rank runs on `Runtime::new(layout)` instead of its
-/// one-shot runtime.
+/// must match the serial oracle and the sync-mode gather bitwise. With
+/// `layouts`, rank `r` pins its thread to the first CPU of `layouts(r)`
+/// before building its solver (so its box is allocated there) and runs
+/// on `Runtime::new(&layouts(r))` instead of its one-shot runtime.
 fn verify_overlap_op<Op: StencilOp<f64>>(
     op: Op,
     dims: Dims3,
@@ -105,7 +106,7 @@ fn verify_overlap_op<Op: StencilOp<f64>>(
     h: usize,
     sweeps: usize,
     exec: impl Fn() -> LocalExec + Send + Sync,
-    layout: Option<&TeamLayout>,
+    layouts: Option<&(dyn Fn(usize) -> TeamLayout + Sync)>,
 ) {
     let global: Grid3<f64> = init::random(dims, 31415);
     let want = solver::serial_reference_op(&op, &global, sweeps);
@@ -117,12 +118,16 @@ fn verify_overlap_op<Op: StencilOp<f64>>(
     ] {
         let (g, w, op_ref, exec_ref, dec_ref) = (&global, &want, &op, &exec, &dec);
         Universe::run(dec.ranks(), None, move |comm| {
+            let layout = layouts.map(|f| f(comm.rank()));
+            if let Some(layout) = &layout {
+                let _ = affinity::pin_opt(layout.cpus[0]);
+            }
             let mut cart = CartComm::new(comm, pgrid);
             let mut s =
                 DistSolver::from_global_op(dec_ref, cart.coords(), g, exec_ref(), op_ref.clone())
                     .unwrap()
                     .with_exchange_mode(mode);
-            match layout {
+            match &layout {
                 Some(layout) => s.run_sweeps_on(&Runtime::new(layout), &mut cart, sweeps),
                 None => s.run_sweeps(&mut cart, sweeps),
             };
@@ -197,7 +202,57 @@ fn overlap_hybrid_pipelined_twelve_ranks() {
         2,
         6,
         move || LocalExec::Pipelined(cfg.clone()),
-        Some(&layout),
+        Some(&|_| layout.clone()),
+    );
+}
+
+/// Rank `rank`'s cores in the §3 layout: team `rank` of a `ranks`-team
+/// node layout on `machine`, as a one-team layout that shares the
+/// node's carved-out comm core.
+fn rank_layout(machine: &Machine, t: usize, ranks: usize, rank: usize) -> TeamLayout {
+    let node = TeamLayout::with_comm_core(machine, t, ranks);
+    TeamLayout {
+        cpus: node.cpus[rank * t..(rank + 1) * t].to_vec(),
+        team_size: t,
+        n_teams: 1,
+        comm_core: node.comm_core,
+    }
+}
+
+#[test]
+fn one_pipeline_per_cache_group() {
+    // The paper's §3 outlook as DistSolver ranks: a z-split with one
+    // rank per cache group, each a pinned one-team pipeline t·T = h deep.
+    let machine = Machine::nehalem_ep();
+    let pipeline = |upt| PipelineConfig {
+        team_size: 2,
+        n_teams: 1,
+        updates_per_thread: upt,
+        block: [8, 8, 8],
+        sync: SyncMode::relaxed_default(),
+        scheme: GridScheme::TwoGrid,
+        audit: true,
+    };
+    // Three ranks, T = 2: 10 sweeps are two full cycles and a partial one.
+    let cfg = pipeline(2);
+    verify_overlap_op(
+        Jacobi6,
+        Dims3::new(20, 20, 36),
+        [1, 1, 3],
+        4,
+        10,
+        move || LocalExec::Pipelined(cfg.clone()),
+        Some(&|r| rank_layout(&machine, 2, 3, r)),
+    );
+    let cfg = pipeline(1);
+    verify_overlap_op(
+        Jacobi6,
+        Dims3::cube(24),
+        [1, 1, 2],
+        2,
+        9,
+        move || LocalExec::Pipelined(cfg.clone()),
+        Some(&|r| rank_layout(&machine, 2, 2, r)),
     );
 }
 
