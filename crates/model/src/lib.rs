@@ -63,8 +63,5 @@ pub use pipeline::{
     pipeline_speedup, team_block_time, team_block_time_op, wavefront_speedup,
     wavefront_working_set_bytes,
 };
-pub use roofline::{
-    jacobi_roofline_lups, op_roofline_lups, placed_bandwidth, placed_roofline_lups, roofline_lups,
-    service_floor_seconds,
-};
+pub use roofline::{jacobi_roofline_lups, op_roofline_lups, roofline_lups, service_floor_seconds};
 pub use scaling::{ScalingConfig, ScalingMode, ScalingPoint};

@@ -42,52 +42,6 @@ pub fn jacobi_roofline_default(machine: &MachineParams) -> f64 {
     op_roofline_lups::<f64, _>(machine, &Jacobi6, StoreMode::Streaming)
 }
 
-/// Effective streaming bandwidth (B/s) when a fraction of a team's
-/// traffic crosses to a remote ccNUMA domain.
-///
-/// First-touch page placement decides this fraction: a team whose
-/// grids were touched by its own pinned workers streams everything at
-/// the local rate (`remote_fraction = 0`), while a team computing on
-/// pages the submitting client touched on another domain pays the
-/// interconnect (QPI/HT) rate for that share. The two streams proceed
-/// concurrently, so the combined rate is the harmonic (serial-fraction)
-/// mix of the local rate `ms` and the remote rate
-/// `ms * remote_penalty`:
-///
-/// `ms_eff = 1 / ((1 - f) / ms + f / (ms * penalty))`
-///
-/// `remote_penalty` is the remote-to-local bandwidth ratio in `(0, 1]`
-/// (~0.6–0.7 measured on the paper's Nehalem EP testbed; 1.0 on UMA).
-pub fn placed_bandwidth(machine: &MachineParams, remote_fraction: f64, remote_penalty: f64) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&remote_fraction),
-        "remote fraction is a share in [0, 1]"
-    );
-    assert!(
-        remote_penalty > 0.0 && remote_penalty <= 1.0,
-        "remote penalty is a bandwidth ratio in (0, 1]"
-    );
-    let local = machine.ms;
-    let remote = machine.ms * remote_penalty;
-    1.0 / ((1.0 - remote_fraction) / local + remote_fraction / remote)
-}
-
-/// Eq. 2 with NUMA placement folded in: the roofline at the effective
-/// bandwidth of [`placed_bandwidth`]. With `remote_fraction = 0`
-/// (worker-first-touched grids) this is exactly [`roofline_lups`];
-/// with `remote_fraction = 1` (all pages on the wrong domain) the
-/// expectation drops by the full remote penalty — the gap a serving
-/// slice's ingest copy exists to close.
-pub fn placed_roofline_lups(
-    machine: &MachineParams,
-    bytes_per_lup: f64,
-    remote_fraction: f64,
-    remote_penalty: f64,
-) -> f64 {
-    assert!(bytes_per_lup > 0.0);
-    placed_bandwidth(machine, remote_fraction, remote_penalty) / bytes_per_lup
-}
-
 /// Optimistic service-time **floor** in seconds for a job of
 /// `cell_updates` lattice-site updates with code balance `bytes_per_lup`.
 ///
@@ -174,41 +128,6 @@ mod tests {
     #[should_panic]
     fn zero_traffic_rejected() {
         let _ = roofline_lups(&MachineParams::nehalem_ep(), 0.0);
-    }
-
-    #[test]
-    fn local_placement_recovers_the_plain_roofline() {
-        let m = MachineParams::nehalem_ep();
-        for penalty in [0.3, 0.65, 1.0] {
-            assert_eq!(
-                placed_roofline_lups(&m, 16.0, 0.0, penalty),
-                roofline_lups(&m, 16.0),
-                "no remote traffic → placement cannot matter"
-            );
-        }
-        // UMA (penalty 1): the fraction cannot matter either.
-        assert!((placed_roofline_lups(&m, 16.0, 0.7, 1.0) - roofline_lups(&m, 16.0)).abs() < 1e-3);
-    }
-
-    #[test]
-    fn remote_traffic_degrades_monotonically_to_the_penalty() {
-        let m = MachineParams::nehalem_ep();
-        let penalty = 0.65;
-        let mut prev = f64::INFINITY;
-        for f in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let lups = placed_roofline_lups(&m, 16.0, f, penalty);
-            assert!(lups < prev || f == 0.0, "fraction {f} must not speed up");
-            prev = lups;
-        }
-        // Fully remote: exactly the penalty times the local roofline.
-        let full = placed_roofline_lups(&m, 16.0, 1.0, penalty);
-        assert!((full / roofline_lups(&m, 16.0) - penalty).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "remote penalty")]
-    fn zero_penalty_rejected() {
-        let _ = placed_bandwidth(&MachineParams::nehalem_ep(), 0.5, 0.0);
     }
 
     #[test]

@@ -20,9 +20,7 @@
 //!    communication worker iff the layout reserved a
 //!    [`comm_core`](tb_topology::TeamLayout::comm_core)),
 //!    [`Runtime::with_threads`] (unpinned), or [`Runtime::from_cpus`]
-//!    (full control). Workers pin themselves on their first instruction,
-//!    so a grid a worker allocates lands on its NUMA domain; grids the
-//!    caller allocates, pool misses included, land on the caller's.
+//!    (full control). Workers pin themselves on their first instruction.
 //! 2. **Execute** — [`Runtime::run`] broadcasts a task to the first `n`
 //!    compute workers and blocks until all of them finished; a worker
 //!    panic is re-raised on the caller. [`Runtime::submit_comm`] hands a
@@ -63,20 +61,16 @@
 //! ## ccNUMA page placement
 //!
 //! Pages commit on the NUMA domain of the thread that first *writes*
-//! them, and a fresh `Grid3::zeroed` is written — memset — by the thread
-//! that allocates it, so a pool miss is placed by the thread that calls
-//! for it. [`Runtime::acquire_grid`] and [`Runtime::place_copy`] apply a
-//! [`Placement`] policy: under [`Placement::WorkerFirstTouch`] the
-//! pinned workers zero fresh grids again (and carry bulk copies) in their
-//! own contiguous z-band partitions. That re-touch warms each worker's
-//! band but moves no page; to place a team's grids on its own domain,
-//! allocate them on a thread pinned there (see the [`placement`]
-//! module).
+//! them. `Grid3::zeroed` asks for 64-byte alignment, above what std's
+//! `alloc_zeroed` can get from `calloc`, so it memsets the buffer on the
+//! allocating thread: every grid, pool misses included, is placed by the
+//! thread that allocates it. To place a team's grids on its own domain
+//! (the paper's one-pipeline-per-cache-group layout, arXiv:1006.3148),
+//! allocate them on a thread pinned there, as a `tb_dist::DistSolver`
+//! rank thread does before `DistSolver::from_global_op`.
 
-pub mod placement;
 mod pool;
 mod team;
 
-pub use placement::Placement;
 pub use pool::{GridPool, PooledGrid, DEFAULT_POOL_CAPACITY};
 pub use team::{CommHandle, Runtime};

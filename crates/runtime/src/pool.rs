@@ -65,39 +65,22 @@ impl<T: Real> GridPool<T> {
     /// (stale contents — see the module docs), else a fresh zeroed
     /// allocation.
     pub fn acquire(&self, dims: Dims3) -> Grid3<T> {
-        match self.try_acquire(dims) {
-            Some(g) => g,
-            None => {
-                self.fresh.fetch_add(1, Ordering::Relaxed);
-                Grid3::zeroed(dims)
-            }
-        }
-    }
-
-    /// The pool-hit half of [`GridPool::acquire`]: a recycled grid of
-    /// exactly `dims` (stale contents), or `None` without allocating.
-    /// Placement-aware callers ([`crate::Runtime::acquire_grid`]) use
-    /// this to tell a reuse (pages already placed by a previous life)
-    /// from a miss that needs a first-touch pass.
-    pub fn try_acquire(&self, dims: Dims3) -> Option<Grid3<T>> {
-        let mut free = lock(&self.free);
-        free.iter()
-            .position(|g| g.dims() == dims)
-            .map(|i| free.swap_remove(i))
+        let recycled = {
+            let mut free = lock(&self.free);
+            free.iter()
+                .position(|g| g.dims() == dims)
+                .map(|i| free.swap_remove(i))
+        };
+        recycled.unwrap_or_else(|| {
+            self.fresh.fetch_add(1, Ordering::Relaxed);
+            Grid3::zeroed(dims)
+        })
     }
 
     /// Fresh allocations performed by acquire misses since the pool was
     /// built. A warm serving path holds this flat across jobs.
     pub fn fresh_allocations(&self) -> u64 {
         self.fresh.load(Ordering::Relaxed)
-    }
-
-    /// Count `n` externally performed fresh allocations against this
-    /// pool's [`GridPool::fresh_allocations`] ledger (used by
-    /// [`crate::Runtime::acquire_grid`], which allocates outside the
-    /// pool lock so it can first-touch before anyone sees the grid).
-    pub(crate) fn note_fresh(&self, n: u64) {
-        self.fresh.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Return a grid for later reuse. The oldest parked grid is dropped
@@ -247,12 +230,15 @@ mod tests {
         pool.release(g);
         let g = pool.acquire(Dims3::cube(5)); // hit
         assert_eq!(pool.fresh_allocations(), 1);
-        assert!(pool.try_acquire(Dims3::cube(5)).is_none(), "no allocation");
-        assert_eq!(pool.fresh_allocations(), 1);
-        pool.release(g);
-        assert!(pool.try_acquire(Dims3::cube(5)).is_some());
-        let _ = pool.acquire(Dims3::cube(9)); // miss again
+        let h = pool.acquire(Dims3::cube(5)); // miss: the one grid is out
         assert_eq!(pool.fresh_allocations(), 2);
+        pool.release(g);
+        pool.release(h);
+        let _ = pool.acquire(Dims3::cube(5)); // hit
+        let _ = pool.acquire(Dims3::cube(5)); // hit
+        assert_eq!(pool.fresh_allocations(), 2);
+        let _ = pool.acquire(Dims3::cube(9)); // miss again
+        assert_eq!(pool.fresh_allocations(), 3);
     }
 
     #[test]

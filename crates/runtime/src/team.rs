@@ -31,7 +31,6 @@ use tb_grid::Real;
 use tb_sync::{lock, Backoff};
 use tb_topology::{affinity, TeamLayout};
 
-use crate::placement::{first_touch_zero, parallel_copy, Placement};
 use crate::pool::GridPool;
 
 /// Lifetime-erased broadcast task; valid only while its dispatcher
@@ -203,7 +202,6 @@ pub struct Runtime {
     comm_core: Option<usize>,
     pools: Mutex<HashMap<TypeId, Box<dyn Any + Send>>>,
     pool_capacity: usize,
-    placement: Placement,
     /// Spawn ledger: OS threads started by this runtime so far.
     spawned: AtomicUsize,
 }
@@ -285,7 +283,6 @@ impl Runtime {
             comm_core,
             pools: Mutex::new(HashMap::new()),
             pool_capacity: crate::pool::DEFAULT_POOL_CAPACITY,
-            placement: Placement::default(),
             spawned,
         }
     }
@@ -311,61 +308,19 @@ impl Runtime {
         self.pool_capacity
     }
 
-    /// Set the page-placement policy for grids this runtime hands out
-    /// through [`Runtime::acquire_grid`] / [`Runtime::place_copy`]
-    /// (builder style). [`Placement::WorkerFirstTouch`] makes the
-    /// pinned workers re-zero fresh grids and carry bulk copies in their
-    /// own partitions (the pages stay where the allocating thread placed
-    /// them); the default [`Placement::ClientPages`] leaves both to the
-    /// caller. See [`crate::placement`].
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-
-    /// The page-placement policy this runtime applies.
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
-    /// A grid of exactly `dims` from this runtime's pool, placement
-    /// applied: a pool hit returns the recycled grid as-is (its pages
-    /// were placed in a previous life — stale contents, see
-    /// [`GridPool`]); a miss allocates a zeroed grid (std memsets it on
-    /// the calling thread, which commits every page there) and, under
-    /// [`Placement::WorkerFirstTouch`], dispatches the pinned workers to
-    /// zero their own contiguous z-band partitions again — a re-touch
-    /// that does not move pages the calling thread already placed (see
-    /// [`crate::placement`]).
-    ///
-    /// Counted against [`GridPool::fresh_allocations`] exactly like a
-    /// plain [`GridPool::acquire`] miss.
+    /// A grid of exactly `dims` from this runtime's pool
+    /// ([`GridPool::acquire`]): a hit is a recycled grid with stale
+    /// contents, a miss a fresh zeroed grid whose pages the calling
+    /// thread places (see the crate docs on ccNUMA page placement).
     pub fn acquire_grid<T: Real>(&self, dims: tb_grid::Dims3) -> tb_grid::Grid3<T> {
-        let pool = self.grid_pool::<T>();
-        if let Some(g) = pool.try_acquire(dims) {
-            return g;
-        }
-        pool.note_fresh(1);
-        let mut g = tb_grid::Grid3::zeroed(dims);
-        if self.placement == Placement::WorkerFirstTouch {
-            first_touch_zero(self, &mut g);
-        }
-        g
+        self.grid_pool::<T>().acquire(dims)
     }
 
-    /// Copy `src` into `dst` under the placement policy: the workers
-    /// carry the copy in their own partitions under
-    /// [`Placement::WorkerFirstTouch`] (writing pages from the threads
-    /// that own them; a `Grid3::zeroed` destination's pages were already
-    /// committed by its allocating thread, see [`crate::placement`]), a
-    /// plain single-thread copy under
-    /// [`Placement::ClientPages`]. Bitwise either way.
+    /// `dst.copy_from_slice(src)` on the calling thread. Kept only
+    /// because the benchmark times it as `runtime.place_copy`; delete it
+    /// once the benchmark stops naming it.
     pub fn place_copy<T: Real>(&self, dst: &mut [T], src: &[T]) {
-        if self.placement == Placement::WorkerFirstTouch && self.threads() > 0 {
-            parallel_copy(self, dst, src);
-        } else {
-            dst.copy_from_slice(src);
-        }
+        dst.copy_from_slice(src);
     }
 
     /// Number of compute workers (the communication worker not included).
@@ -753,37 +708,31 @@ mod tests {
     }
 
     #[test]
-    fn acquire_grid_first_touches_misses_and_reuses_hits() {
+    fn acquire_grid_allocates_misses_and_reuses_hits() {
         use tb_grid::{Dims3, Grid3};
-        for placement in [Placement::ClientPages, Placement::WorkerFirstTouch] {
-            let rt = Runtime::with_threads(2).with_placement(placement);
-            assert_eq!(rt.placement(), placement);
-            let pool = rt.grid_pool::<f64>();
+        let rt = Runtime::with_threads(2);
+        let pool = rt.grid_pool::<f64>();
 
-            // Miss: fresh zeroed grid, counted on the pool's ledger.
-            let g: Grid3<f64> = rt.acquire_grid(Dims3::new(6, 5, 4));
-            assert!(g.as_slice().iter().all(|v| *v == 0.0), "{placement:?}");
-            assert_eq!(pool.fresh_allocations(), 1);
+        // Miss: fresh zeroed grid, counted on the pool's ledger.
+        let mut g: Grid3<f64> = rt.acquire_grid(Dims3::new(6, 5, 4));
+        assert!(g.as_slice().iter().all(|v| *v == 0.0));
+        assert_eq!(pool.fresh_allocations(), 1);
 
-            // Hit: recycled storage, stale contents, no new allocation.
-            let mut g = g;
-            g.set(1, 1, 1, 42.0);
-            pool.release(g);
-            let g: Grid3<f64> = rt.acquire_grid(Dims3::new(6, 5, 4));
-            assert_eq!(g.get(1, 1, 1), 42.0, "reuse keeps stale contents");
-            assert_eq!(pool.fresh_allocations(), 1, "warm path allocates nothing");
-        }
+        // Hit: recycled storage, stale contents, no new allocation.
+        g.set(1, 1, 1, 42.0);
+        pool.release(g);
+        let g: Grid3<f64> = rt.acquire_grid(Dims3::new(6, 5, 4));
+        assert_eq!(g.get(1, 1, 1), 42.0, "reuse keeps stale contents");
+        assert_eq!(pool.fresh_allocations(), 1, "warm path allocates nothing");
     }
 
     #[test]
-    fn place_copy_is_bitwise_under_both_policies() {
+    fn place_copy_is_bitwise() {
         let src: Vec<f64> = (0..997).map(|i| (i as f64).sin()).collect();
-        for placement in [Placement::ClientPages, Placement::WorkerFirstTouch] {
-            let rt = Runtime::with_threads(3).with_placement(placement);
-            let mut dst = vec![0.0f64; src.len()];
-            rt.place_copy(&mut dst, &src);
-            assert_eq!(dst, src, "{placement:?}");
-        }
+        let rt = Runtime::with_threads(3);
+        let mut dst = vec![0.0f64; src.len()];
+        rt.place_copy(&mut dst, &src);
+        assert_eq!(dst, src);
     }
 
     #[test]

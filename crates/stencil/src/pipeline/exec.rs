@@ -17,7 +17,7 @@
 //! operator and the persistent [`tb_runtime::Runtime`] whose workers
 //! they run on (the paper's long-lived pinned thread groups — share one
 //! runtime across repeated solves to pay the spawn/pin cost once), and
-//! each makes exactly one dispatch on it. Placement belongs to the
+//! each makes exactly one dispatch on it. Core pinning belongs to the
 //! runtime: for a one-shot pinned team, build `Runtime::new(&layout)` on
 //! the line above the call.
 

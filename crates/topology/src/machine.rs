@@ -115,14 +115,6 @@ impl Machine {
         }
     }
 
-    /// The NUMA domain id owning logical CPU `cpu`, if it exists here.
-    pub fn numa_node_of(&self, cpu: usize) -> Option<usize> {
-        self.numa_nodes()
-            .iter()
-            .find(|d| d.cpus.contains(&cpu))
-            .map(|d| d.id)
-    }
-
     /// Compact, stable description of the topology: socket count, cores
     /// per socket, the outermost shared cache, and the NUMA-domain
     /// count. This is the machine half of a plan-cache fingerprint
@@ -384,8 +376,6 @@ mod tests {
         let nodes = m.numa_nodes();
         assert_eq!(nodes[0].cpus, vec![0, 1, 2, 3]);
         assert_eq!(nodes[1].cpus, vec![4, 5, 6, 7]);
-        assert_eq!(m.numa_node_of(5), Some(1));
-        assert_eq!(m.numa_node_of(99), None);
         assert_eq!(Machine::flat(6).num_numa_nodes(), 1);
     }
 
@@ -404,7 +394,6 @@ mod tests {
             },
         ];
         assert_eq!(m.num_numa_nodes(), 2);
-        assert_eq!(m.numa_node_of(6), Some(1));
         // And the signature discriminates on the node count.
         assert_ne!(m.signature(), Machine::flat(8).signature());
         assert!(m.signature().ends_with("+n2"));
@@ -418,8 +407,6 @@ mod tests {
         assert_eq!(sub.num_numa_nodes(), 1);
         assert_eq!(sub.numa_nodes()[0].id, 1);
         assert_eq!(sub.numa_nodes()[0].cpus, vec![4, 5]);
-        assert_eq!(sub.numa_node_of(4), Some(1));
-        assert_eq!(sub.numa_node_of(0), None);
         // Detected domains shrink the same way, empties dropped.
         let mut d = Machine::nehalem_ep();
         d.numa = vec![

@@ -118,7 +118,7 @@ pub use tb_sync as sync;
 pub use tb_topology as topology;
 
 pub use tb_plan::Method;
-pub use tb_runtime::{Placement, Runtime};
+pub use tb_runtime::Runtime;
 pub use tb_stencil::{
     Avg27, DiamondConfig, Jacobi6, Jacobi7, PipelineConfig, RunStats, ScalarPath, StencilOp,
     SyncMode, VarCoeff7,
@@ -143,7 +143,7 @@ pub mod prelude {
     pub use tb_grid::{self as grid, Dims3, Grid3, GridPair, Real, Region3};
     pub use tb_model::MachineParams;
     pub use tb_plan::{MethodFamily, Plan, PlanCache};
-    pub use tb_runtime::{Placement, Runtime};
+    pub use tb_runtime::Runtime;
     pub use tb_stencil::{
         Avg27, DiamondConfig, Jacobi6, Jacobi7, PipelineConfig, RunStats, ScalarPath, StencilOp,
         SyncMode, VarCoeff7,
@@ -179,8 +179,9 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     /// stale: sweep 0 writes every interior cell of B before any sweep
     /// reads it, under every executor (that is what bitwise identity
     /// with the oracle from a recycled buffer means; `pool_contract`
-    /// poisons the buffer with NaN to prove it), and a pool miss was
-    /// already first-touched by [`Runtime::acquire_grid`]. An executor
+    /// poisons the buffer with NaN to prove it), and a pool miss comes
+    /// zeroed from [`Runtime::acquire_grid`], its pages placed by the
+    /// calling thread. An executor
     /// that returns `Err` has not swept, so the spare is still released
     /// and the pool keeps its warm buffer.
     fn on_pooled_pair<T: Real>(

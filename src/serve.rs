@@ -31,7 +31,10 @@
 //!   ([`Machine::restrict`]). Each slice keeps one persistent
 //!   [`Runtime`] (workers pinned to the slice's cores) and its
 //!   [`GridPool`](tb_runtime::GridPool) alive across jobs, so tenants
-//!   pay neither spawn-per-job nor allocation-per-job.
+//!   pay neither spawn-per-job nor allocation-per-job. A slice computes
+//!   on the client's pages: the payload grid is solved in place, and
+//!   the pool grids a job pairs it with are placed by the slice thread
+//!   that allocated them.
 //! - **Packing policy**: a free slice takes the biggest queued job
 //!   first ([`SchedPolicy::BiggestFirst`], throughput — big jobs don't
 //!   convoy behind the tail), the oldest ([`SchedPolicy::Fifo`],
@@ -76,7 +79,7 @@ use std::time::{Duration, Instant};
 
 use tb_grid::{norm, Dims3, Grid3, Real, Region3};
 use tb_model::MachineParams;
-use tb_runtime::{Placement, Runtime};
+use tb_runtime::Runtime;
 use tb_stencil::{Avg27, Jacobi6, Jacobi7, RunStats, StencilOp, VarCoeff7};
 use tb_topology::{Machine, TeamLayout};
 
@@ -515,15 +518,16 @@ pub struct JobReport {
     pub admission_wait: Duration,
     /// Admission → a slice picking the job up.
     pub queue_wait: Duration,
-    /// Solve wall time on the slice (tuning included for cold tunes,
-    /// ingest/egress included under worker-first-touch placement).
+    /// Solve wall time on the slice (tuning included for cold tunes).
     pub service: Duration,
-    /// Copying the client payload into the slice-local grid (zero under
-    /// [`Placement::ClientPages`], including the single-node downgrade
-    /// — see [`ServerConfig::placement`]).
+    /// Always `Duration::ZERO`: a slice solves the client's grid in
+    /// place, so nothing is copied in. Kept only because the benchmark's
+    /// span rebuild reads it; delete it once the benchmark stops reading
+    /// it.
     pub ingest: Duration,
-    /// Copying the result back into the client's grid (zero under
-    /// [`Placement::ClientPages`], including the single-node downgrade).
+    /// Always `Duration::ZERO`: the result is the client's own grid, so
+    /// nothing is copied out. Kept for the same reason as
+    /// [`JobReport::ingest`].
     pub egress: Duration,
     /// Fresh grid allocations this job caused in the slice's pool — 0
     /// once the slice is warm for the job's shape, which is the
@@ -882,28 +886,6 @@ pub struct ServerConfig {
     pub pool_capacity: usize,
     /// Machine partitioning.
     pub slices: SlicePolicy,
-    /// Page placement for job grids. The default,
-    /// [`Placement::WorkerFirstTouch`], makes every slice *ingest* the
-    /// client's payload into a slice-local pooled grid (copied by the
-    /// slice's own pinned workers; a fresh grid's pages were committed
-    /// by the slice thread that acquired it, see
-    /// [`crate::runtime::placement`]) and copy the result back out on
-    /// completion;
-    /// [`JobReport::ingest`]/[`JobReport::egress`] report the cost.
-    /// [`Placement::ClientPages`] computes on the client's pages
-    /// directly — right on UMA hosts or when clients pre-place pages.
-    ///
-    /// On a machine reporting a **single NUMA node** every page is
-    /// already node-local, so the ingest/egress copies cannot improve
-    /// placement — the server downgrades to the zero-copy path
-    /// regardless of this field (see [`ServerConfig::force_placement`]).
-    pub placement: Placement,
-    /// Honor [`ServerConfig::placement`] verbatim even on single-node
-    /// machines, where the server would otherwise run zero-copy.
-    /// Placement tests and ablation benches set this to exercise the
-    /// ingest/egress machinery on hosts without real NUMA; production
-    /// code has no reason to.
-    pub force_placement: bool,
     /// Aging quantum of [`SchedPolicy::Deadline`]: a deadline-less job is
     /// scheduled as if due `aging_factor(priority) × aging` after
     /// submission (0 / 1× / 4× for `Latency` / `Normal` / `Batch` — see
@@ -921,8 +903,6 @@ impl Default for ServerConfig {
             policy: SchedPolicy::default(),
             pool_capacity: 16,
             slices: SlicePolicy::default(),
-            placement: Placement::WorkerFirstTouch,
-            force_placement: false,
             aging: Duration::from_millis(100),
             admission: Admission::QueueOnly,
         }
@@ -974,7 +954,6 @@ pub struct Server {
     threads: Vec<JoinHandle<()>>,
     policy: SchedPolicy,
     pool_capacity: usize,
-    placement: Placement,
     aging: Duration,
     admission: Admission,
     stats: Arc<Mutex<StatsInner>>,
@@ -1020,14 +999,6 @@ impl Server {
     pub fn new_paused(machine: &Machine, cfg: ServerConfig) -> Server {
         let parts = partition(machine, &cfg.slices);
         assert!(!parts.is_empty(), "machine has no cores to slice");
-        // With one NUMA node the ingest/egress copies are pure overhead
-        // (every page is already node-local): run zero-copy unless a
-        // test/bench explicitly forces the requested policy through.
-        let placement = if cfg.force_placement || machine.num_numa_nodes() >= 2 {
-            cfg.placement
-        } else {
-            Placement::ClientPages
-        };
         let sub_machines: Vec<Machine> = parts.iter().map(|p| machine.restrict(p)).collect();
         let slices = parts
             .iter()
@@ -1047,7 +1018,6 @@ impl Server {
             threads: Vec::new(),
             policy: cfg.policy,
             pool_capacity: cfg.pool_capacity,
-            placement,
             aging: cfg.aging,
             admission: cfg.admission,
             stats: Arc::new(Mutex::new(StatsInner::default())),
@@ -1068,7 +1038,6 @@ impl Server {
                 index,
                 policy: self.policy,
                 pool_capacity: self.pool_capacity,
-                placement: self.placement,
                 aging: self.aging,
                 stats: Arc::clone(&self.stats),
                 rates: Arc::clone(&self.rates),
@@ -1266,7 +1235,6 @@ struct SliceCtx {
     index: usize,
     policy: SchedPolicy,
     pool_capacity: usize,
-    placement: Placement,
     aging: Duration,
     stats: Arc<Mutex<StatsInner>>,
     rates: Arc<Mutex<RateMap>>,
@@ -1279,7 +1247,6 @@ fn slice_loop(ctx: SliceCtx) {
         index,
         policy,
         pool_capacity,
-        placement,
         aging,
         stats,
         rates,
@@ -1287,9 +1254,7 @@ fn slice_loop(ctx: SliceCtx) {
     // One persistent runtime per slice, workers pinned to the slice's
     // cores, alive across every job this slice ever serves.
     let layout = TeamLayout::new(&sub, sub.num_cpus(), 1);
-    let rt = Runtime::new(&layout)
-        .with_pool_capacity(pool_capacity)
-        .with_placement(placement);
+    let rt = Runtime::new(&layout).with_pool_capacity(pool_capacity);
     // Constructed operators that own grids (the banded coefficient
     // field) are cached per shape, so warm jobs skip that allocation
     // too — see `banded_op`.
@@ -1364,8 +1329,8 @@ fn slice_loop(ctx: SliceCtx) {
                         admission_wait,
                         queue_wait,
                         service,
-                        ingest: exec.ingest,
-                        egress: exec.egress,
+                        ingest: Duration::ZERO,
+                        egress: Duration::ZERO,
                         pool_fresh: exec.pool_fresh,
                         mlups: exec.mlups,
                         cell_updates: exec.cell_updates,
@@ -1414,13 +1379,12 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
+/// What a finished solve hands back to [`slice_loop`] for the report.
 struct Executed {
     payload: JobPayload,
     mlups: f64,
     cell_updates: u64,
     verify_hash: u64,
-    ingest: Duration,
-    egress: Duration,
     pool_fresh: u64,
     tuned: Option<TunedJob>,
 }
@@ -1445,6 +1409,9 @@ fn banded_op<T: Real>(cache: &mut OpCache, dims: Dims3) -> &VarCoeff7<T> {
         .expect("op cache entries are keyed by their TypeId")
 }
 
+/// Run one job on the slice's runtime, solving the client's grid in
+/// place. The payload's element type picks the [`run_typed`]
+/// instantiation; nothing else is per type.
 fn execute(
     rt: &Runtime,
     sub: &Machine,
@@ -1455,155 +1422,75 @@ fn execute(
         op,
         payload,
         sweeps,
-        method,
+        mut method,
         ..
     } = spec;
+    if let JobMethod::Tuned(opts) = &mut method {
+        // Key the tune by THIS slice's sub-machine fingerprint:
+        // identical slices share warm plans, different shapes don't.
+        opts.machine = Some(sub.clone());
+    }
     match payload {
-        JobPayload::F64(grid) => {
-            run_typed(rt, sub, &op, grid, sweeps, &method, cache).map(Executed::from_f64)
-        }
-        JobPayload::F32(grid) => {
-            run_typed(rt, sub, &op, grid, sweeps, &method, cache).map(Executed::from_f32)
-        }
+        JobPayload::F64(g) => run_typed(rt, op, g, sweeps, &method, cache, JobPayload::F64),
+        JobPayload::F32(g) => run_typed(rt, op, g, sweeps, &method, cache, JobPayload::F32),
     }
 }
 
-/// What [`run_typed`] hands back before the payload is re-wrapped.
-struct TypedRun<T: Real> {
-    grid: Grid3<T>,
-    stats: RunStats,
-    tuned: Option<TunedJob>,
-    ingest: Duration,
-    egress: Duration,
-    pool_fresh: u64,
-}
-
-impl Executed {
-    fn from_f64(run: TypedRun<f64>) -> Executed {
-        Executed::pack(
-            JobPayload::F64(run.grid),
-            &run.stats,
-            run.tuned,
-            (run.ingest, run.egress, run.pool_fresh),
-        )
-    }
-    fn from_f32(run: TypedRun<f32>) -> Executed {
-        Executed::pack(
-            JobPayload::F32(run.grid),
-            &run.stats,
-            run.tuned,
-            (run.ingest, run.egress, run.pool_fresh),
-        )
-    }
-    fn pack(
-        payload: JobPayload,
-        stats: &RunStats,
-        tuned: Option<TunedJob>,
-        (ingest, egress, pool_fresh): (Duration, Duration, u64),
-    ) -> Executed {
-        Executed {
-            verify_hash: payload.fingerprint(),
-            mlups: stats.mlups(),
-            cell_updates: stats.cell_updates,
-            payload,
-            ingest,
-            egress,
-            pool_fresh,
-            tuned,
-        }
-    }
-}
-
+/// The per-element job path: build the operator, solve, and collect
+/// what the report needs, including the pool misses the job caused.
 fn run_typed<T: Real>(
     rt: &Runtime,
-    sub: &Machine,
-    op: &JobOp,
+    op: JobOp,
     grid: Grid3<T>,
     sweeps: usize,
     method: &JobMethod,
     cache: &mut OpCache,
-) -> Result<TypedRun<T>, String> {
-    let pool = rt.grid_pool::<T>();
-    let fresh_before = pool.fresh_allocations();
-
-    // Ingest: under worker-first-touch, copy the client's payload into
-    // a slice-local pooled grid with the slice's own pinned workers —
-    // on a pool miss the acquire itself first-touches, so the copy
-    // writes pages the slice just placed. The client grid is kept
-    // aside to carry the result back out.
-    let (client, work, ingest) = if rt.placement() == Placement::WorkerFirstTouch {
-        let ingest_start = Instant::now();
-        let mut local = rt.acquire_grid(grid.dims());
-        rt.place_copy(local.as_mut_slice(), grid.as_slice());
-        (Some(grid), local, ingest_start.elapsed())
-    } else {
-        (None, grid, Duration::ZERO)
-    };
-
-    let (result, stats, tuned) = match op {
-        JobOp::Jacobi6 => run_op(rt, sub, &Jacobi6, work, sweeps, method),
-        JobOp::Jacobi7Heat(k) => run_op(rt, sub, &Jacobi7::heat(*k), work, sweeps, method),
-        JobOp::VarCoeff7Banded => {
-            let op = banded_op::<T>(cache, work.dims());
-            run_op(rt, sub, op, work, sweeps, method)
-        }
-        JobOp::Avg27 => run_op(rt, sub, &Avg27, work, sweeps, method),
-        JobOp::PanicForTest => panic!("poison-pill job"),
-    }?;
-
-    // Egress: copy the result back into the client's own grid (their
-    // pages, their element order) and park the slice-local grid for the
-    // next job of this shape.
-    let egress_start = Instant::now();
-    let (grid, egress) = match client {
-        Some(mut client) => {
-            rt.place_copy(client.as_mut_slice(), result.as_slice());
-            pool.release(result);
-            (client, egress_start.elapsed())
-        }
-        None => (result, Duration::ZERO),
-    };
-
-    Ok(TypedRun {
-        grid,
-        stats,
-        tuned,
-        ingest,
-        egress,
-        pool_fresh: pool.fresh_allocations() - fresh_before,
-    })
-}
-
-fn run_op<T: Real, Op: StencilOp<T>>(
-    rt: &Runtime,
-    sub: &Machine,
-    op: &Op,
-    grid: Grid3<T>,
-    sweeps: usize,
-    method: &JobMethod,
-) -> Result<(Grid3<T>, RunStats, Option<TunedJob>), String> {
-    match method {
-        JobMethod::Fixed(m) => {
-            solve_with_on(rt, op, grid, sweeps, m.clone()).map(|(g, s)| (g, s, None))
-        }
-        JobMethod::Tuned(opts) => {
-            // Key the tune by THIS slice's sub-machine fingerprint:
-            // identical slices share warm plans, different shapes don't.
-            let mut opts = opts.clone();
-            opts.machine = Some(sub.clone());
-            solve_tuned_with_on(rt, op, grid, sweeps, &opts).map(|(g, s, t)| {
-                (
-                    g,
-                    s,
-                    Some(TunedJob {
+    wrap: fn(Grid3<T>) -> JobPayload,
+) -> Result<Executed, String> {
+    fn solve<T: Real, Op: StencilOp<T>>(
+        rt: &Runtime,
+        op: &Op,
+        grid: Grid3<T>,
+        sweeps: usize,
+        method: &JobMethod,
+    ) -> Result<(Grid3<T>, RunStats, Option<TunedJob>), String> {
+        match method {
+            JobMethod::Fixed(m) => {
+                solve_with_on(rt, op, grid, sweeps, m.clone()).map(|(g, s)| (g, s, None))
+            }
+            JobMethod::Tuned(opts) => {
+                solve_tuned_with_on(rt, op, grid, sweeps, opts).map(|(g, s, t)| {
+                    let tuned = TunedJob {
                         cache_hit: t.cache_hit,
                         measurements: t.measurements,
                         plan: t.plan.label(),
-                    }),
-                )
-            })
+                    };
+                    (g, s, Some(tuned))
+                })
+            }
         }
     }
+    let pool = rt.grid_pool::<T>();
+    let fresh_before = pool.fresh_allocations();
+    let (grid, stats, tuned) = match op {
+        JobOp::Jacobi6 => solve(rt, &Jacobi6, grid, sweeps, method),
+        JobOp::Jacobi7Heat(k) => solve(rt, &Jacobi7::heat(k), grid, sweeps, method),
+        JobOp::VarCoeff7Banded => {
+            let op = banded_op::<T>(cache, grid.dims());
+            solve(rt, op, grid, sweeps, method)
+        }
+        JobOp::Avg27 => solve(rt, &Avg27, grid, sweeps, method),
+        JobOp::PanicForTest => panic!("poison-pill job"),
+    }?;
+    let payload = wrap(grid);
+    Ok(Executed {
+        verify_hash: payload.fingerprint(),
+        mlups: stats.mlups(),
+        cell_updates: stats.cell_updates,
+        payload,
+        pool_fresh: pool.fresh_allocations() - fresh_before,
+        tuned,
+    })
 }
 
 #[cfg(test)]

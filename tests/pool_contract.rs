@@ -16,12 +16,11 @@
 //!    `grid_pool::<f64>()` are distinct pools on the same runtime;
 //!    dimensions are matched exactly within a pool.
 
-//! 4. **Placement** — grids acquired under
-//!    [`Placement::WorkerFirstTouch`] are bitwise-indistinguishable
-//!    from client-placed ones (first-touch decides *where pages live*,
-//!    never *what they hold*), the warm serving path allocates nothing,
-//!    and restricted sub-machines report the NUMA nodes their cores
-//!    actually span.
+//! 4. **Page placement** — the allocating thread places a grid's pages, and
+//!    that decides *where pages live*, never *what they hold*: a result
+//!    in a pool-miss buffer is bitwise the one in a pool-hit buffer. The
+//!    warm serving path allocates nothing, and restricted sub-machines
+//!    report the NUMA nodes their cores actually span.
 //! 5. **The shell is enough** — the facade copies only the Dirichlet
 //!    shell into a recycled B buffer; a buffer released full of NaN
 //!    must not change a single bit of any method's result.
@@ -245,12 +244,12 @@ fn pool_capacity_knob_rebounds_eviction_per_runtime() {
 
 #[test]
 fn placement_policies_produce_bitwise_identical_results() {
-    // First-touch placement decides which NUMA domain a page commits
-    // on — never what the page holds. Every parallel method must
-    // produce the identical bit pattern under both policies, and both
-    // must match the sequential oracle. Odd sweep count on purpose:
-    // the result then lives in the pool-acquired (first-touched) B
-    // buffer, the buffer the policies actually treat differently.
+    // A pool miss is a fresh grid whose pages the calling thread places;
+    // a pool hit is a recycled grid whose pages an earlier solve placed.
+    // Where a page lives never changes what it holds: every parallel
+    // method must produce the identical bit pattern from either buffer,
+    // and both must match the sequential oracle. Odd sweep count on
+    // purpose: the result then lives in the pool-acquired B buffer.
     let dims = Dims3::cube(18);
     let initial: Grid3<f64> = init::random(dims, 0xFACE);
     let sweeps = 3;
@@ -264,24 +263,29 @@ fn placement_policies_produce_bitwise_identical_results() {
         Method::Pipelined(PipelineConfig::default_for(2, 1)),
     ];
     for method in methods {
-        let mut results = Vec::new();
-        for placement in [Placement::WorkerFirstTouch, Placement::ClientPages] {
-            let rt = Runtime::with_threads(2).with_placement(placement);
-            let (got, _) =
-                solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, method.clone()).unwrap();
-            norm::assert_grids_identical(
-                &oracle,
-                &got,
-                &Region3::whole(dims),
-                &format!("{method:?} under {}", placement.name()),
-            );
-            results.push(got);
+        let rt = Runtime::with_threads(2);
+        let pool = rt.grid_pool::<f64>();
+        // Miss: the empty pool allocates B, and the input goes back to
+        // the pool as the spare.
+        let first_input = initial.clone();
+        let recycled = first_input.as_ptr();
+        let (miss, _) = solve_with_on(&rt, &Jacobi6, first_input, sweeps, method.clone()).unwrap();
+        assert!(pool.fresh_allocations() > 0, "{method:?}: B was a miss");
+        // Hit: B is the first solve's input allocation, recycled.
+        let fresh = pool.fresh_allocations();
+        let (hit, _) =
+            solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, method.clone()).unwrap();
+        assert_eq!(pool.fresh_allocations(), fresh, "{method:?}: B was a hit");
+        assert_eq!(hit.as_ptr(), recycled, "{method:?}: result lives in B");
+        for (got, life) in [(&miss, "pool miss"), (&hit, "pool hit")] {
+            let what = format!("{method:?} from a {life}");
+            norm::assert_grids_identical(&oracle, got, &Region3::whole(dims), &what);
         }
         norm::assert_grids_identical(
-            &results[0],
-            &results[1],
+            &miss,
+            &hit,
             &Region3::whole(dims),
-            &format!("{method:?}: worker-first-touch vs client-pages"),
+            &format!("{method:?}: pool miss vs pool hit"),
         );
     }
 }
@@ -376,48 +380,31 @@ fn compressed_solves_hand_back_the_input_allocation() {
 fn warm_serve_path_allocates_no_grids() {
     // A single-slice server (deterministic job→slice assignment) must
     // allocate only on the first job of a shape; every later job of
-    // that shape runs entirely off recycled pool grids — under both
-    // placements, including the op-owned coefficient grid of
-    // VarCoeff7 (cached per shape in the slice loop).
-    for placement in [Placement::WorkerFirstTouch, Placement::ClientPages] {
-        let server = Server::new(
-            &Machine::flat(2),
-            // Forced so the ingest path runs even where a single NUMA
-            // node would downgrade the server to zero-copy.
-            ServerConfig {
-                placement,
-                force_placement: true,
-                ..ServerConfig::default()
-            },
+    // that shape runs entirely off recycled pool grids, including the
+    // op-owned coefficient grid of VarCoeff7 (cached per shape in the
+    // slice loop).
+    let server = Server::new(&Machine::flat(2), ServerConfig::default());
+    assert_eq!(server.slices().len(), 1);
+    let submit = |seed: u64| {
+        let spec = JobSpec::new(
+            JobOp::VarCoeff7Banded,
+            JobPayload::F64(init::random(Dims3::cube(12), seed)),
+            2,
+            JobMethod::Fixed(Method::Parallel {
+                threads: 2,
+                streaming_stores: false,
+            }),
         );
-        assert_eq!(server.slices().len(), 1);
-        let submit = |seed: u64| {
-            let spec = JobSpec::new(
-                JobOp::VarCoeff7Banded,
-                JobPayload::F64(init::random(Dims3::cube(12), seed)),
-                2,
-                JobMethod::Fixed(Method::Parallel {
-                    threads: 2,
-                    streaming_stores: false,
-                }),
-            );
-            server.submit(spec).unwrap().wait().expect("job succeeds").1
-        };
-        let cold = submit(1);
-        assert!(
-            cold.pool_fresh > 0,
-            "{}: the first job of a shape must fault in pool grids",
-            placement.name()
-        );
-        for seed in 2..5 {
-            let warm = submit(seed);
-            assert_eq!(
-                warm.pool_fresh,
-                0,
-                "{}: warm job {seed} must not allocate",
-                placement.name()
-            );
-        }
+        server.submit(spec).unwrap().wait().expect("job succeeds").1
+    };
+    let cold = submit(1);
+    assert!(
+        cold.pool_fresh > 0,
+        "the first job of a shape must fault in pool grids"
+    );
+    for seed in 2..5 {
+        let warm = submit(seed);
+        assert_eq!(warm.pool_fresh, 0, "warm job {seed} must not allocate");
     }
 }
 
@@ -433,8 +420,7 @@ fn restricted_sub_machines_report_their_numa_nodes() {
 
     // Detected domains override the fallback and are filtered the same
     // way: a slice straddling two domains keeps both, trimmed to its
-    // own cores — that count is what gates the strict placement-win
-    // assertions in the benches.
+    // own cores.
     let mut detected = Machine::nehalem_ep();
     detected.numa = vec![
         NumaDomain {

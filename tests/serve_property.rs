@@ -12,11 +12,9 @@
 //!    completes and verifies, on every slice.
 //! 4. **Warm plans transfer** — a tuned job repeated on the same server
 //!    replays the cached plan with zero measurements.
-//! 5. **Ingest/egress round-trips bitwise** — the worker-first-touch
-//!    ingest copy (payload → slice-local grid) and egress copy (result
-//!    → client grid) are invisible in the result: every operator and
-//!    element type returns the exact oracle bits under both placement
-//!    policies, and client-pages jobs report zero copy time.
+//! 5. **Jobs compute on the client's pages** — a slice solves the
+//!    payload grid in place: every operator × element type returns the
+//!    exact oracle bits, and every report prices zero ingest and egress.
 //! 6. **The deadline policy keeps its promises** — on synthetic traces
 //!    through [`deadline_pick`]: EDF meets every deadline FIFO meets
 //!    (Jackson's rule — it minimizes maximum lateness), aging bounds
@@ -184,27 +182,19 @@ proptest! {
         }
     }
 
-    /// The ingest/egress stage is a pure page-relocation: for all four
-    /// operators, both element types and both placement policies, the
-    /// served grid is bitwise the oracle's, and the copy accounting
-    /// matches the policy (client-pages never copies).
+    /// A slice solves the client's grid in place: for all four operators
+    /// and both element types the served grid is bitwise the oracle's,
+    /// and the report prices no copy in or out.
     #[test]
     fn ingest_egress_round_trips_every_operator_bitwise(master in any::<u64>()) {
-        for placement in [Placement::WorkerFirstTouch, Placement::ClientPages] {
-            // force_placement: the copy path must be exercised even on
-            // hosts where a single NUMA node would downgrade the server
-            // to zero-copy.
-            let server = Server::new(&Machine::flat(2), ServerConfig {
-                placement,
-                force_placement: true,
-                ..ServerConfig::default()
-            });
-            let mut rng = master;
-            for op in op_pool() {
+        let server = Server::new(&Machine::flat(2), ServerConfig::default());
+        let mut rng = master;
+        for op in op_pool() {
+            for f32_payload in [false, true] {
                 let dims = Dims3::cube(8 + (splitmix(&mut rng) % 7) as usize); // 8..=14
                 let sweeps = 1 + (splitmix(&mut rng) % 3) as usize;            // 1..=3
                 let seed = splitmix(&mut rng);
-                let payload = if splitmix(&mut rng) & 1 == 1 {
+                let payload = if f32_payload {
                     JobPayload::F32(init::random(dims, seed))
                 } else {
                     JobPayload::F64(init::random(dims, seed))
@@ -217,13 +207,11 @@ proptest! {
                     .wait()
                     .expect("job must succeed");
                 let want = oracle(op, &payload, sweeps);
-                let ctx = format!("{} under {}", op.name(), placement.name());
+                let ctx = format!("{} {}", op.name(), payload.element());
                 assert_payload_identical(&want, &got, &ctx);
                 prop_assert!(report.verify_hash == want.fingerprint(), "hash: {ctx}");
-                if placement == Placement::ClientPages {
-                    prop_assert!(report.ingest == Duration::ZERO, "ingest: {ctx}");
-                    prop_assert!(report.egress == Duration::ZERO, "egress: {ctx}");
-                }
+                prop_assert!(report.ingest == Duration::ZERO, "ingest: {ctx}");
+                prop_assert!(report.egress == Duration::ZERO, "egress: {ctx}");
             }
         }
     }
