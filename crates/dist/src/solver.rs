@@ -445,11 +445,15 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     ///    and copy the ghosts into the working grid,
     /// 4. finish sweeps `1..=m` on their shells, then run sweeps
     ///    `m+1..=c` over their full [`LocalDomain::sweep_domain`]s with
-    ///    the same executor — what `Sync` would have done.
+    ///    the same executor. These domains shrink toward the owned box by
+    ///    `R` per sweep, whereas `Sync` sweeps the whole local interior
+    ///    every time; the cells a domain leaves out are ones no later
+    ///    sweep of the cycle reads before the next exchange.
     ///
     /// `m` only moves work between the trapezoid and the shells of a
     /// sweep: every (buffer, cell, sweep) triple is written exactly as
-    /// in `Sync` for any `m`, so the result does not depend on timing.
+    /// for `m = 0` for any `m`, and every owned cell ends as in `Sync`,
+    /// so the result does not depend on timing.
     /// Under a [`tb_net::SimNet`] arrival is a virtual-clock matter that
     /// only `wait` settles, so the trapezoid runs to `m = c` and both
     /// overlapped modes account identically. `halos_in` overrides the

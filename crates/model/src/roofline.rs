@@ -7,6 +7,12 @@
 //! with streaming stores (the paper quotes 2.3 GLUP/s for its 18.5 GB/s
 //! Nehalem socket), 24 with the read-for-ownership, more for operators
 //! with extra read streams.
+//!
+//! "With spatial blocking" is what `tb_stencil::baseline::par_sweeps_op_on`
+//! does: each worker walks its z-slab in y-blocks sized so the source
+//! planes of a block stay in cache (the layer condition), so a sweep
+//! loads each source cell once and `B_c` is the traffic the measured
+//! baseline actually moves.
 
 use tb_grid::Real;
 use tb_stencil::kernel::StoreMode;
@@ -29,11 +35,6 @@ pub fn op_roofline_lups<T: Real, Op: StencilOp<T>>(
     store: StoreMode,
 ) -> f64 {
     roofline_lups(machine, op.bytes_per_lup(store))
-}
-
-/// Backwards-compatible name for [`roofline_lups`].
-pub fn jacobi_roofline_lups(machine: &MachineParams, bytes_per_lup: f64) -> f64 {
-    roofline_lups(machine, bytes_per_lup)
 }
 
 /// Eq. 2 with the paper's default: classic Jacobi, double precision,

@@ -16,8 +16,10 @@
 //!   on a host with AVX, through a `#[target_feature(enable = "avx")]`
 //!   copy of the whole region loop — bitwise identical, no second
 //!   kernel source;
-//! * [`baseline`] — the "standard" solvers: sequential, spatially
-//!   blocked, and thread-parallel with streaming stores (§1.1);
+//! * [`baseline`] — the "standard" solvers (§1.1): the unblocked
+//!   sequential oracle, user-blocked sequential, and thread-parallel
+//!   sweeps y-blocked to the layer condition, with optional streaming
+//!   stores;
 //! * [`pipeline`] — **pipelined temporal blocking** (§1.3): the block
 //!   schedule ([`pipeline::plan`]), the global-barrier executor, the
 //!   relaxed-synchronization executor (Eq. 3), and the compressed-grid

@@ -2,17 +2,18 @@
 //!
 //! Every shipped stencil operator must produce **bitwise identical**
 //! grids across every execution strategy — sequential, blocked,
-//! parallel ± streaming stores, pipelined (barrier and relaxed),
+//! parallel ± streaming stores (whole planes and y-blocked wide rows),
+//! pipelined (barrier and relaxed),
 //! compressed, wavefront, and distributed/hybrid — for the same sweep
 //! count. The oracle is the operator's own sequential solver.
 
 use temporal_blocking::dist::{solver, Decomposition, DistSolver, LocalExec};
-use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
+use temporal_blocking::grid::{init, norm, Dims3, Grid3, Real, Region3};
 use temporal_blocking::net::{CartComm, Universe};
 use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::{
-    solve_with, Avg27, DiamondConfig, Jacobi6, Jacobi7, Method, PipelineConfig, StencilOp,
-    SyncMode, VarCoeff7,
+    solve_with, solve_with_on, Avg27, DiamondConfig, Jacobi6, Jacobi7, Method, PipelineConfig,
+    Runtime, StencilOp, SyncMode, VarCoeff7,
 };
 
 fn cfg(team: usize, upt: usize, sync: SyncMode, block: [usize; 3]) -> PipelineConfig {
@@ -266,6 +267,40 @@ fn f32_operators_match_their_oracle_too() {
         let (got, _) = solve_with(&op, initial.clone(), 4, m).unwrap();
         norm::assert_grids_identical(&want, &got, &Region3::whole(dims), name);
     }
+}
+
+/// Rows so long that `Method::Parallel` sweeps each slab in y-blocks
+/// with a remainder, in both precisions. One runtime serves every solve,
+/// so most of them run from a pooled B buffer.
+#[test]
+fn parallel_y_blocks_on_wide_rows_match_sequential() {
+    fn check<T: Real, Op: StencilOp<T>>(rt: &Runtime, op: &Op, dims: Dims3) {
+        let initial: Grid3<T> = init::random(dims, 12);
+        let (want, _) = solve_with_on(rt, op, initial.clone(), 3, Method::Sequential).unwrap();
+        for (threads, streaming_stores) in [(2, false), (3, true)] {
+            let m = Method::Parallel {
+                threads,
+                streaming_stores,
+            };
+            let (got, _) = solve_with_on(rt, op, initial.clone(), 3, m).unwrap();
+            norm::assert_grids_identical(
+                &want,
+                &got,
+                &Region3::whole(dims),
+                &format!("{} par {threads} nt={streaming_stores}", op.name()),
+            );
+        }
+    }
+    let dims = Dims3::new(1030, 39, 9);
+    let rt = Runtime::with_threads(3);
+    check::<f64, _>(&rt, &Jacobi6, dims);
+    check::<f32, _>(&rt, &Jacobi6, dims);
+    check::<f64, _>(&rt, &Jacobi7::heat(0.1), dims);
+    check::<f32, _>(&rt, &Jacobi7::heat(0.1), dims);
+    check(&rt, &VarCoeff7::<f64>::banded(dims), dims);
+    check(&rt, &VarCoeff7::<f32>::banded(dims), dims);
+    check::<f64, _>(&rt, &Avg27, dims);
+    check::<f32, _>(&rt, &Avg27, dims);
 }
 
 #[test]
