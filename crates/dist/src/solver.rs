@@ -5,9 +5,11 @@
 //! of a [`Decomposition`], exchanges ghost layers with its Cartesian
 //! neighbors (x, then y, then z — corners and edges arrive by
 //! composition, because each stage forwards the layers received in the
-//! previous stages), then advances locally, either sequentially
-//! ([`LocalExec::Seq`]) or with the §1.3 pipelined temporal-blocking
-//! executor ([`LocalExec::Pipelined`], the paper's "hybrid" mode).
+//! previous stages), then advances locally with temporal blocking
+//! between exchanges (§2): on the rank's own thread as a single-thread
+//! diamond schedule ([`LocalExec::Seq`]), with the §1.3 pipelined
+//! executor ([`LocalExec::Pipelined`], the paper's "hybrid" mode), or
+//! with a diamond team ([`LocalExec::Diamond`]).
 //!
 //! The exchange depth derives from the operator: advancing `c` sweeps
 //! between exchanges consumes `c × Op::RADIUS` ghost layers, so a halo of
@@ -19,7 +21,10 @@
 //!
 //! * [`ExchangeMode::Sync`] — blocking exchange, then compute: the
 //!   paper's measured baseline ("no explicit or implicit overlapping of
-//!   communication and computation", §2.2).
+//!   communication and computation", §2.2). [`LocalExec::Seq`] advances
+//!   the cycle over the [`LocalDomain::sweep_domain`] chain, the owned
+//!   box plus the ghost layers later sweeps of the cycle still read;
+//!   the team executors sweep the whole local interior.
 //! * [`ExchangeMode::Overlapped`] — the paper's §2.3 proposal, run only
 //!   as deep as it pays: post the `irecv`s, `isend` the boundary slabs,
 //!   and advance the **interior trapezoid** while the transfers are in
@@ -59,9 +64,12 @@
 //! dispatch boundary after the messages landed keeps exactly the overlap
 //! that hides something; with an exchange faster than one sweep the
 //! cycle degenerates to `Sync` plus one staging copy of the ghosts.
-//! Dispatch granularity: [`LocalExec::Seq`] one sweep,
-//! [`LocalExec::Pipelined`] one team sweep of `n·t·T` stages,
-//! [`LocalExec::Diamond`] the whole cycle (`m` is 0 or `c`).
+//! Dispatch granularity while the trapezoid may still stop:
+//! [`LocalExec::Seq`] one sweep, [`LocalExec::Pipelined`] one team sweep
+//! of `n·t·T` stages, [`LocalExec::Diamond`] the whole cycle (`m` is 0
+//! or `c`). Once nothing can stop it — the sweeps after `m`, and the
+//! whole `Sync` cycle — `Seq` runs every remaining sweep as one
+//! dispatch (see `advance_sweeps`).
 //!
 //! Under a simulated network ([`tb_net::SimNet`]) "landed" is a question
 //! about virtual time that only `wait` answers, so there the trapezoid
@@ -93,7 +101,13 @@ use crate::halo::{copy_region, exchange_regions, pack_region, unpack_region};
 /// How a rank advances its local box between exchanges.
 #[derive(Clone, Debug)]
 pub enum LocalExec {
-    /// Plain sequential sweeps.
+    /// One thread, no runtime workers: the rank's own thread advances
+    /// each cycle as a single-thread diamond schedule of the default
+    /// width ([`DiamondConfig::default_for`]) over the cycle's shrinking
+    /// sweep domains, so the cells an exchange delivered are reused in
+    /// cache across the cycle's sweeps; a one-sweep cycle, and the
+    /// overlapped trapezoid while it may still stop, run plain region
+    /// sweeps.
     Seq,
     /// Pipelined temporal blocking inside the rank (hybrid MPI+threads
     /// in the paper), on the rank's two grids whatever `cfg.scheme`
@@ -368,7 +382,18 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                     self.exchange(cart, c * Op::RADIUS);
                     match &self.exec {
                         LocalExec::Seq => {
-                            baseline::seq_sweeps_op(&self.op, &mut self.pair, c);
+                            let domains: Vec<Region3> = (1..=c)
+                                .map(|j| self.local.sweep_domain(j, c, Op::RADIUS))
+                                .collect();
+                            advance_sweeps(
+                                rt,
+                                &self.op,
+                                &mut self.pair,
+                                &self.exec,
+                                &domains,
+                                0,
+                                None,
+                            );
                         }
                         LocalExec::Pipelined(cfg) => {
                             pipeline::run_op_on(rt, &self.op, &mut self.pair, cfg, c)
@@ -520,11 +545,11 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                         )));
                     };
                     let handle = rt.submit_comm(&mut comm_task);
-                    let m =
-                        advance_sweeps(rt, op, pair, exec, &cores, 0, |done| match &mut halos_in {
-                            Some(ask) => ask(done),
-                            None => real_time && handoff.is_ready(),
-                        });
+                    let mut stop = |done| match &mut halos_in {
+                        Some(ask) => ask(done),
+                        None => real_time && handoff.is_ready(),
+                    };
+                    let m = advance_sweeps(rt, op, pair, exec, &cores, 0, Some(&mut stop));
                     // "Halos ready" — the compute side blocks here only
                     // if it ran out of trapezoid before the traffic.
                     let outcome = handoff.take();
@@ -540,11 +565,11 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                 // sees the calls the comm worker would make, in the
                 // same order, and virtual times agree.
                 _ => {
-                    let m =
-                        advance_sweeps(rt, op, pair, exec, &cores, 0, |done| match &mut halos_in {
-                            Some(ask) => ask(done),
-                            None => real_time && drive.poll(cart.comm, scratch),
-                        });
+                    let mut stop = |done| match &mut halos_in {
+                        Some(ask) => ask(done),
+                        None => real_time && drive.poll(cart.comm, scratch),
+                    };
+                    let m = advance_sweeps(rt, op, pair, exec, &cores, 0, Some(&mut stop));
                     drive.finish(cart.comm, scratch);
                     m
                 }
@@ -573,7 +598,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
             }
         }
         // ... and run the others whole.
-        advance_sweeps(rt, op, pair, exec, &domains[m..], m, |_| false);
+        advance_sweeps(rt, op, pair, exec, &domains[m..], m, None);
     }
 
     /// Collect every rank's owned cells on rank 0. Returns the
@@ -726,8 +751,10 @@ impl ExchangeDrive {
 
 /// Advance sweeps `base + 1 ..= base + domains.len()` of a cycle, sweep
 /// `base + s + 1` over `domains[s]`, one local-executor dispatch at a
-/// time; `stop(sweeps_done)` is asked before each dispatch and ends the
-/// advance early. Returns the sweeps done. A dispatch is
+/// time. A caller that may still stop passes `stop`: `stop(sweeps_done)`
+/// is asked before each dispatch and ends the advance early (the
+/// overlapped trapezoid asking "halos in?"); with `None` the advance runs
+/// to the end. Returns the sweeps done. A dispatch is
 ///
 /// * [`LocalExec::Diamond`]: all remaining sweeps, as one diamond
 ///   schedule on the runtime's team (diamonds clamp to the domains and
@@ -736,6 +763,11 @@ impl ExchangeDrive {
 /// * [`LocalExec::Pipelined`]: the next `stages()` sweeps as one team
 ///   sweep over a shrinking-domain [`PipelinePlan`], whenever that plan
 ///   is constructible (see [`plan_fits`]),
+/// * [`LocalExec::Seq`] with no `stop` and more than one sweep left: all
+///   remaining sweeps as one diamond schedule of the default width
+///   ([`DiamondConfig::default_for`]) walked on the calling thread
+///   ([`diamond::run_diamond_schedule`]), so the cells the exchange
+///   delivered are reused in cache across the cycle's sweeps,
 /// * otherwise one plain region sweep.
 ///
 /// `domains` must satisfy the executors' trapezoid contract,
@@ -749,10 +781,10 @@ fn advance_sweeps<T: Real, Op: StencilOp<T>>(
     exec: &LocalExec,
     domains: &[Region3],
     base: usize,
-    mut stop: impl FnMut(usize) -> bool,
+    mut stop: Option<&mut dyn FnMut(usize) -> bool>,
 ) -> usize {
     let mut done = 0;
-    while done < domains.len() && !stop(done) {
+    while done < domains.len() && !stop.as_mut().is_some_and(|stop| stop(done)) {
         let rest = &domains[done..];
         let sweep = base + done;
         done += match exec {
@@ -780,6 +812,12 @@ fn advance_sweeps<T: Real, Op: StencilOp<T>>(
                 // side only touches the staging grid).
                 unsafe { pipeline::run_team_sweep_op_on(rt, op, &views, &plan, cfg, sweep, now) };
                 now
+            }
+            LocalExec::Seq if stop.is_none() && rest.len() > 1 => {
+                let width = DiamondConfig::default_for(1).width;
+                let tiling = DiamondTiling::new(rest.to_vec(), width, Op::RADIUS);
+                diamond::run_diamond_schedule(op, pair, &tiling, sweep);
+                rest.len()
             }
             LocalExec::Pipelined(_) | LocalExec::Seq => {
                 let (src, dst) = pair.src_dst(sweep);

@@ -209,6 +209,57 @@ pub unsafe fn run_diamond_schedule_on<T: Real, Op: StencilOp<T>>(
     total_cells.load(Ordering::Relaxed)
 }
 
+/// Execute a prebuilt diamond schedule on the calling thread: tiles in
+/// row order, each advanced along its y-front exactly as one worker of
+/// [`run_diamond_schedule_on`] advances it, on `pair` directly — no
+/// runtime, no barrier. `base_sweep` is the global sweep number of
+/// schedule sweep 0 (it fixes which buffer of `pair` each sweep reads).
+/// Returns cells updated.
+///
+/// Safe to call: one thread holding `&mut` cannot race, and every domain
+/// is checked to lie inside the grid's interior before the walk starts.
+/// The result is the oracle's only if the domains satisfy the trapezoid
+/// contract documented in [`geometry`]; a chain that breaks it gives
+/// wrong values, never undefined behaviour.
+///
+/// # Panics
+/// Panics if the tiling was not built with the operator's radius or a
+/// domain is not interior to `pair`.
+pub fn run_diamond_schedule<T: Real, Op: StencilOp<T>>(
+    op: &Op,
+    pair: &mut GridPair<T>,
+    tiling: &DiamondTiling,
+    base_sweep: usize,
+) -> u64 {
+    assert_eq!(
+        tiling.radius(),
+        Op::RADIUS,
+        "tiling radius must match the operator"
+    );
+    let interior = Region3::interior_of(pair.dims());
+    for s in 0..tiling.sweeps() {
+        let domain = tiling.domain(s);
+        assert!(
+            interior.contains_region(&domain),
+            "sweep {s}: domain {domain} not interior to {}",
+            pair.dims()
+        );
+    }
+    // Through the shared views rather than `kernel::update_region_op`:
+    // the safe driver's per-row slice checks cost 5–8 % on 66-cell rows.
+    let views = pair.shared_views();
+    let mut cells = 0u64;
+    for tile in tiling.rows().iter().flat_map(|row| &row.tiles) {
+        // SAFETY: the pair is exclusively borrowed and only this thread
+        // touches it, so the lone lane of a one-lane sub-team meets no
+        // concurrent access; every step lies in its tile's regions, which
+        // `DiamondTiling` clamps to the domains checked interior above;
+        // the radius matches the operator.
+        cells += unsafe { update_tile(op, &views, tiling, None, 0, tile, base_sweep, 0, 1, None) };
+    }
+    cells
+}
+
 /// Advance one tile along its y-front ([`DiamondTile::front_steps`],
 /// [`front_rows`] rows per lane: a sub-team of two meets half as often,
 /// on twice the rows) — lane `lane` of a `tpt`-lane sub-team updates its
@@ -315,7 +366,7 @@ mod tests {
     use super::*;
     use crate::baseline;
     use crate::op::{Avg27, Jacobi6, Jacobi7, VarCoeff7};
-    use tb_grid::{init, norm, Dims3};
+    use tb_grid::{init, norm, Dims3, Grid3};
 
     fn reference(dims: Dims3, seed: u64, sweeps: usize) -> tb_grid::Grid3<f64> {
         let mut pair = GridPair::from_initial(init::random(dims, seed));
@@ -435,6 +486,99 @@ mod tests {
         run_both(&Jacobi7::heat(0.12), &initial, 5);
         run_both(&VarCoeff7::banded(dims), &initial, 5);
         run_both(&Avg27, &initial, 5);
+    }
+
+    /// [`run_diamond_schedule`] on one operator and element type: a
+    /// uniform chain must reproduce `seq_sweeps_op`, and chains shrinking
+    /// along x, y or z (the distributed cycle's sweep domains) the
+    /// one-worker team schedule, started at an odd base sweep so the
+    /// buffer parity is exercised — at widths below the z-extent, equal
+    /// to it and above it. The returned count is the chain's cell total.
+    fn check_one_thread_walk<T: Real, Op: StencilOp<T>>(op: &Op, dims: Dims3, sweeps: usize) {
+        let initial: Grid3<T> = init::random(dims, 19);
+        let whole = Region3::whole(dims);
+        let interior = Region3::interior_of(dims);
+        let mut oracle = GridPair::from_initial(initial.clone());
+        baseline::seq_sweeps_op(op, &mut oracle, sweeps);
+        let shrinking = |axis: usize| -> Vec<Region3> {
+            (0..sweeps)
+                .map(|s| {
+                    let mut d = interior;
+                    d.lo[axis] += s * Op::RADIUS;
+                    d.hi[axis] = d.hi[axis].saturating_sub(s * Op::RADIUS);
+                    d
+                })
+                .collect()
+        };
+        let rt = Runtime::with_threads(1);
+        let team = audit_cfg(1, 2);
+        let nz = interior.extent(2);
+        for width in [2 * Op::RADIUS, 5, nz, 2 * nz + 3] {
+            let what = |chain: &str| format!("{} w={width} {chain} {dims}", op.name());
+            let uniform = DiamondTiling::uniform(interior, width, Op::RADIUS, sweeps);
+            let mut pair = GridPair::from_initial(initial.clone());
+            let cells = run_diamond_schedule(op, &mut pair, &uniform, 0);
+            assert_eq!(
+                cells,
+                (sweeps * interior.count()) as u64,
+                "{}",
+                what("uniform")
+            );
+            norm::assert_grids_identical(
+                oracle.current(sweeps),
+                pair.current(sweeps),
+                &whole,
+                &what("uniform"),
+            );
+            for axis in 0..3 {
+                let chain = shrinking(axis);
+                let tiling = DiamondTiling::new(chain.clone(), width, Op::RADIUS);
+                let start = || {
+                    let mut pair = GridPair::from_initial(initial.clone());
+                    pair.swap(); // the state in B: sweep 1 reads it
+                    pair
+                };
+                let mut want = start();
+                let views = want.shared_views();
+                // SAFETY: `want` is exclusively borrowed for the call, the
+                // chain is interior and shrinks by the radius per sweep.
+                unsafe { run_diamond_schedule_on(&rt, op, &views, &tiling, &team, 1) };
+                let mut got = start();
+                let cells = run_diamond_schedule(op, &mut got, &tiling, 1);
+                let what = what(&format!("shrinking along {axis}"));
+                let total: usize = chain.iter().map(Region3::count).sum();
+                assert_eq!(cells, total as u64, "{what}");
+                let end = 1 + sweeps;
+                norm::assert_grids_identical(want.current(end), got.current(end), &whole, &what);
+            }
+        }
+    }
+
+    fn check_one_thread_walk_every_operator<T: Real>(dims: Dims3, sweeps: usize) {
+        check_one_thread_walk::<T, _>(&Jacobi6, dims, sweeps);
+        check_one_thread_walk::<T, _>(&Jacobi7::heat(0.12), dims, sweeps);
+        check_one_thread_walk::<T, _>(&VarCoeff7::<T>::banded(dims), dims, sweeps);
+        check_one_thread_walk::<T, _>(&Avg27, dims, sweeps);
+    }
+
+    #[test]
+    fn one_thread_walk_matches_oracle_and_team_schedule() {
+        // Short rows (one front per tile), then 256-cell rows whose
+        // 4-row fronts clip every tile into several steps.
+        assert_eq!(front_rows(256), 4);
+        for (dims, sweeps) in [(Dims3::new(11, 12, 13), 5), (Dims3::new(258, 13, 10), 4)] {
+            check_one_thread_walk_every_operator::<f64>(dims, sweeps);
+            check_one_thread_walk_every_operator::<f32>(dims, sweeps);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not interior")]
+    fn one_thread_walk_rejects_a_domain_outside_the_interior() {
+        let dims = Dims3::cube(8);
+        let mut pair: GridPair<f64> = GridPair::zeroed(dims);
+        let tiling = DiamondTiling::uniform(Region3::whole(dims), 4, 1, 2);
+        run_diamond_schedule(&Jacobi6, &mut pair, &tiling, 0);
     }
 
     #[test]

@@ -42,7 +42,8 @@
 //! [`baseline::seq_blocked_sweeps_op`], [`baseline::par_sweeps_op_on`],
 //! [`pipeline::run_op_on`], [`pipeline::run_compressed_op_on`],
 //! [`pipeline::run_team_sweep_op_on`], [`wavefront::run_wavefront_op_on`],
-//! [`diamond::run_diamond_op_on`], `kernel::update_region{,_shared,
+//! [`diamond::run_diamond_op_on`], [`diamond::run_diamond_schedule`]
+//! (one thread, a prebuilt tiling), `kernel::update_region{,_shared,
 //! _compressed}_op`. There are no Jacobi-only or one-shot forms: pass
 //! `&Jacobi6` for the paper's Eq. 1, and write
 //! `Runtime::with_threads(n)` (or `Runtime::new(&layout)` for a pinned

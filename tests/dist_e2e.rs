@@ -1,12 +1,14 @@
 //! Distributed end-to-end tests spanning tb-net, tb-dist and tb-stencil.
 
 use temporal_blocking::dist::{solver, Decomposition, DistSolver, ExchangeMode, LocalExec};
-use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
+use temporal_blocking::grid::{init, norm, Dims3, Grid3, Real, Region3};
 use temporal_blocking::net::{CartComm, SimNet, Universe};
 use temporal_blocking::runtime::Runtime;
 use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::topology::{affinity, Machine, TeamLayout};
-use temporal_blocking::{Avg27, Jacobi6, Jacobi7, PipelineConfig, StencilOp, SyncMode, VarCoeff7};
+use temporal_blocking::{
+    Avg27, DiamondConfig, Jacobi6, Jacobi7, PipelineConfig, StencilOp, SyncMode, VarCoeff7,
+};
 
 fn run_and_verify(
     dims: Dims3,
@@ -94,12 +96,12 @@ fn virtual_time_cluster_accumulates() {
     }
 }
 
-/// One operator through all three exchange modes: each gathered grid
-/// must match the serial oracle and the sync-mode gather bitwise. With
+/// One operator through all three exchange modes, in element type `T`:
+/// each gathered grid must match the serial oracle bitwise. With
 /// `layouts`, rank `r` pins its thread to the first CPU of `layouts(r)`
 /// before building its solver (so its box is allocated there) and runs
 /// on `Runtime::new(&layouts(r))` instead of its one-shot runtime.
-fn verify_overlap_op<Op: StencilOp<f64>>(
+fn verify_overlap_op<T: Real, Op: StencilOp<T>>(
     op: Op,
     dims: Dims3,
     pgrid: [usize; 3],
@@ -108,7 +110,7 @@ fn verify_overlap_op<Op: StencilOp<f64>>(
     exec: impl Fn() -> LocalExec + Send + Sync,
     layouts: Option<&(dyn Fn(usize) -> TeamLayout + Sync)>,
 ) {
-    let global: Grid3<f64> = init::random(dims, 31415);
+    let global: Grid3<T> = init::random(dims, 31415);
     let want = solver::serial_reference_op(&op, &global, sweeps);
     let dec = Decomposition::new(dims, pgrid, h);
     for mode in [
@@ -136,7 +138,11 @@ fn verify_overlap_op<Op: StencilOp<f64>>(
                     w,
                     &got,
                     &Region3::interior_of(dims),
-                    &format!("e2e {} {mode:?} {pgrid:?} h={h}", op_ref.name()),
+                    &format!(
+                        "e2e {} {} {mode:?} {pgrid:?} h={h}",
+                        std::any::type_name::<T>(),
+                        op_ref.name()
+                    ),
                 );
             }
             0
@@ -147,8 +153,8 @@ fn verify_overlap_op<Op: StencilOp<f64>>(
 #[test]
 fn overlap_matrix_all_operators() {
     let dims = Dims3::new(20, 16, 14);
-    verify_overlap_op(Jacobi6, dims, [2, 2, 1], 2, 5, || LocalExec::Seq, None);
-    verify_overlap_op(
+    verify_overlap_op::<f64, _>(Jacobi6, dims, [2, 2, 1], 2, 5, || LocalExec::Seq, None);
+    verify_overlap_op::<f64, _>(
         Jacobi7::heat(0.11),
         dims,
         [2, 1, 2],
@@ -157,7 +163,7 @@ fn overlap_matrix_all_operators() {
         || LocalExec::Seq,
         None,
     );
-    verify_overlap_op(
+    verify_overlap_op::<f64, _>(
         VarCoeff7::banded(dims),
         dims,
         [1, 2, 2],
@@ -168,7 +174,7 @@ fn overlap_matrix_all_operators() {
     );
     // Corner-reading operator across all eight octants: the overlapped
     // staged forwarding must deliver edge and corner ghosts exactly.
-    verify_overlap_op(
+    verify_overlap_op::<f64, _>(
         Avg27,
         Dims3::cube(18),
         [2, 2, 2],
@@ -177,6 +183,44 @@ fn overlap_matrix_all_operators() {
         || LocalExec::Seq,
         None,
     );
+}
+
+#[test]
+fn f32_ranks_match_the_f32_serial_oracle() {
+    // Single precision through the distributed solver: the one-thread
+    // blocked `Seq` cycle and a diamond team, every exchange mode, every
+    // split axis, one exchange per sweep (h = 1) and deep halos whose
+    // 7 sweeps end in a partial cycle (h = 4: 4 + 3).
+    let diamond = DiamondConfig {
+        threads: 2,
+        width: 4,
+        threads_per_tile: 1,
+        audit: true,
+    };
+    for exec in [LocalExec::Seq, LocalExec::Diamond(diamond)] {
+        let exec = move || exec.clone();
+        for (pgrid, dims) in [
+            ([2, 1, 1], Dims3::new(22, 14, 12)),
+            ([1, 2, 1], Dims3::new(12, 22, 14)),
+            ([1, 1, 2], Dims3::new(14, 12, 22)),
+        ] {
+            for h in [1, 4] {
+                verify_overlap_op::<f32, _>(Jacobi6, dims, pgrid, h, 7, &exec, None);
+            }
+        }
+        // Corner reads across all eight octants.
+        verify_overlap_op::<f32, _>(Avg27, Dims3::cube(18), [2, 2, 2], 2, 5, &exec, None);
+        // 256-cell rows: a 4-row front walks each rank's tiles in steps.
+        verify_overlap_op::<f32, _>(
+            Jacobi6,
+            Dims3::new(258, 12, 24),
+            [1, 1, 2],
+            4,
+            6,
+            &exec,
+            None,
+        );
+    }
 }
 
 #[test]
@@ -195,7 +239,7 @@ fn overlap_hybrid_pipelined_twelve_ranks() {
         scheme: GridScheme::TwoGrid,
         audit: true,
     };
-    verify_overlap_op(
+    verify_overlap_op::<f64, _>(
         Jacobi6,
         Dims3::new(26, 18, 14),
         [3, 2, 2],
@@ -235,7 +279,7 @@ fn one_pipeline_per_cache_group() {
     };
     // Three ranks, T = 2: 10 sweeps are two full cycles and a partial one.
     let cfg = pipeline(2);
-    verify_overlap_op(
+    verify_overlap_op::<f64, _>(
         Jacobi6,
         Dims3::new(20, 20, 36),
         [1, 1, 3],
@@ -245,7 +289,7 @@ fn one_pipeline_per_cache_group() {
         Some(&|r| rank_layout(&machine, 2, 3, r)),
     );
     let cfg = pipeline(1);
-    verify_overlap_op(
+    verify_overlap_op::<f64, _>(
         Jacobi6,
         Dims3::cube(24),
         [1, 1, 2],
