@@ -3,10 +3,15 @@
 //! The paper's §2.2 profiling found that "copying halo data from
 //! boundary cells to and from intermediate message buffers causes about
 //! the same overhead as the actual data transfer" — these are those
-//! copies. Values travel as native-endian `f64` (exact for `f32`
-//! payloads too, since every `f32` is exactly representable).
+//! copies, one per side: a pack writes each row of a face straight into
+//! the message buffer, an unpack copies each row of the buffer straight
+//! into the ghost layer. In steady state no buffer is allocated either:
+//! a rank refills the payload it just received from a neighbour as its
+//! next message to that neighbour. Values travel as native-endian `f64`
+//! (exact for `f32` payloads too, since every `f32` is exactly
+//! representable).
 
-use std::any::TypeId;
+use std::sync::Arc;
 
 use tb_grid::{Grid3, Real, Region3};
 use tb_net::Bytes;
@@ -63,37 +68,44 @@ pub fn exchange_regions(
     (send, recv)
 }
 
-/// Copy the cells of `region` (x-fastest order) out of `g` into a
-/// message buffer. One copy: the buffer that becomes the message is
-/// sized once and filled row by row — an `f64` row is already its wire
-/// format and goes in as one byte copy, other element types widen cell
-/// by cell.
+/// Copy the cells of `region` (x-fastest order) out of `g` into a new
+/// message buffer: one allocation at the final size, each row written
+/// straight into it.
 pub fn pack_region<T: Real>(g: &Grid3<T>, region: &Region3) -> Bytes {
-    let r = region.intersect(&Region3::whole(g.dims()));
-    let wire_format = TypeId::of::<T>() == TypeId::of::<f64>();
-    let mut out = Vec::with_capacity(r.count() * 8);
-    for z in r.lo[2]..r.hi[2] {
-        for y in r.lo[1]..r.hi[1] {
-            let row = &g.row(y, z)[r.lo[0]..r.hi[0]];
-            if wire_format {
-                // SAFETY: `T` is `f64` (checked above), which has no
-                // padding and no invalid byte patterns; the byte view
-                // covers exactly the borrowed row.
-                out.extend_from_slice(unsafe {
-                    std::slice::from_raw_parts(row.as_ptr().cast::<u8>(), row.len() * 8)
-                });
-            } else {
-                for v in row {
-                    out.extend_from_slice(&v.to_f64().to_ne_bytes());
-                }
-            }
-        }
-    }
-    Bytes::from(out.into_boxed_slice())
+    repack_region(None, g, region)
 }
 
-/// Inverse of [`pack_region`]: scatter a message buffer into the cells
-/// of `region`.
+/// [`pack_region`] into `spare` — a payload this rank received and
+/// finished with — when it is unshared and exactly the size of the
+/// face, so a steady exchange allocates nothing; otherwise (first cycle,
+/// a shorter final cycle, a still-shared buffer) into a fresh buffer.
+pub(crate) fn repack_region<T: Real>(
+    spare: Option<Bytes>,
+    g: &Grid3<T>,
+    region: &Region3,
+) -> Bytes {
+    let r = region.intersect(&Region3::whole(g.dims()));
+    let len = r.count() * 8;
+    let fresh = || std::iter::repeat_n(0u8, len).collect::<Bytes>();
+    let mut buf = spare.filter(|b| b.len() == len).unwrap_or_else(fresh);
+    if Arc::get_mut(&mut buf).is_none() {
+        buf = fresh();
+    }
+    if r.is_empty() {
+        return buf;
+    }
+    let out = Arc::get_mut(&mut buf).expect("a fresh buffer has one owner");
+    for (chunk, (y, z)) in out.chunks_exact_mut(r.extent(0) * 8).zip(rows(&r)) {
+        let row = &g.row(y, z)[r.lo[0]..r.hi[0]];
+        for (cell, v) in chunk.chunks_exact_mut(8).zip(row) {
+            cell.copy_from_slice(&v.to_f64().to_ne_bytes());
+        }
+    }
+    buf
+}
+
+/// Inverse of [`pack_region`]: copy a message buffer into the cells of
+/// `region`, one row at a time.
 ///
 /// # Panics
 /// Panics if the payload length does not match `region.count()` — a
@@ -101,16 +113,21 @@ pub fn pack_region<T: Real>(g: &Grid3<T>, region: &Region3) -> Bytes {
 pub fn unpack_region<T: Real>(g: &mut Grid3<T>, region: &Region3, payload: &Bytes) {
     let r = region.intersect(&Region3::whole(g.dims()));
     assert_eq!(payload.len(), r.count() * 8, "payload length mismatch");
-    let mut chunks = payload.chunks_exact(8);
-    for z in r.lo[2]..r.hi[2] {
-        for y in r.lo[1]..r.hi[1] {
-            for cell in &mut g.row_mut(y, z)[r.lo[0]..r.hi[0]] {
-                let mut buf = [0u8; 8];
-                buf.copy_from_slice(chunks.next().expect("length checked above"));
-                *cell = T::from_f64(f64::from_ne_bytes(buf));
-            }
+    if r.is_empty() {
+        return;
+    }
+    for (chunk, (y, z)) in payload.chunks_exact(r.extent(0) * 8).zip(rows(&r)) {
+        let row = &mut g.row_mut(y, z)[r.lo[0]..r.hi[0]];
+        for (cell, bytes) in row.iter_mut().zip(chunk.chunks_exact(8)) {
+            *cell = T::from_f64(f64::from_ne_bytes(bytes.try_into().expect("8-byte chunk")));
         }
     }
+}
+
+/// The `(y, z)` rows of `r`, in the x-fastest order of a payload.
+fn rows(r: &Region3) -> impl Iterator<Item = (usize, usize)> {
+    let (ys, zs) = (r.lo[1]..r.hi[1], r.lo[2]..r.hi[2]);
+    zs.flat_map(move |z| ys.clone().map(move |y| (y, z)))
 }
 
 /// Row-wise copy of `src_region` in `src` into `dst_region` in `dst` —
@@ -167,6 +184,85 @@ mod tests {
         let r = Region3::interior_of(dims);
         unpack_region(&mut dst, &r, &pack_region(&src, &r));
         assert_eq!(norm::count_mismatches(&src, &dst, &r), 0);
+    }
+
+    /// Pack `region` of a random grid, unpack it into a zeroed one, and
+    /// check the payload size, the copied cells and that nothing else
+    /// changed. Returns the payload length.
+    fn roundtrip<T: Real>(dims: Dims3, region: Region3) -> usize {
+        let src: Grid3<T> = init::random(dims, 17);
+        let mut dst: Grid3<T> = Grid3::zeroed(dims);
+        let payload = pack_region(&src, &region);
+        unpack_region(&mut dst, &region, &payload);
+        let clipped = region.intersect(&Region3::whole(dims));
+        assert_eq!(payload.len(), clipped.count() * 8, "{region}");
+        for z in 0..dims.nz {
+            for y in 0..dims.ny {
+                for x in 0..dims.nx {
+                    let want = if clipped.contains(x, y, z) {
+                        src.get(x, y, z)
+                    } else {
+                        T::from_f64(0.0)
+                    };
+                    assert_eq!(dst.get(x, y, z).to_f64(), want.to_f64(), "{x} {y} {z}");
+                }
+            }
+        }
+        payload.len()
+    }
+
+    fn edge_regions_roundtrip<T: Real>() {
+        let dims = Dims3::new(9, 7, 5);
+        // Zero-width rows: an empty payload, no row chunks at all.
+        assert_eq!(roundtrip::<T>(dims, Region3::new([3, 1, 1], [3, 6, 4])), 0);
+        assert_eq!(roundtrip::<T>(dims, Region3::new([1, 1, 2], [8, 6, 2])), 0);
+        // Clipped by the grid on every high face.
+        let clipped = roundtrip::<T>(dims, Region3::new([6, 4, 3], [12, 10, 9]));
+        assert_eq!(clipped, 3 * 3 * 2 * 8);
+        // 1-cell-wide rows, as the overlapped cycle's x-strips have.
+        assert_eq!(
+            roundtrip::<T>(dims, Region3::new([8, 0, 0], [9, 7, 5])),
+            35 * 8
+        );
+        assert_eq!(
+            roundtrip::<T>(dims, Region3::new([0, 2, 1], [1, 3, 4])),
+            3 * 8
+        );
+    }
+
+    #[test]
+    fn edge_regions_roundtrip_f64() {
+        edge_regions_roundtrip::<f64>();
+    }
+
+    #[test]
+    fn edge_regions_roundtrip_f32() {
+        edge_regions_roundtrip::<f32>();
+    }
+
+    #[test]
+    fn repack_reuses_only_an_unshared_buffer_of_the_face_size() {
+        let dims = Dims3::new(9, 7, 5);
+        let g: Grid3<f64> = init::random(dims, 8);
+        let face = Region3::new([1, 1, 1], [3, 6, 4]);
+        let spare = pack_region(&g, &face);
+        let addr = spare.as_ptr();
+        // Unshared and the right size: refilled in place.
+        let same = repack_region(Some(spare), &g, &face);
+        assert_eq!(same.as_ptr(), addr);
+        assert_eq!(same, pack_region(&g, &face));
+        // Still shared: a fresh buffer, the shared one left untouched.
+        let keep = same.clone();
+        let other = repack_region(Some(same), &g, &Region3::new([4, 1, 1], [6, 6, 4]));
+        assert_ne!(other.as_ptr(), addr);
+        assert_eq!(keep, pack_region(&g, &face));
+        // The wrong size (a shorter final cycle): a fresh buffer of the
+        // face's own size.
+        drop(other);
+        let short = Region3::new([1, 1, 1], [2, 6, 4]);
+        let fresh = repack_region(Some(keep), &g, &short);
+        assert_eq!(fresh.len(), short.count() * 8);
+        assert_eq!(fresh, pack_region(&g, &short));
     }
 
     #[test]

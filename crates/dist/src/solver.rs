@@ -86,7 +86,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use tb_grid::{BlockPartition, Grid3, GridPair, Real, Region3};
-use tb_net::{CartComm, Comm, Request};
+use tb_net::{Bytes, CartComm, Comm, Request};
 use tb_runtime::{PooledGrid, Runtime};
 use tb_stencil::diamond::{self, DiamondTiling};
 use tb_stencil::pipeline::PipelinePlan;
@@ -96,7 +96,7 @@ use tb_stencil::{
 use tb_sync::Handoff;
 
 use crate::decomp::{annulus_slabs, Decomposition, LocalDomain};
-use crate::halo::{copy_region, exchange_regions, pack_region, unpack_region};
+use crate::halo::{copy_region, exchange_regions, pack_region, repack_region, unpack_region};
 
 /// How a rank advances its local box between exchanges.
 #[derive(Clone, Debug)]
@@ -174,6 +174,12 @@ pub struct DistSolver<T: Real, Op: StencilOp<T>> {
     /// arithmetic identical to the working grid's, at +1 grid of
     /// footprint in overlapped modes.
     scratch: Option<PooledGrid<T>>,
+    /// Spare message buffer per (dimension, direction index): the last
+    /// payload received from that neighbour, unpacked and no longer
+    /// read. The next exchange packs its face toward the same neighbour
+    /// into it (the two faces of a stage have equal extents), so a
+    /// steady run of cycles allocates no message buffer at all.
+    spares: Spares,
     /// Modeled compute rate (LUP/s) charged to the virtual clock; `None`
     /// leaves the clock to communication costs only.
     virtual_lups: Option<f64>,
@@ -254,6 +260,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
             parity: 0,
             sweeps_done: 0,
             scratch: None,
+            spares: Spares::default(),
             virtual_lups: None,
             halo_bytes_sent: 0,
             gather_bytes_sent: 0,
@@ -425,6 +432,11 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// layers in every dimension `≤ d`; later stages forward them, which
     /// is what delivers edge and corner data without diagonal messages.
     /// The slab geometry lives in [`exchange_regions`].
+    ///
+    /// Each face costs one copy per side: the pack writes its rows into
+    /// the payload last received from the same neighbour (a fresh buffer
+    /// on the first cycle, or when the depth changed), and the received
+    /// payload, once unpacked, becomes the next cycle's send buffer.
     fn exchange(&mut self, cart: &mut CartComm, depth: usize) {
         debug_assert_eq!(self.parity, 0, "exchange runs on a normalized pair");
         let owned = self.local.owned;
@@ -436,7 +448,8 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                     continue;
                 };
                 let (s, _) = exchange_regions(&owned, &fence, d, dir, depth);
-                let payload = pack_region(self.pair.a(), &self.local.to_local(&s));
+                let spare = self.spares[d][idx].take();
+                let payload = repack_region(spare, self.pair.a(), &self.local.to_local(&s));
                 self.halo_bytes_sent += payload.len() as u64;
                 cart.comm.send(peer, (d * 2 + idx) as u64, payload);
             }
@@ -450,6 +463,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                 let tag = (d * 2 + (1 - idx)) as u64;
                 let payload = cart.comm.recv(peer, tag);
                 unpack_region(self.pair.a_mut(), &self.local.to_local(&r), &payload);
+                self.spares[d][idx] = Some(payload);
             }
         }
     }
@@ -498,6 +512,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         let Self {
             pair,
             scratch,
+            spares,
             op,
             exec,
             local,
@@ -507,7 +522,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         let domains: Vec<Region3> = (1..=c).map(|j| local.sweep_domain(j, c, radius)).collect();
 
         let t0 = cart.comm.time();
-        let mut drive = ExchangeDrive::post(cart, local, depth, pair.a());
+        let mut drive = ExchangeDrive::post(cart, local, depth, pair.a(), std::mem::take(spares));
         let mut m = 0;
         if drive.has_traffic() {
             // The staging grid exists only where there is traffic. It
@@ -578,6 +593,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                 copy_region(scratch, r, pair.a_mut(), r);
             }
         }
+        *spares = drive.spares;
         self.halo_bytes_sent += drive.bytes;
 
         // Fold the compute that ran under the exchange into the clock
@@ -644,13 +660,17 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
 /// compute thread calls both in [`ExchangeMode::Overlapped`], the
 /// communication worker calls `finish` in
 /// [`ExchangeMode::OverlappedCommThread`]. Every `Comm` mutation of the
-/// cycle happens here, in one order.
+/// cycle happens here, in one order. The drive holds the solver's spare
+/// message buffers for the cycle: sends pack into them, unpacked
+/// receives refill them.
 struct ExchangeDrive {
-    /// Ghost region and request of every pending receive, per direction,
-    /// in posting order.
-    recvs: [VecDeque<(Region3, Request)>; 3],
-    /// Peer, tag and slab of every send, per direction.
-    sends: [Vec<(usize, u64, Region3)>; 3],
+    /// Direction index (0: −, 1: +), ghost region and request of every
+    /// pending receive, per direction, in posting order.
+    recvs: [VecDeque<(usize, Region3, Request)>; 3],
+    /// Direction index, peer, tag and slab of every send, per direction.
+    sends: [Vec<(usize, usize, u64, Region3)>; 3],
+    /// The solver's spare buffers, handed back when the cycle ends.
+    spares: Spares,
     /// Direction whose receives are being completed (3: all done).
     dim: usize,
     /// Payload bytes sent so far.
@@ -667,10 +687,12 @@ impl ExchangeDrive {
         local: &LocalDomain,
         depth: usize,
         current: &Grid3<T>,
+        spares: Spares,
     ) -> Self {
         let mut drive = Self {
             recvs: Default::default(),
             sends: Default::default(),
+            spares,
             dim: 0,
             bytes: 0,
             ghosts: Vec::new(),
@@ -681,11 +703,12 @@ impl ExchangeDrive {
                     continue;
                 };
                 let (s, r) = exchange_regions(&local.owned, &local.region, d, dir, depth);
-                drive.sends[d].push((peer, (d * 2 + idx) as u64, local.to_local(&s)));
+                drive.sends[d].push((idx, peer, (d * 2 + idx) as u64, local.to_local(&s)));
                 // The peer tagged its message with *its own* direction,
                 // the opposite of ours.
                 let tag = (d * 2 + (1 - idx)) as u64;
-                drive.recvs[d].push_back((local.to_local(&r), cart.comm.irecv(peer, tag)));
+                let req = cart.comm.irecv(peer, tag);
+                drive.recvs[d].push_back((idx, local.to_local(&r), req));
             }
         }
         drive.send_dim(cart.comm, current);
@@ -703,14 +726,16 @@ impl ExchangeDrive {
         self.sends[1..].iter().any(|v| !v.is_empty())
     }
 
-    /// `isend` the slabs of direction `self.dim` out of `from`. Send
-    /// requests are dropped: the pack runs on the comm-core timeline and
-    /// the buffer is ours to keep.
+    /// `isend` the slabs of direction `self.dim` out of `from`, each
+    /// packed into the spare buffer of its neighbour. The payload moves
+    /// into the message, so nothing waits on the send: its request is
+    /// dropped (the pack runs on the comm-core timeline).
     fn send_dim<T: Real>(&mut self, comm: &mut Comm, from: &Grid3<T>) {
-        for (peer, tag, region) in &self.sends[self.dim] {
-            let payload = pack_region(from, region);
+        let d = self.dim;
+        for &(idx, peer, tag, region) in &self.sends[d] {
+            let payload = repack_region(self.spares[d][idx].take(), from, &region);
             self.bytes += payload.len() as u64;
-            let _ = comm.isend(*peer, *tag, payload);
+            let _ = comm.isend(peer, tag, payload);
         }
     }
 
@@ -721,13 +746,14 @@ impl ExchangeDrive {
     /// `scratch`.
     fn advance<T: Real>(&mut self, comm: &mut Comm, scratch: &mut Grid3<T>, block: bool) -> bool {
         while self.dim < 3 {
-            while let Some((_, req)) = self.recvs[self.dim].front_mut() {
+            while let Some((_, _, req)) = self.recvs[self.dim].front_mut() {
                 if !block && !comm.test(req) {
                     return false;
                 }
-                let (region, req) = self.recvs[self.dim].pop_front().expect("front exists");
+                let (idx, region, req) = self.recvs[self.dim].pop_front().expect("front exists");
                 let payload = comm.wait(req).expect("recv request returns a payload");
                 unpack_region(scratch, &region, &payload);
+                self.spares[self.dim][idx] = Some(payload);
                 self.ghosts.push(region);
             }
             self.dim += 1;
@@ -748,6 +774,10 @@ impl ExchangeDrive {
         self.advance(comm, scratch, true);
     }
 }
+
+/// One spare message buffer slot per (dimension, direction index
+/// 0: −, 1: +); see [`DistSolver`]'s `spares`.
+type Spares = [[Option<Bytes>; 2]; 3];
 
 /// Advance sweeps `base + 1 ..= base + domains.len()` of a cycle, sweep
 /// `base + s + 1` over `domains[s]`, one local-executor dispatch at a
@@ -1276,6 +1306,88 @@ mod tests {
             per_mode.push(halo);
         }
         assert_eq!(per_mode[0], per_mode[1], "same protocol, same traffic");
+    }
+
+    #[test]
+    fn steady_cycles_send_the_buffer_received_from_that_neighbour() {
+        // h = 4 and sweeps 4 + 4 + 4 + 2, one cycle per call: three full
+        // cycles, then a partial one with shallower faces.
+        let (h, cycles) = (4, [4, 4, 4, 2]);
+        for (dims, pgrid) in [
+            (Dims3::new(24, 12, 10), [2, 1, 1]),
+            (Dims3::new(12, 24, 10), [1, 2, 1]),
+            (Dims3::new(12, 10, 24), [1, 1, 2]),
+        ] {
+            let d = pgrid.iter().position(|&p| p == 2).expect("one split axis");
+            let global: Grid3<f64> = init::random(dims, 12);
+            let want = serial_reference_op(&Jacobi6, &global, cycles.iter().sum());
+            let dec = Decomposition::new(dims, pgrid, h);
+            for mode in [
+                ExchangeMode::Sync,
+                ExchangeMode::Overlapped,
+                ExchangeMode::OverlappedCommThread,
+            ] {
+                let what = format!("{pgrid:?} {mode:?}");
+                let (g, dec) = (&global, &dec);
+                let outs = Universe::run(2, None, move |comm| {
+                    let mut cart = CartComm::new(comm, pgrid);
+                    let mut s =
+                        DistSolver::from_global_op(dec, cart.coords(), g, LocalExec::Seq, Jacobi6)
+                            .unwrap()
+                            .with_exchange_mode(mode);
+                    let rt = s.one_shot_runtime();
+                    // Rank 0's neighbour is on its + side, rank 1's on its − side.
+                    let (idx, dir) = if cart.comm.rank() == 0 {
+                        (1, 1)
+                    } else {
+                        (0, -1)
+                    };
+                    let local = s.local().clone();
+                    let mut face_bytes = 0;
+                    // Per cycle: the face size and the spare slot toward
+                    // the neighbour (address, length).
+                    let slots: Vec<(usize, usize, usize)> = cycles
+                        .iter()
+                        .map(|&c| {
+                            s.run_sweeps_on(&rt, &mut cart, c);
+                            let (face, _) =
+                                exchange_regions(&local.owned, &local.region, d, dir, c);
+                            face_bytes += face.count() as u64 * 8;
+                            let spares = &s.spares;
+                            for (e, pair) in spares.iter().enumerate() {
+                                for (i, spare) in pair.iter().enumerate() {
+                                    assert_eq!(spare.is_some(), (e, i) == (d, idx), "{e} {i}");
+                                }
+                            }
+                            let spare = spares[d][idx].as_ref().expect("a received payload");
+                            (face.count() * 8, spare.as_ptr() as usize, spare.len())
+                        })
+                        .collect();
+                    assert_eq!(s.halo_bytes_sent, face_bytes, "halo bytes");
+                    (slots, s.gather_global(&mut cart, dec, g))
+                });
+                let got = outs
+                    .iter()
+                    .find_map(|o| o.1.as_ref())
+                    .expect("rank 0 gathers");
+                norm::assert_grids_identical(&want, got, &Region3::interior_of(dims), &what);
+                let (a, b) = (&outs[0].0, &outs[1].0);
+                for k in 0..cycles.len() {
+                    for (rank, slots) in [a, b].into_iter().enumerate() {
+                        assert_eq!(slots[k].2, slots[k].0, "{what} rank {rank} cycle {k} size");
+                    }
+                }
+                // From the second cycle on each rank sends what it
+                // received from its neighbour in the cycle before.
+                for k in 1..3 {
+                    assert_eq!(b[k].1, a[k - 1].1, "{what}: cycle {k}, rank 0 -> 1");
+                    assert_eq!(a[k].1, b[k - 1].1, "{what}: cycle {k}, rank 1 -> 0");
+                }
+                // The partial cycle's faces are smaller: each rank had to
+                // pack into a fresh buffer of the new size.
+                assert!(a[3].0 < a[2].0 && b[3].0 < b[2].0, "{what}: partial faces");
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! [`Runtime`] spawns its workers **once**, pins them according to a
 //! [`tb_topology::TeamLayout`], and then executes submitted tasks until
 //! dropped. Between tasks the workers spin briefly (cheap re-dispatch
-//! when sweeps come back to back) and then park (no idle burn between
-//! solves).
+//! when sweeps come back to back) and then park until the next dispatch
+//! unparks them, so an idle runtime takes no core time from the solves
+//! of other runtimes sharing its cores.
 //!
 //! ## Lifecycle
 //!

@@ -6,12 +6,14 @@
 //!    pointer + participant count under the slot lock, bumps the epoch,
 //!    and unparks the participating workers;
 //! 2. every worker spins briefly on the epoch (cheap pickup when sweeps
-//!    come back to back), then parks with a timeout (no idle burn
-//!    between solves); on a new epoch it snapshots the slot, runs the
-//!    task with its worker index if it participates, and increments the
+//!    come back to back), then parks until a dispatch unparks it — an
+//!    idle worker sleeps and leaves its core to whatever else runs
+//!    there; on a new epoch it snapshots the slot, runs the task with
+//!    its worker index if it participates, and increments the
 //!    completion counter;
-//! 3. the dispatcher spin-waits for all participants, clears the task
-//!    pointer, and re-raises the first worker panic, if any.
+//! 3. the dispatcher spins briefly, then parks until the last
+//!    participant unparks it, clears the task pointer, and re-raises
+//!    the first worker panic, if any.
 //!
 //! The dispatcher blocks until every participant finished, so the task
 //! closure may borrow the caller's stack — the lifetime erasure below is
@@ -99,9 +101,16 @@ struct CommLane {
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// Spin briefly, then park with a timeout, until `changed` returns true.
-/// The unpark token posted by the dispatcher makes the park race-free;
-/// the timeout is belt and braces.
+/// Longest a waiter parks before it rechecks its condition unasked. Every
+/// wait is ended by the protocol's `unpark`, so this only bounds what a
+/// lost wakeup would cost (latency, never a hang), and it caps an idle
+/// thread at a few wakes per second.
+const PARK_SAFETY_BOUND: Duration = Duration::from_millis(200);
+
+/// Spin briefly, then yield, then park until `changed` returns true.
+/// Each waiter registers where the thread that changes its condition
+/// will `unpark` it, and the unpark token makes the park race-free: an
+/// unpark that comes before the park makes the park return at once.
 fn wait_until(changed: impl Fn() -> bool) {
     let backoff = Backoff::new();
     let mut yields = 0u32;
@@ -112,7 +121,7 @@ fn wait_until(changed: impl Fn() -> bool) {
             std::thread::yield_now();
             yields += 1;
         } else {
-            std::thread::park_timeout(Duration::from_micros(500));
+            std::thread::park_timeout(PARK_SAFETY_BOUND);
         }
     }
 }
