@@ -5,6 +5,8 @@
 //! code peaks around b_x ≈ 120 because the block working set must stay
 //! inside the shared cache.
 
+#![forbid(unsafe_code)]
+
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
 use tb_runtime::Runtime;

@@ -4,6 +4,8 @@
 //! the paper measured only "a very slight impact on this architecture
 //! (about 3% improvement for d_t = 8)".
 
+#![forbid(unsafe_code)]
+
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
 use tb_runtime::Runtime;

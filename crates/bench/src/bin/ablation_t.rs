@@ -3,6 +3,8 @@
 //! at T=4"; T=1 underuses the cache, larger T shrinks the usable block
 //! set and adds pipeline fill overhead.
 
+#![forbid(unsafe_code)]
+
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
 use tb_runtime::Runtime;

@@ -22,6 +22,8 @@
 //! cargo run --release -p tb-bench --bin diamond_sweep -- --smoke --threads-per-tile 2
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 
 use tb_bench::{problem, warmed_best_of, Args};

@@ -8,6 +8,8 @@
 //! `--mode nehalem`: analytic series with the paper's machine parameters.
 //! `--size N --sweeps S` override the problem.
 
+#![forbid(unsafe_code)]
+
 use tb_bench::{best_of, problem, row, Args};
 use tb_grid::GridPair;
 use tb_model::{pipeline_speedup, roofline, MachineParams};

@@ -7,6 +7,8 @@
 //!
 //! `--size N --sweeps S --reps R` as usual.
 
+#![forbid(unsafe_code)]
+
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
 use tb_runtime::Runtime;

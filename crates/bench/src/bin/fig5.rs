@@ -9,6 +9,8 @@
 //! `--realistic` switches to the implementation-accurate variant
 //! (expanded slabs + buffer copies) for comparison.
 
+#![forbid(unsafe_code)]
+
 use tb_bench::Args;
 use tb_model::halo::{computational_efficiency, fig5_network, halo_advantage, HaloWorkload};
 use tb_model::NetworkParams;

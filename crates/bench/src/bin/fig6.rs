@@ -16,6 +16,8 @@
 //! inferior) 2.2, pipelined 1PPN (ccNUMA-limited) 3.0, pipelined 2PPN
 //! 3.4 GLUP/s; pipelined halo width h = n·t·T = 16.
 
+#![forbid(unsafe_code)]
+
 use tb_bench::Args;
 use tb_dist::sim::{simulate, SimSpec};
 use tb_model::{NetworkParams, ScalingConfig, ScalingMode};

@@ -5,6 +5,8 @@
 //! t = 4, shows the t·T→∞ limit (M_c/M_s) and the bandwidth-scaling
 //! counterexample where temporal blocking cannot win.
 
+#![forbid(unsafe_code)]
+
 use tb_model::{pipeline, MachineParams};
 
 fn main() {

@@ -12,6 +12,8 @@
 //! cargo run --release -p tb-bench --bin op_sweep -- --size 40 --sweeps 8
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 
 use tb_bench::{problem, warmed_best_of, Args};

@@ -6,6 +6,8 @@
 //! Nehalem numbers for reference (18.5 GB/s per socket -> 2.3 GLUP/s per
 //! node expectation).
 
+#![forbid(unsafe_code)]
+
 use tb_bench::{best_of, problem, Args};
 use tb_grid::GridPair;
 use tb_model::{roofline, MachineParams};

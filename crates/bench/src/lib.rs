@@ -20,6 +20,8 @@
 //! `BENCHMARK.json`) has no rung for yet; every other timing question
 //! goes to that benchmark's per-layer ladder.
 
+#![forbid(unsafe_code)]
+
 use tb_grid::{init, Dims3, Grid3};
 use tb_stencil::stats::RunStats;
 

@@ -94,6 +94,8 @@
 //! and `dist_overlap_mlups` / `dist_mlups` measure what is hidden on a
 //! real run; `fig6 --mode sim` does under the virtual network.
 
+#![forbid(unsafe_code)]
+
 pub mod decomp;
 pub mod halo;
 pub mod sim;

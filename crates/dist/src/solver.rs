@@ -85,13 +85,12 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use tb_grid::{BlockPartition, Grid3, GridPair, Real, Region3};
+use tb_grid::{Grid3, GridPair, Real, Region3};
 use tb_net::{Bytes, CartComm, Comm, Request};
 use tb_runtime::{PooledGrid, Runtime};
-use tb_stencil::diamond::{self, DiamondTiling};
-use tb_stencil::pipeline::PipelinePlan;
 use tb_stencil::{
-    baseline, kernel, pipeline, DiamondConfig, Jacobi6, PipelineConfig, RunStats, StencilOp,
+    baseline, diamond, kernel, pipeline, DiamondConfig, Jacobi6, PipelineConfig, RunStats,
+    StencilOp,
 };
 use tb_sync::Handoff;
 
@@ -151,7 +150,10 @@ pub enum ExchangeMode {
     OverlappedCommThread,
 }
 
-/// One rank of the distributed stencil solver.
+/// One rank of the distributed stencil solver. Its local compute goes
+/// through tb-stencil's safe executor entries — the `&mut` pair plus the
+/// cycle's per-sweep domains, see `advance_sweeps` — so the crate holds
+/// no `unsafe` code.
 pub struct DistSolver<T: Real, Op: StencilOp<T>> {
     local: LocalDomain,
     pair: GridPair<T>,
@@ -787,12 +789,14 @@ type Spares = [[Option<Bytes>; 2]; 3];
 /// to the end. Returns the sweeps done. A dispatch is
 ///
 /// * [`LocalExec::Diamond`]: all remaining sweeps, as one diamond
-///   schedule on the runtime's team (diamonds clamp to the domains and
-///   tolerate empty ones, so there is no constructibility precondition;
-///   `run_cycles` rejects undersized runtimes up front),
+///   schedule on the runtime's team ([`diamond::run_diamond_schedule_on`];
+///   diamonds clamp to the domains and tolerate empty ones, so there is
+///   no constructibility precondition; `run_cycles` rejects undersized
+///   runtimes up front),
 /// * [`LocalExec::Pipelined`]: the next `stages()` sweeps as one team
-///   sweep over a shrinking-domain [`PipelinePlan`], whenever that plan
-///   is constructible (see [`plan_fits`]),
+///   sweep over their shrinking domains
+///   ([`pipeline::run_team_sweep_op_on`]), unless that entry reports the
+///   chain cannot host a pipeline plan — then one region sweep,
 /// * [`LocalExec::Seq`] with no `stop` and more than one sweep left: all
 ///   remaining sweeps as one diamond schedule of the default width
 ///   ([`DiamondConfig::default_for`]) walked on the calling thread
@@ -800,10 +804,11 @@ type Spares = [[Option<Bytes>; 2]; 3];
 ///   delivered are reused in cache across the cycle's sweeps,
 /// * otherwise one plain region sweep.
 ///
-/// `domains` must satisfy the executors' trapezoid contract,
-/// `domains[s + 1].expand(RADIUS) ⊆ domains[s] ∪ never-written cells`;
-/// both the [`LocalDomain::sweep_core`] and the
-/// [`LocalDomain::sweep_domain`] chains do.
+/// Every executor entry is safe and checks that the domains are interior
+/// to the pair; the results are the oracle's because both the
+/// [`LocalDomain::sweep_core`] and the [`LocalDomain::sweep_domain`]
+/// chains satisfy the executors' trapezoid contract,
+/// `domains[s + 1].expand(RADIUS) ⊆ domains[s] ∪ never-written cells`.
 fn advance_sweeps<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
@@ -817,63 +822,29 @@ fn advance_sweeps<T: Real, Op: StencilOp<T>>(
     while done < domains.len() && !stop.as_mut().is_some_and(|stop| stop(done)) {
         let rest = &domains[done..];
         let sweep = base + done;
-        done += match exec {
+        let blocked = match exec {
             LocalExec::Diamond(cfg) => {
-                if rest.iter().any(|r| !r.is_empty()) {
-                    let views = pair.shared_views();
-                    let tiling = DiamondTiling::new(rest.to_vec(), cfg.width, Op::RADIUS);
-                    // SAFETY: the chain satisfies the tiling's domain
-                    // contract, the tiling carries the operator's
-                    // radius, and the pair is exclusively borrowed for
-                    // the dispatch (the comm side only touches the
-                    // staging grid).
-                    unsafe {
-                        diamond::run_diamond_schedule_on(rt, op, &views, &tiling, cfg, sweep)
-                    };
-                }
-                rest.len()
+                diamond::run_diamond_schedule_on(rt, op, pair, rest, cfg, sweep);
+                Some(rest.len())
             }
-            LocalExec::Pipelined(cfg) if Op::RADIUS == 1 && plan_fits(rest, cfg) => {
+            LocalExec::Pipelined(cfg) => {
                 let now = cfg.stages().min(rest.len());
-                let views = pair.shared_views();
-                let plan = PipelinePlan::with_domains(rest[..now].to_vec(), cfg.block);
-                // SAFETY: the chain satisfies the plan contract and the
-                // pair is exclusively borrowed for the call (the comm
-                // side only touches the staging grid).
-                unsafe { pipeline::run_team_sweep_op_on(rt, op, &views, &plan, cfg, sweep, now) };
-                now
+                pipeline::run_team_sweep_op_on(rt, op, pair, &rest[..now], cfg, sweep).map(|_| now)
             }
             LocalExec::Seq if stop.is_none() && rest.len() > 1 => {
                 let width = DiamondConfig::default_for(1).width;
-                let tiling = DiamondTiling::new(rest.to_vec(), width, Op::RADIUS);
-                diamond::run_diamond_schedule(op, pair, &tiling, sweep);
-                rest.len()
+                diamond::run_diamond_schedule(op, pair, rest, width, sweep);
+                Some(rest.len())
             }
-            LocalExec::Pipelined(_) | LocalExec::Seq => {
-                let (src, dst) = pair.src_dst(sweep);
-                kernel::update_region_op(op, src, dst, &rest[0]);
-                1
-            }
+            LocalExec::Seq => None,
         };
+        done += blocked.unwrap_or_else(|| {
+            let (src, dst) = pair.src_dst(sweep);
+            kernel::update_region_op(op, src, dst, &rest[0]);
+            1
+        });
     }
     done
-}
-
-/// Whether the next team sweep — a shrinking-domain plan over the first
-/// `cfg.stages()` of `domains` — is constructible: the same geometry
-/// precondition [`PipelinePlan::with_domains`] asserts, checked up front
-/// so small cores fall back to region sweeps.
-fn plan_fits(domains: &[Region3], cfg: &PipelineConfig) -> bool {
-    let domains = &domains[..cfg.stages().min(domains.len())];
-    let Some(first) = domains.first() else {
-        return false;
-    };
-    if domains.iter().any(Region3::is_empty) {
-        return false;
-    }
-    let partition = BlockPartition::new(*first, cfg.block);
-    let eff = partition.block_size();
-    (0..3).all(|d| eff[d] >= domains.len() || partition.counts()[d] == 1)
 }
 
 /// The verification oracle: `sweeps` plain sequential sweeps of `op` on

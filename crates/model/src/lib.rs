@@ -42,6 +42,8 @@
 //! predicted vs. achieved MLUP/s so model error stays visible instead of
 //! silently steering the search.
 
+#![forbid(unsafe_code)]
+
 pub mod diamond;
 pub mod halo;
 pub mod machine;

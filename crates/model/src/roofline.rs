@@ -67,18 +67,6 @@ pub fn service_floor_seconds(
     cell_updates as f64 * bytes_per_lup / machine.mc
 }
 
-/// Naive code balance of the unblocked kernel in words/flop (paper §1.1:
-/// `B_c = 8/6 W/F` counting the RFO).
-pub fn naive_code_balance_words_per_flop() -> f64 {
-    8.0 / 6.0
-}
-
-/// Words moved per flop for an arbitrary operator and store mode — the
-/// generalization of the paper's `8/6 W/F`.
-pub fn code_balance_words_per_flop<T: Real, Op: StencilOp<T>>(op: &Op, store: StoreMode) -> f64 {
-    (op.bytes_per_lup(store) / T::bytes() as f64) / op.flops_per_lup()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,16 +101,6 @@ mod tests {
         let var = op_roofline_lups::<f64, _>(&m, &v, StoreMode::Streaming);
         // One extra 8-byte read stream on top of 16 B/LUP: 2/3 the rate.
         assert!((var / jac - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn code_balance_value() {
-        assert!((naive_code_balance_words_per_flop() - 1.333).abs() < 1e-3);
-        // The naive 8/6 counts the unblocked kernel's halo re-reads; the
-        // generalized (blocked) form for classic Jacobi with RFO is
-        // 3 words per 6-flop update.
-        let b = code_balance_words_per_flop::<f64, _>(&Jacobi6, StoreMode::Normal);
-        assert!((b - 3.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -365,10 +365,7 @@ pub(crate) fn f64_from_bytes(b: &Bytes) -> f64 {
 /// Pack an `f64` slice into `Bytes` (native endianness; the mesh never
 /// leaves the process).
 pub fn pack_f64s(v: &[f64]) -> Bytes {
-    // SAFETY: f64 and u8 have no invalid bit patterns; alignment of u8 is
-    // 1; the byte length is exact.
-    let bytes: &[u8] = unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, v.len() * 8) };
-    Arc::from(bytes)
+    v.iter().flat_map(|x| x.to_ne_bytes()).collect()
 }
 
 /// Unpack [`pack_f64s`] output into a caller-provided buffer.
@@ -438,6 +435,7 @@ mod tests {
         let v: Vec<f64> = (0..17).map(|i| (i as f64).sin()).collect();
         let b = pack_f64s(&v);
         assert_eq!(b.len(), 17 * 8);
+        assert_eq!(b[8..16], v[1].to_ne_bytes());
         let mut out = vec![0.0; 17];
         unpack_f64s(&b, &mut out);
         assert_eq!(v, out);

@@ -26,6 +26,8 @@
 //! protocol bugs (mismatched tags, wrong neighbors, deadlocks) surface in
 //! tests exactly as they would on a real cluster.
 
+#![forbid(unsafe_code)]
+
 pub mod cart;
 pub mod comm;
 pub mod simnet;

@@ -28,6 +28,8 @@
 //! The facade crate ties this to execution: see
 //! `temporal_blocking::solve_tuned_with_on`.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod ir;
 pub mod json;

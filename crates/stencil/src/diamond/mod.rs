@@ -129,47 +129,51 @@ impl DiamondConfig {
     }
 }
 
-/// Execute a prebuilt diamond schedule on the runtime's workers: one
-/// dispatch, one barrier epoch per diamond row, tiles round-robin per
-/// worker. `base_sweep` is the global sweep number of schedule sweep 0
-/// (it fixes which buffer of `views` each sweep reads). Returns cells
-/// updated.
+/// Advance `pair` by a diamond schedule on the runtime's workers, sweep
+/// `base_sweep + s` over `domains[s]` (`base_sweep` fixes which buffer
+/// each sweep reads): one dispatch, one barrier epoch per diamond row,
+/// tiles round-robin per sub-team. Returns cells updated; an all-empty
+/// chain returns 0 without a dispatch.
 ///
-/// # Safety
-/// `views` must point at live allocations covering every region of the
-/// tiling, nothing else may access them during the call, and the
-/// tiling's domains must satisfy the trapezoid contract documented in
-/// [`geometry`] (uniform domains satisfy it trivially). Radius safety:
-/// the tiling must have been built with the operator's radius.
-pub unsafe fn run_diamond_schedule_on<T: Real, Op: StencilOp<T>>(
+/// Safe: the domains are checked interior before the dispatch and the
+/// tiling is built here with the operator's radius. Tiles clamp to the
+/// domains, which keeps same-row tiles disjoint for any chain (see
+/// [`geometry`]). The result is the oracle's when the domains satisfy
+/// the trapezoid contract documented there (uniform domains do); a
+/// chain that breaks it gives wrong values, never undefined behaviour.
+///
+/// # Panics
+/// Panics if a domain is not interior to `pair`, if `cfg` is invalid for
+/// the grid and operator ([`DiamondConfig::validate`]) or if the runtime
+/// has fewer than `cfg.threads` workers.
+pub fn run_diamond_schedule_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
-    views: &[SharedGrid<T>; 2],
-    tiling: &DiamondTiling,
+    pair: &mut GridPair<T>,
+    domains: &[Region3],
     cfg: &DiamondConfig,
     base_sweep: usize,
 ) -> u64 {
-    assert_eq!(
-        tiling.radius(),
-        Op::RADIUS,
-        "tiling radius must match the operator"
-    );
+    kernel::assert_interior(pair.dims(), domains);
+    if domains.iter().all(Region3::is_empty) {
+        return 0;
+    }
+    cfg.validate(pair.dims(), Op::RADIUS)
+        .unwrap_or_else(|e| panic!("{e}"));
     let threads = cfg.threads;
     assert!(
         rt.threads() >= threads,
         "runtime has {} workers but the diamond team needs {threads}",
         rt.threads()
     );
-    let tpt = cfg.threads_per_tile.max(1);
-    assert!(
-        threads.is_multiple_of(tpt),
-        "threads_per_tile {tpt} must divide the team size {threads}"
-    );
+    let tiling = DiamondTiling::new(domains.to_vec(), cfg.width, Op::RADIUS);
+    let views = pair.shared_views();
     // MWD: the team splits into `groups` sub-teams of `tpt` lanes; each
     // sub-team advances one tile cooperatively, so only `groups` tile
     // working sets are live in cache at a time. tpt == 1 degenerates to
     // the classic one-thread-per-tile schedule (same tile assignment,
     // no intra-tile barriers).
+    let tpt = cfg.threads_per_tile;
     let groups = threads / tpt;
     let barrier = SpinBarrier::new(threads);
     let intra: Vec<SpinBarrier> = (0..groups).map(|_| SpinBarrier::new(tpt)).collect();
@@ -181,15 +185,16 @@ pub unsafe fn run_diamond_schedule_on<T: Real, Op: StencilOp<T>>(
         let mut my_cells = 0u64;
         for row in tiling.rows() {
             for tile in row.tiles.iter().skip(group).step_by(groups) {
-                // SAFETY: forwarded from this function's contract; the
+                // SAFETY: the pair is exclusively borrowed, the tiles
+                // clamp to the domains checked interior above, and the
                 // static row-major assignment hands concurrent sub-teams
-                // tiles of the same row only, and within a sub-team the
-                // lanes partition each sweep's z-extent disjointly.
+                // tiles of the same row only, whose lanes partition each
+                // sweep's z-extent disjointly.
                 my_cells += unsafe {
                     update_tile(
                         op,
-                        views,
-                        tiling,
+                        &views,
+                        &tiling,
                         auditor.as_ref(),
                         tid,
                         tile,
@@ -209,42 +214,29 @@ pub unsafe fn run_diamond_schedule_on<T: Real, Op: StencilOp<T>>(
     total_cells.load(Ordering::Relaxed)
 }
 
-/// Execute a prebuilt diamond schedule on the calling thread: tiles in
-/// row order, each advanced along its y-front exactly as one worker of
-/// [`run_diamond_schedule_on`] advances it, on `pair` directly — no
-/// runtime, no barrier. `base_sweep` is the global sweep number of
-/// schedule sweep 0 (it fixes which buffer of `pair` each sweep reads).
-/// Returns cells updated.
+/// [`run_diamond_schedule_on`] on the calling thread: the diamond
+/// schedule of width `width` over `domains`, tiles in row order, each
+/// advanced along its y-front exactly as one worker of the team
+/// advances it, on `pair` directly — no runtime, no barrier. Returns
+/// cells updated.
 ///
 /// Safe to call: one thread holding `&mut` cannot race, and every domain
 /// is checked to lie inside the grid's interior before the walk starts.
-/// The result is the oracle's only if the domains satisfy the trapezoid
-/// contract documented in [`geometry`]; a chain that breaks it gives
-/// wrong values, never undefined behaviour.
+/// The same trapezoid contract decides whether the result is the
+/// oracle's.
 ///
 /// # Panics
-/// Panics if the tiling was not built with the operator's radius or a
-/// domain is not interior to `pair`.
+/// Panics if a domain is not interior to `pair` or `width` is narrower
+/// than twice the operator's radius.
 pub fn run_diamond_schedule<T: Real, Op: StencilOp<T>>(
     op: &Op,
     pair: &mut GridPair<T>,
-    tiling: &DiamondTiling,
+    domains: &[Region3],
+    width: usize,
     base_sweep: usize,
 ) -> u64 {
-    assert_eq!(
-        tiling.radius(),
-        Op::RADIUS,
-        "tiling radius must match the operator"
-    );
-    let interior = Region3::interior_of(pair.dims());
-    for s in 0..tiling.sweeps() {
-        let domain = tiling.domain(s);
-        assert!(
-            interior.contains_region(&domain),
-            "sweep {s}: domain {domain} not interior to {}",
-            pair.dims()
-        );
-    }
+    kernel::assert_interior(pair.dims(), domains);
+    let tiling = DiamondTiling::new(domains.to_vec(), width, Op::RADIUS);
     // Through the shared views rather than `kernel::update_region_op`:
     // the safe driver's per-row slice checks cost 5–8 % on 66-cell rows.
     let views = pair.shared_views();
@@ -255,7 +247,7 @@ pub fn run_diamond_schedule<T: Real, Op: StencilOp<T>>(
         // concurrent access; every step lies in its tile's regions, which
         // `DiamondTiling` clamps to the domains checked interior above;
         // the radius matches the operator.
-        cells += unsafe { update_tile(op, &views, tiling, None, 0, tile, base_sweep, 0, 1, None) };
+        cells += unsafe { update_tile(op, &views, &tiling, None, 0, tile, base_sweep, 0, 1, None) };
     }
     cells
 }
@@ -278,9 +270,12 @@ pub fn run_diamond_schedule<T: Real, Op: StencilOp<T>>(
 /// matches.
 ///
 /// # Safety
-/// See [`run_diamond_schedule_on`]; additionally the caller guarantees
-/// concurrent sub-teams hold tiles of the same row only and that lanes
-/// of one sub-team call this for the same tiles in the same order.
+/// `views` must point at live allocations covering every region of the
+/// tiling (domains interior to them), nothing outside the schedule may
+/// access them during the call, the tiling must carry the operator's
+/// radius, concurrent sub-teams must hold tiles of the same row only,
+/// and lanes of one sub-team must call this for the same tiles in the
+/// same order.
 #[allow(clippy::too_many_arguments)]
 unsafe fn update_tile<T: Real, Op: StencilOp<T>>(
     op: &Op,
@@ -351,13 +346,9 @@ pub fn run_diamond_op_on<T: Real, Op: StencilOp<T>>(
     if sweeps == 0 {
         return Ok(RunStats::new(0, std::time::Duration::ZERO));
     }
-    let tiling = DiamondTiling::uniform(Region3::interior_of(dims), cfg.width, Op::RADIUS, sweeps);
-    let views = pair.shared_views();
+    let domains = vec![Region3::interior_of(dims); sweeps];
     let t0 = Instant::now();
-    // SAFETY: the pair is exclusively borrowed for the whole dispatch,
-    // the tiling was built over this grid's interior with the operator's
-    // radius, and uniform domains satisfy the trapezoid contract.
-    let cells = unsafe { run_diamond_schedule_on(rt, op, &views, &tiling, cfg, 0) };
+    let cells = run_diamond_schedule_on(rt, op, pair, &domains, cfg, 0);
     Ok(RunStats::new(cells, t0.elapsed()))
 }
 
@@ -511,13 +502,12 @@ mod tests {
                 .collect()
         };
         let rt = Runtime::with_threads(1);
-        let team = audit_cfg(1, 2);
         let nz = interior.extent(2);
         for width in [2 * Op::RADIUS, 5, nz, 2 * nz + 3] {
             let what = |chain: &str| format!("{} w={width} {chain} {dims}", op.name());
-            let uniform = DiamondTiling::uniform(interior, width, Op::RADIUS, sweeps);
+            let uniform = vec![interior; sweeps];
             let mut pair = GridPair::from_initial(initial.clone());
-            let cells = run_diamond_schedule(op, &mut pair, &uniform, 0);
+            let cells = run_diamond_schedule(op, &mut pair, &uniform, width, 0);
             assert_eq!(
                 cells,
                 (sweeps * interior.count()) as u64,
@@ -530,21 +520,18 @@ mod tests {
                 &whole,
                 &what("uniform"),
             );
+            let team = audit_cfg(1, width);
             for axis in 0..3 {
                 let chain = shrinking(axis);
-                let tiling = DiamondTiling::new(chain.clone(), width, Op::RADIUS);
                 let start = || {
                     let mut pair = GridPair::from_initial(initial.clone());
                     pair.swap(); // the state in B: sweep 1 reads it
                     pair
                 };
                 let mut want = start();
-                let views = want.shared_views();
-                // SAFETY: `want` is exclusively borrowed for the call, the
-                // chain is interior and shrinks by the radius per sweep.
-                unsafe { run_diamond_schedule_on(&rt, op, &views, &tiling, &team, 1) };
+                run_diamond_schedule_on(&rt, op, &mut want, &chain, &team, 1);
                 let mut got = start();
-                let cells = run_diamond_schedule(op, &mut got, &tiling, 1);
+                let cells = run_diamond_schedule(op, &mut got, &chain, width, 1);
                 let what = what(&format!("shrinking along {axis}"));
                 let total: usize = chain.iter().map(Region3::count).sum();
                 assert_eq!(cells, total as u64, "{what}");
@@ -573,12 +560,69 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not interior")]
     fn one_thread_walk_rejects_a_domain_outside_the_interior() {
+        // Both diamond entries, on a chain whose sweep 1 reaches into the
+        // boundary layer.
+        let dims = Dims3::cube(8);
+        let chain = [Region3::interior_of(dims), Region3::whole(dims)];
+        kernel::assert_rejects_sweep_1(dims, |pair| {
+            run_diamond_schedule(&Jacobi6, pair, &chain, 4, 0);
+        });
+        let rt = Runtime::with_threads(2);
+        kernel::assert_rejects_sweep_1(dims, |pair| {
+            run_diamond_schedule_on(&rt, &Jacobi6, pair, &chain, &audit_cfg(2, 4), 0);
+        });
+    }
+
+    #[test]
+    fn team_schedule_on_a_chain_that_is_not_nested_claims_disjoint_regions() {
+        // Stages that grow and shift: the values are not the oracle's,
+        // but clamped tiles stay disjoint, so the auditor must see no
+        // overlapping claims — one thread per tile and two-lane sub-teams.
+        let chain = [
+            Region3::new([3, 3, 3], [15, 15, 15]),
+            Region3::new([1, 2, 4], [17, 16, 17]),
+            Region3::new([5, 1, 1], [12, 17, 14]),
+            Region3::new([2, 4, 2], [16, 13, 16]),
+        ];
+        let total: usize = chain.iter().map(Region3::count).sum();
+        let rt = Runtime::with_threads(4);
+        for tpt in [1, 2] {
+            let cfg = audit_cfg(4, 2).with_threads_per_tile(tpt);
+            let mut pair: GridPair<f64> = GridPair::from_initial(init::random(Dims3::cube(20), 7));
+            let cells = run_diamond_schedule_on(&rt, &Jacobi6, &mut pair, &chain, &cfg, 0);
+            assert_eq!(cells, total as u64, "tpt={tpt}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "threads_per_tile 3 must divide the team size 4")]
+    fn team_schedule_rejects_an_invalid_config() {
         let dims = Dims3::cube(8);
         let mut pair: GridPair<f64> = GridPair::zeroed(dims);
-        let tiling = DiamondTiling::uniform(Region3::whole(dims), 4, 1, 2);
-        run_diamond_schedule(&Jacobi6, &mut pair, &tiling, 0);
+        let cfg = audit_cfg(4, 4).with_threads_per_tile(3);
+        let domains = [Region3::interior_of(dims)];
+        run_diamond_schedule_on(
+            &Runtime::with_threads(4),
+            &Jacobi6,
+            &mut pair,
+            &domains,
+            &cfg,
+            0,
+        );
+    }
+
+    #[test]
+    fn team_schedule_of_an_all_empty_chain_dispatches_nothing() {
+        let dims = Dims3::cube(8);
+        let mut pair: GridPair<f64> = GridPair::zeroed(dims);
+        // One worker: a dispatch of the four-thread team would panic.
+        let rt = Runtime::with_threads(1);
+        let chain = [Region3::empty(); 3];
+        assert_eq!(
+            run_diamond_schedule_on(&rt, &Jacobi6, &mut pair, &chain, &audit_cfg(4, 4), 0),
+            0
+        );
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! Three drivers exist, one per storage scheme:
 //!
 //! * [`update_region_op`] — safe two-grid reference path,
-//! * [`update_region_shared_op`] — [`SharedGrid`] path for the
-//!   multi-threaded executors, with optional streaming stores,
-//! * [`update_region_compressed_op`] — the single-allocation
+//! * `update_region_shared_op` — crate-private unsafe [`SharedGrid`]
+//!   path for the multi-threaded executors, with optional streaming
+//!   stores,
+//! * `update_region_compressed_op` — the crate-private single-allocation
 //!   diagonally-shifted path of the compressed-grid scheme (§1.3).
 //!
 //! # One row loop, two instruction sets
@@ -193,6 +194,40 @@ pub fn update_region_op<T: Real, Op: StencilOp<T>>(
     region_rows(op, src, dst, region)
 }
 
+/// Panics unless every one of `domains` is interior to `dims`, which
+/// keeps a region update's radius-1 reads inside the grid: the temporal
+/// executors' safe entries check their sweep domains with it first.
+pub(crate) fn assert_interior(dims: Dims3, domains: &[Region3]) {
+    let interior = Region3::interior_of(dims);
+    for (s, domain) in domains.iter().enumerate() {
+        assert!(
+            interior.contains_region(domain),
+            "sweep {s}: domain {domain} not interior to {dims}"
+        );
+    }
+}
+
+/// Test oracle for the executors' [`assert_interior`] check: `run` on a
+/// pair over random data must panic naming sweep 1 as not interior, and
+/// leave both buffers untouched — the check runs before any dispatch.
+#[cfg(test)]
+pub(crate) fn assert_rejects_sweep_1(dims: Dims3, run: impl FnOnce(&mut tb_grid::GridPair<f64>)) {
+    let initial: Grid3<f64> = tb_grid::init::random(dims, 5);
+    let mut pair = tb_grid::GridPair::from_initial(initial.clone());
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut pair)))
+        .expect_err("a domain outside the interior must panic");
+    let msg = err
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(
+        msg.starts_with("sweep 1: ") && msg.contains("not interior"),
+        "{msg}"
+    );
+    for buffer in [pair.current(0), pair.current(1)] {
+        tb_grid::norm::assert_grids_identical(&initial, buffer, &Region3::whole(dims), "untouched");
+    }
+}
+
 /// The row loop of [`update_region_op`] (arguments already checked).
 #[inline(always)]
 fn region_rows<T: Real, Op: StencilOp<T>>(
@@ -263,7 +298,7 @@ unsafe fn rows9_shared<T: Real>(
 /// thread writes any cell of `region.expand(1)` in `src` nor reads/writes
 /// any cell of `region` in `dst` (the pipeline plan's disjointness
 /// invariant).
-pub unsafe fn update_region_shared_op<T: Real, Op: StencilOp<T>>(
+pub(crate) unsafe fn update_region_shared_op<T: Real, Op: StencilOp<T>>(
     op: &Op,
     src: &SharedGrid<T>,
     dst: &SharedGrid<T>,
@@ -354,7 +389,7 @@ unsafe fn shared_rows_avx<T: Real, Op: StencilOp<T>>(
 /// dst_off` must not be concurrently accessed at all. The compressed
 /// pipeline plan guarantees both (see `pipeline::plan`).
 #[allow(clippy::too_many_arguments)]
-pub unsafe fn update_region_compressed_op<T: Real, Op: StencilOp<T>>(
+pub(crate) unsafe fn update_region_compressed_op<T: Real, Op: StencilOp<T>>(
     op: &Op,
     view: &SharedGrid<T>,
     logical: Dims3,

@@ -8,11 +8,12 @@
 //!   classic 6-point Jacobi ([`Jacobi6`], Eq. 1), 7-point with center
 //!   weight ([`Jacobi7`], explicit-Euler heat), variable-coefficient
 //!   7-point ([`VarCoeff7`]) and the dense 27-point average ([`Avg27`]);
-//! * [`kernel`] — region-update drivers for every storage scheme: safe
-//!   two-grid, unsafe [`tb_grid::SharedGrid`] for the multi-threaded
-//!   executors, and the compressed diagonally-shifted scheme, plus the
-//!   x86-64 non-temporal-store Jacobi row. Each driver runs the
-//!   operator's one row loop either as compiled for the build target or,
+//! * [`kernel`] — region-update drivers for every storage scheme: the
+//!   safe two-grid one, and the crate-private unsafe
+//!   [`tb_grid::SharedGrid`] and compressed diagonally-shifted ones that
+//!   only this crate's executors call, plus the x86-64
+//!   non-temporal-store Jacobi row. Each driver runs the operator's
+//!   one row loop either as compiled for the build target or,
 //!   on a host with AVX, through a `#[target_feature(enable = "avx")]`
 //!   copy of the whole region loop — bitwise identical, no second
 //!   kernel source;
@@ -41,13 +42,18 @@
 //! runs on — [`baseline::seq_sweeps_op`],
 //! [`baseline::seq_blocked_sweeps_op`], [`baseline::par_sweeps_op_on`],
 //! [`pipeline::run_op_on`], [`pipeline::run_compressed_op_on`],
-//! [`pipeline::run_team_sweep_op_on`], [`wavefront::run_wavefront_op_on`],
-//! [`diamond::run_diamond_op_on`], [`diamond::run_diamond_schedule`]
-//! (one thread, a prebuilt tiling), `kernel::update_region{,_shared,
-//! _compressed}_op`. There are no Jacobi-only or one-shot forms: pass
-//! `&Jacobi6` for the paper's Eq. 1, and write
-//! `Runtime::with_threads(n)` (or `Runtime::new(&layout)` for a pinned
-//! team) on the line above for a one-shot team. Share one runtime
+//! [`pipeline::run_team_sweep_op_on`] and
+//! [`diamond::run_diamond_schedule_on`] (one team sweep or diamond
+//! schedule over caller-given per-sweep domains),
+//! [`wavefront::run_wavefront_op_on`], [`diamond::run_diamond_op_on`],
+//! [`diamond::run_diamond_schedule`] (one thread, per-sweep domains),
+//! [`kernel::update_region_op`]. Every one of them is safe: an executor
+//! takes `&mut GridPair`, checks its domains (and, for the pipeline,
+//! the plan's constructibility) before it dispatches, and keeps its
+//! race-freedom argument and its `unsafe` code private. There are no
+//! Jacobi-only or one-shot forms: pass `&Jacobi6` for the paper's Eq. 1,
+//! and write `Runtime::with_threads(n)` (or `Runtime::new(&layout)` for
+//! a pinned team) on the line above for a one-shot team. Share one runtime
 //! across repeated solves to pay the spawn/pin cost once.
 //!
 //! # Determinism

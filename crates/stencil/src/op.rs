@@ -119,7 +119,7 @@ impl<'a, T> Rows9<'a, T> {
     /// they touch through [`StencilOp::READS_CORNERS`]; callers use that
     /// to decide whether corner rows need these guarantees.
     #[inline(always)]
-    pub unsafe fn from_raw(ptrs: [[*const T; 3]; 3], len: usize) -> Self {
+    pub(crate) unsafe fn from_raw(ptrs: [[*const T; 3]; 3], len: usize) -> Self {
         debug_assert!(len >= 2);
         Self {
             ptrs,

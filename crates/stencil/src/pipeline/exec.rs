@@ -13,13 +13,14 @@
 //! performs *exactly* `sweeps` sweeps for any request and no request
 //! leaves part of the team idle.
 //!
-//! Both entry points ([`run_op_on`], [`run_team_sweep_op_on`]) take the
-//! operator and the persistent [`tb_runtime::Runtime`] whose workers
-//! they run on (the paper's long-lived pinned thread groups — share one
-//! runtime across repeated solves to pay the spawn/pin cost once), and
-//! each makes exactly one dispatch on it. Core pinning belongs to the
-//! runtime: for a one-shot pinned team, build `Runtime::new(&layout)` on
-//! the line above the call.
+//! Both entry points ([`run_op_on`], [`run_team_sweep_op_on`]) are safe:
+//! each takes `&mut GridPair`, checks what the plan's race-freedom
+//! argument needs, builds its own plan and shared views, and makes
+//! exactly one dispatch on the persistent [`tb_runtime::Runtime`] whose
+//! workers it runs on (the paper's long-lived pinned thread groups —
+//! share one runtime across repeated solves to pay the spawn/pin cost
+//! once). Core pinning belongs to the runtime: for a one-shot pinned
+//! team, build `Runtime::new(&layout)` on the line above the call.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,33 +72,37 @@ pub fn run_op_on<T: Real, Op: StencilOp<T>>(
     Ok(RunStats::new(cells, t0.elapsed()))
 }
 
-/// One pipelined team sweep over an externally built plan — the entry
+/// One pipelined team sweep of `pair` over per-stage domains — the entry
 /// point for the distributed solver, whose stage domains are shrinking
-/// ghost rings rather than the plain interior. Executes on the given
-/// persistent runtime (at least `cfg.threads()` workers).
+/// ghost rings. Stage `s` is global sweep `base_sweep + s` over
+/// `domains[s]` (at most `cfg.stages()` of them), dealt over the threads
+/// like any team sweep's, on a runtime of at least `cfg.threads()`
+/// workers. Returns the cells updated, or `None` without a dispatch when
+/// the chain cannot host a plan ([`PipelinePlan::with_domains`] would
+/// panic) or the operator's radius is not the plan's 1.
 ///
-/// * `views` — the two grid buffers (`views[s % 2]` is read by sweep `s`),
-/// * `base_sweep` — global sweep number of stage 0 (fixes parity),
-/// * `stages_now` — how many of the plan's stages to execute, at most
-///   `cfg.stages()` (allows a trailing partial cycle); they are dealt
-///   evenly over the threads like any other team sweep's.
+/// Safe: the domains, the plan and the sync distances are checked before
+/// the dispatch, which is race-free for any interior chain (see
+/// [`super::plan`]); the values are the oracle's when the chain nests as
+/// `with_domains` says.
 ///
-/// Returns the number of cell updates performed.
-///
-/// # Safety
-/// The caller must guarantee `views` point at live allocations of the
-/// plan's grid extents and that no other thread accesses them during the
-/// call. The plan must satisfy the `pipeline::plan` geometry contract
-/// (construction via [`PipelinePlan::with_domains`] enforces it).
-pub unsafe fn run_team_sweep_op_on<T: Real, Op: StencilOp<T>>(
+/// # Panics
+/// Panics if a domain is not interior to `pair`, relaxed sync breaks
+/// `1 <= d_l <= d_u`, or there are more than `cfg.stages()` domains or
+/// fewer than `cfg.threads()` runtime workers.
+pub fn run_team_sweep_op_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
-    views: &[SharedGrid<T>; 2],
-    plan: &PipelinePlan,
+    pair: &mut GridPair<T>,
+    domains: &[Region3],
     cfg: &PipelineConfig,
     base_sweep: usize,
-    stages_now: usize,
-) -> u64 {
+) -> Option<u64> {
+    kernel::assert_interior(pair.dims(), domains);
+    if Op::RADIUS != 1 {
+        return None;
+    }
+    let plan = PipelinePlan::try_with_domains(domains.to_vec(), cfg.block)?;
     let threads = cfg.threads();
     assert!(
         rt.threads() >= threads,
@@ -105,13 +110,21 @@ pub unsafe fn run_team_sweep_op_on<T: Real, Op: StencilOp<T>>(
         rt.threads()
     );
     assert!(
-        stages_now <= cfg.stages(),
-        "{stages_now} stages exceed the pipeline depth {}",
+        domains.len() <= cfg.stages(),
+        "{} stages exceed the pipeline depth {}",
+        domains.len(),
         cfg.stages()
     );
-    let team_sweep = base_sweep..base_sweep + stages_now;
-    // SAFETY: forwarded from this function's contract.
-    unsafe { run_team_sweeps(rt, op, views, plan, cfg, std::slice::from_ref(&team_sweep)) }
+    let team_sweep = base_sweep..base_sweep + domains.len();
+    let views = pair.shared_views();
+    // SAFETY: the views come from the pair, which stays exclusively
+    // borrowed for the call; the domains are interior and the plan over
+    // them is constructible, so its regions satisfy the plan's
+    // disjointness argument; the team sweep is no deeper than the plan
+    // and the runtime size are checked above, and `PipelineSync::new`
+    // asserts `d_l >= 1` before the dispatch.
+    let cells = unsafe { run_team_sweeps(rt, op, &views, &plan, cfg, &[team_sweep]) };
+    Some(cells)
 }
 
 /// The dispatch body of both entry points: one [`Runtime::run`] of
@@ -121,7 +134,9 @@ pub unsafe fn run_team_sweep_op_on<T: Real, Op: StencilOp<T>>(
 /// cell counter set up once. Returns the number of cell updates.
 ///
 /// # Safety
-/// As [`run_team_sweep_op_on`]; the runtime must have at least
+/// `views` must point at live allocations of the plan's grid extents
+/// that no other thread accesses during the call, the plan's domains
+/// must be interior to them, the runtime must have at least
 /// `cfg.threads()` workers and no team sweep may be deeper than `plan`.
 unsafe fn run_team_sweeps<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
@@ -203,7 +218,7 @@ fn update_block<T: Real, Op: StencilOp<T>>(
 mod tests {
     use super::*;
     use crate::baseline;
-    use crate::op::Jacobi6;
+    use crate::op::{Avg27, Jacobi6, Jacobi7};
     use tb_grid::{init, norm, Dims3, GridPair};
     use tb_sync::SyncMode;
 
@@ -418,5 +433,187 @@ mod tests {
         let rt = Runtime::with_threads(2);
         let err = run_op_on(&rt, &Jacobi6, &mut pair, &cfg, 2).unwrap_err();
         assert!(err.contains("workers"), "{err}");
+    }
+
+    /// Runs [`run_team_sweep_op_on`] over `chain` from sweep 1 (the state
+    /// in B) on a 20³ pair and returns whether the chain was accepted.
+    /// An accepted chain must give, in both buffers, bitwise what plain
+    /// region sweeps over the same chain give, and count its cells; a
+    /// refused one must leave the pair untouched.
+    fn team_sweep_accepts<T: Real, Op: StencilOp<T>>(
+        op: &Op,
+        cfg: &PipelineConfig,
+        chain: &[Region3],
+    ) -> bool {
+        let dims = Dims3::cube(20);
+        let start = || {
+            let mut pair = GridPair::from_initial(init::random::<T>(dims, 61));
+            pair.swap();
+            pair
+        };
+        let mut got = start();
+        let rt = Runtime::with_threads(cfg.threads());
+        let Some(cells) = run_team_sweep_op_on(&rt, op, &mut got, chain, cfg, 1) else {
+            let untouched = start();
+            for s in 0..2 {
+                norm::assert_grids_identical(
+                    untouched.current(s),
+                    got.current(s),
+                    &Region3::whole(dims),
+                    "refused chain",
+                );
+            }
+            return false;
+        };
+        let mut want = start();
+        for (s, domain) in chain.iter().enumerate() {
+            let (src, dst) = want.src_dst(1 + s);
+            kernel::update_region_op(op, src, dst, domain);
+        }
+        let total: usize = chain.iter().map(Region3::count).sum();
+        assert_eq!(cells, total as u64, "{}", op.name());
+        for s in 0..2 {
+            norm::assert_grids_identical(
+                want.current(s),
+                got.current(s),
+                &Region3::whole(dims),
+                &format!("team sweep {} over {chain:?}", op.name()),
+            );
+        }
+        true
+    }
+
+    /// `stages` domains of the 20³ interior, shrinking by one cell per
+    /// stage on the faces of `axes` (the distributed solver's rings).
+    fn shrinking(stages: usize, axes: &[usize]) -> Vec<Region3> {
+        let interior = Region3::interior_of(Dims3::cube(20));
+        (0..stages)
+            .map(|s| {
+                let mut d = interior;
+                for &a in axes {
+                    d.lo[a] += s;
+                    d.hi[a] -= s;
+                }
+                d
+            })
+            .collect()
+    }
+
+    #[test]
+    fn team_sweep_matches_region_sweeps_on_shrinking_chains() {
+        let configs = [
+            audit_cfg(2, 1, 2, SyncMode::relaxed_default(), [8, 8, 8]),
+            audit_cfg(2, 2, 1, SyncMode::Barrier, [6, 5, 7]),
+        ];
+        let chains = [
+            shrinking(4, &[]),
+            shrinking(4, &[0, 1, 2]),
+            shrinking(4, &[0]),
+            shrinking(4, &[2]),
+            shrinking(2, &[1, 2]), // a partial final cycle
+        ];
+        for cfg in &configs {
+            for chain in &chains {
+                assert!(team_sweep_accepts::<f64, _>(&Jacobi6, cfg, chain));
+                assert!(team_sweep_accepts::<f64, _>(&Avg27, cfg, chain));
+                assert!(team_sweep_accepts::<f32, _>(
+                    &Jacobi7::heat(0.12),
+                    cfg,
+                    chain
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn team_sweep_answers_constructible_as_the_distributed_fallback_did() {
+        // The distributed solver used to decide this itself, before the
+        // call: no empty stage domain, and per dimension a block edge
+        // (clamped to the first domain) at least the stage count, or a
+        // single block.
+        let cfg = |block| audit_cfg(2, 1, 2, SyncMode::relaxed_default(), block);
+        let mut thin = shrinking(4, &[1]);
+        for d in &mut thin {
+            d.hi[0] = d.lo[0] + 5; // one 3-cell block absorbs x
+        }
+        let table = [
+            (
+                "empty domain",
+                cfg([8; 3]),
+                vec![shrinking(1, &[])[0], Region3::empty()],
+                false,
+            ),
+            (
+                "block edge < stages",
+                cfg([3, 8, 8]),
+                shrinking(4, &[0, 1, 2]),
+                false,
+            ),
+            (
+                "single block per dim",
+                cfg([64; 3]),
+                shrinking(4, &[0, 1, 2]),
+                true,
+            ),
+            (
+                "normal shrinking ring",
+                cfg([8; 3]),
+                shrinking(4, &[0, 1, 2]),
+                true,
+            ),
+            ("short edge, one block", cfg([3, 8, 8]), thin, true),
+            (
+                "short edge, partial cycle",
+                cfg([3, 8, 8]),
+                shrinking(3, &[0, 1, 2]),
+                true,
+            ),
+        ];
+        for (what, cfg, chain, was_constructible) in table {
+            let accepted = team_sweep_accepts::<f64, _>(&Jacobi6, &cfg, &chain);
+            assert_eq!(accepted, was_constructible, "{what}");
+        }
+    }
+
+    #[test]
+    fn team_sweep_rejects_a_domain_outside_the_interior() {
+        let dims = Dims3::cube(12);
+        let chain = [Region3::interior_of(dims), Region3::whole(dims)];
+        let cfg = audit_cfg(2, 1, 1, SyncMode::relaxed_default(), [4; 3]);
+        let rt = Runtime::with_threads(2);
+        kernel::assert_rejects_sweep_1(dims, |pair| {
+            run_team_sweep_op_on(&rt, &Jacobi6, pair, &chain, &cfg, 0);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "d_l must be >= 1")]
+    fn team_sweep_rejects_a_zero_lower_distance() {
+        let sync = SyncMode::Relaxed {
+            dl: 0,
+            du: 2,
+            dt: 0,
+        };
+        let cfg = audit_cfg(2, 1, 1, sync, [8; 3]);
+        team_sweep_accepts::<f64, _>(&Jacobi6, &cfg, &shrinking(2, &[]));
+    }
+
+    #[test]
+    fn team_sweep_on_a_chain_that_is_not_nested_claims_disjoint_regions() {
+        // Stages that grow and shift: the values are not the oracle's,
+        // but the auditor must see no overlapping claims (see the plan's
+        // race-freedom argument).
+        let chain = [
+            Region3::new([3, 3, 3], [15, 15, 15]),
+            Region3::new([1, 2, 4], [17, 16, 17]),
+            Region3::new([5, 1, 1], [12, 17, 14]),
+            Region3::new([2, 4, 2], [16, 13, 16]),
+        ];
+        let cfg = audit_cfg(4, 1, 1, SyncMode::relaxed_default(), [4, 5, 4]);
+        let mut pair: GridPair<f64> = GridPair::from_initial(init::random(Dims3::cube(20), 7));
+        let rt = Runtime::with_threads(4);
+        let cells = run_team_sweep_op_on(&rt, &Jacobi6, &mut pair, &chain, &cfg, 0);
+        let total: usize = chain.iter().map(Region3::count).sum();
+        assert_eq!(cells, Some(total as u64));
     }
 }

@@ -31,6 +31,12 @@
 //! region in the dimension where they are ahead. The unit tests verify
 //! this disjointness exhaustively over many geometries, and the runtime
 //! [`tb_grid::RegionAuditor`] re-checks it during debug executions.
+//!
+//! Per-stage domains do not enter this argument: stage `s` of block `j`
+//! is the shifted block (pinned edges left open) intersected with
+//! `domains[s]`, and both bounds above are unpinned interior boundaries.
+//! Any chain of interior domains is race-free; whether it nests decides
+//! only whether the values are the oracle's.
 
 use tb_grid::{BlockPartition, Region3};
 
@@ -51,25 +57,36 @@ impl PipelinePlan {
     }
 
     /// Plan over per-stage domains. `domains[0]` hosts the partition;
-    /// every later domain must satisfy `domains[s].expand(1) ⊆
-    /// domains[s-1] ∪ never-written cells` — the caller (solver layer)
-    /// guarantees that by construction.
+    /// the values are the oracle's when every later domain satisfies
+    /// `domains[s].expand(1) ⊆ domains[s-1] ∪ never-written cells`
+    /// (race-freedom holds regardless, see the module docs).
     ///
     /// # Panics
-    /// Panics if any block edge (after clamping to the domain) is smaller
-    /// than the stage count, which would disorder interior boundaries.
+    /// Panics if the chain or a stage domain is empty, or if a block edge
+    /// (clamped to `domains[0]`) is smaller than the stage count in a
+    /// dimension cut into more than one block, which would disorder
+    /// interior boundaries.
     pub fn with_domains(domains: Vec<Region3>, block: [usize; 3]) -> Self {
-        assert!(!domains.is_empty(), "need at least one stage");
-        let partition = BlockPartition::new(domains[0], block);
-        let stages = domains.len();
-        let eff = partition.block_size();
-        for (d, &eff_d) in eff.iter().enumerate() {
-            assert!(
-                eff_d >= stages || partition.counts()[d] == 1,
-                "block edge {eff_d} in dim {d} is smaller than the pipeline depth {stages}"
-            );
+        let (stages, first) = (domains.len(), domains.first().copied());
+        Self::try_with_domains(domains, block).unwrap_or_else(|| {
+            panic!(
+                "blocks {block:?} over {first:?} are smaller than the pipeline \
+                 depth {stages} (or a stage domain is empty)"
+            )
+        })
+    }
+
+    /// [`Self::with_domains`], or `None` where it would panic — the one
+    /// statement of which chains a pipelined team sweep can run on.
+    pub(crate) fn try_with_domains(domains: Vec<Region3>, block: [usize; 3]) -> Option<Self> {
+        let first = *domains.first()?;
+        if domains.iter().any(Region3::is_empty) {
+            return None;
         }
-        Self { partition, domains }
+        let partition = BlockPartition::new(first, block);
+        let (eff, counts) = (partition.block_size(), partition.counts());
+        let fits = (0..3).all(|d| eff[d] >= domains.len() || counts[d] == 1);
+        fits.then_some(Self { partition, domains })
     }
 
     pub fn stages(&self) -> usize {
@@ -331,6 +348,21 @@ mod tests {
         let plan = PipelinePlan::with_domains(domains, [8, 8, 8]);
         check_coverage(&plan, -1);
         check_dependencies(&plan, -1);
+        check_race_freedom_two_grid(&plan, -1);
+    }
+
+    #[test]
+    fn race_freedom_holds_on_a_chain_that_is_not_nested() {
+        // Stages that grow, shift and shrink out of order: the values
+        // would be wrong, but no two concurrent claims may overlap.
+        let domains = vec![
+            Region3::new([3, 3, 3], [15, 15, 15]),
+            Region3::new([1, 2, 4], [17, 16, 17]),
+            Region3::new([5, 1, 1], [12, 17, 14]),
+            Region3::new([2, 4, 2], [16, 13, 16]),
+        ];
+        let plan = PipelinePlan::with_domains(domains, [4, 5, 6]);
+        check_coverage(&plan, -1);
         check_race_freedom_two_grid(&plan, -1);
     }
 

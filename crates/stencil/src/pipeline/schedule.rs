@@ -1,6 +1,7 @@
 //! The per-worker block schedule of one pipelined team sweep, shared by
-//! the two-grid and compressed executors (and, through
-//! [`super::exec::run_team_sweep_op_on`], by the distributed solver),
+//! the two-grid and compressed executors (and, through the safe
+//! [`super::exec::run_team_sweep_op_on`], by the distributed solver's
+//! shrinking-domain team sweeps),
 //! and the one place that decides which sweeps a team sweep holds and
 //! which of its stages a thread applies.
 //!

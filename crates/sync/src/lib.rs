@@ -27,6 +27,8 @@
 //! sharing) and [`Backoff`] (spin, then yield) — and the workspace's
 //! mutex **poison policy**, stated once in [`lock`].
 
+#![forbid(unsafe_code)]
+
 pub mod barrier;
 pub mod counter;
 pub mod handoff;

@@ -16,10 +16,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> Self {
         Self { value }
     }
-
-    pub fn into_inner(self) -> T {
-        self.value
-    }
 }
 
 impl<T> Deref for CachePadded<T> {
@@ -62,17 +58,6 @@ impl Backoff {
             std::thread::yield_now();
         }
         if step <= YIELD_LIMIT {
-            self.step.set(step + 1);
-        }
-    }
-
-    /// Busy-spin only (never yields), capped at the spin limit.
-    pub fn spin(&self) {
-        let step = self.step.get();
-        for _ in 0..1u32 << step.min(SPIN_LIMIT) {
-            std::hint::spin_loop();
-        }
-        if step <= SPIN_LIMIT {
             self.step.set(step + 1);
         }
     }
@@ -140,7 +125,6 @@ mod tests {
             assert_eq!(**x, i as u64);
             assert_eq!(x as *const _ as usize % 128, 0);
         }
-        assert_eq!(CachePadded::new(5u8).into_inner(), 5);
     }
 
     #[test]
@@ -151,13 +135,5 @@ mod tests {
             b.snooze();
         }
         assert!(b.is_completed());
-        let s = Backoff::new();
-        for _ in 0..32 {
-            s.spin();
-        }
-        assert!(
-            !s.is_completed(),
-            "spin never escalates past the spin limit"
-        );
     }
 }

@@ -106,6 +106,8 @@
 //! grid::norm::assert_grids_identical(&a, &b, &Region3::whole(dims), "heat op");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use tb_dist as dist;
 pub use tb_grid as grid;
 pub use tb_membench as membench;
