@@ -22,9 +22,12 @@
 //! * [`ExchangeMode`] — how the exchange is scheduled against the local
 //!   compute: blocking ([`ExchangeMode::Sync`], the paper's measured
 //!   baseline) or overlapped with the interior update
-//!   ([`ExchangeMode::Overlapped`], optionally with a real dedicated
-//!   communication thread, [`ExchangeMode::OverlappedCommThread`]) —
-//!   the multicore-aware §2.3 proposal. See "Overlap" below;
+//!   ([`ExchangeMode::Overlapped`]) — the multicore-aware §2.3
+//!   proposal. Whether a dedicated communication thread drives the
+//!   overlapped exchange is a property of the runtime, not of the mode:
+//!   the runtime's comm worker does when it has one (a layout that
+//!   carves out a `comm_core`, or `Runtime::from_cpus(.., Some(..))`),
+//!   the compute thread polls inline otherwise. See "Overlap" below;
 //! * [`solver::serial_reference`] — the verification oracle;
 //! * [`sim`] — the Fig. 6 substitution: execute the real protocol on a
 //!   small grid under the virtual-time network while predicting the
@@ -78,9 +81,10 @@
 //! finishes those `m` sweeps' shells and runs the remaining `c − m`
 //! sweeps whole, exactly as [`ExchangeMode::Sync`] would. `m` is a
 //! matter of timing; the result is not (same writes for every `m`).
-//! Under a [`tb_net::SimNet`] arrival is virtual time, which only `wait`
-//! resolves, so the trapezoid runs all `c` sweeps there and the virtual
-//! clocks of both overlapped modes agree. See [`solver`] for the
+//! Under a simulated network (a [`tb_model::NetworkParams`] virtual
+//! clock) arrival is virtual time, which only `wait` resolves, so the
+//! trapezoid runs all `c` sweeps there and the virtual clocks of the
+//! inline and the comm-worker drive agree. See [`solver`] for the
 //! details.
 //!
 //! **When overlap cannot hide traffic:** hiding is bounded by the

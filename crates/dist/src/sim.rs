@@ -11,7 +11,7 @@
 use tb_grid::{init, norm, Dims3, Grid3, Region3};
 use tb_model::scaling::balanced_dims;
 use tb_model::{ScalingConfig, ScalingPoint};
-use tb_net::{CartComm, SimNet, Universe};
+use tb_net::{CartComm, Universe};
 use tb_stencil::Jacobi6;
 
 use crate::decomp::Decomposition;
@@ -74,13 +74,8 @@ pub fn simulate(spec: &SimSpec) -> SimOutcome {
     let global: Grid3<f64> = init::random(dims, 0x5EED);
     let want = serial_reference(&global, spec.exec_sweeps);
 
-    let net = SimNet {
-        latency: spec.cfg.net.latency,
-        bandwidth: spec.cfg.net.bandwidth,
-        copy_bandwidth: spec.cfg.net.copy_bandwidth,
-    };
     let (g, w) = (&global, &want);
-    let per_rank = Universe::run(exec_ranks, Some(net), move |comm| {
+    let per_rank = Universe::run(exec_ranks, Some(spec.cfg.net), move |comm| {
         let mut cart = CartComm::new(comm, pgrid);
         let mut s = DistSolver::from_global_op(&dec, cart.coords(), g, LocalExec::Seq, Jacobi6)
             .expect("spec produced an invalid local domain");

@@ -21,10 +21,10 @@
 //!
 //! * [`ExchangeMode::Sync`] — blocking exchange, then compute: the
 //!   paper's measured baseline ("no explicit or implicit overlapping of
-//!   communication and computation", §2.2). [`LocalExec::Seq`] advances
-//!   the cycle over the [`LocalDomain::sweep_domain`] chain, the owned
-//!   box plus the ghost layers later sweeps of the cycle still read;
-//!   the team executors sweep the whole local interior.
+//!   communication and computation", §2.2). Every [`LocalExec`]
+//!   advances the cycle over the [`LocalDomain::sweep_domain`] chain,
+//!   the owned box plus the ghost layers later sweeps of the cycle still
+//!   read.
 //! * [`ExchangeMode::Overlapped`] — the paper's §2.3 proposal, run only
 //!   as deep as it pays: post the `irecv`s, `isend` the boundary slabs,
 //!   and advance the **interior trapezoid** while the transfers are in
@@ -42,12 +42,14 @@
 //!   Whatever `m` turns out to be, the cycle writes the same (buffer,
 //!   cell, sweep) triples as the synchronous schedule, so the owned
 //!   result stays **bitwise identical** and independent of timing.
-//! * [`ExchangeMode::OverlappedCommThread`] — same schedule, with the
-//!   waits and the ghost forwarding driven by a real dedicated
-//!   communication thread (the runtime's comm worker — pinned to
-//!   [`tb_topology::TeamLayout::comm_core`] when the runtime was built
-//!   with `Runtime::new(&layout)`), coupled to the compute side by a
-//!   [`Handoff`] instead of a barrier: "halos in?" is its ready flag.
+//!   Who drives the exchange is the runtime's business, not the mode's:
+//!   a runtime with a communication worker (pinned to
+//!   [`tb_topology::TeamLayout::comm_core`] when it was built with
+//!   `Runtime::new(&layout)` from a layout that reserves one) runs the
+//!   waits and the ghost forwarding there, coupled to the compute side
+//!   by a [`Handoff`] instead of a barrier — "halos in?" is its ready
+//!   flag; without one the compute thread polls the exchange between
+//!   its own dispatches.
 //!
 //! ## What the overlapped cycle costs, and why it stops early
 //!
@@ -71,10 +73,10 @@
 //! whole `Sync` cycle — `Seq` runs every remaining sweep as one
 //! dispatch (see `advance_sweeps`).
 //!
-//! Under a simulated network ([`tb_net::SimNet`]) "landed" is a question
-//! about virtual time that only `wait` answers, so there the trapezoid
-//! always runs to `m = c`; virtual accounting is deterministic and
-//! identical in both overlapped modes.
+//! Under a simulated network (a [`tb_model::NetworkParams`] virtual
+//! clock) "landed" is a question about virtual time that only `wait`
+//! answers, so there the trapezoid always runs to `m = c`; virtual
+//! accounting is deterministic and identical for both drives.
 //!
 //! Overlap can only hide traffic that the interior compute outlasts: the
 //! core shrinks by `c × RADIUS` per neighbour face, so a rank squeezed
@@ -133,6 +135,13 @@ impl LocalExec {
             LocalExec::Diamond(cfg) => (cfg.threads, "diamond team"),
         }
     }
+
+    /// The runtime [`DistSolver::run_sweeps`] builds: one unpinned
+    /// worker per thread the local execution occupies and no
+    /// communication worker, whatever the exchange mode.
+    fn runtime(&self) -> Runtime {
+        Runtime::with_threads(self.team().0)
+    }
 }
 
 /// How a rank schedules its halo exchange against its local compute.
@@ -142,12 +151,10 @@ pub enum ExchangeMode {
     /// Blocking exchange → compute (the paper's measured baseline).
     #[default]
     Sync,
-    /// Nonblocking boundary-first schedule, driven from the compute
-    /// thread; transfer costs are modeled on the comm-core timeline.
+    /// Nonblocking boundary-first schedule, driven by the runtime's
+    /// communication worker when it has one and from the compute thread
+    /// otherwise; transfer costs are modeled on the comm-core timeline.
     Overlapped,
-    /// [`ExchangeMode::Overlapped`] with a real dedicated communication
-    /// thread and a [`Handoff`]-based "halos ready" signal.
-    OverlappedCommThread,
 }
 
 /// One rank of the distributed stencil solver. Its local compute goes
@@ -289,11 +296,6 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         &self.local
     }
 
-    /// The active exchange schedule.
-    pub fn exchange_mode(&self) -> ExchangeMode {
-        self.mode
-    }
-
     /// Global sweeps completed so far.
     pub fn sweeps_done(&self) -> usize {
         self.sweeps_done
@@ -327,34 +329,29 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// of the communicator must call it with the same `sweeps`.
     ///
     /// Builds a one-shot, unpinned [`Runtime`] sized for this rank's
-    /// local execution (plus a communication worker in
-    /// [`ExchangeMode::OverlappedCommThread`]) and delegates to
-    /// [`DistSolver::run_sweeps_on`]; repeated-solve callers, and callers
-    /// who pin, build the runtime themselves.
+    /// local execution, with no communication worker in either mode (so
+    /// an overlapped exchange is polled inline), and delegates to
+    /// [`DistSolver::run_sweeps_on`]; repeated-solve callers, callers who
+    /// pin and callers who want a communication thread build the runtime
+    /// themselves.
     ///
     /// The returned stats count *useful* updates (owned ∩ interior
     /// cells × sweeps); redundant overlap-ring updates are excluded so
     /// that per-rank numbers sum to the serial solver's update count.
     pub fn run_sweeps(&mut self, cart: &mut CartComm, sweeps: usize) -> RunStats {
-        let rt = self.one_shot_runtime();
+        let rt = self.exec.runtime();
         self.run_sweeps_on(&rt, cart, sweeps)
-    }
-
-    /// A runtime sized for this rank: one worker per local-execution
-    /// thread plus a communication worker when the exchange mode wants
-    /// one.
-    fn one_shot_runtime(&self) -> Runtime {
-        let comm = (self.mode == ExchangeMode::OverlappedCommThread).then_some(None);
-        Runtime::from_cpus(vec![None; self.exec.team().0], comm)
     }
 
     /// [`DistSolver::run_sweeps`] on a caller-provided persistent
     /// runtime: the compute team runs on its workers and, in
-    /// [`ExchangeMode::OverlappedCommThread`], the exchange is driven by
-    /// its dedicated communication worker, coupled by the "halos ready"
-    /// [`Handoff`]. With no communication worker that mode degrades to
-    /// the inline [`ExchangeMode::Overlapped`] drive — bitwise and
-    /// virtual-clock identical, just without the wall-clock overlap.
+    /// [`ExchangeMode::Overlapped`], the exchange is driven by its
+    /// dedicated communication worker if it has one (for a pinned rank,
+    /// `Runtime::new(&layout)` spawns it when the layout reserves a
+    /// [`tb_topology::TeamLayout::comm_core`]), coupled by the "halos
+    /// ready" [`Handoff`], and inline from the compute thread otherwise —
+    /// bitwise and virtual-clock identical, the inline drive just without
+    /// the wall-clock overlap.
     ///
     /// # Panics
     /// Panics if the local execution is pipelined and the runtime has
@@ -389,36 +386,16 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
             match self.mode {
                 ExchangeMode::Sync => {
                     self.exchange(cart, c * Op::RADIUS);
-                    match &self.exec {
-                        LocalExec::Seq => {
-                            let domains: Vec<Region3> = (1..=c)
-                                .map(|j| self.local.sweep_domain(j, c, Op::RADIUS))
-                                .collect();
-                            advance_sweeps(
-                                rt,
-                                &self.op,
-                                &mut self.pair,
-                                &self.exec,
-                                &domains,
-                                0,
-                                None,
-                            );
-                        }
-                        LocalExec::Pipelined(cfg) => {
-                            pipeline::run_op_on(rt, &self.op, &mut self.pair, cfg, c)
-                                .expect("config validated in from_global_op, runtime size above");
-                        }
-                        LocalExec::Diamond(cfg) => {
-                            diamond::run_diamond_op_on(rt, &self.op, &mut self.pair, cfg, c)
-                                .expect("config validated in from_global_op, runtime size above");
-                        }
-                    }
+                    let domains: Vec<Region3> = (1..=c)
+                        .map(|j| self.local.sweep_domain(j, c, Op::RADIUS))
+                        .collect();
+                    advance_sweeps(rt, &self.op, &mut self.pair, &self.exec, &domains, 0, None);
                     if let Some(lups) = self.virtual_lups {
                         let cells = (Region3::interior_of(self.local.dims).count() * c) as f64;
                         cart.comm.advance(cells / lups);
                     }
                 }
-                ExchangeMode::Overlapped | ExchangeMode::OverlappedCommThread => {
+                ExchangeMode::Overlapped => {
                     self.overlapped_cycle(rt, cart, c, halos_in.as_deref_mut());
                 }
             }
@@ -486,19 +463,19 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     ///    and copy the ghosts into the working grid,
     /// 4. finish sweeps `1..=m` on their shells, then run sweeps
     ///    `m+1..=c` over their full [`LocalDomain::sweep_domain`]s with
-    ///    the same executor. These domains shrink toward the owned box by
-    ///    `R` per sweep, whereas `Sync` sweeps the whole local interior
-    ///    every time; the cells a domain leaves out are ones no later
-    ///    sweep of the cycle reads before the next exchange.
+    ///    the same executor — for `m = 0` exactly the `Sync` cycle's
+    ///    advance. These domains shrink toward the owned box by `R` per
+    ///    sweep; the cells a domain leaves out are ones no later sweep of
+    ///    the cycle reads before the next exchange.
     ///
     /// `m` only moves work between the trapezoid and the shells of a
     /// sweep: every (buffer, cell, sweep) triple is written exactly as
     /// for `m = 0` for any `m`, and every owned cell ends as in `Sync`,
     /// so the result does not depend on timing.
-    /// Under a [`tb_net::SimNet`] arrival is a virtual-clock matter that
+    /// Under a simulated network arrival is a virtual-clock matter that
     /// only `wait` settles, so the trapezoid runs to `m = c` and both
-    /// overlapped modes account identically. `halos_in` overrides the
-    /// question (see [`DistSolver::run_cycles`]).
+    /// drives account identically. `halos_in` overrides the question (see
+    /// [`DistSolver::run_cycles`]).
     fn overlapped_cycle(
         &mut self,
         rt: &Runtime,
@@ -509,7 +486,6 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         debug_assert_eq!(self.parity, 0, "exchange runs on a normalized pair");
         let radius = Op::RADIUS;
         let depth = c * radius;
-        let mode = self.mode;
         let lups = self.virtual_lups;
         let Self {
             pair,
@@ -545,7 +521,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
             // "Halos in?" has a real-time answer only on a real-time
             // network (and the tests may dictate it).
             let real_time = !cart.comm.simulated();
-            m = match mode {
+            m = if rt.has_comm_worker() {
                 // The persistent communication worker (pinned to the
                 // layout's comm core at runtime construction) drives the
                 // exchange to completion while this thread dispatches
@@ -553,43 +529,40 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                 // through the handoff — the compute side would otherwise
                 // spin in `take()` forever — and the handle join
                 // afterwards releases the task borrow.
-                ExchangeMode::OverlappedCommThread if rt.has_comm_worker() => {
-                    let handoff: Handoff<std::thread::Result<()>> = Handoff::new();
-                    let (comm, drive, staging) = (&mut *cart.comm, &mut drive, &mut *scratch);
-                    let mut comm_task = || {
-                        handoff.signal(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || drive.finish(comm, staging),
-                        )));
-                    };
-                    let handle = rt.submit_comm(&mut comm_task);
-                    let mut stop = |done| match &mut halos_in {
-                        Some(ask) => ask(done),
-                        None => real_time && handoff.is_ready(),
-                    };
-                    let m = advance_sweeps(rt, op, pair, exec, &cores, 0, Some(&mut stop));
-                    // "Halos ready" — the compute side blocks here only
-                    // if it ran out of trapezoid before the traffic.
-                    let outcome = handoff.take();
-                    handle.join();
-                    if let Err(payload) = outcome {
-                        std::panic::resume_unwind(payload);
-                    }
-                    m
+                let handoff: Handoff<std::thread::Result<()>> = Handoff::new();
+                let (comm, drive, staging) = (&mut *cart.comm, &mut drive, &mut *scratch);
+                let mut comm_task = || {
+                    handoff.signal(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                        || drive.finish(comm, staging),
+                    )));
+                };
+                let handle = rt.submit_comm(&mut comm_task);
+                let mut stop = |done| match &mut halos_in {
+                    Some(ask) => ask(done),
+                    None => real_time && handoff.is_ready(),
+                };
+                let m = advance_sweeps(rt, op, pair, exec, &cores, 0, Some(&mut stop));
+                // "Halos ready" — the compute side blocks here only
+                // if it ran out of trapezoid before the traffic.
+                let outcome = handoff.take();
+                handle.join();
+                if let Err(payload) = outcome {
+                    std::panic::resume_unwind(payload);
                 }
+                m
+            } else {
                 // Inline drive: this thread polls the exchange between
                 // its own dispatches, then blocks for the rest. Under a
                 // simulated network nothing is polled, so the `Comm`
                 // sees the calls the comm worker would make, in the
                 // same order, and virtual times agree.
-                _ => {
-                    let mut stop = |done| match &mut halos_in {
-                        Some(ask) => ask(done),
-                        None => real_time && drive.poll(cart.comm, scratch),
-                    };
-                    let m = advance_sweeps(rt, op, pair, exec, &cores, 0, Some(&mut stop));
-                    drive.finish(cart.comm, scratch);
-                    m
-                }
+                let mut stop = |done| match &mut halos_in {
+                    Some(ask) => ask(done),
+                    None => real_time && drive.poll(cart.comm, scratch),
+                };
+                let m = advance_sweeps(rt, op, pair, exec, &cores, 0, Some(&mut stop));
+                drive.finish(cart.comm, scratch);
+                m
             };
             for r in &drive.ghosts {
                 copy_region(scratch, r, pair.a_mut(), r);
@@ -659,12 +632,11 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
 /// ghost layers just unpacked — the edge/corner composition), repeat.
 /// [`ExchangeDrive::poll`] takes it as far as the messages that have
 /// landed allow, [`ExchangeDrive::finish`] blocks for the rest; the
-/// compute thread calls both in [`ExchangeMode::Overlapped`], the
-/// communication worker calls `finish` in
-/// [`ExchangeMode::OverlappedCommThread`]. Every `Comm` mutation of the
-/// cycle happens here, in one order. The drive holds the solver's spare
-/// message buffers for the cycle: sends pack into them, unpacked
-/// receives refill them.
+/// compute thread calls both on a runtime without a communication
+/// worker, the communication worker calls `finish` on a runtime with
+/// one. Every `Comm` mutation of the cycle happens here, in one order.
+/// The drive holds the solver's spare message buffers for the cycle:
+/// sends pack into them, unpacked receives refill them.
 struct ExchangeDrive {
     /// Direction index (0: −, 1: +), ghost region and request of every
     /// pending receive, per direction, in posting order.
@@ -921,7 +893,26 @@ mod tests {
         });
     }
 
-    /// Every exchange mode must gather the exact serial-oracle grid.
+    /// The ways a test rank schedules its exchange: the mode, and
+    /// whether the runtime has a communication worker to drive an
+    /// overlapped exchange.
+    const DRIVES: [(ExchangeMode, bool); 3] = [
+        (ExchangeMode::Sync, false),
+        (ExchangeMode::Overlapped, false),
+        (ExchangeMode::Overlapped, true),
+    ];
+
+    /// The runtime a test rank runs on: the one `run_sweeps` builds, or
+    /// the same compute team plus an unpinned communication worker.
+    fn test_runtime(exec: &LocalExec, comm_thread: bool) -> Runtime {
+        if comm_thread {
+            Runtime::from_cpus(vec![None; exec.team().0], Some(None))
+        } else {
+            exec.runtime()
+        }
+    }
+
+    /// Every exchange drive must gather the exact serial-oracle grid.
     fn verify_modes_op<Op: StencilOp<f64>>(
         op: Op,
         dims: Dims3,
@@ -933,25 +924,25 @@ mod tests {
         let global: Grid3<f64> = init::random(dims, 77);
         let want = serial_reference_op(&op, &global, sweeps);
         let dec = Decomposition::new(dims, pgrid, h);
-        for mode in [
-            ExchangeMode::Sync,
-            ExchangeMode::Overlapped,
-            ExchangeMode::OverlappedCommThread,
-        ] {
+        for (mode, comm_thread) in DRIVES {
             let (g, w, op_ref, exec_ref, dec) = (&global, &want, &op, &exec, &dec);
             Universe::run(dec.ranks(), None, move |comm| {
                 let mut cart = CartComm::new(comm, pgrid);
-                let mut s =
-                    DistSolver::from_global_op(dec, cart.coords(), g, exec_ref(), op_ref.clone())
-                        .unwrap()
-                        .with_exchange_mode(mode);
-                s.run_sweeps(&mut cart, sweeps);
+                let exec = exec_ref();
+                let rt = test_runtime(&exec, comm_thread);
+                let mut s = DistSolver::from_global_op(dec, cart.coords(), g, exec, op_ref.clone())
+                    .unwrap()
+                    .with_exchange_mode(mode);
+                s.run_sweeps_on(&rt, &mut cart, sweeps);
                 if let Some(got) = s.gather_global(&mut cart, dec, g) {
                     norm::assert_grids_identical(
                         w,
                         &got,
                         &Region3::interior_of(dims),
-                        &format!("{} {mode:?} {pgrid:?} h={h}", op_ref.name()),
+                        &format!(
+                            "{} {mode:?} comm_thread={comm_thread} {pgrid:?} h={h}",
+                            op_ref.name()
+                        ),
                     );
                 }
             });
@@ -1088,15 +1079,16 @@ mod tests {
         assert!(err.contains("2·radius"), "{err}");
     }
 
-    /// One distributed run: the grid gathered on rank 0 and every rank's
-    /// halo bytes. `depth` forces the overlapped trapezoid to stop after
-    /// that many sweeps of each cycle (`None`: real progress).
+    /// One distributed run under `drive` (see [`DRIVES`]): the grid
+    /// gathered on rank 0 and every rank's halo bytes. `depth` forces the
+    /// overlapped trapezoid to stop after that many sweeps of each cycle
+    /// (`None`: real progress).
     fn run_at_depth<Op: StencilOp<f64>>(
         op: &Op,
         global: &Grid3<f64>,
         dec: &Decomposition,
         exec: &LocalExec,
-        mode: ExchangeMode,
+        (mode, comm_thread): (ExchangeMode, bool),
         sweeps: usize,
         depth: Option<usize>,
     ) -> (Grid3<f64>, Vec<u64>) {
@@ -1106,7 +1098,7 @@ mod tests {
                 DistSolver::from_global_op(dec, cart.coords(), global, exec.clone(), op.clone())
                     .unwrap()
                     .with_exchange_mode(mode);
-            let rt = s.one_shot_runtime();
+            let rt = test_runtime(exec, comm_thread);
             match depth {
                 Some(m) => s.run_cycles(&rt, &mut cart, sweeps, Some(&mut |done| done >= m)),
                 None => s.run_cycles(&rt, &mut cart, sweeps, None),
@@ -1119,9 +1111,9 @@ mod tests {
     }
 
     /// Force the overlapped cycle to find its halos in after every
-    /// number of trapezoid sweeps `m = 0..=h`, in both overlapped modes:
-    /// the gathered grid must be the serial oracle's and every rank's
-    /// halo traffic `Sync`'s.
+    /// number of trapezoid sweeps `m = 0..=h`, under both overlapped
+    /// drives: the gathered grid must be the serial oracle's and every
+    /// rank's halo traffic `Sync`'s.
     fn check_every_depth<Op: StencilOp<f64>>(
         op: Op,
         dims: Dims3,
@@ -1134,13 +1126,12 @@ mod tests {
         let want = serial_reference_op(&op, &global, sweeps);
         let dec = Decomposition::new(dims, pgrid, h);
         let interior = Region3::interior_of(dims);
-        let (sync, sync_bytes) =
-            run_at_depth(&op, &global, &dec, exec, ExchangeMode::Sync, sweeps, None);
+        let (sync, sync_bytes) = run_at_depth(&op, &global, &dec, exec, DRIVES[0], sweeps, None);
         norm::assert_grids_identical(&want, &sync, &interior, "sync");
-        for mode in [ExchangeMode::Overlapped, ExchangeMode::OverlappedCommThread] {
+        for drive in &DRIVES[1..] {
             for m in 0..=h {
-                let (got, bytes) = run_at_depth(&op, &global, &dec, exec, mode, sweeps, Some(m));
-                let what = format!("{} {exec:?} {mode:?} {pgrid:?} m={m}", op.name());
+                let (got, bytes) = run_at_depth(&op, &global, &dec, exec, *drive, sweeps, Some(m));
+                let what = format!("{} {exec:?} {drive:?} {pgrid:?} m={m}", op.name());
                 norm::assert_grids_identical(&want, &got, &interior, &what);
                 assert_eq!(bytes, sync_bytes, "{what}: halo bytes");
             }
@@ -1220,8 +1211,8 @@ mod tests {
             let mut s =
                 DistSolver::from_global_op(dec_ref, cart.coords(), g, LocalExec::Seq, Jacobi6)
                     .unwrap()
-                    .with_exchange_mode(ExchangeMode::OverlappedCommThread);
-            s.run_sweeps(&mut cart, 2);
+                    .with_exchange_mode(ExchangeMode::Overlapped);
+            s.run_sweeps_on(&test_runtime(&LocalExec::Seq, true), &mut cart, 2);
             0
         });
     }
@@ -1253,6 +1244,36 @@ mod tests {
         // Both ranks send one 2-layer slab per cycle (2 cycles of c=2):
         // identical halo traffic.
         assert_eq!(bytes[0].1, bytes[1].1);
+    }
+
+    #[test]
+    fn run_sweeps_builds_no_comm_worker_in_either_mode() {
+        // The benchmark's overlapped cell takes this path: its exchange
+        // is polled inline, and a communication thread is something only
+        // the caller's runtime brings.
+        let dims = Dims3::cube(16);
+        let dec = Decomposition::new(dims, [1, 1, 1], 2);
+        let global: Grid3<f64> = init::random(dims, 8);
+        let pipelined = LocalExec::Pipelined(PipelineConfig {
+            team_size: 2,
+            n_teams: 1,
+            updates_per_thread: 1,
+            block: [8, 8, 8],
+            sync: SyncMode::relaxed_default(),
+            scheme: GridScheme::TwoGrid,
+            audit: false,
+        });
+        let diamond = LocalExec::Diamond(DiamondConfig::with_width(2, 4));
+        for exec in [LocalExec::Seq, pipelined, diamond] {
+            for mode in [ExchangeMode::Sync, ExchangeMode::Overlapped] {
+                let s = DistSolver::from_global_op(&dec, [0; 3], &global, exec.clone(), Jacobi6)
+                    .unwrap()
+                    .with_exchange_mode(mode);
+                let rt = s.exec.runtime();
+                assert!(!rt.has_comm_worker(), "{exec:?} {mode:?}");
+                assert_eq!(rt.worker_count(), exec.team().0, "{exec:?} {mode:?}");
+            }
+        }
     }
 
     #[test]
@@ -1293,12 +1314,8 @@ mod tests {
             let global: Grid3<f64> = init::random(dims, 12);
             let want = serial_reference_op(&Jacobi6, &global, cycles.iter().sum());
             let dec = Decomposition::new(dims, pgrid, h);
-            for mode in [
-                ExchangeMode::Sync,
-                ExchangeMode::Overlapped,
-                ExchangeMode::OverlappedCommThread,
-            ] {
-                let what = format!("{pgrid:?} {mode:?}");
+            for (mode, comm_thread) in DRIVES {
+                let what = format!("{pgrid:?} {mode:?} comm_thread={comm_thread}");
                 let (g, dec) = (&global, &dec);
                 let outs = Universe::run(2, None, move |comm| {
                     let mut cart = CartComm::new(comm, pgrid);
@@ -1306,7 +1323,7 @@ mod tests {
                         DistSolver::from_global_op(dec, cart.coords(), g, LocalExec::Seq, Jacobi6)
                             .unwrap()
                             .with_exchange_mode(mode);
-                    let rt = s.one_shot_runtime();
+                    let rt = test_runtime(&LocalExec::Seq, comm_thread);
                     // Rank 0's neighbour is on its + side, rank 1's on its − side.
                     let (idx, dir) = if cart.comm.rank() == 0 {
                         (1, 1)

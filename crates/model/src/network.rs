@@ -7,6 +7,11 @@
 //! paper's profiling found that packing halo data into send buffers costs
 //! about as much as the wire transfer itself (§2.2), which the
 //! distributed solver models explicitly.
+//!
+//! Two consumers price messages with it: the analytic scaling model
+//! ([`NetworkParams::halo_message_time`]) and tb-net's virtual clock,
+//! which charges [`NetworkParams::pack_time`] on each side of a message
+//! and [`NetworkParams::message_time`] in between.
 
 /// Point-to-point network parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -48,19 +53,19 @@ impl NetworkParams {
         self.latency + bytes as f64 / self.bandwidth
     }
 
-    /// Pack + unpack cost of shipping `bytes` through intermediate
-    /// buffers (both sides, once each).
-    fn copy_time(&self, bytes: usize) -> f64 {
+    /// One side's buffer copy of `bytes`: the sender's pack, or the
+    /// receiver's unpack, which costs the same.
+    pub fn pack_time(&self, bytes: usize) -> f64 {
         if self.copy_bandwidth.is_infinite() {
             0.0
         } else {
-            2.0 * bytes as f64 / self.copy_bandwidth
+            bytes as f64 / self.copy_bandwidth
         }
     }
 
     /// Total cost of one halo message including buffer copies.
     pub fn halo_message_time(&self, bytes: usize) -> f64 {
-        self.message_time(bytes) + self.copy_time(bytes)
+        self.message_time(bytes) + 2.0 * self.pack_time(bytes)
     }
 }
 
@@ -108,10 +113,24 @@ mod tests {
         let n = NetworkParams::qdr_infiniband();
         let bytes = 1 << 20;
         let wire = n.message_time(bytes);
-        let copy = n.copy_time(bytes);
+        let copy = 2.0 * n.pack_time(bytes);
         assert!((copy / wire - 1.0).abs() < 0.02);
         let ideal = NetworkParams::ideal();
-        assert_eq!(ideal.copy_time(bytes), 0.0);
+        assert_eq!(ideal.pack_time(bytes), 0.0);
         assert_eq!(ideal.message_time(bytes), 0.0);
+    }
+
+    #[test]
+    fn virtual_clock_terms_add_up_to_the_model() {
+        // The clock charges a pack, the wire, then an unpack; the model
+        // prices the same message as one halo message.
+        let n = NetworkParams::qdr_infiniband();
+        assert_eq!(n.message_time(3_200_000), 1.8e-6 + 1e-3);
+        for b in [8, 800, 1 << 20] {
+            assert_eq!(
+                n.halo_message_time(b),
+                n.message_time(b) + 2.0 * n.pack_time(b)
+            );
+        }
     }
 }

@@ -5,8 +5,7 @@
 //! non-periodic: the Jacobi domain has physical Dirichlet boundaries, so
 //! edge ranks simply have no neighbor there.
 
-use crate::comm::{Comm, Request};
-use crate::Bytes;
+use crate::comm::Comm;
 
 /// Cartesian view over a [`Comm`].
 pub struct CartComm<'a> {
@@ -55,31 +54,6 @@ impl<'a> CartComm<'a> {
         let mut n = self.coords;
         n[d] = c as usize;
         Some(self.rank_of(n))
-    }
-
-    /// Nonblocking send to a neighbor rank — see [`Comm::isend`].
-    pub fn isend(&mut self, peer: usize, tag: u64, data: Bytes) -> Request {
-        self.comm.isend(peer, tag, data)
-    }
-
-    /// Nonblocking receive from a neighbor rank — see [`Comm::irecv`].
-    pub fn irecv(&mut self, peer: usize, tag: u64) -> Request {
-        self.comm.irecv(peer, tag)
-    }
-
-    /// Poll a request — see [`Comm::test`].
-    pub fn test(&mut self, req: &mut Request) -> bool {
-        self.comm.test(req)
-    }
-
-    /// Complete a request — see [`Comm::wait`].
-    pub fn wait(&mut self, req: Request) -> Option<Bytes> {
-        self.comm.wait(req)
-    }
-
-    /// Complete a batch of requests — see [`Comm::waitall`].
-    pub fn waitall(&mut self, reqs: Vec<Request>) -> Vec<Option<Bytes>> {
-        self.comm.waitall(reqs)
     }
 }
 

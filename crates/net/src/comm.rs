@@ -23,7 +23,8 @@ use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
-use crate::simnet::SimNet;
+use tb_model::NetworkParams;
+
 use crate::Bytes;
 
 /// A message in flight.
@@ -100,7 +101,7 @@ pub struct Comm {
     /// Exposed communication seconds accumulated on the compute timeline
     /// (see [`Comm::comm_seconds`]).
     pub(crate) comm_seconds: f64,
-    pub(crate) net: Option<SimNet>,
+    pub(crate) net: Option<NetworkParams>,
 }
 
 impl Comm {
@@ -118,10 +119,11 @@ impl Comm {
         self.clock
     }
 
-    /// Whether a [`SimNet`] drives this communicator's virtual clock.
-    /// Message arrival is then a virtual-time event: [`Comm::test`]
-    /// compares it with a clock that only `wait`/`advance` move, so
-    /// polling cannot observe progress the way it does on real time.
+    /// Whether a [`NetworkParams`] model drives this communicator's
+    /// virtual clock. Message arrival is then a virtual-time event:
+    /// [`Comm::test`] compares it with a clock that only `wait`/`advance`
+    /// move, so polling cannot observe progress the way it does on real
+    /// time.
     pub fn simulated(&self) -> bool {
         self.net.is_some()
     }
@@ -148,7 +150,7 @@ impl Comm {
         let before = self.clock;
         let arrival = if let Some(net) = &self.net {
             self.clock += net.pack_time(data.len());
-            self.clock + net.wire_time(data.len())
+            self.clock + net.message_time(data.len())
         } else {
             0.0
         };
@@ -186,7 +188,7 @@ impl Comm {
     fn finish_recv(&mut self, msg: Msg) -> Bytes {
         let before = self.clock;
         if let Some(net) = &self.net {
-            self.clock = self.clock.max(msg.arrival) + net.unpack_time(msg.data.len());
+            self.clock = self.clock.max(msg.arrival) + net.pack_time(msg.data.len());
         }
         self.charge_comm(before);
         msg.data
@@ -209,7 +211,7 @@ impl Comm {
         let (complete_at, arrival) = if let Some(net) = &self.net {
             let start = self.clock.max(self.comm_busy);
             let complete = start + net.pack_time(data.len());
-            (complete, complete + net.wire_time(data.len()))
+            (complete, complete + net.message_time(data.len()))
         } else {
             (0.0, 0.0)
         };
@@ -280,7 +282,7 @@ impl Comm {
                     // The comm core unpacks as soon as the message has
                     // arrived (independent of the caller's clock); the
                     // caller resumes at whichever is later.
-                    let done = self.comm_busy.max(msg.arrival) + net.unpack_time(msg.data.len());
+                    let done = self.comm_busy.max(msg.arrival) + net.pack_time(msg.data.len());
                     self.comm_busy = done;
                     self.clock = self.clock.max(done);
                 }
@@ -443,7 +445,7 @@ mod tests {
 
     #[test]
     fn virtual_clock_advances_through_messages() {
-        let net = SimNet {
+        let net = NetworkParams {
             latency: 1e-3,
             bandwidth: 1e6,
             copy_bandwidth: f64::INFINITY,
@@ -465,7 +467,7 @@ mod tests {
 
     #[test]
     fn barrier_synchronizes_clocks() {
-        let net = SimNet::ideal();
+        let net = NetworkParams::ideal();
         let times = Universe::run(3, Some(net), |comm| {
             comm.advance(comm.rank() as f64 * 1e-3);
             comm.barrier();
@@ -575,7 +577,7 @@ mod more_tests {
 
     #[test]
     fn pack_cost_charged_to_sender_clock() {
-        let net = crate::SimNet {
+        let net = NetworkParams {
             latency: 0.0,
             bandwidth: f64::INFINITY,
             copy_bandwidth: 1e6,
@@ -735,7 +737,7 @@ mod nonblocking_tests {
 
     #[test]
     fn isend_charges_the_comm_core_not_the_sender_clock() {
-        let net = SimNet {
+        let net = NetworkParams {
             latency: 1e-3,
             bandwidth: 1e6,
             copy_bandwidth: 1e6,
@@ -764,7 +766,7 @@ mod nonblocking_tests {
 
     #[test]
     fn overlap_join_hides_communication_behind_compute() {
-        let net = SimNet {
+        let net = NetworkParams {
             latency: 1e-3,
             bandwidth: 1e6,
             copy_bandwidth: 1e6,
@@ -795,7 +797,7 @@ mod nonblocking_tests {
 
     #[test]
     fn overlap_join_exposes_the_residual() {
-        let net = SimNet {
+        let net = NetworkParams {
             latency: 1e-3,
             bandwidth: 1e6,
             copy_bandwidth: f64::INFINITY,
@@ -823,7 +825,7 @@ mod nonblocking_tests {
 
     #[test]
     fn send_request_tests_complete_once_the_clock_passes_pack() {
-        let net = SimNet {
+        let net = NetworkParams {
             latency: 0.0,
             bandwidth: f64::INFINITY,
             copy_bandwidth: 1e6,

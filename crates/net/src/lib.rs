@@ -15,12 +15,14 @@
 //!   [`Comm::overlap_join`] can report how much communication the
 //!   computation hid,
 //! * [`CartComm`] — 3D Cartesian rank topology (our `MPI_Cart_create`),
-//! * [`SimNet`] — an optional **virtual clock** per rank: sends stamp
-//!   messages with a latency/bandwidth/copy-cost model and receives
-//!   advance the local clock to the message arrival time. This is a
-//!   conservative discrete-event simulation adequate for bulk-
-//!   synchronous codes, and is what lets a 2-core host reproduce the
-//!   shape of the paper's 64-node Fig. 6.
+//! * an optional **virtual clock** per rank, priced by
+//!   [`tb_model::NetworkParams`] (the same latency/bandwidth/copy-cost
+//!   struct the analytic model uses): sends stamp messages with their
+//!   pack and wire time, and receives advance the local clock to the
+//!   message arrival time plus the unpack. This is a conservative
+//!   discrete-event simulation adequate for bulk-synchronous codes, and
+//!   is what lets a 2-core host reproduce the shape of the paper's
+//!   64-node Fig. 6.
 //!
 //! Real data always flows — simulation only affects *clocks* — so
 //! protocol bugs (mismatched tags, wrong neighbors, deadlocks) surface in
@@ -30,12 +32,10 @@
 
 pub mod cart;
 pub mod comm;
-pub mod simnet;
 pub mod universe;
 
 pub use cart::CartComm;
 pub use comm::{Comm, RecvRequest, ReduceOp, Request, SendRequest};
-pub use simnet::SimNet;
 pub use universe::Universe;
 
 /// A message payload: an immutable, reference-counted byte buffer.

@@ -3,8 +3,9 @@
 use std::collections::VecDeque;
 use std::sync::mpsc::channel;
 
+use tb_model::NetworkParams;
+
 use crate::comm::{Comm, Msg};
-use crate::simnet::SimNet;
 
 /// A fixed-size group of in-process ranks.
 pub struct Universe;
@@ -18,7 +19,7 @@ impl Universe {
     ///
     /// Panics in any rank propagate (the scope unwinds) — a rank failure
     /// is a test failure.
-    pub fn run<R, F>(n: usize, net: Option<SimNet>, f: F) -> Vec<R>
+    pub fn run<R, F>(n: usize, net: Option<NetworkParams>, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,

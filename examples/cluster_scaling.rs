@@ -5,8 +5,9 @@
 //! This exercises the full §2 machinery — overlapping decomposition,
 //! multi-layer halo exchange along successive directions, per-rank
 //! pipelined updates — on real data, in both the synchronous baseline
-//! schedule and the §2.3 overlapped schedule with a dedicated
-//! communication thread.
+//! schedule and the §2.3 overlapped schedule, driven by a dedicated
+//! communication thread (each rank's runtime carries a communication
+//! worker).
 //!
 //! ```sh
 //! cargo run --release --example cluster_scaling
@@ -50,9 +51,9 @@ fn main() {
             audit: false,
         };
 
-        for (mode, mode_name) in [
-            (ExchangeMode::Sync, "sync"),
-            (ExchangeMode::OverlappedCommThread, "overlapped-ct"),
+        for (mode, comm_thread, mode_name) in [
+            (ExchangeMode::Sync, false, "sync"),
+            (ExchangeMode::Overlapped, true, "overlapped-ct"),
         ] {
             let global_ref = &global;
             let want_ref = &want;
@@ -69,7 +70,9 @@ fn main() {
                 )
                 .expect("valid hybrid config")
                 .with_exchange_mode(mode);
-                let stats = s.run_sweeps(&mut cart, sweeps);
+                let rt =
+                    Runtime::from_cpus(vec![None; cfg_ref.threads()], comm_thread.then_some(None));
+                let stats = s.run_sweeps_on(&rt, &mut cart, sweeps);
                 let verified = match s.gather_global(&mut cart, dec_ref, global_ref) {
                     Some(got) => {
                         norm::count_mismatches(want_ref, &got, &Region3::interior_of(dims)) == 0

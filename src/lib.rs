@@ -16,8 +16,8 @@
 //! | [`stencil`] | **stencil operators**, baselines, **pipelined temporal blocking**, wavefront comparator |
 //! | [`model`] | Eq. 2 roofline, §1.4 diagnostic model, Fig. 5 halo model, Fig. 6 scaling model — all fed by per-operator code balance |
 //! | [`membench`] | STREAM COPY/SCALE/ADD/TRIAD + machine calibration |
-//! | [`net`] | in-process ranks, communicator, Cartesian topology, virtual-time network |
-//! | [`dist`] | domain decomposition, multi-layer halo exchange, operator-generic distributed/hybrid solver, cluster sim |
+//! | [`net`] | in-process ranks, communicator, Cartesian topology, virtual-time network priced by [`model::NetworkParams`] |
+//! | [`dist`] | domain decomposition, multi-layer halo exchange, operator-generic distributed/hybrid solver (sync or overlapped exchange; a runtime with a comm worker drives the overlapped one), cluster sim |
 //!
 //! ## The operator layer
 //!

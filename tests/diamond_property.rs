@@ -150,8 +150,9 @@ proptest! {
     }
 
     /// Distributed ranks advancing with `LocalExec::Diamond` gather the
-    /// exact serial-oracle grid, in the synchronous and both overlapped
-    /// exchange schedules, for random geometry and cycle structure. Half
+    /// exact serial-oracle grid, in the synchronous schedule and the
+    /// overlapped one under both drives (inline, comm worker), for
+    /// random geometry and cycle structure. Half
     /// the cases split along y with x stretched to an 8-row front, so
     /// the overlapped trapezoid cores hand the tiles per-sweep domains
     /// that shrink in the front's own axis.
@@ -173,23 +174,33 @@ proptest! {
             Some(_) => Dims3::cube(edge),
             None => Dims3::new(130, edge + 8, 10),
         };
-        let mode = MODES[mode_pick];
+        let (mode, comm_thread) = MODES[mode_pick];
         let cfg = DiamondConfig { threads: 2, width, threads_per_tile, audit: true };
         prop_assert!(
-            dist_diamond_matches_serial(dims, pgrid, h, seed, sweeps, &cfg, mode),
-            "dist diamond {dims} {pgrid:?} h={h} w={width} {mode:?} diverged from the serial oracle"
+            dist_diamond_matches_serial(dims, pgrid, h, seed, sweeps, &cfg, (mode, comm_thread)),
+            "dist diamond {dims} {pgrid:?} h={h} w={width} {mode:?} comm_thread={comm_thread} \
+             diverged from the serial oracle"
         );
     }
 }
 
-const MODES: [ExchangeMode; 3] = [
-    ExchangeMode::Sync,
-    ExchangeMode::Overlapped,
-    ExchangeMode::OverlappedCommThread,
+/// Every exchange drive: the mode, and whether the rank's runtime has a
+/// communication worker to drive an overlapped exchange.
+const MODES: [(ExchangeMode, bool); 3] = [
+    (ExchangeMode::Sync, false),
+    (ExchangeMode::Overlapped, false),
+    (ExchangeMode::Overlapped, true),
 ];
 
-/// Jacobi6 on `pgrid` ranks × `LocalExec::Diamond(cfg)`: does the
-/// gathered grid equal the serial oracle bitwise?
+/// The runtime a rank of `threads` diamond workers runs on: the one
+/// `run_sweeps` builds, plus an unpinned communication worker under the
+/// comm-thread drive.
+fn rank_runtime(threads: usize, comm_thread: bool) -> Runtime {
+    Runtime::from_cpus(vec![None; threads], comm_thread.then_some(None))
+}
+
+/// Jacobi6 on `pgrid` ranks × `LocalExec::Diamond(cfg)` under `drive`:
+/// does the gathered grid equal the serial oracle bitwise?
 fn dist_diamond_matches_serial(
     dims: Dims3,
     pgrid: [usize; 3],
@@ -197,7 +208,7 @@ fn dist_diamond_matches_serial(
     seed: u64,
     sweeps: usize,
     cfg: &DiamondConfig,
-    mode: ExchangeMode,
+    (mode, comm_thread): (ExchangeMode, bool),
 ) -> bool {
     let global: Grid3<f64> = init::random(dims, seed);
     let want = solver::serial_reference(&global, sweeps);
@@ -214,7 +225,7 @@ fn dist_diamond_matches_serial(
         )
         .unwrap()
         .with_exchange_mode(mode);
-        s.run_sweeps(&mut cart, sweeps);
+        s.run_sweeps_on(&rank_runtime(cfg.threads, comm_thread), &mut cart, sweeps);
         match s.gather_global(&mut cart, dec_ref, g) {
             Some(got) => norm::first_mismatch(w, &got, &Region3::interior_of(dims)).is_none(),
             None => true,
@@ -241,10 +252,10 @@ fn y_split_dist_diamond_in_every_exchange_mode() {
     assert_eq!(b, 8);
     for (ny, ranks) in [(2 * b + 4, 2), (3 * b + 5, 3)] {
         let dims = Dims3::new(nx, ny, 12);
-        for mode in MODES {
+        for drive in MODES {
             assert!(
-                dist_diamond_matches_serial(dims, [1, ranks, 1], 3, 42, 7, &cfg, mode),
-                "y-split x{ranks} {mode:?} diverged from the serial oracle"
+                dist_diamond_matches_serial(dims, [1, ranks, 1], 3, 42, 7, &cfg, drive),
+                "y-split x{ranks} {drive:?} diverged from the serial oracle"
             );
         }
     }
@@ -266,7 +277,7 @@ fn eight_rank_diamond_avg27_matches_serial() {
         threads_per_tile: 2, // corner-reading op + MWD + corner forwarding
         audit: true,
     };
-    for mode in [ExchangeMode::Sync, ExchangeMode::OverlappedCommThread] {
+    for (mode, comm_thread) in [MODES[0], MODES[2]] {
         let (g, w, cfg_ref, dec_ref) = (&global, &want, &cfg, &dec);
         Universe::run(dec.ranks(), None, move |comm| {
             let mut cart = CartComm::new(comm, pgrid);
@@ -279,13 +290,17 @@ fn eight_rank_diamond_avg27_matches_serial() {
             )
             .unwrap()
             .with_exchange_mode(mode);
-            s.run_sweeps(&mut cart, sweeps);
+            s.run_sweeps_on(
+                &rank_runtime(cfg_ref.threads, comm_thread),
+                &mut cart,
+                sweeps,
+            );
             if let Some(got) = s.gather_global(&mut cart, dec_ref, g) {
                 norm::assert_grids_identical(
                     w,
                     &got,
                     &Region3::interior_of(dims),
-                    &format!("8-rank diamond avg27 {mode:?}"),
+                    &format!("8-rank diamond avg27 {mode:?} comm_thread={comm_thread}"),
                 );
             }
         });

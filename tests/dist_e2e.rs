@@ -2,7 +2,8 @@
 
 use temporal_blocking::dist::{solver, Decomposition, DistSolver, ExchangeMode, LocalExec};
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Real, Region3};
-use temporal_blocking::net::{CartComm, SimNet, Universe};
+use temporal_blocking::model::NetworkParams;
+use temporal_blocking::net::{CartComm, Universe};
 use temporal_blocking::runtime::Runtime;
 use temporal_blocking::stencil::config::GridScheme;
 use temporal_blocking::topology::{affinity, Machine, TeamLayout};
@@ -75,7 +76,7 @@ fn virtual_time_cluster_accumulates() {
     let dec = Decomposition::new(dims, pgrid, 2);
     let global: Grid3<f64> = init::random(dims, 5);
     let global_ref = &global;
-    let net = SimNet::qdr_infiniband();
+    let net = NetworkParams::qdr_infiniband();
     let times = Universe::run(4, Some(net), move |comm| {
         let mut cart = CartComm::new(comm, pgrid);
         let mut s =
@@ -96,11 +97,32 @@ fn virtual_time_cluster_accumulates() {
     }
 }
 
-/// One operator through all three exchange modes, in element type `T`:
+/// The exchange drives every overlap case runs: the mode, and whether
+/// the rank's runtime has a communication worker to drive an overlapped
+/// exchange.
+const DRIVES: [(ExchangeMode, bool); 3] = [
+    (ExchangeMode::Sync, false),
+    (ExchangeMode::Overlapped, false),
+    (ExchangeMode::Overlapped, true),
+];
+
+/// Compute workers a rank's local execution occupies.
+fn team(exec: &LocalExec) -> usize {
+    match exec {
+        LocalExec::Seq => 0,
+        LocalExec::Pipelined(cfg) => cfg.threads(),
+        LocalExec::Diamond(cfg) => cfg.threads,
+    }
+}
+
+/// One operator through every exchange drive, in element type `T`:
 /// each gathered grid must match the serial oracle bitwise. With
 /// `layouts`, rank `r` pins its thread to the first CPU of `layouts(r)`
 /// before building its solver (so its box is allocated there) and runs
-/// on `Runtime::new(&layouts(r))` instead of its one-shot runtime.
+/// on a runtime pinned to `layouts(r)`'s CPUs, whose communication
+/// worker (under the comm-thread drive) takes the layout's comm core.
+/// Without, the comm-thread drive adds an unpinned communication worker
+/// to `run_sweeps`'s runtime.
 fn verify_overlap_op<T: Real, Op: StencilOp<T>>(
     op: Op,
     dims: Dims3,
@@ -113,11 +135,7 @@ fn verify_overlap_op<T: Real, Op: StencilOp<T>>(
     let global: Grid3<T> = init::random(dims, 31415);
     let want = solver::serial_reference_op(&op, &global, sweeps);
     let dec = Decomposition::new(dims, pgrid, h);
-    for mode in [
-        ExchangeMode::Sync,
-        ExchangeMode::Overlapped,
-        ExchangeMode::OverlappedCommThread,
-    ] {
+    for (mode, comm_thread) in DRIVES {
         let (g, w, op_ref, exec_ref, dec_ref) = (&global, &want, &op, &exec, &dec);
         Universe::run(dec.ranks(), None, move |comm| {
             let layout = layouts.map(|f| f(comm.rank()));
@@ -125,21 +143,27 @@ fn verify_overlap_op<T: Real, Op: StencilOp<T>>(
                 let _ = affinity::pin_opt(layout.cpus[0]);
             }
             let mut cart = CartComm::new(comm, pgrid);
-            let mut s =
-                DistSolver::from_global_op(dec_ref, cart.coords(), g, exec_ref(), op_ref.clone())
-                    .unwrap()
-                    .with_exchange_mode(mode);
-            match &layout {
-                Some(layout) => s.run_sweeps_on(&Runtime::new(layout), &mut cart, sweeps),
-                None => s.run_sweeps(&mut cart, sweeps),
+            let exec = exec_ref();
+            let (cpus, comm_core) = match &layout {
+                Some(layout) => (layout.cpus.clone(), layout.comm_core),
+                None => (vec![None; team(&exec)], None),
             };
+            let mut s = DistSolver::from_global_op(dec_ref, cart.coords(), g, exec, op_ref.clone())
+                .unwrap()
+                .with_exchange_mode(mode);
+            if layout.is_none() && !comm_thread {
+                s.run_sweeps(&mut cart, sweeps);
+            } else {
+                let rt = Runtime::from_cpus(cpus, comm_thread.then_some(comm_core));
+                s.run_sweeps_on(&rt, &mut cart, sweeps);
+            }
             if let Some(got) = s.gather_global(&mut cart, dec_ref, g) {
                 norm::assert_grids_identical(
                     w,
                     &got,
                     &Region3::interior_of(dims),
                     &format!(
-                        "e2e {} {} {mode:?} {pgrid:?} h={h}",
+                        "e2e {} {} {mode:?} comm_thread={comm_thread} {pgrid:?} h={h}",
                         std::any::type_name::<T>(),
                         op_ref.name()
                     ),
@@ -226,7 +250,7 @@ fn f32_ranks_match_the_f32_serial_oracle() {
 #[test]
 fn overlap_hybrid_pipelined_twelve_ranks() {
     // The layout carries a carved-out comm core, so the comm-thread
-    // mode exercises the real pinning path (best-effort on this host).
+    // drive exercises the real pinning path (best-effort on this host).
     let machine = temporal_blocking::topology::Machine::nehalem_ep();
     let layout = TeamLayout::with_comm_core(&machine, 2, 1);
     assert!(layout.comm_core.is_some());
@@ -303,28 +327,27 @@ fn one_pipeline_per_cache_group() {
 #[test]
 fn overlap_hides_communication_under_the_virtual_network() {
     // Same problem, three schedules: Sync exposes the full exchange
-    // cost; the overlapped schedules hide it behind the modeled interior
-    // compute — and both overlapped variants agree on every clock.
+    // cost; the overlapped schedule hides it behind the modeled interior
+    // compute — and its inline and comm-worker drives agree on every
+    // clock.
     let dims = Dims3::cube(20);
     let pgrid = [2, 2, 1];
     let sweeps = 8;
     let dec = Decomposition::new(dims, pgrid, 2);
     let global: Grid3<f64> = init::random(dims, 9);
     let mut per_mode = Vec::new();
-    for mode in [
-        ExchangeMode::Sync,
-        ExchangeMode::Overlapped,
-        ExchangeMode::OverlappedCommThread,
-    ] {
+    for (mode, comm_thread) in DRIVES {
         let (g, dec_ref) = (&global, &dec);
-        let outs = Universe::run(4, Some(SimNet::qdr_infiniband()), move |comm| {
+        let outs = Universe::run(4, Some(NetworkParams::qdr_infiniband()), move |comm| {
             let mut cart = CartComm::new(comm, pgrid);
             let mut s =
                 DistSolver::from_global_op(dec_ref, cart.coords(), g, LocalExec::Seq, Jacobi6)
                     .unwrap()
                     .with_exchange_mode(mode)
                     .with_virtual_compute(1e8);
-            s.run_sweeps(&mut cart, sweeps);
+            let rt = Runtime::from_cpus(Vec::new(), comm_thread.then_some(None));
+            assert_eq!(rt.has_comm_worker(), comm_thread);
+            s.run_sweeps_on(&rt, &mut cart, sweeps);
             (cart.comm.comm_seconds(), cart.comm.time())
         });
         per_mode.push(outs);

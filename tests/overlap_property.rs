@@ -1,6 +1,7 @@
 //! Property tests for the overlapped exchange schedule: for random
 //! dims, rank grids, operators, halo widths and sweep counts, the
-//! overlapped modes must gather grids bitwise identical to the
+//! overlapped mode — polled inline or driven by the runtime's
+//! communication worker — must gather grids bitwise identical to the
 //! synchronous schedule and to the serial oracle.
 
 use proptest::prelude::*;
@@ -10,15 +11,17 @@ use temporal_blocking::dist::{
 };
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Region3};
 use temporal_blocking::net::{CartComm, Universe};
+use temporal_blocking::runtime::Runtime;
 use temporal_blocking::{Avg27, Jacobi6, Jacobi7, StencilOp, VarCoeff7};
 
-/// Gather the distributed result of one (mode, exec) run on rank 0.
+/// Gather the distributed result of one run on rank 0; `comm_thread`
+/// gives each rank's runtime a communication worker.
 fn gather<Op: StencilOp<f64>>(
     op: &Op,
     global: &Grid3<f64>,
     dec: &Decomposition,
     pgrid: [usize; 3],
-    mode: ExchangeMode,
+    (mode, comm_thread): (ExchangeMode, bool),
     sweeps: usize,
 ) -> Grid3<f64> {
     let results = Universe::run(dec.ranks(), None, move |comm| {
@@ -27,7 +30,8 @@ fn gather<Op: StencilOp<f64>>(
             DistSolver::from_global_op(dec, cart.coords(), global, LocalExec::Seq, op.clone())
                 .expect("valid decomposition")
                 .with_exchange_mode(mode);
-        s.run_sweeps(&mut cart, sweeps);
+        let rt = Runtime::from_cpus(Vec::new(), comm_thread.then_some(None));
+        s.run_sweeps_on(&rt, &mut cart, sweeps);
         s.gather_global(&mut cart, dec, global)
     });
     results
@@ -50,23 +54,26 @@ fn check_op<Op: StencilOp<f64>>(
     let want = solver::serial_reference_op(&op, &global, sweeps);
     let dec = Decomposition::new(dims, pgrid, h);
     let interior = Region3::interior_of(dims);
-    let overlapped_mode = if comm_thread {
-        ExchangeMode::OverlappedCommThread
-    } else {
-        ExchangeMode::Overlapped
-    };
-    let sync = gather(&op, &global, &dec, pgrid, ExchangeMode::Sync, sweeps);
-    let over = gather(&op, &global, &dec, pgrid, overlapped_mode, sweeps);
+    let sync = gather(
+        &op,
+        &global,
+        &dec,
+        pgrid,
+        (ExchangeMode::Sync, false),
+        sweeps,
+    );
+    let overlapped = (ExchangeMode::Overlapped, comm_thread);
+    let over = gather(&op, &global, &dec, pgrid, overlapped, sweeps);
     let vs_oracle = norm::first_mismatch(&want, &over, &interior);
     prop_assert!(
         vs_oracle.is_none(),
-        "{} {overlapped_mode:?} {pgrid:?} h={h} s={sweeps} diverged from the oracle at {vs_oracle:?}",
+        "{} comm_thread={comm_thread} {pgrid:?} h={h} s={sweeps} diverged from the oracle at {vs_oracle:?}",
         op.name()
     );
     let vs_sync = norm::first_mismatch(&sync, &over, &interior);
     prop_assert!(
         vs_sync.is_none(),
-        "{} {overlapped_mode:?} {pgrid:?} h={h} s={sweeps} diverged from Sync at {vs_sync:?}",
+        "{} comm_thread={comm_thread} {pgrid:?} h={h} s={sweeps} diverged from Sync at {vs_sync:?}",
         op.name()
     );
     Ok(())

@@ -227,7 +227,7 @@ fn dist_solver_on_shared_runtimes_matches_serial() {
             Jacobi6,
         )
         .unwrap()
-        .with_exchange_mode(ExchangeMode::OverlappedCommThread);
+        .with_exchange_mode(ExchangeMode::Overlapped);
         // Split the sweeps over several calls: the runtime (and the
         // pooled staging grid) is reused across them.
         solver.run_sweeps_on(&rt, &mut cart, 3);
