@@ -158,9 +158,9 @@ fn sim(args: &Args) {
 }
 
 fn host(args: &Args) {
+    use tb_dist::net::{CartComm, Universe};
     use tb_dist::{solver, Decomposition, DistSolver, LocalExec};
     use tb_grid::{init, Dims3};
-    use tb_net::{CartComm, Universe};
     use tb_stencil::Jacobi6;
 
     let edge_per_rank = args.get_usize("--size", 48);

@@ -17,9 +17,9 @@
 use std::io::Write as _;
 
 use tb_bench::{problem, warmed_best_of, Args};
+use tb_dist::net::{CartComm, Universe};
 use tb_dist::{Decomposition, DistSolver, LocalExec};
 use tb_grid::{norm, CompressedGrid, Grid3, GridPair, Region3};
-use tb_net::{CartComm, Universe};
 use tb_runtime::Runtime;
 use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;

@@ -247,15 +247,10 @@ impl Decomposition {
         self.pgrid.iter().product()
     }
 
-    /// Rank coordinates of linear rank `r` (x-fastest, matching
-    /// [`tb_net::CartComm`]).
+    /// Rank coordinates of linear rank `r` (x-fastest, the rank order of
+    /// [`crate::net::CartComm`]).
     pub fn coords_of(&self, r: usize) -> [usize; 3] {
-        debug_assert!(r < self.ranks());
-        [
-            r % self.pgrid[0],
-            (r / self.pgrid[0]) % self.pgrid[1],
-            r / (self.pgrid[0] * self.pgrid[1]),
-        ]
+        crate::net::coords_of(r, self.pgrid)
     }
 
     /// The owned (disjoint) box of the rank at `coords`, in global

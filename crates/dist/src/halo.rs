@@ -14,7 +14,8 @@
 use std::sync::Arc;
 
 use tb_grid::{Grid3, Real, Region3};
-use tb_net::Bytes;
+
+use crate::net::Bytes;
 
 /// Send/receive slab regions (global coordinates) for one stage of the
 /// multi-layer ghost-cell-expansion exchange — **the** single place the

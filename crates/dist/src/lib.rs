@@ -4,10 +4,16 @@
 //! **overlapping domain decomposition with multi-layer halo exchange**,
 //! which amortizes message latency and buffer-copy cost over the
 //! temporal-blocking depth. One exchange ships `h` ghost layers; the
-//! rank then advances `h` sweeps — sequentially or with the §1.3
-//! pipelined executor running inside the rank (the "hybrid" mode) —
-//! before it has to communicate again.
+//! rank then advances `h` sweeps, temporally blocked inside the rank —
+//! a one-thread diamond walk on the rank's own thread
+//! ([`LocalExec::Seq`]), the §1.3 pipelined executor
+//! ([`LocalExec::Pipelined`], the paper's "hybrid" mode) or a diamond
+//! team ([`LocalExec::Diamond`]) — before it has to communicate again.
 //!
+//! * [`net`] — the ranks and their communicator: in-process ranks
+//!   ([`net::Universe`]) on a Cartesian topology ([`net::CartComm`]),
+//!   blocking and nonblocking point-to-point messages, and an optional
+//!   virtual clock priced by [`tb_model::NetworkParams`];
 //! * [`Decomposition`] — splits the global grid over a `px × py × pz`
 //!   rank grid into **overlapping** subdomains: every rank stores its
 //!   owned box plus `h` ghost layers on each internal face;
@@ -102,6 +108,7 @@
 
 pub mod decomp;
 pub mod halo;
+pub mod net;
 pub mod sim;
 pub mod solver;
 

@@ -5,7 +5,25 @@
 //! non-periodic: the Jacobi domain has physical Dirichlet boundaries, so
 //! edge ranks simply have no neighbor there.
 
-use crate::comm::Comm;
+use super::comm::Comm;
+
+/// Coordinates of linear rank `rank` on a `dims` process grid, x-fastest
+/// — the one rank order of [`CartComm`] and of the decomposition.
+pub(crate) fn coords_of(rank: usize, dims: [usize; 3]) -> [usize; 3] {
+    debug_assert!(rank < dims.iter().product());
+    [
+        rank % dims[0],
+        (rank / dims[0]) % dims[1],
+        rank / (dims[0] * dims[1]),
+    ]
+}
+
+/// Linear rank of coordinates `c` on a `dims` process grid: the inverse
+/// of [`coords_of`].
+fn rank_of(c: [usize; 3], dims: [usize; 3]) -> usize {
+    debug_assert!((0..3).all(|d| c[d] < dims[d]));
+    c[0] + dims[0] * (c[1] + dims[1] * c[2])
+}
 
 /// Cartesian view over a [`Comm`].
 pub struct CartComm<'a> {
@@ -20,16 +38,11 @@ impl<'a> CartComm<'a> {
     pub fn new(comm: &'a mut Comm, dims: [usize; 3]) -> Self {
         let n: usize = dims.iter().product();
         assert_eq!(n, comm.size(), "dims {dims:?} != {} ranks", comm.size());
-        let rank = comm.rank();
-        let coords = [
-            rank % dims[0],
-            (rank / dims[0]) % dims[1],
-            rank / (dims[0] * dims[1]),
-        ];
+        let coords = coords_of(comm.rank(), dims);
         Self { comm, dims, coords }
     }
 
-    pub fn dims(&self) -> [usize; 3] {
+    pub(crate) fn dims(&self) -> [usize; 3] {
         self.dims
     }
 
@@ -37,15 +50,9 @@ impl<'a> CartComm<'a> {
         self.coords
     }
 
-    /// Rank of the given coordinates.
-    fn rank_of(&self, c: [usize; 3]) -> usize {
-        debug_assert!((0..3).all(|d| c[d] < self.dims[d]));
-        c[0] + self.dims[0] * (c[1] + self.dims[1] * c[2])
-    }
-
     /// Neighbor along dimension `d` in direction `dir` (−1 or +1);
     /// `None` at the physical boundary.
-    pub fn neighbor(&self, d: usize, dir: i64) -> Option<usize> {
+    pub(crate) fn neighbor(&self, d: usize, dir: i64) -> Option<usize> {
         debug_assert!(d < 3 && (dir == -1 || dir == 1));
         let c = self.coords[d] as i64 + dir;
         if c < 0 || c >= self.dims[d] as i64 {
@@ -53,21 +60,21 @@ impl<'a> CartComm<'a> {
         }
         let mut n = self.coords;
         n[d] = c as usize;
-        Some(self.rank_of(n))
+        Some(rank_of(n, self.dims))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::universe::Universe;
+    use crate::net::Universe;
 
     #[test]
     fn coords_roundtrip() {
         Universe::run(12, None, |comm| {
             let cart = CartComm::new(comm, [3, 2, 2]);
             let c = cart.coords();
-            assert_eq!(cart.rank_of(c), cart.comm.rank());
+            assert_eq!(rank_of(c, cart.dims()), cart.comm.rank());
             c
         });
     }

@@ -1,10 +1,10 @@
 //! The communicator: blocking and nonblocking point-to-point with tag
-//! matching, plus the handful of collectives the solvers use.
+//! matching, plus a barrier.
 //!
 //! # Nonblocking operations and the comm-core model
 //!
-//! [`Comm::isend`]/[`Comm::irecv`] return [`Request`] handles completed
-//! by [`Comm::wait`]/[`Comm::waitall`] or polled with [`Comm::test`].
+//! The crate-internal `isend`/`irecv` return request handles completed
+//! by `wait` or polled with `test`.
 //! Data always flows through the same channels as the blocking calls, so
 //! tag matching, FIFO order per (source, tag) and protocol errors behave
 //! identically.
@@ -15,17 +15,16 @@
 //! charge buffer copies to a separate **comm-core timeline**
 //! (`comm_busy`) — the model of the paper's proposed dedicated
 //! communication core. A `wait` resumes the rank clock no earlier than
-//! the comm core finished; [`Comm::overlap_join`] then credits back the
+//! the comm core finished; `overlap_join` then credits back the
 //! communication that computation hid, so [`Comm::comm_seconds`] reports
 //! only the *exposed* communication time.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
 
 use tb_model::NetworkParams;
 
-use crate::Bytes;
+use super::Bytes;
 
 /// A message in flight.
 #[derive(Clone, Debug)]
@@ -36,52 +35,22 @@ pub(crate) struct Msg {
     pub arrival: f64,
 }
 
-/// Reduction operators for [`Comm::allreduce_f64`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReduceOp {
-    Sum,
-    Min,
-    Max,
-}
-
-impl ReduceOp {
-    fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-}
-
 /// Handle of a pending nonblocking operation started by [`Comm::isend`]
-/// or [`Comm::irecv`]. Complete it with [`Comm::wait`]/[`Comm::waitall`]
-/// or poll it with [`Comm::test`].
+/// or [`Comm::irecv`]. Complete it with [`Comm::wait`] or poll it with
+/// [`Comm::test`].
 #[derive(Debug)]
-pub enum Request {
-    Send(SendRequest),
-    Recv(RecvRequest),
+pub(crate) enum Request {
+    /// Pending send. `complete_at` is the comm-core virtual time at
+    /// which packing finished and the send buffer is reusable (0 when
+    /// simulation is off).
+    Send { complete_at: f64 },
+    /// Pending receive. It holds no message itself — matching state
+    /// lives in the communicator's reorder buffer, so dropping a request
+    /// (even after a successful [`Comm::test`]) never loses data.
+    Recv { src: usize, tag: u64 },
 }
 
-/// Pending nonblocking send (see [`Comm::isend`]).
-#[derive(Debug)]
-pub struct SendRequest {
-    /// Comm-core virtual time at which packing finished and the send
-    /// buffer is reusable (0 when simulation is off).
-    complete_at: f64,
-}
-
-/// Pending nonblocking receive (see [`Comm::irecv`]). Holds no message
-/// itself — matching state lives in the communicator's reorder buffer,
-/// so dropping a request (even after a successful [`Comm::test`]) never
-/// loses data.
-#[derive(Debug)]
-pub struct RecvRequest {
-    src: usize,
-    tag: u64,
-}
-
-/// Per-rank communication endpoint. Created by [`crate::Universe`]; one
+/// Per-rank communication endpoint. Created by [`super::Universe`]; one
 /// per rank thread, used mutably (the virtual clock and the tag-matching
 /// buffers are rank-local state).
 pub struct Comm {
@@ -109,7 +78,7 @@ impl Comm {
         self.rank
     }
 
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 
@@ -124,7 +93,7 @@ impl Comm {
     /// [`Comm::test`] compares it with a clock that only `wait`/`advance`
     /// move, so polling cannot observe progress the way it does on real
     /// time.
-    pub fn simulated(&self) -> bool {
+    pub(crate) fn simulated(&self) -> bool {
         self.net.is_some()
     }
 
@@ -136,7 +105,7 @@ impl Comm {
 
     /// Exposed communication seconds so far: virtual clock time spent
     /// inside communication calls. Blocking calls charge their full cost;
-    /// nonblocking waits bracketed by [`Comm::overlap_join`] charge only
+    /// nonblocking waits bracketed by an overlap join charge only
     /// the share computation could not hide. Zero when simulation is off.
     pub fn comm_seconds(&self) -> f64 {
         self.comm_seconds
@@ -144,7 +113,7 @@ impl Comm {
 
     /// Blocking send (buffered — returns once the message is queued; the
     /// virtual clock pays the pack cost).
-    pub fn send(&mut self, dst: usize, tag: u64, data: Bytes) {
+    pub(crate) fn send(&mut self, dst: usize, tag: u64, data: Bytes) {
         assert!(dst < self.size, "send to rank {dst} of {}", self.size);
         assert_ne!(dst, self.rank, "self-send unsupported (use local state)");
         let before = self.clock;
@@ -162,7 +131,7 @@ impl Comm {
 
     /// Blocking receive of the next message from `src` carrying `tag`.
     /// Messages with other tags are buffered for later receives.
-    pub fn recv(&mut self, src: usize, tag: u64) -> Bytes {
+    pub(crate) fn recv(&mut self, src: usize, tag: u64) -> Bytes {
         assert!(src < self.size);
         assert_ne!(src, self.rank);
         let msg = self.take_matching(src, tag);
@@ -205,7 +174,7 @@ impl Comm {
     /// buffered, so posting never deadlocks); in simulation mode the pack
     /// cost runs on the comm-core timeline instead of the caller's clock,
     /// serialized after any copies the core is already doing.
-    pub fn isend(&mut self, dst: usize, tag: u64, data: Bytes) -> Request {
+    pub(crate) fn isend(&mut self, dst: usize, tag: u64, data: Bytes) -> Request {
         assert!(dst < self.size, "isend to rank {dst} of {}", self.size);
         assert_ne!(dst, self.rank, "self-send unsupported (use local state)");
         let (complete_at, arrival) = if let Some(net) = &self.net {
@@ -219,15 +188,15 @@ impl Comm {
         self.to[dst]
             .send(Msg { tag, data, arrival })
             .expect("peer rank hung up");
-        Request::Send(SendRequest { complete_at })
+        Request::Send { complete_at }
     }
 
     /// Nonblocking receive of the next message from `src` carrying `tag`.
     /// Posting records intent only; matching happens in `test`/`wait`.
-    pub fn irecv(&mut self, src: usize, tag: u64) -> Request {
+    pub(crate) fn irecv(&mut self, src: usize, tag: u64) -> Request {
         assert!(src < self.size);
         assert_ne!(src, self.rank);
-        Request::Recv(RecvRequest { src, tag })
+        Request::Recv { src, tag }
     }
 
     /// Poll a request without blocking. A send is complete once its pack
@@ -236,17 +205,17 @@ impl Comm {
     /// `false` is always a legal answer (e.g. before the peer posts).
     /// Matched messages stay in the reorder buffer until a `wait`
     /// consumes them, so an abandoned request loses nothing.
-    pub fn test(&mut self, req: &mut Request) -> bool {
-        match req {
-            Request::Send(s) => self.net.is_none() || s.complete_at <= self.clock,
-            Request::Recv(r) => {
-                if !self.pending[r.src].iter().any(|m| m.tag == r.tag) {
+    pub(crate) fn test(&mut self, req: &Request) -> bool {
+        match *req {
+            Request::Send { complete_at } => self.net.is_none() || complete_at <= self.clock,
+            Request::Recv { src, tag } => {
+                if !self.pending[src].iter().any(|m| m.tag == tag) {
                     // Drain arrived messages into the reorder buffer,
                     // stopping once a match shows up.
                     let mut found = false;
-                    while let Ok(msg) = self.from[r.src].try_recv() {
-                        found = msg.tag == r.tag;
-                        self.pending[r.src].push_back(msg);
+                    while let Ok(msg) = self.from[src].try_recv() {
+                        found = msg.tag == tag;
+                        self.pending[src].push_back(msg);
                         if found {
                             break;
                         }
@@ -255,9 +224,9 @@ impl Comm {
                         return false;
                     }
                 }
-                let msg = self.pending[r.src]
+                let msg = self.pending[src]
                     .iter()
-                    .find(|m| m.tag == r.tag)
+                    .find(|m| m.tag == tag)
                     .expect("matched above");
                 self.net.is_none() || msg.arrival <= self.clock
             }
@@ -267,17 +236,17 @@ impl Comm {
     /// Complete one request: block until done, apply the comm-core time
     /// accounting, and return the payload (`Some` for receives, `None`
     /// for sends).
-    pub fn wait(&mut self, req: Request) -> Option<Bytes> {
+    pub(crate) fn wait(&mut self, req: Request) -> Option<Bytes> {
         let before = self.clock;
         let out = match req {
-            Request::Send(s) => {
+            Request::Send { complete_at } => {
                 if self.net.is_some() {
-                    self.clock = self.clock.max(s.complete_at);
+                    self.clock = self.clock.max(complete_at);
                 }
                 None
             }
-            Request::Recv(r) => {
-                let msg = self.take_matching(r.src, r.tag);
+            Request::Recv { src, tag } => {
+                let msg = self.take_matching(src, tag);
                 if let Some(net) = &self.net {
                     // The comm core unpacks as soon as the message has
                     // arrived (independent of the caller's clock); the
@@ -293,18 +262,12 @@ impl Comm {
         out
     }
 
-    /// Complete every request, in posting order. One entry per request:
-    /// `Some(payload)` for receives, `None` for sends.
-    pub fn waitall(&mut self, reqs: Vec<Request>) -> Vec<Option<Bytes>> {
-        reqs.into_iter().map(|r| self.wait(r)).collect()
-    }
-
     /// Fold `compute_seconds` of modeled computation that ran
     /// concurrently with communication since virtual time `t0` into the
     /// clock, crediting the overlap window back to
     /// [`Comm::comm_seconds`]: only communication that outlasted the
     /// computation stays exposed.
-    pub fn overlap_join(&mut self, t0: f64, compute_seconds: f64) {
+    pub(crate) fn overlap_join(&mut self, t0: f64, compute_seconds: f64) {
         debug_assert!(compute_seconds >= 0.0);
         let comm_done = self.clock;
         self.clock = comm_done.max(t0 + compute_seconds);
@@ -325,14 +288,15 @@ impl Comm {
     /// the paper's model which has no collectives in the inner loop).
     pub fn barrier(&mut self) {
         let entry = self.clock;
-        let t = self.allreduce_f64(entry, ReduceOp::Max);
+        let t = self.allreduce_max(entry);
         if self.net.is_some() {
             self.clock = t;
         }
     }
 
-    /// Allreduce one f64 (gather to rank 0, reduce, broadcast).
-    pub fn allreduce_f64(&mut self, value: f64, op: ReduceOp) -> f64 {
+    /// Maximum of one f64 over all ranks (gather to rank 0, reduce,
+    /// broadcast).
+    fn allreduce_max(&mut self, value: f64) -> f64 {
         const TAG: u64 = u64::MAX - 1;
         if self.size == 1 {
             return value;
@@ -341,24 +305,20 @@ impl Comm {
             let mut acc = value;
             for src in 1..self.size {
                 let b = self.recv(src, TAG);
-                acc = op.apply(acc, f64_from_bytes(&b));
+                acc = acc.max(f64_from_bytes(&b));
             }
             for dst in 1..self.size {
-                self.send(dst, TAG, f64_to_bytes(acc));
+                self.send(dst, TAG, pack_f64s(&[acc]));
             }
             acc
         } else {
-            self.send(0, TAG, f64_to_bytes(value));
+            self.send(0, TAG, pack_f64s(&[value]));
             f64_from_bytes(&self.recv(0, TAG))
         }
     }
 }
 
-pub(crate) fn f64_to_bytes(v: f64) -> Bytes {
-    Arc::from(&v.to_ne_bytes()[..])
-}
-
-pub(crate) fn f64_from_bytes(b: &Bytes) -> f64 {
+fn f64_from_bytes(b: &Bytes) -> f64 {
     let mut buf = [0u8; 8];
     buf.copy_from_slice(&b[..8]);
     f64::from_ne_bytes(buf)
@@ -370,20 +330,32 @@ pub fn pack_f64s(v: &[f64]) -> Bytes {
     v.iter().flat_map(|x| x.to_ne_bytes()).collect()
 }
 
-/// Unpack [`pack_f64s`] output into a caller-provided buffer.
-pub fn unpack_f64s(b: &Bytes, out: &mut [f64]) {
-    assert_eq!(b.len(), out.len() * 8, "payload length mismatch");
-    for (i, chunk) in b.chunks_exact(8).enumerate() {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(chunk);
-        out[i] = f64::from_ne_bytes(buf);
+/// Run `f` on a helper thread and return its result, re-raise its
+/// panic, or fail after ten seconds — leaving the helper detached — so
+/// a test of a would-be hang fails instead of hanging with it.
+#[cfg(test)]
+pub(crate) fn within_ten_seconds<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+        Ok(r) => {
+            handle.join().expect("the helper sent its result");
+            r
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("ended without a result"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("still running after 10 s: hung"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::universe::Universe;
+    use crate::net::Universe;
 
     #[test]
     fn ring_pass_delivers_in_order() {
@@ -391,7 +363,7 @@ mod tests {
             let next = (comm.rank() + 1) % 3;
             let prev = (comm.rank() + 3 - 1) % 3;
             for round in 0..5u64 {
-                comm.send(next, round, f64_to_bytes(comm.rank() as f64 + round as f64));
+                comm.send(next, round, pack_f64s(&[comm.rank() as f64 + round as f64]));
                 let got = f64_from_bytes(&comm.recv(prev, round));
                 assert_eq!(got, prev as f64 + round as f64);
             }
@@ -404,8 +376,8 @@ mod tests {
     fn tag_matching_reorders() {
         Universe::run(2, None, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 7, f64_to_bytes(7.0));
-                comm.send(1, 8, f64_to_bytes(8.0));
+                comm.send(1, 7, pack_f64s(&[7.0]));
+                comm.send(1, 8, pack_f64s(&[8.0]));
             } else {
                 // Receive in the opposite order of sending.
                 assert_eq!(f64_from_bytes(&comm.recv(0, 8)), 8.0);
@@ -415,32 +387,29 @@ mod tests {
         });
     }
 
-    #[test]
-    fn allreduce_ops() {
-        let r = Universe::run(4, None, |comm| {
-            let v = comm.rank() as f64 + 1.0; // 1,2,3,4
-            (
-                comm.allreduce_f64(v, ReduceOp::Sum),
-                comm.allreduce_f64(v, ReduceOp::Min),
-                comm.allreduce_f64(v, ReduceOp::Max),
-            )
-        });
-        for (s, mn, mx) in r {
-            assert_eq!(s, 10.0);
-            assert_eq!(mn, 1.0);
-            assert_eq!(mx, 4.0);
-        }
+    /// Decode [`pack_f64s`] output.
+    pub(super) fn unpack(b: &Bytes) -> Vec<f64> {
+        b.chunks_exact(8)
+            .map(|c| f64::from_ne_bytes(c.try_into().unwrap()))
+            .collect()
     }
 
     #[test]
-    fn pack_unpack_roundtrip() {
+    fn allreduce_max_reaches_every_rank() {
+        let r = Universe::run(4, None, |comm| {
+            let v = comm.rank() as f64 + 1.0; // 1,2,3,4
+            comm.allreduce_max(v)
+        });
+        assert_eq!(r, vec![4.0; 4]);
+    }
+
+    #[test]
+    fn pack_roundtrip() {
         let v: Vec<f64> = (0..17).map(|i| (i as f64).sin()).collect();
         let b = pack_f64s(&v);
         assert_eq!(b.len(), 17 * 8);
         assert_eq!(b[8..16], v[1].to_ne_bytes());
-        let mut out = vec![0.0; 17];
-        unpack_f64s(&b, &mut out);
-        assert_eq!(v, out);
+        assert_eq!(unpack(&b), v);
     }
 
     #[test]
@@ -482,7 +451,7 @@ mod tests {
     fn sendrecv_pairs() {
         Universe::run(2, None, |comm| {
             let peer = 1 - comm.rank();
-            let got = comm.sendrecv(peer, 3, f64_to_bytes(comm.rank() as f64));
+            let got = comm.sendrecv(peer, 3, pack_f64s(&[comm.rank() as f64]));
             assert_eq!(f64_from_bytes(&got), peer as f64);
             0
         });
@@ -492,7 +461,7 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
-    use crate::universe::Universe;
+    use crate::net::Universe;
 
     /// Rank 0 of a two-rank mesh whose peer has dropped its endpoint
     /// (a rank thread that unwound): both directions are hung up.
@@ -516,7 +485,7 @@ mod more_tests {
     #[test]
     #[should_panic(expected = "peer rank hung up")]
     fn send_to_a_dropped_peer_is_a_protocol_error() {
-        comm_with_dropped_peer().send(1, 0, f64_to_bytes(1.0));
+        comm_with_dropped_peer().send(1, 0, pack_f64s(&[1.0]));
     }
 
     #[test]
@@ -530,7 +499,7 @@ mod more_tests {
         Universe::run(2, None, |comm| {
             if comm.rank() == 0 {
                 for i in 0..50u64 {
-                    comm.send(1, 9, f64_to_bytes(i as f64));
+                    comm.send(1, 9, pack_f64s(&[i as f64]));
                 }
             } else {
                 for i in 0..50u64 {
@@ -549,9 +518,8 @@ mod more_tests {
                 let v: Vec<f64> = (0..n).map(|i| i as f64).collect();
                 comm.send(1, 0, pack_f64s(&v));
             } else {
-                let b = comm.recv(0, 0);
-                let mut out = vec![0.0f64; n];
-                unpack_f64s(&b, &mut out);
+                let out = tests::unpack(&comm.recv(0, 0));
+                assert_eq!(out.len(), n);
                 assert_eq!(out[0], 0.0);
                 assert_eq!(out[n - 1], (n - 1) as f64);
             }
@@ -566,8 +534,8 @@ mod more_tests {
         Universe::run(2, None, |comm| {
             let peer = 1 - comm.rank();
             for round in 0..20u64 {
-                comm.send(peer, 1, f64_to_bytes(round as f64));
-                comm.send(peer, 2, f64_to_bytes(-(round as f64)));
+                comm.send(peer, 1, pack_f64s(&[round as f64]));
+                comm.send(peer, 2, pack_f64s(&[-(round as f64)]));
                 assert_eq!(f64_from_bytes(&comm.recv(peer, 2)), -(round as f64));
                 assert_eq!(f64_from_bytes(&comm.recv(peer, 1)), round as f64);
             }
@@ -594,38 +562,29 @@ mod more_tests {
         // Receiver: arrival at 1 ms (pack) + unpack 1 ms = 2 ms.
         assert!((times[1] - 2e-3).abs() < 1e-9, "receiver {}", times[1]);
     }
-
-    #[test]
-    #[should_panic(expected = "payload length mismatch")]
-    fn unpack_length_mismatch_panics() {
-        let b = pack_f64s(&[1.0, 2.0]);
-        let mut out = vec![0.0; 3];
-        unpack_f64s(&b, &mut out);
-    }
 }
 
 #[cfg(test)]
 mod nonblocking_tests {
     use super::*;
-    use crate::universe::Universe;
+    use crate::net::Universe;
 
     #[test]
     fn irecv_matches_tags_out_of_order() {
-        // Receives posted in the opposite order of the sends; waitall
-        // must still pair every payload with its tag.
+        // Receives posted in the opposite order of the sends; waiting on
+        // them in posting order must still pair every payload with its
+        // tag.
         Universe::run(2, None, |comm| {
             if comm.rank() == 0 {
-                let mut reqs = Vec::new();
                 for tag in [7u64, 8, 9] {
-                    reqs.push(comm.isend(1, tag, f64_to_bytes(tag as f64)));
+                    let req = comm.isend(1, tag, pack_f64s(&[tag as f64]));
+                    comm.wait(req);
                 }
-                comm.waitall(reqs);
             } else {
                 let reqs: Vec<Request> = [9u64, 7, 8].iter().map(|&t| comm.irecv(0, t)).collect();
-                let got = comm.waitall(reqs);
-                let vals: Vec<f64> = got
+                let vals: Vec<f64> = reqs
                     .into_iter()
-                    .map(|b| f64_from_bytes(&b.expect("recv request returns a payload")))
+                    .map(|r| f64_from_bytes(&comm.wait(r).expect("recv request returns a payload")))
                     .collect();
                 assert_eq!(vals, vec![9.0, 7.0, 8.0]);
             }
@@ -640,11 +599,11 @@ mod nonblocking_tests {
         Universe::run(2, None, |comm| {
             if comm.rank() == 0 {
                 let _ = comm.recv(1, 0); // go-ahead
-                comm.send(1, 5, f64_to_bytes(5.0));
+                comm.send(1, 5, pack_f64s(&[5.0]));
             } else {
-                let mut req = comm.irecv(0, 5);
-                assert!(!comm.test(&mut req), "nothing sent yet");
-                comm.send(0, 0, f64_to_bytes(0.0)); // go-ahead
+                let req = comm.irecv(0, 5);
+                assert!(!comm.test(&req), "nothing sent yet");
+                comm.send(0, 0, pack_f64s(&[0.0])); // go-ahead
                 let got = comm.wait(req).unwrap();
                 assert_eq!(f64_from_bytes(&got), 5.0);
             }
@@ -657,15 +616,15 @@ mod nonblocking_tests {
         // A successful test() must not lose the message for the wait.
         Universe::run(2, None, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 3, f64_to_bytes(3.0));
+                comm.send(1, 3, pack_f64s(&[3.0]));
                 let _ = comm.recv(1, 4); // keep ranks in lockstep
             } else {
-                let mut req = comm.irecv(0, 3);
-                while !comm.test(&mut req) {
+                let req = comm.irecv(0, 3);
+                while !comm.test(&req) {
                     std::thread::yield_now();
                 }
                 assert_eq!(f64_from_bytes(&comm.wait(req).unwrap()), 3.0);
-                comm.send(0, 4, f64_to_bytes(4.0));
+                comm.send(0, 4, pack_f64s(&[4.0]));
             }
             0
         });
@@ -678,25 +637,25 @@ mod nonblocking_tests {
         // (blocking recv here) still delivers the payload.
         Universe::run(2, None, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 6, f64_to_bytes(6.0));
+                comm.send(1, 6, pack_f64s(&[6.0]));
                 let _ = comm.recv(1, 0); // lockstep
             } else {
                 {
-                    let mut req = comm.irecv(0, 6);
-                    while !comm.test(&mut req) {
+                    let req = comm.irecv(0, 6);
+                    while !comm.test(&req) {
                         std::thread::yield_now();
                     }
                     // `req` is abandoned here, never waited.
                 }
                 assert_eq!(f64_from_bytes(&comm.recv(0, 6)), 6.0);
-                comm.send(0, 0, f64_to_bytes(0.0));
+                comm.send(0, 0, pack_f64s(&[0.0]));
             }
             0
         });
     }
 
     #[test]
-    fn waitall_over_mixed_directions() {
+    fn waiting_over_mixed_directions() {
         // Both ranks keep sends and receives of several tags in one
         // request batch; payloads must land on the right tags.
         Universe::run(2, None, |comm| {
@@ -704,11 +663,11 @@ mod nonblocking_tests {
             let me = comm.rank() as f64;
             let reqs = vec![
                 comm.irecv(peer, 11),
-                comm.isend(peer, 12, f64_to_bytes(me + 12.0)),
+                comm.isend(peer, 12, pack_f64s(&[me + 12.0])),
                 comm.irecv(peer, 12),
-                comm.isend(peer, 11, f64_to_bytes(me + 11.0)),
+                comm.isend(peer, 11, pack_f64s(&[me + 11.0])),
             ];
-            let got = comm.waitall(reqs);
+            let got: Vec<_> = reqs.into_iter().map(|r| comm.wait(r)).collect();
             assert!(got[1].is_none() && got[3].is_none(), "sends yield None");
             let other = peer as f64;
             assert_eq!(f64_from_bytes(got[0].as_ref().unwrap()), other + 11.0);
@@ -723,8 +682,8 @@ mod nonblocking_tests {
         // source must each get their own message regardless of order.
         Universe::run(2, None, |comm| {
             if comm.rank() == 0 {
-                comm.send(1, 21, f64_to_bytes(21.0));
-                comm.send(1, 20, f64_to_bytes(20.0));
+                comm.send(1, 21, pack_f64s(&[21.0]));
+                comm.send(1, 20, pack_f64s(&[20.0]));
             } else {
                 let req = comm.irecv(0, 20);
                 // Blocking recv of 21 buffers nothing (21 arrives first).
@@ -747,8 +706,7 @@ mod nonblocking_tests {
                 // 1000 B: pack 1 ms (comm core), wire 1 ms + 1 ms latency.
                 let req = comm.isend(1, 0, pack_f64s(&vec![0.0; 125]));
                 assert_eq!(comm.time(), 0.0, "posting must not advance the clock");
-                let mut req = req;
-                assert!(!comm.test(&mut req), "pack still running at t = 0");
+                assert!(!comm.test(&req), "pack still running at t = 0");
                 comm.wait(req);
                 // Clock resumes at pack completion.
                 assert!((comm.time() - 1e-3).abs() < 1e-12, "{}", comm.time());
@@ -832,10 +790,10 @@ mod nonblocking_tests {
         };
         Universe::run(2, Some(net), |comm| {
             if comm.rank() == 0 {
-                let mut req = comm.isend(1, 0, pack_f64s(&vec![0.0; 125]));
-                assert!(!comm.test(&mut req));
+                let req = comm.isend(1, 0, pack_f64s(&vec![0.0; 125]));
+                assert!(!comm.test(&req));
                 comm.advance(2e-3); // compute past the 1 ms pack
-                assert!(comm.test(&mut req));
+                assert!(comm.test(&req));
                 comm.wait(req);
                 assert!((comm.time() - 2e-3).abs() < 1e-12, "wait is then free");
             } else {

@@ -1,18 +1,16 @@
-//! # tb-net — in-process message passing with virtual-time simulation
+//! In-process message passing with virtual-time simulation.
 //!
 //! The paper's distributed experiments use plain blocking MPI point-to-
 //! point halo exchanges ("no explicit or implicit overlapping of
-//! communication and computation", §2.2). This crate provides the same
+//! communication and computation", §2.2). This module provides the same
 //! semantics without an MPI installation:
 //!
 //! * [`Universe`] — spawns `n` ranks as threads and wires a full mesh of
 //!   lossless FIFO channels,
-//! * [`Comm`] — blocking send/recv with tag matching, barrier,
-//!   allreduce — the subset of MPI the solver needs — plus
-//!   nonblocking [`Comm::isend`]/[`Comm::irecv`] returning [`Request`]
-//!   handles (`test`/`wait`/`waitall`), whose buffer copies run on a
-//!   modeled dedicated comm-core timeline so that
-//!   [`Comm::overlap_join`] can report how much communication the
+//! * [`Comm`] — blocking send/recv with tag matching and a barrier —
+//!   the subset of MPI the solver needs — plus nonblocking sends and
+//!   receives, whose buffer copies run on a modeled dedicated comm-core
+//!   timeline so that the solver can report how much communication the
 //!   computation hid,
 //! * [`CartComm`] — 3D Cartesian rank topology (our `MPI_Cart_create`),
 //! * an optional **virtual clock** per rank, priced by
@@ -28,14 +26,14 @@
 //! protocol bugs (mismatched tags, wrong neighbors, deadlocks) surface in
 //! tests exactly as they would on a real cluster.
 
-#![forbid(unsafe_code)]
-
-pub mod cart;
+mod cart;
 pub mod comm;
-pub mod universe;
+mod universe;
 
+pub(crate) use cart::coords_of;
 pub use cart::CartComm;
-pub use comm::{Comm, RecvRequest, ReduceOp, Request, SendRequest};
+pub use comm::Comm;
+pub(crate) use comm::Request;
 pub use universe::Universe;
 
 /// A message payload: an immutable, reference-counted byte buffer.

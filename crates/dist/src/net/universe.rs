@@ -5,7 +5,7 @@ use std::sync::mpsc::channel;
 
 use tb_model::NetworkParams;
 
-use crate::comm::{Comm, Msg};
+use super::comm::{Comm, Msg};
 
 /// A fixed-size group of in-process ranks.
 pub struct Universe;
@@ -18,7 +18,10 @@ impl Universe {
     /// communication operation.
     ///
     /// Panics in any rank propagate (the scope unwinds) — a rank failure
-    /// is a test failure.
+    /// is a test failure. A panicking rank hangs up its channels as it
+    /// unwinds, so a peer blocked on it fails with "peer rank hung up"
+    /// instead of waiting forever; a rank that returns normally keeps
+    /// them, and its peers may still send to it.
     pub fn run<R, F>(n: usize, net: Option<NetworkParams>, f: F) -> Vec<R>
     where
         R: Send,
@@ -57,13 +60,31 @@ impl Universe {
         std::thread::scope(|scope| {
             let handles: Vec<_> = comms
                 .iter_mut()
-                .map(|comm| scope.spawn(move || f(comm)))
+                .map(|comm| {
+                    scope.spawn(move || {
+                        let rank = HangUpOnPanic(comm);
+                        f(&mut *rank.0)
+                    })
+                })
                 .collect();
             for (slot, h) in out.iter_mut().zip(handles) {
                 *slot = Some(h.join().expect("rank panicked"));
             }
         });
         out.into_iter().map(|r| r.unwrap()).collect()
+    }
+}
+
+/// A rank's [`Comm`] while the rank runs: dropped during a panic, it
+/// drops the rank's channel ends.
+struct HangUpOnPanic<'a>(&'a mut Comm);
+
+impl Drop for HangUpOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.to.clear();
+            self.0.from.clear();
+        }
     }
 }
 
@@ -75,11 +96,10 @@ mod tests {
     fn single_rank_universe() {
         let r = Universe::run(1, None, |comm| {
             assert_eq!(comm.size(), 1);
-            assert_eq!(comm.rank(), 0);
             comm.barrier();
-            comm.allreduce_f64(3.0, crate::ReduceOp::Sum)
+            comm.rank()
         });
-        assert_eq!(r, vec![3.0]);
+        assert_eq!(r, vec![0]);
     }
 
     #[test]
@@ -92,11 +112,14 @@ mod tests {
     fn many_ranks_oversubscribed() {
         // Far more ranks than cores: must still complete (channel recv
         // blocks, so oversubscription cannot livelock).
-        let r = Universe::run(64, None, |comm| {
+        let net = NetworkParams::ideal();
+        let r = Universe::run(64, Some(net), |comm| {
+            comm.advance(comm.rank() as f64);
             comm.barrier();
-            comm.allreduce_f64(1.0, crate::ReduceOp::Sum)
+            comm.time()
         });
-        assert!(r.iter().all(|&v| v == 64.0));
+        // The barrier's maximum reached every rank.
+        assert!(r.iter().all(|&t| t == 63.0));
     }
 
     #[test]
@@ -106,9 +129,36 @@ mod tests {
             if comm.rank() == 1 {
                 panic!("boom");
             }
-            // Rank 0 does not wait on rank 1 (panic must still propagate
-            // through join).
+            // Rank 0 returns without waiting on rank 1: the panic
+            // propagates through the join.
             0
         });
+    }
+
+    #[test]
+    fn a_panicking_rank_fails_its_blocked_peers() {
+        // Rank 1 panics while rank 0 is blocked receiving from it. Rank
+        // 1's channels hang up as it unwinds, so rank 0's receive fails
+        // with "peer rank hung up" and `Universe::run` propagates rank
+        // 1's panic. Were rank 0 left waiting, the watchdog would fail
+        // this test instead of hanging.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (failed, peer_error) = crate::net::comm::within_ten_seconds(|| {
+            let peer_error = std::sync::Mutex::new(String::new());
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                Universe::run(2, None, |comm| {
+                    if comm.rank() == 1 {
+                        panic!("boom");
+                    }
+                    let err = catch_unwind(AssertUnwindSafe(|| comm.recv(1, 0)))
+                        .expect_err("rank 1 sends nothing");
+                    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                    *peer_error.lock().unwrap() = msg;
+                })
+            }));
+            (run.is_err(), peer_error.into_inner().unwrap())
+        });
+        assert!(failed, "the rank panic must propagate");
+        assert!(peer_error.contains("peer rank hung up"), "{peer_error:?}");
     }
 }

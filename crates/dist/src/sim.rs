@@ -11,10 +11,10 @@
 use tb_grid::{init, norm, Dims3, Grid3, Region3};
 use tb_model::scaling::balanced_dims;
 use tb_model::{ScalingConfig, ScalingPoint};
-use tb_net::{CartComm, Universe};
 use tb_stencil::Jacobi6;
 
 use crate::decomp::Decomposition;
+use crate::net::{CartComm, Universe};
 use crate::solver::{serial_reference, DistSolver, LocalExec};
 
 /// Executed rank counts are capped here so oversubscribed hosts stay

@@ -88,7 +88,6 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use tb_grid::{Grid3, GridPair, Real, Region3};
-use tb_net::{Bytes, CartComm, Comm, Request};
 use tb_runtime::{PooledGrid, Runtime};
 use tb_stencil::{
     baseline, diamond, kernel, pipeline, DiamondConfig, Jacobi6, PipelineConfig, RunStats,
@@ -98,6 +97,7 @@ use tb_sync::Handoff;
 
 use crate::decomp::{annulus_slabs, Decomposition, LocalDomain};
 use crate::halo::{copy_region, exchange_regions, pack_region, repack_region, unpack_region};
+use crate::net::{Bytes, CartComm, Comm, Request};
 
 /// How a rank advances its local box between exchanges.
 #[derive(Clone, Debug)]
@@ -162,6 +162,9 @@ pub enum ExchangeMode {
 /// cycle's per-sweep domains, see `advance_sweeps` — so the crate holds
 /// no `unsafe` code.
 pub struct DistSolver<T: Real, Op: StencilOp<T>> {
+    /// The decomposition's process grid, which the communicator must
+    /// match.
+    pgrid: [usize; 3],
     local: LocalDomain,
     pair: GridPair<T>,
     exec: LocalExec,
@@ -171,7 +174,6 @@ pub struct DistSolver<T: Real, Op: StencilOp<T>> {
     h: usize,
     /// Buffer index (0 = A, 1 = B) holding the current state.
     parity: usize,
-    sweeps_done: usize,
     /// Staging grid for the overlapped exchange: boundary-shell snapshot
     /// plus unpacked ghosts, so the comm side never touches cells the
     /// compute side is updating. Acquired from the runtime's
@@ -260,6 +262,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         copy_region(global, &local.region, &mut g, &Region3::whole(local.dims));
         let op = op.restricted(&local.region);
         Ok(Self {
+            pgrid: dec.pgrid(),
             local,
             pair: GridPair::from_initial(g),
             exec,
@@ -267,7 +270,6 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
             op,
             h: dec.h(),
             parity: 0,
-            sweeps_done: 0,
             scratch: None,
             spares: Spares::default(),
             virtual_lups: None,
@@ -291,23 +293,8 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         self
     }
 
-    /// This rank's view of the decomposition.
-    pub fn local(&self) -> &LocalDomain {
-        &self.local
-    }
-
-    /// Global sweeps completed so far.
-    pub fn sweeps_done(&self) -> usize {
-        self.sweeps_done
-    }
-
-    /// Total payload bytes sent (halo + gather).
-    pub fn bytes_sent(&self) -> u64 {
-        self.halo_bytes_sent + self.gather_bytes_sent
-    }
-
     /// The grid holding the current state (local coordinates).
-    pub fn current_grid(&self) -> &Grid3<T> {
+    fn current_grid(&self) -> &Grid3<T> {
         if self.parity == 0 {
             self.pair.a()
         } else {
@@ -355,7 +342,8 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     ///
     /// # Panics
     /// Panics if the local execution is pipelined and the runtime has
-    /// fewer workers than the pipeline needs.
+    /// fewer workers than the pipeline needs, or if `cart` does not
+    /// match the decomposition (see [`DistSolver::gather_global`]).
     pub fn run_sweeps_on(&mut self, rt: &Runtime, cart: &mut CartComm, sweeps: usize) -> RunStats {
         self.run_cycles(rt, cart, sweeps, None)
     }
@@ -371,6 +359,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         sweeps: usize,
         mut halos_in: Option<&mut (dyn FnMut(usize) -> bool + '_)>,
     ) -> RunStats {
+        self.assert_matches(cart);
         let (threads, team) = self.exec.team();
         assert!(
             rt.threads() >= threads,
@@ -400,7 +389,6 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                 }
             }
             self.parity = c % 2;
-            self.sweeps_done += c;
             remaining -= c;
         }
         RunStats::new((self.local.interior.count() * sweeps) as u64, t0.elapsed())
@@ -596,6 +584,10 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// assembled global grid on rank 0 and `None` elsewhere.
     /// Collective — all ranks must call it. `global_initial` supplies
     /// the (never-updated) physical boundary values and the dims.
+    ///
+    /// # Panics
+    /// Panics before sending anything unless `cart` has the
+    /// decomposition's process grid and this rank's coordinates in it.
     pub fn gather_global(
         &mut self,
         cart: &mut CartComm,
@@ -603,6 +595,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         global_initial: &Grid3<T>,
     ) -> Option<Grid3<T>> {
         const TAG: u64 = u64::MAX - 7;
+        self.assert_matches(cart);
         let local_owned = self.local.to_local(&self.local.owned);
         if cart.comm.rank() != 0 {
             let mine = pack_region(self.current_grid(), &local_owned);
@@ -623,6 +616,20 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
             unpack_region(&mut out, &owned, &payload);
         }
         Some(out)
+    }
+
+    /// Refuse a communicator laid out differently from the
+    /// decomposition: its neighbours would not be this rank's, and the
+    /// exchange would overrun the box or wait forever.
+    fn assert_matches(&self, cart: &CartComm) {
+        assert!(
+            cart.dims() == self.pgrid && cart.coords() == self.local.coords,
+            "communicator {:?} at {:?} does not match the decomposition's process grid {:?} at {:?}",
+            cart.dims(),
+            cart.coords(),
+            self.pgrid,
+            self.local.coords
+        );
     }
 }
 
@@ -720,7 +727,7 @@ impl ExchangeDrive {
     /// `scratch`.
     fn advance<T: Real>(&mut self, comm: &mut Comm, scratch: &mut Grid3<T>, block: bool) -> bool {
         while self.dim < 3 {
-            while let Some((_, _, req)) = self.recvs[self.dim].front_mut() {
+            while let Some((_, _, req)) = self.recvs[self.dim].front() {
                 if !block && !comm.test(req) {
                     return false;
                 }
@@ -839,8 +846,8 @@ pub fn serial_reference<T: Real>(global: &Grid3<T>, sweeps: usize) -> Grid3<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::Universe;
     use tb_grid::{init, norm, Dims3};
-    use tb_net::Universe;
     use tb_stencil::config::GridScheme;
     use tb_stencil::{Avg27, Jacobi7, VarCoeff7};
     use tb_sync::SyncMode;
@@ -857,7 +864,7 @@ mod tests {
             let stats = s.run_sweeps(&mut cart, sweeps);
             assert_eq!(
                 stats.cell_updates,
-                (s.local().interior.count() * sweeps) as u64
+                (s.local.interior.count() * sweeps) as u64
             );
             if let Some(got) = s.gather_global(&mut cart, &dec, g) {
                 norm::assert_grids_identical(w, &got, &Region3::interior_of(dims), "unit");
@@ -1204,7 +1211,7 @@ mod tests {
         Universe::run(2, None, move |comm| {
             if comm.rank() == 1 {
                 // Bogus 8-byte message under rank 0's -x ghost tag.
-                comm.send(0, 0, tb_net::comm::pack_f64s(&[1.0]));
+                comm.send(0, 0, crate::net::comm::pack_f64s(&[1.0]));
                 return 0;
             }
             let mut cart = CartComm::new(comm, pgrid);
@@ -1231,12 +1238,11 @@ mod tests {
             s.run_sweeps(&mut cart, 4);
             let halo = s.halo_bytes_sent;
             let _ = s.gather_global(&mut cart, &dec, g);
-            (halo, s.halo_bytes_sent, s.gather_bytes_sent, s.bytes_sent())
+            (halo, s.halo_bytes_sent, s.gather_bytes_sent)
         });
-        for (halo_before, halo_after, gather, total) in bytes.clone() {
+        for (halo_before, halo_after, _) in bytes.clone() {
             assert_eq!(halo_before, halo_after, "gather must not count as halo");
             assert!(halo_after > 0, "two ranks exchange every cycle");
-            assert_eq!(total, halo_after + gather);
         }
         // Only the non-root rank ships its box to rank 0.
         assert_eq!(bytes[0].2, 0);
@@ -1330,7 +1336,7 @@ mod tests {
                     } else {
                         (0, -1)
                     };
-                    let local = s.local().clone();
+                    let local = s.local.clone();
                     let mut face_bytes = 0;
                     // Per cycle: the face size and the spare slot toward
                     // the neighbour (address, length).
@@ -1407,6 +1413,45 @@ mod tests {
             };
             assert!(err.contains("exceeds halo width"), "{err}");
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "communicator [1, 2, 1] at [0, 1, 0] does not match \
+                               the decomposition's process grid [2, 1, 1] at [1, 0, 0]")]
+    fn communicator_mismatching_the_decomposition_rejected() {
+        // A [2, 1, 1] split run on a [1, 2, 1] communicator: both ranks
+        // refuse before sending anything, in the sweeps and in the
+        // gather, and rank 1's refusal is re-raised here. A watchdog
+        // fails the test should a rank wait on a neighbour instead.
+        let refusals = crate::net::comm::within_ten_seconds(|| {
+            let dims = Dims3::cube(12);
+            let dec = Decomposition::new(dims, [2, 1, 1], 2);
+            let global: Grid3<f64> = init::random(dims, 4);
+            let (g, dec) = (&global, &dec);
+            Universe::run(2, None, move |comm| {
+                let mut cart = CartComm::new(comm, [1, 2, 1]);
+                let coords = dec.coords_of(cart.comm.rank());
+                let mut s =
+                    DistSolver::from_global_op(dec, coords, g, LocalExec::Seq, Jacobi6).unwrap();
+                let refusal = |f: &mut dyn FnMut()| {
+                    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                        .expect_err("a mismatched communicator must be refused");
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default()
+                };
+                let run = refusal(&mut || {
+                    s.run_sweeps(&mut cart, 2);
+                });
+                let gather = refusal(&mut || {
+                    s.gather_global(&mut cart, dec, g);
+                });
+                assert!(run == gather, "the sweeps and the gather refuse alike");
+                run
+            })
+        });
+        panic!("{}", refusals[1]);
     }
 
     #[test]

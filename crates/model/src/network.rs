@@ -9,9 +9,9 @@
 //! distributed solver models explicitly.
 //!
 //! Two consumers price messages with it: the analytic scaling model
-//! ([`NetworkParams::halo_message_time`]) and tb-net's virtual clock,
-//! which charges [`NetworkParams::pack_time`] on each side of a message
-//! and [`NetworkParams::message_time`] in between.
+//! ([`NetworkParams::halo_message_time`]) and the virtual clock of
+//! `tb_dist::net`, which charges [`NetworkParams::pack_time`] on each
+//! side of a message and [`NetworkParams::message_time`] in between.
 
 /// Point-to-point network parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]

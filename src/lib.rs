@@ -16,8 +16,7 @@
 //! | [`stencil`] | **stencil operators**, baselines, **pipelined temporal blocking**, wavefront comparator |
 //! | [`model`] | Eq. 2 roofline, §1.4 diagnostic model, Fig. 5 halo model, Fig. 6 scaling model — all fed by per-operator code balance |
 //! | [`membench`] | STREAM COPY/SCALE/ADD/TRIAD + machine calibration |
-//! | [`net`] | in-process ranks, communicator, Cartesian topology, virtual-time network priced by [`model::NetworkParams`] |
-//! | [`dist`] | domain decomposition, multi-layer halo exchange, operator-generic distributed/hybrid solver (sync or overlapped exchange; a runtime with a comm worker drives the overlapped one), cluster sim |
+//! | [`dist`] | in-process ranks and their communicator on a Cartesian topology, with a virtual-time network priced by [`model::NetworkParams`] ([`net`] = `dist::net`); domain decomposition, multi-layer halo exchange, operator-generic distributed/hybrid solver (sync or overlapped exchange; a runtime with a comm worker drives the overlapped one), cluster sim |
 //!
 //! ## The operator layer
 //!
@@ -109,10 +108,10 @@
 #![forbid(unsafe_code)]
 
 pub use tb_dist as dist;
+pub use tb_dist::net;
 pub use tb_grid as grid;
 pub use tb_membench as membench;
 pub use tb_model as model;
-pub use tb_net as net;
 pub use tb_plan as plan;
 pub use tb_runtime as runtime;
 pub use tb_stencil as stencil;

@@ -1,4 +1,5 @@
-//! Distributed end-to-end tests spanning tb-net, tb-dist and tb-stencil.
+//! Distributed end-to-end tests spanning tb-dist (ranks, decomposition,
+//! halo exchange) and tb-stencil.
 
 use temporal_blocking::dist::{solver, Decomposition, DistSolver, ExchangeMode, LocalExec};
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Real, Region3};
