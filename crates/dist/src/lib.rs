@@ -12,8 +12,9 @@
 //!
 //! * [`net`] — the ranks and their communicator: in-process ranks
 //!   ([`net::Universe`]) on a Cartesian topology ([`net::CartComm`]),
-//!   blocking and nonblocking point-to-point messages, and an optional
-//!   virtual clock priced by [`tb_model::NetworkParams`];
+//!   point-to-point messages with a nonblocking receive probe, and an
+//!   optional wall-time pacing of the wire priced by
+//!   [`tb_model::NetworkParams`];
 //! * [`Decomposition`] — splits the global grid over a `px × py × pz`
 //!   rank grid into **overlapping** subdomains: every rank stores its
 //!   owned box plus `h` ghost layers on each internal face;
@@ -36,8 +37,8 @@
 //!   the compute thread polls inline otherwise. See "Overlap" below;
 //! * [`solver::serial_reference`] — the verification oracle;
 //! * [`sim`] — the Fig. 6 substitution: execute the real protocol on a
-//!   small grid under the virtual-time network while predicting the
-//!   nominal point with [`tb_model::ScalingConfig`];
+//!   small grid on the paced wire while predicting the nominal point
+//!   with [`tb_model::ScalingConfig`];
 //! * the §3 outlook — one pipeline per cache group instead of one
 //!   node-wide pipeline, the ccNUMA fix the paper proposes — is the same
 //!   decomposition run in-process: a `[1, 1, n]` [`DistSolver`] split,
@@ -87,11 +88,10 @@
 //! finishes those `m` sweeps' shells and runs the remaining `c − m`
 //! sweeps whole, exactly as [`ExchangeMode::Sync`] would. `m` is a
 //! matter of timing; the result is not (same writes for every `m`).
-//! Under a simulated network (a [`tb_model::NetworkParams`] virtual
-//! clock) arrival is virtual time, which only `wait` resolves, so the
-//! trapezoid runs all `c` sweeps there and the virtual clocks of the
-//! inline and the comm-worker drive agree. See [`solver`] for the
-//! details.
+//! On a wire paced by [`tb_model::NetworkParams`] the halos land their
+//! `message_time` after the send, so a slow preset keeps the trapezoid
+//! going longer — all `c` sweeps once the latency outlasts it. See
+//! [`solver`] for the details.
 //!
 //! **When overlap cannot hide traffic:** hiding is bounded by the
 //! trapezoid, whose core shrinks by `c × RADIUS` per neighbour face. A
@@ -102,7 +102,7 @@
 //! constraint binds from the other side, so `h` trades message count
 //! against overlap window. The repo benchmark's `dist.exchange_share`
 //! and `dist_overlap_mlups` / `dist_mlups` measure what is hidden on a
-//! real run; `fig6 --mode sim` does under the virtual network.
+//! real run, on the unpaced wire.
 
 #![forbid(unsafe_code)]
 

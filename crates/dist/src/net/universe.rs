@@ -14,14 +14,17 @@ impl Universe {
     /// Spawn `n` rank threads, give each a [`Comm`], run `f` on every
     /// rank and return the per-rank results in rank order.
     ///
-    /// `net = Some(...)` enables virtual-time accounting on every
-    /// communication operation.
+    /// `net = Some(...)` paces the wire: every message is delivered
+    /// [`NetworkParams::message_time`] after its send (see
+    /// [`super::comm`]).
     ///
     /// Panics in any rank propagate (the scope unwinds) — a rank failure
-    /// is a test failure. A panicking rank hangs up its channels as it
-    /// unwinds, so a peer blocked on it fails with "peer rank hung up"
-    /// instead of waiting forever; a rank that returns normally keeps
-    /// them, and its peers may still send to it.
+    /// is a test failure. A rank that ends hangs up its sending channels,
+    /// so a peer blocked on it fails with "peer rank hung up" instead of
+    /// waiting forever; messages it queued before it ended are still
+    /// delivered. A rank that returns normally keeps its receiving
+    /// channels, so its peers may still send to it; a panicking rank
+    /// drops them too.
     pub fn run<R, F>(n: usize, net: Option<NetworkParams>, f: F) -> Vec<R>
     where
         R: Send,
@@ -48,9 +51,6 @@ impl Universe {
                 to,
                 from,
                 pending: (0..n).map(|_| VecDeque::new()).collect(),
-                clock: 0.0,
-                comm_busy: 0.0,
-                comm_seconds: 0.0,
                 net,
             })
             .collect();
@@ -62,7 +62,7 @@ impl Universe {
                 .iter_mut()
                 .map(|comm| {
                     scope.spawn(move || {
-                        let rank = HangUpOnPanic(comm);
+                        let rank = HangUpOnExit(comm);
                         f(&mut *rank.0)
                     })
                 })
@@ -75,14 +75,15 @@ impl Universe {
     }
 }
 
-/// A rank's [`Comm`] while the rank runs: dropped during a panic, it
-/// drops the rank's channel ends.
-struct HangUpOnPanic<'a>(&'a mut Comm);
+/// A rank's [`Comm`] while the rank runs: dropped when the rank ends,
+/// it drops the rank's sending channel ends, and during a panic the
+/// receiving ones too.
+struct HangUpOnExit<'a>(&'a mut Comm);
 
-impl Drop for HangUpOnPanic<'_> {
+impl Drop for HangUpOnExit<'_> {
     fn drop(&mut self) {
+        self.0.to.clear();
         if std::thread::panicking() {
-            self.0.to.clear();
             self.0.from.clear();
         }
     }
@@ -112,14 +113,11 @@ mod tests {
     fn many_ranks_oversubscribed() {
         // Far more ranks than cores: must still complete (channel recv
         // blocks, so oversubscription cannot livelock).
-        let net = NetworkParams::ideal();
-        let r = Universe::run(64, Some(net), |comm| {
-            comm.advance(comm.rank() as f64);
+        let r = Universe::run(64, Some(NetworkParams::ideal()), |comm| {
             comm.barrier();
-            comm.time()
+            comm.rank()
         });
-        // The barrier's maximum reached every rank.
-        assert!(r.iter().all(|&t| t == 63.0));
+        assert_eq!(r, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -139,16 +137,33 @@ mod tests {
     fn a_panicking_rank_fails_its_blocked_peers() {
         // Rank 1 panics while rank 0 is blocked receiving from it. Rank
         // 1's channels hang up as it unwinds, so rank 0's receive fails
-        // with "peer rank hung up" and `Universe::run` propagates rank
-        // 1's panic. Were rank 0 left waiting, the watchdog would fail
-        // this test instead of hanging.
+        // and `Universe::run` propagates rank 1's panic.
+        let (failed, peer_error) = blocked_peer_error(|| panic!("boom"));
+        assert!(failed, "the rank panic must propagate");
+        assert!(peer_error.contains("peer rank hung up"), "{peer_error:?}");
+    }
+
+    #[test]
+    fn a_returning_rank_fails_its_blocked_peers() {
+        // Rank 1 returns while rank 0 is blocked receiving from it: its
+        // sending channels hang up, so rank 0's receive fails too.
+        let (failed, peer_error) = blocked_peer_error(|| ());
+        assert!(!failed, "both ranks returned");
+        assert!(peer_error.contains("peer rank hung up"), "{peer_error:?}");
+    }
+
+    /// Rank 0's error from `recv(1, 0)` while rank 1 runs `peer` and
+    /// sends nothing: the peer must fail it rather than hang it (the
+    /// watchdog fails the test on a hang), and whether `Universe::run`
+    /// failed.
+    fn blocked_peer_error(peer: fn()) -> (bool, String) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let (failed, peer_error) = crate::net::comm::within_ten_seconds(|| {
+        crate::net::comm::within_ten_seconds(move || {
             let peer_error = std::sync::Mutex::new(String::new());
             let run = catch_unwind(AssertUnwindSafe(|| {
                 Universe::run(2, None, |comm| {
                     if comm.rank() == 1 {
-                        panic!("boom");
+                        return peer();
                     }
                     let err = catch_unwind(AssertUnwindSafe(|| comm.recv(1, 0)))
                         .expect_err("rank 1 sends nothing");
@@ -157,8 +172,6 @@ mod tests {
                 })
             }));
             (run.is_err(), peer_error.into_inner().unwrap())
-        });
-        assert!(failed, "the rank panic must propagate");
-        assert!(peer_error.contains("peer rank hung up"), "{peer_error:?}");
+        })
     }
 }

@@ -4,9 +4,10 @@
 //! The substitution (DESIGN.md §4): predict the *nominal* point with
 //! [`ScalingConfig::predict`], and separately **execute** the full
 //! decomposition + multi-layer exchange + solver on a scaled-down grid
-//! with real in-process ranks under the virtual-time network, verifying
-//! the result bitwise against the serial oracle. A simulated point is
-//! only reported when the executed protocol proves out.
+//! with real in-process ranks on a wire paced by the curve's
+//! [`tb_model::NetworkParams`], verifying the result bitwise against the
+//! serial oracle. A simulated point is only reported when the executed
+//! protocol proves out.
 
 use tb_grid::{init, norm, Dims3, Grid3, Region3};
 use tb_model::scaling::balanced_dims;
@@ -47,8 +48,6 @@ pub struct SimOutcome {
     pub exec_ranks: usize,
     /// Whether the executed run matched the serial reference bitwise.
     pub verified: bool,
-    /// Virtual time (seconds) the executed run accumulated on rank 0.
-    pub virtual_time: f64,
     /// Halo payload bytes the executed ranks sent, summed.
     pub halo_bytes: u64,
     /// Final-gather payload bytes the executed ranks sent, summed.
@@ -84,17 +83,15 @@ pub fn simulate(spec: &SimSpec) -> SimOutcome {
             Some(got) => norm::count_mismatches(w, &got, &Region3::interior_of(dims)) == 0,
             None => true,
         };
-        cart.comm.barrier();
-        (ok, cart.comm.time(), s.halo_bytes_sent, s.gather_bytes_sent)
+        (ok, s.halo_bytes_sent, s.gather_bytes_sent)
     });
 
     SimOutcome {
         ranks,
         exec_ranks,
         verified: per_rank.iter().all(|&(ok, ..)| ok),
-        virtual_time: per_rank[0].1,
-        halo_bytes: per_rank.iter().map(|r| r.2).sum(),
-        gather_bytes: per_rank.iter().map(|r| r.3).sum(),
+        halo_bytes: per_rank.iter().map(|r| r.1).sum(),
+        gather_bytes: per_rank.iter().map(|r| r.2).sum(),
         point,
     }
 }
@@ -128,10 +125,6 @@ mod tests {
         assert_eq!(out.ranks, 8);
         assert_eq!(out.exec_ranks, 8);
         assert!(out.point.glups > 0.0);
-        assert!(
-            out.virtual_time > 0.0,
-            "virtual clock must advance through the exchange"
-        );
         assert!(out.halo_bytes > 0, "ranks exchanged halos");
         assert!(out.gather_bytes > 0, "non-root ranks shipped their boxes");
     }

@@ -26,7 +26,7 @@
 //!   the owned box plus the ghost layers later sweeps of the cycle still
 //!   read.
 //! * [`ExchangeMode::Overlapped`] — the paper's §2.3 proposal, run only
-//!   as deep as it pays: post the `irecv`s, `isend` the boundary slabs,
+//!   as deep as it pays: send the boundary slabs (sends are buffered)
 //!   and advance the **interior trapezoid** while the transfers are in
 //!   flight — sweep `j` updates [`LocalDomain::sweep_core`], the owned
 //!   box moved in by `j × RADIUS` on every face that has a neighbour.
@@ -49,7 +49,7 @@
 //!   waits and the ghost forwarding there, coupled to the compute side
 //!   by a [`Handoff`] instead of a barrier — "halos in?" is its ready
 //!   flag; without one the compute thread polls the exchange between
-//!   its own dispatches.
+//!   its own dispatches ([`Comm`]'s `arrived` probe).
 //!
 //! ## What the overlapped cycle costs, and why it stops early
 //!
@@ -73,10 +73,11 @@
 //! whole `Sync` cycle — `Seq` runs every remaining sweep as one
 //! dispatch (see `advance_sweeps`).
 //!
-//! Under a simulated network (a [`tb_model::NetworkParams`] virtual
-//! clock) "landed" is a question about virtual time that only `wait`
-//! answers, so there the trapezoid always runs to `m = c`; virtual
-//! accounting is deterministic and identical for both drives.
+//! On a paced wire (a [`tb_model::NetworkParams`] preset given to
+//! `Universe::run`) a message lands its `message_time` after the send,
+//! in wall time, so a slow preset keeps the trapezoid going for as many
+//! sweeps as the exchange takes — to `m = c` once the latency outlasts
+//! the whole trapezoid.
 //!
 //! Overlap can only hide traffic that the interior compute outlasts: the
 //! core shrinks by `c × RADIUS` per neighbour face, so a rank squeezed
@@ -97,7 +98,7 @@ use tb_sync::Handoff;
 
 use crate::decomp::{annulus_slabs, Decomposition, LocalDomain};
 use crate::halo::{copy_region, exchange_regions, pack_region, repack_region, unpack_region};
-use crate::net::{Bytes, CartComm, Comm, Request};
+use crate::net::{Bytes, CartComm, Comm};
 
 /// How a rank advances its local box between exchanges.
 #[derive(Clone, Debug)]
@@ -153,7 +154,7 @@ pub enum ExchangeMode {
     Sync,
     /// Nonblocking boundary-first schedule, driven by the runtime's
     /// communication worker when it has one and from the compute thread
-    /// otherwise; transfer costs are modeled on the comm-core timeline.
+    /// otherwise.
     Overlapped,
 }
 
@@ -191,9 +192,6 @@ pub struct DistSolver<T: Real, Op: StencilOp<T>> {
     /// into it (the two faces of a stage have equal extents), so a
     /// steady run of cycles allocates no message buffer at all.
     spares: Spares,
-    /// Modeled compute rate (LUP/s) charged to the virtual clock; `None`
-    /// leaves the clock to communication costs only.
-    virtual_lups: Option<f64>,
     /// Payload bytes this rank has sent in halo exchanges.
     pub halo_bytes_sent: u64,
     /// Payload bytes this rank has sent in final-result gathers.
@@ -272,7 +270,6 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
             parity: 0,
             scratch: None,
             spares: Spares::default(),
-            virtual_lups: None,
             halo_bytes_sent: 0,
             gather_bytes_sent: 0,
         })
@@ -281,15 +278,6 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// Select the exchange schedule (default [`ExchangeMode::Sync`]).
     pub fn with_exchange_mode(mut self, mode: ExchangeMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Charge modeled compute time (`cells / lups` seconds per update
-    /// phase) to the virtual clock, so the simulated network can hide
-    /// communication behind it.
-    pub fn with_virtual_compute(mut self, lups: f64) -> Self {
-        assert!(lups > 0.0);
-        self.virtual_lups = Some(lups);
         self
     }
 
@@ -337,8 +325,8 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// `Runtime::new(&layout)` spawns it when the layout reserves a
     /// [`tb_topology::TeamLayout::comm_core`]), coupled by the "halos
     /// ready" [`Handoff`], and inline from the compute thread otherwise —
-    /// bitwise and virtual-clock identical, the inline drive just without
-    /// the wall-clock overlap.
+    /// bitwise identical, the inline drive just without a second thread
+    /// to overlap on.
     ///
     /// # Panics
     /// Panics if the local execution is pipelined and the runtime has
@@ -379,10 +367,6 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                         .map(|j| self.local.sweep_domain(j, c, Op::RADIUS))
                         .collect();
                     advance_sweeps(rt, &self.op, &mut self.pair, &self.exec, &domains, 0, None);
-                    if let Some(lups) = self.virtual_lups {
-                        let cells = (Region3::interior_of(self.local.dims).count() * c) as f64;
-                        cart.comm.advance(cells / lups);
-                    }
                 }
                 ExchangeMode::Overlapped => {
                     self.overlapped_cycle(rt, cart, c, halos_in.as_deref_mut());
@@ -438,17 +422,16 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// One overlapped cycle of `c` sweeps — the §2.3 schedule, cut short
     /// as soon as it has nothing left to hide:
     ///
-    /// 1. post every `irecv` of the cycle and `isend` the x-direction
-    ///    slabs (plain step-`t` owned cells) straight from the working
-    ///    grid; if a later direction has neighbours, snapshot the
-    ///    boundary shells into the staging grid for its forwarded slabs,
+    /// 1. send the x-direction slabs (plain step-`t` owned cells)
+    ///    straight from the working grid; if a later direction has
+    ///    neighbours, snapshot the boundary shells into the staging grid
+    ///    for its forwarded slabs,
     /// 2. advance the interior trapezoid one local-executor dispatch at
     ///    a time, asking "halos in?" before each (the inline drive
     ///    completes, unpacks and forwards whatever has landed; with a
     ///    communication worker the question is its [`Handoff`] flag),
     /// 3. once they are in — after `m ≤ c` sweeps — complete the
-    ///    exchange, fold the hidden compute time into the virtual clock
-    ///    and copy the ghosts into the working grid,
+    ///    exchange and copy the ghosts into the working grid,
     /// 4. finish sweeps `1..=m` on their shells, then run sweeps
     ///    `m+1..=c` over their full [`LocalDomain::sweep_domain`]s with
     ///    the same executor — for `m = 0` exactly the `Sync` cycle's
@@ -459,11 +442,8 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// `m` only moves work between the trapezoid and the shells of a
     /// sweep: every (buffer, cell, sweep) triple is written exactly as
     /// for `m = 0` for any `m`, and every owned cell ends as in `Sync`,
-    /// so the result does not depend on timing.
-    /// Under a simulated network arrival is a virtual-clock matter that
-    /// only `wait` settles, so the trapezoid runs to `m = c` and both
-    /// drives account identically. `halos_in` overrides the question (see
-    /// [`DistSolver::run_cycles`]).
+    /// so the result does not depend on timing. `halos_in` overrides the
+    /// question (see [`DistSolver::run_cycles`]).
     fn overlapped_cycle(
         &mut self,
         rt: &Runtime,
@@ -474,7 +454,6 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         debug_assert_eq!(self.parity, 0, "exchange runs on a normalized pair");
         let radius = Op::RADIUS;
         let depth = c * radius;
-        let lups = self.virtual_lups;
         let Self {
             pair,
             scratch,
@@ -487,7 +466,6 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         let cores: Vec<Region3> = (1..=c).map(|j| local.sweep_core(j, radius)).collect();
         let domains: Vec<Region3> = (1..=c).map(|j| local.sweep_domain(j, c, radius)).collect();
 
-        let t0 = cart.comm.time();
         let mut drive = ExchangeDrive::post(cart, local, depth, pair.a(), std::mem::take(spares));
         let mut m = 0;
         if drive.has_traffic() {
@@ -506,9 +484,6 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                     copy_region(pair.a(), &slab, scratch, &slab);
                 }
             }
-            // "Halos in?" has a real-time answer only on a real-time
-            // network (and the tests may dictate it).
-            let real_time = !cart.comm.simulated();
             m = if rt.has_comm_worker() {
                 // The persistent communication worker (pinned to the
                 // layout's comm core at runtime construction) drives the
@@ -527,7 +502,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                 let handle = rt.submit_comm(&mut comm_task);
                 let mut stop = |done| match &mut halos_in {
                     Some(ask) => ask(done),
-                    None => real_time && handoff.is_ready(),
+                    None => handoff.is_ready(),
                 };
                 let m = advance_sweeps(rt, op, pair, exec, &cores, 0, Some(&mut stop));
                 // "Halos ready" — the compute side blocks here only
@@ -540,13 +515,10 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                 m
             } else {
                 // Inline drive: this thread polls the exchange between
-                // its own dispatches, then blocks for the rest. Under a
-                // simulated network nothing is polled, so the `Comm`
-                // sees the calls the comm worker would make, in the
-                // same order, and virtual times agree.
+                // its own dispatches, then blocks for the rest.
                 let mut stop = |done| match &mut halos_in {
                     Some(ask) => ask(done),
-                    None => real_time && drive.poll(cart.comm, scratch),
+                    None => drive.poll(cart.comm, scratch),
                 };
                 let m = advance_sweeps(rt, op, pair, exec, &cores, 0, Some(&mut stop));
                 drive.finish(cart.comm, scratch);
@@ -558,16 +530,6 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
         }
         *spares = drive.spares;
         self.halo_bytes_sent += drive.bytes;
-
-        // Fold the compute that ran under the exchange into the clock
-        // (only the residual stays exposed in `comm_seconds`), then
-        // charge what ran after it.
-        if let Some(lups) = lups {
-            let count = |rs: &[Region3]| rs.iter().map(|r| r.count() as f64).sum::<f64>();
-            let hidden = count(&cores[..m]);
-            cart.comm.overlap_join(t0, hidden / lups);
-            cart.comm.advance((count(&domains) - hidden) / lups);
-        }
 
         // Finish the shells of the sweeps the trapezoid reached ...
         for j in 0..m {
@@ -645,9 +607,9 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
 /// The drive holds the solver's spare message buffers for the cycle:
 /// sends pack into them, unpacked receives refill them.
 struct ExchangeDrive {
-    /// Direction index (0: −, 1: +), ghost region and request of every
+    /// Direction index (0: −, 1: +), ghost region, peer and tag of every
     /// pending receive, per direction, in posting order.
-    recvs: [VecDeque<(usize, Region3, Request)>; 3],
+    recvs: [VecDeque<(usize, Region3, usize, u64)>; 3],
     /// Direction index, peer, tag and slab of every send, per direction.
     sends: [Vec<(usize, usize, u64, Region3)>; 3],
     /// The solver's spare buffers, handed back when the cycle ends.
@@ -661,7 +623,7 @@ struct ExchangeDrive {
 }
 
 impl ExchangeDrive {
-    /// Post the `irecv`s of a depth-`depth` exchange and `isend` the
+    /// Plan the receives of a depth-`depth` exchange and send the
     /// x-direction slabs, which hold owned cells only, from `current`.
     fn post<T: Real>(
         cart: &mut CartComm,
@@ -688,8 +650,7 @@ impl ExchangeDrive {
                 // The peer tagged its message with *its own* direction,
                 // the opposite of ours.
                 let tag = (d * 2 + (1 - idx)) as u64;
-                let req = cart.comm.irecv(peer, tag);
-                drive.recvs[d].push_back((idx, local.to_local(&r), req));
+                drive.recvs[d].push_back((idx, local.to_local(&r), peer, tag));
             }
         }
         drive.send_dim(cart.comm, current);
@@ -707,32 +668,31 @@ impl ExchangeDrive {
         self.sends[1..].iter().any(|v| !v.is_empty())
     }
 
-    /// `isend` the slabs of direction `self.dim` out of `from`, each
-    /// packed into the spare buffer of its neighbour. The payload moves
-    /// into the message, so nothing waits on the send: its request is
-    /// dropped (the pack runs on the comm-core timeline).
+    /// Send the slabs of direction `self.dim` out of `from`, each packed
+    /// into the spare buffer of its neighbour. The payload moves into
+    /// the buffered message, so nothing waits on the send.
     fn send_dim<T: Real>(&mut self, comm: &mut Comm, from: &Grid3<T>) {
         let d = self.dim;
         for &(idx, peer, tag, region) in &self.sends[d] {
             let payload = repack_region(self.spares[d][idx].take(), from, &region);
             self.bytes += payload.len() as u64;
-            let _ = comm.isend(peer, tag, payload);
+            comm.send(peer, tag, payload);
         }
     }
 
     /// Drive the exchange as far as possible: in-order completion of
     /// the current direction's receives (`block` waits for them, else
-    /// the first one [`Comm::test`] does not report stops the drive),
+    /// the first one that has not [`Comm::arrived`] stops the drive),
     /// then on to the next direction. True once every ghost is in
     /// `scratch`.
     fn advance<T: Real>(&mut self, comm: &mut Comm, scratch: &mut Grid3<T>, block: bool) -> bool {
         while self.dim < 3 {
-            while let Some((_, _, req)) = self.recvs[self.dim].front() {
-                if !block && !comm.test(req) {
+            while let Some(&(idx, region, peer, tag)) = self.recvs[self.dim].front() {
+                if !block && !comm.arrived(peer, tag) {
                     return false;
                 }
-                let (idx, region, req) = self.recvs[self.dim].pop_front().expect("front exists");
-                let payload = comm.wait(req).expect("recv request returns a payload");
+                self.recvs[self.dim].pop_front();
+                let payload = comm.recv(peer, tag);
                 unpack_region(scratch, &region, &payload);
                 self.spares[self.dim][idx] = Some(payload);
                 self.ghosts.push(region);

@@ -6,12 +6,14 @@
 //! computation. The same struct also carries a buffer-copy bandwidth: the
 //! paper's profiling found that packing halo data into send buffers costs
 //! about as much as the wire transfer itself (§2.2), which the
-//! distributed solver models explicitly.
+//! halo model prices explicitly.
 //!
 //! Two consumers price messages with it: the analytic scaling model
-//! ([`NetworkParams::halo_message_time`]) and the virtual clock of
-//! `tb_dist::net`, which charges [`NetworkParams::pack_time`] on each
-//! side of a message and [`NetworkParams::message_time`] in between.
+//! ([`NetworkParams::halo_message_time`]) and the paced wire of
+//! `tb_dist::net`, which delivers each message
+//! [`NetworkParams::message_time`] after its send, in wall time. The
+//! wire charges no [`NetworkParams::pack_time`]: there the buffer copies
+//! are real work.
 
 /// Point-to-point network parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -121,9 +123,8 @@ mod tests {
     }
 
     #[test]
-    fn virtual_clock_terms_add_up_to_the_model() {
-        // The clock charges a pack, the wire, then an unpack; the model
-        // prices the same message as one halo message.
+    fn halo_message_terms_add_up() {
+        // A halo message is a pack, the wire, then an unpack.
         let n = NetworkParams::qdr_infiniband();
         assert_eq!(n.message_time(3_200_000), 1.8e-6 + 1e-3);
         for b in [8, 800, 1 << 20] {

@@ -16,7 +16,7 @@
 //! | [`stencil`] | **stencil operators**, baselines, **pipelined temporal blocking**, wavefront comparator |
 //! | [`model`] | Eq. 2 roofline, §1.4 diagnostic model, Fig. 5 halo model, Fig. 6 scaling model — all fed by per-operator code balance |
 //! | [`membench`] | STREAM COPY/SCALE/ADD/TRIAD + machine calibration |
-//! | [`dist`] | in-process ranks and their communicator on a Cartesian topology, with a virtual-time network priced by [`model::NetworkParams`] ([`net`] = `dist::net`); domain decomposition, multi-layer halo exchange, operator-generic distributed/hybrid solver (sync or overlapped exchange; a runtime with a comm worker drives the overlapped one), cluster sim |
+//! | [`dist`] | in-process ranks and their communicator on a Cartesian topology, optionally paced in wall time by [`model::NetworkParams`] ([`net`] = `dist::net`); domain decomposition, multi-layer halo exchange, operator-generic distributed/hybrid solver (sync or overlapped exchange; a runtime with a comm worker drives the overlapped one), cluster sim |
 //!
 //! ## The operator layer
 //!
