@@ -243,10 +243,13 @@ pub struct DiamondRow {
 /// advance: rows of independent tiles, executed row by row.
 #[derive(Clone, Debug)]
 pub struct DiamondTiling {
-    width: usize,
     radius: usize,
-    domains: Vec<Region3>,
     rows: Vec<DiamondRow>,
+    /// Read only by the unit tests' oracles.
+    #[cfg(test)]
+    width: usize,
+    #[cfg(test)]
+    domains: Vec<Region3>,
 }
 
 impl DiamondTiling {
@@ -266,19 +269,23 @@ impl DiamondTiling {
         );
         let rows = build_rows(&domains, width as i64, radius as i64);
         Self {
-            width,
             radius,
-            domains,
             rows,
+            #[cfg(test)]
+            width,
+            #[cfg(test)]
+            domains,
         }
     }
 
     /// Tiling with the same `domain` for every sweep (shared memory).
+    #[cfg(test)]
     pub fn uniform(domain: Region3, width: usize, radius: usize, sweeps: usize) -> Self {
         Self::new(vec![domain; sweeps], width, radius)
     }
 
     /// Tile width `w` in transformed coordinates.
+    #[cfg(test)]
     pub fn width(&self) -> usize {
         self.width
     }
@@ -289,11 +296,13 @@ impl DiamondTiling {
     }
 
     /// Number of sweeps the schedule advances.
+    #[cfg(test)]
     pub fn sweeps(&self) -> usize {
         self.domains.len()
     }
 
     /// Domain of sweep `s`.
+    #[cfg(test)]
     pub fn domain(&self, s: usize) -> Region3 {
         self.domains[s]
     }
@@ -327,6 +336,7 @@ impl DiamondTiling {
 
     /// Cells updated across the whole schedule (equals
     /// `Σ_s domains[s].count()` — coverage is exact).
+    #[cfg(test)]
     pub fn cells(&self) -> usize {
         self.rows
             .iter()

@@ -220,10 +220,12 @@ pub fn run_diamond_schedule_on<T: Real, Op: StencilOp<T>>(
 /// advances it, on `pair` directly — no runtime, no barrier. Returns
 /// cells updated.
 ///
-/// Safe to call: one thread holding `&mut` cannot race, and every domain
-/// is checked to lie inside the grid's interior before the walk starts.
-/// The same trapezoid contract decides whether the result is the
-/// oracle's.
+/// Safe throughout: every step goes through the safe driver
+/// [`kernel::update_region_op`], which hands the operator one row run
+/// per plane exactly as the team's shared views do, at the same speed.
+/// Every domain is checked to lie inside the grid's interior before the
+/// walk starts. The same trapezoid contract decides whether the result
+/// is the oracle's.
 ///
 /// # Panics
 /// Panics if a domain is not interior to `pair` or `width` is narrower
@@ -237,17 +239,14 @@ pub fn run_diamond_schedule<T: Real, Op: StencilOp<T>>(
 ) -> u64 {
     kernel::assert_interior(pair.dims(), domains);
     let tiling = DiamondTiling::new(domains.to_vec(), width, Op::RADIUS);
-    // Through the shared views rather than `kernel::update_region_op`:
-    // the safe driver's per-row slice checks cost 5–8 % on 66-cell rows.
-    let views = pair.shared_views();
     let mut cells = 0u64;
     for tile in tiling.rows().iter().flat_map(|row| &row.tiles) {
-        // SAFETY: the pair is exclusively borrowed and only this thread
-        // touches it, so the lone lane of a one-lane sub-team meets no
-        // concurrent access; every step lies in its tile's regions, which
-        // `DiamondTiling` clamps to the domains checked interior above;
-        // the radius matches the operator.
-        cells += unsafe { update_tile(op, &views, &tiling, None, 0, tile, base_sweep, 0, 1, None) };
+        // The steps one lane of a one-lane sub-team takes in `update_tile`.
+        for (k, step) in tile.front_steps(tiling.radius(), front_rows(tile.row_len())) {
+            let (src, dst) = pair.src_dst(base_sweep + tile.s_lo + k);
+            kernel::update_region_op(op, src, dst, &step);
+            cells += step.count() as u64;
+        }
     }
     cells
 }

@@ -3,7 +3,7 @@
 //!
 //! The canonical Jacobi operand order — `(west + east + south + north +
 //! bottom + top) * (1/6)` — is fixed in [`jacobi_row`]; every other
-//! operator fixes its order in its `StencilOp::apply_row` impl. All
+//! operator fixes its order in its [`StencilOp::apply_rows`] impl. All
 //! solvers funnel through the drivers here, which is what makes
 //! cross-solver bitwise verification possible.
 //!
@@ -16,12 +16,23 @@
 //! * `update_region_compressed_op` — the crate-private single-allocation
 //!   diagonally-shifted path of the compressed-grid scheme (§1.3).
 //!
+//! # One row-run kernel
+//!
+//! [`StencilOp::apply_rows`] is the only row kernel: it sweeps a
+//! [`RowRun`] — rows `y0..y1` of one plane, cells `[x0, x1)`, given as a
+//! source and a destination pointer and their strides — with a plain
+//! indexed loop per row that LLVM vectorizes. The safe and the shared
+//! driver hand over one run per z-plane, built after the driver's
+//! single argument check, so a row costs a few stride additions and no
+//! slice checks. The compressed driver hands over one-row runs: its
+//! in-place shift writes each row over a source row of the row before,
+//! and a run's source rows must not change while the run lives.
+//!
 //! # One row loop, two instruction sets
 //!
-//! [`StencilOp::apply_row`] is the only row kernel: a plain indexed loop
-//! that LLVM vectorizes. What width it vectorizes *to* is decided per
-//! region, not per row. Each driver checks its arguments and then runs
-//! one `#[inline(always)]` row-loop body, either directly — compiled
+//! What width the row loop vectorizes *to* is decided per region, not
+//! per row. Each driver checks its arguments and then runs one
+//! `#[inline(always)]` row-loop body, either directly — compiled
 //! for the build target, SSE2 on a stock x86-64 build — or, when
 //! [`StencilOp::WIDEN`] holds and the host CPU reports AVX, through a
 //! three-line `#[target_feature(enable = "avx")]` wrapper into which
@@ -33,8 +44,9 @@
 //! against.
 //!
 //! **The rule a future edit must not break:** everything between a
-//! wrapper and the arithmetic — the row-loop body, `rows9_shared`,
-//! `Rows9::row`, the operator's `apply_row`, [`jacobi_row`] — is
+//! wrapper and the arithmetic — the row-loop body, `plane_run`,
+//! [`RowRun::src`] and [`RowRun::dst`], the operator's `apply_rows` and
+//! its row function ([`jacobi_row`] for `Jacobi6`) — is
 //! `#[inline(always)]`. A callee that is *not* inlined into the wrapper
 //! is a separate function without the `avx` feature: it is silently
 //! compiled at the build-target ISA, the results stay right, and the
@@ -48,7 +60,7 @@
 
 use tb_grid::{Dims3, Grid3, Real, Region3, SharedGrid};
 
-use crate::op::{Rows9, StencilOp};
+use crate::op::{RowRun, StencilOp};
 
 /// Update one row segment of `n = dst.len()` cells with the classic
 /// 6-point Jacobi average.
@@ -188,10 +200,11 @@ pub fn update_region_op<T: Real, Op: StencilOp<T>>(
     }
     #[cfg(target_arch = "x86_64")]
     if Op::WIDEN && host_has_avx() {
-        // SAFETY: the host CPU reports AVX.
+        // SAFETY: the host CPU reports AVX; the region is interior.
         return unsafe { region_rows_avx(op, src, dst, region) };
     }
-    region_rows(op, src, dst, region)
+    // SAFETY: the region is interior.
+    unsafe { region_rows(op, src, dst, region) }
 }
 
 /// Panics unless every one of `domains` is interior to `dims`, which
@@ -228,28 +241,71 @@ pub(crate) fn assert_rejects_sweep_1(dims: Dims3, run: impl FnOnce(&mut tb_grid:
     }
 }
 
-/// The row loop of [`update_region_op`] (arguments already checked).
+/// The run of `block`'s rows (`block` one plane thick) between two
+/// grids laid out as `dims`: read from the allocation at `src`, written
+/// to the one at `dst`, physical cell = logical cell + `off[0]` on the
+/// source side and `off[1]` on the destination side.
+///
+/// # Safety
+/// `block.expand(1)` shifted by `off[0]` lies inside the source
+/// allocation and `block` shifted by `off[1]` inside the destination's,
+/// and the [`RowRun::new`] contract holds for the returned run's
+/// lifetime (`corners` as there).
 #[inline(always)]
-fn region_rows<T: Real, Op: StencilOp<T>>(
+unsafe fn plane_run<'a, T: Real>(
+    src: *const T,
+    dst: *mut T,
+    dims: Dims3,
+    block: &Region3,
+    off: [usize; 2],
+    corners: bool,
+) -> RowRun<'a, T> {
+    let [x0, y0, z] = block.lo;
+    let (s, d) = (off[0], off[1]);
+    RowRun::new(
+        src.add(dims.idx(x0 - 1 + s, y0 - 1 + s, z - 1 + s)),
+        [dims.nx, dims.nx * dims.ny],
+        dst.add(dims.idx(x0 + d, y0 + d, z + d)),
+        dims.nx,
+        block,
+        corners,
+    )
+}
+
+/// Plane `z` of `region`.
+#[inline(always)]
+fn plane(region: &Region3, z: usize) -> Region3 {
+    Region3::new(
+        [region.lo[0], region.lo[1], z],
+        [region.hi[0], region.hi[1], z + 1],
+    )
+}
+
+/// The row loop of [`update_region_op`]: one run per plane.
+///
+/// # Safety
+/// `region` is non-empty and interior to both grids' (equal) dims.
+#[inline(always)]
+unsafe fn region_rows<T: Real, Op: StencilOp<T>>(
     op: &Op,
     src: &Grid3<T>,
     dst: &mut Grid3<T>,
     region: &Region3,
 ) {
-    let (x0, x1) = (region.lo[0], region.hi[0]);
+    let (dims, sp, dp) = (src.dims(), src.as_ptr(), dst.as_mut_ptr());
     for z in region.lo[2]..region.hi[2] {
-        for y in region.lo[1]..region.hi[1] {
-            let rows = Rows9::from_grid(src, x0, x1, y, z);
-            let d = &mut dst.row_mut(y, z)[x0..x1];
-            op.apply_row(d, &rows, x0, y, z);
-        }
+        // SAFETY: the plane and its radius-1 neighborhood lie inside
+        // both grids; `dst` is exclusively borrowed and distinct from
+        // `src`, so no source row overlaps a destination row.
+        let mut run = plane_run(sp, dp, dims, &plane(region, z), [0, 0], true);
+        op.apply_rows(&mut run);
     }
 }
 
 /// [`region_rows`] compiled at AVX width.
 ///
 /// # Safety
-/// The host CPU must support AVX.
+/// As [`region_rows`], and the host CPU must support AVX.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn region_rows_avx<T: Real, Op: StencilOp<T>>(
@@ -259,36 +315,6 @@ unsafe fn region_rows_avx<T: Real, Op: StencilOp<T>>(
     region: &Region3,
 ) {
     region_rows(op, src, dst, region)
-}
-
-/// Lazy row table for updating physical cells `[x0, x1)` of row `(y, z)`
-/// through a shared view.
-///
-/// # Safety
-/// Caller guarantees that every row the operator materializes (all nine
-/// for corner-reading operators, the cross otherwise — see
-/// [`StencilOp::READS_CORNERS`]) is in bounds, initialized, and neither
-/// concurrently written nor overlapping the destination slice for the
-/// lifetime of the returned table.
-#[inline(always)]
-unsafe fn rows9_shared<T: Real>(
-    g: &SharedGrid<T>,
-    x0: usize,
-    x1: usize,
-    y: usize,
-    z: usize,
-) -> Rows9<'_, T> {
-    let len = x1 - x0 + 2;
-    let p =
-        |dy: i64, dz: i64| g.row_ptr(x0 - 1, (y as i64 + dy) as usize, (z as i64 + dz) as usize);
-    Rows9::from_raw(
-        [
-            [p(-1, -1), p(0, -1), p(1, -1)],
-            [p(-1, 0), p(0, 0), p(1, 0)],
-            [p(-1, 1), p(0, 1), p(1, 1)],
-        ],
-        len,
-    )
 }
 
 /// Concurrent-executor version of [`update_region_op`] over shared views.
@@ -331,15 +357,16 @@ unsafe fn shared_rows<T: Real, Op: StencilOp<T>>(
     region: &Region3,
     store: StoreMode,
 ) {
-    let (x0, x1) = (region.lo[0], region.hi[0]);
+    let dims = src.dims();
+    let (sp, dp) = (src.row_ptr(0, 0, 0), dst.row_ptr(0, 0, 0).cast_mut());
     for z in region.lo[2]..region.hi[2] {
-        for y in region.lo[1]..region.hi[1] {
-            let rows = rows9_shared(src, x0, x1, y, z);
-            let d = dst.row_mut(x0, x1, y, z);
-            match store {
-                StoreMode::Normal => op.apply_row(d, &rows, x0, y, z),
-                StoreMode::Streaming => op.apply_row_streaming(d, &rows, x0, y, z),
-            }
+        // SAFETY: the caller's disjointness contract; `src` and `dst`
+        // are distinct grids, so no source row overlaps a destination
+        // row. `dst`'s view was built from a mutable pointer.
+        let mut run = plane_run(sp, dp, dims, &plane(region, z), [0, 0], true);
+        match store {
+            StoreMode::Normal => op.apply_rows(&mut run),
+            StoreMode::Streaming => op.apply_rows_streaming(&mut run),
         }
     }
 }
@@ -430,6 +457,7 @@ unsafe fn compressed_rows<T: Real, Op: StencilOp<T>>(
 ) {
     let (x0, x1) = (region.lo[0], region.hi[0]);
     let interior = Region3::interior_of(logical);
+    let (phys, base) = (view.dims(), view.row_ptr(0, 0, 0).cast_mut());
     // Scratch for the corner-reading path: nine rows of the widest
     // possible segment, staged before the (aliasing) write.
     let mut scratch: Vec<T> = if Op::READS_CORNERS {
@@ -485,20 +513,18 @@ unsafe fn compressed_rows<T: Real, Op: StencilOp<T>>(
                 continue;
             }
             debug_assert!(interior.contains(xs, y, z) && interior.contains(xe - 1, y, z));
-            if Op::READS_CORNERS {
-                let segs: [&[T]; 9] = std::array::from_fn(|k| &scratch[k * len..(k + 1) * len]);
-                let rows = Rows9::from_slices([
-                    [segs[0], segs[1], segs[2]],
-                    [segs[3], segs[4], segs[5]],
-                    [segs[6], segs[7], segs[8]],
-                ]);
-                let d = view.row_mut(xs + dst_off, xe + dst_off, y + dst_off, z + dst_off);
-                op.apply_row(d, &rows, xs, y, z);
+            let row = Region3::new([xs, y, z], [xe, y + 1, z + 1]);
+            let mut run = if Op::READS_CORNERS {
+                // The staged rows: a 3×3-row run, rows `len` and planes
+                // `3·len` apart, none of them in the grid.
+                let d = base.add(phys.idx(xs + dst_off, y + dst_off, z + dst_off));
+                RowRun::new(scratch.as_ptr(), [len, 3 * len], d, 0, &row, true)
             } else {
-                let rows = rows9_shared(view, xs + src_off, xe + src_off, y + src_off, z + src_off);
-                let d = view.row_mut(xs + dst_off, xe + dst_off, y + dst_off, z + dst_off);
-                op.apply_row(d, &rows, xs, y, z);
-            }
+                // In place: one corner source row is the write row, and
+                // the run refuses to hand it out.
+                plane_run(base, base, phys, &row, [src_off, dst_off], false)
+            };
+            op.apply_rows(&mut run);
         }
     }
 }
@@ -561,19 +587,57 @@ mod tests {
             * (1.0 / 6.0)
     }
 
-    /// One sweep of `region` through the shared driver into a zeroed grid.
+    /// One sweep of `regions`, in order, through the shared driver into
+    /// a zeroed grid.
     fn shared_sweep<T: Real, Op: StencilOp<T>>(
         op: &Op,
         src: &Grid3<T>,
-        region: &Region3,
+        regions: &[Region3],
         store: StoreMode,
     ) -> Grid3<T> {
         let (mut src, mut dst) = (src.clone(), Grid3::zeroed(src.dims()));
         let sv = SharedGrid::from_raw(src.as_mut_ptr(), src.dims());
         let dv = SharedGrid::from_raw(dst.as_mut_ptr(), src.dims());
-        // SAFETY: single-threaded; `src` and `dst` are distinct grids.
-        unsafe { update_region_shared_op(op, &sv, &dv, region, store) };
+        for region in regions {
+            // SAFETY: single-threaded; `src` and `dst` are distinct grids.
+            unsafe { update_region_shared_op(op, &sv, &dv, region, store) };
+        }
         dst
+    }
+
+    /// One sweep of `regions`, in order, through the safe driver into a
+    /// zeroed grid.
+    fn safe_sweep<T: Real, Op: StencilOp<T>>(
+        op: &Op,
+        src: &Grid3<T>,
+        regions: &[Region3],
+    ) -> Grid3<T> {
+        let mut dst = Grid3::zeroed(src.dims());
+        for region in regions {
+            update_region_op(op, src, &mut dst, region);
+        }
+        dst
+    }
+
+    /// One down sweep (frame 0 -> -1, margin 1, ascending rows) of
+    /// `regions`, in order, through the compressed driver; the new frame
+    /// as a grid (cells outside `regions` are stale storage).
+    fn compressed_down<T: Real, Op: StencilOp<T>>(
+        op: &Op,
+        initial: &Grid3<T>,
+        regions: &[Region3],
+    ) -> Grid3<T> {
+        let dims = initial.dims();
+        let mut cg = CompressedGrid::from_grid(initial, 1);
+        let view = cg.shared();
+        for region in regions {
+            // SAFETY: single-threaded; rows ascend within a region and
+            // regions come in x-fastest order, so every source cell is
+            // read before the shifted frame overwrites it.
+            unsafe { update_region_compressed_op(op, &view, dims, region, 1, 0, false) };
+        }
+        cg.set_displacement(-1);
+        cg.to_grid()
     }
 
     /// Two whole-domain sweeps through the compressed driver, margin 1:
@@ -644,7 +708,7 @@ mod tests {
             let mut want: Grid3<f64> = Grid3::zeroed(src.dims());
             update_region_op(op, src, &mut want, region);
             for store in [StoreMode::Normal, StoreMode::Streaming] {
-                let got = shared_sweep(op, src, region, store);
+                let got = shared_sweep(op, src, &[*region], store);
                 let ctx = format!("{} shared {store:?}", op.name());
                 norm::assert_grids_identical(&want, &got, &Region3::whole(src.dims()), &ctx);
             }
@@ -763,8 +827,8 @@ mod tests {
             // An inner box, so rows start and end off the vector grid.
             let inner = Region3::new([2, 1, 1], [dims.nx - 3, 5, 6]);
             for store in [StoreMode::Normal, StoreMode::Streaming] {
-                let want = shared_sweep(&base, &g, &inner, store);
-                let got = shared_sweep(op, &g, &inner, store);
+                let want = shared_sweep(&base, &g, &[inner], store);
+                let got = shared_sweep(op, &g, &[inner], store);
                 let ctx = format!("{} shared {store:?}", op.name());
                 norm::assert_grids_identical(&want, &got, &whole, &ctx);
             }
@@ -782,6 +846,109 @@ mod tests {
         check::<f32, _>(&Jacobi7::heat(0.12), dims, 16);
         check::<f32, _>(&VarCoeff7::banded(dims), dims, 17);
         check::<f32, _>(&Avg27, dims, 18);
+    }
+
+    /// Degenerate regions — one or two cells wide, one row high, one
+    /// plane thick — and the `Blocked{[16,8,8]}` partition of a 48³ grid
+    /// through all three drivers (the shared one in both store modes):
+    /// every updated cell is the sequential oracle's, bitwise, for the
+    /// widened operator and its [`ScalarPath`] twin alike.
+    #[test]
+    fn degenerate_regions_and_blocks_match_the_oracle_in_every_driver() {
+        fn check<T: Real, Op: StencilOp<T>>(op: &Op, seed: u64) {
+            let dims = Dims3::cube(48);
+            let initial: Grid3<T> = init::random(dims, seed);
+            let mut pair = tb_grid::GridPair::from_initial(initial.clone());
+            crate::baseline::seq_sweeps_op(op, &mut pair, 1);
+            let oracle = pair.current(1);
+            let interior = Region3::interior_of(dims);
+            let blocks = |domain| -> Vec<Region3> {
+                let partition = tb_grid::BlockPartition::new(domain, [16, 8, 8]);
+                partition.iter().map(|(_, _, block)| block).collect()
+            };
+            let sets: Vec<(&str, Vec<Region3>)> = vec![
+                ("one cell", vec![Region3::new([5, 7, 9], [6, 8, 10])]),
+                (
+                    "two cells, low corner",
+                    vec![Region3::new([1, 1, 1], [3, 2, 2])],
+                ),
+                (
+                    "two cells, high corner",
+                    vec![Region3::new([45, 46, 46], [47, 47, 47])],
+                ),
+                ("one row", vec![Region3::new([1, 3, 4], [47, 4, 5])]),
+                (
+                    "x-extent 1, one plane",
+                    vec![Region3::new([2, 1, 6], [3, 47, 7])],
+                ),
+                (
+                    "x-extent 2, all planes",
+                    vec![Region3::new([9, 2, 1], [11, 46, 47])],
+                ),
+                ("one plane", vec![Region3::new([1, 1, 20], [47, 47, 21])]),
+                ("blocked [16,8,8]", blocks(interior)),
+            ];
+            let base = ScalarPath(op.clone());
+            let whole = Region3::whole(dims);
+            for (what, regions) in &sets {
+                let mut want: Grid3<T> = Grid3::zeroed(dims);
+                for region in regions {
+                    want.copy_region_from(oracle, region);
+                }
+                let ctx = |driver: &str| format!("{} {what}: {driver}", op.name());
+                for (got, driver) in [
+                    (safe_sweep(op, &initial, regions), "safe"),
+                    (safe_sweep(&base, &initial, regions), "safe, scalar path"),
+                ] {
+                    norm::assert_grids_identical(&want, &got, &whole, &ctx(driver));
+                }
+                for store in [StoreMode::Normal, StoreMode::Streaming] {
+                    for (got, path) in [
+                        (shared_sweep(op, &initial, regions, store), ""),
+                        (
+                            shared_sweep(&base, &initial, regions, store),
+                            ", scalar path",
+                        ),
+                    ] {
+                        let driver = format!("shared {store:?}{path}");
+                        norm::assert_grids_identical(&want, &got, &whole, &ctx(&driver));
+                    }
+                }
+                for (got, driver) in [
+                    (compressed_down(op, &initial, regions), "compressed"),
+                    (
+                        compressed_down(&base, &initial, regions),
+                        "compressed, scalar path",
+                    ),
+                ] {
+                    for region in regions {
+                        norm::assert_grids_identical(oracle, &got, region, &ctx(driver));
+                    }
+                }
+            }
+            // The compressed driver copies boundary cells, so it also
+            // takes the partition of the whole grid and yields the whole
+            // next time step.
+            let all = blocks(whole);
+            for (got, path) in [
+                (compressed_down(op, &initial, &all), ""),
+                (compressed_down(&base, &initial, &all), ", scalar path"),
+            ] {
+                let ctx = format!(
+                    "{} blocked [16,8,8] whole grid: compressed{path}",
+                    op.name()
+                );
+                norm::assert_grids_identical(oracle, &got, &whole, &ctx);
+            }
+        }
+        check::<f64, _>(&Jacobi6, 61);
+        check::<f64, _>(&Jacobi7::heat(0.1), 62);
+        check::<f64, _>(&VarCoeff7::banded(Dims3::cube(48)), 63);
+        check::<f64, _>(&Avg27, 64);
+        check::<f32, _>(&Jacobi6, 65);
+        check::<f32, _>(&Jacobi7::heat(0.1), 66);
+        check::<f32, _>(&VarCoeff7::banded(Dims3::cube(48)), 67);
+        check::<f32, _>(&Avg27, 68);
     }
 
     #[test]

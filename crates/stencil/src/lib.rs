@@ -77,6 +77,6 @@ pub mod wavefront;
 
 pub use config::PipelineConfig;
 pub use diamond::DiamondConfig;
-pub use op::{Avg27, Jacobi6, Jacobi7, Rows9, ScalarPath, StencilOp, VarCoeff7};
+pub use op::{Avg27, Jacobi6, Jacobi7, RowRun, ScalarPath, StencilOp, VarCoeff7};
 pub use stats::RunStats;
 pub use tb_sync::SyncMode;

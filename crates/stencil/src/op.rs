@@ -1,4 +1,5 @@
-//! The stencil-operator layer: what *one row update* computes.
+//! The stencil-operator layer: what *one row update* computes, for a
+//! run of rows at a time.
 //!
 //! The paper presents pipelined temporal blocking for the 6-point Jacobi
 //! kernel (Eq. 1), but the machinery — block schedules, relaxed
@@ -20,9 +21,14 @@
 //!
 //! # One kernel source
 //!
-//! [`StencilOp::apply_row`] is the only place an operator's arithmetic
-//! is written: a plain indexed loop, marked `#[inline(always)]`. There
-//! is no vector twin to keep in step — the region drivers in
+//! [`StencilOp::apply_rows`] is the only place an operator's arithmetic
+//! is written: a loop over the rows of a [`RowRun`] — a run of rows of
+//! one plane, given as a source and a destination pointer and their
+//! strides — whose body is a plain indexed loop over the row's cells,
+//! marked `#[inline(always)]`. The drivers hand over a whole plane of a
+//! region per call, so per-row work is a few stride additions, and
+//! [`Avg27`]'s column buffer is zero-filled once per run.
+//! There is no vector twin to keep in step — the region drivers in
 //! [`crate::kernel`] inline the loop into a body they compile once for
 //! the build target and once for AVX, and pick per region at runtime
 //! ([`StencilOp::WIDEN`], which only [`ScalarPath`] turns off).
@@ -43,105 +49,155 @@ use tb_grid::{Dims3, Grid3, Real, Region3};
 
 use crate::kernel::{self, StoreMode};
 
-/// The nine radius-1 source row segments available to update cells
-/// `x0 .. x0 + n` of row `(y, z)`.
+/// A run of rows to update: rows `y0 .. y0 + rows` of plane `z`, cells
+/// `[x0, x0 + cells)` of each, with the radius-1 source rows around them.
 ///
-/// Each row covers the x-range `x0-1 ..= x0+n` (length `n + 2`), so the
-/// neighbor at offset `(dx, dy, dz)` of cell `i` is
-/// `rows.row(dy, dz)[i + 1 + dx]`.
+/// A run is two pointers and their strides — the source at cell
+/// `(x0 − 1, y0 − 1, z − 1)` with a row and a plane stride, the
+/// destination at `(x0, y0, z)` with a row stride — so an operator steps
+/// from one row to the next by adding a stride, and a row's slices need
+/// no bounds checks. The neighbor at offset `(dx, dy, dz)` of cell `i`
+/// of run row `r` is `run.src(r, dy, dz)[i + 1 + dx]`, and the cell
+/// itself is written at `run.dst(r)[i]`.
 ///
-/// Rows are materialized **lazily**: the table stores raw row pointers and
-/// [`Rows9::row`] forms the slice on demand. This matters for the
-/// compressed-grid executor, where the in-place diagonal shift makes the
-/// write row coincide with one *corner* source row — an operator that
-/// never calls `row(±1, ±1)` (see [`StencilOp::READS_CORNERS`]) never
-/// creates a slice overlapping the live `&mut` destination.
-#[derive(Clone, Copy)]
-pub struct Rows9<'a, T> {
-    /// `ptrs[dz + 1][dy + 1]` points at the first element (x = x0-1).
-    ptrs: [[*const T; 3]; 3],
-    /// Row segment length, `n + 2`.
-    len: usize,
-    _src: PhantomData<&'a [T]>,
+/// Source rows are materialized **lazily**: [`RowRun::src`] forms the
+/// slice on demand. This matters for the compressed-grid executor, where
+/// the in-place diagonal shift makes the write row coincide with one
+/// *corner* source row — an operator that never asks for `src(r, ±1,
+/// ±1)` (see [`StencilOp::READS_CORNERS`]) never creates a slice
+/// overlapping the live destination, and a run built for such an
+/// operator panics instead of handing one out.
+///
+/// Runs are built only inside this crate, by the region drivers in
+/// [`crate::kernel`].
+pub struct RowRun<'a, T> {
+    /// Source cell `(x0 − 1, y0 − 1, z − 1)`.
+    src: *const T,
+    /// Source row and plane strides, in elements.
+    src_strides: [usize; 2],
+    /// Destination cell `(x0, y0, z)`.
+    dst: *mut T,
+    /// Destination row stride, in elements.
+    dst_row: usize,
+    /// Logical `(x0, y0, z)`.
+    origin: [usize; 3],
+    cells: usize,
+    rows: usize,
+    /// Whether [`RowRun::src`] may hand out the diagonal rows.
+    corners: bool,
+    _borrow: PhantomData<&'a mut [T]>,
 }
 
-impl<'a, T> Rows9<'a, T> {
-    /// Build from nine explicit, equally long slices, indexed
-    /// `rows[dz + 1][dy + 1]`. Fully safe: the borrows prove validity.
-    #[inline(always)]
-    pub fn from_slices(rows: [[&'a [T]; 3]; 3]) -> Self {
-        let len = rows[0][0].len();
-        assert!(len >= 2, "rows must cover x0-1 ..= x0+n (length n+2)");
-        for plane in &rows {
-            for r in plane {
-                assert_eq!(r.len(), len, "all nine rows must have equal length");
-            }
-        }
-        // Spelled out: `array::map` is not reliably inlined, and this
-        // runs once per row inside the region drivers.
-        let [[a, b, c], [d, e, f], [g, h, i]] = rows;
-        Self {
-            ptrs: [
-                [a.as_ptr(), b.as_ptr(), c.as_ptr()],
-                [d.as_ptr(), e.as_ptr(), f.as_ptr()],
-                [g.as_ptr(), h.as_ptr(), i.as_ptr()],
-            ],
-            len,
-            _src: PhantomData,
-        }
-    }
-
-    /// Build the nine rows for updating cells `[x0, x1)` of row `(y, z)`
-    /// from a plain grid — the one definition of the slice↔offset
-    /// convention for safe callers. `(x0, y, z)` must be interior
-    /// (slice bounds enforce it).
-    #[inline(always)]
-    pub fn from_grid(g: &'a Grid3<T>, x0: usize, x1: usize, y: usize, z: usize) -> Self
-    where
-        T: Real,
-    {
-        let seg = |dy: usize, dz: usize| &g.row(y + dy - 1, z + dz - 1)[x0 - 1..x1 + 1];
-        Self::from_slices([
-            [seg(0, 0), seg(1, 0), seg(2, 0)],
-            [seg(0, 1), seg(1, 1), seg(2, 1)],
-            [seg(0, 2), seg(1, 2), seg(2, 2)],
-        ])
-    }
-
-    /// Build from raw row pointers (`ptrs[dz + 1][dy + 1]`, each valid
-    /// for `len` reads).
+impl<'a, T> RowRun<'a, T> {
+    /// The run over the logical cells of `block` (a box one plane thick),
+    /// reading from `src` — source cell `(x0 − 1, y0 − 1, z − 1)`, rows
+    /// `src_strides[0]` and planes `src_strides[1]` elements apart — and
+    /// writing to `dst` — destination cell `(x0, y0, z)`, rows `dst_row`
+    /// elements apart. `corners` says whether [`RowRun::src`] may hand
+    /// out the four diagonal rows `(±1, ±1)`.
     ///
     /// # Safety
-    /// For the lifetime `'a`, every row the consuming operator
-    /// materializes via [`Rows9::row`] must point at `len` initialized
-    /// elements that are neither concurrently written nor overlapped by
-    /// the operator's destination slice. Operators declare which rows
-    /// they touch through [`StencilOp::READS_CORNERS`]; callers use that
-    /// to decide whether corner rows need these guarantees.
+    /// For the lifetime `'a` and every run row `r`:
+    /// * destination row `r` (`cells` elements at `dst + r·dst_row`) is
+    ///   accessed by nothing but the run;
+    /// * every source row the run may hand out — `cells + 2` elements at
+    ///   `src + (r + dy + 1)·src_strides[0] + (dz + 1)·src_strides[1]`
+    ///   for `dy, dz ∈ {−1, 0, 1}`, the corners only if `corners` — is
+    ///   initialized, not concurrently written and overlaps no
+    ///   destination row of the run;
+    /// * every one of those source rows, corners included, lies inside
+    ///   the source allocation (the offset is computed even when the
+    ///   slice is never formed).
     #[inline(always)]
-    pub(crate) unsafe fn from_raw(ptrs: [[*const T; 3]; 3], len: usize) -> Self {
-        debug_assert!(len >= 2);
+    pub(crate) unsafe fn new(
+        src: *const T,
+        src_strides: [usize; 2],
+        dst: *mut T,
+        dst_row: usize,
+        block: &Region3,
+        corners: bool,
+    ) -> Self {
+        debug_assert!(!block.is_empty() && block.extent(2) == 1);
         Self {
-            ptrs,
-            len,
-            _src: PhantomData,
+            src,
+            src_strides,
+            dst,
+            dst_row,
+            origin: block.lo,
+            cells: block.extent(0),
+            rows: block.extent(1),
+            corners,
+            _borrow: PhantomData,
         }
     }
 
-    /// Number of *destination* cells these rows can update (`len - 2`).
+    /// Cells per row.
     #[inline(always)]
     pub fn cells(&self) -> usize {
-        self.len - 2
+        self.cells
     }
 
-    /// The source row at offset `(dy, dz)`, covering `x0-1 ..= x0+n`.
+    /// Rows in the run.
     #[inline(always)]
-    pub fn row(&self, dy: i32, dz: i32) -> &'a [T] {
-        // SAFETY: per the constructor contracts, this row is valid for
-        // `len` reads for 'a.
-        unsafe {
-            std::slice::from_raw_parts(self.ptrs[(dz + 1) as usize][(dy + 1) as usize], self.len)
-        }
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Logical coordinates `(x0, y0 + r, z)` of the first cell of run row
+    /// `r`. Executors that shift or relocate storage pass logical
+    /// coordinates, so operators may use them to address auxiliary
+    /// per-cell data.
+    #[inline(always)]
+    pub fn origin(&self, r: usize) -> [usize; 3] {
+        let [x0, y0, z] = self.origin;
+        [x0, y0 + r, z]
+    }
+
+    /// The source row at offset `(dy, dz)` from run row `r`, covering
+    /// `x0 − 1 ..= x0 + cells` (length `cells + 2`).
+    ///
+    /// # Panics
+    /// Panics if `r` is not a row of the run, `dy` or `dz` is outside
+    /// `−1 ..= 1`, or the row is a diagonal one and the run was built for
+    /// an operator that does not read corners.
+    #[inline(always)]
+    pub fn src(&self, r: usize, dy: i32, dz: i32) -> &'a [T] {
+        assert!(r < self.rows && dy.unsigned_abs() <= 1 && dz.unsigned_abs() <= 1);
+        assert!(
+            self.corners || dy == 0 || dz == 0,
+            "corner row of a cross-only run"
+        );
+        let [row, plane] = self.src_strides;
+        let at = (r + (dy + 1) as usize) * row + (dz + 1) as usize * plane;
+        // SAFETY: per the constructor contract this row is valid for
+        // `cells + 2` reads for 'a and overlaps no destination row.
+        unsafe { std::slice::from_raw_parts(self.src.add(at), self.cells + 2) }
+    }
+
+    /// The five cross-shaped source rows of run row `r`, in the cross
+    /// operators' order: center, south, north, bottom, top (`src(r, dy,
+    /// dz)` at `(0, 0)`, `(−1, 0)`, `(1, 0)`, `(0, −1)`, `(0, 1)`).
+    #[inline(always)]
+    pub fn cross(&self, r: usize) -> [&'a [T]; 5] {
+        [
+            self.src(r, 0, 0),
+            self.src(r, -1, 0),
+            self.src(r, 1, 0),
+            self.src(r, 0, -1),
+            self.src(r, 0, 1),
+        ]
+    }
+
+    /// Destination row `r`: element `i` is cell `(x0 + i, y0 + r, z)`.
+    ///
+    /// # Panics
+    /// Panics if `r` is not a row of the run.
+    #[inline(always)]
+    pub fn dst(&mut self, r: usize) -> &mut [T] {
+        assert!(r < self.rows);
+        // SAFETY: per the constructor contract the row is the run's
+        // alone; `&mut self` keeps two of them from coexisting.
+        unsafe { std::slice::from_raw_parts_mut(self.dst.add(r * self.dst_row), self.cells) }
     }
 }
 
@@ -158,15 +214,16 @@ pub trait StencilOp<T: Real>: Clone + Send + Sync + 'static {
     /// operators only.
     const RADIUS: usize = 1;
 
-    /// Whether [`StencilOp::apply_row`] reads the diagonal rows
-    /// `row(±1, ±1)`. Cross-shaped operators override this to `false`,
+    /// Whether [`StencilOp::apply_rows`] reads the diagonal rows
+    /// `src(r, ±1, ±1)`. Cross-shaped operators override this to `false`,
     /// which lets the compressed-grid executor use the copy-free in-place
-    /// path; the conservative default routes corner-reading operators
-    /// through a scratch buffer instead.
+    /// path (whose runs refuse to hand out a corner row); the
+    /// conservative default routes corner-reading operators through a
+    /// scratch buffer instead.
     const READS_CORNERS: bool = true;
 
     /// Whether the region drivers in [`crate::kernel`] may compile this
-    /// operator's row loop at the host's vector width (AVX where the CPU
+    /// operator's row loops at the host's vector width (AVX where the CPU
     /// has it) instead of the build target's. Results are bitwise the
     /// same either way; only [`ScalarPath`] turns it off, to stay the
     /// build-target twin the widened code is checked against.
@@ -196,32 +253,29 @@ pub trait StencilOp<T: Real>: Clone + Send + Sync + 'static {
         (grid_streams + self.extra_read_streams()) * T::bytes() as f64
     }
 
-    /// Update cells `x0 .. x0 + dst.len()` of row `(y, z)`: `dst[i]`
-    /// becomes the next time step of cell `(x0 + i, y, z)`, computed from
-    /// `src`. Coordinates are *logical* grid coordinates (executors that
-    /// shift or relocate storage translate before calling), so operators
-    /// may use them to address auxiliary per-cell data.
+    /// Update every cell of `run`: `run.dst(r)[i]` becomes the next time
+    /// step of cell `run.origin(r) + (i, 0, 0)`, computed from the run's
+    /// source rows. Coordinates are *logical* grid coordinates (executors
+    /// that shift or relocate storage translate before calling), so
+    /// operators may use them to address auxiliary per-cell data.
     ///
-    /// This is the operator's only row kernel. Write it as a plain
-    /// indexed loop and mark the impl `#[inline(always)]`: the region
-    /// drivers inline it into a body that is compiled once for the
-    /// build target and once for AVX (see [`crate::kernel`]), and an
-    /// impl that is not inlined silently stays at the build target.
-    fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, x0: usize, y: usize, z: usize);
+    /// This is the operator's only row kernel. Loop the run's rows and
+    /// write each row as a plain indexed loop, in the same per-cell
+    /// operand order for every row, inside an `#[inline(always)]` row
+    /// function that takes the destination row as a `&mut [T]` argument
+    /// (so LLVM knows no source row overlaps it), as the shipped
+    /// operators do. Mark the impl `#[inline(always)]` too: the region
+    /// drivers inline it into a body that is compiled once for the build
+    /// target and once for AVX (see [`crate::kernel`]), and an impl that
+    /// is not inlined silently stays at the build target.
+    fn apply_rows(&self, run: &mut RowRun<'_, T>);
 
     /// Variant for the baseline's non-temporal-store write stream. The
     /// default falls back to plain stores — results must stay bitwise
     /// identical either way.
     #[inline(always)]
-    fn apply_row_streaming(
-        &self,
-        dst: &mut [T],
-        src: &Rows9<'_, T>,
-        x0: usize,
-        y: usize,
-        z: usize,
-    ) {
-        self.apply_row(dst, src, x0, y, z);
+    fn apply_rows_streaming(&self, run: &mut RowRun<'_, T>) {
+        self.apply_rows(run);
     }
 
     /// Operator for a sub-box of the global problem whose local cell
@@ -238,7 +292,7 @@ pub trait StencilOp<T: Real>: Clone + Send + Sync + 'static {
 /// Adapter that pins an operator to the build target's instruction
 /// set: it delegates everything to the wrapped operator but sets
 /// [`StencilOp::WIDEN`] to `false`, so every region driver runs the row
-/// loop as compiled for the build target instead of the AVX copy.
+/// loops as compiled for the build target instead of the AVX copy.
 ///
 /// This is the oracle side of the widening verification story — the
 /// `simd_property` suite and the kernel tests run with `op` and
@@ -271,20 +325,13 @@ impl<T: Real, Op: StencilOp<T>> StencilOp<T> for ScalarPath<Op> {
     }
 
     #[inline(always)]
-    fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, x0: usize, y: usize, z: usize) {
-        self.0.apply_row(dst, src, x0, y, z);
+    fn apply_rows(&self, run: &mut RowRun<'_, T>) {
+        self.0.apply_rows(run);
     }
 
     #[inline(always)]
-    fn apply_row_streaming(
-        &self,
-        dst: &mut [T],
-        src: &Rows9<'_, T>,
-        x0: usize,
-        y: usize,
-        z: usize,
-    ) {
-        self.0.apply_row_streaming(dst, src, x0, y, z);
+    fn apply_rows_streaming(&self, run: &mut RowRun<'_, T>) {
+        self.0.apply_rows_streaming(run);
     }
 
     fn restricted(&self, local_box: &Region3) -> Self {
@@ -319,42 +366,41 @@ impl<T: Real> StencilOp<T> for Jacobi6 {
     }
 
     #[inline(always)]
-    fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, _x0: usize, _y: usize, _z: usize) {
-        let n = dst.len();
-        kernel::jacobi_row(
-            dst,
-            src.row(0, 0),
-            &src.row(-1, 0)[1..n + 1],
-            &src.row(1, 0)[1..n + 1],
-            &src.row(0, -1)[1..n + 1],
-            &src.row(0, 1)[1..n + 1],
-        );
+    fn apply_rows(&self, run: &mut RowRun<'_, T>) {
+        let n = run.cells();
+        for r in 0..run.rows() {
+            let [c, ym, yp, zm, zp] = run.cross(r);
+            kernel::jacobi_row(
+                run.dst(r),
+                c,
+                &ym[1..n + 1],
+                &yp[1..n + 1],
+                &zm[1..n + 1],
+                &zp[1..n + 1],
+            );
+        }
     }
 
     #[inline(always)]
-    fn apply_row_streaming(
-        &self,
-        dst: &mut [T],
-        src: &Rows9<'_, T>,
-        x0: usize,
-        y: usize,
-        z: usize,
-    ) {
+    fn apply_rows_streaming(&self, run: &mut RowRun<'_, T>) {
         if !is_f64::<T>() {
-            self.apply_row(dst, src, x0, y, z);
+            self.apply_rows(run);
             return;
         }
-        let n = dst.len();
-        // SAFETY of the transmutes: guarded by `is_f64`.
-        unsafe {
-            kernel::jacobi_row_nt_f64(
-                std::mem::transmute::<&mut [T], &mut [f64]>(dst),
-                std::mem::transmute::<&[T], &[f64]>(src.row(0, 0)),
-                std::mem::transmute::<&[T], &[f64]>(&src.row(-1, 0)[1..n + 1]),
-                std::mem::transmute::<&[T], &[f64]>(&src.row(1, 0)[1..n + 1]),
-                std::mem::transmute::<&[T], &[f64]>(&src.row(0, -1)[1..n + 1]),
-                std::mem::transmute::<&[T], &[f64]>(&src.row(0, 1)[1..n + 1]),
-            );
+        let n = run.cells();
+        for r in 0..run.rows() {
+            let [c, ym, yp, zm, zp] = run.cross(r);
+            // SAFETY of the transmutes: guarded by `is_f64`.
+            unsafe {
+                kernel::jacobi_row_nt_f64(
+                    std::mem::transmute::<&mut [T], &mut [f64]>(run.dst(r)),
+                    std::mem::transmute::<&[T], &[f64]>(c),
+                    std::mem::transmute::<&[T], &[f64]>(&ym[1..n + 1]),
+                    std::mem::transmute::<&[T], &[f64]>(&yp[1..n + 1]),
+                    std::mem::transmute::<&[T], &[f64]>(&zm[1..n + 1]),
+                    std::mem::transmute::<&[T], &[f64]>(&zp[1..n + 1]),
+                );
+            }
         }
     }
 }
@@ -398,19 +444,35 @@ impl<T: Real> StencilOp<T> for Jacobi7 {
     }
 
     #[inline(always)]
-    fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, _x0: usize, _y: usize, _z: usize) {
-        let n = dst.len();
+    fn apply_rows(&self, run: &mut RowRun<'_, T>) {
         let cw = T::from_f64(self.center);
         let nw = T::from_f64(self.neighbor);
-        let c = src.row(0, 0);
-        let ym = src.row(-1, 0);
-        let yp = src.row(1, 0);
-        let zm = src.row(0, -1);
-        let zp = src.row(0, 1);
-        for i in 0..n {
-            let sum = c[i] + c[i + 2] + ym[i + 1] + yp[i + 1] + zm[i + 1] + zp[i + 1];
-            dst[i] = c[i + 1] * cw + sum * nw;
+        for r in 0..run.rows() {
+            let cross = run.cross(r);
+            jacobi7_row(run.dst(r), cross, cw, nw);
         }
+    }
+}
+
+/// One row of [`Jacobi7`], from the [`RowRun::cross`] rows.
+///
+/// A function of its own, like every operator's row body, so that `dst`
+/// arrives as a `&mut` argument: LLVM then knows it overlaps no source
+/// row and vectorizes without runtime overlap checks, which short rows
+/// would pay for.
+#[inline(always)]
+fn jacobi7_row<T: Real>(dst: &mut [T], [c, ym, yp, zm, zp]: [&[T]; 5], cw: T, nw: T) {
+    let n = dst.len();
+    let (c, ym, yp, zm, zp) = (
+        &c[..n + 2],
+        &ym[..n + 2],
+        &yp[..n + 2],
+        &zm[..n + 2],
+        &zp[..n + 2],
+    );
+    for i in 0..n {
+        let sum = c[i] + c[i + 2] + ym[i + 1] + yp[i + 1] + zm[i + 1] + zp[i + 1];
+        dst[i] = c[i + 1] * cw + sum * nw;
     }
 }
 
@@ -470,20 +532,20 @@ impl<T: Real> StencilOp<T> for VarCoeff7<T> {
     }
 
     #[inline(always)]
-    fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, x0: usize, y: usize, z: usize) {
-        let n = dst.len();
+    fn apply_rows(&self, run: &mut RowRun<'_, T>) {
+        let n = run.cells();
         let six = T::from_f64(6.0);
-        let gx = x0 + self.origin[0];
-        let k = &self.kappa.row(y + self.origin[1], z + self.origin[2])[gx..gx + n];
-        let c = src.row(0, 0);
-        let ym = src.row(-1, 0);
-        let yp = src.row(1, 0);
-        let zm = src.row(0, -1);
-        let zp = src.row(0, 1);
-        for i in 0..n {
-            let u = c[i + 1];
-            let sum = c[i] + c[i + 2] + ym[i + 1] + yp[i + 1] + zm[i + 1] + zp[i + 1];
-            dst[i] = u + (sum - u * six) * k[i];
+        // The run's coefficient rows, one slice check per run: row `r`
+        // starts `r·nx` elements past the first.
+        let [x0, y0, z] = run.origin(0);
+        let nx = self.kappa.dims().nx;
+        let start = self
+            .kappa
+            .idx(x0 + self.origin[0], y0 + self.origin[1], z + self.origin[2]);
+        let kappa = &self.kappa.as_slice()[start..start + (run.rows() - 1) * nx + n];
+        for r in 0..run.rows() {
+            let cross = run.cross(r);
+            varcoeff7_row(run.dst(r), cross, &kappa[r * nx..r * nx + n], six);
         }
     }
 
@@ -496,6 +558,27 @@ impl<T: Real> StencilOp<T> for VarCoeff7<T> {
                 self.origin[2] + local_box.lo[2],
             ],
         }
+    }
+}
+
+/// One row of [`VarCoeff7`], from the [`RowRun::cross`] rows and the
+/// row's coefficients `k` (a function of its own for the reason
+/// [`jacobi7_row`] gives).
+#[inline(always)]
+fn varcoeff7_row<T: Real>(dst: &mut [T], [c, ym, yp, zm, zp]: [&[T]; 5], k: &[T], six: T) {
+    let n = dst.len();
+    let (c, ym, yp, zm, zp) = (
+        &c[..n + 2],
+        &ym[..n + 2],
+        &yp[..n + 2],
+        &zm[..n + 2],
+        &zp[..n + 2],
+    );
+    let k = &k[..n];
+    for i in 0..n {
+        let u = c[i + 1];
+        let sum = c[i] + c[i + 2] + ym[i + 1] + yp[i + 1] + zm[i + 1] + zp[i + 1];
+        dst[i] = u + (sum - u * six) * k[i];
     }
 }
 
@@ -544,33 +627,53 @@ impl<T: Real> StencilOp<T> for Avg27 {
     }
 
     #[inline(always)]
-    fn apply_row(&self, dst: &mut [T], src: &Rows9<'_, T>, _x0: usize, _y: usize, _z: usize) {
-        let n = dst.len();
+    fn apply_rows(&self, run: &mut RowRun<'_, T>) {
         let w = T::ONE / T::from_f64(27.0);
-        // Planes bottom / center / top (dz), rows south / center / north (dy).
-        let (bs, bc, bn) = (src.row(-1, -1), src.row(0, -1), src.row(1, -1));
-        let (cs, cc, cn) = (src.row(-1, 0), src.row(0, 0), src.row(1, 0));
-        let (ts, tc, tn) = (src.row(-1, 1), src.row(0, 1), src.row(1, 1));
+        // Zero-filled once per run; every chunk overwrites the part it reads.
         let mut col = [T::ZERO; Avg27::CHUNK + 2];
-        let mut i0 = 0;
-        while i0 < n {
-            // Cells `i0 .. i0 + m` read source columns `i0 .. i0 + m + 2`
-            // (row index `i + 1 + dx` for cell `i`).
-            let m = (n - i0).min(Avg27::CHUNK);
-            let (lo, hi) = (i0, i0 + m + 2);
-            let (bs, bc, bn) = (&bs[lo..hi], &bc[lo..hi], &bn[lo..hi]);
-            let (cs, cc, cn) = (&cs[lo..hi], &cc[lo..hi], &cn[lo..hi]);
-            let (ts, tc, tn) = (&ts[lo..hi], &tc[lo..hi], &tn[lo..hi]);
-            let col = &mut col[..m + 2];
-            for j in 0..m + 2 {
-                col[j] = bs[j] + bc[j] + bn[j] + cs[j] + cc[j] + cn[j] + ts[j] + tc[j] + tn[j];
-            }
-            let d = &mut dst[i0..i0 + m];
-            for i in 0..m {
-                d[i] = (col[i] + col[i + 1] + col[i + 2]) * w;
-            }
-            i0 += m;
+        for r in 0..run.rows() {
+            // Planes bottom / center / top (dz), rows south / center / north (dy).
+            let nine = [
+                run.src(r, -1, -1),
+                run.src(r, 0, -1),
+                run.src(r, 1, -1),
+                run.src(r, -1, 0),
+                run.src(r, 0, 0),
+                run.src(r, 1, 0),
+                run.src(r, -1, 1),
+                run.src(r, 0, 1),
+                run.src(r, 1, 1),
+            ];
+            avg27_row(run.dst(r), nine, &mut col, w);
         }
+    }
+}
+
+/// One row of [`Avg27`] in x-chunks of [`Avg27::CHUNK`] cells, from the
+/// nine source rows in `(dz, dy)` order and the column-sum buffer `col`
+/// (a function of its own for the reason [`jacobi7_row`] gives).
+#[inline(always)]
+fn avg27_row<T: Real>(dst: &mut [T], nine: [&[T]; 9], col: &mut [T; Avg27::CHUNK + 2], w: T) {
+    let n = dst.len();
+    let [bs, bc, bn, cs, cc, cn, ts, tc, tn] = nine;
+    let mut i0 = 0;
+    while i0 < n {
+        // Cells `i0 .. i0 + m` read source columns `i0 .. i0 + m + 2`
+        // (row index `i + 1 + dx` for cell `i`).
+        let m = (n - i0).min(Avg27::CHUNK);
+        let (lo, hi) = (i0, i0 + m + 2);
+        let (bs, bc, bn) = (&bs[lo..hi], &bc[lo..hi], &bn[lo..hi]);
+        let (cs, cc, cn) = (&cs[lo..hi], &cc[lo..hi], &cn[lo..hi]);
+        let (ts, tc, tn) = (&ts[lo..hi], &tc[lo..hi], &tn[lo..hi]);
+        let col = &mut col[..m + 2];
+        for j in 0..m + 2 {
+            col[j] = bs[j] + bc[j] + bn[j] + cs[j] + cc[j] + cn[j] + ts[j] + tc[j] + tn[j];
+        }
+        let d = &mut dst[i0..i0 + m];
+        for i in 0..m {
+            d[i] = (col[i] + col[i + 1] + col[i + 2]) * w;
+        }
+        i0 += m;
     }
 }
 
@@ -579,36 +682,178 @@ mod tests {
     use super::*;
     use tb_grid::init;
 
-    fn rows_from_grid<T: Real>(
+    /// The run over the logical cells of `block` (one plane thick) that
+    /// reads `g` with the block's first cell at `at` and writes `out`,
+    /// whose rows are `block.extent(0)` elements apart.
+    fn run_at<'a, T: Real>(
+        g: &'a Grid3<T>,
+        at: [usize; 3],
+        block: &Region3,
+        out: &'a mut [T],
+    ) -> RowRun<'a, T> {
+        let dims = g.dims();
+        let shifted = Region3::new(at, [0, 1, 2].map(|a| at[a] + block.extent(a)));
+        assert!(Region3::interior_of(dims).contains_region(&shifted) && block.extent(2) == 1);
+        let n = block.extent(0);
+        assert_eq!(out.len(), n * block.extent(1));
+        let [x, y, z] = at;
+        // SAFETY: the shifted block and its radius-1 neighborhood lie in
+        // `g`, which is only read; `out` holds exactly the run's rows and
+        // is borrowed exclusively for the run's lifetime.
+        unsafe {
+            RowRun::new(
+                g.as_ptr().add(dims.idx(x - 1, y - 1, z - 1)),
+                [dims.nx, dims.nx * dims.ny],
+                out.as_mut_ptr(),
+                n,
+                block,
+                true,
+            )
+        }
+    }
+
+    /// `op` over rows `y0 .. y0 + k`, cells `[x0, x0 + n)`, of plane `z`
+    /// of `g`, as one run. Row `r` of the result (`n` cells from `r·n`)
+    /// is run row `r`; cells the operator leaves unwritten stay NaN.
+    #[allow(clippy::too_many_arguments)]
+    fn apply_run<T: Real, Op: StencilOp<T>>(
+        op: &Op,
         g: &Grid3<T>,
         x0: usize,
-        x1: usize,
-        y: usize,
+        n: usize,
+        y0: usize,
+        k: usize,
         z: usize,
-    ) -> Rows9<'_, T> {
-        Rows9::from_grid(g, x0, x1, y, z)
+    ) -> Vec<T> {
+        let mut out = vec![T::from_f64(f64::NAN); n * k];
+        let block = Region3::new([x0, y0, z], [x0 + n, y0 + k, z + 1]);
+        op.apply_rows(&mut run_at(g, block.lo, &block, &mut out));
+        out
+    }
+
+    /// `Avg27`'s documented order, evaluated at one point.
+    fn avg27_point<T: Real>(g: &Grid3<T>, x: usize, y: usize, z: usize) -> T {
+        let col = |x: usize| {
+            let mut nine =
+                (z - 1..=z + 1).flat_map(|zz| (y - 1..=y + 1).map(move |yy| g.get(x, yy, zz)));
+            let first = nine.next().unwrap();
+            nine.fold(first, |s, v| s + v)
+        };
+        (col(x - 1) + col(x) + col(x + 1)) * (T::ONE / T::from_f64(27.0))
+    }
+
+    /// The six face neighbors of `(x, y, z)` summed in the cross
+    /// operators' order: west, east, south, north, bottom, top.
+    fn face_sum<T: Real>(g: &Grid3<T>, x: usize, y: usize, z: usize) -> T {
+        g.get(x - 1, y, z)
+            + g.get(x + 1, y, z)
+            + g.get(x, y - 1, z)
+            + g.get(x, y + 1, z)
+            + g.get(x, y, z - 1)
+            + g.get(x, y, z + 1)
     }
 
     #[test]
-    fn rows9_addressing() {
-        let dims = Dims3::new(8, 5, 5);
+    fn row_run_addressing() {
+        let dims = Dims3::new(8, 6, 5);
         let g: Grid3<f64> = Grid3::from_fn(dims, |x, y, z| (x + 10 * y + 100 * z) as f64);
-        let rows = rows_from_grid(&g, 2, 6, 2, 3);
-        assert_eq!(rows.cells(), 4);
-        // Neighbor (dx,dy,dz) of cell i at x0=2 has value
-        // x0+i+dx + 10(y+dy) + 100(z+dz), at row index i + 1 + dx.
-        assert_eq!(rows.row(0, 0)[1], (2 + 20 + 300) as f64); // i=0, dx=0
-        assert_eq!(rows.row(-1, 1)[0], (1 + 10 + 400) as f64); // i=0, dx=-1
-        assert_eq!(rows.row(1, -1)[5], (6 + 30 + 200) as f64); // i=3, dx=+1
+        let block = Region3::new([2, 2, 3], [6, 4, 4]);
+        let mut out = vec![0.0; 8];
+        let mut run = run_at(&g, block.lo, &block, &mut out);
+        assert_eq!((run.cells(), run.rows()), (4, 2));
+        assert_eq!(run.origin(1), [2, 3, 3]);
+        // Neighbor (dx,dy,dz) of cell i of run row r at x0=2, y0=2 has
+        // value x0+i+dx + 10(y0+r+dy) + 100(z+dz), at index i + 1 + dx.
+        assert_eq!(run.src(0, 0, 0)[1], (2 + 20 + 300) as f64); // r=0, i=0, dx=0
+        assert_eq!(run.src(0, -1, 1)[0], (1 + 10 + 400) as f64); // r=0, i=0, dx=-1
+        assert_eq!(run.src(1, 1, -1)[5], (6 + 40 + 200) as f64); // r=1, i=3, dx=+1
+        run.dst(1)[3] = 7.0;
+        assert_eq!(out[4 + 3], 7.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "corner row of a cross-only run")]
+    fn cross_only_run_refuses_corner_rows() {
+        let dims = Dims3::cube(5);
+        let g: Grid3<f64> = init::random(dims, 1);
+        let mut out = vec![0.0; 3];
+        let block = Region3::new([1, 2, 2], [4, 3, 3]);
+        // SAFETY: as `run_at`, cross rows only.
+        let run = unsafe {
+            RowRun::new(
+                g.as_ptr().add(dims.idx(0, 1, 1)),
+                [dims.nx, dims.nx * dims.ny],
+                out.as_mut_ptr(),
+                3,
+                &block,
+                false,
+            )
+        };
+        let _ = run.src(0, 0, 1);
+        let _ = run.src(0, 1, 1);
+    }
+
+    /// `apply_rows` over runs of 1, 2 and 5 rows equals each operator's
+    /// pointwise formula, bitwise, in `f64` and `f32`: row lengths at and
+    /// around vector widths and [`Avg27::CHUNK`], two x offsets. A run
+    /// that carried state from one row to the next (a stale column
+    /// buffer) or stepped by the wrong stride fails on its second row.
+    #[test]
+    fn runs_of_rows_match_pointwise_formulas() {
+        fn check<T: Real, Op: StencilOp<T>>(
+            op: &Op,
+            g: &Grid3<T>,
+            point: impl Fn(usize, usize, usize) -> T,
+        ) {
+            let c = Avg27::CHUNK;
+            let (y0, z) = (2, 3);
+            for k in [1, 2, 5] {
+                for n in [1, 2, 3, 14, 16, 17, c - 1, c, c + 1, 2 * c + 3] {
+                    for x0 in [1, 3] {
+                        let got = apply_run(op, g, x0, n, y0, k, z);
+                        for (j, v) in got.iter().enumerate() {
+                            let (r, i) = (j / n, j % n);
+                            let want = point(x0 + i, y0 + r, z);
+                            assert!(
+                                v.to_f64().to_bits() == want.to_f64().to_bits(),
+                                "{} k={k} n={n} x0={x0} r={r} i={i}: {v} != {want}",
+                                op.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        fn all<T: Real>(seed: u64) {
+            // Every source row of every run is interior, none a constant
+            // boundary row.
+            let dims = Dims3::new(2 * Avg27::CHUNK + 8, 9, 6);
+            let g: Grid3<T> = init::random(dims, seed);
+            let g = &g;
+            let sixth = T::ONE / T::from_f64(6.0);
+            check(&Jacobi6, g, |x, y, z| face_sum(g, x, y, z) * sixth);
+            let heat = Jacobi7::heat(0.07);
+            let (cw, nw) = (T::from_f64(heat.center), T::from_f64(heat.neighbor));
+            check(&heat, g, |x, y, z| {
+                g.get(x, y, z) * cw + face_sum(g, x, y, z) * nw
+            });
+            let vc = VarCoeff7::<T>::banded(dims);
+            let six = T::from_f64(6.0);
+            check(&vc, g, |x, y, z| {
+                let u = g.get(x, y, z);
+                u + (face_sum(g, x, y, z) - u * six) * vc.kappa().get(x, y, z)
+            });
+            check(&Avg27, g, |x, y, z| avg27_point(g, x, y, z));
+        }
+        all::<f64>(51);
+        all::<f32>(52);
     }
 
     #[test]
     fn jacobi6_row_matches_pointwise() {
         let dims = Dims3::cube(7);
         let g: Grid3<f64> = init::random(dims, 3);
-        let rows = rows_from_grid(&g, 1, 6, 3, 3);
-        let mut dst = vec![0.0; 5];
-        StencilOp::<f64>::apply_row(&Jacobi6, &mut dst, &rows, 1, 3, 3);
+        let dst = apply_run(&Jacobi6, &g, 1, 5, 3, 1, 3);
         for (i, x) in (1..6).enumerate() {
             let want = (g.get(x - 1, 3, 3)
                 + g.get(x + 1, 3, 3)
@@ -623,13 +868,13 @@ mod tests {
 
     #[test]
     fn jacobi6_streaming_is_bitwise_equal() {
-        let dims = Dims3::new(41, 5, 5); // odd width exercises NT head/tail
+        let dims = Dims3::new(41, 7, 5); // odd width exercises NT head/tail
         let g: Grid3<f64> = init::random(dims, 17);
-        let rows = rows_from_grid(&g, 1, 40, 2, 2);
-        let mut a = vec![0.0; 39];
-        let mut b = vec![0.0; 39];
-        StencilOp::<f64>::apply_row(&Jacobi6, &mut a, &rows, 1, 2, 2);
-        StencilOp::<f64>::apply_row_streaming(&Jacobi6, &mut b, &rows, 1, 2, 2);
+        let block = Region3::new([1, 2, 2], [40, 5, 3]);
+        let mut a = vec![0.0; 39 * 3];
+        let mut b = vec![0.0; 39 * 3];
+        StencilOp::<f64>::apply_rows(&Jacobi6, &mut run_at(&g, block.lo, &block, &mut a));
+        StencilOp::<f64>::apply_rows_streaming(&Jacobi6, &mut run_at(&g, block.lo, &block, &mut b));
         assert_eq!(a, b);
     }
 
@@ -640,9 +885,7 @@ mod tests {
         assert_eq!(op.neighbor, 0.1);
         let dims = Dims3::cube(5);
         let g: Grid3<f64> = init::random(dims, 5);
-        let rows = rows_from_grid(&g, 1, 4, 2, 2);
-        let mut dst = vec![0.0; 3];
-        StencilOp::<f64>::apply_row(&op, &mut dst, &rows, 1, 2, 2);
+        let dst = apply_run(&op, &g, 1, 3, 2, 1, 2);
         let x = 2usize;
         let sum = g.get(x - 1, 2, 2)
             + g.get(x + 1, 2, 2)
@@ -659,23 +902,26 @@ mod tests {
         let _ = Jacobi7::heat(0.2);
     }
 
+    /// Rows `y = 3, 4` of plane `z = 4`, cells `2..6`, evaluated by `op`
+    /// and by its restriction to the local box anchored at `(1, 2, 2)`,
+    /// whose runs carry local coordinates (global − anchor).
+    fn restricted_runs_agree<Op: StencilOp<f64>>(op: &Op, g: &Grid3<f64>) {
+        let global = Region3::new([2, 3, 4], [6, 5, 5]);
+        let mut want = vec![0.0; 8];
+        op.apply_rows(&mut run_at(g, global.lo, &global, &mut want));
+        let local_op = op.restricted(&Region3::new([1, 2, 2], [8, 8, 8]));
+        let local = Region3::new([1, 1, 2], [5, 3, 3]);
+        let mut got = vec![0.0; 8];
+        local_op.apply_rows(&mut run_at(g, global.lo, &local, &mut got));
+        assert_eq!(want, got);
+    }
+
     #[test]
     fn varcoeff_restriction_reanchors_lookup() {
         let dims = Dims3::cube(8);
         let op: VarCoeff7<f64> = VarCoeff7::banded(dims);
         let g: Grid3<f64> = init::random(dims, 9);
-
-        // Global evaluation of row (y=3, z=4), cells 2..6.
-        let rows = rows_from_grid(&g, 2, 6, 3, 4);
-        let mut want = vec![0.0; 4];
-        op.apply_row(&mut want, &rows, 2, 3, 4);
-
-        // The same cells seen from a local box anchored at (1, 2, 2):
-        // local coords are global - origin.
-        let local = op.restricted(&Region3::new([1, 2, 2], [8, 8, 8]));
-        let mut got = vec![0.0; 4];
-        local.apply_row(&mut got, &rows, 1, 1, 2);
-        assert_eq!(want, got);
+        restricted_runs_agree(&op, &g);
     }
 
     #[test]
@@ -690,9 +936,7 @@ mod tests {
     fn avg27_is_neighborhood_mean() {
         let dims = Dims3::cube(5);
         let g: Grid3<f64> = init::random(dims, 11);
-        let rows = rows_from_grid(&g, 1, 4, 2, 2);
-        let mut dst = vec![0.0; 3];
-        StencilOp::<f64>::apply_row(&Avg27, &mut dst, &rows, 1, 2, 2);
+        let dst = apply_run(&Avg27, &g, 1, 3, 2, 1, 2);
         let x = 2usize;
         let mut sum = 0.0;
         for dz in 0..3 {
@@ -707,20 +951,11 @@ mod tests {
         assert!((dst[1] - sum / 27.0).abs() < 1e-12);
     }
 
-    /// `Avg27::apply_row` is bitwise its documented order, evaluated
+    /// `Avg27::apply_rows` is bitwise its documented order, evaluated
     /// point by point, on rows that end just before, at, and just past
     /// a chunk boundary and on rows spanning three chunks.
     #[test]
     fn avg27_row_is_its_documented_order_across_chunks() {
-        fn naive<T: Real>(g: &Grid3<T>, x: usize, y: usize, z: usize) -> T {
-            let col = |x: usize| {
-                let mut nine =
-                    (z - 1..=z + 1).flat_map(|zz| (y - 1..=y + 1).map(move |yy| g.get(x, yy, zz)));
-                let first = nine.next().unwrap();
-                nine.fold(first, |s, v| s + v)
-            };
-            (col(x - 1) + col(x) + col(x + 1)) * (T::ONE / T::from_f64(27.0))
-        }
         fn check<T: Real>(seed: u64) {
             let c = Avg27::CHUNK;
             // All nine source rows of (y, z) = (2, 3) are interior, so
@@ -729,11 +964,9 @@ mod tests {
             let g: Grid3<T> = init::random(dims, seed);
             for n in [1, 2, c - 1, c, c + 1, 2 * c + 3] {
                 for x0 in [1, 3] {
-                    let mut dst = vec![T::ZERO; n];
-                    let rows = rows_from_grid(&g, x0, x0 + n, 2, 3);
-                    StencilOp::<T>::apply_row(&Avg27, &mut dst, &rows, x0, 2, 3);
+                    let dst = apply_run(&Avg27, &g, x0, n, 2, 1, 3);
                     for (i, got) in dst.iter().enumerate() {
-                        let want = naive(&g, x0 + i, 2, 3);
+                        let want = avg27_point(&g, x0 + i, 2, 3);
                         assert!(
                             got.to_f64().to_bits() == want.to_f64().to_bits(),
                             "n={n} x0={x0} i={i}: {got} != {want}"
@@ -746,7 +979,7 @@ mod tests {
         check::<f32>(42);
     }
 
-    /// Widened row loop ≡ build-target row loop ≡ the bare `apply_row`,
+    /// Widened row loop ≡ build-target row loop ≡ the bare `apply_rows`,
     /// bitwise, for every shipped operator — including offsets and row
     /// lengths that leave the vector body a head and a tail.
     #[test]
@@ -762,9 +995,8 @@ mod tests {
                 kernel::update_region_op(&ScalarPath(op.clone()), &g, &mut base, &row);
                 let ctx = format!("{} x0={x0} n={}", op.name(), x1 - x0);
                 tb_grid::norm::assert_grids_identical(&base, &wide, &whole, &ctx);
-                let mut direct = vec![0.0; x1 - x0];
-                op.apply_row(&mut direct, &rows_from_grid(&g, x0, x1, 2, 3), x0, 2, 3);
-                assert_eq!(&base.row(2, 3)[x0..x1], &direct[..], "{ctx} apply_row");
+                let direct = apply_run(op, &g, x0, x1 - x0, 2, 1, 3);
+                assert_eq!(&base.row(2, 3)[x0..x1], &direct[..], "{ctx} apply_rows");
             }
         }
         // nx not a vector multiple; the longest row spans three Avg27 chunks.
@@ -791,13 +1023,7 @@ mod tests {
         }
         // Restriction re-anchors through the wrapper.
         let g: Grid3<f64> = init::random(dims, 13);
-        let rows = rows_from_grid(&g, 2, 6, 3, 4);
-        let mut want = vec![0.0; 4];
-        op.apply_row(&mut want, &rows, 2, 3, 4);
-        let local = op.restricted(&Region3::new([1, 2, 2], [8, 8, 8]));
-        let mut got = vec![0.0; 4];
-        local.apply_row(&mut got, &rows, 1, 1, 2);
-        assert_eq!(want, got);
+        restricted_runs_agree(&op, &g);
     }
 
     #[test]

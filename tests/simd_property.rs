@@ -4,8 +4,8 @@
 //! Two contracts are pinned here:
 //!
 //! 1. **Widened ≡ build-target, bitwise.** The region drivers run each
-//!    operator's one `apply_row` loop through an AVX-compiled copy when
-//!    the host has AVX; [`ScalarPath`] pins the same loop to the build
+//!    operator's one row-run loop (`StencilOp::apply_rows`, a plane of
+//!    rows per call) through an AVX-compiled copy when the host has AVX; [`ScalarPath`] pins the same loop to the build
 //!    target's ISA. Both must produce exactly the same bits, for every
 //!    shipped operator, in `f64` *and* `f32`, at arbitrary row lengths
 //!    (not multiples of any vector width) and arbitrary `x0` offsets
