@@ -31,18 +31,24 @@ impl<T: Real> Grid3<T> {
         }
     }
 
-    /// Grid initialized from a function of the coordinates.
+    /// Grid initialized from a function of the coordinates, called in
+    /// memory order (x fastest); each cell is written once.
     pub fn from_fn(dims: Dims3, mut f: impl FnMut(usize, usize, usize) -> T) -> Self {
-        let mut g = Self::zeroed(dims);
-        for z in 0..dims.nz {
-            for y in 0..dims.ny {
-                let row = g.row_mut(y, z);
-                for (x, cell) in row.iter_mut().enumerate() {
-                    *cell = f(x, y, z);
+        let (mut x, mut y, mut z) = (0, 0, 0);
+        let data = AlignedVec::from_fn(dims.len(), |_| {
+            let v = f(x, y, z);
+            x += 1;
+            if x == dims.nx {
+                x = 0;
+                y += 1;
+                if y == dims.ny {
+                    y = 0;
+                    z += 1;
                 }
             }
-        }
-        g
+            v
+        });
+        Self { dims, data }
     }
 
     pub fn dims(&self) -> Dims3 {

@@ -62,13 +62,17 @@
 //! ## ccNUMA page placement
 //!
 //! Pages commit on the NUMA domain of the thread that first *writes*
-//! them. `Grid3::zeroed` asks for 64-byte alignment, above what std's
-//! `alloc_zeroed` can get from `calloc`, so it memsets the buffer on the
-//! allocating thread: every grid, pool misses included, is placed by the
-//! thread that allocates it. To place a team's grids on its own domain
-//! (the paper's one-pipeline-per-cache-group layout, arXiv:1006.3148),
-//! allocate them on a thread pinned there, as a `tb_dist::DistSolver`
-//! rank thread does before `DistSolver::from_global_op`.
+//! them. Every `Grid3` constructor writes its whole buffer on the
+//! allocating thread (`Grid3::zeroed` memsets it; its 64-byte alignment
+//! is above what std's `alloc_zeroed` can get from `calloc`), so every
+//! grid, pool misses included, is placed by the thread that allocates
+//! it. Grids of 32 MiB or more ask for transparent huge pages before
+//! that write (`tb_grid::aligned`, "Large grids"), which changes the
+//! page size, not who places the pages. To place a team's grids on its
+//! own domain (the paper's one-pipeline-per-cache-group layout,
+//! arXiv:1006.3148), allocate them on a thread pinned there, as a
+//! `tb_dist::DistSolver` rank thread does before
+//! `DistSolver::from_global_op`.
 
 mod pool;
 mod team;
