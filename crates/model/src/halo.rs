@@ -284,6 +284,36 @@ mod tests {
     }
 
     #[test]
+    fn fig5_best_depth_shrinks_as_subdomains_grow() {
+        // Fig. 5: which halo depth wins depends on L. Message aggregation
+        // makes the deepest halo best on tiny subdomains, the extra face
+        // work makes the shallowest best on large ones, and in between
+        // the optimum is interior. The best h never grows with L.
+        let hs = [2usize, 4, 8, 16, 32];
+        let ls = [
+            1usize, 2, 3, 4, 6, 8, 10, 14, 20, 28, 40, 56, 80, 110, 160, 220, 300, 400,
+        ];
+        let best: Vec<usize> = ls
+            .iter()
+            .map(|&l| {
+                let w = HaloWorkload::fig5(l);
+                let adv = |h: usize| halo_advantage(&w, &net(), h);
+                hs.into_iter()
+                    .max_by(|&a, &b| adv(a).total_cmp(&adv(b)))
+                    .unwrap()
+            })
+            .collect();
+        assert!(best.windows(2).all(|p| p[1] <= p[0]), "{best:?}");
+        for (&l, &h) in ls.iter().zip(&best) {
+            match l {
+                ..=3 => assert_eq!(h, 32, "L={l}: {best:?}"),
+                4..=28 => assert!(h > 2 && h < 32, "L={l}: {best:?}"),
+                _ => assert_eq!(h, 2, "L={l}: {best:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn advantage_at_one_is_identity() {
         let w = HaloWorkload::fig5(30);
         assert!((halo_advantage(&w, &net(), 1) - 1.0).abs() < 1e-12);

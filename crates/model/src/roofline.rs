@@ -16,7 +16,7 @@
 
 use tb_grid::Real;
 use tb_stencil::kernel::StoreMode;
-use tb_stencil::{Jacobi6, StencilOp};
+use tb_stencil::StencilOp;
 
 use crate::machine::MachineParams;
 
@@ -35,12 +35,6 @@ pub fn op_roofline_lups<T: Real, Op: StencilOp<T>>(
     store: StoreMode,
 ) -> f64 {
     roofline_lups(machine, op.bytes_per_lup(store))
-}
-
-/// Eq. 2 with the paper's default: classic Jacobi, double precision,
-/// streaming stores.
-pub fn jacobi_roofline_default(machine: &MachineParams) -> f64 {
-    op_roofline_lups::<f64, _>(machine, &Jacobi6, StoreMode::Streaming)
 }
 
 /// Optimistic service-time **floor** in seconds for a job of
@@ -71,7 +65,7 @@ pub fn service_floor_seconds(
 mod tests {
     use super::*;
     use tb_grid::Dims3;
-    use tb_stencil::VarCoeff7;
+    use tb_stencil::{Jacobi6, VarCoeff7};
 
     #[test]
     fn nehalem_expectation_matches_paper() {
@@ -80,7 +74,7 @@ mod tests {
         // 18.5 GB/s / 16 B = 2.31 GLUP/s... the paper's 2.3 GLUP/s is the
         // two-socket figure: 2 * 18.5e9/16 = 2.3125e9).
         let m = MachineParams::nehalem_ep();
-        let node = 2.0 * jacobi_roofline_default(&m);
+        let node = 2.0 * op_roofline_lups::<f64, _>(&m, &Jacobi6, StoreMode::Streaming);
         assert!((node / 1e9 - 2.3125).abs() < 1e-9);
     }
 

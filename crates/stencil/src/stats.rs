@@ -37,22 +37,6 @@ impl RunStats {
     pub fn glups(&self) -> f64 {
         self.mlups() / 1000.0
     }
-
-    /// MFLOP/s given the operator's arithmetic intensity
-    /// ([`crate::op::StencilOp::flops_per_lup`]) — LUP/s is the paper's
-    /// cross-operator metric, FLOP/s is what hardware counters report.
-    pub fn mflops(&self, flops_per_lup: f64) -> f64 {
-        self.mlups() * flops_per_lup
-    }
-
-    /// Combine two runs (e.g. per-rank stats into a node total: same wall
-    /// clock window, summed updates).
-    pub fn merge_parallel(&self, other: &RunStats) -> RunStats {
-        RunStats {
-            cell_updates: self.cell_updates + other.cell_updates,
-            elapsed: self.elapsed.max(other.elapsed),
-        }
-    }
 }
 
 /// Measure `f`, returning its output and the elapsed time.
@@ -74,25 +58,9 @@ mod tests {
     }
 
     #[test]
-    fn mflops_scales_with_operator_intensity() {
-        let s = RunStats::new(2_000_000, Duration::from_secs(2));
-        assert!((s.mflops(6.0) - 6.0).abs() < 1e-12);
-        assert!((s.mflops(27.0) - 27.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_time_is_infinite_rate() {
         let s = RunStats::new(10, Duration::ZERO);
         assert!(s.mlups().is_infinite());
-    }
-
-    #[test]
-    fn merge_takes_max_time_sum_updates() {
-        let a = RunStats::new(100, Duration::from_millis(10));
-        let b = RunStats::new(50, Duration::from_millis(30));
-        let m = a.merge_parallel(&b);
-        assert_eq!(m.cell_updates, 150);
-        assert_eq!(m.elapsed, Duration::from_millis(30));
     }
 
     #[test]

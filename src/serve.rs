@@ -794,8 +794,10 @@ struct StatsInner {
     cancels: u64,
 }
 
-/// Linear-interpolation percentile (R-7, matching `tb_bench::percentile`)
-/// over an *unsorted* sample; `0.0` on an empty one.
+/// Linear-interpolation percentile over an *unsorted* sample; `0.0` on an
+/// empty one. The rule is R-7 (Hyndman–Fan type 7, numpy's default): sort
+/// the `n` samples, read rank `q·(n−1)` and interpolate linearly between
+/// the two samples around it.
 fn percentile_ms(samples: &VecDeque<f64>, q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;

@@ -22,7 +22,8 @@ use proptest::prelude::*;
 use temporal_blocking::grid::{init, norm, Dims3, Grid3, Real, Region3};
 use temporal_blocking::stencil::kernel::update_region_op;
 use temporal_blocking::{
-    solve_with, Avg27, DiamondConfig, Jacobi6, Jacobi7, Method, ScalarPath, StencilOp, VarCoeff7,
+    solve_with, Avg27, DiamondConfig, Jacobi6, Jacobi7, Method, PipelineConfig, ScalarPath,
+    StencilOp, VarCoeff7,
 };
 
 /// Exact bit pattern of a value; `f32 → f64` widening is lossless, so
@@ -93,7 +94,9 @@ fn assert_solve_matches<T: Real, Op: StencilOp<T>>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+    // 56 cases: `simd_solves_match_scalar_solves` draws one of five
+    // methods, so each still gets about the cases it had among three at 32.
+    #![proptest_config(ProptestConfig { cases: 56, ..ProptestConfig::default() })]
 
     /// Random dims (x-extent deliberately allowed to be ≢ 0 mod 8),
     /// random sub-row offsets, all four operators, f64 and f32: the
@@ -134,21 +137,28 @@ proptest! {
 
     /// Whole solves through the executors that drive the widened row loop:
     /// vectorized ≡ scalar-pinned ≡ oracle for every operator, f64 and
-    /// f32, across sequential, wavefront and diamond execution.
+    /// f32, across sequential, wavefront, pipelined, diamond and MWD
+    /// diamond (two threads sharing each tile) execution.
     #[test]
     fn simd_solves_match_scalar_solves(
         edge in 8usize..18,
         seed in 0u64..1000,
         sweeps in 1usize..7,
         which_op in 0usize..4,
-        which_method in 0usize..3,
+        which_method in 0usize..5,
         use_f32 in proptest::any::<bool>(),
     ) {
         let dims = Dims3::cube(edge);
         let method = match which_method {
             0 => Method::Sequential,
             1 => Method::Wavefront { threads: 2 },
-            _ => Method::Diamond(DiamondConfig::with_width(2, 6)),
+            2 => Method::Pipelined(PipelineConfig {
+                updates_per_thread: 1,
+                block: [16, 8, 8],
+                ..PipelineConfig::default_for(2, 1)
+            }),
+            3 => Method::Diamond(DiamondConfig::with_width(2, 6)),
+            _ => Method::Diamond(DiamondConfig::with_width(2, 6).with_threads_per_tile(2)),
         };
         macro_rules! check {
             ($t:ty) => {
