@@ -1,13 +1,13 @@
 //! Cluster simulation bridging the real protocol to the Fig. 6 model.
 //!
 //! The paper measured 1..64 Nehalem nodes; this workspace has one host.
-//! The substitution (DESIGN.md §4): predict the *nominal* point with
-//! [`ScalingConfig::predict`], and separately **execute** the full
-//! decomposition + multi-layer exchange + solver on a scaled-down grid
-//! with real in-process ranks on a wire paced by the curve's
-//! [`tb_model::NetworkParams`], verifying the result bitwise against the
-//! serial oracle. A simulated point is only reported when the executed
-//! protocol proves out.
+//! This module doc is where the substitution is stated: predict the
+//! *nominal* point with [`ScalingConfig::predict`], and separately
+//! **execute** the full decomposition + multi-layer exchange + solver
+//! on a scaled-down grid with real in-process ranks on a wire paced by
+//! the curve's [`tb_model::NetworkParams`], verifying the result bitwise
+//! against the serial oracle. A simulated point is only reported when
+//! the executed protocol proves out.
 
 use tb_grid::{init, norm, Dims3, Grid3, Region3};
 use tb_model::scaling::balanced_dims;

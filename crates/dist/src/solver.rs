@@ -255,8 +255,10 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                 LocalExec::Diamond(cfg)
             }
         };
-        // Carve the local box (owned + ghosts) out of the global grid.
+        // Carve the local box (owned + ghosts) out of the global grid,
+        // into a pair in the operator's row phase.
         let mut g = Grid3::zeroed(local.dims);
+        g.set_phase_stale(Op::ALIGNED_CELL);
         copy_region(global, &local.region, &mut g, &Region3::whole(local.dims));
         let op = op.restricted(&local.region);
         Ok(Self {

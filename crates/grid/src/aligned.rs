@@ -9,15 +9,28 @@
 //! # What the alignment is for
 //!
 //! Element 0 of every allocation starts a cache line (and a full vector
-//! of any width up to AVX-512). For an x-extent that is a whole number
-//! of cache lines every grid row then starts on a line boundary: a row
-//! touches the minimum number of lines and threads that own adjacent
-//! rows never write the same one. The compiler-vectorized row loops use
-//! unaligned loads and stores, so nothing depends on the alignment for
-//! correctness. The guarantee is a property of the *allocation*, so it
-//! survives any amount of buffer reuse (e.g. `tb-runtime`'s `GridPool`
-//! recycling — the pool hands back the same allocations, never
-//! reallocates them unaligned; see the pool contract tests).
+//! of any width up to AVX-512). A [`Grid3`](crate::Grid3) keeps its
+//! cells in an `AlignedVec` with one line of slack, behind an origin
+//! below one line, and so chooses which cell starts a line: its *row
+//! phase*. The rule: a new grid puts cell 1 on a line, and the facade
+//! and the distributed solver bring every grid they sweep to the phase
+//! of its operator (`StencilOp::ALIGNED_CELL` in `tb-stencil`) — the
+//! first interior cell for the cross operators, the cell before it for
+//! `Avg27`, whose column loads start one cell earlier. For an x-extent
+//! that is a whole number of cache lines, that cell of every row then
+//! starts a line. On a 2-vCPU KVM host that made the benchmark's
+//! `stream-j6` diamond solve 1.02–1.14× (median 1.12×) as fast as with
+//! rows starting on a line, in 10 of 10 paired runs. Executors called
+//! directly keep the phase they are given, so the one expected
+//! per-layer shift is `Avg27` on a default-phase grid:
+//! `kernel.row_mlups` on `cache-a27`'s traced pass reads 10–15 % lower,
+//! while its facade solves run in `Avg27`'s phase as before. The compiler-vectorized row loops use unaligned
+//! loads and stores, so nothing depends on the alignment for
+//! correctness. The guarantee is a property of the *allocation*, and
+//! the phase one of the grid, so both survive any amount of buffer
+//! reuse (e.g. `tb-runtime`'s `GridPool` recycling — the pool hands
+//! back the same grids, never reallocates or re-phases them; see the
+//! pool contract tests).
 //!
 //! # Every element written on the allocating thread
 //!

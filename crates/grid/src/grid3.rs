@@ -1,6 +1,23 @@
 //! Dense 3D grid with x-fastest layout.
 
+use crate::aligned::ALIGN;
 use crate::{AlignedVec, Dims3, Real, Region3};
+
+/// The phase of a new grid: cell 1 starts a cache line. For an x-extent
+/// of whole lines that is the first interior cell of every row, the
+/// cell the cross-shaped operators' row loops stream from.
+pub const DEFAULT_PHASE: usize = 1;
+
+/// Cells of `T` per cache line ([`ALIGN`] bytes).
+const fn line<T>() -> usize {
+    ALIGN / std::mem::size_of::<T>()
+}
+
+/// Position of cell 0 in the storage that puts cell `phase` on a line.
+const fn origin_for<T>(phase: usize) -> usize {
+    let l = line::<T>();
+    (l - phase % l) % l
+}
 
 /// A dense 3D array of `T` with unit stride along x.
 ///
@@ -8,10 +25,30 @@ use crate::{AlignedVec, Dims3, Real, Region3};
 /// interior — that interpretation belongs to the solver layer. Helper
 /// constructors for the common "interior + 1 boundary layer" Jacobi setup
 /// live in [`crate::init`].
+///
+/// # Row phase
+///
+/// The cells live in an [`AlignedVec`] with one cache line of slack,
+/// behind an *origin* smaller than one line, so the grid chooses which
+/// cell starts a line: its [`phase`](Grid3::phase). Every accessor goes
+/// through the origin; the phase decides where the cells sit, never
+/// what they hold. A new grid has [`DEFAULT_PHASE`] (cell 1 on a line).
+/// The facade brings a grid to the phase of the operator that sweeps it
+/// (`tb_stencil::StencilOp::ALIGNED_CELL`: the first interior cell for
+/// the cross operators, the cell before it for `Avg27`, whose column
+/// loads start one cell earlier): [`Grid3::set_phase`] moves the cells
+/// in one pass, [`Grid3::set_phase_stale`] re-points a buffer whose
+/// cells are about to be overwritten. Executors called directly run on
+/// whatever phase they are given: `Avg27`'s row loop on a default-phase
+/// grid runs 10–15 % below its rate in `Avg27`'s phase (`kernel.row_mlups`
+/// on the benchmark's `cache-a27` traced pass).
 #[derive(Clone, Debug)]
 pub struct Grid3<T: Copy> {
     dims: Dims3,
+    /// `dims.len()` cells from `origin` on, plus one line of slack.
     data: AlignedVec<T>,
+    /// Index of cell 0 in `data`; below one line.
+    origin: usize,
 }
 
 impl<T: Real> Grid3<T> {
@@ -19,7 +56,8 @@ impl<T: Real> Grid3<T> {
     pub fn zeroed(dims: Dims3) -> Self {
         Self {
             dims,
-            data: AlignedVec::zeroed(dims.len()),
+            data: AlignedVec::zeroed(Self::storage_len(dims)),
+            origin: origin_for::<T>(DEFAULT_PHASE),
         }
     }
 
@@ -27,15 +65,21 @@ impl<T: Real> Grid3<T> {
     pub fn filled(dims: Dims3, value: T) -> Self {
         Self {
             dims,
-            data: AlignedVec::filled(dims.len(), value),
+            data: AlignedVec::filled(Self::storage_len(dims), value),
+            origin: origin_for::<T>(DEFAULT_PHASE),
         }
     }
 
     /// Grid initialized from a function of the coordinates, called in
     /// memory order (x fastest); each cell is written once.
     pub fn from_fn(dims: Dims3, mut f: impl FnMut(usize, usize, usize) -> T) -> Self {
+        let origin = origin_for::<T>(DEFAULT_PHASE);
+        let cells = origin..origin + dims.len();
         let (mut x, mut y, mut z) = (0, 0, 0);
-        let data = AlignedVec::from_fn(dims.len(), |_| {
+        let data = AlignedVec::from_fn(Self::storage_len(dims), |i| {
+            if !cells.contains(&i) {
+                return T::ZERO;
+            }
             let v = f(x, y, z);
             x += 1;
             if x == dims.nx {
@@ -48,7 +92,40 @@ impl<T: Real> Grid3<T> {
             }
             v
         });
-        Self { dims, data }
+        Self { dims, data, origin }
+    }
+
+    /// Storage for `dims`: its cells plus one line of slack.
+    fn storage_len(dims: Dims3) -> usize {
+        assert!(!dims.is_empty(), "Grid3 of zero cells is not supported");
+        dims.len() + line::<T>()
+    }
+
+    /// The cell index that starts a cache line, below one line's cells
+    /// (see "Row phase" above).
+    pub fn phase(&self) -> usize {
+        let l = line::<T>();
+        (l - self.origin) % l
+    }
+
+    /// Put cell `phase` (taken modulo one line) on a cache line, moving
+    /// the cells within the storage in one pass if the phase changes.
+    /// Every cell keeps its value.
+    pub fn set_phase(&mut self, phase: usize) {
+        let origin = origin_for::<T>(phase);
+        if origin != self.origin {
+            let n = self.dims.len();
+            self.data.copy_within(self.origin..self.origin + n, origin);
+            self.origin = origin;
+        }
+    }
+
+    /// [`Grid3::set_phase`] without moving anything: for a buffer whose
+    /// every cell is written before it is read (a pooled B buffer, an
+    /// output about to be overwritten). The cells then hold whatever the
+    /// storage held at their new places; a zeroed grid stays zeroed.
+    pub fn set_phase_stale(&mut self, phase: usize) {
+        self.origin = origin_for::<T>(phase);
     }
 
     pub fn dims(&self) -> Dims3 {
@@ -62,36 +139,42 @@ impl<T: Real> Grid3<T> {
 
     #[inline(always)]
     pub fn get(&self, x: usize, y: usize, z: usize) -> T {
-        self.data[self.dims.idx(x, y, z)]
+        self.as_slice()[self.dims.idx(x, y, z)]
     }
 
     #[inline(always)]
     pub fn set(&mut self, x: usize, y: usize, z: usize, v: T) {
         let i = self.dims.idx(x, y, z);
-        self.data[i] = v;
+        self.as_mut_slice()[i] = v;
     }
 
+    /// The cells, x fastest.
+    #[inline(always)]
     pub fn as_slice(&self) -> &[T] {
-        &self.data
+        &self.data[self.origin..self.origin + self.dims.len()]
     }
 
+    #[inline(always)]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
+        let n = self.dims.len();
+        &mut self.data[self.origin..self.origin + n]
     }
 
+    /// Raw pointer to cell 0 (the storage's own pointer moved to the
+    /// origin, so it may address every cell).
     pub fn as_ptr(&self) -> *const T {
-        self.data.as_ptr()
+        self.data.as_ptr().wrapping_add(self.origin)
     }
 
     pub fn as_mut_ptr(&mut self) -> *mut T {
-        self.data.as_mut_ptr()
+        self.data.as_mut_ptr().wrapping_add(self.origin)
     }
 
     /// One x-row: the cells `(0..nx, y, z)`.
     #[inline]
     pub fn row(&self, y: usize, z: usize) -> &[T] {
         let start = self.dims.idx(0, y, z);
-        &self.data[start..start + self.dims.nx]
+        &self.as_slice()[start..start + self.dims.nx]
     }
 
     /// One mutable x-row.
@@ -99,7 +182,7 @@ impl<T: Real> Grid3<T> {
     pub fn row_mut(&mut self, y: usize, z: usize) -> &mut [T] {
         let start = self.dims.idx(0, y, z);
         let nx = self.dims.nx;
-        &mut self.data[start..start + nx]
+        &mut self.as_mut_slice()[start..start + nx]
     }
 
     /// Fill every cell of `region` with `v`.
@@ -123,7 +206,7 @@ impl<T: Real> Grid3<T> {
                 let e = s + (r.hi[0] - r.lo[0]);
                 let d = self.dims.idx(r.lo[0], y, z);
                 let (dst_s, dst_e) = (d, d + (r.hi[0] - r.lo[0]));
-                self.data[dst_s..dst_e].copy_from_slice(&src.data[s..e]);
+                self.as_mut_slice()[dst_s..dst_e].copy_from_slice(&src.as_slice()[s..e]);
             }
         }
     }
@@ -137,10 +220,10 @@ impl<T: Real> Grid3<T> {
         assert_eq!(self.dims, src.dims, "copy_outside_from requires equal dims");
         let r = inner.intersect(&Region3::whole(self.dims));
         if r.is_empty() {
-            return self.data.copy_from_slice(&src.data);
+            return self.as_mut_slice().copy_from_slice(src.as_slice());
         }
         let Dims3 { nx, ny, nz } = self.dims;
-        let (dst, src) = (&mut self.data[..], &src.data[..]);
+        let (dst, src) = (self.as_mut_slice(), src.as_slice());
         let mut copy = |from: usize, to: usize| dst[from..to].copy_from_slice(&src[from..to]);
         let plane = nx * ny;
         copy(0, r.lo[2] * plane);
@@ -261,5 +344,57 @@ mod tests {
         let mut g: Grid3<f32> = Grid3::zeroed(Dims3::cube(3));
         g.fill_region(&Region3::new([0, 0, 0], [10, 10, 10]), 2.0);
         assert_eq!(g.sum_region(&Region3::whole(g.dims())), 27.0 * 2.0);
+    }
+
+    /// Whether cell `i` of `g` starts a cache line.
+    fn on_line<T: Real>(g: &Grid3<T>, i: usize) -> bool {
+        (&g.as_slice()[i] as *const T as usize).is_multiple_of(ALIGN)
+    }
+
+    fn phases_move_cells_and_keep_values<T: Real>() {
+        let dims = Dims3::new(2 * line::<T>(), 3, 2);
+        let fresh = Grid3::<T>::from_fn(dims, |x, y, z| {
+            T::from_f64((1 + x + 10 * y) as f64 * (z + 1) as f64)
+        });
+        assert_eq!(fresh.phase(), DEFAULT_PHASE);
+        for g in [
+            fresh.clone(),
+            Grid3::zeroed(dims),
+            Grid3::filled(dims, T::ONE),
+        ] {
+            assert!(
+                on_line(&g, DEFAULT_PHASE),
+                "a new grid puts cell 1 on a line"
+            );
+        }
+        let mut g = fresh.clone();
+        for phase in [0, 5, line::<T>() - 1, line::<T>() + 3, 1] {
+            g.set_phase(phase);
+            let want = phase % line::<T>();
+            assert_eq!(g.phase(), want);
+            // Every row starts a line plus the phase, and keeps its cells.
+            for (y, z) in [(0, 0), (2, 1)] {
+                let row = g.row(y, z);
+                assert!((&row[want] as *const T as usize).is_multiple_of(ALIGN));
+                assert_eq!(row, fresh.row(y, z), "phase {phase}");
+            }
+            assert_eq!(g.as_ptr(), g.as_slice().as_ptr());
+            let copy = g.clone();
+            assert_eq!(copy.phase(), want, "a clone keeps its phase");
+            assert_eq!(copy.as_slice(), fresh.as_slice());
+        }
+        let mut z = Grid3::<T>::zeroed(dims);
+        z.set_phase_stale(0);
+        assert!(on_line(&z, 0));
+        assert!(
+            z.as_slice().iter().all(|&v| v == T::ZERO),
+            "stale zeroed stays zeroed"
+        );
+    }
+
+    #[test]
+    fn phases_move_cells_and_keep_values_f64_f32() {
+        phases_move_cells_and_keep_values::<f64>();
+        phases_move_cells_and_keep_values::<f32>();
     }
 }

@@ -40,7 +40,8 @@ impl HaloWorkload {
     /// communicating, 2000 MLUP/s, double precision, and the paper's
     /// simplifications (no slab expansion; pair with a copy-free
     /// [`NetworkParams`], see [`fig5_network`]).
-    pub fn fig5(l: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn fig5(l: usize) -> Self {
         Self {
             local: [l, l, l],
             comm: [true, true, true],
@@ -85,7 +86,8 @@ impl HaloWorkload {
 /// The network parameters of the paper's Fig. 5 analysis: QDR InfiniBand
 /// wire model *without* buffer-copy costs ("this simple model disregards
 /// … overhead for copying to and from message buffers", §2.1).
-pub fn fig5_network() -> NetworkParams {
+#[cfg(test)]
+pub(crate) fn fig5_network() -> NetworkParams {
     NetworkParams {
         copy_bandwidth: f64::INFINITY,
         ..NetworkParams::qdr_infiniband()
@@ -163,7 +165,8 @@ pub fn halo_advantage(w: &HaloWorkload, net: &NetworkParams, h: usize) -> f64 {
 }
 
 /// Fig. 5 inset: useful computation time over total time per cycle.
-pub fn computational_efficiency(w: &HaloWorkload, net: &NetworkParams, h: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn computational_efficiency(w: &HaloWorkload, net: &NetworkParams, h: usize) -> f64 {
     let bulk: usize = w.local.iter().product();
     let compute = (h * bulk) as f64 / w.lups;
     compute / halo_cycle_time(w, net, h)

@@ -56,14 +56,11 @@ pub use diamond::{
     concurrent_tiles, diamond_block_time_op, diamond_reuse, diamond_speedup,
     diamond_working_set_bytes, max_cached_width, max_cached_width_mwd,
 };
-pub use halo::{
-    computational_efficiency, fig5_network, halo_advantage, halo_cycle_time, HaloWorkload,
-};
+pub use halo::{halo_advantage, halo_cycle_time, HaloWorkload};
 pub use machine::MachineParams;
 pub use network::NetworkParams;
 pub use pipeline::{
-    pipeline_speedup, team_block_time, team_block_time_op, wavefront_speedup,
-    wavefront_working_set_bytes,
+    pipeline_speedup, team_block_time_op, wavefront_speedup, wavefront_working_set_bytes,
 };
 pub use roofline::{op_roofline_lups, roofline_lups, service_floor_seconds};
 pub use scaling::{ScalingConfig, ScalingMode, ScalingPoint};

@@ -57,7 +57,8 @@ impl MachineParams {
     /// A hypothetical machine whose memory bandwidth scales with core
     /// count (`M_s = t · M_{s,1}`) — the paper's "bad candidate for
     /// temporal blocking".
-    pub fn bandwidth_scaling(cores: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn bandwidth_scaling(cores: usize) -> Self {
         Self {
             ms: 10.0e9 * cores as f64,
             ms1: 10.0e9,

@@ -11,7 +11,7 @@
 
 use tb_grid::Real;
 use tb_stencil::kernel::StoreMode;
-use tb_stencil::{Jacobi6, StencilOp};
+use tb_stencil::StencilOp;
 
 use crate::machine::MachineParams;
 
@@ -37,8 +37,9 @@ pub fn team_block_time_op<T: Real, Op: StencilOp<T>>(
 /// Eq. 4 as printed in the paper (classic Jacobi, double precision):
 ///
 /// `T_b = 16B/M_{s,1} + 2(tT - 1) · 8B/M_c`
-pub fn team_block_time(machine: &MachineParams, t: usize, updates: usize) -> f64 {
-    team_block_time_op::<f64, _>(machine, &Jacobi6, t, updates)
+#[cfg(test)]
+pub(crate) fn team_block_time(machine: &MachineParams, t: usize, updates: usize) -> f64 {
+    team_block_time_op::<f64, _>(machine, &tb_stencil::Jacobi6, t, updates)
 }
 
 /// Eq. 5: expected speedup of pipelined temporal blocking over the

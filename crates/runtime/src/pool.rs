@@ -8,7 +8,9 @@
 //! matching dimensions.
 //!
 //! **Reuse contract:** a reused grid keeps the *stale contents* of its
-//! previous life (a fresh one is zeroed by allocation). Every consumer
+//! previous life (a fresh one is zeroed by allocation), and its row
+//! phase (`Grid3::phase`; a fresh one has the default): a consumer that
+//! sweeps it with an operator of another phase re-points it first. Every consumer
 //! in this workspace writes a region before reading it — staging shells
 //! are snapshotted, ghost slabs unpacked, pipeline B buffers copied from
 //! the initial state — and the bitwise verification suites hold them to

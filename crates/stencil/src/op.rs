@@ -229,6 +229,17 @@ pub trait StencilOp<T: Real>: Clone + Send + Sync + 'static {
     /// build-target twin the widened code is checked against.
     const WIDEN: bool = true;
 
+    /// The x index of the row cell this operator's row loop wants on a
+    /// cache line. The facade and the distributed solver bring every
+    /// grid they sweep with this operator to that phase
+    /// ([`Grid3::set_phase`](tb_grid::Grid3::set_phase)); when rows are
+    /// whole lines, every row's cell `ALIGNED_CELL` then starts a line.
+    /// The default is the first interior cell, which the cross-shaped
+    /// operators stream from; an operator whose loads start elsewhere
+    /// (`Avg27`'s column loads start one cell earlier) overrides it.
+    /// Results never depend on it.
+    const ALIGNED_CELL: usize = Self::RADIUS;
+
     /// Short identifier for reports and benchmark output.
     fn name(&self) -> &'static str;
 
@@ -306,6 +317,7 @@ pub struct ScalarPath<Op>(pub Op);
 impl<T: Real, Op: StencilOp<T>> StencilOp<T> for ScalarPath<Op> {
     const RADIUS: usize = Op::RADIUS;
     const READS_CORNERS: bool = Op::READS_CORNERS;
+    const ALIGNED_CELL: usize = Op::ALIGNED_CELL;
     const WIDEN: bool = false;
 
     fn name(&self) -> &'static str {
@@ -617,6 +629,10 @@ impl Avg27 {
 
 impl<T: Real> StencilOp<T> for Avg27 {
     const READS_CORNERS: bool = true;
+    /// The column loads of a row start at the cell before the first
+    /// interior one. With the first interior cell on a line instead,
+    /// its row loop ran 3–15 % slower (ROADMAP item 23(d)).
+    const ALIGNED_CELL: usize = 0;
 
     fn name(&self) -> &'static str {
         "avg27"
@@ -1052,6 +1068,11 @@ mod tests {
             assert!(!<VarCoeff7<f64> as StencilOp<f64>>::READS_CORNERS);
             assert!(<Avg27 as StencilOp<f64>>::READS_CORNERS);
             assert!(<Avg27 as StencilOp<f64>>::RADIUS == 1);
+            assert!(<Jacobi6 as StencilOp<f64>>::ALIGNED_CELL == 1);
+            assert!(<Jacobi7 as StencilOp<f32>>::ALIGNED_CELL == 1);
+            assert!(<VarCoeff7<f64> as StencilOp<f64>>::ALIGNED_CELL == 1);
+            assert!(<Avg27 as StencilOp<f64>>::ALIGNED_CELL == 0);
+            assert!(<ScalarPath<Avg27> as StencilOp<f32>>::ALIGNED_CELL == 0);
             assert!(<Jacobi6 as StencilOp<f64>>::WIDEN);
             assert!(<Jacobi7 as StencilOp<f64>>::WIDEN);
             assert!(<VarCoeff7<f64> as StencilOp<f64>>::WIDEN);

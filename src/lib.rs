@@ -164,7 +164,10 @@ pub mod prelude {
 /// `Sequential` and `Blocked` compute on the calling thread.
 ///
 /// For a fixed operator, all methods produce bitwise identical results
-/// (see crate docs).
+/// (see crate docs). The result is in the operator's row phase
+/// ([`StencilOp::ALIGNED_CELL`], see [`Grid3`]'s "Row phase"); the
+/// two-grid methods first move an input in another phase to it in
+/// place, in one pass.
 pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
@@ -185,13 +188,21 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     /// calling thread. An executor
     /// that returns `Err` has not swept, so the spare is still released
     /// and the pool keeps its warm buffer.
+    ///
+    /// Both buffers take the operator's row phase
+    /// ([`StencilOp::ALIGNED_CELL`]): an input in another phase is moved
+    /// in place, in one pass; B is re-pointed without moving anything,
+    /// because its interior is rewritten and its shell copied after.
     fn on_pooled_pair<T: Real>(
         rt: &Runtime,
-        initial: Grid3<T>,
+        phase: usize,
+        mut initial: Grid3<T>,
         sweeps: usize,
         exec: impl FnOnce(&mut GridPair<T>) -> Result<RunStats, String>,
     ) -> Result<(Grid3<T>, RunStats), String> {
+        initial.set_phase(phase);
         let mut b = rt.acquire_grid(initial.dims());
+        b.set_phase_stale(phase);
         b.copy_outside_from(&initial, &Region3::interior_of(initial.dims()));
         let mut pair = GridPair::from_parts(initial, b);
         let stats = exec(&mut pair);
@@ -204,11 +215,12 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
         rt.grid_pool::<T>().release(spare);
         stats.map(|stats| (result, stats))
     }
+    let phase = Op::ALIGNED_CELL;
     match method {
-        Method::Sequential => on_pooled_pair(rt, initial, sweeps, |pair| {
+        Method::Sequential => on_pooled_pair(rt, phase, initial, sweeps, |pair| {
             Ok(baseline::seq_sweeps_op(op, pair, sweeps))
         }),
-        Method::Blocked { block } => on_pooled_pair(rt, initial, sweeps, |pair| {
+        Method::Blocked { block } => on_pooled_pair(rt, phase, initial, sweeps, |pair| {
             Ok(baseline::seq_blocked_sweeps_op(op, pair, sweeps, block))
         }),
         Method::Parallel {
@@ -229,14 +241,14 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
             } else {
                 StoreMode::Normal
             };
-            on_pooled_pair(rt, initial, sweeps, |pair| {
+            on_pooled_pair(rt, phase, initial, sweeps, |pair| {
                 Ok(baseline::par_sweeps_op_on(
                     rt, op, pair, sweeps, threads, store,
                 ))
             })
         }
         Method::Pipelined(cfg) if cfg.scheme == GridScheme::TwoGrid => {
-            on_pooled_pair(rt, initial, sweeps, |pair| {
+            on_pooled_pair(rt, phase, initial, sweeps, |pair| {
                 pipeline::run_op_on(rt, op, pair, &cfg, sweeps)
             })
         }
@@ -250,16 +262,17 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
             // Expand into the consumed input: no grid is allocated.
             let out = stats.map(|stats| {
                 let mut out = initial;
+                out.set_phase_stale(phase);
                 cg.write_to(&mut out);
                 (out, stats)
             });
             rt.grid_pool::<T>().release(cg.into_storage());
             out
         }
-        Method::Wavefront { threads } => on_pooled_pair(rt, initial, sweeps, |pair| {
+        Method::Wavefront { threads } => on_pooled_pair(rt, phase, initial, sweeps, |pair| {
             wavefront::run_wavefront_op_on(rt, op, pair, threads, sweeps)
         }),
-        Method::Diamond(cfg) => on_pooled_pair(rt, initial, sweeps, |pair| {
+        Method::Diamond(cfg) => on_pooled_pair(rt, phase, initial, sweeps, |pair| {
             diamond::run_diamond_op_on(rt, op, pair, &cfg, sweeps)
         }),
     }

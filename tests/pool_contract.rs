@@ -57,38 +57,42 @@ fn reused_grids_keep_stale_contents_and_fresh_ones_are_zeroed() {
 
 #[test]
 fn row_alignment_survives_pool_reuse() {
-    // AlignedVec guarantees cache-line alignment; a pool that handed
-    // back misaligned recycled storage would silently make rows straddle
-    // lines. Alignment is a property of the allocation, so it must hold
-    // for fresh AND recycled grids — for an x-extent that is a whole
-    // number of cache lines, on every row.
+    // A grid's row phase — the cell that starts a cache line — is a
+    // property of the grid, so a pool that handed back recycled storage
+    // in another phase would silently make the streamed cells straddle
+    // lines. It must hold for fresh AND recycled grids — for an x-extent
+    // that is a whole number of cache lines, on every row: a fresh grid
+    // in the default phase, a recycled one in the phase it was released
+    // in, whatever that was.
     use temporal_blocking::grid::aligned::ALIGN;
+    use temporal_blocking::grid::grid3::DEFAULT_PHASE;
     let pool: GridPool<f64> = GridPool::new();
     let dims = Dims3::new(2 * ALIGN / std::mem::size_of::<f64>(), 5, 4); // two lines per row
-    let check = |g: &Grid3<f64>, life: &str| {
+    let check = |g: &Grid3<f64>, phase: usize, life: &str| {
+        assert_eq!(g.phase(), phase, "{life}: phase");
         for z in 0..dims.nz {
             for y in 0..dims.ny {
                 assert_eq!(
-                    g.row(y, z).as_ptr() as usize % ALIGN,
+                    g.row(y, z)[phase..].as_ptr() as usize % ALIGN,
                     0,
-                    "{life}: row ({y},{z}) lost {ALIGN}-byte alignment"
+                    "{life}: cell ({phase},{y},{z}) lost {ALIGN}-byte alignment"
                 );
             }
         }
     };
-    let g = pool.acquire(dims);
-    check(&g, "fresh");
-    let first_ptr = g.row(0, 0).as_ptr();
-    pool.release(g);
-    for round in 0..3 {
-        let g = pool.acquire(dims);
-        check(&g, "recycled");
+    let mut g = pool.acquire(dims);
+    check(&g, DEFAULT_PHASE, "fresh");
+    for (round, phase) in [0, 5, 1, 0].into_iter().enumerate() {
+        g.set_phase(phase);
+        let first_ptr = g.row(0, 0).as_ptr();
+        pool.release(g);
+        g = pool.acquire(dims);
+        check(&g, phase, "recycled");
         assert_eq!(
             g.row(0, 0).as_ptr(),
             first_ptr,
-            "round {round}: pool reallocated instead of recycling"
+            "round {round}: pool reallocated or re-phased instead of recycling"
         );
-        pool.release(g);
     }
 }
 

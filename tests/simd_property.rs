@@ -77,12 +77,14 @@ fn assert_solve_matches<T: Real, Op: StencilOp<T>>(
     )
     .unwrap();
     let (vectorized, _) = solve_with(op, initial.clone(), sweeps, method.clone()).unwrap();
-    let (scalar, _) = solve_with(&ScalarPath(op.clone()), initial, sweeps, method).unwrap();
+    let (scalar, _) = solve_with(&ScalarPath(op.clone()), initial, sweeps, method.clone()).unwrap();
     let whole = Region3::whole(dims);
     prop_assert!(
         norm::first_mismatch(&oracle, &scalar, &whole).is_none(),
-        "{} scalar solve diverged from oracle (pre-existing bug)",
-        op.name()
+        "{} ScalarPath solve via {method:?} diverged from the ScalarPath sequential oracle \
+         at {:?}",
+        op.name(),
+        norm::first_mismatch(&oracle, &scalar, &whole)
     );
     let mismatch = norm::first_mismatch(&oracle, &vectorized, &whole);
     prop_assert!(
