@@ -212,10 +212,12 @@ impl<T: Real> Grid3<T> {
     }
 
     /// Copy every cell *outside* `inner` from `src` (same dims required)
-    /// — with `inner = Region3::interior_of(dims)`, the Dirichlet shell
-    /// the sweeps read and never write: two contiguous z planes, two rows
-    /// per remaining z, two row ends per remaining row. An empty `inner`
-    /// copies the whole grid.
+    /// — with `inner = Region3::interior_of(dims)`, the Dirichlet shell:
+    /// two contiguous z planes, two rows per remaining z, two row ends
+    /// per remaining row. An `inner` spanning x (the interior's rows
+    /// widened to the x-faces, which the sweeps carry) makes no per-row
+    /// copy: one contiguous span between each two planes' inner rows.
+    /// An empty `inner` copies the whole grid.
     pub fn copy_outside_from(&mut self, src: &Grid3<T>, inner: &Region3) {
         assert_eq!(self.dims, src.dims, "copy_outside_from requires equal dims");
         let r = inner.intersect(&Region3::whole(self.dims));
@@ -226,6 +228,15 @@ impl<T: Real> Grid3<T> {
         let (dst, src) = (self.as_mut_slice(), src.as_slice());
         let mut copy = |from: usize, to: usize| dst[from..to].copy_from_slice(&src[from..to]);
         let plane = nx * ny;
+        if r.extent(0) == nx {
+            // Each span between two planes' inner rows is contiguous.
+            let mut from = 0;
+            for z in r.lo[2]..r.hi[2] {
+                copy(from, z * plane + r.lo[1] * nx);
+                from = z * plane + r.hi[1] * nx;
+            }
+            return copy(from, nz * plane);
+        }
         copy(0, r.lo[2] * plane);
         copy(r.hi[2] * plane, nz * plane);
         for z in r.lo[2]..r.hi[2] {
@@ -325,6 +336,8 @@ mod tests {
             Region3::whole(dims),
             Region3::empty(),
             Region3::interior_of(Dims3::new(2, 5, 4)),
+            Region3::new([0, 1, 1], [6, 4, 3]),
+            Region3::new([0, 2, 0], [6, 3, 4]),
         ] {
             let mut dst: Grid3<f64> = Grid3::zeroed(dims);
             dst.copy_outside_from(&src, &inner);

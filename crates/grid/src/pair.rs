@@ -26,17 +26,19 @@ impl<T: Real> GridPair<T> {
     /// Start from an initial state: grid A gets `initial`, grid B a copy.
     ///
     /// B must be a copy (not zeros) so that boundary cells — which sweeps
-    /// never write — carry the correct Dirichlet values in both buffers.
+    /// never compute — carry the correct Dirichlet values in both buffers.
     pub fn from_initial(initial: Grid3<T>) -> Self {
         let b = initial.clone();
         Self { a: initial, b }
     }
 
     /// Assemble a pair from two existing buffers (e.g. recycled from a
-    /// staging pool). `b` must hold the same boundary values as `a` —
-    /// sweeps never write the boundary; [`Grid3::copy_outside_from`]
-    /// brings it over without copying the interior, which the first
-    /// sweep overwrites anyway.
+    /// staging pool). `b` must hold the same z planes and y rows of the
+    /// boundary as `a` — sweeps never write them;
+    /// [`Grid3::copy_outside_from`] brings them over without copying the
+    /// interior, which the first sweep overwrites anyway. `b`'s x-faces
+    /// need not match: the two-grid drivers carry each interior row's
+    /// x-face cells from source to destination along with the row.
     ///
     /// # Panics
     /// Panics if the dims differ.

@@ -24,7 +24,7 @@ pub struct CalibrationProfile {
 }
 
 impl CalibrationProfile {
-    /// ~48 MB working set in memory, ~1.5 MB in cache, 3 reps.
+    /// ~32 MB COPY working set in memory, ~1 MB in cache, 3 reps.
     pub fn quick() -> Self {
         Self {
             mem_elems: 2 << 20,
@@ -34,7 +34,7 @@ impl CalibrationProfile {
         }
     }
 
-    /// ~384 MB / ~3 MB, 5 reps, pinned.
+    /// ~256 MB / ~2 MB, 5 reps, pinned.
     pub fn thorough() -> Self {
         Self {
             mem_elems: 16 << 20,
@@ -84,7 +84,11 @@ pub fn calibrate_host_on(
         .shared_cache()
         .map(|c| c.size_bytes)
         .unwrap_or(8 * 1024 * 1024);
-    let cache_elems = profile.cache_elems.min(cache_bytes / (3 * 8) / 2).max(1024);
+    let copy_bytes = StreamKind::Copy.bytes_per_elem();
+    let cache_elems = profile
+        .cache_elems
+        .min(cache_bytes / copy_bytes / 2)
+        .max(1024);
 
     let ms1 = measure_bandwidth_on(rt, StreamKind::Copy, 1, profile.mem_elems, profile.reps)
         .bytes_per_sec;

@@ -34,7 +34,8 @@ impl StreamKind {
 pub struct BandwidthSample {
     pub kind: StreamKind,
     pub threads: usize,
-    /// Working set per thread in bytes (all arrays combined).
+    /// Working set per thread in bytes: the arrays the kernel streams
+    /// (`elems ×` [`StreamKind::bytes_per_elem`]).
     pub working_set: usize,
     /// Best-of-repetitions bandwidth in bytes/second.
     pub bytes_per_sec: f64,
@@ -44,7 +45,8 @@ pub struct BandwidthSample {
 /// runtime, each on its own arrays of `elems` elements, `reps`
 /// repetitions (best rep wins, as in STREAM). The arrays are allocated
 /// *inside* the worker task, so first touch happens on the (pinned)
-/// worker that streams them.
+/// worker that streams them, and only the arrays the kernel streams are
+/// allocated: COPY and COPY-NT move `a` to `c` and never touch `b`.
 pub fn measure_bandwidth_on(
     rt: &Runtime,
     kind: StreamKind,
@@ -66,17 +68,19 @@ pub fn measure_bandwidth_on(
 
     rt.run(threads, &|_k| {
         let a = AlignedVec::<f64>::filled(elems, 1.0);
-        let mut b = AlignedVec::<f64>::filled(elems, 2.0);
+        let mut b = (!matches!(kind, StreamKind::Copy | StreamKind::CopyNt))
+            .then(|| AlignedVec::<f64>::filled(elems, 2.0));
         let mut c = AlignedVec::<f64>::zeroed(elems);
         for rep in 0..reps {
             barrier.wait();
             let t0 = Instant::now();
-            match kind {
-                StreamKind::Copy => kernels::copy(&a, &mut c),
-                StreamKind::CopyNt => kernels::copy_nt(&a, &mut c),
-                StreamKind::Scale => kernels::scale(&a, &mut b, 3.0),
-                StreamKind::Add => kernels::add(&a, &b, &mut c),
-                StreamKind::Triad => kernels::triad(&a, &b, &mut c, 3.0),
+            match (kind, b.as_mut()) {
+                (StreamKind::Copy, _) => kernels::copy(&a, &mut c),
+                (StreamKind::CopyNt, _) => kernels::copy_nt(&a, &mut c),
+                (StreamKind::Scale, Some(b)) => kernels::scale(&a, b, 3.0),
+                (StreamKind::Add, Some(b)) => kernels::add(&a, b, &mut c),
+                (StreamKind::Triad, Some(b)) => kernels::triad(&a, b, &mut c, 3.0),
+                (_, None) => unreachable!("`b` exists for every kernel that streams it"),
             }
             let dt = t0.elapsed().as_secs_f64();
             barrier.wait();
@@ -99,7 +103,7 @@ pub fn measure_bandwidth_on(
     BandwidthSample {
         kind,
         threads,
-        working_set: elems * 3 * 8,
+        working_set: elems * kind.bytes_per_elem(),
         bytes_per_sec: bytes / best.max(1e-12),
     }
 }
@@ -171,6 +175,20 @@ mod tests {
     fn nt_copy_reports_bandwidth() {
         let s = measure_bandwidth(StreamKind::CopyNt, 1, 1 << 16, 2, false);
         assert!(s.bytes_per_sec > 1e6);
+    }
+
+    #[test]
+    fn working_set_counts_only_the_streamed_arrays() {
+        for (kind, arrays) in [
+            (StreamKind::Copy, 2),
+            (StreamKind::CopyNt, 2),
+            (StreamKind::Scale, 2),
+            (StreamKind::Add, 3),
+            (StreamKind::Triad, 3),
+        ] {
+            let s = measure_bandwidth(kind, 1, 1 << 10, 1, false);
+            assert_eq!(s.working_set, (1 << 10) * arrays * 8, "{kind:?}");
+        }
     }
 
     #[test]

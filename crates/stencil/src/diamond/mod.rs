@@ -303,8 +303,9 @@ unsafe fn update_tile<T: Real, Op: StencilOp<T>>(
         let sweep = base_sweep + tile.s_lo + k;
         let (sg, dg) = (sweep % 2, (sweep + 1) % 2);
         let claims = auditor.map(|a| {
+            let written = kernel::written_box(&chunk, views[dg].dims().nx);
             let read = a.claim(tid, sg, AccessKind::Read, chunk.expand(tiling.radius()));
-            let write = a.claim(tid, dg, AccessKind::Write, chunk);
+            let write = a.claim(tid, dg, AccessKind::Write, written);
             (read, write)
         });
         // SAFETY: row ordering seals every cross-row dependency, the

@@ -28,6 +28,37 @@
 //! in-place shift writes each row over a source row of the row before,
 //! and a run's source rows must not change while the run lives.
 //!
+//! # The x-faces travel with the rows
+//!
+//! The two-grid drivers write one cell more at each end of a row that
+//! reaches the grid's x-face: after a plane's run, every row of a
+//! region starting at `x = 1` gets its `x = 0` cell copied from source
+//! to destination, and every row ending at `x = nx − 2` its
+//! `x = nx − 1` cell. Those cells share cache lines the row loop reads
+//! and writes anyway (a row's last cell and the next row's first are
+//! neighbours in memory, so a region spanning x moves them as one
+//! two-cell copy per row), and after a sweep over the interior both
+//! buffers hold the same x-faces by construction — a pair needs only
+//! its contiguous shell (the `z` planes and `y` rows) made equal before
+//! the first sweep. The compressed driver copies its boundary cells
+//! itself and carries nothing.
+//!
+//! The carry needs no ordering of its own:
+//!
+//! 1. a carried cell `(0, y, z)` is read only by the cells
+//!    `(1, y ± R, z ± R)`, whose read box contains `(1, y, z)`, the
+//!    carrying row's first interior cell (and symmetrically at
+//!    `x = nx − 1`); no cell of the interior reads the carried cell of
+//!    a row it does not neighbour;
+//! 2. every executor runs `(cell, sweep)` after
+//!    `(cell.expand(R), sweep − 1)` — the two-grid scheme's own
+//!    ordering, for reads and for overwrites alike;
+//! 3. so a carried write is ordered against its readers exactly like
+//!    the write of `(1, y, z)` (or `(nx − 2, y, z)`) in the same call.
+//!
+//! A call's written cells are therefore `written_box(region, nx)`,
+//! which is what the executors' debug `RegionAuditor` claims.
+//!
 //! # One row loop, two instruction sets
 //!
 //! What width the row loop vectorizes *to* is decided per region, not
@@ -181,8 +212,10 @@ fn host_has_avx() -> bool {
 /// Apply one sweep of `op` to `region`, reading `src` and writing `dst`.
 ///
 /// `region` must lie within the interior of the grids (every cell needs
-/// its full radius-1 neighborhood). This is the safe reference
-/// implementation that all concurrent executors are verified against.
+/// its full radius-1 neighborhood). Rows reaching an x-face also carry
+/// its cell from `src` to `dst` (see "The x-faces travel with the
+/// rows"). This is the safe reference implementation that all
+/// concurrent executors are verified against.
 pub fn update_region_op<T: Real, Op: StencilOp<T>>(
     op: &Op,
     src: &Grid3<T>,
@@ -281,7 +314,68 @@ fn plane(region: &Region3, z: usize) -> Region3 {
     )
 }
 
-/// The row loop of [`update_region_op`]: one run per plane.
+/// The cells a two-grid driver call over `region` writes in a grid
+/// `nx` cells wide: `region` plus the x-faces its rows carry (see "The
+/// x-faces travel with the rows").
+pub(crate) fn written_box(region: &Region3, nx: usize) -> Region3 {
+    let mut written = *region;
+    if written.is_empty() {
+        return written;
+    }
+    if written.lo[0] == 1 {
+        written.lo[0] = 0;
+    }
+    if written.hi[0] + 1 == nx {
+        written.hi[0] = nx;
+    }
+    written
+}
+
+/// Copy the x-faces `block`'s rows carry (`block` one plane thick) from
+/// the allocation at `src` to the one at `dst`, both laid out as `dims`:
+/// cell `x = 0` of every row when `block` starts at `x = 1`, cell
+/// `x = nx − 1` when it ends at `x = nx − 2`.
+///
+/// # Safety
+/// `block` is interior to `dims`, both allocations hold `dims` cells,
+/// and for the call nothing else accesses the carried destination cells
+/// or writes the carried source cells.
+#[inline(always)]
+unsafe fn carry_x_faces<T: Real>(src: *const T, dst: *mut T, dims: Dims3, block: &Region3) {
+    let ([x0, y0, z], [x1, y1, _]) = (block.lo, block.hi);
+    let (nx, rows) = (dims.nx, y1 - y0);
+    // Cell (0, y0 + r, z) is `first + r·nx`.
+    let first = dims.idx(0, y0, z);
+    match (x0 == 1, x1 + 1 == nx) {
+        (true, true) => {
+            // Row `r − 1`'s last cell and row `r`'s first are neighbours
+            // in memory: one two-cell copy per pair of rows.
+            *dst.add(first) = *src.add(first);
+            for r in 1..rows {
+                let i = first + r * nx - 1;
+                std::ptr::copy_nonoverlapping(src.add(i), dst.add(i), 2);
+            }
+            let i = first + rows * nx - 1;
+            *dst.add(i) = *src.add(i);
+        }
+        (true, false) => {
+            for r in 0..rows {
+                let i = first + r * nx;
+                *dst.add(i) = *src.add(i);
+            }
+        }
+        (false, true) => {
+            for r in 1..=rows {
+                let i = first + r * nx - 1;
+                *dst.add(i) = *src.add(i);
+            }
+        }
+        (false, false) => {}
+    }
+}
+
+/// The row loop of [`update_region_op`]: one run per plane, then the
+/// plane's carried x-faces.
 ///
 /// # Safety
 /// `region` is non-empty and interior to both grids' (equal) dims.
@@ -294,11 +388,14 @@ unsafe fn region_rows<T: Real, Op: StencilOp<T>>(
 ) {
     let (dims, sp, dp) = (src.dims(), src.as_ptr(), dst.as_mut_ptr());
     for z in region.lo[2]..region.hi[2] {
+        let block = plane(region, z);
         // SAFETY: the plane and its radius-1 neighborhood lie inside
         // both grids; `dst` is exclusively borrowed and distinct from
-        // `src`, so no source row overlaps a destination row.
-        let mut run = plane_run(sp, dp, dims, &plane(region, z), [0, 0], true);
+        // `src`, so no source row overlaps a destination row, and the
+        // run is done before its row ends are carried.
+        let mut run = plane_run(sp, dp, dims, &block, [0, 0], true);
         op.apply_rows(&mut run);
+        carry_x_faces(sp, dp, dims, &block);
     }
 }
 
@@ -322,8 +419,10 @@ unsafe fn region_rows_avx<T: Real, Op: StencilOp<T>>(
 /// # Safety
 /// Caller must guarantee that, for the duration of the call, no other
 /// thread writes any cell of `region.expand(1)` in `src` nor reads/writes
-/// any cell of `region` in `dst` (the pipeline plan's disjointness
-/// invariant).
+/// any cell of [`written_box`]`(region, nx)` — `region` and its carried
+/// x-faces — in `dst` (the pipeline plan's disjointness invariant; the
+/// module docs' ordering argument extends it from `region` to the
+/// carried cells).
 pub(crate) unsafe fn update_region_shared_op<T: Real, Op: StencilOp<T>>(
     op: &Op,
     src: &SharedGrid<T>,
@@ -360,14 +459,17 @@ unsafe fn shared_rows<T: Real, Op: StencilOp<T>>(
     let dims = src.dims();
     let (sp, dp) = (src.row_ptr(0, 0, 0), dst.row_ptr(0, 0, 0).cast_mut());
     for z in region.lo[2]..region.hi[2] {
-        // SAFETY: the caller's disjointness contract; `src` and `dst`
-        // are distinct grids, so no source row overlaps a destination
-        // row. `dst`'s view was built from a mutable pointer.
-        let mut run = plane_run(sp, dp, dims, &plane(region, z), [0, 0], true);
+        let block = plane(region, z);
+        // SAFETY: the caller's disjointness contract, which covers the
+        // carried x-faces too; `src` and `dst` are distinct grids, so no
+        // source row overlaps a destination row. `dst`'s view was built
+        // from a mutable pointer.
+        let mut run = plane_run(sp, dp, dims, &block, [0, 0], true);
         match store {
             StoreMode::Normal => op.apply_rows(&mut run),
             StoreMode::Streaming => op.apply_rows_streaming(&mut run),
         }
+        carry_x_faces(sp, dp, dims, &block);
     }
 }
 
@@ -587,15 +689,23 @@ mod tests {
             * (1.0 / 6.0)
     }
 
-    /// One sweep of `regions`, in order, through the shared driver into
-    /// a zeroed grid.
-    fn shared_sweep<T: Real, Op: StencilOp<T>>(
+    /// One sweep of `regions`, in order, from `src` into `dst`: through
+    /// the shared driver with store mode `shared`, or through the safe
+    /// driver when `shared` is `None`.
+    fn sweep_into<T: Real, Op: StencilOp<T>>(
         op: &Op,
         src: &Grid3<T>,
+        mut dst: Grid3<T>,
         regions: &[Region3],
-        store: StoreMode,
+        shared: Option<StoreMode>,
     ) -> Grid3<T> {
-        let (mut src, mut dst) = (src.clone(), Grid3::zeroed(src.dims()));
+        let Some(store) = shared else {
+            for region in regions {
+                update_region_op(op, src, &mut dst, region);
+            }
+            return dst;
+        };
+        let mut src = src.clone();
         let sv = SharedGrid::from_raw(src.as_mut_ptr(), src.dims());
         let dv = SharedGrid::from_raw(dst.as_mut_ptr(), src.dims());
         for region in regions {
@@ -605,6 +715,17 @@ mod tests {
         dst
     }
 
+    /// One sweep of `regions`, in order, through the shared driver into
+    /// a zeroed grid.
+    fn shared_sweep<T: Real, Op: StencilOp<T>>(
+        op: &Op,
+        src: &Grid3<T>,
+        regions: &[Region3],
+        store: StoreMode,
+    ) -> Grid3<T> {
+        sweep_into(op, src, Grid3::zeroed(src.dims()), regions, Some(store))
+    }
+
     /// One sweep of `regions`, in order, through the safe driver into a
     /// zeroed grid.
     fn safe_sweep<T: Real, Op: StencilOp<T>>(
@@ -612,11 +733,7 @@ mod tests {
         src: &Grid3<T>,
         regions: &[Region3],
     ) -> Grid3<T> {
-        let mut dst = Grid3::zeroed(src.dims());
-        for region in regions {
-            update_region_op(op, src, &mut dst, region);
-        }
-        dst
+        sweep_into(op, src, Grid3::zeroed(src.dims()), regions, None)
     }
 
     /// One down sweep (frame 0 -> -1, margin 1, ascending rows) of
@@ -851,8 +968,9 @@ mod tests {
     /// Degenerate regions — one or two cells wide, one row high, one
     /// plane thick — and the `Blocked{[16,8,8]}` partition of a 48³ grid
     /// through all three drivers (the shared one in both store modes):
-    /// every updated cell is the sequential oracle's, bitwise, for the
-    /// widened operator and its [`ScalarPath`] twin alike.
+    /// every written cell, carried x-faces included, is the sequential
+    /// oracle's, bitwise, for the widened operator and its
+    /// [`ScalarPath`] twin alike.
     #[test]
     fn degenerate_regions_and_blocks_match_the_oracle_in_every_driver() {
         fn check<T: Real, Op: StencilOp<T>>(op: &Op, seed: u64) {
@@ -893,7 +1011,7 @@ mod tests {
             for (what, regions) in &sets {
                 let mut want: Grid3<T> = Grid3::zeroed(dims);
                 for region in regions {
-                    want.copy_region_from(oracle, region);
+                    want.copy_region_from(oracle, &written_box(region, dims.nx));
                 }
                 let ctx = |driver: &str| format!("{} {what}: {driver}", op.name());
                 for (got, driver) in [
@@ -949,6 +1067,107 @@ mod tests {
         check::<f32, _>(&Jacobi7::heat(0.1), 66);
         check::<f32, _>(&VarCoeff7::banded(Dims3::cube(48)), 67);
         check::<f32, _>(&Avg27, 68);
+    }
+
+    /// The x-faces travel with the rows: with the destination's x-faces
+    /// poisoned with NaN, one call of either two-grid driver (the shared
+    /// one in both store modes), for the widened operator and its
+    /// [`ScalarPath`] twin, leaves cell `x = 0` of exactly the rows of a
+    /// region starting at `x = 1` holding the source's cell, and cell
+    /// `x = nx − 1` of exactly the rows of a region ending at
+    /// `x = nx − 2`; every other x-face cell stays NaN.
+    #[test]
+    fn drivers_carry_exactly_the_x_faces_their_rows_reach() {
+        fn check<T: Real, Op: StencilOp<T>>(op: &Op, dims: Dims3, seed: u64) {
+            let Dims3 { nx, ny, nz } = dims;
+            let low = Region3::new([0, 0, 0], [1, ny, nz]);
+            let high = Region3::new([nx - 1, 0, 0], [nx, ny, nz]);
+            // A random interior between x-faces of distinct non-zero
+            // values (`init::random` leaves them zero).
+            let mut src: Grid3<T> = init::random(dims, seed);
+            for (x, y, z) in low.iter().chain(high.iter()) {
+                src.set(x, y, z, T::from_f64((2 + x + 7 * y + 31 * z) as f64));
+            }
+            let mut poisoned: Grid3<T> = Grid3::zeroed(dims);
+            poisoned.fill_region(&low, T::from_f64(f64::NAN));
+            poisoned.fill_region(&high, T::from_f64(f64::NAN));
+            // (what, region, touches x = 1, touches x = nx − 2)
+            let mut cases = vec![
+                ("interior", Region3::interior_of(dims), true, true),
+                ("low end", Region3::new([1, 2, 1], [2, 4, 3]), true, nx == 3),
+                (
+                    "high end",
+                    Region3::new([nx - 2, 1, 2], [nx - 1, 3, 3]),
+                    nx == 3,
+                    true,
+                ),
+            ];
+            if nx > 4 {
+                cases.extend([
+                    (
+                        "low end, wide",
+                        Region3::new([1, 1, 2], [nx - 3, 6, 5]),
+                        true,
+                        false,
+                    ),
+                    (
+                        "high end, wide",
+                        Region3::new([3, 2, 1], [nx - 1, 3, 5]),
+                        false,
+                        true,
+                    ),
+                    (
+                        "neither",
+                        Region3::new([2, 1, 1], [nx - 2, 6, 5]),
+                        false,
+                        false,
+                    ),
+                ]);
+            }
+            for (what, region, lo, hi) in cases {
+                let mut want = poisoned.clone();
+                let rows = |x: usize| {
+                    Region3::new(
+                        [x, region.lo[1], region.lo[2]],
+                        [x + 1, region.hi[1], region.hi[2]],
+                    )
+                };
+                if lo {
+                    want.copy_region_from(&src, &rows(0));
+                }
+                if hi {
+                    want.copy_region_from(&src, &rows(nx - 1));
+                }
+                let base = ScalarPath(op.clone());
+                for shared in [None, Some(StoreMode::Normal), Some(StoreMode::Streaming)] {
+                    for (got, path) in [
+                        (
+                            sweep_into(op, &src, poisoned.clone(), &[region], shared),
+                            "",
+                        ),
+                        (
+                            sweep_into(&base, &src, poisoned.clone(), &[region], shared),
+                            ", scalar path",
+                        ),
+                    ] {
+                        let ctx = format!("{} {dims} {what}: {shared:?}{path}", op.name());
+                        for face in [&low, &high] {
+                            norm::assert_grids_identical(&want, &got, face, &ctx);
+                        }
+                    }
+                }
+            }
+        }
+        fn every_operator<T: Real>(seed: u64) {
+            for dims in [Dims3::new(19, 7, 6), Dims3::new(3, 5, 4)] {
+                check::<T, _>(&Jacobi6, dims, seed);
+                check::<T, _>(&Jacobi7::heat(0.1), dims, seed + 1);
+                check::<T, _>(&VarCoeff7::banded(dims), dims, seed + 2);
+                check::<T, _>(&Avg27, dims, seed + 3);
+            }
+        }
+        every_operator::<f64>(71);
+        every_operator::<f32>(75);
     }
 
     #[test]

@@ -195,8 +195,9 @@ fn update_block<T: Real, Op: StencilOp<T>>(
         }
         let (sg, dg) = (sweep % 2, (sweep + 1) % 2);
         let claims = auditor.map(|a| {
+            let written = kernel::written_box(&region, views[dg].dims().nx);
             let read = a.claim(tid, sg, AccessKind::Read, region.expand(1));
-            let write = a.claim(tid, dg, AccessKind::Write, region);
+            let write = a.claim(tid, dg, AccessKind::Write, written);
             (read, write)
         });
         // SAFETY: the plan geometry plus the synchronization distances

@@ -178,16 +178,20 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     /// The one acquire → run → release site of the two-grid methods:
     /// pair the initial grid with a pooled B buffer, run `exec`, keep
     /// the buffer holding the result and return the other to the pool.
-    /// B gets the Dirichlet shell only — the cells outside the swept
-    /// interior, which sweeps read and never write. Its interior may be
+    /// B gets the contiguous part of the Dirichlet shell only — planes
+    /// `z = 0` and `z = nz − 1` and rows `y = 0` and `y = ny − 1` of the
+    /// others, which sweeps read and never write. The rest of B may be
     /// stale: sweep 0 writes every interior cell of B before any sweep
-    /// reads it, under every executor (that is what bitwise identity
-    /// with the oracle from a recycled buffer means; `pool_contract`
-    /// poisons the buffer with NaN to prove it), and a pool miss comes
-    /// zeroed from [`Runtime::acquire_grid`], its pages placed by the
-    /// calling thread. An executor
-    /// that returns `Err` has not swept, so the spare is still released
-    /// and the pool keeps its warm buffer.
+    /// reads it, and carries the x-face cells at both ends of every
+    /// interior row along with it (`tb_stencil::kernel`, "The x-faces
+    /// travel with the rows"), under every executor (that is what
+    /// bitwise identity with the oracle from a recycled buffer means;
+    /// `pool_contract` poisons the buffer with NaN to prove it), and a
+    /// pool miss comes zeroed from [`Runtime::acquire_grid`], its pages
+    /// placed by the calling thread. A grid without interior is all
+    /// shell and copied whole. An executor that returns `Err` has not
+    /// swept, so the spare is still released and the pool keeps its
+    /// warm buffer.
     ///
     /// Both buffers take the operator's row phase
     /// ([`StencilOp::ALIGNED_CELL`]): an input in another phase is moved
@@ -203,7 +207,14 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
         initial.set_phase(phase);
         let mut b = rt.acquire_grid(initial.dims());
         b.set_phase_stale(phase);
-        b.copy_outside_from(&initial, &Region3::interior_of(initial.dims()));
+        let dims = initial.dims();
+        let interior = Region3::interior_of(dims);
+        let rows = if interior.is_empty() {
+            interior
+        } else {
+            Region3::new([0, 1, 1], [dims.nx, dims.ny - 1, dims.nz - 1])
+        };
+        b.copy_outside_from(&initial, &rows);
         let mut pair = GridPair::from_parts(initial, b);
         let stats = exec(&mut pair);
         let (a, b) = pair.into_parts();

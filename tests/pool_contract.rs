@@ -21,9 +21,11 @@
 //!    in a pool-miss buffer is bitwise the one in a pool-hit buffer. The
 //!    warm serving path allocates nothing, and restricted sub-machines
 //!    report the NUMA nodes their cores actually span.
-//! 5. **The shell is enough** — the facade copies only the Dirichlet
-//!    shell into a recycled B buffer; a buffer released full of NaN
-//!    must not change a single bit of any method's result.
+//! 5. **The planes and y-rows are enough** — the facade copies only the
+//!    Dirichlet shell's z planes and y rows into a recycled B buffer
+//!    (the sweeps carry the x-faces along with the rows); a buffer
+//!    released full of NaN, shell included, must not change a single
+//!    bit of any method's result.
 
 use std::sync::Arc;
 
@@ -295,12 +297,50 @@ fn placement_policies_produce_bitwise_identical_results() {
 }
 
 #[test]
+fn thin_grids_from_a_poisoned_pooled_buffer_match_the_oracle() {
+    // One interior cell per row: each sweep carries both x-faces of a
+    // row at once. No interior at all: the grid is all shell, and the
+    // facade copies it whole (an odd sweep count returns B).
+    let rt = Runtime::with_threads(2);
+    let pool = rt.grid_pool::<f64>();
+    let methods = [
+        Method::Sequential,
+        Method::Parallel {
+            threads: 2,
+            streaming_stores: false,
+        },
+    ];
+    for dims in [
+        Dims3::new(3, 6, 5),
+        Dims3::new(2, 6, 5),
+        Dims3::new(6, 5, 2),
+    ] {
+        let initial: Grid3<f64> = init::random(dims, 0x7A1);
+        for sweeps in [1, 2] {
+            let (oracle, _) =
+                solve_with(&Jacobi6, initial.clone(), sweeps, Method::Sequential).unwrap();
+            for method in &methods {
+                let mut g = rt.acquire_grid::<f64>(dims);
+                g.as_mut_slice().fill(f64::NAN);
+                pool.release(g);
+                let (got, _) =
+                    solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, method.clone()).unwrap();
+                let what = format!("{dims} x{sweeps} via {method:?}");
+                norm::assert_grids_identical(&oracle, &got, &Region3::whole(dims), &what);
+            }
+        }
+    }
+}
+
+#[test]
 fn solves_from_a_poisoned_pooled_buffer_match_the_oracle_and_allocate_nothing() {
     // `solve_with_on` pairs the input with a recycled pool buffer and
-    // copies in the boundary shell only. That is sound iff every
-    // executor writes each interior cell of that buffer before any sweep
-    // reads it — so poison every parked buffer with NaN before each
-    // solve: one stale read and the result is NaN, not the oracle.
+    // copies in the boundary shell's z planes and y rows only. That is
+    // sound iff every executor writes each interior cell of that buffer,
+    // and carries each x-face cell, before any sweep reads it — so
+    // poison every parked buffer with NaN before each solve: one stale
+    // read (or one x-face left uncarried) and the result is NaN, not
+    // the oracle.
     fn check<T: Real, Op: StencilOp<T>>(op: &Op, dims: Dims3) {
         let pipe = PipelineConfig::default_for(2, 1);
         let shapes = [
