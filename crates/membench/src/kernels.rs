@@ -1,47 +1,11 @@
 //! The four STREAM kernels over `f64` slices.
 //!
 //! Byte-traffic accounting matches McCalpin's convention: COPY/SCALE move
-//! 16 B per element, ADD/TRIAD 24 B (write-allocate traffic not counted,
-//! as with non-temporal stores).
+//! 16 B per element, ADD/TRIAD 24 B (write-allocate traffic not counted).
 
 /// `c[i] = a[i]`
 pub fn copy(a: &[f64], c: &mut [f64]) {
     c.copy_from_slice(a);
-}
-
-/// Non-temporal copy on x86-64 (bypasses the cache like STREAM's
-/// `-DNONTEMPORAL` build and the paper's baseline stores); plain copy
-/// elsewhere.
-pub fn copy_nt(a: &[f64], c: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: sse2 is baseline on x86-64; lengths checked inside.
-    unsafe {
-        copy_nt_sse2(a, c)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    copy(a, c);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn copy_nt_sse2(a: &[f64], c: &mut [f64]) {
-    use std::arch::x86_64::*;
-    assert_eq!(a.len(), c.len());
-    let n = a.len();
-    let mut i = 0;
-    while i < n && !(c.as_ptr().add(i) as usize).is_multiple_of(16) {
-        c[i] = a[i];
-        i += 1;
-    }
-    while i + 2 <= n {
-        _mm_stream_pd(c.as_mut_ptr().add(i), _mm_loadu_pd(a.as_ptr().add(i)));
-        i += 2;
-    }
-    while i < n {
-        c[i] = a[i];
-        i += 1;
-    }
-    _mm_sfence();
 }
 
 /// `b[i] = s * c[i]`
@@ -75,16 +39,6 @@ mod tests {
         let mut c = vec![0.0; 100];
         copy(&a, &mut c);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn copy_nt_equals_copy() {
-        let a: Vec<f64> = (0..101).map(|i| (i as f64).sqrt()).collect();
-        let mut c1 = vec![0.0; 101];
-        let mut c2 = vec![0.0; 101];
-        copy(&a, &mut c1);
-        copy_nt(&a, &mut c2);
-        assert_eq!(c1, c2);
     }
 
     #[test]

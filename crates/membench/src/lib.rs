@@ -5,8 +5,7 @@
 //! `M_s`, the single-thread bandwidth `M_{s,1}`, and the shared-cache
 //! bandwidth `M_c`. This crate reimplements those measurements:
 //!
-//! * [`kernels`] — COPY/SCALE/ADD/TRIAD loops (with a non-temporal COPY
-//!   on x86-64),
+//! * [`kernels`] — COPY/SCALE/ADD/TRIAD loops,
 //! * [`runner`] — timed single-/multi-threaded sweeps over working-set
 //!   sizes,
 //! * [`calibrate`] — turn host measurements into a

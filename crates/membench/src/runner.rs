@@ -12,18 +12,17 @@ use crate::kernels;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StreamKind {
     Copy,
-    CopyNt,
     Scale,
     Add,
     Triad,
 }
 
 impl StreamKind {
-    /// Bytes moved per element (McCalpin accounting; NT stores avoid the
-    /// write-allocate, plain stores' RFO is conventionally not counted).
+    /// Bytes moved per element (McCalpin accounting: the stores'
+    /// write-allocate is conventionally not counted).
     pub fn bytes_per_elem(self) -> usize {
         match self {
-            StreamKind::Copy | StreamKind::CopyNt | StreamKind::Scale => 16,
+            StreamKind::Copy | StreamKind::Scale => 16,
             StreamKind::Add | StreamKind::Triad => 24,
         }
     }
@@ -46,7 +45,7 @@ pub struct BandwidthSample {
 /// repetitions (best rep wins, as in STREAM). The arrays are allocated
 /// *inside* the worker task, so first touch happens on the (pinned)
 /// worker that streams them, and only the arrays the kernel streams are
-/// allocated: COPY and COPY-NT move `a` to `c` and never touch `b`.
+/// allocated: COPY moves `a` to `c` and never touches `b`.
 pub fn measure_bandwidth_on(
     rt: &Runtime,
     kind: StreamKind,
@@ -68,7 +67,7 @@ pub fn measure_bandwidth_on(
 
     rt.run(threads, &|_k| {
         let a = AlignedVec::<f64>::filled(elems, 1.0);
-        let mut b = (!matches!(kind, StreamKind::Copy | StreamKind::CopyNt))
+        let mut b = (!matches!(kind, StreamKind::Copy))
             .then(|| AlignedVec::<f64>::filled(elems, 2.0));
         let mut c = AlignedVec::<f64>::zeroed(elems);
         for rep in 0..reps {
@@ -76,7 +75,6 @@ pub fn measure_bandwidth_on(
             let t0 = Instant::now();
             match (kind, b.as_mut()) {
                 (StreamKind::Copy, _) => kernels::copy(&a, &mut c),
-                (StreamKind::CopyNt, _) => kernels::copy_nt(&a, &mut c),
                 (StreamKind::Scale, Some(b)) => kernels::scale(&a, b, 3.0),
                 (StreamKind::Add, Some(b)) => kernels::add(&a, b, &mut c),
                 (StreamKind::Triad, Some(b)) => kernels::triad(&a, b, &mut c, 3.0),
@@ -172,16 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn nt_copy_reports_bandwidth() {
-        let s = measure_bandwidth(StreamKind::CopyNt, 1, 1 << 16, 2, false);
-        assert!(s.bytes_per_sec > 1e6);
-    }
-
-    #[test]
     fn working_set_counts_only_the_streamed_arrays() {
         for (kind, arrays) in [
             (StreamKind::Copy, 2),
-            (StreamKind::CopyNt, 2),
             (StreamKind::Scale, 2),
             (StreamKind::Add, 3),
             (StreamKind::Triad, 3),
