@@ -45,7 +45,7 @@
 //!   one rank per cache group, each running a one-team
 //!   [`LocalExec::Pipelined`] of depth `t·T = h`. Each rank thread pins
 //!   itself into its group
-//!   ([`tb_topology::affinity::pin_current_thread`]) *before*
+//!   ([`tb_runtime::topology::affinity::pin_current_thread`]) *before*
 //!   [`DistSolver::from_global_op`], which allocates and fills the
 //!   rank's box on the calling thread, so the pages land on that group's
 //!   NUMA domain; the rank then calls [`DistSolver::run_sweeps_on`] with

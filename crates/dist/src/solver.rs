@@ -44,7 +44,7 @@
 //!   result stays **bitwise identical** and independent of timing.
 //!   Who drives the exchange is the runtime's business, not the mode's:
 //!   a runtime with a communication worker (pinned to
-//!   [`tb_topology::TeamLayout::comm_core`] when it was built with
+//!   [`tb_runtime::topology::TeamLayout::comm_core`] when it was built with
 //!   `Runtime::new(&layout)` from a layout that reserves one) runs the
 //!   waits and the ghost forwarding there, coupled to the compute side
 //!   by a [`Handoff`] instead of a barrier — "halos in?" is its ready
@@ -89,12 +89,12 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use tb_grid::{Grid3, GridPair, Real, Region3};
+use tb_runtime::sync::Handoff;
 use tb_runtime::{PooledGrid, Runtime};
 use tb_stencil::{
     baseline, diamond, kernel, pipeline, DiamondConfig, Jacobi6, PipelineConfig, RunStats,
     StencilOp,
 };
-use tb_sync::Handoff;
 
 use crate::decomp::{annulus_slabs, Decomposition, LocalDomain};
 use crate::halo::{copy_region, exchange_regions, pack_region, repack_region, unpack_region};
@@ -211,7 +211,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// both buffers of its pair — so its pages commit on that thread's
     /// NUMA domain. For the paper's one-pipeline-per-cache-group layout
     /// (one rank per group), pin the rank thread into its group with
-    /// [`tb_topology::affinity::pin_current_thread`] before this call and
+    /// [`tb_runtime::topology::affinity::pin_current_thread`] before this call and
     /// run the rank on a runtime pinned to the same group.
     pub fn from_global_op(
         dec: &Decomposition,
@@ -325,7 +325,7 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
     /// [`ExchangeMode::Overlapped`], the exchange is driven by its
     /// dedicated communication worker if it has one (for a pinned rank,
     /// `Runtime::new(&layout)` spawns it when the layout reserves a
-    /// [`tb_topology::TeamLayout::comm_core`]), coupled by the "halos
+    /// [`tb_runtime::topology::TeamLayout::comm_core`]), coupled by the "halos
     /// ready" [`Handoff`], and inline from the compute thread otherwise —
     /// bitwise identical, the inline drive just without a second thread
     /// to overlap on.
@@ -810,9 +810,9 @@ mod tests {
     use super::*;
     use crate::net::Universe;
     use tb_grid::{init, norm, Dims3};
+    use tb_runtime::sync::SyncMode;
     use tb_stencil::config::GridScheme;
     use tb_stencil::{Avg27, Jacobi7, VarCoeff7};
-    use tb_sync::SyncMode;
 
     fn verify(dims: Dims3, pgrid: [usize; 3], h: usize, sweeps: usize) {
         let global: Grid3<f64> = init::random(dims, 99);

@@ -18,7 +18,7 @@ use crate::Region3;
 /// `claim` panics on a detected race *while holding* `active`, and the
 /// other workers keep claiming and releasing while the panic unwinds; a
 /// panicking holder releases the lock and the claim list is taken as is
-/// (same policy as `tb_sync::lock`, spelled here because tb-grid has no
+/// (same policy as `tb_runtime::sync::lock`, spelled here because tb-grid has no
 /// tb-* dependency).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())

@@ -1,4 +1,4 @@
-//! Derive a [`tb_model::MachineParams`] for the *host* machine.
+//! Derive a [`crate::MachineParams`] for the *host* machine.
 //!
 //! * `M_{s,1}`: single-thread COPY over a memory-sized working set,
 //! * `M_s`: COPY with all cores of one cache group over the same set,
@@ -8,11 +8,11 @@
 //! The result feeds the §1.4 diagnostic model so its predictions refer to
 //! the machine actually running the benchmarks (experiments E1/E5).
 
-use tb_model::MachineParams;
+use crate::MachineParams;
+use tb_runtime::topology::Machine;
 use tb_runtime::Runtime;
-use tb_topology::Machine;
 
-use crate::runner::{measure_bandwidth_on, StreamKind};
+use super::runner::{measure_bandwidth_on, StreamKind};
 
 /// Calibration effort: quick (CI-friendly) or thorough.
 #[derive(Clone, Copy, Debug)]
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn quick_calibration_is_sane() {
-        let machine = tb_topology::detect::detect();
+        let machine = tb_runtime::topology::detect::detect();
         let p = CalibrationProfile {
             mem_elems: 1 << 18, // keep the unit test fast
             cache_elems: 1 << 14,

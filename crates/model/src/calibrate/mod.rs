@@ -1,21 +1,21 @@
-//! # tb-membench — STREAM-style memory benchmarks and calibration
+//! # `calibrate` — STREAM-style memory benchmarks and calibration
 //!
 //! The paper's models are parameterized by three bandwidths measured with
 //! STREAM COPY-class kernels (§1.1, §1.4): the saturated socket bandwidth
 //! `M_s`, the single-thread bandwidth `M_{s,1}`, and the shared-cache
-//! bandwidth `M_c`. This crate reimplements those measurements:
+//! bandwidth `M_c`. This module reimplements those measurements:
 //!
 //! * [`kernels`] — COPY/SCALE/ADD/TRIAD loops,
 //! * [`runner`] — timed single-/multi-threaded sweeps over working-set
 //!   sizes,
-//! * [`calibrate`] — turn host measurements into a
-//!   [`tb_model::MachineParams`] for the analytic models.
+//! * [`calibrate_host`] — turn host measurements into a
+//!   [`crate::MachineParams`] for the analytic models.
 
-pub mod calibrate;
+mod host;
 pub mod kernels;
 pub mod runner;
 
-pub use calibrate::{calibrate_host, calibrate_host_on, CalibrationProfile};
+pub use host::{calibrate_host, calibrate_host_on, CalibrationProfile};
 pub use runner::{
     measure_bandwidth, measure_bandwidth_on, working_set_sweep, BandwidthSample, StreamKind,
 };

@@ -3,10 +3,10 @@
 use std::time::Instant;
 
 use tb_grid::AlignedVec;
+use tb_runtime::sync::SpinBarrier;
 use tb_runtime::Runtime;
-use tb_sync::SpinBarrier;
 
-use crate::kernels;
+use super::kernels;
 
 /// Which STREAM kernel to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -67,8 +67,8 @@ pub fn measure_bandwidth_on(
 
     rt.run(threads, &|_k| {
         let a = AlignedVec::<f64>::filled(elems, 1.0);
-        let mut b = (!matches!(kind, StreamKind::Copy))
-            .then(|| AlignedVec::<f64>::filled(elems, 2.0));
+        let mut b =
+            (!matches!(kind, StreamKind::Copy)).then(|| AlignedVec::<f64>::filled(elems, 2.0));
         let mut c = AlignedVec::<f64>::zeroed(elems);
         for rep in 0..reps {
             barrier.wait();
@@ -82,7 +82,7 @@ pub fn measure_bandwidth_on(
             }
             let dt = t0.elapsed().as_secs_f64();
             barrier.wait();
-            let mut guard = tb_sync::lock(&times);
+            let mut guard = tb_runtime::sync::lock(&times);
             if dt > guard[rep] {
                 guard[rep] = dt;
             }

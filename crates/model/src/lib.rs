@@ -44,6 +44,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod calibrate;
 pub mod diamond;
 pub mod halo;
 pub mod machine;

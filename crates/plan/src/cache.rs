@@ -418,7 +418,7 @@ mod tests {
     use crate::ir::{Method, MethodFamily};
     use crate::key::MachineFingerprint;
     use crate::tuner::default_plan;
-    use tb_topology::Machine;
+    use tb_runtime::topology::Machine;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tb-plan-cache-test-{}", std::process::id()));

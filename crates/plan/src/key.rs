@@ -3,7 +3,7 @@
 //! A cached plan is only trustworthy on the machine class it was tuned
 //! on, for the operator/problem it was tuned for. [`MachineFingerprint`]
 //! captures the machine half — exact topology (socket × core counts and
-//! the shared cache, from `tb-topology` detection) plus the calibrated
+//! the shared cache, from `tb_runtime::topology` detection) plus the calibrated
 //! bandwidths quantized into ±12.5% tolerance bands, so run-to-run
 //! calibration jitter does not spuriously invalidate the cache while a
 //! genuinely different memory subsystem does. [`PlanKey`] adds the
@@ -12,7 +12,7 @@
 
 use tb_grid::{Dims3, Real};
 use tb_model::MachineParams;
-use tb_topology::Machine;
+use tb_runtime::topology::Machine;
 
 /// Bandwidths are quantized into multiplicative bands of this ratio:
 /// two measurements within ±12.5% of each other land in the same band.

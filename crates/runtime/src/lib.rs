@@ -9,7 +9,7 @@
 //! kills temporal blocking at small block sizes.
 //!
 //! [`Runtime`] spawns its workers **once**, pins them according to a
-//! [`tb_topology::TeamLayout`], and then executes submitted tasks until
+//! [`crate::topology::TeamLayout`], and then executes submitted tasks until
 //! dropped. Between tasks the workers spin briefly (cheap re-dispatch
 //! when sweeps come back to back) and then park until the next dispatch
 //! unparks them, so an idle runtime takes no core time from the solves
@@ -19,7 +19,7 @@
 //!
 //! 1. **Build** — [`Runtime::new`] (pinned per layout, with a dedicated
 //!    communication worker iff the layout reserved a
-//!    [`comm_core`](tb_topology::TeamLayout::comm_core)),
+//!    [`comm_core`](crate::topology::TeamLayout::comm_core)),
 //!    [`Runtime::with_threads`] (unpinned), or [`Runtime::from_cpus`]
 //!    (full control). Workers pin themselves on their first instruction.
 //! 2. **Execute** — [`Runtime::run`] broadcasts a task to the first `n`
@@ -35,18 +35,18 @@
 //! than one solve: autotune loops, repeated-solve services, long
 //! time-stepping with convergence checks, calibration sweeps. Every
 //! `tb-stencil` executor takes the runtime as an argument (`*_op_on`);
-//! `tb-dist` and `tb-membench` keep one-shot forms beside their `*_on`
+//! `tb-dist` and `tb_model::calibrate` keep one-shot forms beside their `*_on`
 //! ones, which build a runtime per call. Do **not** call
 //! [`Runtime::run`] from inside a task running on the same runtime — the
 //! workers are occupied and the nested dispatch would deadlock.
 //!
 //! ## Comm-core reservation
 //!
-//! [`TeamLayout::with_comm_core`](tb_topology::TeamLayout::with_comm_core)
+//! [`TeamLayout::with_comm_core`](crate::topology::TeamLayout::with_comm_core)
 //! carves the machine's last CPU out of the compute layout;
 //! [`Runtime::new`] turns that reservation into a dedicated communication
 //! worker pinned there. The distributed solver couples it to the compute
-//! team with the existing `tb_sync::Handoff` — the comm worker drives the
+//! team with the existing `crate::sync::Handoff` — the comm worker drives the
 //! halo exchange while the compute workers advance the interior
 //! trapezoid.
 //!
@@ -75,7 +75,9 @@
 //! `DistSolver::from_global_op`.
 
 mod pool;
+pub mod sync;
 mod team;
+pub mod topology;
 
 pub use pool::{GridPool, PooledGrid, DEFAULT_POOL_CAPACITY};
 pub use team::{CommHandle, Runtime};

@@ -19,8 +19,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::sync::lock;
 use tb_grid::{Dims3, Grid3, Real};
-use tb_sync::lock;
 
 /// Default number of grids a pool parks before evicting the oldest:
 /// long-running services solving many distinct problem shapes must not

@@ -20,8 +20,8 @@ use std::sync::Mutex;
 use std::thread::{self, Thread};
 use std::time::Duration;
 
-use crate::lock;
-use crate::spin::{Backoff, CachePadded};
+use super::lock;
+use super::spin::{Backoff, CachePadded};
 
 /// Spin iterations a waiter performs before parking. Generous enough
 /// that back-to-back block updates (the hot path this barrier exists

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::spin::CachePadded;
+use super::spin::CachePadded;
 
 /// A fixed array of padded monotonic counters, one per pipeline thread.
 #[derive(Debug)]

@@ -16,8 +16,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::lock;
-use crate::spin::spin_wait_until;
+use super::lock;
+use super::spin::spin_wait_until;
 
 /// Flag + slot handoff ("halos ready") between two threads.
 pub struct Handoff<T> {
@@ -109,7 +109,7 @@ mod tests {
                     h.signal(cycle);
                     // Wait until the consumer took it before signaling
                     // again (one handoff per cycle).
-                    crate::spin::spin_wait_until(|| !h.is_ready());
+                    crate::sync::spin::spin_wait_until(|| !h.is_ready());
                 }
             });
             for cycle in 0..50 {

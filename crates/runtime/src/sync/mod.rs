@@ -1,4 +1,4 @@
-//! # tb-sync — synchronization substrate for pipelined temporal blocking
+//! # `sync` — synchronization substrate for pipelined temporal blocking
 //!
 //! The paper (§"Relaxed synchronization") observes that a global barrier
 //! after every block update costs hundreds to thousands of cycles and
@@ -10,7 +10,7 @@
 //! c_i - c_{i+1} <= d_u   (bounds the lead: blocks must stay in cache)
 //! ```
 //!
-//! This crate implements both synchronization styles:
+//! This module implements both synchronization styles:
 //!
 //! * [`SpinBarrier`] — a sense-reversing spin barrier (the "global
 //!   barrier" variant of the paper, and the team-sweep separator),

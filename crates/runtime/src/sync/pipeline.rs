@@ -19,8 +19,8 @@
 //! thread. The overall front thread ignores the first condition, the
 //! overall rear thread the second.
 
-use crate::counter::ProgressCounters;
-use crate::spin::spin_wait_until;
+use super::counter::ProgressCounters;
+use super::spin::spin_wait_until;
 
 /// Which synchronization style an executor should use.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -29,9 +29,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::sync::{lock, Backoff};
+use crate::topology::{affinity, TeamLayout};
 use tb_grid::Real;
-use tb_sync::{lock, Backoff};
-use tb_topology::{affinity, TeamLayout};
 
 use crate::pool::GridPool;
 
@@ -646,7 +646,7 @@ mod tests {
 
     #[test]
     fn layout_constructor_reflects_comm_core() {
-        let m = tb_topology::Machine::flat(4);
+        let m = crate::topology::Machine::flat(4);
         let layout = TeamLayout::with_comm_core(&m, 3, 1);
         let rt = Runtime::new(&layout);
         assert_eq!(rt.threads(), 3);
@@ -677,7 +677,7 @@ mod tests {
         })
         .join()
         .unwrap();
-        let mut layout = TeamLayout::new(&tb_topology::Machine::flat(1), 1, 1);
+        let mut layout = TeamLayout::new(&crate::topology::Machine::flat(1), 1, 1);
         assert_eq!(layout.cpus, vec![Some(0)]);
         for comm_core in [None, Some(0)] {
             layout.comm_core = comm_core;

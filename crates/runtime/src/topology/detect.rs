@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use crate::machine::{CacheLevel, CacheScope, Machine, NumaDomain, Socket};
+use super::machine::{CacheLevel, CacheScope, Machine, NumaDomain, Socket};
 
 /// Detect the host machine; never fails.
 pub fn detect() -> Machine {

@@ -1,7 +1,7 @@
-//! # tb-topology — machine topology, cache groups, team layout, affinity
+//! # `topology` — machine topology, cache groups, team layout, affinity
 //!
 //! Pipelined temporal blocking is *multicore-aware*: thread teams must run
-//! on cores that share a cache ("cache groups", paper §1.3). This crate
+//! on cores that share a cache ("cache groups", paper §1.3). This module
 //! models the hardware:
 //!
 //! * [`Machine`] — sockets, cores, cache levels and sharing,

@@ -6,7 +6,7 @@
 //! cache group (the paper mentions but does not explore this; we support
 //! it because hosts rarely look like the paper's testbed).
 
-use crate::machine::Machine;
+use super::machine::Machine;
 
 /// Thread-to-CPU assignment for a pipelined run.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use tb_sync::{PipelineSync, SpinBarrier};
+use tb_runtime::sync::{PipelineSync, SpinBarrier};
 
 #[test]
 fn barrier_survives_oversubscription() {

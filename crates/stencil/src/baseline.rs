@@ -28,8 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tb_grid::{BlockPartition, GridPair, Real, Region3};
+use tb_runtime::sync::SpinBarrier;
 use tb_runtime::Runtime;
-use tb_sync::SpinBarrier;
 
 use crate::kernel::{self, StoreMode};
 use crate::op::StencilOp;

@@ -1,7 +1,7 @@
 //! Configuration of the pipelined temporal blocking executors.
 
 use tb_grid::Dims3;
-use tb_sync::SyncMode;
+use tb_runtime::sync::SyncMode;
 
 /// Grid storage strategy for the pipeline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]

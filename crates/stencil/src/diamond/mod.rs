@@ -9,7 +9,7 @@
 //! [`geometry`]; this module executes the schedule:
 //!
 //! * tiles of one diamond **row** are mutually independent, so the team
-//!   walks the rows in order — one [`tb_sync::SpinBarrier`] epoch per
+//!   walks the rows in order — one [`tb_runtime::sync::SpinBarrier`] epoch per
 //!   row — with tiles assigned to workers statically (round-robin, no
 //!   work stealing, no per-tile synchronization);
 //! * within a tile, a wavefront of `B` rows ([`front_rows`]) travels
@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tb_grid::{AccessKind, Dims3, GridPair, Real, Region3, RegionAuditor, SharedGrid};
+use tb_runtime::sync::SpinBarrier;
 use tb_runtime::Runtime;
-use tb_sync::SpinBarrier;
 
 use crate::kernel::{self, StoreMode};
 use crate::op::StencilOp;

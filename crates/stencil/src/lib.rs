@@ -79,4 +79,4 @@ pub use config::PipelineConfig;
 pub use diamond::DiamondConfig;
 pub use op::{Avg27, Jacobi6, Jacobi7, RowRun, ScalarPath, StencilOp, VarCoeff7};
 pub use stats::RunStats;
-pub use tb_sync::SyncMode;
+pub use tb_runtime::sync::SyncMode;

@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tb_grid::{AccessKind, CompressedGrid, Real, Region3, RegionAuditor};
+use tb_runtime::sync::{PipelineSync, SpinBarrier};
 use tb_runtime::Runtime;
-use tb_sync::{PipelineSync, SpinBarrier};
 
 use crate::config::PipelineConfig;
 use crate::kernel;
@@ -218,7 +218,7 @@ mod tests {
     use crate::config::GridScheme;
     use crate::op::Jacobi6;
     use tb_grid::{init, norm, Dims3, GridPair};
-    use tb_sync::SyncMode;
+    use tb_runtime::sync::SyncMode;
 
     fn reference(dims: Dims3, seed: u64, sweeps: usize) -> tb_grid::Grid3<f64> {
         let mut pair = GridPair::from_initial(init::random(dims, seed));

@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tb_grid::{AccessKind, GridPair, Real, Region3, RegionAuditor, SharedGrid};
+use tb_runtime::sync::{PipelineSync, SpinBarrier};
 use tb_runtime::Runtime;
-use tb_sync::{PipelineSync, SpinBarrier};
 
 use crate::config::PipelineConfig;
 use crate::kernel::{self, StoreMode};
@@ -221,7 +221,7 @@ mod tests {
     use crate::baseline;
     use crate::op::{Avg27, Jacobi6, Jacobi7};
     use tb_grid::{init, norm, Dims3, GridPair};
-    use tb_sync::SyncMode;
+    use tb_runtime::sync::SyncMode;
 
     fn reference(dims: Dims3, seed: u64, sweeps: usize) -> tb_grid::Grid3<f64> {
         let mut pair = GridPair::from_initial(init::random(dims, seed));

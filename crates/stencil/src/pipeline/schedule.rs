@@ -23,7 +23,7 @@
 
 use std::ops::Range;
 
-use tb_sync::{PipelineSync, SpinBarrier};
+use tb_runtime::sync::{PipelineSync, SpinBarrier};
 
 use crate::baseline::slab;
 

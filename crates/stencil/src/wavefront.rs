@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tb_grid::{GridPair, Real, Region3};
+use tb_runtime::sync::{PipelineSync, SpinBarrier};
 use tb_runtime::Runtime;
-use tb_sync::{PipelineSync, SpinBarrier};
 
 use crate::kernel::{self, StoreMode};
 use crate::op::StencilOp;

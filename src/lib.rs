@@ -110,13 +110,12 @@
 pub use tb_dist as dist;
 pub use tb_dist::net;
 pub use tb_grid as grid;
-pub use tb_membench as membench;
 pub use tb_model as model;
+pub use tb_model::calibrate as membench;
 pub use tb_plan as plan;
 pub use tb_runtime as runtime;
+pub use tb_runtime::{sync, topology};
 pub use tb_stencil as stencil;
-pub use tb_sync as sync;
-pub use tb_topology as topology;
 
 pub use tb_plan::Method;
 pub use tb_runtime::Runtime;
@@ -144,12 +143,12 @@ pub mod prelude {
     pub use tb_grid::{self as grid, Dims3, Grid3, GridPair, Real, Region3};
     pub use tb_model::MachineParams;
     pub use tb_plan::{MethodFamily, Plan, PlanCache};
+    pub use tb_runtime::topology::{Machine, TeamLayout};
     pub use tb_runtime::Runtime;
     pub use tb_stencil::{
         Avg27, DiamondConfig, Jacobi6, Jacobi7, PipelineConfig, RunStats, ScalarPath, StencilOp,
         SyncMode, VarCoeff7,
     };
-    pub use tb_topology::{Machine, TeamLayout};
 }
 
 /// Run `sweeps` sweeps of the stencil operator `op` on `initial` with the

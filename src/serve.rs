@@ -79,9 +79,9 @@ use std::time::{Duration, Instant};
 
 use tb_grid::{norm, Dims3, Grid3, Real, Region3};
 use tb_model::MachineParams;
+use tb_runtime::topology::{Machine, TeamLayout};
 use tb_runtime::Runtime;
 use tb_stencil::{Avg27, Jacobi6, Jacobi7, RunStats, StencilOp, VarCoeff7};
-use tb_topology::{Machine, TeamLayout};
 
 use crate::{solve_tuned_with_on, solve_with_on, Method, TuneOptions};
 
