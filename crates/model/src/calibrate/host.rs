@@ -14,7 +14,7 @@ use tb_runtime::Runtime;
 
 use super::runner::{measure_bandwidth_on, StreamKind};
 
-/// Calibration effort: quick (CI-friendly) or thorough.
+/// Calibration effort: working-set sizes, repetitions and pinning.
 #[derive(Clone, Copy, Debug)]
 pub struct CalibrationProfile {
     pub mem_elems: usize,
@@ -31,16 +31,6 @@ impl CalibrationProfile {
             cache_elems: 1 << 16,
             reps: 3,
             pin: false,
-        }
-    }
-
-    /// ~256 MB / ~2 MB, 5 reps, pinned.
-    pub fn thorough() -> Self {
-        Self {
-            mem_elems: 16 << 20,
-            cache_elems: 1 << 17,
-            reps: 5,
-            pin: true,
         }
     }
 }
@@ -134,13 +124,5 @@ mod tests {
         assert!(m.mc >= m.ms);
         assert!(m.cores_per_socket >= 1);
         assert!(m.sockets >= 1);
-    }
-
-    #[test]
-    fn profiles_have_reasonable_defaults() {
-        let q = CalibrationProfile::quick();
-        let t = CalibrationProfile::thorough();
-        assert!(t.mem_elems > q.mem_elems);
-        assert!(t.reps > q.reps);
     }
 }

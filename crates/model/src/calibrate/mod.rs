@@ -6,8 +6,8 @@
 //! bandwidth `M_c`. This module reimplements those measurements:
 //!
 //! * [`kernels`] — COPY/SCALE/ADD/TRIAD loops,
-//! * [`runner`] — timed single-/multi-threaded sweeps over working-set
-//!   sizes,
+//! * [`runner`] — timed single-/multi-threaded bandwidth measurements on
+//!   a runtime's workers,
 //! * [`calibrate_host`] — turn host measurements into a
 //!   [`crate::MachineParams`] for the analytic models.
 
@@ -16,6 +16,4 @@ pub mod kernels;
 pub mod runner;
 
 pub use host::{calibrate_host, calibrate_host_on, CalibrationProfile};
-pub use runner::{
-    measure_bandwidth, measure_bandwidth_on, working_set_sweep, BandwidthSample, StreamKind,
-};
+pub use runner::{measure_bandwidth_on, BandwidthSample, StreamKind};

@@ -20,7 +20,7 @@ pub enum StreamKind {
 impl StreamKind {
     /// Bytes moved per element (McCalpin accounting: the stores'
     /// write-allocate is conventionally not counted).
-    pub fn bytes_per_elem(self) -> usize {
+    pub(crate) fn bytes_per_elem(self) -> usize {
         match self {
             StreamKind::Copy | StreamKind::Scale => 16,
             StreamKind::Add | StreamKind::Triad => 24,
@@ -34,7 +34,7 @@ pub struct BandwidthSample {
     pub kind: StreamKind,
     pub threads: usize,
     /// Working set per thread in bytes: the arrays the kernel streams
-    /// (`elems ×` [`StreamKind::bytes_per_elem`]).
+    /// (`elems ×` the kernel's bytes per element).
     pub working_set: usize,
     /// Best-of-repetitions bandwidth in bytes/second.
     pub bytes_per_sec: f64,
@@ -106,41 +106,6 @@ pub fn measure_bandwidth_on(
     }
 }
 
-/// [`measure_bandwidth_on`] on a one-shot runtime — the classic entry
-/// point. `pin` pins worker `k` to CPU `k`.
-pub fn measure_bandwidth(
-    kind: StreamKind,
-    threads: usize,
-    elems: usize,
-    reps: usize,
-    pin: bool,
-) -> BandwidthSample {
-    assert!(threads >= 1);
-    let rt = if pin {
-        Runtime::from_cpus((0..threads).map(Some).collect(), None)
-    } else {
-        Runtime::with_threads(threads)
-    };
-    measure_bandwidth_on(&rt, kind, threads, elems, reps)
-}
-
-/// Sweep working-set sizes to expose the cache hierarchy: returns
-/// `(working_set_bytes, bandwidth)` pairs for the given kernel/threads.
-pub fn working_set_sweep(
-    kind: StreamKind,
-    threads: usize,
-    sizes: &[usize],
-    reps: usize,
-) -> Vec<(usize, f64)> {
-    sizes
-        .iter()
-        .map(|&elems| {
-            let s = measure_bandwidth(kind, threads, elems, reps, false);
-            (s.working_set, s.bytes_per_sec)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +118,7 @@ mod tests {
 
     #[test]
     fn measures_positive_bandwidth() {
-        let s = measure_bandwidth(StreamKind::Copy, 1, 1 << 16, 3, false);
+        let s = measure_bandwidth_on(&Runtime::with_threads(1), StreamKind::Copy, 1, 1 << 16, 3);
         assert!(
             s.bytes_per_sec > 1e6,
             "absurdly low bandwidth {}",
@@ -164,28 +129,22 @@ mod tests {
 
     #[test]
     fn multithreaded_run_completes() {
-        let s = measure_bandwidth(StreamKind::Triad, 2, 1 << 14, 2, false);
+        let s = measure_bandwidth_on(&Runtime::with_threads(2), StreamKind::Triad, 2, 1 << 14, 2);
         assert!(s.bytes_per_sec.is_finite());
         assert!(s.bytes_per_sec > 0.0);
     }
 
     #[test]
     fn working_set_counts_only_the_streamed_arrays() {
+        let rt = Runtime::with_threads(1);
         for (kind, arrays) in [
             (StreamKind::Copy, 2),
             (StreamKind::Scale, 2),
             (StreamKind::Add, 3),
             (StreamKind::Triad, 3),
         ] {
-            let s = measure_bandwidth(kind, 1, 1 << 10, 1, false);
+            let s = measure_bandwidth_on(&rt, kind, 1, 1 << 10, 1);
             assert_eq!(s.working_set, (1 << 10) * arrays * 8, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn sweep_returns_one_sample_per_size() {
-        let out = working_set_sweep(StreamKind::Copy, 1, &[1 << 10, 1 << 12], 2);
-        assert_eq!(out.len(), 2);
-        assert!(out[0].0 < out[1].0);
     }
 }

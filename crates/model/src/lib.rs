@@ -43,6 +43,7 @@
 //! silently steering the search.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod calibrate;
 pub mod diamond;

@@ -74,6 +74,8 @@
 //! `tb_dist::DistSolver` rank thread does before
 //! `DistSolver::from_global_op`.
 
+#![warn(unreachable_pub)]
+
 mod pool;
 pub mod sync;
 mod team;

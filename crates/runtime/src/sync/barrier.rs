@@ -27,7 +27,7 @@ use super::spin::{Backoff, CachePadded};
 /// that back-to-back block updates (the hot path this barrier exists
 /// for) never park; small enough that a genuinely stalled crossing
 /// stops burning its core within tens of microseconds.
-pub const DEFAULT_SPIN_BUDGET: usize = 10_000;
+pub(crate) const DEFAULT_SPIN_BUDGET: usize = 10_000;
 
 /// Parked waiters re-check the generation on this period even without
 /// an unpark, so a wakeup lost to the register/take race only costs one
@@ -66,13 +66,10 @@ impl SpinBarrier {
     /// waiter spins before parking. `0` parks immediately (exercises the
     /// parked path deterministically — used by the contention tests);
     /// `usize::MAX` never parks (the historical pure-spin behaviour).
-    pub fn with_spin_budget(mut self, budget: usize) -> Self {
+    #[cfg(test)]
+    fn with_spin_budget(mut self, budget: usize) -> Self {
         self.spin_budget = budget;
         self
-    }
-
-    pub fn participants(&self) -> usize {
-        self.n
     }
 
     /// Block until all `n` threads have called `wait` for this
@@ -130,11 +127,6 @@ mod tests {
         for _ in 0..100 {
             assert!(b.wait());
         }
-    }
-
-    #[test]
-    fn counts_participants() {
-        assert_eq!(SpinBarrier::new(4).participants(), 4);
     }
 
     #[test]

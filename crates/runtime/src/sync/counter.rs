@@ -13,12 +13,12 @@ use super::spin::CachePadded;
 
 /// A fixed array of padded monotonic counters, one per pipeline thread.
 #[derive(Debug)]
-pub struct ProgressCounters {
+pub(crate) struct ProgressCounters {
     counters: Vec<CachePadded<AtomicU64>>,
 }
 
 impl ProgressCounters {
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n > 0, "need at least one counter");
         Self {
             counters: (0..n)
@@ -27,25 +27,17 @@ impl ProgressCounters {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
     /// Read `c_i` with acquire ordering (pairs with [`Self::increment`]'s
     /// release: a reader that observes the new count also observes the
     /// block data written before it).
     #[inline]
-    pub fn get(&self, i: usize) -> u64 {
+    pub(crate) fn get(&self, i: usize) -> u64 {
         self.counters[i].load(Ordering::Acquire)
     }
 
     /// Publish one completed block for thread `i` (release).
     #[inline]
-    pub fn increment(&self, i: usize) {
+    pub(crate) fn increment(&self, i: usize) {
         // Only thread i writes counter i, so a plain add would do; fetch_add
         // keeps the invariant safe even under misuse.
         self.counters[i].fetch_add(1, Ordering::Release);
@@ -54,7 +46,7 @@ impl ProgressCounters {
     /// Reset all counters to zero. Must only be called while no thread is
     /// concurrently waiting on the counters (between team sweeps, inside a
     /// barrier-protected window).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for c in &self.counters {
             c.store(0, Ordering::Release);
         }
@@ -63,13 +55,14 @@ impl ProgressCounters {
     /// Set counter `i` to an absolute value (used to mark threads that sit
     /// out a partial team sweep as "already done").
     #[inline]
-    pub fn set(&self, i: usize, v: u64) {
+    pub(crate) fn set(&self, i: usize, v: u64) {
         self.counters[i].store(v, Ordering::Release);
     }
 
-    /// Snapshot of all counters (diagnostics / tests).
-    pub fn snapshot(&self) -> Vec<u64> {
-        (0..self.len()).map(|i| self.get(i)).collect()
+    /// Snapshot of all counters.
+    #[cfg(test)]
+    fn snapshot(&self) -> Vec<u64> {
+        (0..self.counters.len()).map(|i| self.get(i)).collect()
     }
 }
 

@@ -14,7 +14,7 @@
 //!
 //! * [`SpinBarrier`] — a sense-reversing spin barrier (the "global
 //!   barrier" variant of the paper, and the team-sweep separator),
-//! * [`ProgressCounters`] — cache-line-padded per-thread counters (the
+//! * `ProgressCounters` — cache-line-padded per-thread counters (the
 //!   paper's `volatile` counters, here with release/acquire atomics),
 //! * [`PipelineSync`] — the full relaxed scheme with lower/upper distances
 //!   `d_l`/`d_u` and the team delay `d_t` applied at team boundaries,
@@ -23,23 +23,22 @@
 //!   barrier (the distributed overlap's §2.3 coupling point).
 //!
 //! It also owns the two building blocks every spinning primitive in the
-//! workspace shares — [`CachePadded`] (128-byte alignment against false
-//! sharing) and [`Backoff`] (spin, then yield) — and the workspace's
+//! crate shares — `CachePadded` (128-byte alignment against false
+//! sharing) and `Backoff` (spin, then yield) — and the workspace's
 //! mutex **poison policy**, stated once in [`lock`].
 
 #![forbid(unsafe_code)]
 
 pub mod barrier;
-pub mod counter;
+mod counter;
 pub mod handoff;
 pub mod pipeline;
-pub mod spin;
+mod spin;
 
 pub use barrier::SpinBarrier;
-pub use counter::ProgressCounters;
 pub use handoff::Handoff;
 pub use pipeline::{PipelineSync, SyncMode};
-pub use spin::{spin_wait_until, Backoff, CachePadded};
+pub(crate) use spin::Backoff;
 
 use std::sync::{Mutex, MutexGuard};
 

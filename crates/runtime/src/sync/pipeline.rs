@@ -104,11 +104,13 @@ impl PipelineSync {
         self.n
     }
 
-    pub fn effective_dl(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    fn effective_dl(&self, i: usize) -> u64 {
         self.dl_eff[i]
     }
 
-    pub fn effective_du(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    fn effective_du(&self, i: usize) -> u64 {
         self.du_eff[i]
     }
 

@@ -8,12 +8,12 @@ use std::ops::{Deref, DerefMut};
 /// share a cache line (two lines, covering adjacent-line prefetchers).
 #[derive(Debug, Default)]
 #[repr(align(128))]
-pub struct CachePadded<T> {
+pub(crate) struct CachePadded<T> {
     value: T,
 }
 
 impl<T> CachePadded<T> {
-    pub const fn new(value: T) -> Self {
+    pub(crate) const fn new(value: T) -> Self {
         Self { value }
     }
 }
@@ -34,7 +34,7 @@ impl<T> DerefMut for CachePadded<T> {
 
 /// Exponential backoff for spin loops: spin-hint a growing number of
 /// times, then report completion so callers can switch to yielding.
-pub struct Backoff {
+pub(crate) struct Backoff {
     step: Cell<u32>,
 }
 
@@ -43,12 +43,12 @@ const YIELD_LIMIT: u32 = 10;
 
 impl Backoff {
     #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { step: Cell::new(0) }
     }
 
     /// Back off one step: busy-spin while cheap, then yield to the OS.
-    pub fn snooze(&self) {
+    pub(crate) fn snooze(&self) {
         let step = self.step.get();
         if step <= SPIN_LIMIT {
             for _ in 0..1u32 << step {
@@ -64,7 +64,7 @@ impl Backoff {
 
     /// True once backing off further would not help (caller should block
     /// or yield instead).
-    pub fn is_completed(&self) -> bool {
+    pub(crate) fn is_completed(&self) -> bool {
         self.step.get() > YIELD_LIMIT
     }
 }
@@ -76,7 +76,7 @@ impl Backoff {
 /// threads than cores — the normal situation both in CI and on the
 /// oversubscribed cluster simulations.
 #[inline]
-pub fn spin_wait_until(mut cond: impl FnMut() -> bool) {
+pub(crate) fn spin_wait_until(mut cond: impl FnMut() -> bool) {
     let backoff = Backoff::new();
     while !cond() {
         if backoff.is_completed() {

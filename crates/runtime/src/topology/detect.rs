@@ -30,7 +30,7 @@ pub fn fallback() -> Machine {
 
 /// Parse a sysfs-like directory tree. Split out for testability: the unit
 /// tests synthesize a fake sysfs.
-pub fn detect_from_sysfs(root: &Path) -> Option<Machine> {
+pub(crate) fn detect_from_sysfs(root: &Path) -> Option<Machine> {
     let mut sockets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let entries = fs::read_dir(root).ok()?;
     for entry in entries.flatten() {
@@ -71,7 +71,7 @@ pub fn detect_from_sysfs(root: &Path) -> Option<Machine> {
 /// tree (`node<N>/cpulist` holds range syntax like `0-3,8-11`). Returns
 /// an empty list when the tree is missing or unparsable — the
 /// sockets-as-nodes fallback in [`Machine::numa_nodes`] then applies.
-pub fn detect_numa_from_sysfs(root: &Path) -> Vec<NumaDomain> {
+pub(crate) fn detect_numa_from_sysfs(root: &Path) -> Vec<NumaDomain> {
     let mut nodes: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let Ok(entries) = fs::read_dir(root) else {
         return Vec::new();

@@ -238,7 +238,8 @@ impl Machine {
     /// two dual-core pairs, each pair sharing a 6 MB L2 — more
     /// bandwidth-starved, hence more to gain from temporal blocking.
     /// Modeled here as 2 "sockets" of 2 cores sharing L2.
-    pub fn core2_quad() -> Machine {
+    #[cfg(test)]
+    fn core2_quad() -> Machine {
         Machine {
             name: "Core 2 Quad".into(),
             sockets: vec![

@@ -7,9 +7,8 @@
 //! * [`Machine`] — sockets, cores, cache levels and sharing,
 //! * [`detect`] — best-effort Linux sysfs detection with a portable
 //!   fallback,
-//! * synthetic presets of the paper's testbeds ([`Machine::nehalem_ep`],
-//!   [`Machine::core2_quad`]) used by the models and the cluster
-//!   simulator,
+//! * a synthetic preset of the paper's testbed ([`Machine::nehalem_ep`])
+//!   used by the models and the cluster simulator,
 //! * [`TeamLayout`] — mapping pipeline threads onto cache groups,
 //! * [`affinity`] — best-effort thread pinning via a raw
 //!   `sched_setaffinity` syscall on Linux (no-op elsewhere).

@@ -78,7 +78,8 @@ impl TeamLayout {
     }
 
     /// Team index of pipeline thread `i`.
-    pub fn team_of(&self, i: usize) -> usize {
+    #[cfg(test)]
+    fn team_of(&self, i: usize) -> usize {
         i / self.team_size
     }
 
