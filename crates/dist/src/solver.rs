@@ -841,7 +841,11 @@ mod tests {
         h: usize,
         sweeps: usize,
     ) {
-        let global: Grid3<f64> = init::random(dims, 4242);
+        // A non-zero Dirichlet shell (from `init::linear`) around the
+        // random interior, so a rank that loses a face cell differs.
+        let mut global: Grid3<f64> = init::random(dims, 4242);
+        let shell = init::linear(dims, 0.25, 0.5, 0.75, 1.0);
+        global.copy_outside_from(&shell, &Region3::interior_of(dims));
         let want = serial_reference_op(&op, &global, sweeps);
         let dec = Decomposition::new(dims, pgrid, h);
         let (g, w, op_ref) = (&global, &want, &op);

@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use tb_grid::Dims3;
 use tb_model::MachineParams;
+use tb_runtime::sync::lock;
 
 use crate::ir::Plan;
 use crate::json::Json;
@@ -358,9 +359,7 @@ impl SharedPlanCache {
         let path = path.into();
         let key = std::path::absolute(&path).unwrap_or_else(|_| path.clone());
         let inner = Arc::clone(
-            registry()
-                .lock()
-                .expect("plan-cache registry poisoned")
+            lock(registry())
                 .entry(key)
                 .or_insert_with(|| Arc::new(Mutex::new(SharedState::load(path)))),
         );
@@ -378,7 +377,7 @@ impl SharedPlanCache {
     /// If the backing file changed on disk since the store last touched
     /// it, the store reloads first.
     pub fn with<R>(&self, f: impl FnOnce(&mut PlanCache) -> R) -> R {
-        let mut guard = self.inner.lock().expect("plan cache store poisoned");
+        let mut guard = lock(&self.inner);
         let now = disk_state(guard.cache.path());
         if now != guard.disk {
             let path = guard
@@ -554,6 +553,28 @@ mod tests {
         // file on disk is valid JSON holding exactly that entry.
         let on_disk = PlanCache::load(&path);
         assert_eq!(on_disk.len(), 1);
+        assert_eq!(on_disk.lookup(&key(dims), dims, 1), Some(&entry(dims)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_panicking_closure_leaves_the_shared_store_usable() {
+        let path = tmp("shared-poison.json");
+        std::fs::remove_file(&path).ok();
+        let dims = Dims3::cube(36);
+        let cache = SharedPlanCache::open(&path);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.with(|c| {
+                c.store(&key(dims), entry(dims));
+                panic!("closure panics while holding the store");
+            })
+        }));
+        assert!(panicked.is_err());
+        // The store is taken as the closure left it: the entry stored
+        // before the panic is there, and saving still works.
+        assert_eq!(cache.lookup(&key(dims), dims, 1), Some(entry(dims)));
+        cache.store_and_save(&key(dims), entry(dims)).unwrap();
+        let on_disk = PlanCache::load(&path);
         assert_eq!(on_disk.lookup(&key(dims), dims, 1), Some(&entry(dims)));
         std::fs::remove_file(&path).ok();
     }

@@ -45,8 +45,9 @@ use std::sync::{Mutex, MutexGuard};
 /// Lock `m`, ignoring poison: a panicking holder releases the lock and the
 /// protected state is taken as is. Every mutex locked through here guards
 /// data that is valid after each single statement of its critical sections
-/// (a slot, a list, a sample vector), and the panic itself is not lost:
-/// the runtime re-raises a worker's panic at the dispatch that joined it.
+/// (a slot, a list, a sample vector, a job queue, a plan-cache store), and
+/// the panic itself is not lost: it unwinds to the holder's caller, and the
+/// runtime re-raises a worker's panic at the dispatch that joined it.
 pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }

@@ -10,12 +10,9 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`grid`] | aligned 3D grids, grid pairs, compressed grids, regions, blocks, race auditor |
-//! | [`sync`] | spin barrier, padded progress counters, relaxed pipeline sync (Eq. 3) |
-//! | [`topology`] | cache groups, Nehalem EP preset, team layout, affinity |
-//! | [`runtime`] | **persistent core-pinned worker teams** (spawn once, dispatch per solve), comm worker, staging-grid pool |
+//! | [`runtime`] | **persistent core-pinned worker teams** (spawn once, dispatch per solve), comm worker, staging-grid pool; [`sync`]: spin barrier, relaxed pipeline sync (Eq. 3); [`topology`]: cache groups, Nehalem EP preset, team layout, affinity |
 //! | [`stencil`] | **stencil operators**, baselines, **pipelined temporal blocking**, wavefront comparator |
-//! | [`model`] | Eq. 2 roofline, §1.4 diagnostic model, Fig. 5 halo model, Fig. 6 scaling model — all fed by per-operator code balance |
-//! | [`membench`] | STREAM COPY/SCALE/ADD/TRIAD + machine calibration |
+//! | [`model`] | Eq. 2 roofline, §1.4 diagnostic model, Fig. 5 halo model, Fig. 6 scaling model — all fed by per-operator code balance; [`membench`] (= `model::calibrate`): STREAM COPY/SCALE/ADD/TRIAD + machine calibration |
 //! | [`dist`] | in-process ranks and their communicator on a Cartesian topology, optionally paced in wall time by [`model::NetworkParams`] ([`net`] = `dist::net`); domain decomposition, multi-layer halo exchange, operator-generic distributed/hybrid solver (sync or overlapped exchange; a runtime with a comm worker drives the overlapped one), cluster sim |
 //!
 //! ## The operator layer
@@ -629,10 +626,20 @@ mod tests {
         ]
     }
 
+    /// `init::random`'s interior inside a non-zero Dirichlet shell taken
+    /// from `init::linear`: a solver that drops or misplaces a face cell
+    /// (which `init::random`'s all-zero shell would hide) differs.
+    fn random_with_linear_shell(dims: Dims3, seed: u64) -> Grid3<f64> {
+        let mut g = init::random(dims, seed);
+        let shell = init::linear(dims, 0.25, 0.5, 0.75, 1.0);
+        g.copy_outside_from(&shell, &Region3::interior_of(dims));
+        g
+    }
+
     #[test]
     fn all_methods_agree_bitwise() {
         let dims = Dims3::cube(20);
-        let initial: Grid3<f64> = init::random(dims, 7);
+        let initial = random_with_linear_shell(dims, 7);
         let sweeps = 6;
         let (want, _) = solve_with(&Jacobi6, initial.clone(), sweeps, Method::Sequential).unwrap();
         for (name, m) in all_methods() {
@@ -649,7 +656,7 @@ mod tests {
     #[test]
     fn all_methods_agree_bitwise_for_every_operator() {
         let dims = Dims3::cube(20);
-        let initial: Grid3<f64> = init::random(dims, 13);
+        let initial = random_with_linear_shell(dims, 13);
         let sweeps = 5;
 
         fn check<Op: StencilOp<f64>>(op: &Op, initial: &Grid3<f64>, sweeps: usize) {
@@ -673,7 +680,7 @@ mod tests {
     #[test]
     fn solve_on_shared_runtime_agrees_with_solve_for_every_method() {
         let dims = Dims3::cube(20);
-        let initial: Grid3<f64> = init::random(dims, 21);
+        let initial = random_with_linear_shell(dims, 21);
         let sweeps = 5;
         let (want, _) = solve_with(&Jacobi6, initial.clone(), sweeps, Method::Sequential).unwrap();
         let rt = Runtime::with_threads(3);

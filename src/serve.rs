@@ -73,12 +73,13 @@
 use std::any::{Any, TypeId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tb_grid::{norm, Dims3, Grid3, Real, Region3};
 use tb_model::MachineParams;
+use tb_runtime::sync::lock;
 use tb_runtime::topology::{Machine, TeamLayout};
 use tb_runtime::Runtime;
 use tb_stencil::{Avg27, Jacobi6, Jacobi7, RunStats, StencilOp, VarCoeff7};
@@ -161,7 +162,7 @@ impl<I> JobQueue<I> {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<I>> {
-        self.state.lock().expect("job queue poisoned")
+        lock(&self.state)
     }
 
     /// Admit `item` iff there is room right now.
@@ -210,7 +211,7 @@ impl<I> JobQueue<I> {
             let (guard, _) = self
                 .not_full
                 .wait_timeout(s, deadline - now)
-                .expect("job queue poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             s = guard;
         }
     }
@@ -245,7 +246,10 @@ impl<I> JobQueue<I> {
             if s.closed {
                 return None;
             }
-            s = self.not_empty.wait(s).expect("job queue poisoned");
+            s = self
+                .not_empty
+                .wait(s)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -593,7 +597,7 @@ impl JobState {
     }
 
     fn complete(&self, outcome: JobOutcome) {
-        *self.done.lock().expect("job state poisoned") = Some(outcome);
+        *lock(&self.done) = Some(outcome);
         self.cv.notify_all();
     }
 }
@@ -625,7 +629,7 @@ impl JobHandle {
         match queue.remove_where(|j| j.id == id) {
             Some(job) => {
                 if let Some(stats) = self.stats.upgrade() {
-                    let mut s = stats.lock().expect("server stats poisoned");
+                    let mut s = lock(&stats);
                     s.cancels += 1;
                     s.classes[job.priority.index()].cancelled += 1;
                 }
@@ -641,21 +645,21 @@ impl JobHandle {
 
     /// Non-blocking: has the job finished?
     pub fn is_done(&self) -> bool {
-        self.state
-            .done
-            .lock()
-            .expect("job state poisoned")
-            .is_some()
+        lock(&self.state.done).is_some()
     }
 
     /// Block until the job finished and take its outcome.
     pub fn wait(self) -> JobOutcome {
-        let mut done = self.state.done.lock().expect("job state poisoned");
+        let mut done = lock(&self.state.done);
         loop {
             if let Some(outcome) = done.take() {
                 return outcome;
             }
-            done = self.state.cv.wait(done).expect("job state poisoned");
+            done = self
+                .state
+                .cv
+                .wait(done)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -1072,7 +1076,7 @@ impl Server {
     fn predict_service(&self, spec: &JobSpec) -> Option<Duration> {
         let weight = spec.weight();
         let observed = {
-            let rates = self.rates.lock().expect("server rates poisoned");
+            let rates = lock(&self.rates);
             rates
                 .get(&(spec.op.name(), spec.payload.element()))
                 .map(|lups| Duration::from_secs_f64(weight as f64 / lups))
@@ -1111,7 +1115,7 @@ impl Server {
             (&self.admission, spec.deadline, predicted)
         {
             if floor > deadline {
-                let mut s = self.stats.lock().expect("server stats poisoned");
+                let mut s = lock(&self.stats);
                 s.sheds += 1;
                 return Err(Rejected::Infeasible(spec, floor));
             }
@@ -1132,8 +1136,7 @@ impl Server {
         };
         match push(job) {
             Ok(()) => {
-                self.stats.lock().expect("server stats poisoned").classes[priority.index()]
-                    .admitted += 1;
+                lock(&self.stats).classes[priority.index()].admitted += 1;
                 Ok(JobHandle {
                     id,
                     state,
@@ -1177,7 +1180,7 @@ impl Server {
     /// Point-in-time scheduling statistics: per-class completion counts,
     /// windowed p50/p99 client latency, deadline misses, sheds, cancels.
     pub fn stats(&self) -> ServerStats {
-        let s = self.stats.lock().expect("server stats poisoned");
+        let s = lock(&self.stats);
         let mut out = ServerStats {
             sheds: s.sheds,
             cancels: s.cancels,
@@ -1213,7 +1216,7 @@ impl Drop for Server {
         // Only a never-started server can still hold admitted jobs.
         for job in self.queue.drain() {
             {
-                let mut s = self.stats.lock().expect("server stats poisoned");
+                let mut s = lock(&self.stats);
                 s.cancels += 1;
                 s.classes[job.priority.index()].cancelled += 1;
             }
@@ -1314,7 +1317,7 @@ fn slice_loop(ctx: SliceCtx) {
                 // this server has achieved for the (op, element) pair.
                 if exec.mlups > 0.0 {
                     let lups = exec.mlups * 1e6;
-                    let mut r = rates.lock().expect("server rates poisoned");
+                    let mut r = lock(&rates);
                     let best = r.entry((op_name, element)).or_insert(lups);
                     *best = best.max(lups);
                 }
@@ -1353,7 +1356,7 @@ fn slice_loop(ctx: SliceCtx) {
             }),
         };
         {
-            let mut s = stats.lock().expect("server stats poisoned");
+            let mut s = lock(&stats);
             let class = &mut s.classes[priority.index()];
             match &outcome {
                 Ok((_, report)) => {
@@ -1685,6 +1688,22 @@ mod tests {
         let got = q.pop_select(|_| 99);
         assert_eq!(got, Some(20), "release builds clamp to the newest item");
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn a_panicking_picker_leaves_the_queue_usable() {
+        let q: JobQueue<u32> = JobQueue::bounded(2);
+        q.try_push(1).unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.pop_select(|_| panic!("picker panics under the queue lock"))
+        }));
+        assert!(panicked.is_err());
+        // The picker only read the queue: the item is still there, and
+        // pushes and pops keep working.
+        assert_eq!(q.len(), 1);
+        q.try_push(2).unwrap();
+        assert_eq!(q.pop_select(|_| 0), Some(1));
+        assert_eq!(q.pop_select(|_| 0), Some(2));
     }
 
     #[test]
