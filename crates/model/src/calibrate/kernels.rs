@@ -4,26 +4,26 @@
 //! 16 B per element, ADD/TRIAD 24 B (write-allocate traffic not counted).
 
 /// `c[i] = a[i]`
-pub fn copy(a: &[f64], c: &mut [f64]) {
+pub(crate) fn copy(a: &[f64], c: &mut [f64]) {
     c.copy_from_slice(a);
 }
 
 /// `b[i] = s * c[i]`
-pub fn scale(c: &[f64], b: &mut [f64], s: f64) {
+pub(crate) fn scale(c: &[f64], b: &mut [f64], s: f64) {
     for (bi, &ci) in b.iter_mut().zip(c) {
         *bi = s * ci;
     }
 }
 
 /// `c[i] = a[i] + b[i]`
-pub fn add(a: &[f64], b: &[f64], c: &mut [f64]) {
+pub(crate) fn add(a: &[f64], b: &[f64], c: &mut [f64]) {
     for ((ci, &ai), &bi) in c.iter_mut().zip(a).zip(b) {
         *ci = ai + bi;
     }
 }
 
 /// `a[i] = b[i] + s * c[i]`
-pub fn triad(b: &[f64], c: &[f64], a: &mut [f64], s: f64) {
+pub(crate) fn triad(b: &[f64], c: &[f64], a: &mut [f64], s: f64) {
     for ((ai, &bi), &ci) in a.iter_mut().zip(b).zip(c) {
         *ai = bi + s * ci;
     }

@@ -25,7 +25,10 @@
 //! * [`network`] — the latency/bandwidth message time model;
 //! * [`halo`] — the multi-layer halo advantage model behind Fig. 5;
 //! * [`scaling`] — strong/weak scaling predictions and ideal lines for
-//!   Fig. 6.
+//!   Fig. 6;
+//! * [`calibrate`] — the one part that is not a pure function: STREAM
+//!   COPY-class measurements of the host (§1.1, §1.4) that fill a
+//!   [`MachineParams`] on a runtime's workers.
 //!
 //! ## Predictions as a search pruner
 //!

@@ -15,6 +15,11 @@
 //! unparks them, so an idle runtime takes no core time from the solves
 //! of other runtimes sharing its cores.
 //!
+//! The team's two foundations are modules of this crate: [`topology`]
+//! says where the workers run (cache groups, team layout, affinity) and
+//! [`sync`] how they wait on each other (the spin barrier, the relaxed
+//! pipeline counters of Eq. 3, the comm handoff).
+//!
 //! ## Lifecycle
 //!
 //! 1. **Build** — [`Runtime::new`] (pinned per layout, with a dedicated
@@ -46,7 +51,7 @@
 //! carves the machine's last CPU out of the compute layout;
 //! [`Runtime::new`] turns that reservation into a dedicated communication
 //! worker pinned there. The distributed solver couples it to the compute
-//! team with the existing `crate::sync::Handoff` — the comm worker drives the
+//! team with the existing [`sync::Handoff`] — the comm worker drives the
 //! halo exchange while the compute workers advance the interior
 //! trapezoid.
 //!

@@ -21,7 +21,7 @@ pub fn detect() -> Machine {
 }
 
 /// Portable fallback: one socket holding every logical CPU.
-pub fn fallback() -> Machine {
+fn fallback() -> Machine {
     let n = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -30,8 +30,7 @@ impl TeamLayout {
     /// Teams are assigned to cache groups round-robin; threads within a
     /// team take consecutive CPUs of their group. When a group is smaller
     /// than `team_size` or there are more teams than groups, the layout
-    /// wraps around — still correct, just without the cache benefit —
-    /// and `oversubscribed()` reports it.
+    /// wraps around — still correct, just without the cache benefit.
     pub fn new(machine: &Machine, team_size: usize, n_teams: usize) -> Self {
         assert!(team_size >= 1 && n_teams >= 1);
         let cpus = assign(&machine.cache_groups(), team_size, n_teams);
@@ -86,7 +85,8 @@ impl TeamLayout {
     /// True if distinct threads had to share CPUs (or got no pin at all).
     /// A carved-out comm core counts as occupied: compute threads landing
     /// on it would defeat the overlap.
-    pub fn oversubscribed(&self) -> bool {
+    #[cfg(test)]
+    fn oversubscribed(&self) -> bool {
         let mut seen = std::collections::HashSet::new();
         if let Some(c) = self.comm_core {
             seen.insert(c);
