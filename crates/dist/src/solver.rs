@@ -1011,6 +1011,72 @@ mod tests {
     }
 
     #[test]
+    fn stale_b_buffers_show_every_skipped_x_face_carry() {
+        // `from_global_op` fills both buffers of a rank's pair alike, so a
+        // local advance that skipped an x-face carry would copy nothing
+        // that differs. Here each rank's B buffer is stale the way a
+        // recycled pool buffer is for the facade: NaN everywhere but the
+        // contiguous shell (its z planes and y rows). A face cell left
+        // uncarried then stays NaN and spreads into the gathered result.
+        let dims = Dims3::new(20, 12, 14);
+        let mut global: Grid3<f64> = init::random(dims, 4244);
+        let shell = init::linear(dims, 0.25, 0.5, 0.75, 1.0);
+        global.copy_outside_from(&shell, &Region3::interior_of(dims));
+        let (h, sweeps) = (3, 8);
+        let want = serial_reference(&global, sweeps);
+        let pipe = PipelineConfig {
+            team_size: 2,
+            n_teams: 1,
+            updates_per_thread: 1,
+            block: [8, 8, 8],
+            sync: SyncMode::relaxed_default(),
+            scheme: GridScheme::TwoGrid,
+            audit: false,
+        };
+        let execs = [
+            LocalExec::Seq,
+            LocalExec::Pipelined(pipe),
+            LocalExec::Diamond(DiamondConfig::with_width(2, 4)),
+        ];
+        for pgrid in [[2, 1, 1], [1, 1, 2]] {
+            let dec = Decomposition::new(dims, pgrid, h);
+            for exec in &execs {
+                for (mode, comm_thread) in DRIVES {
+                    let (g, w, dec) = (&global, &want, &dec);
+                    Universe::run(dec.ranks(), None, move |comm| {
+                        let mut cart = CartComm::new(comm, pgrid);
+                        let rt = test_runtime(exec, comm_thread);
+                        let mut s = DistSolver::from_global_op(
+                            dec,
+                            cart.coords(),
+                            g,
+                            exec.clone(),
+                            Jacobi6,
+                        )
+                        .unwrap()
+                        .with_exchange_mode(mode);
+                        let local = s.pair.dims();
+                        let mut stale = s.pair.a().clone();
+                        stale.as_mut_slice().fill(f64::NAN);
+                        let rows = Region3::new([0, 1, 1], [local.nx, local.ny - 1, local.nz - 1]);
+                        stale.copy_outside_from(s.pair.a(), &rows);
+                        *s.pair.b_mut() = stale;
+                        s.run_sweeps_on(&rt, &mut cart, sweeps);
+                        if let Some(got) = s.gather_global(&mut cart, dec, g) {
+                            norm::assert_grids_identical(
+                                w,
+                                &got,
+                                &Region3::interior_of(dims),
+                                &format!("stale B {exec:?} {mode:?} comm={comm_thread} {pgrid:?}"),
+                            );
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
     fn diamond_local_exec_with_empty_interior_core() {
         // The middle rank of three owns 8 planes between two neighbours:
         // in depth-4 cycles its trapezoid is empty from sweep 1 on,

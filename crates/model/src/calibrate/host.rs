@@ -14,13 +14,12 @@ use tb_runtime::Runtime;
 
 use super::runner::{measure_bandwidth_on, StreamKind};
 
-/// Calibration effort: working-set sizes, repetitions and pinning.
+/// Calibration effort: working-set sizes and repetitions.
 #[derive(Clone, Copy, Debug)]
 pub struct CalibrationProfile {
     pub mem_elems: usize,
     pub cache_elems: usize,
     pub reps: usize,
-    pub pin: bool,
 }
 
 impl CalibrationProfile {
@@ -30,21 +29,17 @@ impl CalibrationProfile {
             mem_elems: 2 << 20,
             cache_elems: 1 << 16,
             reps: 3,
-            pin: false,
         }
     }
 }
 
 /// Measure the host and fill in a parameter set. The `machine` topology
-/// supplies team geometry and cache capacity. Builds one runtime for
-/// all three measurements and delegates to [`calibrate_host_on`].
+/// supplies team geometry and cache capacity. Builds one unpinned
+/// runtime of one cache group's size for all three measurements and
+/// delegates to [`calibrate_host_on`]; to calibrate on pinned workers,
+/// build the runtime and call that directly.
 pub fn calibrate_host(machine: &Machine, profile: CalibrationProfile) -> MachineParams {
-    let group = machine.cores_per_socket().max(1);
-    let rt = if profile.pin {
-        Runtime::from_cpus((0..group).map(Some).collect(), None)
-    } else {
-        Runtime::with_threads(group)
-    };
+    let rt = Runtime::with_threads(machine.cores_per_socket().max(1));
     calibrate_host_on(&rt, machine, profile)
 }
 
@@ -116,7 +111,6 @@ mod tests {
             mem_elems: 1 << 18, // keep the unit test fast
             cache_elems: 1 << 14,
             reps: 2,
-            pin: false,
         };
         let m = calibrate_host(&machine, p);
         assert!(m.ms1 > 0.0 && m.ms1.is_finite());

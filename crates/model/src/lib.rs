@@ -35,9 +35,8 @@
 //! Beyond reproducing the paper's figures, these models drive the
 //! `tb-plan` autotuner: every candidate configuration is *scored*
 //! analytically before anything runs — Eq. 2 sets the baseline, Eq. 5 /
-//! [`diamond_speedup`] / [`pipeline::wavefront_speedup`] the temporal
-//! gain, and the working-set bounds ([`diamond_working_set_bytes`],
-//! [`max_cached_width`], [`wavefront_working_set_bytes`], the
+//! [`diamond_speedup`] the temporal gain, and the working-set bounds
+//! ([`diamond_working_set_bytes`], [`max_cached_width`], the
 //! `(t·T)·d_u` blocks the pipeline keeps resident) demote any candidate
 //! whose tiles cannot stay cached to baseline speed. Only the
 //! top-scoring few are ever measured, so the models discard most of the
@@ -64,8 +63,6 @@ pub use diamond::{
 pub use halo::{halo_advantage, halo_cycle_time, HaloWorkload};
 pub use machine::MachineParams;
 pub use network::NetworkParams;
-pub use pipeline::{
-    pipeline_speedup, team_block_time_op, wavefront_speedup, wavefront_working_set_bytes,
-};
+pub use pipeline::{pipeline_speedup, team_block_time_op};
 pub use roofline::{op_roofline_lups, roofline_lups, service_floor_seconds};
 pub use scaling::{ScalingConfig, ScalingMode, ScalingPoint};

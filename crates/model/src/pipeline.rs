@@ -53,31 +53,6 @@ pub fn pipeline_speedup(machine: &MachineParams, t: usize, updates: usize) -> f6
     (machine.ms1 / machine.ms) * tt / (1.0 + (tt - 1.0) * r)
 }
 
-/// Expected speedup of wavefront temporal blocking over the standard
-/// solver: with `t` threads stacked along the time axis, one memory
-/// traversal performs `t` updates — Eq. 5 at depth `t·T` with `T = 1`.
-/// Valid while [`wavefront_working_set_bytes`] stays in the shared
-/// cache; the tuner in `tb-plan` checks that bound before trusting this
-/// number.
-pub fn wavefront_speedup(machine: &MachineParams, threads: usize) -> f64 {
-    pipeline_speedup(machine, threads.max(1), 1)
-}
-
-/// In-cache working set of the wavefront executor, in bytes. It sweeps
-/// whole x·y planes: each of the `t` stacked sweeps keeps `2R` planes
-/// live, plus one `2R` read halo, in both grid buffers and in every
-/// extra read stream of the operator.
-pub fn wavefront_working_set_bytes<T: Real, Op: StencilOp<T>>(
-    op: &Op,
-    nx: usize,
-    ny: usize,
-    threads: usize,
-) -> usize {
-    let planes = 2 * Op::RADIUS * (threads.max(1) + 1);
-    let streams = 2.0 + op.extra_read_streams();
-    (streams * (planes * nx * ny * T::bytes()) as f64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,15 +123,6 @@ mod tests {
         // Direct check: core2-like saturation ratio is closer to 1 so its
         // relative gain at equal tT is larger.
         assert!(pipeline_speedup(&core2, 4, 1) > pipeline_speedup(&nehalem, 4, 1));
-    }
-
-    #[test]
-    fn wavefront_matches_pipeline_at_unit_updates() {
-        let m = MachineParams::nehalem_ep();
-        for t in [1usize, 2, 4, 8] {
-            assert_eq!(wavefront_speedup(&m, t), pipeline_speedup(&m, t, 1));
-        }
-        assert_eq!(wavefront_speedup(&m, 0), pipeline_speedup(&m, 1, 1));
     }
 
     #[test]

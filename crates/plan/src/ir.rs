@@ -5,7 +5,7 @@
 //! all of its parameters (`T`, block, `d_u`, sync mode and grid scheme,
 //! diamond width, MWD sub-team, team shape) — in the spirit of Patus
 //! strategies: a small data program over the `auto`-tunable parameters,
-//! separated from the stencil itself. A `Plan` adds the SIMD path.
+//! separated from the stencil itself. A `Plan` wraps it for the cache.
 //! Plans round-trip through JSON (see [`crate::json`]) so winners can be
 //! persisted by the [`crate::cache`] and replayed without re-tuning.
 
@@ -15,27 +15,21 @@ use tb_stencil::{DiamondConfig, PipelineConfig, SyncMode};
 
 use crate::json::Json;
 
-/// The five tunable method families.
+/// The three tunable method families.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MethodFamily {
     /// Thread-parallel standard sweeps (the baseline).
     Parallel,
-    /// Pipelined temporal blocking on two grids.
+    /// Pipelined temporal blocking, on two grids or one compressed grid.
     Pipelined,
-    /// Pipelined temporal blocking on a compressed grid.
-    Compressed,
-    /// Wavefront temporal blocking.
-    Wavefront,
     /// Wavefront-diamond temporal blocking (incl. MWD sub-teams).
     Diamond,
 }
 
 impl MethodFamily {
-    pub const ALL: [MethodFamily; 5] = [
+    pub const ALL: [MethodFamily; 3] = [
         MethodFamily::Parallel,
         MethodFamily::Pipelined,
-        MethodFamily::Compressed,
-        MethodFamily::Wavefront,
         MethodFamily::Diamond,
     ];
 
@@ -43,8 +37,6 @@ impl MethodFamily {
         match self {
             MethodFamily::Parallel => "parallel",
             MethodFamily::Pipelined => "pipelined",
-            MethodFamily::Compressed => "compressed",
-            MethodFamily::Wavefront => "wavefront",
             MethodFamily::Diamond => "diamond",
         }
     }
@@ -63,10 +55,10 @@ pub enum Method {
         streaming_stores: bool,
     },
     /// Pipelined temporal blocking (the paper's contribution, §1.3), on
-    /// two grids or on one compressed grid as `cfg.scheme` says.
+    /// two grids or on one compressed grid as `cfg.scheme` says. The
+    /// wavefront comparator (the paper's ref. 2) is the shape
+    /// [`PipelineConfig::wavefront`].
     Pipelined(PipelineConfig),
-    /// Wavefront temporal blocking (the paper's ref. 2, comparator).
-    Wavefront { threads: usize },
     /// Wavefront-diamond temporal blocking (Malas, Hager et al. 2015):
     /// diamond tiles along z × time, no wind-up/wind-down waste, one
     /// width knob instead of block sizes and sync distances.
@@ -81,11 +73,7 @@ impl Method {
             Method::Sequential | Method::Blocked { .. } | Method::Parallel { .. } => {
                 MethodFamily::Parallel
             }
-            Method::Pipelined(cfg) => match cfg.scheme {
-                GridScheme::TwoGrid => MethodFamily::Pipelined,
-                GridScheme::Compressed => MethodFamily::Compressed,
-            },
-            Method::Wavefront { .. } => MethodFamily::Wavefront,
+            Method::Pipelined(_) => MethodFamily::Pipelined,
             Method::Diamond(_) => MethodFamily::Diamond,
         }
     }
@@ -95,7 +83,7 @@ impl Method {
     pub fn threads(&self) -> usize {
         match self {
             Method::Sequential | Method::Blocked { .. } => 0,
-            Method::Parallel { threads, .. } | Method::Wavefront { threads } => *threads,
+            Method::Parallel { threads, .. } => *threads,
             Method::Pipelined(cfg) => cfg.threads(),
             Method::Diamond(cfg) => cfg.threads,
         }
@@ -106,16 +94,12 @@ impl Method {
 #[derive(Clone, PartialEq, Debug)]
 pub struct Plan {
     pub method: Method,
-    /// Run the row loops widened to the host's vector ISA (`true`) or
-    /// pinned to the build target's (`ScalarPath`). Bitwise-identical
-    /// either way; throughput differs.
-    pub simd: bool,
 }
 
 impl Plan {
-    /// Plan for a method with the library defaults for the rest.
+    /// Plan for a method.
     pub fn new(method: Method) -> Self {
-        Plan { method, simd: true }
+        Plan { method }
     }
 
     /// The pipeline configuration of a pipelined plan.
@@ -141,9 +125,7 @@ impl Plan {
         match &self.method {
             Method::Pipelined(cfg) => cfg.validate(dims),
             Method::Diamond(cfg) => cfg.validate(dims, radius),
-            Method::Parallel { threads: 0, .. } | Method::Wavefront { threads: 0 } => {
-                Err("plan needs at least one thread".into())
-            }
+            Method::Parallel { threads: 0, .. } => Err("plan needs at least one thread".into()),
             Method::Blocked { block } if block.contains(&0) => {
                 Err("block edges must be >= 1".into())
             }
@@ -170,9 +152,6 @@ impl Plan {
                 ("streaming_stores", Json::Bool(*streaming_stores)),
             ]),
             Method::Pipelined(cfg) => pipe_json(cfg),
-            Method::Wavefront { threads } => {
-                Json::obj(vec![kind("wavefront"), ("threads", Json::usize(*threads))])
-            }
             Method::Diamond(cfg) => Json::obj(vec![
                 kind("diamond"),
                 ("threads", Json::usize(cfg.threads)),
@@ -180,12 +159,13 @@ impl Plan {
                 ("threads_per_tile", Json::usize(cfg.threads_per_tile)),
             ]),
         };
-        Json::obj(vec![("method", method), ("simd", Json::Bool(self.simd))])
+        Json::obj(vec![("method", method)])
     }
 
     /// Parse a plan back out of the JSON tree. Unknown keys are ignored,
     /// so entries written when plans still carried an `"exchange"` mode
-    /// keep loading.
+    /// or a `"simd"` switch keep loading, and a `"wavefront"` entry
+    /// parses to the pipelined shape [`PipelineConfig::wavefront`].
     pub fn from_json(v: &Json) -> Result<Plan, String> {
         let m = v.get("method").ok_or("plan: missing method")?;
         let kind = m
@@ -211,24 +191,19 @@ impl Plan {
             },
             "pipelined" => Method::Pipelined(pipe_from_json(m, GridScheme::TwoGrid)?),
             "compressed" => Method::Pipelined(pipe_from_json(m, GridScheme::Compressed)?),
-            "wavefront" => Method::Wavefront {
-                threads: field("threads")?,
-            },
+            "wavefront" => Method::Pipelined(PipelineConfig::wavefront(field("threads")?)),
             "diamond" => Method::Diamond(
                 DiamondConfig::with_width(field("threads")?, field("width")?)
                     .with_threads_per_tile(field("threads_per_tile").unwrap_or(1)),
             ),
             other => return Err(format!("plan: unknown method kind {other:?}")),
         };
-        Ok(Plan {
-            method,
-            simd: v.get("simd").and_then(Json::as_bool).unwrap_or(true),
-        })
+        Ok(Plan { method })
     }
 
     /// One-line human-readable description for reports and logs.
     pub fn label(&self) -> String {
-        let base = match &self.method {
+        match &self.method {
             Method::Sequential => "sequential".to_string(),
             Method::Blocked { block } => format!("blocked block={block:?}"),
             Method::Parallel {
@@ -239,16 +214,10 @@ impl Plan {
                 if *streaming_stores { " nt" } else { "" }
             ),
             Method::Pipelined(cfg) => pipe_label(cfg),
-            Method::Wavefront { threads } => format!("wavefront threads={threads}"),
             Method::Diamond(cfg) => format!(
                 "diamond threads={} w={} tpt={}",
                 cfg.threads, cfg.width, cfg.threads_per_tile
             ),
-        };
-        if self.simd {
-            base
-        } else {
-            format!("{base} simd=off")
         }
     }
 }
@@ -383,15 +352,12 @@ mod tests {
             Plan::new(Method::Pipelined(pipe)),
             Plan::new(Method::Pipelined(barrier)),
             Plan::new(Method::Pipelined(compressed)),
-            Plan::new(Method::Wavefront { threads: 4 }),
+            Plan::new(Method::Pipelined(PipelineConfig::wavefront(4))),
             Plan::new(Method::Diamond(
                 DiamondConfig::with_width(4, 16).with_threads_per_tile(2),
             )),
+            Plan::new(Method::Diamond(DiamondConfig::with_width(4, 8))),
         ];
-        plans.push(Plan {
-            simd: false,
-            ..plans[5].clone()
-        });
         plans.push(Plan::new(Method::Sequential));
         plans.push(Plan::new(Method::Blocked { block: [16, 8, 8] }));
         plans
@@ -405,9 +371,28 @@ mod tests {
             assert_eq!(back, plan, "{text}");
         }
         let blocked = sample_plans()[8].to_json().to_json();
+        assert_eq!(blocked, r#"{"method":{"kind":"blocked","block":[16,8,8]}}"#);
+    }
+
+    #[test]
+    fn retired_simd_switch_and_wavefront_kind_still_parse() {
+        let parse = |text: &str| Plan::from_json(&Json::parse(text).unwrap()).unwrap();
+        let diamond = r#"{"method":{"kind":"diamond","threads":2,"width":8,"threads_per_tile":1}"#;
+        for simd in [r#","simd":false}"#, r#","simd":true}"#, "}"] {
+            let plan = parse(&format!("{diamond}{simd}"));
+            assert_eq!(
+                plan,
+                Plan::new(Method::Diamond(DiamondConfig::with_width(2, 8)))
+            );
+        }
+        let plan = parse(r#"{"method":{"kind":"wavefront","threads":3},"simd":false}"#);
         assert_eq!(
-            blocked,
-            r#"{"method":{"kind":"blocked","block":[16,8,8]},"simd":true}"#
+            plan,
+            Plan::new(Method::Pipelined(PipelineConfig::wavefront(3)))
+        );
+        assert_eq!(
+            (plan.method.family(), plan.method.threads()),
+            (MethodFamily::Pipelined, 3)
         );
     }
 
@@ -452,11 +437,12 @@ mod tests {
         assert_eq!(plans[0].method.family().name(), "parallel");
         assert_eq!(plans[0].method.threads(), 8);
         assert_eq!(plans[1].method.threads(), 8); // 4 x 2 teams
-        assert_eq!(plans[3].method.family(), MethodFamily::Compressed);
+        assert_eq!(plans[3].method.family(), MethodFamily::Pipelined);
+        assert_eq!(plans[4].method.threads(), 4);
         assert_eq!(plans[5].method.family(), MethodFamily::Diamond);
         assert_eq!(plans[7].method.family(), MethodFamily::Parallel);
         assert_eq!(plans[8].method.threads(), 0, "runs on the calling thread");
-        assert_eq!(MethodFamily::ALL.len(), 5);
+        assert_eq!(MethodFamily::ALL.len(), 3);
     }
 
     #[test]
@@ -466,6 +452,6 @@ mod tests {
         assert!(plans[3].label().starts_with("compressed t=4"));
         let default = crate::default_plan(MethodFamily::Pipelined, 2);
         assert!(default.label().contains("T=4 block=[all, 8, 8]"));
-        assert!(plans[6].label().contains("simd=off"));
+        assert!(plans[4].label().contains("t=4 n=1 T=1 block=[all, all, 4]"));
     }
 }

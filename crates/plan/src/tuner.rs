@@ -2,8 +2,8 @@
 //!
 //! [`enumerate_family`] spans the candidate space of one method family;
 //! [`predicted_mlups`] scores every candidate with the `tb-model`
-//! analytic predictions (Eq. 2 roofline × Eq. 5 / diamond / wavefront
-//! speedup, demoted to baseline wherever the working set cannot stay in
+//! analytic predictions (Eq. 2 roofline × Eq. 5 / diamond speedup,
+//! demoted to baseline wherever the working set cannot stay in
 //! the shared cache); [`tune`] measures only the top-K predicted
 //! candidates, the incumbents among them, and returns a ranked
 //! [`TuneReport`] with predicted-vs-measured MLUP/s, so the model's
@@ -11,8 +11,8 @@
 
 use tb_grid::{Dims3, Real};
 use tb_model::{
-    diamond_speedup, max_cached_width_mwd, op_roofline_lups, pipeline_speedup, wavefront_speedup,
-    wavefront_working_set_bytes, MachineParams,
+    diamond_speedup, max_cached_width, max_cached_width_mwd, op_roofline_lups, pipeline_speedup,
+    MachineParams,
 };
 use tb_stencil::config::{GridScheme, WHOLE_EXTENT};
 use tb_stencil::kernel::StoreMode;
@@ -119,27 +119,21 @@ impl TuneReport {
 /// The incumbent (library-default) plan of a family, sized to `team`
 /// compute threads — what a caller who never tunes would run.
 ///
-/// The two pipelined families take their shape from
+/// The pipelined family takes its shape from
 /// [`PipelineConfig::default_for`], the one place it is decided and
 /// argued: whole-extent x edge (long inner loop for the prefetcher),
-/// 8×8 y/z (16×16 loses in cache), depth 8 with `T` as a cap; the
-/// diamond family takes its from [`DiamondConfig::default_for`]. Every
-/// `team` up to 8 makes these plans members of [`enumerate_family`]'s
-/// candidate set.
+/// 8×8 y/z (16×16 loses in cache), depth 8 with `T` as a cap, two
+/// grids; the diamond family takes its from
+/// [`DiamondConfig::default_for`]. Every `team` up to 8 makes these
+/// plans members of [`enumerate_family`]'s candidate set.
 pub fn default_plan(family: MethodFamily, team: usize) -> Plan {
     let team = team.max(1);
-    let pipe = |scheme| PipelineConfig {
-        scheme,
-        ..PipelineConfig::default_for(team, 1)
-    };
     Plan::new(match family {
         MethodFamily::Parallel => Method::Parallel {
             threads: team,
             streaming_stores: false,
         },
-        MethodFamily::Pipelined => Method::Pipelined(pipe(GridScheme::TwoGrid)),
-        MethodFamily::Compressed => Method::Pipelined(pipe(GridScheme::Compressed)),
-        MethodFamily::Wavefront => Method::Wavefront { threads: team },
+        MethodFamily::Pipelined => Method::Pipelined(PipelineConfig::default_for(team, 1)),
         MethodFamily::Diamond => Method::Diamond(DiamondConfig::default_for(team)),
     })
 }
@@ -156,11 +150,19 @@ pub fn default_plan(family: MethodFamily, team: usize) -> Plan {
 /// parse, score and run; ROADMAP Open item 3 re-admits the knob once an
 /// AVX / `sfence`-per-region path beats plain stores on that workload.
 ///
-/// The pipelined families span `T` × four block shapes × `d_u`. Both
-/// long-x shapes use the whole-extent x edge, so the library default is
-/// one of the candidates; the 8×8 one replaced `[32, 8, 8]`, which lost
-/// to every long-x shape at every `T` (ROADMAP Open item 1: 632 vs
-/// 1647–1956 MLUP/s on Jacobi6 288³).
+/// The pipelined family spans `T` × four block shapes × `d_u` on two
+/// grids. Both long-x shapes use the whole-extent x edge, so the library
+/// default is one of the candidates; the 8×8 one replaced `[32, 8, 8]`,
+/// which lost to every long-x shape at every `T` (ROADMAP Open item 1:
+/// 632 vs 1647–1956 MLUP/s on Jacobi6 288³). The diamond family spans
+/// widths at one thread per tile.
+///
+/// Three kinds never won a measured cell and stay explicit plans only
+/// (they parse, score and run; ROADMAP item 15): the compressed grid
+/// (0.39× two-grid on Avg27 64³, 0.70× wall-clock on Jacobi6 288³; item
+/// 29 may re-admit it), the wavefront shape [`PipelineConfig::wavefront`]
+/// (baseline level), and `threads_per_tile > 1` (0.50–0.56× of one
+/// thread per tile on private 2 MiB L2s).
 pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
     family: MethodFamily,
     params: &MachineParams,
@@ -184,8 +186,8 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
                 }));
             }
         }
-        MethodFamily::Pipelined | MethodFamily::Compressed => {
-            let default = default_plan(family, team).pipeline_config().unwrap();
+        MethodFamily::Pipelined => {
+            let default = PipelineConfig::default_for(team, 1);
             for updates in [1usize, 2, 4] {
                 for block in [
                     [WHOLE_EXTENT, 16, 16],
@@ -204,31 +206,16 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
                 }
             }
         }
-        MethodFamily::Wavefront => {
-            let mut threads: Vec<usize> = vec![1, 2.min(team), team];
-            threads.sort_unstable();
-            threads.dedup();
-            for t in threads {
-                plans.push(Plan::new(Method::Wavefront { threads: t }));
-            }
-        }
         MethodFamily::Diamond => {
-            let mut tpts: Vec<usize> = [1usize, 2, 4]
-                .into_iter()
-                .filter(|&tpt| tpt <= team && team.is_multiple_of(tpt))
-                .collect();
-            tpts.dedup();
-            for tpt in tpts {
-                let w_cache = max_cached_width_mwd::<T, Op>(params, op, dims.nx, team, tpt);
-                let mut widths = vec![4usize, 8, 16, 32, w_cache];
-                widths.retain(|&w| w >= 2 * radius);
-                widths.sort_unstable();
-                widths.dedup();
-                for width in widths {
-                    plans.push(Plan::new(Method::Diamond(
-                        DiamondConfig::with_width(team, width).with_threads_per_tile(tpt),
-                    )));
-                }
+            let w_cache = max_cached_width::<T, Op>(params, op, dims.nx, team);
+            let mut widths = vec![4usize, 8, 16, 32, w_cache];
+            widths.retain(|&w| w >= 2 * radius);
+            widths.sort_unstable();
+            widths.dedup();
+            for width in widths {
+                plans.push(Plan::new(Method::Diamond(DiamondConfig::with_width(
+                    team, width,
+                ))));
             }
         }
     }
@@ -252,9 +239,9 @@ pub fn enumerate_all<T: Real, Op: StencilOp<T>>(
 /// Analytic score of a plan in MLUP/s, from the `tb-model` predictions.
 ///
 /// The structure mirrors the paper: Eq. 2 sets the streaming baseline,
-/// the per-method speedup (Eq. 5, its diamond/wavefront analogues)
-/// multiplies it, and any candidate whose working set cannot stay in
-/// the shared cache collapses to baseline speed — which is exactly what
+/// the per-method speedup (Eq. 5, its diamond analogue) multiplies it,
+/// and any candidate whose working set cannot stay in the shared cache
+/// collapses to baseline speed — which is exactly what
 /// lets the tuner discard it without a measurement.
 pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
     params: &MachineParams,
@@ -304,16 +291,6 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
                 (cfg.team_size * cfg.updates_per_thread) as f64 * du.max(1.0) * block_bytes;
             let fits = resident <= params.cache_bytes as f64;
             p0_stream * if fits { speedup } else { 1.0 }
-        }
-        Method::Wavefront { threads } => {
-            let ws = wavefront_working_set_bytes::<T, Op>(op, dims.nx, dims.ny, *threads);
-            let fits = ws <= params.cache_bytes;
-            p0_stream
-                * if fits {
-                    wavefront_speedup(params, *threads)
-                } else {
-                    1.0
-                }
         }
         Method::Diamond(cfg) => {
             let w_max = max_cached_width_mwd::<T, Op>(
@@ -451,7 +428,55 @@ mod tests {
             }
         }
         let all = enumerate_all::<f64, _>(&p, &Jacobi6, dims, 4);
-        assert!(all.len() >= 40, "rich candidate space, got {}", all.len());
+        assert!(all.len() >= 25, "rich candidate space, got {}", all.len());
+    }
+
+    #[test]
+    fn default_search_holds_only_kinds_that_have_won_a_cell() {
+        // A team of 2: Parallel 2 (1 and 2 threads), Pipelined 24
+        // (T × block × d_u, two grids) and Diamond 5 (widths, one thread
+        // per tile). No compressed grid, no wavefront shape, no shared
+        // tiles.
+        let p = nehalem();
+        for edge in [64, 288] {
+            let all = enumerate_all::<f64, _>(&p, &Jacobi6, Dims3::cube(edge), 2);
+            assert_eq!(all.len(), 31, "{edge}³");
+            let count = |f| all.iter().filter(|c| c.method.family() == f).count();
+            let counts = MethodFamily::ALL.map(count);
+            assert_eq!(counts, [2, 24, 5], "{edge}³");
+            for plan in &all {
+                match &plan.method {
+                    Method::Pipelined(cfg) => {
+                        assert_eq!(cfg.scheme, GridScheme::TwoGrid, "{}", plan.label());
+                        assert_ne!(*cfg, PipelineConfig::wavefront(2), "{}", plan.label());
+                    }
+                    Method::Diamond(cfg) => assert_eq!(cfg.threads_per_tile, 1),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn explicit_losers_still_score() {
+        // Out of the search, not out of the model: an explicit compressed,
+        // wavefront or shared-tile plan gets a finite positive score.
+        let p = nehalem();
+        let dims = Dims3::cube(64);
+        let compressed = PipelineConfig {
+            scheme: GridScheme::Compressed,
+            ..PipelineConfig::default_for(2, 1)
+        };
+        for method in [
+            Method::Pipelined(compressed),
+            Method::Pipelined(PipelineConfig::wavefront(2)),
+            Method::Diamond(DiamondConfig::with_width(2, 8).with_threads_per_tile(2)),
+        ] {
+            let plan = Plan::new(method);
+            plan.validate_for(dims, 1).unwrap();
+            let score = predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &plan);
+            assert!(score.is_finite() && score > 0.0, "{}", plan.label());
+        }
     }
 
     #[test]
@@ -645,6 +670,23 @@ mod tests {
                     };
                     assert!(cfg.stages() <= 8.max(team), "{}", plan.label());
                     assert_eq!(cfg.block, [WHOLE_EXTENT, 8.max(team), 8.max(team)]);
+                }
+                // The kinds the search leaves out keep valid explicit
+                // shapes that survive the cache's text.
+                let compressed = PipelineConfig {
+                    scheme: GridScheme::Compressed,
+                    ..PipelineConfig::default_for(team, 1)
+                };
+                for method in [
+                    Method::Pipelined(compressed),
+                    Method::Pipelined(PipelineConfig::wavefront(team)),
+                ] {
+                    let plan = Plan::new(method);
+                    plan.validate_for(dims, 1).unwrap();
+                    assert_eq!(plan.method.threads(), team);
+                    let text = plan.to_json().to_json();
+                    let back = Plan::from_json(&crate::json::Json::parse(&text).unwrap());
+                    assert_eq!(back.unwrap(), plan, "{text}");
                 }
             }
         }

@@ -88,6 +88,25 @@ impl PipelineConfig {
         }
     }
 
+    /// The wavefront scheme of Wellein et al. (the paper's ref. 2) as a
+    /// pipelined shape: one team of `threads`, each applying one update
+    /// (`T = 1`) to blocks of whole x·y planes, `threads` planes deep
+    /// (the shallowest block [`Self::validate`] admits at that depth),
+    /// relaxed sync at `d_l = 1`: the paper's Eq. 3 pipeline with the
+    /// block reduced to a stack of planes. Valid on any grid whose interior is at least `threads` cells per
+    /// dimension.
+    pub fn wavefront(threads: usize) -> Self {
+        Self {
+            team_size: threads,
+            n_teams: 1,
+            updates_per_thread: 1,
+            block: [WHOLE_EXTENT, WHOLE_EXTENT, threads],
+            sync: SyncMode::relaxed_default(),
+            scheme: GridScheme::TwoGrid,
+            audit: false,
+        }
+    }
+
     /// Total pipeline threads `n * t`.
     pub fn threads(&self) -> usize {
         self.team_size * self.n_teams
@@ -156,6 +175,22 @@ mod tests {
             c.validate(Dims3::cube(8.max(team) + 2)).unwrap();
             c.validate(Dims3::cube(288)).unwrap();
         }
+    }
+
+    #[test]
+    fn wavefront_shape_is_valid_down_to_an_interior_of_its_team() {
+        for threads in [1, 2, 3, 5] {
+            let c = PipelineConfig::wavefront(threads);
+            assert_eq!((c.threads(), c.stages()), (threads, threads));
+            c.validate(Dims3::cube(threads + 2)).unwrap();
+            c.validate(Dims3::new(288, threads + 2, 64)).unwrap();
+            if threads > 1 {
+                assert!(c.validate(Dims3::new(64, 64, threads + 1)).is_err());
+            }
+        }
+        assert!(PipelineConfig::wavefront(0)
+            .validate(Dims3::cube(8))
+            .is_err());
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   relaxed-synchronization executor (Eq. 3), and the compressed-grid
 //!   executor;
 //! * [`wavefront`] — the wavefront method of Wellein et al. (ref. 2),
-//!   implemented as a comparator;
+//!   kept as a comparator: the relaxed pipeline over whole-plane blocks
+//!   with one update per thread ([`PipelineConfig::wavefront`]), with no
+//!   schedule of its own;
 //! * [`diamond`] — **wavefront-diamond temporal blocking** (Malas,
 //!   Hager et al. 2015): diamond tiles along z × time executed row by
 //!   row, removing the pipelined scheme's wind-up/wind-down waste and

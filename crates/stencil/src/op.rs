@@ -307,10 +307,9 @@ pub trait StencilOp<T: Real>: Clone + Send + Sync + 'static {
 ///
 /// This is the oracle side of the widening verification story — the
 /// `simd_property` suite and the kernel tests run with `op` and
-/// `ScalarPath(op)` and assert bitwise equality — and doubles as
-/// `Plan::simd = false` and the `simd: off` rows in the sweep bins. No
-/// global toggle, no config plumbing: the choice is in the operator
-/// type.
+/// `ScalarPath(op)` and assert bitwise equality — and doubles as the
+/// benchmark's `kernel.row_scalar_mlups` rung. No global toggle, no
+/// config plumbing: the choice is in the operator type.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScalarPath<Op>(pub Op);
 

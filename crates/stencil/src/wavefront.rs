@@ -1,38 +1,30 @@
 //! The wavefront temporal blocking method of Wellein et al. (the paper's
-//! ref. 2, COMPSAC 2009), implemented as a comparator.
+//! ref. 2, COMPSAC 2009), kept as a comparator.
 //!
-//! A team of `t` threads marches through the grid along z: thread `i`
-//! applies sweep-stage `i` to plane `z_front - 2i`, so `t` updates happen
-//! per memory traversal while planes stay in the shared cache. In
-//! contrast to pipelined blocking this scheme keeps a fixed plane
-//! distance (here 2, the minimum that averts races) and performs whole
-//! planes per step — the paper's criticism is that it needs extra
-//! boundary handling in the general blocked case and offers fewer tuning
-//! knobs; our implementation uses full planes, which sidesteps boundary
-//! copies but caps the in-cache working set at `t` z-planes.
-//!
-//! Results are bitwise identical to the baseline (same kernel, disjoint
-//! planes per stage).
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+//! A team of `t` threads marches through the grid along z, thread `i`
+//! applying sweep `i` a fixed distance behind thread `i - 1`, so `t`
+//! updates happen per memory traversal while the planes in flight stay
+//! in the shared cache. That is the paper's own relaxed pipeline (Eq. 3)
+//! with whole x·y planes as blocks and one update per thread, so it has
+//! no schedule of its own: [`run_wavefront_op_on`] runs
+//! [`PipelineConfig::wavefront`] through [`pipeline::run_op_on`], and
+//! its results are bitwise identical to the baseline.
 
 use tb_grid::{GridPair, Real, Region3};
-use tb_runtime::sync::{PipelineSync, SpinBarrier};
 use tb_runtime::Runtime;
 
-use crate::kernel::{self, StoreMode};
+use crate::config::PipelineConfig;
 use crate::op::StencilOp;
+use crate::pipeline;
 use crate::stats::RunStats;
-
-/// Minimum lead (in planes) of thread `i-1` over thread `i`: plane `z` at
-/// stage `s` reads planes `z-1..=z+1` of stage `s-1`, so the predecessor
-/// must have completed plane `z+1`, i.e. lead >= 2.
-const PLANE_DISTANCE: u64 = 2;
 
 /// Run `sweeps` sweeps of `op` with wavefront temporal blocking using
 /// `threads` workers (= updates per traversal) of the given persistent
 /// runtime. On return the result is in `pair.current(sweeps)`.
+///
+/// Any grid with an interior runs: where the interior is thinner than
+/// `threads` cells in some dimension, the wavefront is as deep as that
+/// dimension and the rest of the team idles.
 pub fn run_wavefront_op_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
@@ -49,74 +41,10 @@ pub fn run_wavefront_op_on<T: Real, Op: StencilOp<T>>(
             rt.threads()
         ));
     }
-    let dims = pair.dims();
-    let interior = Region3::interior_of(dims);
-    if interior.is_empty() {
-        return Err(format!("grid {dims} has no interior"));
-    }
-    if sweeps == 0 {
-        return Ok(RunStats::new(0, std::time::Duration::ZERO));
-    }
-    let nplanes = interior.extent(2);
-    let traversals = sweeps.div_ceil(threads);
-    let barrier = SpinBarrier::new(threads);
-    // Relaxed sync with the wavefront's fixed lower distance; du is
-    // effectively unbounded (planes falling out of cache cost performance,
-    // not correctness, and the comparator keeps the scheme minimal).
-    let psync = PipelineSync::new(threads, threads, PLANE_DISTANCE, u64::MAX / 2, 0);
-    let total_cells = AtomicU64::new(0);
-    let views = pair.shared_views();
-
-    let t0 = Instant::now();
-    rt.run(threads, &|tid| {
-        let mut my_cells = 0u64;
-        for tr in 0..traversals {
-            let base = tr * threads;
-            let stages_now = threads.min(sweeps - base);
-            barrier.wait();
-            if tid == 0 {
-                psync.reset();
-            }
-            barrier.wait();
-            let stage = tid;
-            if stage >= stages_now {
-                psync.mark_complete(tid, nplanes as u64);
-                continue;
-            }
-            let sweep = base + stage;
-            let (sg, dg) = (sweep % 2, (sweep + 1) % 2);
-            for p in 0..nplanes {
-                psync.wait_for_turn(tid, nplanes as u64);
-                let z = interior.lo[2] + p;
-                let mut plane = interior;
-                plane.lo[2] = z;
-                plane.hi[2] = z + 1;
-                // SAFETY: thread i works on plane p while thread
-                // i-1 (stage s-1) has completed plane p+1 (lead
-                // >= 2) — all reads of planes z-1..=z+1 in the
-                // source grid (corners included: plane claims
-                // cover whole planes) are sealed, and writes of
-                // distinct stages go to alternating grids at
-                // plane distance >= 2.
-                unsafe {
-                    kernel::update_region_shared_op(
-                        op,
-                        &views[sg],
-                        &views[dg],
-                        &plane,
-                        StoreMode::Normal,
-                    );
-                }
-                my_cells += plane.count() as u64;
-                psync.complete_block(tid);
-            }
-        }
-        total_cells.fetch_add(my_cells, Ordering::Relaxed);
-    });
-    Ok(RunStats::new(
-        total_cells.load(Ordering::Relaxed),
-        t0.elapsed(),
-    ))
+    let interior = Region3::interior_of(pair.dims());
+    let thinnest = (0..3).map(|d| interior.extent(d)).min().unwrap_or(0);
+    let cfg = PipelineConfig::wavefront(threads.min(thinnest).max(1));
+    pipeline::run_op_on(rt, op, pair, &cfg, sweeps)
 }
 
 #[cfg(test)]
@@ -162,9 +90,26 @@ mod tests {
 
     #[test]
     fn four_threads_thin_grid() {
-        // More threads than... planes is fine (nplanes=6 > distance*t? it
-        // must still complete and match).
+        // Six planes for a team of four: two blocks, the last one short.
         check(Dims3::new(10, 10, 8), 4, 5);
+    }
+
+    #[test]
+    fn interiors_thinner_than_the_team_still_run() {
+        // Thinner than the team in z, in y, and one cell wide in x: the
+        // wavefront is as deep as the thinnest dimension.
+        check(Dims3::new(10, 10, 4), 4, 5);
+        check(Dims3::new(12, 4, 12), 3, 4);
+        check(Dims3::new(3, 9, 9), 2, 3);
+    }
+
+    #[test]
+    fn grids_without_interior_and_small_runtimes_rejected() {
+        let mut pair: GridPair<f64> = GridPair::zeroed(Dims3::new(2, 8, 8));
+        let rt = Runtime::with_threads(2);
+        assert!(run_wavefront_op_on(&rt, &Jacobi6, &mut pair, 2, 1).is_err());
+        let mut pair: GridPair<f64> = GridPair::zeroed(Dims3::cube(8));
+        assert!(run_wavefront_op_on(&rt, &Jacobi6, &mut pair, 3, 1).is_err());
     }
 
     #[test]

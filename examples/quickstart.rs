@@ -59,7 +59,10 @@ fn main() {
                 ..pipe_cfg
             }),
         ),
-        ("wavefront (comparator)", Method::Wavefront { threads }),
+        (
+            "wavefront (pipelined, T = 1)",
+            Method::Pipelined(PipelineConfig::wavefront(threads)),
+        ),
         (
             "wavefront-diamond blocking",
             Method::Diamond(DiamondConfig::default_for(threads)),

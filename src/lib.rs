@@ -11,7 +11,7 @@
 //! |-------|----------|
 //! | [`grid`] | aligned 3D grids, grid pairs, compressed grids, regions, blocks, race auditor |
 //! | [`runtime`] | **persistent core-pinned worker teams** (spawn once, dispatch per solve), comm worker, staging-grid pool; [`sync`]: spin barrier, relaxed pipeline sync (Eq. 3); [`topology`]: cache groups, Nehalem EP preset, team layout, affinity |
-//! | [`stencil`] | **stencil operators**, baselines, **pipelined temporal blocking**, wavefront comparator |
+//! | [`stencil`] | **stencil operators**, baselines, **pipelined temporal blocking** (the wavefront comparator is one of its shapes), diamond tiles |
 //! | [`model`] | Eq. 2 roofline, §1.4 diagnostic model, Fig. 5 halo model, Fig. 6 scaling model — all fed by per-operator code balance; [`membench`] (= `model::calibrate`): STREAM COPY/SCALE/ADD/TRIAD + machine calibration |
 //! | [`dist`] | in-process ranks and their communicator on a Cartesian topology, optionally paced in wall time by [`model::NetworkParams`] ([`net`] = `dist::net`); domain decomposition, multi-layer halo exchange, operator-generic distributed/hybrid solver (sync or overlapped exchange; a runtime with a comm worker drives the overlapped one), cluster sim |
 //!
@@ -41,8 +41,9 @@
 //! all of its parameters (for the pipeline the paper's `t`, `n`, `T`,
 //! block, `d_l`/`d_u` and grid scheme — two grids or one compressed
 //! grid are one `Method::Pipelined`, told apart by
-//! [`PipelineConfig::scheme`]). It is also the plan IR: a [`plan::Plan`]
-//! is a `Method` plus the SIMD switch, and that is what the plan cache
+//! [`PipelineConfig::scheme`]; the wavefront comparator is the shape
+//! [`PipelineConfig::wavefront`]). It is also the plan IR: a
+//! [`plan::Plan`] wraps a `Method`, and that is what the plan cache
 //! persists and the tuner enumerates.
 //!
 //! [`solve_with_on`] is the one dispatch ladder: it takes the operator,
@@ -124,7 +125,7 @@ pub use tb_stencil::{
 use tb_grid::{CompressedGrid, Dims3, Grid3, GridPair, Real, Region3};
 use tb_stencil::config::GridScheme;
 use tb_stencil::kernel::StoreMode;
-use tb_stencil::{baseline, diamond, pipeline, wavefront};
+use tb_stencil::{baseline, diamond, pipeline};
 
 pub mod serve;
 
@@ -276,9 +277,6 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
             rt.grid_pool::<T>().release(cg.into_storage());
             out
         }
-        Method::Wavefront { threads } => on_pooled_pair(rt, phase, initial, sweeps, |pair| {
-            wavefront::run_wavefront_op_on(rt, op, pair, threads, sweeps)
-        }),
         Method::Diamond(cfg) => on_pooled_pair(rt, phase, initial, sweeps, |pair| {
             diamond::run_diamond_op_on(rt, op, pair, &cfg, sweeps)
         }),
@@ -351,8 +349,6 @@ pub fn tuning_runtime(
 }
 
 /// Execute one reified [`tb_plan::Plan`] on a persistent runtime.
-/// `simd: false` routes through [`ScalarPath`] — bitwise identical
-/// results, row loops at the build target's ISA instead of the host's.
 pub fn run_plan_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
@@ -360,12 +356,7 @@ pub fn run_plan_on<T: Real, Op: StencilOp<T>>(
     initial: Grid3<T>,
     sweeps: usize,
 ) -> Result<(Grid3<T>, RunStats), String> {
-    let method = plan.method.clone();
-    if plan.simd {
-        solve_with_on(rt, op, initial, sweeps, method)
-    } else {
-        solve_with_on(rt, &ScalarPath(op.clone()), initial, sweeps, method)
-    }
+    solve_with_on(rt, op, initial, sweeps, plan.method.clone())
 }
 
 /// Options for [`solve_tuned_with_on`].
@@ -604,7 +595,7 @@ mod tests {
                 Method::Pipelined(PipelineConfig::default_for(2, 1)),
             ),
             ("compressed", compressed(PipelineConfig::default_for(2, 1))),
-            ("wavefront", Method::Wavefront { threads: 2 }),
+            ("wavefront", Method::Pipelined(PipelineConfig::wavefront(2))),
             (
                 "diamond",
                 Method::Diamond(DiamondConfig {
@@ -789,10 +780,10 @@ mod tests {
             ),
             (
                 "wavefront",
-                Method::Wavefront { threads: 2 },
+                Method::Pipelined(PipelineConfig::wavefront(2)),
                 vec![
-                    Method::Wavefront { threads: 0 },
-                    Method::Wavefront { threads: 3 },
+                    Method::Pipelined(PipelineConfig::wavefront(0)),
+                    Method::Pipelined(PipelineConfig::wavefront(3)),
                 ],
             ),
             (
@@ -840,7 +831,7 @@ mod tests {
             ),
             (2, Method::Pipelined(PipelineConfig::default_for(2, 1))),
             (2, compressed(PipelineConfig::default_for(2, 1))),
-            (2, Method::Wavefront { threads: 2 }),
+            (2, Method::Pipelined(PipelineConfig::wavefront(2))),
             (4, Method::Diamond(DiamondConfig::with_width(4, 8))),
         ] {
             let rt = runtime_for(&m);

@@ -122,7 +122,7 @@ fn wavefront_thread_counts() {
                 dims,
                 5,
                 sweeps,
-                Method::Wavefront { threads },
+                Method::Pipelined(PipelineConfig::wavefront(threads)),
                 &format!("wavefront {threads} threads {sweeps} sweeps"),
             );
         }
@@ -154,7 +154,7 @@ fn linear_field_stays_fixed_for_every_solver() {
             "pipe",
             Method::Pipelined(cfg(2, 1, 2, SyncMode::relaxed_default(), [8, 8, 8])),
         ),
-        ("wave", Method::Wavefront { threads: 2 }),
+        ("wave", Method::Pipelined(PipelineConfig::wavefront(2))),
     ] {
         let (got, _) = solve_with(&Jacobi6, initial.clone(), 20, method).unwrap();
         let drift = norm::max_abs_diff(&initial, &got, &Region3::interior_of(dims));

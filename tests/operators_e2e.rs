@@ -63,7 +63,7 @@ fn shared_memory_matrix<Op: StencilOp<f64>>(op: &Op, dims: Dims3, seed: u64, swe
                 ..cfg(2, 1, SyncMode::relaxed_default(), [10, 10, 10])
             }),
         ),
-        ("wavefront", Method::Wavefront { threads: 3 }),
+        ("wavefront", Method::Pipelined(PipelineConfig::wavefront(3))),
         (
             "diamond",
             Method::Diamond(DiamondConfig {
@@ -251,7 +251,7 @@ fn f32_operators_match_their_oracle_too() {
             "pipelined",
             Method::Pipelined(cfg(2, 1, SyncMode::relaxed_default(), [8, 8, 8])),
         ),
-        ("wavefront", Method::Wavefront { threads: 2 }),
+        ("wavefront", Method::Pipelined(PipelineConfig::wavefront(2))),
         (
             "diamond",
             Method::Diamond(DiamondConfig {

@@ -6,7 +6,9 @@
 //! (`Grid3::phase`); `StencilOp::ALIGNED_CELL` is the cell an
 //! operator's row loop wants there — the first interior cell for the
 //! cross operators, the cell before it for `Avg27`. The cells: every
-//! `MethodFamily`'s default plan × {`Jacobi6`, `Avg27`} × f64/f32 × an
+//! `MethodFamily`'s default plan, plus the compressed pipeline and the
+//! wavefront shape the tuner does not search, × {`Jacobi6`, `Avg27`}
+//! × f64/f32 × an
 //! input in the default phase or in `Avg27`'s, at an even sweep count
 //! (the result lives in the input buffer, moved to the operator's
 //! phase) and an odd one (it lives in the pooled B buffer, re-pointed
@@ -21,11 +23,29 @@ use temporal_blocking::plan::default_plan;
 use temporal_blocking::prelude::*;
 use temporal_blocking::run_plan_on;
 use temporal_blocking::stencil::baseline;
+use temporal_blocking::stencil::config::GridScheme;
 
 /// Rows of 32 cells: whole cache lines in f64 and in f32, so every
 /// row's cell `ALIGNED_CELL` shares one phase.
 const DIMS: Dims3 = Dims3::new(32, 18, 16);
 const TEAM: usize = 2;
+
+/// Every family's default plan, then the explicit kinds the default
+/// search leaves out.
+fn plans() -> Vec<Plan> {
+    let mut plans: Vec<Plan> = MethodFamily::ALL
+        .into_iter()
+        .map(|family| default_plan(family, TEAM))
+        .collect();
+    plans.push(Plan::new(Method::Pipelined(PipelineConfig {
+        scheme: GridScheme::Compressed,
+        ..PipelineConfig::default_for(TEAM, 1)
+    })));
+    plans.push(Plan::new(Method::Pipelined(PipelineConfig::wavefront(
+        TEAM,
+    ))));
+    plans
+}
 
 fn check<T: Real, Op: StencilOp<T>>(rt: &Runtime, op: &Op) {
     let want = Op::ALIGNED_CELL;
@@ -35,8 +55,7 @@ fn check<T: Real, Op: StencilOp<T>>(rt: &Runtime, op: &Op) {
         let mut pair = GridPair::from_initial(initial.clone());
         baseline::seq_sweeps_op(op, &mut pair, sweeps);
         let oracle = pair.current(sweeps);
-        for family in MethodFamily::ALL {
-            let plan = default_plan(family, TEAM);
+        for plan in plans() {
             for input_phase in [DEFAULT_PHASE, <Avg27 as StencilOp<T>>::ALIGNED_CELL] {
                 let mut input = initial.clone();
                 input.set_phase(input_phase);
@@ -44,7 +63,7 @@ fn check<T: Real, Op: StencilOp<T>>(rt: &Runtime, op: &Op) {
                     "{} {} x{sweeps} via {} from phase {input_phase}",
                     op.name(),
                     std::any::type_name::<T>(),
-                    family.name()
+                    plan.label()
                 );
                 let (got, _) = run_plan_on(rt, op, &plan, input, sweeps)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));

@@ -58,24 +58,19 @@ fn plan_json_roundtrips_every_method_variant() {
             scheme: GridScheme::Compressed,
             ..pipe
         }),
-        Method::Wavefront { threads: 2 },
+        Method::Pipelined(PipelineConfig::wavefront(2)),
         Method::Diamond(DiamondConfig::with_width(4, 16).with_threads_per_tile(2)),
     ];
     for method in methods {
-        for simd in [false, true] {
-            let plan = Plan {
-                simd,
-                ..Plan::new(method.clone())
-            };
-            let text = plan.to_json().to_json();
-            let back = Plan::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, plan, "{text}");
-        }
+        let plan = Plan::new(method);
+        let text = plan.to_json().to_json();
+        let back = Plan::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, plan, "{text}");
     }
 }
 
-/// Cache entries exactly as the parent of the `Method`-as-IR change
-/// writes them, each with the plan it must parse to.
+/// Cache entries exactly as the plan cache writes them, each with the
+/// plan it must parse to.
 fn golden_plans() -> Vec<(&'static str, Plan)> {
     let pipe = PipelineConfig {
         team_size: 2,
@@ -90,30 +85,27 @@ fn golden_plans() -> Vec<(&'static str, Plan)> {
         scheme: GridScheme::TwoGrid,
         audit: false,
     };
-    let diamond = Plan::new(Method::Diamond(
-        DiamondConfig::with_width(2, 8).with_threads_per_tile(2),
-    ));
     vec![
         (
-            r#"{"method":{"kind":"parallel","threads":2,"streaming_stores":false},"simd":true}"#,
+            r#"{"method":{"kind":"parallel","threads":2,"streaming_stores":false}}"#,
             Plan::new(Method::Parallel {
                 threads: 2,
                 streaming_stores: false,
             }),
         ),
         (
-            r#"{"method":{"kind":"parallel","threads":2,"streaming_stores":true},"simd":true}"#,
+            r#"{"method":{"kind":"parallel","threads":2,"streaming_stores":true}}"#,
             Plan::new(Method::Parallel {
                 threads: 2,
                 streaming_stores: true,
             }),
         ),
         (
-            r#"{"method":{"kind":"pipelined","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"relaxed","dl":1,"du":4,"dt":0}},"simd":true}"#,
+            r#"{"method":{"kind":"pipelined","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"relaxed","dl":1,"du":4,"dt":0}}}"#,
             Plan::new(Method::Pipelined(pipe.clone())),
         ),
         (
-            r#"{"method":{"kind":"compressed","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"barrier"}},"simd":true}"#,
+            r#"{"method":{"kind":"compressed","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"barrier"}}}"#,
             Plan::new(Method::Pipelined(PipelineConfig {
                 sync: SyncMode::Barrier,
                 scheme: GridScheme::Compressed,
@@ -121,28 +113,23 @@ fn golden_plans() -> Vec<(&'static str, Plan)> {
             })),
         ),
         (
-            r#"{"method":{"kind":"wavefront","threads":2},"simd":true}"#,
-            Plan::new(Method::Wavefront { threads: 2 }),
+            r#"{"method":{"kind":"pipelined","team_size":2,"n_teams":1,"updates_per_thread":1,"block":[1048576,1048576,2],"sync":{"mode":"relaxed","dl":1,"du":4,"dt":0}}}"#,
+            Plan::new(Method::Pipelined(PipelineConfig::wavefront(2))),
         ),
         (
-            r#"{"method":{"kind":"diamond","threads":2,"width":8,"threads_per_tile":2},"simd":true}"#,
-            diamond.clone(),
-        ),
-        (
-            r#"{"method":{"kind":"diamond","threads":2,"width":8,"threads_per_tile":2},"simd":false}"#,
-            Plan {
-                simd: false,
-                ..diamond
-            },
+            r#"{"method":{"kind":"diamond","threads":2,"width":8,"threads_per_tile":2}}"#,
+            Plan::new(Method::Diamond(
+                DiamondConfig::with_width(2, 8).with_threads_per_tile(2),
+            )),
         ),
     ]
 }
 
 #[test]
 fn golden_plan_entries_parse_reserialise_and_replay_warm() {
-    // The on-disk plan format is pinned: entries written before the IR
-    // became `Method` parse to the same plan, re-serialise byte for byte,
-    // and a cache file holding them replays every one as a warm hit.
+    // The on-disk plan format is pinned: every entry parses to its plan,
+    // re-serialises byte for byte, and a cache file holding them replays
+    // every one as a warm hit.
     let dims = Dims3::cube(20);
     let initial: Grid3<f64> = grid::init::random(dims, 23);
     let rt = Runtime::with_threads(2);
@@ -188,6 +175,103 @@ fn golden_plan_entries_parse_reserialise_and_replay_warm() {
         assert_eq!(tuned.measurements, 0, "{text}");
         assert_eq!(tuned.plan, want, "{text}");
         grid::norm::assert_grids_identical(&oracle, &got, &Region3::whole(dims), text);
+    }
+}
+
+#[test]
+fn older_format_cache_files_load_validate_and_replay_warm() {
+    // Older cache files hold entries of kind `"wavefront"` and plans with
+    // a `"simd"` switch; here one of each, plus a compressed entry and a
+    // diamond with two threads per tile. The tuner proposes none of
+    // them, yet each loads, validates on the requested dims and replays
+    // as a warm hit, bitwise equal to the oracle. The next save writes
+    // them in the current format.
+    let pipe = PipelineConfig::default_for(2, 1);
+    let entries: [(&str, Plan); 4] = [
+        (
+            r#"{"method":{"kind":"wavefront","threads":2},"simd":true}"#,
+            Plan::new(Method::Pipelined(PipelineConfig::wavefront(2))),
+        ),
+        (
+            r#"{"method":{"kind":"compressed","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"relaxed","dl":1,"du":4,"dt":0}},"simd":true}"#,
+            Plan::new(Method::Pipelined(PipelineConfig {
+                scheme: GridScheme::Compressed,
+                ..pipe.clone()
+            })),
+        ),
+        (
+            r#"{"method":{"kind":"diamond","threads":2,"width":8,"threads_per_tile":2},"simd":true}"#,
+            Plan::new(Method::Diamond(
+                DiamondConfig::with_width(2, 8).with_threads_per_tile(2),
+            )),
+        ),
+        (
+            r#"{"method":{"kind":"pipelined","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"relaxed","dl":1,"du":4,"dt":0}},"simd":false}"#,
+            Plan::new(Method::Pipelined(pipe)),
+        ),
+    ];
+    let dims = Dims3::cube(20);
+    let initial: Grid3<f64> = grid::init::random(dims, 29);
+    let rt = Runtime::with_threads(2);
+    let opts = quick_opts("older-format.json");
+    let path = opts.cache_path.clone().unwrap();
+    let fingerprint = MachineFingerprint::new(
+        &temporal_blocking::topology::detect::detect(),
+        &opts.params.unwrap(),
+    );
+    // One sweep-count class per entry, so each has its own key.
+    let sweeps = |i: usize| 2usize << i;
+    let keys: Vec<PlanKey> = (0..entries.len())
+        .map(|i| PlanKey::new::<f64>(fingerprint.clone(), "jacobi6", dims, sweeps(i)))
+        .collect();
+    let body: Vec<String> = entries
+        .iter()
+        .zip(&keys)
+        .map(|((text, _), key)| {
+            format!(
+                r#""{}":{{"plan":{text},"dims":[20,20,20],"measured_mlups":812.5,"predicted_mlups":900}}"#,
+                key.as_string()
+            )
+        })
+        .collect();
+    std::fs::write(
+        &path,
+        format!(
+            r#"{{"schema":1,"calibrations":{{}},"plans":{{{}}}}}"#,
+            body.join(",")
+        ),
+    )
+    .unwrap();
+
+    let cache = PlanCache::load(&path);
+    assert_eq!(cache.len(), entries.len());
+    for ((text, want), key) in entries.iter().zip(&keys) {
+        let entry = cache
+            .lookup(key, dims, 1)
+            .unwrap_or_else(|| panic!("{text}"));
+        assert_eq!(entry.plan, *want, "{text}");
+        entry.plan.validate_for(dims, 1).unwrap();
+    }
+    for (i, (text, want)) in entries.iter().enumerate() {
+        let (oracle, _) =
+            solve_with(&Jacobi6, initial.clone(), sweeps(i), Method::Sequential).unwrap();
+        let (got, _, tuned) =
+            solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), sweeps(i), &opts).unwrap();
+        assert!(tuned.cache_hit, "{text}");
+        assert_eq!(tuned.measurements, 0, "{text}");
+        assert_eq!(tuned.plan, *want, "{text}");
+        grid::norm::assert_grids_identical(&oracle, &got, &Region3::whole(dims), text);
+    }
+
+    cache.save().unwrap();
+    let resaved = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        !resaved.contains("simd") && !resaved.contains("wavefront"),
+        "{resaved}"
+    );
+    let reloaded = PlanCache::load(&path);
+    for ((text, want), key) in entries.iter().zip(&keys) {
+        assert_eq!(reloaded.lookup(key, dims, 1).unwrap().plan, *want, "{text}");
     }
 }
 
@@ -243,11 +327,12 @@ fn cache_entries_with_the_retired_exchange_key_replay_warm_and_resave_without_it
     assert!(!cold.cache_hit);
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(!text.contains("exchange"), "{text}");
-    let simd = format!("\"simd\":{}", cold.plan.simd);
-    assert!(text.contains(&simd), "{text}");
+    // The plan object closes right before the entry's dims; older files
+    // also carried a `"simd"` switch there.
+    assert_eq!(text.matches("},\"dims\"").count(), 1, "{text}");
     let old = text.replace(
-        &simd,
-        &format!("{simd},\"exchange\":\"overlapped-comm-thread\""),
+        "},\"dims\"",
+        ",\"simd\":true,\"exchange\":\"overlapped-comm-thread\"},\"dims\"",
     );
     std::fs::write(&path, &old).unwrap();
 
@@ -345,7 +430,7 @@ fn wrong_dims_cache_entries_are_rejected() {
     cache.store(
         &key,
         CacheEntry {
-            plan: Plan::new(Method::Wavefront { threads: 2 }),
+            plan: Plan::new(Method::Pipelined(PipelineConfig::wavefront(2))),
             dims: [64, 64, 64],
             measured_mlups: 1.0,
             predicted_mlups: 1.0,
@@ -418,14 +503,14 @@ fn family_restriction_and_force_retune_are_honored() {
     let initial: Grid3<f64> = grid::init::random(dims, 9);
     let rt = Runtime::with_threads(2);
     let mut opts = quick_opts("family.json");
-    opts.families = vec![MethodFamily::Wavefront];
+    opts.families = vec![MethodFamily::Diamond];
 
     let (_, _, tuned) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
-    assert_eq!(tuned.plan.method.family(), MethodFamily::Wavefront);
+    assert_eq!(tuned.plan.method.family(), MethodFamily::Diamond);
     // Every measured row stayed inside the requested family (the
     // incumbent included).
     for row in &tuned.report.unwrap().rows {
-        assert_eq!(row.plan.method.family(), MethodFamily::Wavefront);
+        assert_eq!(row.plan.method.family(), MethodFamily::Diamond);
     }
 
     opts.force_retune = true;

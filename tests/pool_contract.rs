@@ -265,7 +265,7 @@ fn placement_policies_produce_bitwise_identical_results() {
             threads: 2,
             streaming_stores: false,
         },
-        Method::Wavefront { threads: 2 },
+        Method::Pipelined(PipelineConfig::wavefront(2)),
         Method::Pipelined(PipelineConfig::default_for(2, 1)),
     ];
     for method in methods {
@@ -363,7 +363,7 @@ fn solves_from_a_poisoned_pooled_buffer_match_the_oracle_and_allocate_nothing() 
                 scheme: GridScheme::Compressed,
                 ..pipe
             }),
-            Method::Wavefront { threads: 2 },
+            Method::Pipelined(PipelineConfig::wavefront(2)),
             Method::Diamond(DiamondConfig::with_width(2, 6)),
             Method::Diamond(DiamondConfig::with_width(2, 6).with_threads_per_tile(2)),
         ];

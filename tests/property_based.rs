@@ -60,7 +60,10 @@ fn assert_all_methods_bitwise<Op: StencilOp<f64>>(
                 ..cfg
             }),
         ),
-        ("wavefront", Method::Wavefront { threads }),
+        (
+            "wavefront",
+            Method::Pipelined(PipelineConfig::wavefront(threads)),
+        ),
     ];
     for (name, m) in methods {
         let (got, _) = solve_with(op, initial.clone(), sweeps, m).unwrap();

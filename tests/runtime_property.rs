@@ -74,7 +74,10 @@ fn assert_runtime_matches_classic<Op: StencilOp<f64>>(
                 ..cfg
             }),
         ),
-        ("wavefront", Method::Wavefront { threads }),
+        (
+            "wavefront",
+            Method::Pipelined(PipelineConfig::wavefront(threads)),
+        ),
     ];
     let rt = shared_runtime();
     for (name, m) in methods {
@@ -161,7 +164,7 @@ fn many_solves_on_one_runtime_reuse_without_leaks() {
             scheme: GridScheme::Compressed,
             ..cfg
         }),
-        Method::Wavefront { threads: 3 },
+        Method::Pipelined(PipelineConfig::wavefront(3)),
     ];
 
     // The runtime's own spawn ledger, not the process-wide thread count:

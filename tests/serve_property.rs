@@ -44,7 +44,7 @@ fn method_for(kind: u8) -> Method {
             threads: 2,
             streaming_stores: true,
         },
-        _ => Method::Wavefront { threads: 2 },
+        _ => Method::Pipelined(PipelineConfig::wavefront(2)),
     }
 }
 

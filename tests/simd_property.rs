@@ -153,7 +153,7 @@ proptest! {
         let dims = Dims3::cube(edge);
         let method = match which_method {
             0 => Method::Sequential,
-            1 => Method::Wavefront { threads: 2 },
+            1 => Method::Pipelined(PipelineConfig::wavefront(2)),
             2 => Method::Pipelined(PipelineConfig {
                 updates_per_thread: 1,
                 block: [16, 8, 8],
