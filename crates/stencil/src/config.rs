@@ -93,8 +93,8 @@ impl PipelineConfig {
     /// (`T = 1`) to blocks of whole x·y planes, `threads` planes deep
     /// (the shallowest block [`Self::validate`] admits at that depth),
     /// relaxed sync at `d_l = 1`: the paper's Eq. 3 pipeline with the
-    /// block reduced to a stack of planes. Valid on any grid whose interior is at least `threads` cells per
-    /// dimension.
+    /// block reduced to a stack of planes. Valid on any grid whose
+    /// interior is at least `threads` cells per dimension.
     pub fn wavefront(threads: usize) -> Self {
         Self {
             team_size: threads,
