@@ -227,6 +227,12 @@ impl<T: Real, Op: StencilOp<T>> DistSolver<T, Op> {
                 dec.dims()
             ));
         }
+        if (0..3).any(|d| coords[d] >= dec.pgrid()[d]) {
+            return Err(format!(
+                "rank coordinates {coords:?} lie outside the process grid {:?}",
+                dec.pgrid()
+            ));
+        }
         if dec.h() < Op::RADIUS {
             return Err(format!(
                 "halo width h = {} is smaller than the operator radius {}",
@@ -1493,5 +1499,20 @@ mod tests {
         assert!(
             DistSolver::from_global_op(&dec, [0, 0, 0], &wrong, LocalExec::Seq, Jacobi6).is_err()
         );
+    }
+
+    #[test]
+    fn coordinates_outside_the_process_grid_rejected() {
+        let dec = Decomposition::new(Dims3::cube(12), [2, 1, 1], 1);
+        let global: Grid3<f64> = Grid3::zeroed(Dims3::cube(12));
+        for coords in [[2, 0, 0], [0, 1, 0], [0, 0, 7]] {
+            let err = DistSolver::from_global_op(&dec, coords, &global, LocalExec::Seq, Jacobi6)
+                .err()
+                .expect("coordinates outside the process grid must be refused");
+            assert!(
+                err.contains("outside the process grid"),
+                "{coords:?}: {err}"
+            );
+        }
     }
 }

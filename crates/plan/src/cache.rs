@@ -5,7 +5,7 @@
 //! measurement of any kind: the calibration section replays
 //! `MachineParams` for a known topology signature (so the fingerprint
 //! can be rebuilt without running membench), and the plan section
-//! replays the winning [`Plan`] for a [`PlanKey`]. Entries from an
+//! replays the winning [`Method`] for a [`PlanKey`]. Entries from an
 //! older schema, with corrupt JSON, or whose recorded dims disagree
 //! with the request are rejected — the caller then re-tunes and the
 //! store heals itself on the next save.
@@ -19,7 +19,7 @@ use tb_grid::Dims3;
 use tb_model::MachineParams;
 use tb_runtime::sync::lock;
 
-use crate::ir::Plan;
+use crate::ir::Method;
 use crate::json::Json;
 use crate::key::PlanKey;
 
@@ -31,7 +31,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// One persisted tuning winner.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CacheEntry {
-    pub plan: Plan,
+    pub plan: Method,
     /// Problem dims the plan was tuned for (redundant with the key, but
     /// cross-checked on lookup so a hand-edited file cannot smuggle a
     /// plan onto the wrong problem).
@@ -56,7 +56,7 @@ impl CacheEntry {
     }
 
     fn from_json(v: &Json) -> Result<CacheEntry, String> {
-        let plan = Plan::from_json(v.get("plan").ok_or("entry: missing plan")?)?;
+        let plan = Method::from_json(v.get("plan").ok_or("entry: missing plan")?)?;
         let dims_arr = v
             .get("dims")
             .and_then(Json::as_arr)
@@ -195,11 +195,6 @@ impl PlanCache {
         cache
     }
 
-    /// Load from [`default_path`](Self::default_path).
-    pub fn load_default() -> PlanCache {
-        PlanCache::load(PlanCache::default_path())
-    }
-
     /// The backing file, if any.
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
@@ -245,12 +240,6 @@ impl PlanCache {
             Some((_, slot)) => *slot = entry,
             None => self.plans.push((k, entry)),
         }
-    }
-
-    /// Drop the entry for `key` (e.g. to force a re-tune).
-    pub fn evict(&mut self, key: &PlanKey) {
-        let k = key.as_string();
-        self.plans.retain(|(s, _)| *s != k);
     }
 
     pub fn len(&self) -> usize {
@@ -499,13 +488,13 @@ mod tests {
         assert!(c.lookup(&key(dims), dims, 1).is_none());
         // A plan that no longer validates on the requested dims: no hit.
         let mut invalid = entry(dims);
-        invalid.plan = Plan::new(Method::Diamond(tb_stencil::DiamondConfig::with_width(4, 2)));
+        invalid.plan = Method::Diamond(tb_stencil::DiamondConfig::with_width(4, 2));
         c.store(&key(dims), invalid);
         assert!(c.lookup(&key(dims), dims, 2).is_none());
     }
 
     #[test]
-    fn store_replaces_and_evict_removes() {
+    fn store_replaces_the_entry() {
         let dims = Dims3::cube(64);
         let mut c = PlanCache::in_memory();
         c.store(&key(dims), entry(dims));
@@ -514,8 +503,6 @@ mod tests {
         c.store(&key(dims), better.clone());
         assert_eq!(c.len(), 1);
         assert_eq!(c.lookup(&key(dims), dims, 1), Some(&better));
-        c.evict(&key(dims));
-        assert!(c.is_empty());
         assert!(c.save().is_ok(), "in-memory save is a no-op");
     }
 

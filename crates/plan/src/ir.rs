@@ -1,13 +1,15 @@
-//! The strategy IR: how a solve runs ([`Method`]), and a serializable
-//! execution [`Plan`] around it.
+//! The strategy IR: [`Method`] says how a solve runs, and it is also
+//! the plan the tuner enumerates, the cache persists and the facade
+//! replays.
 //!
 //! A `Method` pins down *everything* an executor needs — the method and
 //! all of its parameters (`T`, block, `d_u`, sync mode and grid scheme,
 //! diamond width, MWD sub-team, team shape) — in the spirit of Patus
 //! strategies: a small data program over the `auto`-tunable parameters,
-//! separated from the stencil itself. A `Plan` wraps it for the cache.
-//! Plans round-trip through JSON (see [`crate::json`]) so winners can be
-//! persisted by the [`crate::cache`] and replayed without re-tuning.
+//! separated from the stencil itself. Methods round-trip through JSON
+//! (see [`crate::json`]) so winners can be persisted by the
+//! [`crate::cache`] and replayed without re-tuning, and
+//! [`Method::validate_for`] is the one check every solve passes.
 
 use tb_grid::Dims3;
 use tb_stencil::config::{GridScheme, WHOLE_EXTENT};
@@ -88,41 +90,30 @@ impl Method {
             Method::Diamond(cfg) => cfg.threads,
         }
     }
-}
 
-/// One reified execution plan.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Plan {
-    pub method: Method,
-}
-
-impl Plan {
-    /// Plan for a method.
-    pub fn new(method: Method) -> Self {
-        Plan { method }
-    }
-
-    /// The pipeline configuration of a pipelined plan.
+    /// The pipeline configuration of a pipelined method.
     pub fn pipeline_config(&self) -> Option<PipelineConfig> {
-        match &self.method {
+        match self {
             Method::Pipelined(cfg) => Some(cfg.clone()),
             _ => None,
         }
     }
 
-    /// The diamond configuration of a diamond plan.
+    /// The diamond configuration of a diamond method.
     pub fn diamond_config(&self) -> Option<DiamondConfig> {
-        match &self.method {
+        match self {
             Method::Diamond(cfg) => Some(cfg.clone()),
             _ => None,
         }
     }
 
-    /// Re-validate against a concrete problem (`radius` is the stencil
-    /// operator's). Every cached plan passes through this before use so
-    /// a stale or hand-edited cache can never produce an invalid run.
+    /// Validate against a concrete problem (`radius` is the stencil
+    /// operator's): the one gate every facade solve, cached plan and
+    /// tuner candidate passes, so neither a bad argument nor a stale or
+    /// hand-edited cache can start an invalid run. A grid without
+    /// interior is refused by every method.
     pub fn validate_for(&self, dims: Dims3, radius: usize) -> Result<(), String> {
-        match &self.method {
+        match self {
             Method::Pipelined(cfg) => cfg.validate(dims),
             Method::Diamond(cfg) => cfg.validate(dims, radius),
             Method::Parallel { threads: 0, .. } => Err("plan needs at least one thread".into()),
@@ -136,11 +127,12 @@ impl Plan {
         }
     }
 
-    /// Serialize to the JSON tree. The configs' debug `audit` flags are
-    /// not persisted (they parse back as `false`).
+    /// Serialize to the JSON tree, as `{"method":{…}}`. The configs'
+    /// debug `audit` flags are not persisted (they parse back as
+    /// `false`).
     pub fn to_json(&self) -> Json {
         let kind = |k: &str| ("kind", Json::str(k));
-        let method = match &self.method {
+        let method = match self {
             Method::Sequential => Json::obj(vec![kind("sequential")]),
             Method::Blocked { block } => Json::obj(vec![kind("blocked"), ("block", edges(block))]),
             Method::Parallel {
@@ -162,11 +154,12 @@ impl Plan {
         Json::obj(vec![("method", method)])
     }
 
-    /// Parse a plan back out of the JSON tree. Unknown keys are ignored,
-    /// so entries written when plans still carried an `"exchange"` mode
-    /// or a `"simd"` switch keep loading, and a `"wavefront"` entry
-    /// parses to the pipelined shape [`PipelineConfig::wavefront`].
-    pub fn from_json(v: &Json) -> Result<Plan, String> {
+    /// Parse a method back out of the JSON tree. Unknown keys are
+    /// ignored, so entries written when plans still carried an
+    /// `"exchange"` mode or a `"simd"` switch keep loading, and a
+    /// `"wavefront"` entry parses to the pipelined shape
+    /// [`PipelineConfig::wavefront`].
+    pub fn from_json(v: &Json) -> Result<Method, String> {
         let m = v.get("method").ok_or("plan: missing method")?;
         let kind = m
             .get("kind")
@@ -177,7 +170,7 @@ impl Plan {
                 .and_then(Json::as_usize)
                 .ok_or_else(|| format!("plan: missing {k}"))
         };
-        let method = match kind {
+        Ok(match kind {
             "sequential" => Method::Sequential,
             "blocked" => Method::Blocked {
                 block: edges_from_json(m)?,
@@ -197,13 +190,12 @@ impl Plan {
                     .with_threads_per_tile(field("threads_per_tile").unwrap_or(1)),
             ),
             other => return Err(format!("plan: unknown method kind {other:?}")),
-        };
-        Ok(Plan { method })
+        })
     }
 
     /// One-line human-readable description for reports and logs.
     pub fn label(&self) -> String {
-        match &self.method {
+        match self {
             Method::Sequential => "sequential".to_string(),
             Method::Blocked { block } => format!("blocked block={block:?}"),
             Method::Parallel {
@@ -322,7 +314,7 @@ fn pipe_from_json(m: &Json, scheme: GridScheme) -> Result<PipelineConfig, String
 mod tests {
     use super::*;
 
-    pub(crate) fn sample_plans() -> Vec<Plan> {
+    pub(crate) fn sample_plans() -> Vec<Method> {
         let pipe = PipelineConfig {
             team_size: 4,
             n_teams: 2,
@@ -345,21 +337,19 @@ mod tests {
             ..pipe.clone()
         };
         let mut plans = vec![
-            Plan::new(Method::Parallel {
+            Method::Parallel {
                 threads: 8,
                 streaming_stores: true,
-            }),
-            Plan::new(Method::Pipelined(pipe)),
-            Plan::new(Method::Pipelined(barrier)),
-            Plan::new(Method::Pipelined(compressed)),
-            Plan::new(Method::Pipelined(PipelineConfig::wavefront(4))),
-            Plan::new(Method::Diamond(
-                DiamondConfig::with_width(4, 16).with_threads_per_tile(2),
-            )),
-            Plan::new(Method::Diamond(DiamondConfig::with_width(4, 8))),
+            },
+            Method::Pipelined(pipe),
+            Method::Pipelined(barrier),
+            Method::Pipelined(compressed),
+            Method::Pipelined(PipelineConfig::wavefront(4)),
+            Method::Diamond(DiamondConfig::with_width(4, 16).with_threads_per_tile(2)),
+            Method::Diamond(DiamondConfig::with_width(4, 8)),
         ];
-        plans.push(Plan::new(Method::Sequential));
-        plans.push(Plan::new(Method::Blocked { block: [16, 8, 8] }));
+        plans.push(Method::Sequential);
+        plans.push(Method::Blocked { block: [16, 8, 8] });
         plans
     }
 
@@ -367,7 +357,7 @@ mod tests {
     fn json_roundtrip_every_variant() {
         for plan in sample_plans() {
             let text = plan.to_json().to_json();
-            let back = Plan::from_json(&Json::parse(&text).unwrap()).unwrap();
+            let back = Method::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, plan, "{text}");
         }
         let blocked = sample_plans()[8].to_json().to_json();
@@ -376,22 +366,16 @@ mod tests {
 
     #[test]
     fn retired_simd_switch_and_wavefront_kind_still_parse() {
-        let parse = |text: &str| Plan::from_json(&Json::parse(text).unwrap()).unwrap();
+        let parse = |text: &str| Method::from_json(&Json::parse(text).unwrap()).unwrap();
         let diamond = r#"{"method":{"kind":"diamond","threads":2,"width":8,"threads_per_tile":1}"#;
         for simd in [r#","simd":false}"#, r#","simd":true}"#, "}"] {
             let plan = parse(&format!("{diamond}{simd}"));
-            assert_eq!(
-                plan,
-                Plan::new(Method::Diamond(DiamondConfig::with_width(2, 8)))
-            );
+            assert_eq!(plan, Method::Diamond(DiamondConfig::with_width(2, 8)));
         }
         let plan = parse(r#"{"method":{"kind":"wavefront","threads":3},"simd":false}"#);
+        assert_eq!(plan, Method::Pipelined(PipelineConfig::wavefront(3)));
         assert_eq!(
-            plan,
-            Plan::new(Method::Pipelined(PipelineConfig::wavefront(3)))
-        );
-        assert_eq!(
-            (plan.method.family(), plan.method.threads()),
+            (plan.family(), plan.threads()),
             (MethodFamily::Pipelined, 3)
         );
     }
@@ -417,31 +401,36 @@ mod tests {
         assert!(plans[1].validate_for(Dims3::cube(10), 1).is_err());
         assert!(plans[1].validate_for(Dims3::cube(64), 1).is_ok());
         // Diamond width below 2R is rejected by the diamond validator.
-        let p = Plan::new(Method::Diamond(DiamondConfig::with_width(2, 2)));
+        let p = Method::Diamond(DiamondConfig::with_width(2, 2));
         assert!(p.validate_for(Dims3::cube(20), 2).is_err());
         assert!(p.validate_for(Dims3::cube(20), 1).is_ok());
-        let z = Plan::new(Method::Parallel {
+        let z = Method::Parallel {
             threads: 0,
             streaming_stores: false,
-        });
+        };
         assert!(z.validate_for(Dims3::cube(20), 1).is_err());
         assert!(plans[7].validate_for(Dims3::cube(20), 1).is_ok());
-        assert!(plans[7].validate_for(Dims3::new(2, 20, 20), 1).is_err());
-        let flat = Plan::new(Method::Blocked { block: [8, 0, 8] });
+        // No interior: every method refuses, whatever its family.
+        for plan in &plans {
+            for dims in [Dims3::new(2, 20, 20), Dims3::new(20, 20, 2)] {
+                assert!(plan.validate_for(dims, 1).is_err(), "{}", plan.label());
+            }
+        }
+        let flat = Method::Blocked { block: [8, 0, 8] };
         assert!(flat.validate_for(Dims3::cube(20), 1).is_err());
     }
 
     #[test]
     fn family_and_threads() {
         let plans = sample_plans();
-        assert_eq!(plans[0].method.family().name(), "parallel");
-        assert_eq!(plans[0].method.threads(), 8);
-        assert_eq!(plans[1].method.threads(), 8); // 4 x 2 teams
-        assert_eq!(plans[3].method.family(), MethodFamily::Pipelined);
-        assert_eq!(plans[4].method.threads(), 4);
-        assert_eq!(plans[5].method.family(), MethodFamily::Diamond);
-        assert_eq!(plans[7].method.family(), MethodFamily::Parallel);
-        assert_eq!(plans[8].method.threads(), 0, "runs on the calling thread");
+        assert_eq!(plans[0].family().name(), "parallel");
+        assert_eq!(plans[0].threads(), 8);
+        assert_eq!(plans[1].threads(), 8); // 4 x 2 teams
+        assert_eq!(plans[3].family(), MethodFamily::Pipelined);
+        assert_eq!(plans[4].threads(), 4);
+        assert_eq!(plans[5].family(), MethodFamily::Diamond);
+        assert_eq!(plans[7].family(), MethodFamily::Parallel);
+        assert_eq!(plans[8].threads(), 0, "runs on the calling thread");
         assert_eq!(MethodFamily::ALL.len(), 3);
     }
 

@@ -7,14 +7,17 @@
 //!
 //! * [`ir`] — the strategy IR: [`Method`] says how a solve runs
 //!   (sequential / blocked / baseline / pipelined on two grids or a
-//!   compressed one / wavefront / diamond) with every parameter its
-//!   executor takes (`t`, `n`, `T`, block edges, `d_u` sync mode, grid
-//!   scheme, diamond width, MWD sub-team); a serializable [`Plan`] is a
-//!   `Method` plus the SIMD path — what the facade replays;
+//!   compressed one, the wavefront being one pipelined shape / diamond)
+//!   with every parameter its executor takes (`t`, `n`, `T`, block
+//!   edges, `d_u` sync mode, grid scheme, diamond width, MWD sub-team).
+//!   A `Method` is the plan: it serializes to the cache, the tuner
+//!   enumerates it, the facade replays it, and
+//!   [`Method::validate_for`] is the one check every solve passes;
 //! * [`key`] — cache identity: [`MachineFingerprint`] (exact topology
 //!   signature + calibrated bandwidths quantized into ±12.5% bands)
 //!   plus [`PlanKey`] (operator, dims, sweep class, element type);
-//! * [`tuner`] — model-pruned search: enumerate a candidate space,
+//! * [`tuner`] — model-pruned search: enumerate a candidate space
+//!   ([`default_search`] is the default one, incumbents included),
 //!   score every candidate with the `tb-model` predictions, measure
 //!   only the top-K plus the incumbent, report predicted-vs-measured
 //!   MLUP/s in a ranked [`TuneReport`];
@@ -37,10 +40,10 @@ pub mod key;
 pub mod tuner;
 
 pub use cache::{CacheEntry, PlanCache, SharedPlanCache, SCHEMA_VERSION};
-pub use ir::{Method, MethodFamily, Plan};
+pub use ir::{Method, MethodFamily};
 pub use json::Json;
 pub use key::{bandwidth_band, element_name, sweeps_class, MachineFingerprint, PlanKey};
 pub use tuner::{
-    default_plan, enumerate_all, enumerate_family, predicted_mlups, tune, TuneConfig, TuneReport,
+    default_plan, default_search, enumerate_family, predicted_mlups, tune, TuneConfig, TuneReport,
     TuneRow,
 };

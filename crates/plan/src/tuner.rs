@@ -1,6 +1,8 @@
 //! The model-pruned tuner.
 //!
-//! [`enumerate_family`] spans the candidate space of one method family;
+//! [`enumerate_family`] spans the candidate space of one method family,
+//! and [`default_search`] is the one default search over families with
+//! its incumbents;
 //! [`predicted_mlups`] scores every candidate with the `tb-model`
 //! analytic predictions (Eq. 2 roofline × Eq. 5 / diamond speedup,
 //! demoted to baseline wherever the working set cannot stay in
@@ -18,7 +20,7 @@ use tb_stencil::config::{GridScheme, WHOLE_EXTENT};
 use tb_stencil::kernel::StoreMode;
 use tb_stencil::{DiamondConfig, PipelineConfig, StencilOp, SyncMode};
 
-use crate::ir::{Method, MethodFamily, Plan};
+use crate::ir::{Method, MethodFamily};
 
 /// Tuner knobs.
 #[derive(Clone, Copy, Debug)]
@@ -39,7 +41,7 @@ impl Default for TuneConfig {
 /// One candidate in a [`TuneReport`].
 #[derive(Clone, Debug)]
 pub struct TuneRow {
-    pub plan: Plan,
+    pub plan: Method,
     /// Analytic score (MLUP/s) from the `tb-model` predictions.
     pub predicted_mlups: f64,
     /// Measured MLUP/s; `None` for candidates the model pruned away or
@@ -126,16 +128,16 @@ impl TuneReport {
 /// grids; the diamond family takes its from
 /// [`DiamondConfig::default_for`]. Every `team` up to 8 makes these
 /// plans members of [`enumerate_family`]'s candidate set.
-pub fn default_plan(family: MethodFamily, team: usize) -> Plan {
+pub fn default_plan(family: MethodFamily, team: usize) -> Method {
     let team = team.max(1);
-    Plan::new(match family {
+    match family {
         MethodFamily::Parallel => Method::Parallel {
             threads: team,
             streaming_stores: false,
         },
         MethodFamily::Pipelined => Method::Pipelined(PipelineConfig::default_for(team, 1)),
         MethodFamily::Diamond => Method::Diamond(DiamondConfig::default_for(team)),
-    })
+    }
 }
 
 /// Enumerate the candidate space of one family for a problem, keeping
@@ -169,7 +171,7 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
     op: &Op,
     dims: Dims3,
     team: usize,
-) -> Vec<Plan> {
+) -> Vec<Method> {
     let team = team.max(1);
     let radius = Op::RADIUS;
     let mut plans = Vec::new();
@@ -180,10 +182,10 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
             threads.sort_unstable();
             threads.dedup();
             for t in threads {
-                plans.push(Plan::new(Method::Parallel {
+                plans.push(Method::Parallel {
                     threads: t,
                     streaming_stores: false,
-                }));
+                });
             }
         }
         MethodFamily::Pipelined => {
@@ -196,12 +198,12 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
                     [WHOLE_EXTENT, 8, 8],
                 ] {
                     for du in [1u64, 4] {
-                        plans.push(Plan::new(Method::Pipelined(PipelineConfig {
+                        plans.push(Method::Pipelined(PipelineConfig {
                             updates_per_thread: updates,
                             block,
                             sync: SyncMode::Relaxed { dl: 1, du, dt: 0 },
                             ..default.clone()
-                        })));
+                        }));
                     }
                 }
             }
@@ -213,9 +215,7 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
             widths.sort_unstable();
             widths.dedup();
             for width in widths {
-                plans.push(Plan::new(Method::Diamond(DiamondConfig::with_width(
-                    team, width,
-                ))));
+                plans.push(Method::Diamond(DiamondConfig::with_width(team, width)));
             }
         }
     }
@@ -223,17 +223,35 @@ pub fn enumerate_family<T: Real, Op: StencilOp<T>>(
     plans
 }
 
-/// [`enumerate_family`] over every family.
-pub fn enumerate_all<T: Real, Op: StencilOp<T>>(
+/// The default search: every candidate of `families` (empty means
+/// [`MethodFamily::ALL`]) for a `team`, and the incumbents [`tune`]
+/// always measures — the default plans of `[Parallel, Pipelined]` that
+/// `families` admits, else the first family's default.
+pub fn default_search<T: Real, Op: StencilOp<T>>(
     params: &MachineParams,
     op: &Op,
     dims: Dims3,
     team: usize,
-) -> Vec<Plan> {
-    MethodFamily::ALL
+    families: &[MethodFamily],
+) -> (Vec<Method>, Vec<Method>) {
+    let families = if families.is_empty() {
+        &MethodFamily::ALL
+    } else {
+        families
+    };
+    let candidates = families
+        .iter()
+        .flat_map(|&f| enumerate_family::<T, Op>(f, params, op, dims, team))
+        .collect();
+    let mut incumbents: Vec<Method> = [MethodFamily::Parallel, MethodFamily::Pipelined]
         .into_iter()
-        .flat_map(|f| enumerate_family::<T, Op>(f, params, op, dims, team))
-        .collect()
+        .filter(|f| families.contains(f))
+        .map(|f| default_plan(f, team))
+        .collect();
+    if incumbents.is_empty() {
+        incumbents.push(default_plan(families[0], team));
+    }
+    (candidates, incumbents)
 }
 
 /// Analytic score of a plan in MLUP/s, from the `tb-model` predictions.
@@ -247,7 +265,7 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
     params: &MachineParams,
     op: &Op,
     dims: Dims3,
-    plan: &Plan,
+    plan: &Method,
 ) -> f64 {
     let radius = Op::RADIUS;
     let p0_stream = op_roofline_lups(params, op, StoreMode::Streaming);
@@ -257,7 +275,7 @@ pub fn predicted_mlups<T: Real, Op: StencilOp<T>>(
         let p0 = op_roofline_lups(params, op, store);
         (p0 * params.ms1 / params.ms * threads as f64).min(p0)
     };
-    let lups = match &plan.method {
+    let lups = match plan {
         Method::Sequential | Method::Blocked { .. } => parallel(1, StoreMode::Normal),
         Method::Parallel {
             threads,
@@ -323,10 +341,10 @@ pub fn tune<T: Real, Op: StencilOp<T>>(
     params: &MachineParams,
     op: &Op,
     dims: Dims3,
-    mut candidates: Vec<Plan>,
-    incumbents: &[Plan],
+    mut candidates: Vec<Method>,
+    incumbents: &[Method],
     cfg: &TuneConfig,
-    mut measure: impl FnMut(&Plan) -> Result<f64, String>,
+    mut measure: impl FnMut(&Method) -> Result<f64, String>,
 ) -> TuneReport {
     for inc in incumbents {
         if !candidates.contains(inc) && inc.validate_for(dims, Op::RADIUS).is_ok() {
@@ -414,12 +432,12 @@ mod tests {
             let plans = enumerate_family::<f64, _>(family, &p, &Jacobi6, dims, 4);
             assert!(!plans.is_empty(), "{family:?}");
             for plan in &plans {
-                assert_eq!(plan.method.family(), family);
+                assert_eq!(plan.family(), family);
                 plan.validate_for(dims, 1).unwrap();
-                assert!(plan.method.threads() <= 4);
+                assert!(plan.threads() <= 4);
                 // Pruned by measurement: NT stores are for explicit plans.
                 assert!(!matches!(
-                    plan.method,
+                    plan,
                     Method::Parallel {
                         streaming_stores: true,
                         ..
@@ -427,7 +445,7 @@ mod tests {
                 ));
             }
         }
-        let all = enumerate_all::<f64, _>(&p, &Jacobi6, dims, 4);
+        let all = default_search::<f64, _>(&p, &Jacobi6, dims, 4, &[]).0;
         assert!(all.len() >= 25, "rich candidate space, got {}", all.len());
     }
 
@@ -439,13 +457,13 @@ mod tests {
         // tiles.
         let p = nehalem();
         for edge in [64, 288] {
-            let all = enumerate_all::<f64, _>(&p, &Jacobi6, Dims3::cube(edge), 2);
+            let all = default_search::<f64, _>(&p, &Jacobi6, Dims3::cube(edge), 2, &[]).0;
             assert_eq!(all.len(), 31, "{edge}³");
-            let count = |f| all.iter().filter(|c| c.method.family() == f).count();
+            let count = |f| all.iter().filter(|c| c.family() == f).count();
             let counts = MethodFamily::ALL.map(count);
             assert_eq!(counts, [2, 24, 5], "{edge}³");
             for plan in &all {
-                match &plan.method {
+                match plan {
                     Method::Pipelined(cfg) => {
                         assert_eq!(cfg.scheme, GridScheme::TwoGrid, "{}", plan.label());
                         assert_ne!(*cfg, PipelineConfig::wavefront(2), "{}", plan.label());
@@ -453,6 +471,26 @@ mod tests {
                     Method::Diamond(cfg) => assert_eq!(cfg.threads_per_tile, 1),
                     _ => {}
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn default_search_incumbents_follow_the_family_restriction() {
+        use MethodFamily::{Diamond, Parallel, Pipelined};
+        let p = nehalem();
+        let dims = Dims3::cube(64);
+        for (families, want) in [
+            (&[][..], &[Parallel, Pipelined][..]),
+            (&[Diamond, Pipelined], &[Pipelined]),
+            (&[Diamond], &[Diamond]),
+        ] {
+            let (candidates, incumbents) =
+                default_search::<f64, _>(&p, &Jacobi6, dims, 2, families);
+            let want: Vec<Method> = want.iter().map(|&f| default_plan(f, 2)).collect();
+            assert_eq!(incumbents, want, "{families:?}");
+            for plan in &candidates {
+                assert!(families.is_empty() || families.contains(&plan.family()));
             }
         }
     }
@@ -472,7 +510,7 @@ mod tests {
             Method::Pipelined(PipelineConfig::wavefront(2)),
             Method::Diamond(DiamondConfig::with_width(2, 8).with_threads_per_tile(2)),
         ] {
-            let plan = Plan::new(method);
+            let plan = method;
             plan.validate_for(dims, 1).unwrap();
             let score = predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &plan);
             assert!(score.is_finite() && score > 0.0, "{}", plan.label());
@@ -495,15 +533,13 @@ mod tests {
         let p = nehalem();
         let dims = Dims3::cube(64);
         // A diamond too wide for the cache scores at baseline...
-        let narrow = Plan::new(Method::Diamond(DiamondConfig::with_width(4, 8)));
-        let huge = Plan::new(Method::Diamond(DiamondConfig::with_width(4, 1 << 14)));
+        let narrow = Method::Diamond(DiamondConfig::with_width(4, 8));
+        let huge = Method::Diamond(DiamondConfig::with_width(4, 1 << 14));
         let s_narrow = predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &narrow);
         let s_huge = predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &huge);
         assert!(s_narrow > s_huge, "{s_narrow} vs {s_huge}");
         // ...and a cached width stays cached when sub-teams share tiles.
-        let mwd = Plan::new(Method::Diamond(
-            DiamondConfig::with_width(4, 8).with_threads_per_tile(4),
-        ));
+        let mwd = Method::Diamond(DiamondConfig::with_width(4, 8).with_threads_per_tile(4));
         assert!(predicted_mlups::<f64, _>(&p, &Jacobi6, dims, &mwd) >= s_narrow);
         // Extra read streams lower every score.
         let v: VarCoeff7<f64> = VarCoeff7::banded(dims);
@@ -519,10 +555,10 @@ mod tests {
                 &p,
                 &Jacobi6,
                 dims,
-                &Plan::new(Method::Parallel {
+                &Method::Parallel {
                     threads,
                     streaming_stores: true,
-                }),
+                },
             )
         };
         assert!(at(2) > at(1));
@@ -533,7 +569,7 @@ mod tests {
     fn tune_prunes_at_least_half_and_keeps_incumbent() {
         let p = nehalem();
         let dims = Dims3::cube(64);
-        let candidates = enumerate_all::<f64, _>(&p, &Jacobi6, dims, 4);
+        let candidates = default_search::<f64, _>(&p, &Jacobi6, dims, 4, &[]).0;
         let n = candidates.len();
         let incumbent = default_plan(MethodFamily::Parallel, 4);
         let mut calls = 0usize;
@@ -548,7 +584,7 @@ mod tests {
                 calls += 1;
                 // Fake measurement: deterministic, favors a family the
                 // model ranks into the budget on this machine.
-                Ok(match plan.method.family() {
+                Ok(match plan.family() {
                     MethodFamily::Pipelined => 1000.0,
                     _ => 500.0,
                 })
@@ -561,7 +597,7 @@ mod tests {
         let inc = report.incumbent().expect("incumbent measured");
         assert_eq!(inc.plan, incumbent);
         let winner = report.winner().expect("winner");
-        assert_eq!(winner.plan.method.family(), MethodFamily::Pipelined);
+        assert_eq!(winner.plan.family(), MethodFamily::Pipelined);
         assert!(winner.measured_mlups >= inc.measured_mlups);
         // Measured rows lead the ranking.
         assert!(report.rows[0].measured_mlups.is_some());
@@ -573,7 +609,7 @@ mod tests {
     fn tune_survives_measurement_failures() {
         let p = nehalem();
         let dims = Dims3::cube(64);
-        let candidates = enumerate_all::<f64, _>(&p, &Jacobi6, dims, 2);
+        let candidates = default_search::<f64, _>(&p, &Jacobi6, dims, 2, &[]).0;
         let incumbent = default_plan(MethodFamily::Parallel, 2);
         let mut n = 0usize;
         let report = tune::<f64, _>(
@@ -600,7 +636,7 @@ mod tests {
     fn incumbents_take_the_weakest_picks_inside_the_budget() {
         let p = nehalem();
         let dims = Dims3::cube(64);
-        let candidates = enumerate_all::<f64, _>(&p, &Jacobi6, dims, 2);
+        let candidates = default_search::<f64, _>(&p, &Jacobi6, dims, 2, &[]).0;
         let n = candidates.len();
         let incumbents = [
             default_plan(MethodFamily::Parallel, 2),
@@ -652,10 +688,10 @@ mod tests {
                 for family in MethodFamily::ALL {
                     let plan = default_plan(family, team);
                     plan.validate_for(dims, 1).unwrap();
-                    assert_eq!(plan.method.threads(), team);
+                    assert_eq!(plan.threads(), team);
                     // The whole-extent x edge survives the plan cache's text.
                     let text = plan.to_json().to_json();
-                    let back = Plan::from_json(&crate::json::Json::parse(&text).unwrap());
+                    let back = Method::from_json(&crate::json::Json::parse(&text).unwrap());
                     assert_eq!(back.unwrap(), plan, "{text}");
                     // Every default (the diamond's w 16 included) is one of
                     // the tuner's candidates.
@@ -681,11 +717,11 @@ mod tests {
                     Method::Pipelined(compressed),
                     Method::Pipelined(PipelineConfig::wavefront(team)),
                 ] {
-                    let plan = Plan::new(method);
+                    let plan = method;
                     plan.validate_for(dims, 1).unwrap();
-                    assert_eq!(plan.method.threads(), team);
+                    assert_eq!(plan.threads(), team);
                     let text = plan.to_json().to_json();
-                    let back = Plan::from_json(&crate::json::Json::parse(&text).unwrap());
+                    let back = Method::from_json(&crate::json::Json::parse(&text).unwrap());
                     assert_eq!(back.unwrap(), plan, "{text}");
                 }
             }

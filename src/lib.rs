@@ -42,9 +42,9 @@
 //! block, `d_l`/`d_u` and grid scheme — two grids or one compressed
 //! grid are one `Method::Pipelined`, told apart by
 //! [`PipelineConfig::scheme`]; the wavefront comparator is the shape
-//! [`PipelineConfig::wavefront`]). It is also the plan IR: a
-//! [`plan::Plan`] wraps a `Method`, and that is what the plan cache
-//! persists and the tuner enumerates.
+//! [`PipelineConfig::wavefront`]). It is also the plan IR: the plan
+//! cache persists a `Method`, the tuner enumerates `Method`s, and
+//! [`Method::validate_for`] is the one check every solve passes.
 //!
 //! [`solve_with_on`] is the one dispatch ladder: it takes the operator,
 //! the `Method` and the persistent [`Runtime`] whose workers and staging
@@ -52,8 +52,8 @@
 //! business alone — pin by building it with [`Runtime::new`] from a
 //! [`TeamLayout`](topology::TeamLayout). [`solve_with`] is the same call
 //! on a one-shot, unpinned runtime of [`Method::threads`] workers;
-//! [`run_plan_on`] and [`solve_tuned_with_on`] reach it through a
-//! `Plan`. Below the facade every executor of [`stencil`] likewise has
+//! [`run_plan_on`] and [`solve_tuned_with_on`] reach it with a cached
+//! or tuned `Method`. Below the facade every executor of [`stencil`] likewise has
 //! exactly one entry (`*_op_on`: operator and runtime are arguments).
 //!
 //! For serving many tenants' solves concurrently on one machine —
@@ -140,7 +140,7 @@ pub mod prelude {
     };
     pub use tb_grid::{self as grid, Dims3, Grid3, GridPair, Real, Region3};
     pub use tb_model::MachineParams;
-    pub use tb_plan::{MethodFamily, Plan, PlanCache};
+    pub use tb_plan::{MethodFamily, PlanCache};
     pub use tb_runtime::topology::{Machine, TeamLayout};
     pub use tb_runtime::Runtime;
     pub use tb_stencil::{
@@ -153,11 +153,15 @@ pub mod prelude {
 /// chosen method on a persistent [`Runtime`]. Returns the final grid and
 /// the run statistics.
 ///
-/// Parallel methods run on the runtime's (pinned) workers — which must
-/// number at least the method's thread count — and every method's second
-/// grid buffer / compressed storage comes from the runtime's staging
-/// pool and goes back to it on every exit, `Err` included, so repeated
-/// solves stop paying spawn-per-solve and allocation-per-solve.
+/// The method is checked first, before any pooled buffer is acquired:
+/// it must pass [`Method::validate_for`] on the grid's dims (so a grid
+/// without interior, a zero block edge or a zero thread count is an
+/// `Err` for every method) and need no more workers than the runtime
+/// has. Parallel methods run on the runtime's (pinned) workers, and
+/// every method's second grid buffer / compressed storage comes from
+/// the runtime's staging pool and goes back to it on every exit, `Err`
+/// included, so repeated solves stop paying spawn-per-solve and
+/// allocation-per-solve.
 /// `Sequential` and `Blocked` compute on the calling thread.
 ///
 /// For a fixed operator, all methods produce bitwise identical results
@@ -185,9 +189,8 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
     /// bitwise identity with the oracle from a recycled buffer means;
     /// `pool_contract` poisons the buffer with NaN to prove it), and a
     /// pool miss comes zeroed from [`Runtime::acquire_grid`], its pages
-    /// placed by the calling thread. A grid without interior is all
-    /// shell and copied whole. An executor that returns `Err` has not
-    /// swept, so the spare is still released and the pool keeps its
+    /// placed by the calling thread. An executor that returns `Err` has
+    /// not swept, so the spare is still released and the pool keeps its
     /// warm buffer.
     ///
     /// Both buffers take the operator's row phase
@@ -205,12 +208,7 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
         let mut b = rt.acquire_grid(initial.dims());
         b.set_phase_stale(phase);
         let dims = initial.dims();
-        let interior = Region3::interior_of(dims);
-        let rows = if interior.is_empty() {
-            interior
-        } else {
-            Region3::new([0, 1, 1], [dims.nx, dims.ny - 1, dims.nz - 1])
-        };
+        let rows = Region3::new([0, 1, 1], [dims.nx, dims.ny - 1, dims.nz - 1]);
         b.copy_outside_from(&initial, &rows);
         let mut pair = GridPair::from_parts(initial, b);
         let stats = exec(&mut pair);
@@ -222,6 +220,14 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
         };
         rt.grid_pool::<T>().release(spare);
         stats.map(|stats| (result, stats))
+    }
+    method.validate_for(initial.dims(), Op::RADIUS)?;
+    if method.threads() > rt.threads() {
+        return Err(format!(
+            "runtime has {} workers but the method needs {}",
+            rt.threads(),
+            method.threads()
+        ));
     }
     let phase = Op::ALIGNED_CELL;
     match method {
@@ -235,15 +241,6 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
             threads,
             streaming_stores,
         } => {
-            if threads == 0 {
-                return Err("threads must be >= 1".into());
-            }
-            if threads > rt.threads() {
-                return Err(format!(
-                    "runtime has {} workers but the method needs {threads}",
-                    rt.threads()
-                ));
-            }
             let store = if streaming_stores {
                 StoreMode::Streaming
             } else {
@@ -261,7 +258,6 @@ pub fn solve_with_on<T: Real, Op: StencilOp<T>>(
             })
         }
         Method::Pipelined(cfg) => {
-            cfg.validate(initial.dims())?;
             let margin = cfg.stages();
             let storage =
                 rt.acquire_grid(CompressedGrid::<T>::alloc_dims_for(initial.dims(), margin));
@@ -348,15 +344,16 @@ pub fn tuning_runtime(
     Runtime::from_cpus(cpus, layout.comm_core.map(Some))
 }
 
-/// Execute one reified [`tb_plan::Plan`] on a persistent runtime.
+/// Execute one cached or tuned plan on a persistent runtime:
+/// [`solve_with_on`] on a borrowed [`Method`].
 pub fn run_plan_on<T: Real, Op: StencilOp<T>>(
     rt: &Runtime,
     op: &Op,
-    plan: &tb_plan::Plan,
+    plan: &Method,
     initial: Grid3<T>,
     sweeps: usize,
 ) -> Result<(Grid3<T>, RunStats), String> {
-    solve_with_on(rt, op, initial, sweeps, plan.method.clone())
+    solve_with_on(rt, op, initial, sweeps, plan.clone())
 }
 
 /// Options for [`solve_tuned_with_on`].
@@ -400,7 +397,7 @@ impl Default for TuneOptions {
 #[derive(Clone, Debug)]
 pub struct TunedSolve {
     /// The plan that produced the returned grid.
-    pub plan: tb_plan::Plan,
+    pub plan: Method,
     /// `true` when the plan was replayed from the persistent cache —
     /// by contract such a solve performs **zero** measurements.
     pub cache_hit: bool,
@@ -478,87 +475,50 @@ pub fn solve_tuned_with_on<T: Real, Op: StencilOp<T>>(
 
     // Warm path: replay the stored winner. The entry re-validates
     // against the current dims, and must fit this runtime's workers.
-    if !opts.force_retune {
-        if let Some(entry) = cache.lookup(&key, dims, Op::RADIUS) {
-            if entry.plan.method.threads() <= rt.threads() {
-                let plan = entry.plan;
-                let (out, stats) = run_plan_on(rt, op, &plan, initial, sweeps)?;
-                return Ok((
-                    out,
-                    stats,
-                    TunedSolve {
-                        plan,
-                        cache_hit: true,
-                        calibrated,
-                        measurements: 0,
-                        report: None,
-                    },
-                ));
-            }
-        }
-    }
-
-    // Cold path: enumerate, score, measure top-K incl. incumbents.
-    let team = rt.threads().max(1);
-    let families: &[tb_plan::MethodFamily] = if opts.families.is_empty() {
-        &tb_plan::MethodFamily::ALL
-    } else {
-        &opts.families
-    };
-    let candidates: Vec<tb_plan::Plan> = families
-        .iter()
-        .flat_map(|&f| tb_plan::enumerate_family::<T, Op>(f, &params, op, dims, team))
-        .collect();
-    // The defaults a caller who never tunes would run ride along: the
-    // baseline and the pipelined default where the restriction admits
-    // them, else the one family's own default.
-    use tb_plan::MethodFamily::{Parallel, Pipelined};
-    let mut incumbents: Vec<tb_plan::Plan> = [Parallel, Pipelined]
-        .into_iter()
-        .filter(|f| families.contains(f))
-        .map(|f| tb_plan::default_plan(f, team))
-        .collect();
-    if incumbents.is_empty() {
-        incumbents.push(tb_plan::default_plan(families[0], team));
-    }
-    let report = tb_plan::tune(
-        &params,
-        op,
-        dims,
-        candidates,
-        &incumbents,
-        &TuneConfig { top_k: opts.top_k },
-        |plan| run_plan_on(rt, op, plan, initial.clone(), sweeps).map(|(_, stats)| stats.mlups()),
-    );
-    let winner = report
-        .winner()
-        .ok_or("tuning failed: no candidate could be measured")?;
-    let plan = winner.plan.clone();
-    cache
-        .store_and_save(
-            &key,
-            CacheEntry {
-                plan: plan.clone(),
+    let warm = (!opts.force_retune)
+        .then(|| cache.lookup(&key, dims, Op::RADIUS))
+        .flatten()
+        .filter(|entry| entry.plan.threads() <= rt.threads());
+    let (plan, report) = match warm {
+        Some(entry) => (entry.plan, None),
+        // Cold path: enumerate, score, measure top-K incl. incumbents.
+        None => {
+            let team = rt.threads().max(1);
+            let (candidates, incumbents) =
+                tb_plan::default_search::<T, Op>(&params, op, dims, team, &opts.families);
+            let report = tb_plan::tune(
+                &params,
+                op,
+                dims,
+                candidates,
+                &incumbents,
+                &TuneConfig { top_k: opts.top_k },
+                |plan| run_plan_on(rt, op, plan, initial.clone(), sweeps).map(|(_, s)| s.mlups()),
+            );
+            let winner = report
+                .winner()
+                .ok_or("tuning failed: no candidate could be measured")?;
+            let entry = CacheEntry {
+                plan: winner.plan.clone(),
                 dims: [dims.nx, dims.ny, dims.nz],
                 measured_mlups: winner.measured_mlups.unwrap_or(0.0),
                 predicted_mlups: winner.predicted_mlups,
-            },
-        )
-        .map_err(|e| format!("plan cache save: {e}"))?;
-
-    let measurements = report.measured;
+            };
+            cache
+                .store_and_save(&key, entry.clone())
+                .map_err(|e| format!("plan cache save: {e}"))?;
+            (entry.plan, Some(report))
+        }
+    };
     let (out, stats) = run_plan_on(rt, op, &plan, initial, sweeps)?;
-    Ok((
-        out,
-        stats,
-        TunedSolve {
-            plan,
-            cache_hit: false,
-            calibrated,
-            measurements,
-            report: Some(report),
-        },
-    ))
+    let tuned = TunedSolve {
+        plan,
+        cache_hit: report.is_none(),
+        calibrated,
+        measurements: report.as_ref().map_or(0, |r| r.measured),
+        report,
+    };
+    Ok((out, stats, tuned))
 }
 
 #[cfg(test)]
@@ -740,79 +700,71 @@ mod tests {
 
     #[test]
     fn failed_solves_return_their_buffer_to_the_pool() {
-        // An `Err` solve must release the pooled buffer it acquired, or
-        // the next valid job on this runtime pays a fresh allocation.
-        let dims = Dims3::cube(20);
-        let g: Grid3<f64> = init::random(dims, 5);
+        // Every invalid method is refused by the one gate at the top of
+        // `solve_with_on`, before any pooled buffer is acquired: the
+        // pool neither allocates nor loses a parked buffer, so the next
+        // valid job on this runtime pays no fresh allocation.
         let rt = Runtime::with_threads(2);
         let pool = rt.grid_pool::<f64>();
         let oversize = |team_size| PipelineConfig {
             team_size,
             ..PipelineConfig::default_for(2, 1)
         };
-        let families: Vec<(&str, Method, Vec<Method>)> = vec![
-            (
-                "parallel",
-                Method::Parallel {
-                    threads: 2,
-                    streaming_stores: false,
-                },
-                vec![
-                    Method::Parallel {
-                        threads: 0,
-                        streaming_stores: false,
-                    },
-                    Method::Parallel {
-                        threads: 3,
-                        streaming_stores: false,
-                    },
-                ],
-            ),
-            (
-                "pipelined",
+        let parallel = |threads| Method::Parallel {
+            threads,
+            streaming_stores: false,
+        };
+        let every_family = || {
+            vec![
+                Method::Sequential,
+                Method::Blocked { block: [7, 7, 7] },
+                parallel(2),
                 Method::Pipelined(PipelineConfig::default_for(2, 1)),
-                vec![Method::Pipelined(oversize(3))],
-            ),
-            (
-                "compressed",
                 compressed(PipelineConfig::default_for(2, 1)),
-                vec![compressed(oversize(3))],
-            ),
-            (
-                "wavefront",
                 Method::Pipelined(PipelineConfig::wavefront(2)),
-                vec![
-                    Method::Pipelined(PipelineConfig::wavefront(0)),
-                    Method::Pipelined(PipelineConfig::wavefront(3)),
-                ],
-            ),
-            (
-                "diamond",
                 Method::Diamond(DiamondConfig::with_width(2, 6)),
-                vec![
-                    Method::Diamond(DiamondConfig::with_width(2, 1)),
-                    Method::Diamond(DiamondConfig::with_width(0, 6)),
-                    Method::Diamond(DiamondConfig::with_width(3, 6)),
-                ],
-            ),
+            ]
+        };
+        let cube = Dims3::cube(20);
+        let mut cases: Vec<(Dims3, Method)> = vec![
+            (cube, Method::Blocked { block: [7, 0, 7] }),
+            // Zero threads.
+            (cube, parallel(0)),
+            (cube, Method::Pipelined(PipelineConfig::wavefront(0))),
+            (cube, Method::Diamond(DiamondConfig::with_width(0, 6))),
+            (cube, Method::Diamond(DiamondConfig::with_width(2, 1))),
+            // A team larger than the runtime.
+            (cube, parallel(3)),
+            (cube, Method::Pipelined(oversize(3))),
+            (cube, compressed(oversize(3))),
+            (cube, Method::Pipelined(PipelineConfig::wavefront(3))),
+            (cube, Method::Diamond(DiamondConfig::with_width(3, 6))),
         ];
-        for (name, valid, invalid) in families {
-            for bad in invalid {
-                // Round 0 warms the pool (the failing config may need a
-                // storage shape of its own); round 1 must not allocate.
-                let mut warm = None;
-                for round in 0..2 {
-                    let label = format!("{name} round {round}: {bad:?}");
-                    solve_with_on(&rt, &Jacobi6, g.clone(), 3, valid.clone()).unwrap();
-                    assert!(
-                        solve_with_on(&rt, &Jacobi6, g.clone(), 3, bad.clone()).is_err(),
-                        "{label}"
-                    );
-                    solve_with_on(&rt, &Jacobi6, g.clone(), 3, valid.clone()).unwrap();
-                    let fresh = pool.fresh_allocations();
-                    assert_eq!(*warm.get_or_insert(fresh), fresh, "{label}");
-                }
+        // No interior: every family refuses.
+        for dims in [Dims3::new(2, 6, 5), Dims3::new(6, 5, 2)] {
+            cases.extend(every_family().into_iter().map(|m| (dims, m)));
+        }
+        let g: Grid3<f64> = init::random(cube, 5);
+        for valid in every_family() {
+            solve_with_on(&rt, &Jacobi6, g.clone(), 3, valid).unwrap();
+        }
+        let warm = (pool.fresh_allocations(), pool.free_grids());
+        for (dims, bad) in cases {
+            let label = format!("{dims} via {bad:?}");
+            let input: Grid3<f64> = init::random(dims, 5);
+            assert!(
+                solve_with_on(&rt, &Jacobi6, input, 3, bad).is_err(),
+                "{label}"
+            );
+            assert_eq!(
+                (pool.fresh_allocations(), pool.free_grids()),
+                warm,
+                "{label}"
+            );
+            for valid in every_family() {
+                solve_with_on(&rt, &Jacobi6, g.clone(), 3, valid).unwrap();
             }
+            assert_eq!(pool.fresh_allocations(), warm.0, "{label}");
         }
     }
 

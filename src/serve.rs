@@ -1352,7 +1352,7 @@ fn slice_loop(ctx: SliceCtx) {
             }),
             Err(panic) => Err(JobError {
                 job_id: id,
-                message: format!("job panicked: {}", panic_message(&panic)),
+                message: format!("job panicked: {}", panic_message(&*panic)),
             }),
         };
         {
@@ -1620,6 +1620,29 @@ mod tests {
             report.cell_updates,
             (3 * Dims3::cube(12).interior_len()) as u64
         );
+    }
+
+    /// Serve one job of `op` × `method` on an 8³ grid and return the
+    /// message it fails with.
+    fn served_failure(op: JobOp, method: Method) -> String {
+        let server = Server::new(&Machine::flat(1), ServerConfig::default());
+        let grid = JobPayload::F64(init::random(Dims3::cube(8), 0));
+        let spec = JobSpec::new(op, grid, 1, JobMethod::Fixed(method));
+        let handle = server.submit(spec).unwrap();
+        handle.wait().expect_err("the job must fail").message
+    }
+
+    #[test]
+    fn a_panicking_job_reports_its_panic_message() {
+        let message = served_failure(JobOp::PanicForTest, Method::Sequential);
+        assert!(message.contains("poison-pill job"), "{message}");
+    }
+
+    #[test]
+    fn a_refused_fixed_method_fails_with_the_gate_message() {
+        let message = served_failure(JobOp::Jacobi6, Method::Blocked { block: [0, 0, 0] });
+        assert!(message.contains("block edges must be >= 1"), "{message}");
+        assert!(!message.contains("panicked"), "{message}");
     }
 
     #[test]

@@ -32,18 +32,16 @@ const TEAM: usize = 2;
 
 /// Every family's default plan, then the explicit kinds the default
 /// search leaves out.
-fn plans() -> Vec<Plan> {
-    let mut plans: Vec<Plan> = MethodFamily::ALL
+fn plans() -> Vec<Method> {
+    let mut plans: Vec<Method> = MethodFamily::ALL
         .into_iter()
         .map(|family| default_plan(family, TEAM))
         .collect();
-    plans.push(Plan::new(Method::Pipelined(PipelineConfig {
+    plans.push(Method::Pipelined(PipelineConfig {
         scheme: GridScheme::Compressed,
         ..PipelineConfig::default_for(TEAM, 1)
-    })));
-    plans.push(Plan::new(Method::Pipelined(PipelineConfig::wavefront(
-        TEAM,
-    ))));
+    }));
+    plans.push(Method::Pipelined(PipelineConfig::wavefront(TEAM)));
     plans
 }
 

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use temporal_blocking::plan::{
-    CacheEntry, Json, MachineFingerprint, MethodFamily, Plan, PlanCache, PlanKey,
+    CacheEntry, Json, MachineFingerprint, MethodFamily, PlanCache, PlanKey,
 };
 use temporal_blocking::prelude::*;
 use temporal_blocking::stencil::config::{GridScheme, WHOLE_EXTENT};
@@ -62,16 +62,16 @@ fn plan_json_roundtrips_every_method_variant() {
         Method::Diamond(DiamondConfig::with_width(4, 16).with_threads_per_tile(2)),
     ];
     for method in methods {
-        let plan = Plan::new(method);
+        let plan = method;
         let text = plan.to_json().to_json();
-        let back = Plan::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = Method::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, plan, "{text}");
     }
 }
 
 /// Cache entries exactly as the plan cache writes them, each with the
 /// plan it must parse to.
-fn golden_plans() -> Vec<(&'static str, Plan)> {
+fn golden_plans() -> Vec<(&'static str, Method)> {
     let pipe = PipelineConfig {
         team_size: 2,
         n_teams: 1,
@@ -88,39 +88,37 @@ fn golden_plans() -> Vec<(&'static str, Plan)> {
     vec![
         (
             r#"{"method":{"kind":"parallel","threads":2,"streaming_stores":false}}"#,
-            Plan::new(Method::Parallel {
+            Method::Parallel {
                 threads: 2,
                 streaming_stores: false,
-            }),
+            },
         ),
         (
             r#"{"method":{"kind":"parallel","threads":2,"streaming_stores":true}}"#,
-            Plan::new(Method::Parallel {
+            Method::Parallel {
                 threads: 2,
                 streaming_stores: true,
-            }),
+            },
         ),
         (
             r#"{"method":{"kind":"pipelined","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"relaxed","dl":1,"du":4,"dt":0}}}"#,
-            Plan::new(Method::Pipelined(pipe.clone())),
+            Method::Pipelined(pipe.clone()),
         ),
         (
             r#"{"method":{"kind":"compressed","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"barrier"}}}"#,
-            Plan::new(Method::Pipelined(PipelineConfig {
+            Method::Pipelined(PipelineConfig {
                 sync: SyncMode::Barrier,
                 scheme: GridScheme::Compressed,
                 ..pipe
-            })),
+            }),
         ),
         (
             r#"{"method":{"kind":"pipelined","team_size":2,"n_teams":1,"updates_per_thread":1,"block":[1048576,1048576,2],"sync":{"mode":"relaxed","dl":1,"du":4,"dt":0}}}"#,
-            Plan::new(Method::Pipelined(PipelineConfig::wavefront(2))),
+            Method::Pipelined(PipelineConfig::wavefront(2)),
         ),
         (
             r#"{"method":{"kind":"diamond","threads":2,"width":8,"threads_per_tile":2}}"#,
-            Plan::new(Method::Diamond(
-                DiamondConfig::with_width(2, 8).with_threads_per_tile(2),
-            )),
+            Method::Diamond(DiamondConfig::with_width(2, 8).with_threads_per_tile(2)),
         ),
     ]
 }
@@ -143,7 +141,7 @@ fn golden_plan_entries_parse_reserialise_and_replay_warm() {
     let sweeps = |i: usize| 1usize << i;
     let mut entries = Vec::new();
     for (i, (text, want)) in golden_plans().into_iter().enumerate() {
-        let plan = Plan::from_json(&Json::parse(text).unwrap()).unwrap();
+        let plan = Method::from_json(&Json::parse(text).unwrap()).unwrap();
         assert_eq!(plan, want, "{text}");
         assert_eq!(plan.to_json().to_json(), text, "byte-identical");
         let key = PlanKey::new::<f64>(fingerprint.clone(), "jacobi6", dims, sweeps(i));
@@ -187,27 +185,25 @@ fn older_format_cache_files_load_validate_and_replay_warm() {
     // as a warm hit, bitwise equal to the oracle. The next save writes
     // them in the current format.
     let pipe = PipelineConfig::default_for(2, 1);
-    let entries: [(&str, Plan); 4] = [
+    let entries: [(&str, Method); 4] = [
         (
             r#"{"method":{"kind":"wavefront","threads":2},"simd":true}"#,
-            Plan::new(Method::Pipelined(PipelineConfig::wavefront(2))),
+            Method::Pipelined(PipelineConfig::wavefront(2)),
         ),
         (
             r#"{"method":{"kind":"compressed","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"relaxed","dl":1,"du":4,"dt":0}},"simd":true}"#,
-            Plan::new(Method::Pipelined(PipelineConfig {
+            Method::Pipelined(PipelineConfig {
                 scheme: GridScheme::Compressed,
                 ..pipe.clone()
-            })),
+            }),
         ),
         (
             r#"{"method":{"kind":"diamond","threads":2,"width":8,"threads_per_tile":2},"simd":true}"#,
-            Plan::new(Method::Diamond(
-                DiamondConfig::with_width(2, 8).with_threads_per_tile(2),
-            )),
+            Method::Diamond(DiamondConfig::with_width(2, 8).with_threads_per_tile(2)),
         ),
         (
             r#"{"method":{"kind":"pipelined","team_size":2,"n_teams":1,"updates_per_thread":4,"block":[1048576,8,8],"sync":{"mode":"relaxed","dl":1,"du":4,"dt":0}},"simd":false}"#,
-            Plan::new(Method::Pipelined(pipe)),
+            Method::Pipelined(pipe),
         ),
     ];
     let dims = Dims3::cube(20);
@@ -299,10 +295,10 @@ fn second_tuned_solve_is_a_warm_hit_with_zero_measurements() {
     // measured workload); see `hand_written_streaming_plans_still_replay`.
     for row in &report.rows {
         let nt = Method::Parallel {
-            threads: row.plan.method.threads(),
+            threads: row.plan.threads(),
             streaming_stores: true,
         };
-        assert_ne!(row.plan.method, nt, "{}", row.plan.label());
+        assert_ne!(row.plan, nt, "{}", row.plan.label());
     }
 
     let (_, _, warm) = solve_tuned_with_on(&rt, &Jacobi6, initial, 4, &opts).unwrap();
@@ -369,10 +365,10 @@ fn hand_written_streaming_plans_still_replay() {
         dims,
         4,
     );
-    let nt = Plan::new(Method::Parallel {
+    let nt = Method::Parallel {
         threads: 2,
         streaming_stores: true,
-    });
+    };
     let mut cache = PlanCache::load(opts.cache_path.clone().unwrap());
     cache.store(
         &key,
@@ -430,7 +426,7 @@ fn wrong_dims_cache_entries_are_rejected() {
     cache.store(
         &key,
         CacheEntry {
-            plan: Plan::new(Method::Pipelined(PipelineConfig::wavefront(2))),
+            plan: Method::Pipelined(PipelineConfig::wavefront(2)),
             dims: [64, 64, 64],
             measured_mlups: 1.0,
             predicted_mlups: 1.0,
@@ -441,7 +437,7 @@ fn wrong_dims_cache_entries_are_rejected() {
     cache.store(
         &key,
         CacheEntry {
-            plan: Plan::new(Method::Diamond(DiamondConfig::with_width(2, 2))),
+            plan: Method::Diamond(DiamondConfig::with_width(2, 2)),
             dims: [dims.nx, dims.ny, dims.nz],
             measured_mlups: 1.0,
             predicted_mlups: 1.0,
@@ -506,11 +502,11 @@ fn family_restriction_and_force_retune_are_honored() {
     opts.families = vec![MethodFamily::Diamond];
 
     let (_, _, tuned) = solve_tuned_with_on(&rt, &Jacobi6, initial.clone(), 4, &opts).unwrap();
-    assert_eq!(tuned.plan.method.family(), MethodFamily::Diamond);
+    assert_eq!(tuned.plan.family(), MethodFamily::Diamond);
     // Every measured row stayed inside the requested family (the
     // incumbent included).
     for row in &tuned.report.unwrap().rows {
-        assert_eq!(row.plan.method.family(), MethodFamily::Diamond);
+        assert_eq!(row.plan.family(), MethodFamily::Diamond);
     }
 
     opts.force_retune = true;

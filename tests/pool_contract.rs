@@ -299,8 +299,8 @@ fn placement_policies_produce_bitwise_identical_results() {
 #[test]
 fn thin_grids_from_a_poisoned_pooled_buffer_match_the_oracle() {
     // One interior cell per row: each sweep carries both x-faces of a
-    // row at once. No interior at all: the grid is all shell, and the
-    // facade copies it whole (an odd sweep count returns B).
+    // row at once. No interior at all: every method refuses the grid
+    // before touching the pool.
     let rt = Runtime::with_threads(2);
     let pool = rt.grid_pool::<f64>();
     let methods = [
@@ -310,24 +310,29 @@ fn thin_grids_from_a_poisoned_pooled_buffer_match_the_oracle() {
             streaming_stores: false,
         },
     ];
-    for dims in [
-        Dims3::new(3, 6, 5),
-        Dims3::new(2, 6, 5),
-        Dims3::new(6, 5, 2),
-    ] {
+    let dims = Dims3::new(3, 6, 5);
+    let initial: Grid3<f64> = init::random(dims, 0x7A1);
+    for sweeps in [1, 2] {
+        let (oracle, _) =
+            solve_with(&Jacobi6, initial.clone(), sweeps, Method::Sequential).unwrap();
+        for method in &methods {
+            let mut g = rt.acquire_grid::<f64>(dims);
+            g.as_mut_slice().fill(f64::NAN);
+            pool.release(g);
+            let (got, _) =
+                solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, method.clone()).unwrap();
+            let what = format!("{dims} x{sweeps} via {method:?}");
+            norm::assert_grids_identical(&oracle, &got, &Region3::whole(dims), &what);
+        }
+    }
+    for dims in [Dims3::new(2, 6, 5), Dims3::new(6, 5, 2)] {
         let initial: Grid3<f64> = init::random(dims, 0x7A1);
-        for sweeps in [1, 2] {
-            let (oracle, _) =
-                solve_with(&Jacobi6, initial.clone(), sweeps, Method::Sequential).unwrap();
-            for method in &methods {
-                let mut g = rt.acquire_grid::<f64>(dims);
-                g.as_mut_slice().fill(f64::NAN);
-                pool.release(g);
-                let (got, _) =
-                    solve_with_on(&rt, &Jacobi6, initial.clone(), sweeps, method.clone()).unwrap();
-                let what = format!("{dims} x{sweeps} via {method:?}");
-                norm::assert_grids_identical(&oracle, &got, &Region3::whole(dims), &what);
-            }
+        for method in &methods {
+            let fresh = pool.fresh_allocations();
+            let err = solve_with_on(&rt, &Jacobi6, initial.clone(), 1, method.clone())
+                .expect_err("a grid without interior is refused");
+            assert!(err.contains("no interior"), "{dims} via {method:?}: {err}");
+            assert_eq!(pool.fresh_allocations(), fresh, "{dims} via {method:?}");
         }
     }
 }
